@@ -103,8 +103,9 @@ func (c *clusterCore) Stats() sim.Stats {
 	return s
 }
 
-// LinkStats counts one node's traffic with one peer on a network
-// substrate (TCP tracks per-link detail; UDP reports node totals only).
+// LinkStats describes one node's link with one peer on a network
+// substrate (TCP tracks per-link message counters; UDP reports the
+// window gauges only).
 type LinkStats struct {
 	// Peer is the other endpoint of the link.
 	Peer int
@@ -116,6 +117,13 @@ type LinkStats struct {
 	// backlogged connection on the send side, full mailbox on the
 	// receive side).
 	Dropped int64
+	// InFlight is how many messages sent toward Peer the peer has not yet
+	// reported consumed (the fullest of the per-instance link windows),
+	// PeakInFlight the largest value it ever reached. The transports
+	// refuse any send that would exceed TransportStats.Capacity, so
+	// PeakInFlight <= Capacity is the capacity bound holding.
+	InFlight     int
+	PeakInFlight int
 }
 
 // TransportStats holds one node's transport counters, in the same shape
@@ -128,8 +136,9 @@ type TransportStats struct {
 	Sends int64
 	// Recvs counts messages received into the mailbox layer.
 	Recvs int64
-	// SendDrops counts messages lost at the sender (failed writes,
-	// unencodable payloads, dead or backlogged connections).
+	// SendDrops counts messages lost at the sender (sends refused by a
+	// full link window, failed writes, unencodable payloads, dead or
+	// backlogged connections).
 	SendDrops int64
 	// MailboxDrops counts messages dropped at a full receive mailbox
 	// (the model's lose-on-full rule).
@@ -139,7 +148,7 @@ type TransportStats struct {
 	Redials int64
 	// SendDatagrams and RecvDatagrams count wire frames moved by the
 	// socket layer — UDP datagrams, or length-prefixed frames on a TCP
-	// stream. With wire v3 batching one frame carries many messages, so
+	// stream. With batching one frame carries many messages, so
 	// Sends/SendDatagrams is the average batch occupancy. Zero on the
 	// in-memory substrates.
 	SendDatagrams int64
@@ -151,8 +160,17 @@ type TransportStats struct {
 	// in-memory substrates.
 	SendSyscalls int64
 	RecvSyscalls int64
-	// Links holds per-link counters when the transport tracks them
-	// (TCP), nil otherwise.
+	// EchoFrames and ProbeFrames count the link layer's control frames
+	// (both included in SendDatagrams): acknowledgments that found no
+	// data to ride on, and probes sent at a shut window.
+	EchoFrames  int64
+	ProbeFrames int64
+	// Capacity is the channel-capacity bound c (WithCapacity) the
+	// transport enforces on every directed link; zero on the in-memory
+	// substrates.
+	Capacity int
+	// Links holds per-peer detail on the network substrates, nil
+	// otherwise.
 	Links []LinkStats
 	// Faults counts the faults injected at this node's mailbox boundary
 	// by the cluster's FaultPlan (zero without one).
@@ -181,12 +199,16 @@ func (c *clusterCore) TransportStats() []TransportStats {
 			RecvDatagrams: s.RecvDatagrams,
 			SendSyscalls:  s.SendSyscalls,
 			RecvSyscalls:  s.RecvSyscalls,
+			EchoFrames:    s.EchoFrames,
+			ProbeFrames:   s.ProbeFrames,
+			Capacity:      s.Capacity,
 			Faults:        publicFaultStats(s.Faults),
 		}
 		if len(s.Links) > 0 {
 			links := make([]LinkStats, len(s.Links))
 			for j, l := range s.Links {
-				links[j] = LinkStats{Peer: int(l.Peer), Sent: l.Sent, Received: l.Received, Dropped: l.Dropped}
+				links[j] = LinkStats{Peer: int(l.Peer), Sent: l.Sent, Received: l.Received, Dropped: l.Dropped,
+					InFlight: l.InFlight, PeakInFlight: l.PeakInFlight}
 			}
 			out[i].Links = links
 		}

@@ -18,10 +18,9 @@ import (
 // This file is the -transport -batch mode: the BENCH_0009.json artifact.
 // Where BENCH_0008 prices one end-to-end broadcast per substrate, this
 // matrix measures raw sustained message throughput over real UDP
-// sockets along the batch dimension — batch=1 (the pre-v3 one-datagram-
-// per-message path, byte-compatible with wire v2 peers) against the
-// coalescing ceilings — so the wire v3 syscall-amortization claim is a
-// recorded number, not prose. Each row also reports the achieved batch
+// sockets along the batch dimension — batch=1 (one datagram per
+// message) against the coalescing ceilings — so the batch-frame
+// syscall-amortization claim is a recorded number, not prose. Each row also reports the achieved batch
 // occupancy (messages per datagram) and the syscall amortization
 // (messages per sendto/sendmmsg call) from the transport counters.
 //
@@ -35,6 +34,9 @@ type wireBenchResult struct {
 	N         int    `json:"n"`
 	// Batch is the coalescing ceiling (WithBatch); 1 disables batching.
 	Batch int `json:"batch"`
+	// Window is the per-link capacity bound the flood ran at (see
+	// floodWindow).
+	Window int `json:"window"`
 	// BlobBytes is the opaque payload body carried by every message.
 	BlobBytes int `json:"blob_bytes"`
 	// MsgsPerSec is the sustained delivery rate across the cluster.
@@ -84,7 +86,7 @@ func parseBatches(s string) ([]int, error) {
 func runWireBench(out string, batches []int, quick bool) error {
 	file := wireBenchFile{
 		Bench:     "BENCH_0009",
-		Schema:    1,
+		Schema:    2,
 		GoVersion: runtime.Version(),
 		GoOS:      runtime.GOOS,
 		GoArch:    runtime.GOARCH,
@@ -137,6 +139,12 @@ func printWireRow(r wireBenchResult) {
 		r.N, r.Batch, r.BlobBytes, r.MsgsPerSec, r.BatchOccupancy, r.SendsPerSyscall)
 }
 
+// floodWindow is the capacity bound the flood runs at. Its machine has
+// no handshake flags to size, and at the protocols' default bound the
+// matrix would measure the link window instead of the datagram path, so
+// the flood asks for a window deep enough to keep every link saturated.
+const floodWindow = 1024
+
 // floodMachine seeds one message per peer on Step and echoes each
 // delivery back, so sustained traffic is driven by the delivery path —
 // the same shape as the transport package's own throughput benchmark.
@@ -180,7 +188,7 @@ func benchWireFlood(n, batch, blob int, window time.Duration) (wireBenchResult, 
 	for i := 0; i < n; i++ {
 		node, err := udp.NewNode(core.ProcID(i),
 			core.Stack{&floodMachine{self: core.ProcID(i), n: n, blob: body, delivered: &delivered}},
-			"127.0.0.1:0", make([]string, n), udp.WithBatch(batch))
+			"127.0.0.1:0", make([]string, n), udp.WithBatch(batch), udp.WithCapacity(floodWindow))
 		if err != nil {
 			return wireBenchResult{}, fmt.Errorf("bind node %d: %w", i, err)
 		}
@@ -234,7 +242,7 @@ func benchWireFlood(n, batch, blob int, window time.Duration) (wireBenchResult, 
 	after := delivered.Load()
 	s1, d1, ss1, r1, rs1 := sum()
 
-	res := wireBenchResult{Substrate: "udp", N: n, Batch: batch, BlobBytes: blob}
+	res := wireBenchResult{Substrate: "udp", N: n, Batch: batch, Window: floodWindow, BlobBytes: blob}
 	if elapsed > 0 {
 		res.MsgsPerSec = float64(after-before) / elapsed
 	}

@@ -230,6 +230,27 @@ func runOne(sc scenario, protocol, sub string, cfg config) error {
 	panic("snapchaos: unknown protocol " + protocol)
 }
 
+// windowed is what every cluster offers the teardown assertion.
+type windowed interface {
+	Close() error
+	TransportStats() []snapstab.TransportStats
+}
+
+// closeChecked tears c down and fails an otherwise successful run if any
+// link's in-flight count ever exceeded the capacity bound the transport
+// claims to enforce (vacuous on sim and runtime, which report no links).
+func closeChecked(c windowed, err *error) {
+	c.Close()
+	for p, s := range c.TransportStats() {
+		for _, l := range s.Links {
+			if l.PeakInFlight > s.Capacity && *err == nil {
+				*err = fmt.Errorf("capacity bound broken: link %d->%d peaked at %d messages in flight, capacity %d",
+					p, l.Peer, l.PeakInFlight, s.Capacity)
+			}
+		}
+	}
+}
+
 // participants returns how many processes take part in a PIF computation
 // initiated at process 0: everyone on the default complete network, the
 // initiator's neighbourhood on an explicit graph.
@@ -250,9 +271,9 @@ func ids(n int) []int64 {
 	return out
 }
 
-func runPIF(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) error {
+func runPIF(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
 	c := snapstab.NewPIFCluster(cfg.N, opts...)
-	defer c.Close()
+	defer closeChecked(c, &err)
 	if sc.corrupt {
 		c.CorruptEverything(cfg.Seed * 7)
 	}
@@ -303,9 +324,9 @@ type chaosDoc struct {
 // struct payload is broadcast under the fault plan and every decided
 // feedback must decode byte-identical to the echo of the broadcast —
 // the blob transit counterpart of runPIF's value-exact Num assertion.
-func runTyped(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) error {
+func runTyped(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
 	c := snapstab.NewTypedPIFCluster(cfg.N, snapstab.JSON[chaosDoc](), opts...)
-	defer c.Close()
+	defer closeChecked(c, &err)
 	if sc.corrupt {
 		c.CorruptEverything(cfg.Seed * 7)
 	}
@@ -350,10 +371,10 @@ func runTyped(ctx context.Context, sc scenario, cfg config, opts []snapstab.Opti
 	return nil
 }
 
-func runIDL(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) error {
+func runIDL(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
 	idlist := ids(cfg.N)
 	c := snapstab.NewIDCluster(idlist, opts...)
-	defer c.Close()
+	defer closeChecked(c, &err)
 	if sc.corrupt {
 		c.CorruptEverything(cfg.Seed * 7)
 	}
@@ -375,9 +396,9 @@ func runIDL(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option
 	return nil
 }
 
-func runMutex(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) error {
+func runMutex(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
 	c := snapstab.NewMutexCluster(ids(cfg.N), opts...)
-	defer c.Close()
+	defer closeChecked(c, &err)
 	if sc.corrupt {
 		c.CorruptEverything(cfg.Seed * 7)
 	}
@@ -408,9 +429,9 @@ func runMutex(ctx context.Context, sc scenario, cfg config, opts []snapstab.Opti
 	return nil
 }
 
-func runReset(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) error {
+func runReset(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
 	c := snapstab.NewResetCluster(cfg.N, nil, opts...)
-	defer c.Close()
+	defer closeChecked(c, &err)
 	if sc.corrupt {
 		c.CorruptEverything(cfg.Seed * 7)
 	}
@@ -429,11 +450,11 @@ func runReset(ctx context.Context, sc scenario, cfg config, opts []snapstab.Opti
 	return nil
 }
 
-func runSnap(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) error {
+func runSnap(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
 	c := snapstab.NewSnapshotCluster(cfg.N, func(p int) snapstab.Payload {
 		return snapstab.Payload{Tag: "state", Num: int64(p) * 111}
 	}, opts...)
-	defer c.Close()
+	defer closeChecked(c, &err)
 	if sc.corrupt {
 		c.CorruptEverything(cfg.Seed * 7)
 	}
@@ -461,9 +482,9 @@ func runSnap(ctx context.Context, sc scenario, cfg config, opts []snapstab.Optio
 // a corrupted message can never carry an armed key (garbled sequence
 // numbers stay below the genuine floor), so a genuine delivery is a
 // genuine body.
-func runForward(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option) error {
+func runForward(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option) (err error) {
 	c := snapstab.NewForwardingCluster(cfg.N, snapstab.JSON[string](), opts...)
-	defer c.Close()
+	defer closeChecked(c, &err)
 	if sc.corrupt {
 		c.CorruptEverything(cfg.Seed * 7)
 	}

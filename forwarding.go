@@ -98,7 +98,7 @@ func NewForwardingCluster[T any](n int, codec Codec[T], opts ...Option) *Forward
 			OnDeliver: func(_ core.Env, _ core.ProcID, it fwd.Item) { c.record(i, it) },
 		}
 		c.machines[i] = fwd.New(fwdInstance, core.ProcID(i), n, topo.Neighbors(core.ProcID(i)), hops[i], cb,
-			fwd.WithCapacityBound(o.substrate.machineCap(o)))
+			fwd.WithCapacityBound(o.capacity))
 		stacks[i] = core.Stack{c.machines[i]}
 	}
 	// Events arrive concurrently from every process goroutine on the

@@ -10,7 +10,8 @@ import (
 // simReachable lists the packages whose executions must be a pure
 // function of the configured seed: everything the deterministic
 // simulator can reach while replaying the E1–E12 tables, the protocol
-// machines it drives, and the spec checkers that judge the event stream.
+// machines it drives, the spec checkers that judge the event stream,
+// and the pure state machines the model checker drives.
 // Matched by path suffix (see pathMatches) so fixture packages can opt
 // in.
 var simReachable = []string{
@@ -30,6 +31,9 @@ var simReachable = []string{
 	// corruption and configuration feeding the machines
 	"internal/adversary",
 	"internal/config",
+	// the socket transports' link-window state machine: clock-free by
+	// contract, and explored exhaustively by internal/check
+	"internal/window",
 }
 
 // wallClock are the time functions that read the wall clock; they are

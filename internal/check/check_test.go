@@ -145,3 +145,23 @@ func BenchmarkSafetySuccessors(b *testing.B) {
 		}
 	}
 }
+
+// TestWindowExhaustive drives the transports' link window through every
+// configuration reachable over a lossy, duplicating FIFO with an
+// order-free receiver pipeline and one peer restart: the capacity bound
+// holds in each, and none is wedged.
+func TestWindowExhaustive(t *testing.T) {
+	for _, c := range []int{1, 2} {
+		res := Window(c)
+		t.Logf("c=%d: %d states, %d edges", c, res.States, res.Edges)
+		if res.Violation != "" {
+			t.Errorf("c=%d: %s", c, res.Violation)
+		}
+		if res.Wedged != 0 {
+			t.Errorf("c=%d: %d wedged configurations, e.g. %s", c, res.Wedged, res.SampleWedge)
+		}
+		if res.States < 100 {
+			t.Errorf("c=%d: only %d states explored; the model lost its transitions", c, res.States)
+		}
+	}
+}

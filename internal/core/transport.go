@@ -1,10 +1,13 @@
 package core
 
+import "fmt"
+
 // LinkStats counts the traffic this node exchanged with one peer over a
 // real network transport. A "drop" here is a message this node lost on
 // that link — a failed or timed-out write on the send side, a full
 // receive mailbox on the receive side — so Sent+Dropped at the sender and
 // Received+Dropped at the receiver bracket the link's true delivery rate.
+// UDP tracks the window gauges only; its message counters stay zero.
 type LinkStats struct {
 	// Peer is the other endpoint of the link.
 	Peer ProcID
@@ -16,6 +19,14 @@ type LinkStats struct {
 	// failures (dead connection, timed-out write, full send queue) plus
 	// receive-side mailbox drops attributed to Peer.
 	Dropped int64
+	// InFlight is how many messages this node has sent toward Peer that
+	// the peer has not yet reported consumed — the fullest of the
+	// per-instance link windows — and PeakInFlight the largest value any
+	// of them ever reached. The transports refuse a send that would take
+	// a window past TransportStats.Capacity, so PeakInFlight above it
+	// means the capacity bound was broken.
+	InFlight     int
+	PeakInFlight int
 }
 
 // TransportStats is the substrate-agnostic transport counter snapshot for
@@ -30,8 +41,9 @@ type TransportStats struct {
 	Sends int64
 	// Recvs counts messages received and delivered to the mailbox layer.
 	Recvs int64
-	// SendDrops counts messages lost at the sender — failed writes,
-	// unencodable payloads, dead or backlogged connections.
+	// SendDrops counts messages lost at the sender — sends refused by a
+	// full link window, failed writes, unencodable payloads, dead or
+	// backlogged connections.
 	SendDrops int64
 	// MailboxDrops counts messages dropped at a full receive mailbox,
 	// the transport's lose-on-full rule (reported as EvLose).
@@ -40,10 +52,10 @@ type TransportStats struct {
 	// dial/accept lifecycle re-establishing a lost connection).
 	Redials int64
 	// SendDatagrams and RecvDatagrams count wire frames (datagrams on
-	// UDP, length-prefixed frames on TCP). With wire v3 batching one
-	// frame carries many messages, so Sends/SendDatagrams is the
-	// outbound batch occupancy; zero on substrates without a framed
-	// wire.
+	// UDP, length-prefixed frames on TCP), control frames included.
+	// With batching one frame carries many messages, so
+	// Sends/SendDatagrams is the outbound batch occupancy; zero on
+	// substrates without a framed wire.
 	SendDatagrams int64
 	RecvDatagrams int64
 	// SendSyscalls and RecvSyscalls count the socket system calls that
@@ -53,8 +65,17 @@ type TransportStats struct {
 	// where the transport cannot observe the syscall boundary.
 	SendSyscalls int64
 	RecvSyscalls int64
-	// Links holds per-link detail when the transport tracks it (TCP);
-	// nil when only node-level counters exist.
+	// EchoFrames and ProbeFrames count the link layer's control frames:
+	// acknowledgments that found no data to ride on, and probes sent at
+	// a shut window. Both are included in SendDatagrams.
+	EchoFrames  int64
+	ProbeFrames int64
+	// Capacity is the channel-capacity bound c the transport enforces on
+	// every directed (peer, group, instance) link; zero on substrates
+	// without a transport.
+	Capacity int
+	// Links holds per-peer detail on the network transports; nil on the
+	// in-memory substrates.
 	Links []LinkStats
 	// Faults counts the faults injected at this node's mailbox boundary
 	// by an installed FaultPlan; zero without one.
@@ -68,4 +89,19 @@ type TransportStats struct {
 // use the zero Addr to tell "no transport" from "no traffic yet".
 type TransportStatser interface {
 	TransportStats() []TransportStats
+}
+
+// CheckWindows reports the first link whose peak in-flight count
+// exceeded the capacity its node enforces — the transports' teardown
+// assertion that the channel-capacity bound held for a whole run.
+func CheckWindows(stats []TransportStats) error {
+	for p, s := range stats {
+		for _, l := range s.Links {
+			if l.PeakInFlight > s.Capacity {
+				return fmt.Errorf("core: link %d->%d peaked at %d messages in flight, capacity %d",
+					p, l.Peer, l.PeakInFlight, s.Capacity)
+			}
+		}
+	}
+	return nil
 }

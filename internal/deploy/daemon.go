@@ -142,11 +142,15 @@ func (c coreStatser) TransportStats() []core.TransportStats {
 			SendDrops:    s.SendDrops,
 			MailboxDrops: s.MailboxDrops,
 			Redials:      s.Redials,
+			EchoFrames:   s.EchoFrames,
+			ProbeFrames:  s.ProbeFrames,
+			Capacity:     s.Capacity,
 			Faults:       core.FaultStats(s.Faults),
 		}
 		for _, l := range s.Links {
 			cs.Links = append(cs.Links, core.LinkStats{
 				Peer: core.ProcID(l.Peer), Sent: l.Sent, Received: l.Received, Dropped: l.Dropped,
+				InFlight: l.InFlight, PeakInFlight: l.PeakInFlight,
 			})
 		}
 		out[i] = cs

@@ -74,7 +74,9 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 		{},
 		{
 			Addr: "127.0.0.1:9", Sends: 10, Recvs: 8, Redials: 1,
-			Links:  []core.LinkStats{{Peer: 0, Sent: 6, Received: 5}, {Peer: 2, Sent: 4, Received: 3, Dropped: 1}},
+			EchoFrames: 2, ProbeFrames: 1, Capacity: 4,
+			Links: []core.LinkStats{{Peer: 0, Sent: 6, Received: 5, InFlight: 1, PeakInFlight: 3},
+				{Peer: 2, Sent: 4, Received: 3, Dropped: 1}},
 			Faults: core.FaultStats{Drops: 2},
 		},
 		{},
@@ -98,6 +100,11 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 		`snapstab_link_sent_total{peer="0"} 6`,
 		`snapstab_link_received_total{peer="2"} 3`,
 		`snapstab_link_dropped_total{peer="2"} 1`,
+		`snapstab_link_in_flight{peer="0"} 1`,
+		`snapstab_link_peak_in_flight{peer="0"} 3`,
+		"snapstab_transport_echo_frames_total 2",
+		"snapstab_transport_probe_frames_total 1",
+		"snapstab_transport_capacity 4",
 		`snapstab_faults_injected_total{type="drop"} 2`,
 		`snapstab_requests_total{op="broadcast",outcome="ok"} 1`,
 		`snapstab_request_duration_seconds_bucket{le="0.016"} 1`,

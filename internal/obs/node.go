@@ -78,13 +78,16 @@ var transportFields = []struct {
 }{
 	{"snapstab_transport_sends_total", "Messages handed to the network by this node.", func(s core.TransportStats) int64 { return s.Sends }},
 	{"snapstab_transport_recvs_total", "Messages received into this node's mailbox layer.", func(s core.TransportStats) int64 { return s.Recvs }},
-	{"snapstab_transport_send_drops_total", "Messages lost at the sender (dead connections, full queues, failed writes).", func(s core.TransportStats) int64 { return s.SendDrops }},
+	{"snapstab_transport_send_drops_total", "Messages lost at the sender (full link windows, dead connections, full queues, failed writes).", func(s core.TransportStats) int64 { return s.SendDrops }},
 	{"snapstab_transport_mailbox_drops_total", "Messages dropped at a full receive mailbox (lose-on-full).", func(s core.TransportStats) int64 { return s.MailboxDrops }},
 	{"snapstab_transport_redials_total", "Connections re-established after a loss (TCP lifecycle).", func(s core.TransportStats) int64 { return s.Redials }},
 	{"snapstab_transport_send_datagrams_total", "Datagrams (UDP) or wire frames (TCP) written by this node; messages batch into them.", func(s core.TransportStats) int64 { return s.SendDatagrams }},
 	{"snapstab_transport_recv_datagrams_total", "Datagrams (UDP) or wire frames (TCP) read by this node.", func(s core.TransportStats) int64 { return s.RecvDatagrams }},
 	{"snapstab_transport_send_syscalls_total", "Socket write system calls; sendmmsg and vectored writes keep this below the datagram count.", func(s core.TransportStats) int64 { return s.SendSyscalls }},
 	{"snapstab_transport_recv_syscalls_total", "Socket read system calls; recvmmsg and buffered reads keep this below the datagram count.", func(s core.TransportStats) int64 { return s.RecvSyscalls }},
+	{"snapstab_transport_echo_frames_total", "Control frames carrying only acknowledgments that found no data to ride on.", func(s core.TransportStats) int64 { return s.EchoFrames }},
+	{"snapstab_transport_probe_frames_total", "Control frames probing a peer from a shut link window.", func(s core.TransportStats) int64 { return s.ProbeFrames }},
+	{"snapstab_transport_capacity", "Channel-capacity bound c enforced on every directed link.", func(s core.TransportStats) int64 { return int64(s.Capacity) }},
 }
 
 // faultFields maps the injected-fault counters by fault type.
@@ -140,6 +143,18 @@ func registerTransport(reg *Registry, node int, stats core.TransportStatser) {
 				emit([]string{strconv.Itoa(int(l.Peer))}, float64(l.Dropped))
 			}
 		})
+	reg.NewGaugeFunc("snapstab_link_in_flight", "Messages sent toward each peer and not yet reported consumed (fullest link window).",
+		[]string{"peer"}, func(emit func([]string, float64)) {
+			for _, l := range self().Links {
+				emit([]string{strconv.Itoa(int(l.Peer))}, float64(l.InFlight))
+			}
+		})
+	reg.NewGaugeFunc("snapstab_link_peak_in_flight", "Largest in-flight count each peer's link windows ever reached; never above snapstab_transport_capacity.",
+		[]string{"peer"}, func(emit func([]string, float64)) {
+			for _, l := range self().Links {
+				emit([]string{strconv.Itoa(int(l.Peer))}, float64(l.PeakInFlight))
+			}
+		})
 	// Derived batching-efficiency gauges: cumulative ratios over the
 	// whole process lifetime, zero until the first write/read.
 	ratio := func(num, den int64) float64 {
@@ -148,7 +163,7 @@ func registerTransport(reg *Registry, node int, stats core.TransportStatser) {
 		}
 		return float64(num) / float64(den)
 	}
-	reg.NewGaugeFunc("snapstab_transport_send_batch_occupancy", "Messages per outbound datagram/frame (wire v3 batching efficiency).",
+	reg.NewGaugeFunc("snapstab_transport_send_batch_occupancy", "Messages per outbound datagram/frame (batching efficiency).",
 		nil, func(emit func([]string, float64)) {
 			s := self()
 			emit(nil, ratio(s.Sends, s.SendDatagrams))

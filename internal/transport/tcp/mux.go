@@ -1,6 +1,6 @@
 // Mux-mode driving: many independent clusters over one connection mesh.
 // A Mux binds one bare node per process — no default group — and Attach
-// installs each cluster as a fresh wire v3 group on every node, so many
+// installs each cluster as a fresh wire group on every node, so many
 // logical snap-stabilizing groups share n listeners, one set of
 // persistent connections, and the vectored write path instead of each
 // paying for its own mesh. Groups are isolated end to end: routing,
@@ -31,8 +31,8 @@ type Mux struct {
 }
 
 // NewMux binds one loopback listener per process and starts the shared
-// loops with no groups attached. Options must be node-level (mailbox,
-// send queue, tick, step interval, backoff, write timeout); per-cluster
+// loops with no groups attached. Options must be node-level (capacity,
+// batch, tick, step interval, backoff, write timeout); per-cluster
 // options (topology, faults, observers) belong to Attach. The caller
 // owns the mux and must Close it to release the listeners.
 func NewMux(nProcs int, opts ...Option) (*Mux, error) {
@@ -105,7 +105,7 @@ func (m *Mux) Attach(stacks []core.Stack, opts ...Option) (*MuxCluster, error) {
 	c := &MuxCluster{mux: m, gid: gid, groups: make([]*group, len(m.nodes)), done: make(chan struct{})}
 	epoch := time.Now()
 	for i, node := range m.nodes {
-		g, err := buildGroup(gid, stacks[i], topo, fault, obs, len(m.nodes), node.self)
+		g, err := buildGroup(gid, stacks[i], topo, fault, obs, len(m.nodes), node.self, node.capacity)
 		if err != nil {
 			for _, prev := range m.nodes[:i] {
 				prev.removeGroup(gid)
@@ -127,7 +127,7 @@ func clusterOptions(opts []Option) (*core.Topology, *core.FaultPlan, core.MultiO
 	for _, o := range opts {
 		o(&s)
 	}
-	if s.mailboxSlots != 0 || s.sendSlots != 0 || s.vecCap != 0 || s.tick != 0 ||
+	if s.capacity != 0 || s.vecCap != 0 || s.tick != 0 ||
 		s.stepInterval != 0 || s.dialMin != 0 || s.dialMax != 0 || s.writeTimeout != 0 {
 		return nil, nil, nil, fmt.Errorf("tcp: node-level option per attached cluster; set it on NewMux")
 	}
@@ -140,17 +140,13 @@ func (m *Mux) Close() error {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
-	m.closeOnce.Do(func() {
-		for _, node := range m.nodes {
-			node.Stop()
-		}
-	})
+	m.closeOnce.Do(func() { stopAll(m.nodes) })
 	return nil
 }
 
 // MuxCluster is one cluster hosted on a Mux: a core.Substrate whose
 // processes share their connections and loops with every other attached
-// cluster, isolated from them by the wire v3 group id.
+// cluster, isolated from them by the frame's group id.
 type MuxCluster struct {
 	mux    *Mux
 	gid    uint64
@@ -168,7 +164,7 @@ var (
 // N returns the number of processes.
 func (c *MuxCluster) N() int { return len(c.groups) }
 
-// Group returns the wire v3 group id this cluster's traffic carries.
+// Group returns the wire group id this cluster's traffic carries.
 func (c *MuxCluster) Group() uint64 { return c.gid }
 
 // Do runs f under process p's action mutex with this cluster's

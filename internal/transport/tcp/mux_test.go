@@ -18,7 +18,7 @@ func pifStacks(n int) ([]core.Stack, []*pif.PIF) {
 			OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 				return core.Payload{Tag: "ack", Num: b.Num*10 + int64(self)}
 			},
-		}, pif.WithCapacityBound(DefaultAssumedCapacity))
+		}, pif.WithCapacityBound(DefaultCapacity))
 		stacks[i] = core.Stack{machines[i]}
 	}
 	return stacks, machines
@@ -62,10 +62,12 @@ func TestTCPMuxHostsIndependentClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, ca)
 	cb, err := m.Attach(stacksB)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, cb)
 	if ca.Group() == cb.Group() || ca.Group() == 0 {
 		t.Fatalf("group ids %d and %d must be distinct and nonzero", ca.Group(), cb.Group())
 	}
@@ -109,10 +111,12 @@ func TestTCPMuxFaultIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, ca)
 	cb, err := m.Attach(stacksB)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, cb)
 	muxBroadcast(t, ca, machA, core.Payload{Tag: "a", Num: 5})
 	muxBroadcast(t, cb, machB, core.Payload{Tag: "b", Num: 6})
 
@@ -147,10 +151,12 @@ func TestTCPMuxClusterCloseDetaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, ca)
 	cb, err := m.Attach(stacksB)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, cb)
 	muxBroadcast(t, ca, machA, core.Payload{Tag: "a", Num: 1})
 	if err := ca.Close(); err != nil {
 		t.Fatal(err)
@@ -168,10 +174,7 @@ func TestTCPMuxRejectsNodeLevelAttachOptions(t *testing.T) {
 	}
 	t.Cleanup(func() { m.Close() })
 	stacks, _ := pifStacks(2)
-	if _, err := m.Attach(stacks, WithMailbox(4)); err == nil {
-		t.Fatal("WithMailbox accepted per attached cluster")
-	}
-	if _, err := m.Attach(stacks, WithSendQueue(4)); err == nil {
-		t.Fatal("WithSendQueue accepted per attached cluster")
+	if _, err := m.Attach(stacks, WithCapacity(4)); err == nil {
+		t.Fatal("WithCapacity accepted per attached cluster")
 	}
 }

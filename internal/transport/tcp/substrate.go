@@ -140,12 +140,22 @@ func awaitNode(ctx context.Context, node *Node, cond func(env core.Env) bool) er
 
 // Close stops every node, releasing loops and sockets. Idempotent.
 func (c *Cluster) Close() error {
-	c.closeOnce.Do(func() {
-		for _, node := range c.nodes {
-			node.Stop()
-		}
-	})
+	c.closeOnce.Do(func() { stopAll(c.nodes) })
 	return nil
+}
+
+// stopAll stops nodes concurrently, so a teardown costs the slowest
+// node's Stop rather than their sum.
+func stopAll(nodes []*Node) {
+	var wg sync.WaitGroup
+	for _, node := range nodes {
+		wg.Add(1)
+		go func(node *Node) {
+			defer wg.Done()
+			node.Stop()
+		}(node)
+	}
+	wg.Wait()
 }
 
 // HostConfig describes one daemon's place in a multi-host fleet.

@@ -11,16 +11,26 @@
 // model's channels are lossy with a KNOWN capacity bound, and the
 // transport deliberately restores both properties at its edges:
 //
-//   - each directed link (p -> q) is one connection dialed by p, fed
-//     through a bounded outbound queue; a send finding the queue full is
-//     dropped at the sender (core.EvSendLost), and a send caught by a
-//     dead or timed-out connection is dropped in transit;
-//   - each (group, sender, instance) triple gets a bounded mailbox at
-//     the receiver; a frame arriving at a full mailbox is dropped
-//     (lose-on-full, the model's rule) and reported as core.EvLose;
-//   - AssumedCapacity reports the bound a protocol stack should declare
-//     (the handshake flag domain grows linearly in it, and must stay
-//     within the wire format's one-byte flag fields).
+//   - every directed (peer, group, instance) link has a sender-side
+//     window of c messages (WithCapacity, default DefaultCapacity),
+//     exactly as on UDP: a slot is held from env.Send until the receiver
+//     hands the message to Deliver or drops it, a send into a full
+//     window is lost at the sender (core.EvSendLost, Note "window"), and
+//     consumption travels back in the link headers of the reverse
+//     connection's frames, in echo-only frames from the step timer, and
+//     in answer to probes (internal/window is the state machine, shared
+//     with UDP). Socket buffers, the outbound queue and the mailboxes
+//     all sit inside the window, so none of them adds to the bound;
+//   - each directed physical link (p -> q) is one connection dialed by
+//     p, fed through an outbound queue sized from c; a send caught by a
+//     dead or timed-out connection is dropped in transit, and a fresh
+//     connection is an empty channel (the receiver retires the peer's
+//     previous connection before reading the new one);
+//   - each (group, sender, instance) triple gets a mailbox of c slots at
+//     the receiver; only traffic that ignored the window can find it
+//     full, and is dropped lose-on-full (core.EvLose);
+//   - protocol stacks must be built with the same c, which must stay
+//     within the wire format's one-byte flag fields (window.MaxCapacity).
 //
 // Connection loss is therefore just message loss, which the protocols
 // tolerate by design: the retransmitting action A2 keeps fresh copies
@@ -31,11 +41,11 @@
 // # Wire framing and groups
 //
 // Every frame on a connection is a 4-byte big-endian length prefix
-// followed by one wire-encoded unit. The default group (group 0) streams
-// bare wire v1/v2 frames, byte-compatible with peers that predate the v3
-// batch format; any other group wraps each message in a wire v3 batch
-// frame (count 1) whose uvarint group id routes it at the receiver. A
-// Node hosts one or more groups — independent protocol stacks with their
+// followed by one wire-encoded unit: the bare v1 hello that opens the
+// connection, then wire v4 link frames — one message under its link's
+// sequence/acknowledgment header, or a header alone (echo, probe) —
+// whose uvarint group id routes them at the receiver. A Node hosts one
+// or more groups — independent protocol stacks with their
 // own routes, observers, topology, and fault plan — over one listener
 // and one set of connections; the legacy constructor installs its stack
 // as group 0 and Mux attaches further clusters with fresh ids (mux.go).
@@ -84,6 +94,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -91,22 +102,22 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/rng"
+	"github.com/snapstab/snapstab/internal/window"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
-// DefaultAssumedCapacity is the per-link capacity bound the transport is
-// configured for by default: outbound queue plus mailbox slots plus a
-// conservative allowance for socket-buffered frames. The protocol flag
-// domain is 2c+2 values and must fit the wire format's one-byte flag
-// fields, so the bound must stay <= 126.
-const DefaultAssumedCapacity = 64
+// DefaultCapacity is the per-link capacity bound c the transport
+// enforces by default: the window of every directed (peer, group,
+// instance) link, the mailbox size, and the bound protocol stacks must
+// be built with (flag top 2c+2 = 10).
+const DefaultCapacity = 4
 
 // Frame format: a 4-byte big-endian length prefix followed by one wire
-// frame — bare v1/v2 for the default group, a v3 batch frame for any
-// other. maxFrame bounds the declared length against memory exhaustion
-// from a malformed or hostile peer; the headroom over a maximal v2
-// record covers the v3 batch header and per-record prefixes. A violation
-// is a protocol error and closes the connection.
+// frame — the bare v1 hello, then v4 link frames. maxFrame bounds the
+// declared length against memory exhaustion from a malformed or hostile
+// peer; the headroom over a maximal v2 record covers the link header and
+// the record prefix. A violation is a protocol error and closes the
+// connection.
 const maxFrame = 2*wire.MaxBlobLen + 8<<10
 
 // sendVecCap is the default bound on how many queued frames one
@@ -125,18 +136,15 @@ const tcpFaultSalt = 0x7c
 // Option configures a Node.
 type Option func(*Node)
 
-// WithMailbox sets the per-(group, sender, instance) mailbox size
-// (default 8).
-func WithMailbox(slots int) Option {
-	return func(n *Node) { n.mailboxSlots = slots }
-}
-
-// WithSendQueue sets the per-link outbound queue length (default 32). A
-// send finding the queue full — a dead link under retransmission, a
-// backlogged connection — is dropped at the sender, the bounded-capacity
-// rule applied to the transport's own buffering.
-func WithSendQueue(slots int) Option {
-	return func(n *Node) { n.sendSlots = slots }
+// WithCapacity sets the channel-capacity bound c the node enforces on
+// every directed (peer, group, instance) link (default DefaultCapacity):
+// the sender-side window and the receive mailbox are both c messages,
+// and the per-connection outbound queue is sized from it. The protocol
+// stacks must be built with the same bound. The transport accepts any
+// c >= 1; stacks that carry handshake flags are limited to
+// window.MaxCapacity by the wire format's one-byte flag fields.
+func WithCapacity(c int) Option {
+	return func(n *Node) { n.capacity = c }
 }
 
 // WithBatch bounds how many queued frames one vectored write may carry
@@ -208,7 +216,7 @@ func WithFaults(plan *core.FaultPlan) Option {
 // group is one protocol stack hosted on a node: an independent cluster
 // member with its own routing, observers, topology, fault plane, and
 // message counters, multiplexed with its siblings over the node's
-// connections by the wire v3 group id.
+// connections by the frame's group id.
 type group struct {
 	id        uint64
 	stack     core.Stack
@@ -225,10 +233,16 @@ type group struct {
 	injMu sync.Mutex
 	inj   *core.Injector
 
+	// links holds the window state of every (peer, instance) link of the
+	// group behind its own leaf lock.
+	links *window.Table
+
 	sends        atomic.Int64
 	recvs        atomic.Int64
 	sendDrops    atomic.Int64
 	mailboxDrops atomic.Int64
+	echoFrames   atomic.Int64
+	probeFrames  atomic.Int64
 }
 
 func (g *group) emit(ev core.Event) {
@@ -250,7 +264,7 @@ func (g *group) down(self core.ProcID) bool {
 
 // buildGroup assembles and validates one hosted group.
 func buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan *core.FaultPlan,
-	obs core.MultiObserver, nProcs int, self core.ProcID) (*group, error) {
+	obs core.MultiObserver, nProcs int, self core.ProcID, capacity int) (*group, error) {
 	if topo != nil && topo.N() != nProcs {
 		return nil, fmt.Errorf("tcp: topology over %d processes, %d peers", topo.N(), nProcs)
 	}
@@ -261,6 +275,9 @@ func buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan *core.Fau
 		topo:      topo,
 		observers: obs,
 		fault:     plan,
+		// A random first sequence keeps a restarted daemon's numbering
+		// clear of acknowledgments addressed to its previous life.
+		links: window.NewTable(capacity, 1+uint64(rand.Uint32()>>1)),
 	}
 	if plan != nil {
 		if err := plan.Validate(); err != nil {
@@ -288,12 +305,27 @@ type groupSet struct {
 	list []*group
 }
 
+// Kinds of queued frame: one message, or a control frame.
+const (
+	frameData = iota
+	frameEcho
+	frameProbe
+)
+
 // outFrame is one encoded frame queued on a link, tagged with the group
 // whose counters and observers account for its fate.
 type outFrame struct {
-	b []byte
-	g *group
+	b    []byte
+	g    *group
+	kind uint8
 }
+
+// sendQueueSlots sizes a connection's outbound queue from the capacity
+// bound: eight (group, instance) links' worth of full windows plus a
+// control frame each. Every queued message holds a window slot, so the
+// queue adds nothing to the bound; a node multiplexing more links than
+// that onto one connection sees the overflow as sender-side loss.
+func sendQueueSlots(capacity int) int { return 8 * (capacity + 1) }
 
 // link is one outgoing directed edge: a bounded queue of encoded frames
 // drained by a writer goroutine that owns the connection lifecycle.
@@ -309,8 +341,7 @@ type Node struct {
 	self         core.ProcID
 	ln           net.Listener
 	peerAddrs    []string
-	mailboxSlots int
-	sendSlots    int
+	capacity     int
 	vecCap       int
 	tick         time.Duration
 	stepInterval time.Duration
@@ -337,7 +368,9 @@ type Node struct {
 	// writes happen on the writer goroutines — so no protocol action ever
 	// blocks on the network.
 	mu      sync.Mutex
-	sendOne [1]core.Message // v3 single-record scratch, guarded by mu
+	sendOne [1]core.Message    // single-record scratch, guarded by mu
+	hdrOne  [1]wire.LinkHeader // single-header scratch, guarded by mu
+	due     []window.Due       // step-timer scratch, guarded by mu
 
 	out []*link // indexed by peer; nil for self, unwired, or non-neighbour
 
@@ -360,10 +393,12 @@ type Node struct {
 	recvFrames   atomic.Int64
 	recvSyscalls atomic.Int64
 
-	// connMu guards the accepted-connection registry used for teardown:
-	// Stop closes every registered connection to unblock its reader.
+	// connMu guards the accepted-connection registry used for teardown —
+	// Stop closes every registered connection to unblock its reader — and
+	// the per-peer record of the connection currently speaking for it.
 	connMu   sync.Mutex
 	accepted map[net.Conn]struct{}
+	inbound  map[core.ProcID]*inboundConn
 	closed   bool
 
 	stopOnce sync.Once
@@ -388,9 +423,10 @@ type Stats struct {
 	Sends int64
 	// Recvs counts messages accepted into a mailbox.
 	Recvs int64
-	// SendDrops counts messages lost at the sender: sends to
-	// non-neighbours, unencodable payloads, full outbound queues, and
-	// writes caught by a dead or timed-out connection.
+	// SendDrops counts messages lost at the sender: sends refused by a
+	// full link window, sends to non-neighbours, unencodable payloads,
+	// full outbound queues, and writes caught by a dead or timed-out
+	// connection.
 	SendDrops int64
 	// MailboxDrops counts messages dropped at a full receive mailbox (the
 	// model's lose-on-full rule, reported as core.EvLose).
@@ -408,7 +444,14 @@ type Stats struct {
 	// had; SendFrames/SendSyscalls is the write amortization.
 	SendSyscalls int64
 	RecvSyscalls int64
-	// Links holds per-directed-link counters for every peer.
+	// EchoFrames and ProbeFrames count this group's control frames (a
+	// link header, no message): acknowledgments that found no data to
+	// ride on, and probes sent at a shut window. Both are also counted
+	// in SendFrames.
+	EchoFrames  int64
+	ProbeFrames int64
+	// Links holds per-directed-link counters for every peer; the window
+	// gauges are this group's, the message counters the socket's.
 	Links []core.LinkStats
 	// Faults counts the faults injected at this node's mailbox boundary
 	// by the installed FaultPlan; zero without one.
@@ -435,6 +478,8 @@ func (n *Node) groupStats(g *group) Stats {
 		RecvFrames:   n.recvFrames.Load(),
 		SendSyscalls: n.sendSyscalls.Load(),
 		RecvSyscalls: n.recvSyscalls.Load(),
+		EchoFrames:   g.echoFrames.Load(),
+		ProbeFrames:  g.probeFrames.Load(),
 	}
 	for p := range n.linkSent {
 		if core.ProcID(p) == n.self {
@@ -446,6 +491,9 @@ func (n *Node) groupStats(g *group) Stats {
 			Received: n.linkRecvd[p].Load(),
 			Dropped:  n.linkDropped[p].Load(),
 		})
+	}
+	if g.links != nil {
+		g.links.FillLinkStats(s.Links)
 	}
 	if g.inj != nil {
 		g.injMu.Lock()
@@ -471,6 +519,9 @@ func (n *Node) transportStats(g *group) core.TransportStats {
 		RecvDatagrams: s.RecvFrames,
 		SendSyscalls:  s.SendSyscalls,
 		RecvSyscalls:  s.RecvSyscalls,
+		EchoFrames:    s.EchoFrames,
+		ProbeFrames:   s.ProbeFrames,
+		Capacity:      n.capacity,
 		Links:         s.Links,
 		Faults:        s.Faults,
 	}
@@ -493,8 +544,7 @@ func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, o
 		self:         self,
 		ln:           ln,
 		peerAddrs:    append([]string(nil), peers...),
-		mailboxSlots: 8,
-		sendSlots:    32,
+		capacity:     DefaultCapacity,
 		vecCap:       sendVecCap,
 		tick:         time.Millisecond,
 		stepInterval: 2 * time.Millisecond,
@@ -505,6 +555,7 @@ func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, o
 		spare:        make(map[mailKey][]core.Message),
 		mail:         make(chan struct{}, 1),
 		accepted:     make(map[net.Conn]struct{}),
+		inbound:      make(map[core.ProcID]*inboundConn),
 		stop:         make(chan struct{}),
 		linkSent:     make([]atomic.Int64, len(peers)),
 		linkRecvd:    make([]atomic.Int64, len(peers)),
@@ -518,8 +569,8 @@ func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, o
 		ln.Close()
 		return nil, err
 	}
-	if n.mailboxSlots < 1 || n.sendSlots < 1 || n.vecCap < 1 {
-		return fail(fmt.Errorf("tcp: invalid mailbox %d / send queue %d / batch %d", n.mailboxSlots, n.sendSlots, n.vecCap))
+	if n.capacity < 1 || n.vecCap < 1 {
+		return fail(fmt.Errorf("tcp: invalid capacity %d / batch %d", n.capacity, n.vecCap))
 	}
 	if n.dialMin <= 0 || n.dialMax < n.dialMin || n.writeTimeout <= 0 {
 		return fail(fmt.Errorf("tcp: invalid backoff %v..%v / write timeout %v", n.dialMin, n.dialMax, n.writeTimeout))
@@ -530,7 +581,7 @@ func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, o
 		}
 		return n, nil
 	}
-	g, err := buildGroup(0, stack, n.topo0, n.fault0, n.obs0, len(peers), self)
+	g, err := buildGroup(0, stack, n.topo0, n.fault0, n.obs0, len(peers), self, n.capacity)
 	if err != nil {
 		return fail(err)
 	}
@@ -606,7 +657,7 @@ func (n *Node) Start() {
 			// everything; its groups restrict traffic per message.)
 			continue
 		}
-		l := &link{peer: id, addr: addr, q: make(chan outFrame, n.sendSlots)}
+		l := &link{peer: id, addr: addr, q: make(chan outFrame, sendQueueSlots(n.capacity))}
 		n.out[p] = l
 		n.wg.Add(1)
 		go n.writeLoop(l)
@@ -646,40 +697,74 @@ func (v env) Send(to core.ProcID, m core.Message) {
 	if l == nil {
 		return
 	}
-	bp := framePool.Get().(*[]byte)
-	buf := append((*bp)[:0], 0, 0, 0, 0)
-	var err error
-	if g.id == 0 {
-		// The default group keeps the bare v1/v2 framing, byte-compatible
-		// with peers that predate the v3 batch frame.
-		buf, err = wire.AppendEncode(buf, m)
-	} else {
-		n.sendOne[0] = m
-		buf, err = wire.AppendBatch(buf, g.id, n.sendOne[:])
-		n.sendOne[0] = core.Message{}
-	}
-	if err != nil {
-		*bp = buf[:0]
-		framePool.Put(bp)
+	lost := func(note string) {
 		g.sendDrops.Add(1)
 		n.linkDropped[to].Add(1)
-		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m})
+		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: note})
+	}
+	e := g.links.Link(to, m.Instance)
+	if !e.Admit() {
+		// The link already holds c unconsumed messages: the send is lost
+		// at the sender, the model's rule for a full channel.
+		lost("window")
 		return
+	}
+	n.sendOne[0] = m
+	err := n.enqueue(l, g, e, frameData, n.sendOne[:])
+	n.sendOne[0] = core.Message{}
+	if err != nil {
+		// Unencodable, or more links than the queue was sized for share
+		// this connection: the message never entered the link.
+		e.Cancel()
+		lost(err.Error())
+		return
+	}
+	g.sends.Add(1)
+	n.linkSent[to].Add(1)
+	g.emit(core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m})
+}
+
+// errQueueFull is enqueue's verdict on a full outbound queue.
+var errQueueFull = errors.New("queue full")
+
+// enqueue frames msgs (one message for frameData, none for a control
+// frame) under e's freshly stamped link header and queues the frame on
+// l. All enqueues happen under n.mu, so the room check cannot race
+// another producer. Callers hold n.mu.
+func (n *Node) enqueue(l *link, g *group, e *window.Entry, kind uint8, msgs []core.Message) error {
+	if len(l.q) == cap(l.q) {
+		return errQueueFull
+	}
+	h := e.Stamp(kind == frameProbe)
+	n.hdrOne[0] = wire.LinkHeader{Instance: e.Instance, Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}
+	bp := framePool.Get().(*[]byte)
+	buf, err := wire.AppendLinkFrame(append((*bp)[:0], 0, 0, 0, 0), g.id, n.hdrOne[:], msgs)
+	if err != nil {
+		framePool.Put(bp)
+		return err
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
 	*bp = buf
-	select {
-	case l.q <- outFrame{b: buf, g: g}:
-		g.sends.Add(1)
-		n.linkSent[to].Add(1)
-		g.emit(core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m})
-	default:
-		// Queue full: the bounded channel's lose-on-full rule applied at
-		// the sender (a dead link under retransmission fills it fast).
-		framePool.Put(bp)
-		g.sendDrops.Add(1)
-		n.linkDropped[to].Add(1)
-		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: "queue full"})
+	l.q <- outFrame{b: buf, g: g, kind: kind}
+	return nil
+}
+
+// control runs the timer edge of every link of g, after the group's own
+// Step so that anything Step sent already carried the acknowledgments:
+// an echo that found no data to ride on for a full step interval leaves
+// as an echo-only frame, and a window that refused a send while shut
+// emits a probe. A control frame that finds its queue full is dropped;
+// the next tick asks again. Callers hold n.mu.
+func (n *Node) control(g *group) {
+	n.due = g.links.Tick(n.due[:0])
+	for _, d := range n.due {
+		if l := n.out[d.Entry.Peer]; l != nil {
+			kind := uint8(frameEcho)
+			if d.Control == window.Probe {
+				kind = frameProbe
+			}
+			_ = n.enqueue(l, g, d.Entry, kind, nil)
+		}
 	}
 }
 
@@ -688,8 +773,8 @@ func (v env) Emit(ev core.Event) {
 	v.g.emit(ev)
 }
 
-// helloFrame encodes this node's identification frame (always a bare
-// group-0 frame, so pre-v3 peers can validate it).
+// helloFrame encodes this node's identification frame: a bare wire v1
+// record, the one frame on a connection that is not a link frame.
 func (n *Node) helloFrame() []byte {
 	buf := []byte{0, 0, 0, 0}
 	buf, err := wire.AppendEncode(buf, core.Message{
@@ -796,10 +881,24 @@ func (n *Node) writeLoop(l *link) {
 				framePool.Put(&fp)
 			}
 			n.sendFrames.Add(int64(len(batch) - lost))
+			for _, bf := range batch[:len(batch)-lost] {
+				switch bf.kind {
+				case frameEcho:
+					bf.g.echoFrames.Add(1)
+				case frameProbe:
+					bf.g.probeFrames.Add(1)
+				}
+			}
 			if err != nil {
 				conn.Close()
 				conn = nil
 				for _, bf := range batch[len(batch)-lost:] {
+					if bf.kind != frameData {
+						continue // a lost control frame carried no message
+					}
+					// The message keeps its window slot until an
+					// acknowledgment or a probe over the next connection
+					// proves it gone.
 					bf.g.sendDrops.Add(1)
 					n.linkDropped[l.peer].Add(1)
 					bf.g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: l.peer, Note: "connection lost"})
@@ -859,16 +958,13 @@ var errBadHello = errors.New("tcp: invalid hello")
 // the peer index the connection speaks for.
 func (n *Node) readHello(conn net.Conn, src io.Reader, buf []byte) (core.ProcID, error) {
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	gid, msgs, _, err := readFrame(src, buf, nil)
+	frame, _, err := readFrame(src, buf)
 	if err != nil {
 		return 0, err
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	if gid != 0 || len(msgs) != 1 {
-		return 0, errBadHello
-	}
-	m := msgs[0]
-	if m.Instance != helloInstance || m.Kind != "HELLO" {
+	m, err := wire.Decode(frame)
+	if err != nil || m.Instance != helloInstance || m.Kind != "HELLO" {
 		return 0, errBadHello
 	}
 	id := core.ProcID(m.B.Num)
@@ -897,34 +993,53 @@ func (n *Node) readHello(conn net.Conn, src io.Reader, buf []byte) (core.ProcID,
 }
 
 // readFrame reads one length-prefixed frame into buf (growing it as
-// needed) and decodes it with the version-dispatching batch decoder: a
-// bare v1/v2 frame yields group 0 and one message, a v3 frame its group
-// id and records. The returned message slice reuses msgs's capacity and
-// never aliases buf (wire.Decode copies all variable-length fields).
-func readFrame(r io.Reader, buf []byte, msgs []core.Message) (uint64, []core.Message, []byte, error) {
+// needed) and returns its bytes, which alias the returned buffer.
+func readFrame(r io.Reader, buf []byte) (frame, grown []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, msgs, buf, err
+		return nil, buf, err
 	}
 	sz := binary.BigEndian.Uint32(hdr[:])
 	if sz == 0 || sz > maxFrame {
-		return 0, msgs, buf, fmt.Errorf("tcp: frame of %d bytes outside (0, %d]", sz, maxFrame)
+		return nil, buf, fmt.Errorf("tcp: frame of %d bytes outside (0, %d]", sz, maxFrame)
 	}
 	if cap(buf) < int(sz) {
 		buf = make([]byte, sz)
 	}
 	buf = buf[:sz]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, msgs, buf, err
+		return nil, buf, err
 	}
-	gid, out, err := wire.DecodeBatch(msgs[:0], buf)
-	if err != nil {
-		// A stream that stops framing valid messages is broken — unlike
-		// UDP, where a malformed datagram can be skipped, the connection
-		// is the unit of trust here.
-		return 0, msgs, buf, err
+	return buf, buf, nil
+}
+
+// inboundConn is the connection currently speaking for one peer; done
+// closes when its reader has exited.
+type inboundConn struct {
+	conn net.Conn
+	done chan struct{}
+}
+
+// adopt makes conn the connection speaking for sender, first retiring
+// the peer's previous one: it is closed and its reader awaited, so
+// nothing it still buffered is boxed after the new connection's first
+// frame. That is what makes a fresh connection an empty channel — a
+// probe over it cannot overtake data of the old one. It returns false
+// when the node is stopping.
+func (n *Node) adopt(sender core.ProcID, conn net.Conn, done chan struct{}) bool {
+	n.connMu.Lock()
+	prev := n.inbound[sender]
+	n.inbound[sender] = &inboundConn{conn: conn, done: done}
+	closed := n.closed
+	n.connMu.Unlock()
+	if closed {
+		return false
 	}
-	return gid, out, buf, nil
+	if prev != nil {
+		prev.conn.Close()
+		<-prev.done
+	}
+	return true
 }
 
 // countingReader counts socket reads underneath the buffered reader, so
@@ -949,19 +1064,32 @@ func (r *countingReader) Read(p []byte) (int, error) {
 // pull many frames per socket read.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
+	done := make(chan struct{})
+	defer close(done)
 	defer n.unregister(conn)
 	defer conn.Close()
 	src := bufio.NewReaderSize(&countingReader{conn: conn, calls: &n.recvSyscalls}, 64<<10)
 	buf := make([]byte, 0, 4096)
-	var msgs []core.Message
 	sender, err := n.readHello(conn, src, buf[:cap(buf)])
-	if err != nil {
+	if err != nil || !n.adopt(sender, conn, done) {
 		return
 	}
+	var (
+		links []wire.LinkHeader
+		msgs  []core.Message
+	)
 	for {
-		var gid uint64
-		gid, msgs, buf, err = readFrame(src, buf[:cap(buf)], msgs)
+		var frame []byte
+		frame, buf, err = readFrame(src, buf[:cap(buf)])
 		if err != nil {
+			return
+		}
+		var gid uint64
+		gid, links, msgs, err = wire.DecodeLinkFrame(links[:0], msgs[:0], frame)
+		if err != nil {
+			// A stream that stops framing valid link frames is broken —
+			// unlike UDP, where a malformed datagram can be skipped, the
+			// connection is the unit of trust here.
 			return
 		}
 		n.recvFrames.Add(1)
@@ -972,15 +1100,22 @@ func (n *Node) readLoop(conn net.Conn) {
 		if g.topo != nil && !g.topo.HasEdge(sender, n.self) {
 			continue // not a neighbour in this group's graph: dropped
 		}
+		// Headers first: the acknowledgments release our own windows, and
+		// the frame's messages occupy the sender's until consumed.
+		for _, h := range links {
+			g.links.Link(sender, h.Instance).Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
+		}
 		for _, m := range msgs {
-			if m.Instance == helloInstance {
-				continue // a duplicate hello is consumed, never delivered
-			}
 			if g.inj != nil {
 				// Per logical message, never per frame: framing is invisible
 				// to the fault plane.
 				g.injMu.Lock()
+				held := g.inj.Held()
 				out, fate := g.inj.Filter(sender, n.self, m, g.now())
+				// The arrival became len(out) mailbox entries plus whatever
+				// the injector now holds back on this link: a drop frees the
+				// slot, a duplicate occupies one more, holdback keeps it.
+				d := len(out) + g.inj.Held() - held - 1
 				// Filter returns the injector's reusable scratch slice; another
 				// connection's reader may call Filter (rewriting it) as soon as
 				// the lock drops, so snapshot it first.
@@ -988,6 +1123,9 @@ func (n *Node) readLoop(conn net.Conn) {
 					out = append([]core.Message(nil), out...)
 				}
 				g.injMu.Unlock()
+				if d != 0 {
+					g.links.Link(sender, m.Instance).Occupy(d)
+				}
 				if fate == core.FateDrop {
 					g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
 				}
@@ -1001,13 +1139,15 @@ func (n *Node) readLoop(conn net.Conn) {
 	}
 }
 
-// box appends one in-transit message to its bounded mailbox (the model's
-// lose-on-full rule applies) and wakes the activation loop.
+// box appends one in-transit message to its bounded mailbox and wakes
+// the activation loop. The mailbox has one slot per window slot, so only
+// traffic that ignored the window (or a fault-plane duplicate) can find
+// it full; the model's lose-on-full rule applies.
 func (n *Node) box(g *group, sender core.ProcID, m core.Message) {
 	key := mailKey{gid: g.id, from: sender, instance: m.Instance}
 	n.mbMu.Lock()
 	b := n.mailboxes[key]
-	full := len(b) >= n.mailboxSlots
+	full := len(b) >= n.capacity
 	if !full {
 		n.mailboxes[key] = append(b, m)
 		n.boxed++
@@ -1016,6 +1156,7 @@ func (n *Node) box(g *group, sender core.ProcID, m core.Message) {
 	if full {
 		// Lose-on-full: the message was in transit and is dropped at the
 		// receiver — the model's link loss, not a send failure.
+		g.links.Link(sender, m.Instance).Occupy(-1)
 		g.mailboxDrops.Add(1)
 		n.linkDropped[sender].Add(1)
 		g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
@@ -1059,6 +1200,7 @@ func (n *Node) actLoop() {
 				for _, m := range g.stack {
 					m.Step(ev)
 				}
+				n.control(g)
 			}
 			n.mu.Unlock()
 		}
@@ -1075,6 +1217,8 @@ func (n *Node) flushDelayed() {
 		rel := g.inj.Flush(g.now())
 		g.injMu.Unlock()
 		for _, r := range rel {
+			// A released message keeps the window slot it has held since
+			// it arrived.
 			n.box(g, r.From, r.Msg)
 		}
 	}
@@ -1123,15 +1267,21 @@ func (n *Node) drainMail() {
 			batch[key] = box[:0]
 			continue
 		}
+		e := g.links.Link(key.from, key.instance)
 		if mach, ok := g.routes[key.instance]; ok {
 			ev := env{n: n, g: g}
 			for _, m := range box {
+				// The message leaves the link as it is handed to Deliver, so
+				// a reply sent from inside Deliver already acknowledges it.
+				e.Occupy(-1)
 				g.emit(core.Event{Kind: core.EvDeliver, Proc: n.self, Peer: key.from, Instance: key.instance, Msg: m})
 				mach.Deliver(ev, key.from, m)
 			}
+		} else {
+			// A message addressed to an unknown instance is consumed with
+			// no effect, like a receive action with a false guard.
+			e.Occupy(-len(box))
 		}
-		// A message addressed to an unknown instance is consumed with no
-		// effect, like a receive action with a false guard.
 		batch[key] = box[:0]
 	}
 	n.mu.Unlock()
@@ -1141,8 +1291,9 @@ func (n *Node) drainMail() {
 		for _, h := range held {
 			b := n.mailboxes[h.key]
 			for _, m := range h.msgs {
-				if len(b) >= n.mailboxSlots {
+				if len(b) >= n.capacity {
 					if g := gs.byID[h.key.gid]; g != nil {
+						g.links.Link(h.key.from, h.key.instance).Occupy(-1)
 						g.mailboxDrops.Add(1)
 					}
 					continue

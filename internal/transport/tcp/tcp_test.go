@@ -19,7 +19,7 @@ func mkPIF(machines []*pif.PIF, self core.ProcID, n int) core.Stack {
 		OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 			return core.Payload{Tag: "ack", Num: b.Num*10 + int64(self)}
 		},
-	}, pif.WithCapacityBound(DefaultAssumedCapacity))
+	}, pif.WithCapacityBound(DefaultCapacity))
 	machines[self] = m
 	return core.Stack{m}
 }
@@ -71,6 +71,7 @@ func TestPIFOverLoopbackTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, c)
 	defer c.Close()
 	broadcastDone(t, c.nodes[0], machines[0], core.Payload{Tag: "hello", Num: 4})
 	for i, s := range c.TransportStats() {
@@ -97,6 +98,7 @@ func TestPIFOverTCPFromCorruptedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, c)
 	defer c.Close()
 	broadcastDone(t, c.nodes[0], machines[0], core.Payload{Tag: "fresh", Num: 3})
 }
@@ -124,6 +126,7 @@ func TestSimultaneousStartDialRace(t *testing.T) {
 			}
 		}
 	}
+	checkWindows(t, nodeStats(nodes))
 	var barrier, started sync.WaitGroup
 	barrier.Add(1)
 	for _, node := range nodes {
@@ -165,6 +168,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	addr1 := nodes[1].Addr()
 	nodes[0].SetPeer(1, addr1)
 	nodes[1].SetPeer(0, nodes[0].Addr())
+	checkWindows(t, nodeStats(nodes))
 	nodes[0].Start()
 	nodes[1].Start()
 	t.Cleanup(func() { nodes[0].Stop(); nodes[1].Stop() })
@@ -190,6 +194,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	restarted.SetPeer(0, nodes[0].Addr())
+	checkWindows(t, nodeStats{restarted})
 	restarted.Start()
 	t.Cleanup(restarted.Stop)
 
@@ -215,6 +220,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, c)
 	closed := false
 	defer func() {
 		if !closed {
@@ -285,6 +291,7 @@ func TestStopIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -339,8 +346,8 @@ func TestNodeValidation(t *testing.T) {
 	if _, err := NewNode(5, stack, "127.0.0.1:0", []string{"a", "b"}); err == nil {
 		t.Fatal("out-of-range self accepted")
 	}
-	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), WithMailbox(0)); err == nil {
-		t.Fatal("zero mailbox accepted")
+	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), WithCapacity(0)); err == nil {
+		t.Fatal("zero capacity accepted")
 	}
 	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), WithDialBackoff(time.Second, time.Millisecond)); err == nil {
 		t.Fatal("inverted backoff accepted")

@@ -49,13 +49,20 @@ func blobBody(size int) []byte {
 	return body
 }
 
+// floodWindow is the capacity the flood benchmarks run at. The flooder
+// has no handshake flags to size, and at the protocols' DefaultCapacity
+// the benchmark would measure the window, not the datagram path: two
+// full default batches per link keep the path saturated, as the
+// pre-window mailboxes did.
+const floodWindow = 1024
+
 // benchCluster binds n nodes on loopback and wires the learned ports.
 func benchCluster(b *testing.B, n int, mk func(self core.ProcID) core.Stack) []*Node {
 	b.Helper()
 	nodes := make([]*Node, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		node, err := NewNode(core.ProcID(i), mk(core.ProcID(i)), "127.0.0.1:0", make([]string, n))
+		node, err := NewNode(core.ProcID(i), mk(core.ProcID(i)), "127.0.0.1:0", make([]string, n), WithCapacity(floodWindow))
 		if err != nil {
 			b.Fatalf("bind node %d: %v", i, err)
 		}

@@ -48,75 +48,108 @@ func rawPeer(t *testing.T, opts ...Option) (*Node, *recorder, *net.UDPConn) {
 	}
 	node.SetPeer(1, raw.LocalAddr().(*net.UDPAddr))
 	node.Start()
+	checkWindows(t, nodeStats{node})
 	t.Cleanup(func() { node.Stop(); raw.Close() })
 	return node, rec, raw
 }
 
-// TestBatchOneIsWireV2OnTheWire pins the cross-version contract at the
-// socket: a WithBatch(1) node's datagrams are bare wire v1/v2 frames
-// that a pre-v3 peer decodes with the single-message wire.Decode, and
-// bare v1/v2 frames from such a peer are delivered by the node.
-func TestBatchOneIsWireV2OnTheWire(t *testing.T) {
-	// Not parallel: shares the loopback path with the cluster tests.
-	node, rec, raw := rawPeer(t, WithBatch(1))
-	out := core.Message{Instance: "rec", Kind: "K", B: core.Payload{Tag: "m", Num: 42, Blob: []byte("body")}}
-	node.Do(func(env core.Env) { env.Send(1, out) })
+// linkFrame hand-builds one wire v4 frame carrying msgs (all of one
+// instance, possibly none) under a single link header.
+func linkFrame(t *testing.T, gid uint64, h wire.LinkHeader, msgs ...core.Message) []byte {
+	t.Helper()
+	data, err := wire.AppendLinkFrame(nil, gid, []wire.LinkHeader{h}, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
+// readLinkFrame reads the raw peer's next datagram within d and decodes
+// it; ok is false when nothing arrived in time.
+func readLinkFrame(t *testing.T, raw *net.UDPConn, d time.Duration) (links []wire.LinkHeader, msgs []core.Message, ok bool) {
+	t.Helper()
 	buf := make([]byte, 64*1024)
-	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_ = raw.SetReadDeadline(time.Now().Add(d))
 	sz, _, err := raw.ReadFromUDP(buf)
 	if err != nil {
-		t.Fatalf("no datagram from the batch=1 node: %v", err)
+		return nil, nil, false
 	}
-	got, err := wire.Decode(buf[:sz]) // the pre-v3 decoder, not DecodeBatch
+	_, links, msgs, err = wire.DecodeLinkFrame(nil, nil, buf[:sz])
 	if err != nil {
-		t.Fatalf("batch=1 datagram is not a plain v1/v2 frame: %v", err)
+		t.Fatalf("node emitted a datagram that is not a link frame: %v", err)
 	}
-	if !got.Equal(out) {
-		t.Fatalf("wire-v2 peer decoded %v, want %v", got, out)
+	return links, msgs, true
+}
+
+// TestBatchOneIsOneLinkFramePerMessage pins the WithBatch(1) contract at
+// the socket: every message leaves at once in a link frame of its own,
+// numbered consecutively on its link — and a bare pre-v4 frame from a
+// peer that cannot acknowledge is dropped, not delivered.
+func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
+	// Not parallel: shares the loopback path with the cluster tests.
+	node, rec, raw := rawPeer(t, WithBatch(1))
+	out := []core.Message{
+		{Instance: "rec", Kind: "K", B: core.Payload{Tag: "m", Num: 42, Blob: []byte("body")}},
+		{Instance: "rec", Kind: "K", B: core.Payload{Tag: "m", Num: 43}},
+	}
+	node.Do(func(env core.Env) {
+		for _, m := range out {
+			env.Send(1, m)
+		}
+	})
+	var first uint64
+	for i, want := range out {
+		links, msgs, ok := readLinkFrame(t, raw, 5*time.Second)
+		if !ok {
+			t.Fatalf("no datagram %d from the batch=1 node", i)
+		}
+		if len(links) != 1 || links[0].Instance != "rec" || len(msgs) != 1 || !msgs[0].Equal(want) {
+			t.Fatalf("datagram %d = %+v %v, want one %q header over %v", i, links, msgs, "rec", want)
+		}
+		if i == 0 {
+			first = links[0].Seq
+		} else if links[0].Seq != first+uint64(i) {
+			t.Fatalf("datagram %d numbered %d, want %d", i, links[0].Seq, first+uint64(i))
+		}
 	}
 
-	// The reverse direction: a legacy frame into the node.
-	in := core.Message{Instance: "rec", Kind: "K", B: core.Payload{Tag: "legacy", Num: 7}}
-	data, err := wire.Encode(in)
+	// The reverse direction: a legacy frame is refused, a link frame lands.
+	legacy, err := wire.Encode(core.Message{Instance: "rec", Kind: "K", B: core.Payload{Tag: "legacy", Num: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw.WriteToUDP(data, mustUDPAddr(t, node.Addr())); err != nil {
-		t.Fatal(err)
+	in := core.Message{Instance: "rec", Kind: "K", B: core.Payload{Tag: "windowed", Num: 8}}
+	for _, data := range [][]byte{legacy, linkFrame(t, 0, wire.LinkHeader{Instance: "rec", Seq: 1}, in)} {
+		if _, err := raw.WriteToUDP(data, mustUDPAddr(t, node.Addr())); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !waitFor(t, 5*time.Second, func() bool { return len(rec.snapshot()) == 1 }) {
-		t.Fatal("legacy v1 frame was not delivered")
+		t.Fatal("link frame was not delivered")
 	}
-	if got := rec.snapshot()[0]; !got.Equal(in) {
-		t.Fatalf("delivered %v, want %v", got, in)
+	if got := rec.snapshot(); len(got) != 1 || !got[0].Equal(in) {
+		t.Fatalf("delivered %v, want only %v", got, in)
 	}
 }
 
 // TestBatchedSendCoalescesAndCounts pins the amortization arithmetic: a
 // burst of sends to one destination inside one atomic section leaves as
-// a single v3 datagram, and the datagram/syscall counters expose it.
+// a single link frame, and the datagram/syscall counters expose it.
 func TestBatchedSendCoalescesAndCounts(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
-	node, _, raw := rawPeer(t) // default batching
 	const burst = 10
+	node, _, raw := rawPeer(t, WithCapacity(burst)) // default batching
 	node.Do(func(env core.Env) {
 		for i := 0; i < burst; i++ {
 			env.Send(1, core.Message{Instance: "rec", Kind: "K", B: core.Payload{Num: int64(i)}})
 		}
 	})
-	buf := make([]byte, 64*1024)
-	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	sz, _, err := raw.ReadFromUDP(buf)
-	if err != nil {
-		t.Fatalf("no datagram: %v", err)
+	links, msgs, ok := readLinkFrame(t, raw, 5*time.Second)
+	if !ok {
+		t.Fatal("no datagram")
 	}
-	group, msgs, err := wire.DecodeBatch(nil, buf[:sz])
-	if err != nil {
-		t.Fatalf("burst datagram does not decode: %v", err)
-	}
-	if group != 0 || len(msgs) != burst {
-		t.Fatalf("burst arrived as group %d with %d messages, want group 0 with %d", group, len(msgs), burst)
+	if len(links) != 1 || links[0].Count != burst || len(msgs) != burst {
+		t.Fatalf("burst arrived under %+v with %d messages, want one header over %d", links, len(msgs), burst)
 	}
 	for i, m := range msgs {
 		if m.B.Num != int64(i) {
@@ -135,9 +168,9 @@ func TestBatchedSendCoalescesAndCounts(t *testing.T) {
 	}
 }
 
-// TestV3BatchDeliveredPerMessage: a hand-built v3 batch frame from a
-// known peer is unpacked into individual mailbox deliveries.
-func TestV3BatchDeliveredPerMessage(t *testing.T) {
+// TestLinkFrameDeliveredPerMessage: a hand-built link frame from a known
+// peer is unpacked into individual mailbox deliveries.
+func TestLinkFrameDeliveredPerMessage(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
 	node, rec, raw := rawPeer(t)
 	msgs := []core.Message{
@@ -145,15 +178,12 @@ func TestV3BatchDeliveredPerMessage(t *testing.T) {
 		{Instance: "rec", Kind: "K", B: core.Payload{Num: 2, Blob: []byte("x")}},
 		{Instance: "rec", Kind: "K", B: core.Payload{Num: 3}},
 	}
-	data, err := wire.AppendBatch(nil, 0, msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := linkFrame(t, 0, wire.LinkHeader{Instance: "rec", Seq: 3}, msgs...)
 	if _, err := raw.WriteToUDP(data, mustUDPAddr(t, node.Addr())); err != nil {
 		t.Fatal(err)
 	}
 	if !waitFor(t, 5*time.Second, func() bool { return len(rec.snapshot()) == len(msgs) }) {
-		t.Fatalf("v3 batch delivered %d of %d messages", len(rec.snapshot()), len(msgs))
+		t.Fatalf("link frame delivered %d of %d messages", len(rec.snapshot()), len(msgs))
 	}
 	for i, m := range rec.snapshot() {
 		if !m.Equal(msgs[i]) {

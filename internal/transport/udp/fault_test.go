@@ -20,13 +20,14 @@ func faultCluster(t *testing.T, n int, plan *core.FaultPlan) (*Cluster, []*pif.P
 			OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 				return core.Payload{Tag: "ack", Num: b.Num*10 + int64(self)}
 			},
-		}, pif.WithCapacityBound(DefaultAssumedCapacity))
+		}, pif.WithCapacityBound(DefaultCapacity))
 		stacks[i] = core.Stack{machines[i]}
 	}
 	c, err := NewCluster(stacks, WithFaults(plan))
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
+	checkWindows(t, c)
 	t.Cleanup(func() { c.Close() })
 	return c, machines
 }

@@ -5,7 +5,7 @@ package udp
 import "net/netip"
 
 // Portable batch-IO shims: platforms without the raw
-// sendmmsg/recvmmsg path still batch messages into wire v3 datagrams —
+// sendmmsg/recvmmsg path still batch messages into link-frame datagrams —
 // the per-message syscall amortization — but move one datagram per
 // system call.
 

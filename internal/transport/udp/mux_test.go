@@ -19,7 +19,7 @@ func pifStacks(n int) ([]core.Stack, []*pif.PIF) {
 			OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 				return core.Payload{Tag: "ack", Num: b.Num*10 + int64(self)}
 			},
-		}, pif.WithCapacityBound(DefaultAssumedCapacity))
+		}, pif.WithCapacityBound(DefaultCapacity))
 		stacks[i] = core.Stack{machines[i]}
 	}
 	return stacks, machines
@@ -60,10 +60,12 @@ func TestMuxHostsIndependentClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, ca)
 	cb, err := m.Attach(stacksB)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, cb)
 	if ca.Group() == cb.Group() || ca.Group() == 0 {
 		t.Fatalf("group ids %d and %d must be distinct and nonzero", ca.Group(), cb.Group())
 	}
@@ -106,25 +108,21 @@ func TestMuxIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, ca)
 	cb, err := m.Attach(stacksB)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, cb)
 
-	// Garbage pressure: corrupt v3 frames for A's group, an unknown
+	// Garbage pressure: corrupt link frames for A's group, an unknown
 	// group, and raw noise, all fired at node 0 from node 1's address —
 	// i.e. from a known peer, past the sender check.
-	batch, err := wire.AppendBatch(nil, ca.Group(), []core.Message{{Instance: "pif", Kind: "PIF"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupt := append([]byte(nil), batch...)
+	garbage := core.Message{Instance: "pif", Kind: "PIF"}
+	corrupt := linkFrame(t, ca.Group(), wire.LinkHeader{Instance: "pif", Seq: 1}, garbage)
 	corrupt[len(corrupt)-1] ^= 0xFF
-	stray, err := wire.AppendBatch(nil, 9999, []core.Message{{Instance: "pif", Kind: "PIF"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noise := [][]byte{corrupt, stray, {0x53, 0x4e, 3, 0xFF}, {1, 2, 3}}
+	stray := linkFrame(t, 9999, wire.LinkHeader{Instance: "pif", Seq: 1}, garbage)
+	noise := [][]byte{corrupt, stray, {0x53, 0x4e, 4, 0xFF}, {1, 2, 3}}
 	target := mustUDPAddr(t, m.nodes[0].Addr())
 	for i := 0; i < 20; i++ {
 		for _, d := range noise {
@@ -170,10 +168,12 @@ func TestMuxClusterCloseDetaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, ca)
 	cb, err := m.Attach(stacksB)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWindows(t, cb)
 	runBroadcast(t, ca, machA, core.Payload{Tag: "a", Num: 1})
 	if err := ca.Close(); err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestMuxRejectsNodeLevelAttachOptions(t *testing.T) {
 	if _, err := m.Attach(stacks, WithBatch(4)); err == nil {
 		t.Fatal("WithBatch accepted per attached cluster")
 	}
-	if _, err := m.Attach(stacks, WithMailbox(4)); err == nil {
-		t.Fatal("WithMailbox accepted per attached cluster")
+	if _, err := m.Attach(stacks, WithCapacity(4)); err == nil {
+		t.Fatal("WithCapacity accepted per attached cluster")
 	}
 }

@@ -93,10 +93,11 @@ func (c *Cluster) NodeStats() []Stats {
 }
 
 // TransportStats implements core.TransportStatser: one snapshot per node
-// in the substrate-agnostic shape. UDP tracks node-level counters only,
-// so Links stays nil; the datagram and syscall counters expose the wire
-// v3 batching path's amortization (Sends/SendDatagrams is the batch
-// occupancy, Sends/SendSyscalls the syscall amortization).
+// in the substrate-agnostic shape. UDP's message counters are
+// node-level, so Links carries the window gauges only; the datagram and
+// syscall counters expose the batching path's amortization
+// (Sends/SendDatagrams is the batch occupancy, Sends/SendSyscalls the
+// syscall amortization).
 func (c *Cluster) TransportStats() []core.TransportStats {
 	out := make([]core.TransportStats, len(c.nodes))
 	for i, node := range c.nodes {
@@ -138,10 +139,20 @@ func (c *Cluster) Await(ctx context.Context, p core.ProcID, cond func(env core.E
 
 // Close stops every node, releasing loops and sockets. Idempotent.
 func (c *Cluster) Close() error {
-	c.closeOnce.Do(func() {
-		for _, node := range c.nodes {
-			node.Stop()
-		}
-	})
+	c.closeOnce.Do(func() { stopAll(c.nodes) })
 	return nil
+}
+
+// stopAll stops nodes concurrently, so a teardown costs the slowest
+// node's Stop rather than their sum.
+func stopAll(nodes []*Node) {
+	var wg sync.WaitGroup
+	for _, node := range nodes {
+		wg.Add(1)
+		go func(node *Node) {
+			defer wg.Done()
+			node.Stop()
+		}(node)
+	}
+	wg.Wait()
 }

@@ -7,40 +7,49 @@
 // UDP already provides the model's unreliability: datagrams are dropped
 // under congestion and (on one pair, one path) are not reordered in
 // practice on loopback/LAN. What UDP does not provide is the KNOWN
-// capacity bound that Theorem 1 makes mandatory. The transport restores
-// it conservatively:
+// capacity bound that Theorem 1 makes mandatory, so the transport
+// enforces one (DESIGN.md §7):
 //
-//   - each (group, sender, instance) triple gets a bounded mailbox at
-//     the receiver; a message arriving at a full mailbox is dropped
-//     (lose-on-full, the model's rule) and reported as core.EvLose — a
-//     receive-side loss, distinct from the sender-side core.EvSendLost;
-//   - the socket receive buffer is capped, bounding the kernel-queued
-//     backlog; the protocol stacks must be built with a capacity bound
-//     covering mailbox + kernel backlog. AssumedCapacity reports the
-//     bound a stack should use (the flag domain grows linearly in it, so
-//     being conservative is cheap: 2c+2 flag values for bound c).
+//   - every directed (peer, group, instance) link has a sender-side
+//     window of c messages (WithCapacity, default DefaultCapacity). A
+//     slot is held from env.Send until the receiver hands the message
+//     to Deliver or drops it; a send into a full window is lost at the
+//     sender (core.EvSendLost, Note "window"), the in-memory runtime's
+//     rule carried across the socket. The receiver reports consumption
+//     in the link headers of whatever it sends next, or in an echo-only
+//     frame from the step timer; a sender refused at a shut window
+//     probes from the same timer, so a lost echo or a restarted peer
+//     cannot wedge the link (internal/window is the state machine);
+//   - each (group, sender, instance) triple gets a mailbox of c slots at
+//     the receiver. A window-admitted message always finds room; the
+//     bound only bites on traffic that ignores the window (a hostile or
+//     buggy peer, fault-plane duplicates), which is dropped lose-on-full
+//     and reported as core.EvLose;
+//   - the protocol stacks must be built with the same c (the flag domain
+//     is 2c+2 values, so every unit of c costs two handshake rounds per
+//     peer per request: the bound is worth keeping small).
 //
-// # Batched datagrams (wire v3)
+// # Link frames (wire v4)
 //
-// Outbound messages are coalesced per (destination, group) into wire v3
-// batch frames and flushed at the end of every atomic section (a Step
-// round, a mailbox drain, a Do body), when a batch reaches WithBatch
-// messages or the datagram budget, and on the sweep tick as a deadline.
-// Flushing hands all pending frames — across destinations — to the
-// kernel in one sendmmsg call where the platform supports it (Linux
-// amd64/arm64; elsewhere a portable write loop), and the receive loop
-// pulls multiple datagrams per recvmmsg. One syscall therefore moves
-// many protocol messages in both directions; Stats separates message
-// counts from datagram and syscall counts so the amortization is
-// observable. With WithBatch(1) every message is written immediately in
-// its own datagram and default-group traffic keeps the bare wire v1/v2
-// framing, byte-compatible with pre-v3 peers.
+// Outbound messages are coalesced per (destination, group) into wire v4
+// link frames — a batch of records plus one sequence/acknowledgment
+// header per instance — and flushed at the end of every atomic section
+// (a Step round, a mailbox drain, a Do body), when a batch reaches
+// WithBatch messages or the datagram budget, and on the sweep tick as a
+// deadline. Flushing hands all pending frames — across destinations —
+// to the kernel in one sendmmsg call where the platform supports it
+// (Linux amd64/arm64; elsewhere a portable write loop), and the receive
+// loop pulls multiple datagrams per recvmmsg. One syscall therefore
+// moves many protocol messages in both directions; Stats separates
+// message counts from datagram and syscall counts so the amortization
+// is observable. Frames of any earlier wire version are dropped: a peer
+// that cannot acknowledge cannot be held to the bound.
 //
 // # Groups: many clusters, one socket
 //
 // A Node hosts one or more groups, each an independent protocol stack
 // with its own routes, observers, topology, and fault plan, all sharing
-// the node's socket and loops. The wire v3 group id routes every
+// the node's socket and loops. The frame's group id routes every
 // received message to its group's mailboxes. The legacy constructor
 // installs its stack as group 0; Mux attaches further clusters with
 // fresh group ids (see mux.go).
@@ -60,13 +69,14 @@
 // message decoded out of a batch passes its group's injector
 // individually before it is boxed, so §9 semantics and seed
 // reproducibility are independent of how messages were packed on the
-// wire. Malformed datagrams fail wire.DecodeBatch and are dropped whole
-// — in the model, that is just the loss of the messages they carried,
-// which the protocols tolerate by design.
+// wire. Malformed datagrams fail wire.DecodeLinkFrame and are dropped
+// whole — in the model, that is just the loss of the messages they
+// carried, which the protocols tolerate by design.
 package udp
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"net/netip"
 	"sync"
@@ -75,13 +85,15 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/rng"
+	"github.com/snapstab/snapstab/internal/window"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
-// DefaultAssumedCapacity is the per-link capacity bound the transport is
-// configured for by default: mailbox slots plus a conservative allowance
-// for kernel-buffered datagrams.
-const DefaultAssumedCapacity = 64
+// DefaultCapacity is the per-link capacity bound c the transport
+// enforces by default: the window of every directed (peer, group,
+// instance) link, the mailbox size, and the bound protocol stacks must
+// be built with (flag top 2c+2 = 10).
+const DefaultCapacity = 4
 
 // DefaultBatch is the default ceiling on messages coalesced into one
 // datagram (see WithBatch).
@@ -90,21 +102,28 @@ const DefaultBatch = 16
 // maxRecordBytes conservatively bounds one batched record (a maximal v2
 // frame plus its length prefix); flushCut is the batch size past which
 // the next record could overflow the datagram, so the batch is flushed
-// first.
+// first. linkHeaderBytes bounds one link header beyond its instance
+// name (length byte, flags, two maximal uvarints).
 const (
-	maxRecordBytes = 2*wire.MaxBlobLen + 2048
-	flushCut       = wire.MaxDatagram - maxRecordBytes
+	maxRecordBytes  = 2*wire.MaxBlobLen + 2048
+	flushCut        = wire.MaxDatagram - maxRecordBytes
+	linkHeaderBytes = 2 + 2*10
 )
+
+// minReadBuffer is the floor of the socket receive buffer request.
+const minReadBuffer = 64 << 10
 
 // Option configures a Node.
 type Option func(*Node)
 
-// WithMailbox sets the per-(sender, instance) mailbox size. The default
-// scales with the batch ceiling — 2×WithBatch slots, so one full
-// inbound batch never mass-drops at a quiet mailbox — and is 8 when
-// batching is disabled (WithBatch(1)).
-func WithMailbox(slots int) Option {
-	return func(n *Node) { n.mailboxSlots, n.mailboxSet = slots, true }
+// WithCapacity sets the channel-capacity bound c the node enforces on
+// every directed (peer, group, instance) link (default DefaultCapacity):
+// the sender-side window and the receive mailbox are both c messages.
+// The protocol stacks must be built with the same bound. The transport
+// accepts any c >= 1; stacks that carry handshake flags are limited to
+// window.MaxCapacity by the wire format's one-byte flag fields.
+func WithCapacity(c int) Option {
+	return func(n *Node) { n.capacity, n.capacitySet = c, true }
 }
 
 // WithTick sets the fallback mailbox sweep interval (default 1ms).
@@ -129,9 +148,8 @@ func WithStepInterval(d time.Duration) Option {
 // datagram (default DefaultBatch; ceiling wire.MaxBatch). Batches also
 // flush at the end of every atomic section and on the sweep tick, so
 // raising the ceiling never delays a message past the tick. WithBatch(1)
-// disables coalescing entirely: every message is written immediately in
-// its own datagram and default-group traffic uses the bare wire v1/v2
-// framing, byte-compatible with peers that predate the v3 batch frame.
+// disables coalescing: every message is written immediately in its own
+// link frame.
 func WithBatch(k int) Option {
 	return func(n *Node) { n.batchMsgs, n.batchSet = k, true }
 }
@@ -176,7 +194,7 @@ func WithFaults(plan *core.FaultPlan) Option {
 // group is one protocol stack hosted on a node: an independent cluster
 // member with its own routing, observers, topology, fault plane, and
 // message counters, multiplexed with its siblings over the node's
-// socket by the wire v3 group id.
+// socket by the frame's group id.
 type group struct {
 	id        uint64
 	stack     core.Stack
@@ -188,10 +206,16 @@ type group struct {
 	faultUnit time.Duration
 	epoch     time.Time // fault-schedule tick zero; set before the group is visible to the loops
 
+	// links holds the window state of every (peer, instance) link of the
+	// group behind its own leaf lock.
+	links *window.Table
+
 	sends        atomic.Int64
 	recvs        atomic.Int64
 	sendDrops    atomic.Int64
 	mailboxDrops atomic.Int64
+	echoFrames   atomic.Int64
+	probeFrames  atomic.Int64
 }
 
 func (g *group) emit(ev core.Event) {
@@ -213,7 +237,7 @@ func (g *group) down(self core.ProcID) bool {
 
 // buildGroup assembles and validates one hosted group.
 func buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan *core.FaultPlan,
-	obs core.MultiObserver, nProcs int, self core.ProcID) (*group, error) {
+	obs core.MultiObserver, nProcs int, self core.ProcID, capacity int) (*group, error) {
 	if topo != nil && topo.N() != nProcs {
 		return nil, fmt.Errorf("udp: topology over %d processes, %d peers", topo.N(), nProcs)
 	}
@@ -224,6 +248,9 @@ func buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan *core.Fau
 		topo:      topo,
 		observers: obs,
 		fault:     plan,
+		// A random first sequence keeps a restarted node's numbering
+		// clear of acknowledgments addressed to its previous life.
+		links: window.NewTable(capacity, 1+uint64(rand.Uint32()>>1)),
 	}
 	if plan != nil {
 		if err := plan.Validate(); err != nil {
@@ -257,8 +284,8 @@ type Node struct {
 	conn         *net.UDPConn
 	peers        []*net.UDPAddr
 	senders      map[netip.AddrPort]core.ProcID // canonical ip:port -> peer, built at Start
-	mailboxSlots int
-	mailboxSet   bool
+	capacity     int
+	capacitySet  bool
 	tick         time.Duration
 	stepInterval time.Duration
 	batchMsgs    int
@@ -283,6 +310,8 @@ type Node struct {
 	mu      sync.Mutex
 	sendBuf []byte // flush scratch: rendered frames, guarded by mu
 	frames  []frameRef
+	hdrs    []wire.LinkHeader // flush scratch: one frame's link headers
+	due     []window.Due      // step-timer scratch: control frames due
 	pending map[sendKey]*outBatch
 	queue   []*outBatch // pending in insertion order
 	free    []*outBatch
@@ -300,7 +329,9 @@ type Node struct {
 	recvDatagrams atomic.Int64
 	recvSyscalls  atomic.Int64
 
-	decMsgs []core.Message // recvLoop-owned decode scratch
+	// recvLoop-owned decode scratch.
+	decMsgs  []core.Message
+	decLinks []wire.LinkHeader
 
 	mm mmsgState // platform batch-IO state (see mmsg_*.go)
 
@@ -322,10 +353,11 @@ type Stats struct {
 	// Recvs counts messages accepted into a mailbox (received from a
 	// known peer, surviving the fault plane, not dropped on full).
 	Recvs int64
-	// SendDrops counts messages lost at the sender — failed writes and
-	// unencodable payloads. The simulator's analogue is
-	// sim.Stats.SendLosses; without this counter a misconfigured or
-	// saturated transport is indistinguishable from fair loss.
+	// SendDrops counts messages lost at the sender — sends refused by a
+	// full link window, failed writes and unencodable payloads. The
+	// simulator's analogue is sim.Stats.SendLosses; without this counter
+	// a misconfigured or saturated transport is indistinguishable from
+	// fair loss.
 	SendDrops int64
 	// MailboxDrops counts messages dropped at a full receive mailbox,
 	// the transport's lose-on-full rule (reported as core.EvLose: the
@@ -341,6 +373,15 @@ type Stats struct {
 	// amortization the batching path exists to maximize.
 	SendSyscalls int64
 	RecvSyscalls int64
+	// EchoFrames and ProbeFrames count this group's control datagrams
+	// (no messages, link headers only): acknowledgments that found no
+	// data to ride on, and probes sent at a shut window. Both are also
+	// counted in SendDatagrams.
+	EchoFrames  int64
+	ProbeFrames int64
+	// Links holds the per-peer window gauges (see core.LinkStats; the
+	// per-link message counters stay zero on UDP).
+	Links []core.LinkStats
 	// Faults counts the faults injected at this group's mailbox boundary
 	// by the installed FaultPlan (WithFaults); zero without one. Injected
 	// drops are not folded into MailboxDrops, so injected adversity stays
@@ -367,6 +408,16 @@ func (n *Node) groupStats(g *group) Stats {
 		RecvDatagrams: n.recvDatagrams.Load(),
 		SendSyscalls:  n.sendSyscalls.Load(),
 		RecvSyscalls:  n.recvSyscalls.Load(),
+		EchoFrames:    g.echoFrames.Load(),
+		ProbeFrames:   g.probeFrames.Load(),
+	}
+	for p := range n.peers {
+		if core.ProcID(p) != n.self {
+			s.Links = append(s.Links, core.LinkStats{Peer: core.ProcID(p)})
+		}
+	}
+	if g.links != nil {
+		g.links.FillLinkStats(s.Links)
 	}
 	if g.inj != nil {
 		s.Faults = g.inj.Stats()
@@ -388,6 +439,10 @@ func (n *Node) transportStats(g *group) core.TransportStats {
 		RecvDatagrams: s.RecvDatagrams,
 		SendSyscalls:  s.SendSyscalls,
 		RecvSyscalls:  s.RecvSyscalls,
+		EchoFrames:    s.EchoFrames,
+		ProbeFrames:   s.ProbeFrames,
+		Capacity:      n.capacity,
+		Links:         s.Links,
 		Faults:        s.Faults,
 	}
 }
@@ -404,21 +459,45 @@ type sendKey struct {
 	gid uint64
 }
 
-// outBatch is one coalesced datagram under construction.
-type outBatch struct {
-	to   core.ProcID
-	g    *group
-	b    wire.BatchBuilder
-	live bool
+// batchLink is one link an outbound frame speaks for: it has records in
+// the frame, or a control header (echo or probe) to deliver.
+type batchLink struct {
+	e     *window.Entry
+	probe bool
 }
 
+// outBatch is one coalesced datagram under construction.
+type outBatch struct {
+	to       core.ProcID
+	g        *group
+	b        wire.BatchBuilder
+	links    []batchLink
+	hdrBytes int // upper bound on the rendered link headers
+	live     bool
+}
+
+// find returns the index of e among the batch's links, or -1.
+func (ob *outBatch) find(e *window.Entry) int {
+	for i, bl := range ob.links {
+		if bl.e == e {
+			return i
+		}
+	}
+	return -1
+}
+
+// size bounds the frame the batch would render now.
+func (ob *outBatch) size() int { return ob.b.Size() + ob.hdrBytes }
+
 // frameRef locates one rendered datagram in the flush buffer, with the
-// accounting context needed after the write.
+// accounting context needed after the write. A frame with count 0 is a
+// control frame: a probe if any of its headers probes, an echo otherwise.
 type frameRef struct {
 	off, len int
 	to       core.ProcID
 	g        *group
 	count    int
+	probe    bool
 }
 
 // NewNode binds process self to laddr. peers maps every process ID
@@ -437,10 +516,6 @@ func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, o
 	if err != nil {
 		return nil, fmt.Errorf("udp: listen %q: %w", laddr, err)
 	}
-	// Bound the kernel backlog so the total in-flight count stays within
-	// the assumed capacity (best effort; some platforms round up).
-	_ = conn.SetReadBuffer(64 * 1024)
-
 	n := &Node{
 		self:      self,
 		conn:      conn,
@@ -473,19 +548,21 @@ func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, o
 	if !n.batchSet {
 		n.batchMsgs = DefaultBatch
 	}
-	if n.mailboxSet && n.mailboxSlots < 1 {
+	if n.capacitySet && n.capacity < 1 {
 		conn.Close()
-		return nil, fmt.Errorf("udp: invalid mailbox size %d", n.mailboxSlots)
+		return nil, fmt.Errorf("udp: invalid capacity %d", n.capacity)
 	}
-	if !n.mailboxSet {
-		// A full inbound batch lands in one (group, sender, instance)
-		// mailbox; give it headroom so batching does not mass-drop at a
-		// momentarily quiet receiver.
-		if n.batchMsgs > 1 {
-			n.mailboxSlots = 2 * n.batchMsgs
-		} else {
-			n.mailboxSlots = 8
-		}
+	if !n.capacitySet {
+		n.capacity = DefaultCapacity
+	}
+	// Ask the kernel for room for everything the windows can legally have
+	// in flight toward this node. A smaller buffer (the kernel clamps the
+	// request to its ceiling without an error) only costs legal losses:
+	// the bound is enforced by the senders' windows, not by this size.
+	if err := conn.SetReadBuffer(readBufferBytes(len(peers)-1, len(stack), n.capacity)); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("udp: the kernel refused a receive buffer for %d peers at capacity %d: %w",
+			len(peers)-1, n.capacity, err)
 	}
 	if n.tick <= 0 {
 		n.tick = time.Millisecond
@@ -500,7 +577,7 @@ func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, o
 		}
 		return n, nil
 	}
-	g, err := buildGroup(0, stack, n.topo0, n.fault0, n.obs0, len(peers), self)
+	g, err := buildGroup(0, stack, n.topo0, n.fault0, n.obs0, len(peers), self, n.capacity)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -508,6 +585,24 @@ func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, o
 	n.g0 = g
 	n.addGroup(g)
 	return n, nil
+}
+
+// readBufferBytes sizes the socket receive buffer: one maximal record
+// per window slot of every inbound link (peers × instances, at least one
+// instance on a mux node whose groups attach later), floored at
+// minReadBuffer.
+func readBufferBytes(peers, instances, capacity int) int {
+	if instances < 1 {
+		instances = 1
+	}
+	want := int64(peers) * int64(instances) * int64(capacity) * maxRecordBytes
+	if want < minReadBuffer {
+		want = minReadBuffer
+	}
+	if want > 1<<30 {
+		want = 1 << 30 // keep the request representable; the kernel clamps far lower
+	}
+	return int(want)
 }
 
 // addGroup publishes g to the loops (copy-on-write).
@@ -578,19 +673,24 @@ func (v env) Send(to core.ProcID, m core.Message) {
 	if n.peers[to] == nil {
 		return
 	}
-	ob := n.outFor(to, g)
-	if ob.b.Count() > 0 && ob.b.Size() > flushCut {
-		// The next record could overflow the datagram: ship what we have.
-		n.flushBatch(ob)
-		ob = n.outFor(to, g)
+	e := g.links.Link(to, m.Instance)
+	if !e.Admit() {
+		// The link already holds c unconsumed messages: the send is lost
+		// at the sender, the model's rule for a full channel.
+		g.sendDrops.Add(1)
+		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: "window"})
+		return
 	}
+	ob := n.roomFor(to, g, e)
 	if err := ob.b.Add(m); err != nil {
 		// Unencodable payloads are dropped: message loss, but counted so
-		// the loss is observable.
+		// the loss is observable. The message never entered the link.
+		e.Cancel()
 		g.sendDrops.Add(1)
 		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m})
 		return
 	}
+	ob.addLink(e, false)
 	// The send event fires at enqueue so observers see protocol order;
 	// the Sends counter increments at the write, when the datagram
 	// actually left.
@@ -603,6 +703,18 @@ func (v env) Send(to core.ProcID, m core.Message) {
 func (v env) Emit(ev core.Event) {
 	ev.Proc = v.n.self
 	v.g.emit(ev)
+}
+
+// roomFor returns the pending batch for (to, g) with room for one more
+// record and a header for e, shipping what is pending first if the next
+// record or header could overflow the frame. Callers hold n.mu.
+func (n *Node) roomFor(to core.ProcID, g *group, e *window.Entry) *outBatch {
+	ob := n.outFor(to, g)
+	if len(ob.links) > 0 && (ob.size() > flushCut || (len(ob.links) == wire.MaxLinks && ob.find(e) < 0)) {
+		n.flushBatch(ob)
+		ob = n.outFor(to, g)
+	}
+	return ob
 }
 
 // outFor returns the pending batch for (to, g), creating one from the
@@ -620,19 +732,47 @@ func (n *Node) outFor(to core.ProcID, g *group) *outBatch {
 		ob = new(outBatch)
 	}
 	ob.to, ob.g, ob.live = to, g, true
+	ob.links, ob.hdrBytes = ob.links[:0], 0
 	ob.b.Reset(g.id)
 	n.pending[k] = ob
 	n.queue = append(n.queue, ob)
 	return ob
 }
 
+// addLink makes the batch's frame speak for e: its records are in the
+// frame, or (probe or not) a control header is due.
+func (ob *outBatch) addLink(e *window.Entry, probe bool) {
+	if i := ob.find(e); i >= 0 {
+		ob.links[i].probe = ob.links[i].probe || probe
+		return
+	}
+	ob.links = append(ob.links, batchLink{e: e, probe: probe})
+	ob.hdrBytes += len(e.Instance) + linkHeaderBytes
+}
+
+// render stamps ob's link headers — sequence and acknowledgment are read
+// now, so a frame always carries the freshest consumption — and appends
+// the frame to the flush buffer. Callers hold n.mu.
+func (n *Node) render(ob *outBatch) {
+	n.hdrs = n.hdrs[:0]
+	probe := false
+	for _, bl := range ob.links {
+		h := bl.e.Stamp(bl.probe)
+		n.hdrs = append(n.hdrs, wire.LinkHeader{Instance: bl.e.Instance, Seq: h.Seq, Ack: h.Ack, Probe: h.Probe})
+		probe = probe || bl.probe
+	}
+	off := len(n.sendBuf)
+	n.sendBuf = ob.b.AppendLinkFrame(n.sendBuf, n.hdrs)
+	n.frames = append(n.frames, frameRef{
+		off: off, len: len(n.sendBuf) - off, to: ob.to, g: ob.g, count: ob.b.Count(), probe: probe,
+	})
+}
+
 // flushBatch renders and writes one pending batch immediately (count or
 // size threshold reached). Callers hold n.mu.
 func (n *Node) flushBatch(ob *outBatch) {
-	n.sendBuf = ob.b.AppendFrame(n.sendBuf[:0])
-	n.frames = append(n.frames[:0], frameRef{
-		off: 0, len: len(n.sendBuf), to: ob.to, g: ob.g, count: ob.b.Count(),
-	})
+	n.sendBuf, n.frames = n.sendBuf[:0], n.frames[:0]
+	n.render(ob)
 	n.retire(ob)
 	n.sendFrames(n.sendBuf, n.frames)
 }
@@ -648,21 +788,13 @@ func (n *Node) flushAll() {
 	n.sendBuf = n.sendBuf[:0]
 	n.frames = n.frames[:0]
 	for _, ob := range n.queue {
-		if !ob.live || ob.b.Count() == 0 {
-			if ob.live {
-				n.retirePending(ob)
+		if ob.live {
+			if len(ob.links) > 0 {
+				n.render(ob)
 			}
+			n.retirePending(ob)
 			ob.live = false
-			n.free = append(n.free, ob)
-			continue
 		}
-		off := len(n.sendBuf)
-		n.sendBuf = ob.b.AppendFrame(n.sendBuf)
-		n.frames = append(n.frames, frameRef{
-			off: off, len: len(n.sendBuf) - off, to: ob.to, g: ob.g, count: ob.b.Count(),
-		})
-		n.retirePending(ob)
-		ob.live = false
 		n.free = append(n.free, ob)
 	}
 	n.queue = n.queue[:0]
@@ -697,6 +829,13 @@ func (n *Node) frameFailed(fr frameRef) {
 func (n *Node) frameSent(fr frameRef) {
 	fr.g.sends.Add(int64(fr.count))
 	n.sendDatagrams.Add(1)
+	switch {
+	case fr.count > 0:
+	case fr.probe:
+		fr.g.probeFrames.Add(1)
+	default:
+		fr.g.echoFrames.Add(1)
+	}
 }
 
 // sendFramesLoop is the portable writer: one sendto per frame. The
@@ -767,25 +906,34 @@ func (n *Node) recvLoop() {
 			if g.inj != nil {
 				// Surface expired delayed messages even on quiet links; the
 				// read deadline below bounds the flush latency.
+				// A released message keeps the window slot it has held
+				// since it arrived.
 				for _, rel := range g.inj.Flush(g.now()) {
 					n.box(g, rel.From, rel.Msg)
 				}
 			}
 		}
 		_ = n.conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+		select {
+		case <-n.stop:
+			// Stop expired the deadline before the line above re-armed it.
+			return
+		default:
+		}
 		r.read(n.handleDatagram)
 	}
 }
 
-// handleDatagram decodes one datagram (any wire version) and pushes each
-// carried message through its group's fault plane into the mailboxes.
-// Runs on the receive loop.
+// handleDatagram decodes one link frame, feeds its headers to the
+// windows, and pushes each carried message through its group's fault
+// plane into the mailboxes. Runs on the receive loop.
 func (n *Node) handleDatagram(data []byte, from netip.AddrPort) {
-	gid, msgs, err := wire.DecodeBatch(n.decMsgs[:0], data)
+	gid, links, msgs, err := wire.DecodeLinkFrame(n.decLinks[:0], n.decMsgs[:0], data)
 	if err != nil {
-		return // malformed datagram: dropped whole (message loss)
+		return // malformed or pre-v4 datagram: dropped whole (message loss)
 	}
-	n.decMsgs = msgs[:0] // keep the grown capacity for the next datagram
+	// Keep the grown capacity for the next datagram.
+	n.decLinks, n.decMsgs = links[:0], msgs[:0]
 	sender, ok := n.senders[canonical(from)]
 	if !ok {
 		return // not a known peer: dropped
@@ -797,11 +945,23 @@ func (n *Node) handleDatagram(data []byte, from netip.AddrPort) {
 	if g.topo != nil && !g.topo.HasEdge(sender, n.self) {
 		return // not a neighbour in this group's graph: dropped
 	}
+	// Headers first: the acknowledgments release our own windows, and the
+	// frame's messages occupy the sender's until they are consumed.
+	for _, h := range links {
+		g.links.Link(sender, h.Instance).Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
+	}
 	for _, m := range msgs {
 		if g.inj != nil {
 			// Per logical message, never per datagram: batching is
 			// invisible to the fault plane.
+			held := g.inj.Held()
 			out, fate := g.inj.Filter(sender, n.self, m, g.now())
+			// The arrival became len(out) mailbox entries plus whatever the
+			// injector now holds back on this link: a drop frees the slot,
+			// a duplicate occupies one more, holdback keeps it.
+			if d := len(out) + g.inj.Held() - held - 1; d != 0 {
+				g.links.Link(sender, m.Instance).Occupy(d)
+			}
 			if fate == core.FateDrop {
 				g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
 			}
@@ -814,13 +974,15 @@ func (n *Node) handleDatagram(data []byte, from netip.AddrPort) {
 	}
 }
 
-// box appends one in-transit message to its bounded mailbox (the model's
-// lose-on-full rule applies) and wakes the activation loop.
+// box appends one in-transit message to its bounded mailbox and wakes
+// the activation loop. The mailbox has one slot per window slot, so only
+// traffic that ignored the window (or a fault-plane duplicate) can find
+// it full; the model's lose-on-full rule applies.
 func (n *Node) box(g *group, sender core.ProcID, m core.Message) {
 	key := mailKey{gid: g.id, from: sender, instance: m.Instance}
 	n.mbMu.Lock()
 	b := n.mailboxes[key]
-	full := len(b) >= n.mailboxSlots
+	full := len(b) >= n.capacity
 	if !full {
 		n.mailboxes[key] = append(b, m)
 		n.boxed++
@@ -829,6 +991,7 @@ func (n *Node) box(g *group, sender core.ProcID, m core.Message) {
 	if full {
 		// Lose-on-full: the message was in transit and is dropped at
 		// the receiver — the model's link loss, not a send failure.
+		g.links.Link(sender, m.Instance).Occupy(-1)
 		g.mailboxDrops.Add(1)
 		g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
 		return
@@ -873,10 +1036,27 @@ func (n *Node) actLoop() {
 				for _, m := range g.stack {
 					m.Step(ev)
 				}
+				n.control(g)
 			}
 			n.flushAll()
 			n.mu.Unlock()
 		}
+	}
+}
+
+// control runs the timer edge of every link of g, after the group's own
+// Step so that anything Step sent already carried the acknowledgments:
+// an echo that found no data to ride on for a full step interval leaves
+// as an echo-only frame, and a window that refused a send while shut
+// emits a probe. The frames join the pending batches; the caller
+// flushes. Callers hold n.mu.
+func (n *Node) control(g *group) {
+	n.due = g.links.Tick(n.due[:0])
+	for _, d := range n.due {
+		if n.peers[d.Entry.Peer] == nil {
+			continue
+		}
+		n.roomFor(d.Entry.Peer, g, d.Entry).addLink(d.Entry, d.Control == window.Probe)
 	}
 }
 
@@ -923,15 +1103,21 @@ func (n *Node) drainMail() {
 			batch[key] = box[:0]
 			continue
 		}
+		e := g.links.Link(key.from, key.instance)
 		if mach, ok := g.routes[key.instance]; ok {
 			ev := env{n: n, g: g}
 			for _, m := range box {
+				// The message leaves the link as it is handed to Deliver, so
+				// a reply sent from inside Deliver already acknowledges it.
+				e.Occupy(-1)
 				g.emit(core.Event{Kind: core.EvDeliver, Proc: n.self, Peer: key.from, Instance: key.instance, Msg: m})
 				mach.Deliver(ev, key.from, m)
 			}
+		} else {
+			// A message addressed to an unknown instance is consumed with
+			// no effect, like a receive action with a false guard.
+			e.Occupy(-len(box))
 		}
-		// A message addressed to an unknown instance is consumed with no
-		// effect, like a receive action with a false guard.
 		batch[key] = box[:0]
 	}
 	n.flushAll()
@@ -942,8 +1128,9 @@ func (n *Node) drainMail() {
 		for _, h := range held {
 			b := n.mailboxes[h.key]
 			for _, m := range h.msgs {
-				if len(b) >= n.mailboxSlots {
+				if len(b) >= n.capacity {
 					if g := gs.byID[h.key.gid]; g != nil {
+						g.links.Link(h.key.from, h.key.instance).Occupy(-1)
 						g.mailboxDrops.Add(1)
 					}
 					continue
@@ -978,6 +1165,8 @@ func (n *Node) doGroup(g *group, f func(env core.Env)) {
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
+		// Expire the receive loop's read deadline instead of waiting it out.
+		_ = n.conn.SetReadDeadline(time.Now())
 		n.wg.Wait()
 		n.conn.Close()
 	})

@@ -10,6 +10,7 @@ import (
 	"github.com/snapstab/snapstab/internal/idl"
 	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/rng"
+	"github.com/snapstab/snapstab/internal/wire"
 )
 
 // cluster spins up n nodes on loopback with OS-assigned ports. Each
@@ -45,12 +46,35 @@ func cluster(t *testing.T, n int, mk func(self core.ProcID) core.Stack) []*Node 
 	for _, node := range nodes {
 		node.Start()
 	}
+	checkWindows(t, nodeStats(nodes))
 	t.Cleanup(func() {
 		for _, node := range nodes {
 			node.Stop()
 		}
 	})
 	return nodes
+}
+
+// checkWindows is the teardown assertion of every test that ran real
+// nodes: no link's in-flight count ever exceeded the capacity bound.
+func checkWindows(t *testing.T, s core.TransportStatser) {
+	t.Helper()
+	t.Cleanup(func() {
+		if err := core.CheckWindows(s.TransportStats()); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// nodeStats adapts bare nodes to core.TransportStatser.
+type nodeStats []*Node
+
+func (ns nodeStats) TransportStats() []core.TransportStats {
+	out := make([]core.TransportStats, len(ns))
+	for i, n := range ns {
+		out[i] = n.transportStats(n.g0)
+	}
+	return out
 }
 
 func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
@@ -75,7 +99,7 @@ func TestPIFOverLoopbackUDP(t *testing.T) {
 			OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 				return core.Payload{Tag: "ack", Num: b.Num*10 + int64(self)}
 			},
-		}, pif.WithCapacityBound(DefaultAssumedCapacity))
+		}, pif.WithCapacityBound(DefaultCapacity))
 		machines[self] = m
 		return core.Stack{m}
 	})
@@ -107,7 +131,7 @@ func TestPIFOverUDPFromCorruptedState(t *testing.T) {
 			OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 				return core.Payload{Tag: "ack", Num: b.Num*10 + int64(self)}
 			},
-		}, pif.WithCapacityBound(DefaultAssumedCapacity))
+		}, pif.WithCapacityBound(DefaultCapacity))
 		m.Corrupt(r)
 		machines[self] = m
 		return core.Stack{m}
@@ -149,7 +173,7 @@ func TestIDLOverUDP(t *testing.T) {
 	ids := []int64{30, 10, 20}
 	machines := make([]*idl.IDL, n)
 	nodes := cluster(t, n, func(self core.ProcID) core.Stack {
-		d := idl.New("idl", self, n, ids[self], pif.WithCapacityBound(DefaultAssumedCapacity))
+		d := idl.New("idl", self, n, ids[self], pif.WithCapacityBound(DefaultCapacity))
 		machines[self] = d
 		return d.Machines()
 	})
@@ -169,43 +193,49 @@ func TestIDLOverUDP(t *testing.T) {
 	})
 }
 
-func TestMailboxBoundsBacklog(t *testing.T) {
-	// Not parallel: concurrent clusters share the loopback path and
-	// the timer wheel; interference slows the handshakes by >20x.
-	// A node that is never activated accumulates at most mailboxSlots
-	// messages per (sender, instance).
-	const n = 2
-	machines := make([]*pif.PIF, n)
-	nodes := cluster(t, n, func(self core.ProcID) core.Stack {
-		m := pif.New("pif", self, n, pif.Callbacks{}, pif.WithCapacityBound(DefaultAssumedCapacity))
-		machines[self] = m
-		return core.Stack{m}
-	})
-	// Freeze node 1's activation loop by holding its mutex while node 0
-	// floods it.
-	release := make(chan struct{})
+// freeze holds node's action mutex until the returned release is
+// called: drains stop, the receive loop keeps boxing.
+func freeze(node *Node) (release func()) {
+	done := make(chan struct{})
 	frozen := make(chan struct{})
-	go func() {
-		nodes[1].Do(func(core.Env) {
-			close(frozen)
-			<-release
-		})
-	}()
-	<-frozen
-	nodes[0].Do(func(env core.Env) {
-		for i := 0; i < 100; i++ {
-			env.Send(1, core.Message{Instance: "pif", Kind: pif.Kind})
-		}
+	go node.Do(func(core.Env) {
+		close(frozen)
+		<-done
 	})
-	time.Sleep(300 * time.Millisecond) // let the receive loop drain the socket
-	close(release)
-	nodes[1].Do(func(core.Env) {}) // synchronize
-	nodes[1].mbMu.Lock()
-	box := nodes[1].mailboxes[mailKey{from: 0, instance: "pif"}]
-	over := len(box) > nodes[1].mailboxSlots
-	nodes[1].mbMu.Unlock()
-	if over {
-		t.Fatalf("mailbox holds %d messages, above the bound", len(box))
+	<-frozen
+	return func() { close(done) }
+}
+
+// flood fires count single-message link frames at node from the raw
+// peer, as a sender that ignores the window would.
+func flood(t *testing.T, raw *net.UDPConn, node *Node, count int) {
+	t.Helper()
+	target := mustUDPAddr(t, node.Addr())
+	for i := 1; i <= count; i++ {
+		data := linkFrame(t, 0, wire.LinkHeader{Instance: "rec", Seq: uint64(i)},
+			core.Message{Instance: "rec", Kind: "K", B: core.Payload{Num: int64(i)}})
+		if _, err := raw.WriteToUDP(data, target); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestMailboxBoundsBacklog(t *testing.T) {
+	// Not parallel: shares the loopback path with the cluster tests.
+	// A node that is never activated accumulates at most c messages per
+	// (sender, instance), even from a peer that ignores the window.
+	node, _, raw := rawPeer(t)
+	release := freeze(node)
+	flood(t, raw, node, 100)
+	if !waitFor(t, 5*time.Second, func() bool { return node.Stats().MailboxDrops > 0 }) {
+		t.Fatal("100 datagrams at a frozen node overflowed nothing")
+	}
+	node.mbMu.Lock()
+	held := len(node.mailboxes[mailKey{from: 1, instance: "rec"}])
+	node.mbMu.Unlock()
+	release()
+	if held > node.capacity {
+		t.Fatalf("mailbox holds %d messages, above the bound %d", held, node.capacity)
 	}
 }
 
@@ -214,7 +244,7 @@ func TestStatsCountSendsAndDrops(t *testing.T) {
 	const n = 2
 	machines := make([]*pif.PIF, n)
 	nodes := cluster(t, n, func(self core.ProcID) core.Stack {
-		m := pif.New("pif", self, n, pif.Callbacks{}, pif.WithCapacityBound(DefaultAssumedCapacity))
+		m := pif.New("pif", self, n, pif.Callbacks{}, pif.WithCapacityBound(DefaultCapacity))
 		machines[self] = m
 		return core.Stack{m}
 	})
@@ -257,61 +287,20 @@ func TestStatsCountDroppedSends(t *testing.T) {
 func TestStatsCountMailboxDrops(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
 	// A receiver with a 1-slot mailbox whose activation loop is frozen
-	// (its action mutex is held) must count every overflowing datagram —
-	// and report each as a receive-side EvLose, never as the sender-side
-	// EvSendLost.
-	mk := func(self core.ProcID) core.Stack {
-		return core.Stack{pif.New("pif", self, 2, pif.Callbacks{}, pif.WithCapacityBound(DefaultAssumedCapacity))}
-	}
+	// must count every overflowing message — and report each as a
+	// receive-side EvLose, never as the sender-side EvSendLost.
 	var losses, sendLost atomic.Int64
-	recv, err := NewNode(1, mk(1), "127.0.0.1:0", make([]string, 2),
-		WithMailbox(1), WithObserver(core.ObserverFunc(func(e core.Event) {
-			switch e.Kind {
-			case core.EvLose:
-				losses.Add(1)
-			case core.EvSendLost:
-				sendLost.Add(1)
-			}
-		})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	send, err := NewNode(0, mk(0), "127.0.0.1:0", make([]string, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recvAddr, err := net.ResolveUDPAddr("udp", recv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sendAddr, err := net.ResolveUDPAddr("udp", send.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	send.SetPeer(1, recvAddr)
-	recv.SetPeer(0, sendAddr)
-	recv.Start() // the sender's loops stay off: Do drives its socket directly
-	t.Cleanup(func() { recv.Stop(); send.Stop() })
-
-	// Freeze the receiver's activation loop by holding its action mutex:
-	// drains stop, but the receive loop keeps boxing (and dropping).
-	release := make(chan struct{})
-	frozen := make(chan struct{})
-	go func() {
-		recv.Do(func(core.Env) {
-			close(frozen)
-			<-release
-		})
-	}()
-	<-frozen
-	defer close(release)
-
-	send.Do(func(env core.Env) {
-		for i := 0; i < 50; i++ {
-			env.Send(1, core.Message{Instance: "pif", Kind: pif.Kind})
+	node, _, raw := rawPeer(t, WithCapacity(1), WithObserver(core.ObserverFunc(func(e core.Event) {
+		switch e.Kind {
+		case core.EvLose:
+			losses.Add(1)
+		case core.EvSendLost:
+			sendLost.Add(1)
 		}
-	})
-	if !waitFor(t, 5*time.Second, func() bool { return recv.Stats().MailboxDrops > 0 }) {
+	})))
+	defer freeze(node)()
+	flood(t, raw, node, 50)
+	if !waitFor(t, 5*time.Second, func() bool { return node.Stats().MailboxDrops > 0 }) {
 		t.Fatal("flooding a 1-slot mailbox on a frozen receiver produced no MailboxDrops")
 	}
 	if losses.Load() == 0 {
@@ -330,5 +319,8 @@ func TestNodeValidation(t *testing.T) {
 	}
 	if _, err := NewNode(0, stack, "127.0.0.1:0", []string{"", "not-an-addr:xx"}); err == nil {
 		t.Fatal("bad peer address accepted")
+	}
+	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), WithCapacity(0)); err == nil {
+		t.Fatal("zero capacity accepted")
 	}
 }

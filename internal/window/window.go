@@ -1,0 +1,325 @@
+// Package window enforces the paper's known channel-capacity bound on a
+// real network link: at most c messages are ever in flight from one
+// endpoint to the other, where "in flight" runs from the sender's
+// env.Send until the receiver hands the message to Deliver or drops it.
+// It is the socket substrates' counterpart of the in-memory runtime's
+// per-link inflight counter, with the one difference a network forces:
+// the sender cannot see the receiver's consumption, so the receiver
+// says so.
+//
+// # The state machine
+//
+// A Link is one endpoint's view of one bidirectional (peer, group,
+// instance) link. Its sender half numbers every admitted message with a
+// per-link sequence and keeps the contiguous range base..next-1 of
+// sequences it may not yet reuse; Admit refuses once that range holds c.
+// Its receiver half remembers the last sequence the peer reported sent
+// (hi), how many of the peer's messages sit unconsumed in this
+// endpoint's pipeline (occupied), and the last sequence it knows
+// consumed (done). Every frame in either direction carries a Header:
+// Seq, the sender half's last sequence, and Ack, the receiver half's
+// done. An Ack that names an outstanding sequence releases it and
+// everything before it; an Ack that names none is ignored, which is
+// what makes a restarted peer's stale state harmless.
+//
+// done advances only when the pipeline is empty (done = hi at
+// occupied = 0). Under the per-link FIFO the paper's model assumes, an
+// empty pipeline after seeing Seq = s proves every message numbered
+// <= s was consumed or lost, whatever order a fault plane's holdback
+// released them in; the rule needs no per-message identity, so it
+// survives duplication, reordering and delay at the mailbox boundary.
+//
+// Two timer-driven control frames keep the link live. An echo that has
+// waited a full tick without data to ride on leaves as an echo-only
+// frame. A sender that was refused while its window is shut emits a
+// probe — an empty, sequence-stamped frame through the same FIFO as
+// data — and the receiver answers it at its next tick: consuming the
+// probe proves everything before it was consumed or lost, so a lost
+// echo, a partition or a restarted peer cannot wedge the link.
+//
+// The package is pure and clock-free: Tick is called by the transports'
+// step timer, the initial sequence is chosen by the caller, and nothing
+// here reads a clock or a random source, so internal/check can drive it
+// exhaustively (snapvet's determinism analyzer covers it).
+package window
+
+import (
+	"fmt"
+	"sync"
+
+	"github.com/snapstab/snapstab/internal/core"
+)
+
+// MaxCapacity is the largest bound a protocol stack can be built for:
+// the handshake flag domain {0..2c+2} must fit the wire format's
+// one-byte flag fields.
+const MaxCapacity = 126
+
+// Header is what one frame says about one link, in the direction the
+// frame travels.
+type Header struct {
+	// Seq is the last sequence the frame's sender has assigned on this
+	// link, data in this frame included.
+	Seq uint64
+	// Ack is the last sequence the frame's sender knows consumed on the
+	// reverse direction.
+	Ack uint64
+	// Probe asks the receiver to answer with its Ack at its next tick.
+	Probe bool
+}
+
+// Control is a frame Tick asks the transport to emit with no data.
+type Control uint8
+
+const (
+	// None: nothing is due.
+	None Control = iota
+	// Echo: an acknowledgment is overdue or a probe awaits its answer.
+	Echo
+	// Probe: the window is shut and a send was refused.
+	Probe
+)
+
+// Link is one endpoint of one bidirectional link. The zero value is
+// unusable; build one with NewLink. It is not goroutine-safe (Table
+// adds the lock) and is a comparable value, so a model checker can use
+// it as part of a map key.
+type Link struct {
+	c int
+
+	// Sender half: sequences base..next-1 are outstanding.
+	base, next uint64
+	peak       int
+	refused    bool // a send was refused since the last probe
+
+	// Receiver half.
+	hi       uint64 // last sequence the peer reported sent
+	occupied int    // peer's messages arrived here, not yet consumed
+	done     uint64 // last sequence known consumed: the Ack we send
+	echoed   uint64 // the Ack most recently put on the wire
+	probed   bool   // the peer probed; answer at the next tick
+	aged     bool   // an echo has already waited one tick
+}
+
+// NewLink returns a link with window c whose first admitted message is
+// numbered first (>= 1; 0 is reserved for "nothing yet").
+func NewLink(c int, first uint64) Link {
+	if c < 1 || first < 1 {
+		panic(fmt.Sprintf("window: NewLink(%d, %d)", c, first))
+	}
+	return Link{c: c, base: first, next: first}
+}
+
+// Admit reserves a slot for one outbound message, numbering it
+// implicitly with the next sequence. It returns false when c messages
+// are already in flight: the send is lost at the sender, and the
+// refusal arms the probe.
+func (l *Link) Admit() bool {
+	if l.InFlight() >= l.c {
+		l.refused = true
+		return false
+	}
+	l.next++
+	if n := l.InFlight(); n > l.peak {
+		l.peak = n
+	}
+	return true
+}
+
+// Cancel takes back the most recent Admit: the message never entered
+// the link (it could not be encoded or queued). Call it only before
+// anything else touches the link.
+func (l *Link) Cancel() {
+	if l.next > l.base {
+		l.next--
+	}
+}
+
+// InFlight returns how many admitted messages are not yet released.
+func (l *Link) InFlight() int { return int(l.next - l.base) }
+
+// Peak returns the largest InFlight ever observed.
+func (l *Link) Peak() int { return l.peak }
+
+// Occupied returns how many of the peer's messages sit in this
+// endpoint's pipeline.
+func (l *Link) Occupied() int { return l.occupied }
+
+// Stamp returns the header for a frame about to leave on this link and
+// records that the current acknowledgment is on the wire.
+func (l *Link) Stamp(probe bool) Header {
+	l.echoed = l.done
+	l.aged = false
+	l.probed = false
+	return Header{Seq: l.next - 1, Ack: l.done, Probe: probe}
+}
+
+// Arrive processes the header of a frame that carried n messages for
+// this link: the acknowledgment releases what it names, the sequence
+// and the messages enter the receiver half.
+func (l *Link) Arrive(h Header, n int) {
+	if h.Ack >= l.base && h.Ack < l.next {
+		l.base = h.Ack + 1
+	}
+	l.hi = h.Seq
+	if h.Probe {
+		l.probed = true
+	}
+	l.Occupy(n)
+}
+
+// Occupy adjusts the pipeline occupancy by d: negative when messages
+// are handed to Deliver or dropped, positive when a fault plane
+// duplicates one. An empty pipeline advances the acknowledgment.
+func (l *Link) Occupy(d int) {
+	l.occupied += d
+	if l.occupied <= 0 {
+		l.occupied = 0
+		l.done = l.hi
+	}
+}
+
+// Tick is the timer edge. It reports the control frame to emit now, if
+// any; the transport stamps and sends it (Stamp(ctl == Probe)).
+func (l *Link) Tick() Control {
+	if l.refused && l.InFlight() >= l.c {
+		l.refused = false
+		return Probe
+	}
+	l.refused = false
+	if l.probed {
+		return Echo
+	}
+	if l.done != l.echoed {
+		if l.aged {
+			return Echo
+		}
+		l.aged = true
+	}
+	return None
+}
+
+// Entry is one link of a Table; its methods take the table's lock.
+type Entry struct {
+	t    *Table
+	Peer core.ProcID
+	// Instance is the protocol instance the link serves.
+	Instance string
+	l        Link
+}
+
+// Admit is Link.Admit under the table lock.
+func (e *Entry) Admit() bool {
+	e.t.mu.Lock()
+	ok := e.l.Admit()
+	e.t.mu.Unlock()
+	return ok
+}
+
+// Cancel is Link.Cancel under the table lock.
+func (e *Entry) Cancel() {
+	e.t.mu.Lock()
+	e.l.Cancel()
+	e.t.mu.Unlock()
+}
+
+// Stamp is Link.Stamp under the table lock.
+func (e *Entry) Stamp(probe bool) Header {
+	e.t.mu.Lock()
+	h := e.l.Stamp(probe)
+	e.t.mu.Unlock()
+	return h
+}
+
+// Arrive is Link.Arrive under the table lock.
+func (e *Entry) Arrive(h Header, n int) {
+	e.t.mu.Lock()
+	e.l.Arrive(h, n)
+	e.t.mu.Unlock()
+}
+
+// Occupy is Link.Occupy under the table lock.
+func (e *Entry) Occupy(d int) {
+	e.t.mu.Lock()
+	e.l.Occupy(d)
+	e.t.mu.Unlock()
+}
+
+// Due is one control frame a Table.Tick asks for.
+type Due struct {
+	Entry   *Entry
+	Control Control
+}
+
+type key struct {
+	peer core.ProcID
+	inst string
+}
+
+// Table holds every link of one hosted group behind one leaf lock: no
+// method calls out while holding it, so it nests inside any of the
+// transports' locks.
+type Table struct {
+	mu    sync.Mutex
+	c     int
+	first uint64
+	links map[key]*Entry
+	order []*Entry // creation order: Tick and Gauges iterate this
+}
+
+// NewTable returns an empty table whose links have window c and start
+// numbering at first. The transports pass a random first so that a
+// restarted endpoint's sequences do not collide with acknowledgments
+// addressed to its previous life.
+func NewTable(c int, first uint64) *Table {
+	return &Table{c: c, first: first, links: make(map[key]*Entry)}
+}
+
+// Link returns the entry for (peer, instance), creating it on first use.
+func (t *Table) Link(peer core.ProcID, instance string) *Entry {
+	k := key{peer: peer, inst: instance}
+	t.mu.Lock()
+	e := t.links[k]
+	if e == nil {
+		e = &Entry{t: t, Peer: peer, Instance: instance, l: NewLink(t.c, t.first)}
+		t.links[k] = e
+		t.order = append(t.order, e)
+	}
+	t.mu.Unlock()
+	return e
+}
+
+// Tick runs every link's timer edge and appends the control frames due
+// to dst.
+func (t *Table) Tick(dst []Due) []Due {
+	t.mu.Lock()
+	for _, e := range t.order {
+		if ctl := e.l.Tick(); ctl != None {
+			dst = append(dst, Due{Entry: e, Control: ctl})
+		}
+	}
+	t.mu.Unlock()
+	return dst
+}
+
+// FillLinkStats sets the window gauges of each element of links from
+// the table's links toward that element's Peer: the fullest current
+// window and the highest peak among the peer's instances.
+func (t *Table) FillLinkStats(links []core.LinkStats) {
+	t.mu.Lock()
+	for _, e := range t.order {
+		for i := range links {
+			ls := &links[i]
+			if ls.Peer != e.Peer {
+				continue
+			}
+			if n := e.l.InFlight(); n > ls.InFlight {
+				ls.InFlight = n
+			}
+			if n := e.l.Peak(); n > ls.PeakInFlight {
+				ls.PeakInFlight = n
+			}
+		}
+	}
+	t.mu.Unlock()
+}

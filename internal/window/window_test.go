@@ -1,0 +1,189 @@
+package window
+
+import (
+	"sync"
+	"testing"
+
+	"github.com/snapstab/snapstab/internal/core"
+)
+
+// carry moves what a frame from src says (n of src's admitted messages
+// aboard) into dst.
+func carry(src, dst *Link, probe bool, n int) {
+	dst.Arrive(src.Stamp(probe), n)
+}
+
+func TestWindowAdmitsAtMostC(t *testing.T) {
+	a := NewLink(2, 100)
+	if !a.Admit() || !a.Admit() {
+		t.Fatal("window of 2 refused one of its first two sends")
+	}
+	if a.Admit() {
+		t.Fatal("third send admitted into a window of 2")
+	}
+	if a.InFlight() != 2 || a.Peak() != 2 {
+		t.Fatalf("in flight %d, peak %d; want 2, 2", a.InFlight(), a.Peak())
+	}
+	a.Cancel()
+	if a.InFlight() != 1 || !a.Admit() {
+		t.Fatal("Cancel did not give the slot back")
+	}
+}
+
+func TestConsumptionReopensTheWindow(t *testing.T) {
+	a, b := NewLink(2, 100), NewLink(2, 500)
+	a.Admit()
+	a.Admit()
+	carry(&a, &b, false, 2)
+	if b.Occupied() != 2 {
+		t.Fatalf("receiver holds %d, want 2", b.Occupied())
+	}
+	// One of two consumed: the pipeline is not empty, nothing to report.
+	b.Occupy(-1)
+	carry(&b, &a, false, 0)
+	if a.InFlight() != 2 {
+		t.Fatalf("a slot was released while a message was still unconsumed (in flight %d)", a.InFlight())
+	}
+	b.Occupy(-1)
+	carry(&b, &a, false, 0)
+	if a.InFlight() != 0 {
+		t.Fatalf("in flight %d after everything was consumed and echoed", a.InFlight())
+	}
+}
+
+func TestStaleAckIsIgnored(t *testing.T) {
+	a := NewLink(2, 100)
+	a.Admit()
+	a.Admit()
+	for _, ack := range []uint64{0, 99, 102, 1 << 40} {
+		a.Arrive(Header{Ack: ack}, 0)
+		if a.InFlight() != 2 {
+			t.Fatalf("ack %d, naming nothing outstanding, released a slot", ack)
+		}
+	}
+	a.Arrive(Header{Ack: 100}, 0)
+	if a.InFlight() != 1 {
+		t.Fatalf("ack of the oldest outstanding sequence left %d in flight, want 1", a.InFlight())
+	}
+}
+
+func TestEchoWaitsOneTickThenLeavesAlone(t *testing.T) {
+	a, b := NewLink(4, 1), NewLink(4, 1)
+	a.Admit()
+	carry(&a, &b, false, 1)
+	b.Occupy(-1)
+	if got := b.Tick(); got != None {
+		t.Fatalf("first tick after consumption asked for %v; the echo must wait for data to ride on", got)
+	}
+	if got := b.Tick(); got != Echo {
+		t.Fatalf("second tick asked for %v, want Echo", got)
+	}
+	carry(&b, &a, false, 0)
+	if a.InFlight() != 0 {
+		t.Fatal("echo-only frame did not release the slot")
+	}
+	if got := b.Tick(); got != None {
+		t.Fatalf("tick after the echo left asked for %v", got)
+	}
+	// Data going the other way carries the echo and cancels the timer.
+	a.Admit()
+	carry(&a, &b, false, 1)
+	b.Occupy(-1)
+	b.Tick()
+	b.Admit()
+	carry(&b, &a, false, 1)
+	if a.InFlight() != 0 {
+		t.Fatal("piggybacked acknowledgment did not release the slot")
+	}
+	if got := b.Tick(); got != None {
+		t.Fatalf("tick after a piggybacked echo asked for %v", got)
+	}
+}
+
+func TestProbeReopensAfterLostEchoAndRestart(t *testing.T) {
+	a, b := NewLink(2, 100), NewLink(2, 500)
+	a.Admit()
+	a.Admit()
+	carry(&a, &b, false, 2)
+	b.Occupy(-2)
+	b.Stamp(false) // the echo leaves and is lost
+	if got := a.Tick(); got != None {
+		t.Fatalf("shut window with no refused send asked for %v", got)
+	}
+	if a.Admit() {
+		t.Fatal("send admitted into a shut window")
+	}
+	if got := a.Tick(); got != Probe {
+		t.Fatalf("tick after a refusal asked for %v, want Probe", got)
+	}
+	carry(&a, &b, true, 0)
+	if got := b.Tick(); got != Echo {
+		t.Fatalf("probed receiver's tick asked for %v, want Echo", got)
+	}
+	carry(&b, &a, false, 0)
+	if a.InFlight() != 0 {
+		t.Fatal("answered probe did not reopen the window")
+	}
+
+	// The peer restarts with nothing in its pipeline and no memory.
+	a.Admit()
+	a.Admit()
+	b = NewLink(2, 900)
+	a.Admit()
+	if got := a.Tick(); got != Probe {
+		t.Fatalf("asked for %v, want Probe", got)
+	}
+	carry(&a, &b, true, 0)
+	carry(&b, &a, false, 0)
+	if a.InFlight() != 0 {
+		t.Fatal("fresh peer's answer did not reopen the window")
+	}
+}
+
+func TestHoldbackKeepsTheSlot(t *testing.T) {
+	a, b := NewLink(2, 1), NewLink(2, 1)
+	a.Admit()
+	carry(&a, &b, false, 1) // the fault plane holds message 1 back
+	a.Admit()
+	carry(&a, &b, false, 1)
+	b.Occupy(-1) // message 2 is delivered first
+	carry(&b, &a, false, 0)
+	if a.InFlight() != 2 {
+		t.Fatalf("slot released while an earlier message is still held (in flight %d)", a.InFlight())
+	}
+	b.Occupy(+1) // and duplicated on its way out
+	b.Occupy(-2)
+	carry(&b, &a, false, 0)
+	if a.InFlight() != 0 {
+		t.Fatalf("in flight %d after the pipeline drained", a.InFlight())
+	}
+}
+
+func TestTableIsSafeForConcurrentUse(t *testing.T) {
+	const c = 4
+	tab := NewTable(c, 1)
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			e := tab.Link(core.ProcID(p%2), "pif")
+			for i := 0; i < 1000; i++ {
+				if e.Admit() {
+					e.Arrive(e.Stamp(false), 1)
+					e.Occupy(-1)
+					e.Arrive(e.Stamp(false), 0)
+				}
+				tab.Tick(nil)
+			}
+		}(p)
+	}
+	wg.Wait()
+	links := []core.LinkStats{{Peer: 0}, {Peer: 1}}
+	tab.FillLinkStats(links)
+	for _, l := range links {
+		if l.PeakInFlight < 1 || l.PeakInFlight > c {
+			t.Fatalf("peer %d peaked at %d, want 1..%d", l.Peer, l.PeakInFlight, c)
+		}
+	}
+}

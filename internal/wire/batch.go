@@ -20,12 +20,12 @@
 // datagram). A v3 record inside a v3 frame is rejected: batches do not
 // nest.
 //
-// Compatibility is one-directional by construction: every encoder emits
-// the smallest format that represents its traffic. A batch of one
-// record for group 0 is emitted as the bare record — byte-identical to
-// what a wire-v2 sender produces — so a sender configured with batch=1
-// interoperates with pre-v3 receivers, while DecodeBatch accepts all
-// three versions (v1/v2 frames decode as group 0, count 1).
+// Within v1–v3 every encoder emits the smallest format that represents
+// its traffic: a batch of one record for group 0 is emitted as the bare
+// record — byte-identical to what Encode produces — and DecodeBatch
+// accepts all three versions (v1/v2 frames decode as group 0, count 1).
+// The socket transports no longer ship v3: they frame the same batch
+// under per-link acknowledgment headers as wire v4 (link.go).
 package wire
 
 import (

@@ -12,7 +12,7 @@ import (
 // sockets: n UDP sockets (UDPMux) or n TCP listeners with one persistent
 // connection mesh (TCPMux), where n is the process count every attached
 // cluster must share. Each cluster built on Mux.Substrate() attaches as
-// a wire v3 group: its messages ride the shared sockets tagged with a
+// a wire group: its messages ride the shared sockets tagged with a
 // group id, batched and coalesced together with its siblings' traffic,
 // while routing, topology, observers, the fault plane, and the message
 // counters stay strictly per cluster.
@@ -27,20 +27,22 @@ import (
 // to release the sockets (which also tears down any still-attached
 // clusters).
 type Mux struct {
-	udp *udp.Mux
-	tcp *tcp.Mux
+	udp      *udp.Mux
+	tcp      *tcp.Mux
+	capacity int
 }
 
 // UDPMux binds one loopback datagram socket per process and returns a
-// mux ready to host clusters. The only cluster option read here is
-// WithBatch, fixing the coalescing ceiling of the shared sockets (the
-// batch is a socket-level knob, so it cannot vary per attached cluster);
-// everything else — topology, faults, receivers, capacity — is given to
+// mux ready to host clusters. The cluster options read here are the
+// socket-level ones, which cannot vary per attached cluster: WithBatch
+// fixes the coalescing ceiling and WithCapacity the per-link window
+// (default 4) — every attached cluster's machines are built for that
+// bound. Everything else — topology, faults, receivers — is given to
 // the cluster constructors instead. Socket binding failures are
 // returned, not panicked: the mux is built before any cluster exists.
 func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
-	o := buildOptions(opts)
-	var uopts []udp.Option
+	o := buildOptions(append([]Option{WithSubstrate(UDP())}, opts...))
+	uopts := []udp.Option{udp.WithCapacity(o.capacity)}
 	if o.batch > 0 {
 		uopts = append(uopts, udp.WithBatch(o.batch))
 	}
@@ -48,17 +50,17 @@ func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mux{udp: m}, nil
+	return &Mux{udp: m, capacity: o.capacity}, nil
 }
 
 // TCPMux binds one loopback listener per process, dials the full
 // connection mesh, and returns a mux ready to host clusters. As with
-// UDPMux, the only cluster option read here is WithBatch — on TCP it
-// bounds the frames per vectored write on the shared connections;
-// per-cluster options belong to the cluster constructors.
+// UDPMux, the cluster options read here are WithBatch — on TCP it
+// bounds the frames per vectored write on the shared connections — and
+// WithCapacity; per-cluster options belong to the cluster constructors.
 func TCPMux(nProcs int, opts ...Option) (*Mux, error) {
-	o := buildOptions(opts)
-	var topts []tcp.Option
+	o := buildOptions(append([]Option{WithSubstrate(TCP())}, opts...))
+	topts := []tcp.Option{tcp.WithCapacity(o.capacity)}
 	if o.batch > 0 {
 		topts = append(topts, tcp.WithBatch(o.batch))
 	}
@@ -66,7 +68,7 @@ func TCPMux(nProcs int, opts ...Option) (*Mux, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mux{tcp: m}, nil
+	return &Mux{tcp: m, capacity: o.capacity}, nil
 }
 
 // N returns the process count every attached cluster must match.
@@ -90,46 +92,29 @@ func (m *Mux) Addrs() []string {
 // the shared sockets; the specification is reusable — build as many
 // clusters from it as the application needs. Cluster topology, faults,
 // and event hooks apply per attached cluster as on the dedicated
-// UDP()/TCP() substrates; WithBatch does not (the batch ceiling was
-// fixed when the mux was built) and is ignored.
+// UDP()/TCP() substrates; WithBatch and WithCapacity do not (the batch
+// ceiling and the window were fixed when the mux was built) and are
+// ignored: the cluster's machines are built for the mux's capacity.
 func (m *Mux) Substrate() Substrate {
 	if m.udp != nil {
 		return Substrate{
-			name: "udp-mux",
-			capacity: func(o options) int {
-				if o.capacity > udp.DefaultAssumedCapacity {
-					return o.capacity
-				}
-				return udp.DefaultAssumedCapacity
-			},
+			name:          "udp-mux",
+			fixedCapacity: m.capacity,
 			build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 				if len(stacks) != m.udp.N() {
 					return nil, fmt.Errorf("snapstab: %d-process cluster on a %d-process mux", len(stacks), m.udp.N())
 				}
-				uopts := make([]udp.Option, 0, len(obs)+2)
-				for _, ob := range obs {
-					uopts = append(uopts, udp.WithObserver(ob))
-				}
-				if o.topology != nil {
-					uopts = append(uopts, udp.WithTopology(o.topology))
-				}
-				if o.faults != nil {
-					uopts = append(uopts, udp.WithFaults(o.faults))
-				}
-				return m.udp.Attach(stacks, uopts...)
+				return m.udp.Attach(stacks, udpOptions(o, obs)...)
 			},
 		}
 	}
 	return Substrate{
-		name:     "tcp-mux",
-		capacity: tcpCapacity,
+		name:          "tcp-mux",
+		fixedCapacity: m.capacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			if len(stacks) != m.tcp.N() {
 				return nil, fmt.Errorf("snapstab: %d-process cluster on a %d-process mux", len(stacks), m.tcp.N())
 			}
-			// The batch bound is a socket-level knob fixed at TCPMux; a
-			// cluster-level WithBatch is ignored, as documented.
-			o.batch = 0
 			return m.tcp.Attach(stacks, tcpOptions(o, obs)...)
 		},
 	}

@@ -53,9 +53,11 @@ func muxRoundTrip(t *testing.T, mux *snapstab.Mux) {
 	if _, err := b.Broadcast(1, "mux-b-after", 3); err != nil {
 		t.Fatalf("cluster b after sibling close: %v", err)
 	}
+	checkWindows(t, a.TransportStats(), 4)
+	checkWindows(t, b.TransportStats(), 4)
 }
 
-// TestUDPMuxFacade hosts two clusters as wire v3 groups on one set of
+// TestUDPMuxFacade hosts two clusters as wire groups on one set of
 // UDP sockets through the public façade.
 func TestUDPMuxFacade(t *testing.T) {
 	t.Parallel()
@@ -70,7 +72,7 @@ func TestUDPMuxFacade(t *testing.T) {
 	muxRoundTrip(t, mux)
 }
 
-// TestTCPMuxFacade hosts two clusters as wire v3 groups on one TCP
+// TestTCPMuxFacade hosts two clusters as wire groups on one TCP
 // connection mesh through the public façade.
 func TestTCPMuxFacade(t *testing.T) {
 	t.Parallel()

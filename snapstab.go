@@ -122,21 +122,26 @@ func WithLossRate(p float64) Option { return func(o *options) { o.lossRate = p }
 // the concurrent substrates only corruption derives from the seed.
 func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 
-// WithCapacity sets the known per-channel capacity bound c >= 1 (default
-// 1, the paper's setting). The protocols size their handshake flag domain
-// to {0..2c+2} automatically. The UDP substrate enforces its own larger
-// conservative bound when this one is smaller.
+// WithCapacity sets the known per-channel capacity bound c, 1 <= c <=
+// 126. Every substrate enforces it — a directed link never holds more
+// than c unconsumed messages, and a send into a full link is lost at
+// the sender — and the protocols size their handshake flag domain to
+// {0..2c+2} from it, so one request costs 2c+2 round trips per peer.
+// The default is the paper's c = 1 on Sim and Runtime and 4 on the
+// socket substrates (UDP, TCP, TCPHost), where more than one message
+// per link is routinely in flight. On a mux the bound belongs to the
+// shared sockets: pass it to UDPMux/TCPMux. An out-of-range bound
+// panics at cluster construction.
 func WithCapacity(c int) Option { return func(o *options) { o.capacity = c } }
 
 // WithBatch tunes the transports' syscall amortization; the in-memory
 // substrates (Sim, Runtime) have no wire and ignore it. On UDP it sets
-// how many messages may coalesce into one wire v3 batch datagram
+// how many messages may coalesce into one wire v4 link-frame datagram
 // (default 16): batches flush when full, at the end of every atomic
 // protocol section, and on the transport's sweep tick, so raising the
 // ceiling amortizes syscalls without delaying any message past the
 // tick. WithBatch(1) disables coalescing — every message travels alone
-// in the bare wire v1/v2 framing, byte-compatible with peers that
-// predate the v3 batch frame. On TCP it bounds how many queued frames
+// in its own link frame. On TCP it bounds how many queued frames
 // one vectored write may carry (default 32); the bytes on the wire are
 // identical at every setting. On a mux, pass it to UDPMux/TCPMux
 // instead — the sockets are shared, so the knob cannot vary per
@@ -161,10 +166,11 @@ func WithReceiver(f func(proc, from int, b Payload) Payload) Option {
 }
 
 func buildOptions(opts []Option) options {
-	o := options{seed: 1, capacity: 1, maxSteps: 50_000_000, csLength: 2, substrate: Sim()}
+	o := options{seed: 1, maxSteps: 50_000_000, csLength: 2, substrate: Sim()}
 	for _, opt := range opts {
 		opt(&o)
 	}
+	o.resolveCapacity()
 	return o
 }
 

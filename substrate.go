@@ -1,12 +1,15 @@
 package snapstab
 
 import (
+	"fmt"
+
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/runtime"
 	"github.com/snapstab/snapstab/internal/sim"
 	tcp "github.com/snapstab/snapstab/internal/transport/tcp"
 	udp "github.com/snapstab/snapstab/internal/transport/udp"
+	"github.com/snapstab/snapstab/internal/window"
 )
 
 // Substrate selects the execution engine a cluster runs on. The paper's
@@ -22,33 +25,47 @@ import (
 //     deadlines instead of step budgets.
 //   - UDP: one loopback socket per process exchanging wire-encoded
 //     datagrams — the paper's concluding "future challenge". Natural
-//     loss plus bounded mailboxes restoring the known capacity bound;
-//     messages coalesce into wire v3 batch datagrams (WithBatch).
+//     loss, and the known capacity bound enforced by a per-link
+//     sender-side window (WithCapacity); messages coalesce into wire
+//     v4 link-frame datagrams (WithBatch).
 //   - TCP: one loopback listener per process with persistent
-//     connections; bounded queues and mailboxes restore the model's
-//     lossy channels at the stream's edges.
+//     connections; the same per-link window restores the model's
+//     bounded channels, and connection loss is message loss.
 //   - TCPHost: one real process of a multi-daemon TCP fleet.
-//   - Mux.Substrate(): a cluster attached as a wire v3 group on a
-//     shared UDPMux/TCPMux socket layer.
+//   - Mux.Substrate(): a cluster attached as a wire group on a shared
+//     UDPMux/TCPMux socket layer.
 //
 // A Substrate value is a specification; the engine itself is built when
 // the cluster is constructed and released by the cluster's Close.
 type Substrate struct {
 	name string
-	// capacity gives the channel-capacity bound the protocol machines
-	// must be built with; nil means the cluster's WithCapacity option.
-	capacity func(o options) int
+	// defaultCapacity is the channel-capacity bound of a cluster built
+	// without WithCapacity: the paper's 1 on the in-memory engines, the
+	// transports' DefaultCapacity on sockets.
+	defaultCapacity int
+	// fixedCapacity, when nonzero, overrides WithCapacity: a mux fixed
+	// its window when its sockets were built.
+	fixedCapacity int
 	// build constructs and starts the engine from one stack per process.
+	// o.capacity is already resolved (see options.resolveCapacity).
 	build func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error)
 }
 
-// machineCap returns the capacity bound machines should declare (the
-// flag domain is sized from it, see pif.WithCapacityBound).
-func (s Substrate) machineCap(o options) int {
-	if s.capacity != nil {
-		return s.capacity(o)
+// resolveCapacity settles the one channel-capacity bound c of a
+// cluster: what the engine enforces per directed link and what the
+// machines' flag domain {0..2c+2} is sized from. It panics when the
+// domain would not fit the wire format's one-byte flags.
+func (o *options) resolveCapacity() {
+	s := o.substrate
+	switch {
+	case s.fixedCapacity > 0:
+		o.capacity = s.fixedCapacity
+	case o.capacity == 0:
+		o.capacity = s.defaultCapacity
 	}
-	return o.capacity
+	if o.capacity < 1 || o.capacity > window.MaxCapacity {
+		panic(fmt.Sprintf("snapstab: capacity %d outside 1..%d", o.capacity, window.MaxCapacity))
+	}
 }
 
 // Sim selects the deterministic simulator: the substrate of the paper's
@@ -56,7 +73,8 @@ func (s Substrate) machineCap(o options) int {
 // WithLossRate, WithCapacity, and WithStepBudget all apply.
 func Sim() Substrate {
 	return Substrate{
-		name: "sim",
+		name:            "sim",
+		defaultCapacity: 1,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			sopts := []sim.Option{
 				sim.WithSeed(o.seed),
@@ -85,7 +103,8 @@ func Sim() Substrate {
 // requests with Request.Wait contexts instead.
 func Runtime() Substrate {
 	return Substrate{
-		name: "runtime",
+		name:            "runtime",
+		defaultCapacity: 1,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			ropts := []runtime.Option{
 				runtime.WithCapacity(o.capacity),
@@ -107,49 +126,51 @@ func Runtime() Substrate {
 	}
 }
 
+// udpOptions assembles the per-cluster transport options shared by UDP
+// and a UDP mux attachment.
+func udpOptions(o options, obs []core.Observer) []udp.Option {
+	uopts := make([]udp.Option, 0, len(obs)+4)
+	for _, ob := range obs {
+		uopts = append(uopts, udp.WithObserver(ob))
+	}
+	if o.topology != nil {
+		uopts = append(uopts, udp.WithTopology(o.topology))
+	}
+	if o.faults != nil {
+		uopts = append(uopts, udp.WithFaults(o.faults))
+	}
+	return uopts
+}
+
 // UDP selects the loopback datagram transport: one socket per process,
-// wire-encoded messages, natural loss, bounded receive mailboxes. The
-// machines are built with the transport's conservative assumed capacity
-// bound (or WithCapacity, if larger); WithLossRate and WithStepBudget are
-// ignored — UDP loses messages on its own, and requests are bounded with
-// Request.Wait contexts. Socket binding happens at cluster construction
-// and panics on failure.
+// wire-encoded messages, natural loss. WithCapacity (default 4 here) is
+// the channel-capacity bound c the transport enforces: every directed
+// link admits at most c unconsumed messages, a send beyond that is lost
+// at the sender, and the machines' flag domain is sized from the same
+// number — so one request costs 2c+2 round trips per peer. WithLossRate
+// and WithStepBudget are ignored — UDP loses messages on its own, and
+// requests are bounded with Request.Wait contexts. Socket binding
+// happens at cluster construction and panics on failure.
 func UDP() Substrate {
 	return Substrate{
-		name: "udp",
-		capacity: func(o options) int {
-			if o.capacity > udp.DefaultAssumedCapacity {
-				return o.capacity
-			}
-			return udp.DefaultAssumedCapacity
-		},
+		name:            "udp",
+		defaultCapacity: udp.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			uopts := make([]udp.Option, 0, len(obs)+2)
-			for _, ob := range obs {
-				uopts = append(uopts, udp.WithObserver(ob))
-			}
+			uopts := append(udpOptions(o, obs), udp.WithCapacity(o.capacity))
 			if o.batch > 0 {
 				uopts = append(uopts, udp.WithBatch(o.batch))
-			}
-			if o.topology != nil {
-				uopts = append(uopts, udp.WithTopology(o.topology))
-			}
-			if o.faults != nil {
-				uopts = append(uopts, udp.WithFaults(o.faults))
 			}
 			return udp.NewCluster(stacks, uopts...)
 		},
 	}
 }
 
-// tcpOptions assembles the transport options shared by TCP and TCPHost.
+// tcpOptions assembles the per-cluster transport options shared by TCP,
+// TCPHost and a TCP mux attachment.
 func tcpOptions(o options, obs []core.Observer, extra ...tcp.Option) []tcp.Option {
 	topts := append([]tcp.Option(nil), extra...)
 	for _, ob := range obs {
 		topts = append(topts, tcp.WithObserver(ob))
-	}
-	if o.batch > 0 {
-		topts = append(topts, tcp.WithBatch(o.batch))
 	}
 	if o.topology != nil {
 		topts = append(topts, tcp.WithTopology(o.topology))
@@ -160,31 +181,33 @@ func tcpOptions(o options, obs []core.Observer, extra ...tcp.Option) []tcp.Optio
 	return topts
 }
 
-// tcpCapacity is the machine capacity bound for the TCP substrates: the
-// transport's conservative assumed bound, or WithCapacity if larger.
-func tcpCapacity(o options) int {
-	if o.capacity > tcp.DefaultAssumedCapacity {
-		return o.capacity
+// tcpNodeOptions adds the node-level options of a dedicated TCP
+// substrate (a mux fixed them when it was built).
+func tcpNodeOptions(o options, obs []core.Observer) []tcp.Option {
+	topts := tcpOptions(o, obs, tcp.WithCapacity(o.capacity))
+	if o.batch > 0 {
+		topts = append(topts, tcp.WithBatch(o.batch))
 	}
-	return tcp.DefaultAssumedCapacity
+	return topts
 }
 
 // TCP selects the loopback stream transport: one listener per process,
 // persistent connections carrying length-prefixed wire frames, redial
 // with backoff on connection loss. TCP delivers reliably per connection,
 // so the transport restores the model's lossy bounded channels at its
-// edges: bounded outbound queues (overflow drops at the sender), bounded
-// receive mailboxes (lose-on-full), and connection loss as message loss.
-// The machines are built with the transport's conservative assumed
-// capacity bound (or WithCapacity, if larger); WithLossRate and
-// WithStepBudget are ignored — bound requests with Request.Wait contexts.
-// Listener binding happens at cluster construction and panics on failure.
+// edges: WithCapacity (default 4 here) is the channel-capacity bound c
+// it enforces with a per-link sender-side window exactly as on UDP — a
+// send beyond c unconsumed messages is lost at the sender, and the
+// machines' flag domain is sized from the same number — and connection
+// loss is message loss. WithLossRate and WithStepBudget are ignored —
+// bound requests with Request.Wait contexts. Listener binding happens
+// at cluster construction and panics on failure.
 func TCP() Substrate {
 	return Substrate{
-		name:     "tcp",
-		capacity: tcpCapacity,
+		name:            "tcp",
+		defaultCapacity: tcp.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			return tcp.NewCluster(stacks, tcpOptions(o, obs)...)
+			return tcp.NewCluster(stacks, tcpNodeOptions(o, obs)...)
 		},
 	}
 }
@@ -213,15 +236,15 @@ type TCPFleet struct {
 // remote stacks so the seeded draws line up across the fleet.
 func TCPHost(f TCPFleet) Substrate {
 	return Substrate{
-		name:     "tcp-host",
-		capacity: tcpCapacity,
+		name:            "tcp-host",
+		defaultCapacity: tcp.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			cfg := tcp.HostConfig{
 				Self:   core.ProcID(f.Self),
 				Listen: f.Listen,
 				Peers:  f.Peers,
 			}
-			return tcp.NewHost(cfg, stacks, tcpOptions(o, obs)...)
+			return tcp.NewHost(cfg, stacks, tcpNodeOptions(o, obs)...)
 		},
 	}
 }
@@ -235,8 +258,8 @@ func WithSubstrate(s Substrate) Option {
 	return func(o *options) { o.substrate = s }
 }
 
-// capacityBound is the pif option every cluster constructor derives from
-// the selected substrate.
+// capacityBound is the pif option every cluster constructor builds its
+// machines with: the same c the substrate enforces.
 func capacityBound(o options) pif.Option {
-	return pif.WithCapacityBound(o.substrate.machineCap(o))
+	return pif.WithCapacityBound(o.capacity)
 }

@@ -274,6 +274,64 @@ func TestSerializedRequestsSameProcess(t *testing.T) {
 	}
 }
 
+// checkWindows asserts the capacity bound held on every link of a
+// network substrate: no window ever held more than the enforced c.
+func checkWindows(t *testing.T, stats []snapstab.TransportStats, wantCapacity int) {
+	t.Helper()
+	for p, s := range stats {
+		if s.Capacity != wantCapacity {
+			t.Errorf("node %d enforces capacity %d, want %d", p, s.Capacity, wantCapacity)
+		}
+		if len(s.Links) == 0 {
+			t.Errorf("node %d reports no link windows", p)
+		}
+		for _, l := range s.Links {
+			if l.PeakInFlight > s.Capacity {
+				t.Errorf("link %d->%d peaked at %d in flight, capacity %d", p, l.Peer, l.PeakInFlight, s.Capacity)
+			}
+		}
+	}
+}
+
+// TestSocketCapacityIsTheEnforcedBound: on the socket substrates
+// WithCapacity is the per-link window the transport enforces (default
+// 4), a mux fixes it for every attached cluster, and a bound whose flag
+// domain would not fit the wire is refused at construction.
+func TestSocketCapacityIsTheEnforcedBound(t *testing.T) {
+	t.Parallel()
+	for name, sub := range map[string]snapstab.Substrate{"udp": snapstab.UDP(), "tcp": snapstab.TCP()} {
+		c := snapstab.NewPIFCluster(3, snapstab.WithSubstrate(sub), snapstab.WithCapacity(2))
+		if _, err := c.Broadcast(0, "bound", 1); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		stats := c.TransportStats()
+		c.Close()
+		checkWindows(t, stats, 2)
+		if peak := stats[0].Links[0].PeakInFlight; peak < 1 {
+			t.Errorf("%s: initiator's window never held a message (peak %d)", name, peak)
+		}
+	}
+
+	mux, err := snapstab.UDPMux(3, snapstab.WithCapacity(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+	c := snapstab.NewPIFCluster(3, snapstab.WithSubstrate(mux.Substrate()), snapstab.WithCapacity(7))
+	if _, err := c.Broadcast(0, "bound", 2); err != nil {
+		t.Fatal(err)
+	}
+	checkWindows(t, c.TransportStats(), 3)
+	c.Close()
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("capacity 127 (flag top 256) did not panic")
+		}
+	}()
+	snapstab.NewPIFCluster(3, snapstab.WithSubstrate(snapstab.UDP()), snapstab.WithCapacity(127))
+}
+
 // TestUDPSubstrate completes a corrupted broadcast over real loopback
 // sockets through the same façade code.
 func TestUDPSubstrate(t *testing.T) {
@@ -303,6 +361,7 @@ func TestUDPSubstrate(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	checkWindows(t, c.TransportStats(), 4)
 }
 
 // TestTCPSubstrate completes a corrupted broadcast over persistent
@@ -342,6 +401,7 @@ func TestTCPSubstrate(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	checkWindows(t, c.TransportStats(), 4)
 }
 
 // TestTCPHostFleet assembles a fleet of single-process TCPHost
