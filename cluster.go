@@ -11,8 +11,7 @@ import (
 	"github.com/snapstab/snapstab/internal/rng"
 	"github.com/snapstab/snapstab/internal/runtime"
 	"github.com/snapstab/snapstab/internal/sim"
-	tcp "github.com/snapstab/snapstab/internal/transport/tcp"
-	udp "github.com/snapstab/snapstab/internal/transport/udp"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // ErrClosed is returned by requests that were aborted because the
@@ -29,7 +28,6 @@ type clusterCore struct {
 	sub    core.Substrate
 	simNet *sim.Network    // non-nil on the deterministic substrate
 	rtNet  *runtime.Engine // non-nil on the concurrent in-memory substrate
-	udpNet *udp.Cluster    // non-nil on the UDP substrate
 
 	ctx       context.Context
 	cancel    context.CancelFunc
@@ -72,7 +70,6 @@ func (c *clusterCore) init(o options, stacks []core.Stack, obs ...core.Observer)
 	c.sub = sub
 	c.simNet, _ = sub.(*sim.Network)
 	c.rtNet, _ = sub.(*runtime.Engine)
-	c.udpNet, _ = sub.(*udp.Cluster)
 	c.reqMu = make([]sync.Mutex, sub.N())
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 }
@@ -104,8 +101,7 @@ func (c *clusterCore) Stats() sim.Stats {
 }
 
 // LinkStats describes one node's link with one peer on a network
-// substrate (TCP tracks per-link message counters; UDP reports the
-// window gauges only).
+// substrate.
 type LinkStats struct {
 	// Peer is the other endpoint of the link.
 	Peer int
@@ -262,7 +258,7 @@ func (c *clusterCore) describeErr(err error, label string, p int) error {
 	case errors.As(err, &budget):
 		return fmt.Errorf("%w: %s at %d", ErrBudget, label, p)
 	case errors.Is(err, sim.ErrClosed), errors.Is(err, runtime.ErrStopped),
-		errors.Is(err, udp.ErrStopped), errors.Is(err, tcp.ErrStopped),
+		errors.Is(err, engine.ErrStopped),
 		c.ctx.Err() != nil:
 		return fmt.Errorf("%w: %s at %d", ErrClosed, label, p)
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"strconv"
@@ -183,38 +182,15 @@ func benchWireFlood(n, batch, blob int, window time.Duration) (wireBenchResult, 
 			body[i] = byte(i)
 		}
 	}
-	nodes := make([]*udp.Node, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		node, err := udp.NewNode(core.ProcID(i),
-			core.Stack{&floodMachine{self: core.ProcID(i), n: n, blob: body, delivered: &delivered}},
-			"127.0.0.1:0", make([]string, n), udp.WithBatch(batch), udp.WithCapacity(floodWindow))
-		if err != nil {
-			return wireBenchResult{}, fmt.Errorf("bind node %d: %w", i, err)
-		}
-		nodes[i] = node
-		addrs[i] = node.Addr()
+	stacks := make([]core.Stack, n)
+	for i := range stacks {
+		stacks[i] = core.Stack{&floodMachine{self: core.ProcID(i), n: n, blob: body, delivered: &delivered}}
 	}
-	defer func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	}()
-	for i, node := range nodes {
-		for j, a := range addrs {
-			if i == j {
-				continue
-			}
-			peer, err := net.ResolveUDPAddr("udp", a)
-			if err != nil {
-				return wireBenchResult{}, fmt.Errorf("parse %q: %w", a, err)
-			}
-			node.SetPeer(core.ProcID(j), peer)
-		}
+	c, err := udp.NewCluster(stacks, udp.WithBatch(batch), udp.WithCapacity(floodWindow))
+	if err != nil {
+		return wireBenchResult{}, err
 	}
-	for _, node := range nodes {
-		node.Start()
-	}
+	defer c.Close()
 	// Let the flood reach steady state before timing.
 	warmup := time.Now().Add(10 * time.Second)
 	for delivered.Load() < int64(n) {
@@ -224,8 +200,7 @@ func benchWireFlood(n, batch, blob int, window time.Duration) (wireBenchResult, 
 		time.Sleep(100 * time.Microsecond)
 	}
 	sum := func() (sends, dgrams, sendSys, recvs, recvSys int64) {
-		for _, node := range nodes {
-			s := node.Stats()
+		for _, s := range c.TransportStats() {
 			sends += s.Sends
 			dgrams += s.SendDatagrams
 			sendSys += s.SendSyscalls

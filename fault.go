@@ -163,13 +163,9 @@ func (c *clusterCore) FaultStats() FaultStats {
 		c.simNet.Sync(func() { agg = c.simNet.Stats().Faults })
 	case c.rtNet != nil:
 		agg = c.rtNet.FaultStats()
-	case c.udpNet != nil:
-		for _, s := range c.udpNet.NodeStats() {
-			agg.Add(s.Faults)
-		}
 	default:
-		// Network substrates beyond UDP (TCP cluster and host) surface
-		// their injector counters through the transport-stats interface.
+		// The network substrates surface their injector counters through
+		// the transport-stats interface.
 		if ts, ok := c.sub.(core.TransportStatser); ok {
 			for _, s := range ts.TransportStats() {
 				agg.Add(s.Faults)

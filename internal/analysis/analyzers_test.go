@@ -19,7 +19,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestLockOrder(t *testing.T) {
 	t.Parallel()
-	analysistest.Run(t, analysistest.TestData(), analysis.LockOrder, "internal/transport/udp", "plainpkg")
+	analysistest.Run(t, analysistest.TestData(), analysis.LockOrder, "internal/transport/engine", "plainpkg")
 }
 
 func TestPoolAlias(t *testing.T) {

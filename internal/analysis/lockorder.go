@@ -7,24 +7,24 @@ import (
 )
 
 // transportPkgs are the packages whose locking discipline DESIGN.md §7
-// and §12 document: the action mutex mu is outermost, the mailbox mutex
-// mbMu next, and the injector mutex injMu innermost.
+// documents: the action mutex mu is outermost, the mailbox mutex mbMu
+// next, and the injector mutex injMu innermost. Since the socket
+// transports share one engine, that is where all three live.
 var transportPkgs = []string{
-	"internal/transport/udp",
-	"internal/transport/tcp",
+	"internal/transport/engine",
 }
 
 // lockRank orders the documented mutexes. Acquisitions must happen in
 // increasing rank; unranked mutexes (gmu, connMu, ...) are out of scope.
 var lockRank = map[string]int{"mu": 1, "mbMu": 2, "injMu": 3}
 
-// LockOrder enforces the transports' documented mu → mbMu → injMu
+// LockOrder enforces the socket engine's documented mu → mbMu → injMu
 // acquisition order, rejects re-acquisition of a held rank, and forbids
 // taking any ranked mutex inside an atomic-section callback (a func
 // literal handed to a Do method, which already runs under mu).
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the documented mu → mbMu → injMu lock order in the socket transports",
+	Doc:  "enforce the documented mu → mbMu → injMu lock order in the socket engine",
 	Run:  runLockOrder,
 }
 

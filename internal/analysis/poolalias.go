@@ -11,9 +11,10 @@ import (
 // them or alias application memory (the invariant the Bytes codec's
 // copy-on-Marshal fixed by hand in PR 5).
 var appendBufferFuncs = map[string]bool{
-	"AppendEncode": true,
-	"AppendBatch":  true,
-	"AppendFrame":  true,
+	"AppendEncode":    true,
+	"AppendBatch":     true,
+	"AppendFrame":     true,
+	"AppendLinkFrame": true,
 }
 
 // frameMethods are BatchBuilder accessors whose result aliases the
@@ -54,9 +55,11 @@ func checkBufferScope(pass *Pass, body *ast.BlockStmt) {
 	tracked := make(map[types.Object]string) // var -> buffer kind
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
+		if !ok || (len(as.Lhs) != len(as.Rhs) && len(as.Rhs) != 1) {
 			return true
 		}
+		// buf, err := wire.AppendLinkFrame(...): the buffer is the call's
+		// first result, so index i serves the tuple form too.
 		for i, rhs := range as.Rhs {
 			kind := transientBufferSource(pass, rhs)
 			if kind == "" {

@@ -1,6 +1,6 @@
-// Package udp is a lockorder fixture mirroring the transport's ranked
-// mutex fields (mu outermost, mbMu, then injMu).
-package udp
+// Package engine is a lockorder fixture mirroring the socket engine's
+// ranked mutex fields (mu outermost, mbMu, then injMu).
+package engine
 
 import "sync"
 

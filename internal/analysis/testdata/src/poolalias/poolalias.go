@@ -48,3 +48,25 @@ func aliasGlobal(b *wirestub.BatchBuilder) {
 	fr := b.Frame()
 	global = fr // want `BatchBuilder frame fr is retained beyond its flush scope`
 }
+
+type outFrame struct{ b []byte }
+
+func queuedLinkFrame(q chan outFrame) {
+	buf, _ := wirestub.AppendLinkFrame(nil, 1, nil)
+	q <- outFrame{b: buf} // want `append-rendered buffer buf escapes its flush scope: sent on a channel`
+}
+
+func handedOff(q chan outFrame) {
+	buf, _ := wirestub.AppendLinkFrame(nil, 1, nil)
+	//lint:ignore poolalias the queue transfers ownership to its consumer
+	q <- outFrame{b: buf}
+}
+
+func storedLinkFrame(s *sink, b *wirestub.BatchBuilder) {
+	fr := b.AppendLinkFrame(nil, nil)
+	s.saved = fr // want `append-rendered buffer fr is retained beyond its flush scope`
+}
+
+func renderedLinkFrame(s *sink, b *wirestub.BatchBuilder) {
+	s.saved = b.AppendLinkFrame(s.saved, nil) // the flush buffer renders into itself
+}

@@ -7,7 +7,6 @@ import "fmt"
 // that link — a failed or timed-out write on the send side, a full
 // receive mailbox on the receive side — so Sent+Dropped at the sender and
 // Received+Dropped at the receiver bracket the link's true delivery rate.
-// UDP tracks the window gauges only; its message counters stay zero.
 type LinkStats struct {
 	// Peer is the other endpoint of the link.
 	Peer ProcID

@@ -1,0 +1,484 @@
+// Package linktest holds the tests every engine.Link must pass, written
+// once against the engine's API. Each link package (udp, tcp) describes
+// itself as a Link and runs them from its own test files, so the
+// behaviours the engine promises — the capacity window seen from
+// outside, group isolation on a mux, lose-on-full accounting — are
+// checked over real sockets of both kinds without a copy per kind.
+package linktest
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/pif"
+	"github.com/snapstab/snapstab/internal/transport/engine"
+	"github.com/snapstab/snapstab/internal/wire"
+)
+
+// Link is one socket layer under test.
+type Link struct {
+	// NewMux is the package's NewMux.
+	NewMux func(nProcs int, opts ...engine.Option) (*engine.Mux, error)
+	// NewRawPeer starts process 0 of a two-process system running stack,
+	// wired to a hand-driven stand-in for process 1, and registers their
+	// teardown with t.
+	NewRawPeer func(t *testing.T, stack core.Stack, opts ...engine.Option) RawPeer
+}
+
+// RawPeer is a hand-driven process 1: tests watch the exact frames the
+// node under test writes and feed it arbitrary ones.
+type RawPeer interface {
+	Node() *engine.Node
+	// Next returns the node's next link frame, if one arrives within d.
+	Next(d time.Duration) (links []wire.LinkHeader, msgs []core.Message, ok bool)
+	// Send writes one group-0 link frame to the node.
+	Send(links []wire.LinkHeader, msgs ...core.Message)
+	// Restart replaces the peer by a fresh one at the same address with
+	// no memory of the link.
+	Restart()
+}
+
+// WaitFor polls cond until it holds or d elapses.
+func WaitFor(t *testing.T, d time.Duration, cond func() bool) bool {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return true
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return cond()
+}
+
+// CheckWindows registers the teardown assertion of every test that ran
+// real nodes: no link's in-flight count ever exceeded the capacity
+// bound.
+func CheckWindows(t *testing.T, s core.TransportStatser) {
+	t.Helper()
+	t.Cleanup(func() {
+		if err := core.CheckWindows(s.TransportStats()); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// NodeStats adapts bare nodes to core.TransportStatser.
+type NodeStats []*engine.Node
+
+func (ns NodeStats) TransportStats() []core.TransportStats {
+	out := make([]core.TransportStats, len(ns))
+	for i, n := range ns {
+		out[i] = n.Stats()
+	}
+	return out
+}
+
+// PIFStacks builds one acknowledging PIF stack per process at the
+// default capacity bound.
+func PIFStacks(n int) ([]core.Stack, []*pif.PIF) {
+	machines := make([]*pif.PIF, n)
+	stacks := make([]core.Stack, n)
+	for i := 0; i < n; i++ {
+		self := core.ProcID(i)
+		machines[i] = pif.New("pif", self, n, pif.Callbacks{
+			OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
+				return core.Payload{Tag: "ack", Num: b.Num*10 + int64(self)}
+			},
+		}, pif.WithCapacityBound(engine.DefaultCapacity))
+		stacks[i] = core.Stack{machines[i]}
+	}
+	return stacks, machines
+}
+
+// At0 is process 0's atomic section on sub, in the shape of Node.Do.
+func At0(sub core.Substrate) func(func(core.Env)) {
+	return func(f func(core.Env)) { sub.Do(0, f) }
+}
+
+// Broadcast drives one PIF broadcast of token at the process whose
+// atomic section is do (a Node.Do, or At0 of a cluster) and waits for
+// its decision.
+func Broadcast(t *testing.T, do func(func(core.Env)), m *pif.PIF, token core.Payload) {
+	t.Helper()
+	invoked := WaitFor(t, 20*time.Second, func() bool {
+		var ok bool
+		do(func(env core.Env) { ok = m.Invoke(env, token) })
+		return ok
+	})
+	if !invoked {
+		t.Fatal("Invoke never accepted (prior computation never terminated)")
+	}
+	done := WaitFor(t, 30*time.Second, func() bool {
+		var ok bool
+		do(func(core.Env) { ok = m.Done() && m.BMes.Equal(token) })
+		return ok
+	})
+	if !done {
+		t.Fatalf("broadcast %v did not complete", token)
+	}
+}
+
+// Recorder is a sink machine: it keeps every delivered message.
+type Recorder struct {
+	Inst string
+	mu   sync.Mutex
+	got  []core.Message
+}
+
+func (r *Recorder) Instance() string   { return r.Inst }
+func (r *Recorder) Step(core.Env) bool { return false }
+func (r *Recorder) Deliver(_ core.Env, _ core.ProcID, m core.Message) {
+	r.mu.Lock()
+	r.got = append(r.got, m)
+	r.mu.Unlock()
+}
+
+// Snapshot returns the messages delivered so far.
+func (r *Recorder) Snapshot() []core.Message {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]core.Message(nil), r.got...)
+}
+
+// Freeze holds node's action mutex until the returned release is
+// called: drains stop, the link keeps boxing.
+func Freeze(node *engine.Node) (release func()) {
+	done := make(chan struct{})
+	frozen := make(chan struct{})
+	go node.Do(func(core.Env) {
+		close(frozen)
+		<-done
+	})
+	<-frozen
+	return func() { close(done) }
+}
+
+// attach is Mux.Attach with the teardown window check.
+func attach(t *testing.T, m *engine.Mux, stacks []core.Stack, opts ...engine.Option) *engine.MuxCluster {
+	t.Helper()
+	c, err := m.Attach(stacks, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	CheckWindows(t, c)
+	return c
+}
+
+func newMux(t *testing.T, l Link, n int) *engine.Mux {
+	t.Helper()
+	m, err := l.NewMux(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+// MuxHostsIndependentClusters runs two PIF clusters over one link per
+// process and checks both complete with their own tokens: each cluster
+// counts its own messages, and both rode the same frame stream.
+func MuxHostsIndependentClusters(t *testing.T, l Link) {
+	const n = 3
+	m := newMux(t, l, n)
+	stacksA, machA := PIFStacks(n)
+	stacksB, machB := PIFStacks(n)
+	ca, cb := attach(t, m, stacksA), attach(t, m, stacksB)
+	if ca.Group() == cb.Group() || ca.Group() == 0 {
+		t.Fatalf("group ids %d and %d must be distinct and nonzero", ca.Group(), cb.Group())
+	}
+	Broadcast(t, At0(ca), machA[0], core.Payload{Tag: "a", Num: 1})
+	Broadcast(t, At0(cb), machB[0], core.Payload{Tag: "b", Num: 2})
+
+	var sa, sb core.TransportStats
+	quiet := WaitFor(t, 5*time.Second, func() bool {
+		sa, sb = ca.TransportStats()[0], cb.TransportStats()[0]
+		return sa.SendDatagrams == sb.SendDatagrams
+	})
+	if sa.Sends == 0 || sb.Sends == 0 {
+		t.Fatalf("per-cluster Sends: a=%d b=%d, want both > 0", sa.Sends, sb.Sends)
+	}
+	if !quiet || sa.SendDatagrams == 0 {
+		t.Fatalf("socket-level SendDatagrams differ across views: a=%d b=%d", sa.SendDatagrams, sb.SendDatagrams)
+	}
+}
+
+// MuxIsolation is the crossing test: cluster A runs under an aggressive
+// corruption/drop plan while cluster B runs clean on the same links. B
+// must complete untouched — no injected faults. pressure, if not nil,
+// runs once both clusters are attached, to aim link-specific garbage at
+// A's group id.
+func MuxIsolation(t *testing.T, l Link, pressure func(m *engine.Mux, gidA uint64)) {
+	const n = 3
+	m := newMux(t, l, n)
+	plan := &core.FaultPlan{
+		Seed:    11,
+		Default: core.LinkFaults{DropRate: 0.20, CorruptRate: 0.20, DupRate: 0.10},
+	}
+	stacksA, machA := PIFStacks(n)
+	stacksB, machB := PIFStacks(n)
+	ca, cb := attach(t, m, stacksA, engine.WithFaults(plan)), attach(t, m, stacksB)
+	if pressure != nil {
+		pressure(m, ca.Group())
+	}
+	Broadcast(t, At0(ca), machA[0], core.Payload{Tag: "a", Num: 5})
+	Broadcast(t, At0(cb), machB[0], core.Payload{Tag: "b", Num: 6})
+
+	var faultsA, faultsB int64
+	for _, s := range ca.TransportStats() {
+		faultsA += s.Faults.Total()
+	}
+	for _, s := range cb.TransportStats() {
+		faultsB += s.Faults.Total()
+	}
+	if faultsA == 0 {
+		t.Fatal("cluster A's fault plan injected nothing")
+	}
+	if faultsB != 0 {
+		t.Fatalf("clean cluster B saw %d injected faults: fault plane leaked across groups", faultsB)
+	}
+}
+
+// MuxClusterCloseDetaches: closing one cluster leaves its siblings
+// running on the shared links.
+func MuxClusterCloseDetaches(t *testing.T, l Link) {
+	const n = 2
+	m := newMux(t, l, n)
+	stacksA, machA := PIFStacks(n)
+	stacksB, machB := PIFStacks(n)
+	ca, cb := attach(t, m, stacksA), attach(t, m, stacksB)
+	Broadcast(t, At0(ca), machA[0], core.Payload{Tag: "a", Num: 1})
+	if err := ca.Close(); err != nil {
+		t.Fatal(err)
+	}
+	Broadcast(t, At0(cb), machB[0], core.Payload{Tag: "b", Num: 2})
+}
+
+// MuxRejectsNodeLevelAttachOptions: socket-level knobs are fixed at
+// NewMux; passing them per cluster must fail loudly.
+func MuxRejectsNodeLevelAttachOptions(t *testing.T, l Link) {
+	m := newMux(t, l, 2)
+	stacks, _ := PIFStacks(2)
+	if _, err := m.Attach(stacks, engine.WithBatch(4)); err == nil {
+		t.Fatal("WithBatch accepted per attached cluster")
+	}
+	if _, err := m.Attach(stacks, engine.WithCapacity(4)); err == nil {
+		t.Fatal("WithCapacity accepted per attached cluster")
+	}
+}
+
+// initiator starts a raw peer's node on a PIF initiator that broadcasts
+// toward the peer.
+func initiator(t *testing.T, l Link) RawPeer {
+	t.Helper()
+	m := pif.New("pif", 0, 2, pif.Callbacks{}, pif.WithCapacityBound(engine.DefaultCapacity))
+	p := l.NewRawPeer(t, core.Stack{m})
+	p.Node().Do(func(env core.Env) {
+		if !m.Invoke(env, core.Payload{Tag: "hello", Num: 1}) {
+			t.Error("Invoke rejected")
+		}
+	})
+	return p
+}
+
+// drain reads what the node has written and what it writes in the next
+// 100ms (probes never stop) and returns the messages and probes seen.
+func drain(p RawPeer) (data, probes int) {
+	for until := time.Now().Add(100 * time.Millisecond); time.Now().Before(until); {
+		links, msgs, ok := p.Next(20 * time.Millisecond)
+		if !ok {
+			continue
+		}
+		data += len(msgs)
+		for _, h := range links {
+			if h.Probe {
+				probes++
+			}
+		}
+	}
+	return data, probes
+}
+
+// SilentPeerSeesAtMostCMessages is the capacity bound observed from
+// outside: an initiator retransmitting every step toward a peer that
+// reads nothing must leave at most c messages with that peer. Without
+// the window the step timer alone puts ~150 there in 300ms.
+func SilentPeerSeesAtMostCMessages(t *testing.T, l Link) {
+	p := initiator(t, l)
+	time.Sleep(300 * time.Millisecond)
+	data, probes := drain(p)
+	if data < 1 || data > engine.DefaultCapacity {
+		t.Fatalf("silent peer was sent %d messages, want 1..%d", data, engine.DefaultCapacity)
+	}
+	if probes == 0 {
+		t.Fatal("a shut window under retransmission sent no probe")
+	}
+}
+
+// reopens answers the node's probes and reports how many more probes
+// arrived before fresh data did: the link must reopen within two probe
+// intervals of the first answer.
+func reopens(t *testing.T, p RawPeer) int {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	answered, extra := false, 0
+	for time.Now().Before(deadline) {
+		links, msgs, ok := p.Next(time.Second)
+		if !ok {
+			continue
+		}
+		if answered && len(msgs) > 0 {
+			return extra
+		}
+		for _, h := range links {
+			if !h.Probe {
+				continue
+			}
+			if answered {
+				extra++
+			}
+			answered = true
+			p.Send([]wire.LinkHeader{{Instance: h.Instance, Ack: h.Seq}})
+		}
+	}
+	t.Fatal("window never reopened after the peer answered a probe")
+	return 0
+}
+
+// ProbeReopensShutWindow: the peer swallows everything — no echo ever
+// comes back — then starts answering probes; and then is replaced by a
+// fresh peer with no memory of the link. Neither a lost echo nor a
+// restarted peer may wedge the window. It returns the peer for
+// link-specific follow-up assertions.
+func ProbeReopensShutWindow(t *testing.T, l Link) RawPeer {
+	p := initiator(t, l)
+	time.Sleep(50 * time.Millisecond)
+	drain(p)
+	if extra := reopens(t, p); extra > 2 {
+		t.Fatalf("window reopened only after %d further probes, want <= 2", extra)
+	}
+	p.Restart()
+	if extra := reopens(t, p); extra > 2 {
+		t.Fatalf("after a restart the window reopened only after %d further probes, want <= 2", extra)
+	}
+	return p
+}
+
+// hold parks the activation loop inside a machine callback: once armed,
+// the next callback to reach wait reports its instance on entered and
+// blocks there, under the action mutex, until open is closed.
+type hold struct {
+	armed   atomic.Bool
+	entered chan string
+	open    chan struct{}
+	once    sync.Once
+}
+
+func (h *hold) release() { h.once.Do(func() { close(h.open) }) }
+
+func newHold() *hold {
+	return &hold{entered: make(chan string, 1), open: make(chan struct{})}
+}
+
+func (h *hold) wait(inst string) {
+	if h.armed.CompareAndSwap(true, false) {
+		h.entered <- inst
+		<-h.open
+	}
+}
+
+// held is a sink machine whose Step and Deliver pass through a hold.
+type held struct {
+	inst          string
+	step, deliver *hold
+}
+
+func (m held) Instance() string                            { return m.inst }
+func (m held) Step(core.Env) bool                          { m.step.wait(m.inst); return false }
+func (m held) Deliver(core.Env, core.ProcID, core.Message) { m.deliver.wait(m.inst) }
+
+// ReboxOverflowIsLost pins the lose-on-full contract on the crash-window
+// re-box path: mail drained while its group is down goes back to its
+// mailbox, and what no longer fits is a MailboxDrop reported as EvLose
+// and charged to the link — exactly like an arrival that finds the
+// mailbox full. The run parks a drain across the start of a crash
+// window with one instance's mail still to route, fills that instance's
+// fresh mailbox meanwhile (duplicates included), and lets the drain go.
+func ReboxOverflowIsLost(t *testing.T, l Link) {
+	const c = 2
+	const crashAt = time.Second
+	var loses atomic.Int64
+	plan := &core.FaultPlan{
+		Seed:    5,
+		Unit:    crashAt,
+		Default: core.LinkFaults{DupRate: 0.3},
+		Crashes: []core.CrashWindow{{Proc: 0, From: 1, Until: 1 << 40}},
+	}
+	step, deliver := newHold(), newHold()
+	start := time.Now()
+	p := l.NewRawPeer(t, core.Stack{held{"a", step, deliver}, held{"b", step, deliver}},
+		engine.WithCapacity(c), engine.WithFaults(plan),
+		engine.WithObserver(core.ObserverFunc(func(e core.Event) {
+			if e.Kind == core.EvLose {
+				loses.Add(1)
+			}
+		})))
+	started := time.Now()
+	node := p.Node()
+	defer step.release() // a failed run must not leave the loop parked
+	defer deliver.release()
+
+	var s core.TransportStats
+	sent := 0
+	both := func(seq uint64) {
+		t.Helper()
+		sent += 2
+		p.Send([]wire.LinkHeader{{Instance: "a", Seq: seq}, {Instance: "b", Seq: seq}},
+			core.Message{Instance: "a", Kind: "K"}, core.Message{Instance: "b", Kind: "K"})
+		if !WaitFor(t, 5*time.Second, func() bool {
+			s = node.Stats()
+			return s.Recvs+s.MailboxDrops == int64(sent)+s.Faults.Duplicates
+		}) {
+			t.Fatalf("%d messages sent, not all boxed or dropped: %+v", sent, s)
+		}
+	}
+
+	// Mail for both instances is boxed while the loop sits in a Step, so
+	// one drain swaps both out; it parks delivering the first.
+	step.armed.Store(true)
+	<-step.entered
+	both(1)
+	deliver.armed.Store(true)
+	step.release()
+	first := <-deliver.entered
+	// The swapped-out mail of the other instance now waits behind the
+	// parked drain; c+1 more arrivals each fill the fresh mailboxes.
+	for seq := uint64(2); seq <= c+2; seq++ {
+		both(seq)
+	}
+	if time.Since(start) >= crashAt {
+		t.Skip("host too slow: the crash window opened before the mailboxes were full")
+	}
+
+	// Inside the crash window the drain finds the group down and re-boxes
+	// the other instance's mail into a mailbox that is already full.
+	time.Sleep(time.Until(started.Add(crashAt + 20*time.Millisecond)))
+	before := s.MailboxDrops
+	deliver.release()
+	if !WaitFor(t, 5*time.Second, func() bool {
+		s = node.Stats()
+		return s.MailboxDrops > before && loses.Load() == s.MailboxDrops
+	}) {
+		t.Fatalf("drain parked on %q: MailboxDrops %d -> %d with %d EvLose events; re-boxed mail that no longer fits must be a MailboxDrop reported as EvLose",
+			first, before, s.MailboxDrops, loses.Load())
+	}
+	if d := s.Faults.Total() - s.Faults.Duplicates; d != 0 {
+		t.Fatalf("%d injected faults beyond duplicates: not the run this test sets up (%+v)", d, s.Faults)
+	}
+	if got := s.Links[0].Dropped; got != s.MailboxDrops {
+		t.Fatalf("Links[0].Dropped = %d, MailboxDrops = %d: a mailbox drop is a loss on its link", got, s.MailboxDrops)
+	}
+}

@@ -1,0 +1,293 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"time"
+
+	"github.com/snapstab/snapstab/internal/core"
+)
+
+// This file is substrate-mode driving: Cluster runs one cluster on
+// dedicated loopback nodes, Mux hosts many clusters on one shared set —
+// each attached cluster a fresh wire group on every node, so thousands
+// of logical snap-stabilizing groups (one per tree, one per tenant)
+// share n links and their goroutines instead of each paying for its
+// own. Groups are isolated end to end: routing, observers, topology,
+// fault plane, and counters are per group, and a frame for a group a
+// node does not host is dropped before it can reach another group's
+// mailboxes.
+
+// ErrStopped is returned by Await when the node or cluster was closed
+// before the condition held.
+var ErrStopped = errors.New("engine: stopped")
+
+// Await evaluates cond under the node's action mutex with the default
+// group's environment until it holds; see members.Await.
+func (n *Node) Await(ctx context.Context, cond func(env core.Env) bool) error {
+	return n.g0.await(ctx, nil, cond)
+}
+
+// await is the one way to wait for a condition: poll it under the action
+// mutex at millisecond cadence (deliveries are event-driven; the poll
+// bounds only external observation latency) until it holds, ctx ends, or
+// the node — or the caller's view of it, done — stops.
+func (g *Group) await(ctx context.Context, done <-chan struct{}, cond func(env core.Env) bool) error {
+	ticker := time.NewTicker(time.Millisecond)
+	defer ticker.Stop()
+	for {
+		ok := false
+		g.n.doGroup(g, func(env core.Env) { ok = cond(env) })
+		if ok {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-done:
+			return ErrStopped
+		case <-g.n.stop:
+			return ErrStopped
+		case <-ticker.C:
+		}
+	}
+}
+
+// members is the core.Substrate face shared by Cluster and MuxCluster:
+// one group per process.
+type members struct {
+	groups []*Group
+	done   chan struct{} // closed when the view closes; nil if it only closes with its nodes
+}
+
+// N returns the number of processes.
+func (c *members) N() int { return len(c.groups) }
+
+// Do runs f under process p's action mutex with this cluster's
+// environment.
+func (c *members) Do(p core.ProcID, f func(env core.Env)) {
+	g := c.groups[p]
+	g.n.doGroup(g, f)
+}
+
+// Await evaluates cond under process p's action mutex until it holds.
+// It returns nil, ctx.Err(), or ErrStopped.
+func (c *members) Await(ctx context.Context, p core.ProcID, cond func(env core.Env) bool) error {
+	return c.groups[p].await(ctx, c.done, cond)
+}
+
+// TransportStats implements core.TransportStatser: one snapshot per
+// process. The message counters and window gauges are this cluster's
+// own; the frame, syscall, redial and per-link message counters belong
+// to the node and are shared with any other cluster it hosts.
+func (c *members) TransportStats() []core.TransportStats {
+	out := make([]core.TransportStats, len(c.groups))
+	for i, g := range c.groups {
+		out[i] = g.Stats()
+	}
+	return out
+}
+
+// loopback binds one node per stack on a loopback port the kernel
+// picks, wires the learned addresses (SetPeer keeps to the topology's
+// edges), and starts them: the two-phase setup every in-process cluster
+// needs.
+func loopback(t Transport, stacks []core.Stack, opts []Option) ([]*Node, error) {
+	if len(stacks) < 2 {
+		return nil, fmt.Errorf("engine: need at least 2 processes, got %d", len(stacks))
+	}
+	nodes := make([]*Node, len(stacks))
+	for i, s := range stacks {
+		node, err := NewNode(t, core.ProcID(i), s, "127.0.0.1:0", make([]string, len(stacks)), opts...)
+		if err != nil {
+			stopAll(nodes[:i])
+			return nil, fmt.Errorf("engine: bind node %d: %w", i, err)
+		}
+		nodes[i] = node
+	}
+	for _, node := range nodes {
+		for j, other := range nodes {
+			if err := node.SetPeer(core.ProcID(j), other.Addr()); err != nil {
+				stopAll(nodes)
+				return nil, err
+			}
+		}
+	}
+	for _, node := range nodes {
+		node.Start()
+	}
+	return nodes, nil
+}
+
+// stopAll stops nodes concurrently, so a teardown costs the slowest
+// node's Stop rather than their sum.
+func stopAll(nodes []*Node) {
+	var wg sync.WaitGroup
+	for _, node := range nodes {
+		wg.Add(1)
+		go func(node *Node) {
+			defer wg.Done()
+			node.Stop()
+		}(node)
+	}
+	wg.Wait()
+}
+
+func addrs(nodes []*Node) []string {
+	out := make([]string, len(nodes))
+	for i, node := range nodes {
+		out[i] = node.Addr()
+	}
+	return out
+}
+
+// Cluster is a set of nodes on the loopback interface, one per protocol
+// stack, fully wired and started.
+type Cluster struct {
+	members
+	nodes     []*Node
+	closeOnce sync.Once
+}
+
+var (
+	_ core.Substrate        = (*Cluster)(nil)
+	_ core.TransportStatser = (*Cluster)(nil)
+)
+
+// NewCluster binds one loopback node per stack, wires every node to its
+// neighbours, and starts them. The caller owns the cluster and must
+// Close it to release the sockets.
+func NewCluster(t Transport, stacks []core.Stack, opts ...Option) (*Cluster, error) {
+	nodes, err := loopback(t, stacks, opts)
+	if err != nil {
+		return nil, err
+	}
+	c := &Cluster{nodes: nodes}
+	for _, node := range nodes {
+		c.groups = append(c.groups, node.g0)
+	}
+	return c, nil
+}
+
+// Addrs returns every node's bound local address.
+func (c *Cluster) Addrs() []string { return addrs(c.nodes) }
+
+// Close stops every node, releasing loops and sockets. Idempotent.
+func (c *Cluster) Close() error {
+	c.closeOnce.Do(func() { stopAll(c.nodes) })
+	return nil
+}
+
+// Mux hosts many core.Substrate instances over one set of nodes.
+type Mux struct {
+	nodes []*Node
+
+	mu      sync.Mutex
+	nextGid uint64
+	closed  bool
+
+	closeOnce sync.Once
+}
+
+// NewMux binds one bare loopback node per process — no default group —
+// and starts the shared loops. Options must be node-level (capacity,
+// batch, Options.Link); per-cluster options (topology, faults,
+// observers) belong to Attach. The caller owns the mux and must Close
+// it to release the sockets.
+func NewMux(t Transport, nProcs int, opts ...Option) (*Mux, error) {
+	// No default topology, so the wiring is full: per-group topologies
+	// restrict traffic at the message level.
+	nodes, err := loopback(t, make([]core.Stack, max(nProcs, 0)), opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Mux{nodes: nodes, nextGid: 1}, nil
+}
+
+// N returns the number of processes.
+func (m *Mux) N() int { return len(m.nodes) }
+
+// Addrs returns every node's bound local address.
+func (m *Mux) Addrs() []string { return addrs(m.nodes) }
+
+// Attach installs one cluster — one stack per process — as a fresh
+// group on every node and returns its substrate view. Options here are
+// per-cluster (WithTopology, WithFaults, WithObserver); node-level
+// options are rejected, they were fixed at NewMux. Attach may be called
+// any time while the mux runs; a cluster's fault schedule starts at its
+// own attach instant.
+func (m *Mux) Attach(stacks []core.Stack, opts ...Option) (*MuxCluster, error) {
+	if len(stacks) != len(m.nodes) {
+		return nil, fmt.Errorf("engine: %d stacks for a mux of %d processes", len(stacks), len(m.nodes))
+	}
+	var o Options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.capacity != 0 || o.batchSet || o.Link != nil {
+		return nil, fmt.Errorf("engine: node-level option per attached cluster; set it on NewMux")
+	}
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return nil, fmt.Errorf("engine: mux closed")
+	}
+	gid := m.nextGid
+	m.nextGid++
+	m.mu.Unlock()
+
+	c := &MuxCluster{members: members{done: make(chan struct{})}}
+	epoch := time.Now()
+	for i, node := range m.nodes {
+		g, err := node.buildGroup(gid, stacks[i], o.topology, o.faults, o.observers)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		g.epoch = epoch
+		c.groups = append(c.groups, g)
+		node.setGroup(gid, g)
+	}
+	return c, nil
+}
+
+// Close stops every node, releasing loops and sockets — and with them
+// every attached cluster. Idempotent.
+func (m *Mux) Close() error {
+	m.mu.Lock()
+	m.closed = true
+	m.mu.Unlock()
+	m.closeOnce.Do(func() { stopAll(m.nodes) })
+	return nil
+}
+
+// MuxCluster is one cluster hosted on a Mux: a core.Substrate whose
+// processes share their links and loops with every other attached
+// cluster, isolated from them by the frame's group id.
+type MuxCluster struct {
+	members
+	closeOnce sync.Once
+}
+
+var (
+	_ core.Substrate        = (*MuxCluster)(nil)
+	_ core.TransportStatser = (*MuxCluster)(nil)
+)
+
+// Group returns the wire group id this cluster's traffic carries.
+func (c *MuxCluster) Group() uint64 { return c.groups[0].id }
+
+// Close detaches the cluster from every node: its boxed mail is
+// discarded, subsequent frames for its group id are dropped, and the mux
+// keeps running for its siblings. Idempotent.
+func (c *MuxCluster) Close() error {
+	c.closeOnce.Do(func() {
+		close(c.done)
+		for _, g := range c.groups {
+			g.n.setGroup(g.id, nil)
+		}
+	})
+	return nil
+}

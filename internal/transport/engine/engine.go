@@ -1,0 +1,862 @@
+// Package engine is the one concurrent engine behind both socket
+// transports: everything between a protocol stack and a socket that
+// does not depend on what kind of socket it is. internal/transport/udp
+// and internal/transport/tcp implement the narrow Link interface below
+// — datagram I/O and connection lifecycle respectively — and the engine
+// never asks which of them it is driving.
+//
+// # Channel semantics
+//
+// The paper's channels are FIFO, lossy, and of KNOWN capacity c
+// (Theorem 1 makes the bound mandatory). Neither UDP nor TCP provides
+// the bound, so the engine enforces it (DESIGN.md §7):
+//
+//   - every directed (peer, group, instance) link has a sender-side
+//     window of c messages (WithCapacity, default DefaultCapacity). A
+//     slot is held from env.Send until the receiver hands the message
+//     to Deliver or drops it; a send into a full window is lost at the
+//     sender (core.EvSendLost, Note "window"). The receiver reports
+//     consumption in the link headers of whatever it sends next, or in
+//     an echo-only frame from the step timer; a sender refused at a shut
+//     window probes from the same timer, so a lost echo or a restarted
+//     peer cannot wedge the link (internal/window is the state machine);
+//   - each (group, sender, instance) triple gets a mailbox of c slots at
+//     the receiver. A window-admitted message always finds room; the
+//     bound only bites on traffic that ignores the window (a hostile or
+//     buggy peer, fault-plane duplicates), which is dropped lose-on-full
+//     and reported as core.EvLose;
+//   - the protocol stacks must be built with the same c (the flag domain
+//     is 2c+2 values, so every unit of c costs two handshake rounds per
+//     peer per request: the bound is worth keeping small).
+//
+// # Groups: many clusters, one socket
+//
+// A Node hosts one or more groups, each an independent protocol stack
+// with its own routes, observers, topology, fault plan and counters, all
+// sharing the node's link and loops. The wire frame's group id routes
+// every received message to its group's mailboxes. NewNode installs its
+// stack as group 0; Mux attaches further clusters with fresh ids.
+//
+// # Concurrency structure
+//
+// The link's receive side and the engine's activation loop are coupled
+// only through the double-buffered mailboxes: Arrive appends decoded
+// messages under the mailbox lock mbMu and signals a wakeup channel; the
+// activation loop swaps the whole mailbox map out under that lock, then
+// delivers the batch — and performs any resulting sends — under the
+// action mutex mu only. The link's outbound calls (Queue, Control,
+// Flush) all happen under mu, so a link needs no lock of its own for
+// what it queues, and nothing the receive side does ever waits on a
+// send. The lock order is mu → mbMu → injMu (snapvet's lockorder).
+//
+// The fault plane (DESIGN.md §9) acts per logical message at the mailbox
+// boundary, never per frame: every decoded message passes its group's
+// injector individually before it is boxed, so §9 semantics and seed
+// reproducibility are independent of how a link packed messages on the
+// wire. Delayed messages surface from the activation loop's sweep tick.
+package engine
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/rng"
+	"github.com/snapstab/snapstab/internal/window"
+	"github.com/snapstab/snapstab/internal/wire"
+)
+
+// DefaultCapacity is the per-link capacity bound c enforced by default:
+// the window of every directed (peer, group, instance) link, the mailbox
+// size, and the bound protocol stacks must be built with (flag top
+// 2c+2 = 10).
+const DefaultCapacity = 4
+
+const (
+	// sweepInterval is the fallback mailbox sweep. Drains are
+	// notification-driven, so the sweep is a safety net; it is also the
+	// cadence at which delayed fault-plan messages surface and the
+	// deadline of a coalesced send.
+	sweepInterval = time.Millisecond
+	// stepInterval paces internal protocol actions. Action A2 retransmits
+	// on every activation, so this is the retransmission interval;
+	// unpaced retransmission floods the path and the queueing delay
+	// stalls the handshake (deliveries are event-driven and unpaced).
+	stepInterval = 2 * time.Millisecond
+)
+
+// Options is the option set of a node (capacity, batch, Link) and of its
+// default group (observers, topology, faults).
+type Options struct {
+	capacity  int
+	batch     int
+	batchSet  bool
+	observers core.MultiObserver
+	topology  *core.Topology
+	faults    *core.FaultPlan
+	// Link carries one link-specific setting to the Transport's Bind;
+	// the engine only passes it through.
+	Link any
+}
+
+// Option configures a node or, on Mux.Attach, one attached cluster.
+type Option func(*Options)
+
+// WithCapacity sets the channel-capacity bound c the node enforces on
+// every directed (peer, group, instance) link (default DefaultCapacity):
+// the sender-side window and the receive mailbox are both c messages.
+// The protocol stacks must be built with the same bound. The engine
+// accepts any c >= 1; stacks that carry handshake flags are limited to
+// window.MaxCapacity by the wire format's one-byte flag fields.
+func WithCapacity(c int) Option {
+	return func(o *Options) { o.capacity = c }
+}
+
+// WithBatch bounds how many messages (UDP: per coalesced datagram,
+// default 16) or frames (TCP: per vectored write, default 32) one socket
+// write carries; the ceiling is wire.MaxBatch. WithBatch(1) gives every
+// message its own frame and write.
+func WithBatch(k int) Option {
+	return func(o *Options) { o.batch, o.batchSet = k, true }
+}
+
+// WithObserver subscribes an event observer on the default group.
+// Callbacks arrive concurrently from the link's goroutines (mailbox-full
+// EvLose, EvSendLost on a dead connection) and the activation loop
+// (everything else), so the observer must be goroutine-safe.
+func WithObserver(ob core.Observer) Option {
+	return func(o *Options) { o.observers = append(o.observers, ob) }
+}
+
+// WithTopology declares the communication graph of the default group:
+// sends to non-neighbours are dropped (and counted) at the sender, a
+// non-neighbour's address is never wired and its traffic is rejected at
+// the receiver, and the installed fault plan is validated against the
+// edge set. The default (nil) is the complete graph.
+func WithTopology(t *core.Topology) Option {
+	return func(o *Options) { o.topology = t }
+}
+
+// WithFaults installs a fault-injection plan (see core.FaultPlan) on the
+// default group, interposed at the mailbox boundary: every decoded
+// message from a known peer — individually, whatever frame carried it —
+// passes the group's injector before it is boxed, which may drop,
+// duplicate, corrupt, reorder, or delay it, honor partition windows, and
+// silence the group inside crash windows (no internal actions, no
+// mailbox drains, arrivals consumed). The injector is seeded
+// rng.Mix(plan.Seed, Transport.FaultSalt, self); schedule windows are
+// measured in plan.Unit ticks of wall time from Start. The link's own
+// losses compose underneath the plan.
+func WithFaults(plan *core.FaultPlan) Option {
+	return func(o *Options) { o.faults = plan }
+}
+
+// Transport names one socket layer to the engine.
+type Transport struct {
+	// FaultSalt namespaces the layer's injector seeds within the plan's
+	// rng.Mix hierarchy (sim, runtime, udp and tcp each use their own).
+	FaultSalt uint64
+	// Bind opens one node's sockets.
+	Bind func(LinkConfig) (Link, error)
+}
+
+// LinkConfig is what a Transport's Bind gets to build one node's link.
+type LinkConfig struct {
+	Self   core.ProcID
+	Listen string // local address; port 0 lets the kernel pick
+	Peers  int    // process count, self included
+	// Instances is the default stack's size (zero on a mux node), for
+	// sizing receive buffers.
+	Instances int
+	Capacity  int
+	Batch     int // WithBatch, or 0 for the link's default
+	// Topology is the default group's graph (nil: complete, or a mux
+	// node whose groups restrict traffic per message).
+	Topology *core.Topology
+	Link     any // Options.Link
+	// Arrive is the inbound callback: one decoded frame from a known
+	// peer. links and msgs are only read during the call. Safe to call
+	// from several goroutines.
+	Arrive func(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message)
+	// IO is where the link counts its socket traffic.
+	IO *IOCounters
+}
+
+// IOCounters counts what a link's sockets moved: frames (datagrams on
+// UDP, length-prefixed frames on TCP), the system calls that moved
+// them, and connection re-establishments.
+type IOCounters struct {
+	SendFrames, RecvFrames     atomic.Int64
+	SendSyscalls, RecvSyscalls atomic.Int64
+	Redials                    atomic.Int64
+}
+
+// Link is the socket layer under one node. The outbound methods (Queue,
+// Control, Flush) are only called under the node's action mutex, one
+// call at a time. A link reports what became of the frames it queued
+// through the Group methods Sent, SendLost and ControlSent.
+type Link interface {
+	// Addr returns the bound local address.
+	Addr() string
+	// Wire sets the address of one peer, before Start.
+	Wire(peer core.ProcID, addr string) error
+	// Start launches the link's goroutines; frames go to Arrive.
+	Start()
+	// Stop ends them and closes the sockets, started or not.
+	Stop()
+
+	// Queue takes one message already admitted by e's window, toward
+	// e.Peer. An error means the message never entered the link.
+	Queue(g *Group, e *window.Entry, m core.Message) error
+	// Control queues an echo or probe header for e. Best effort: the
+	// next step tick asks again.
+	Control(g *Group, e *window.Entry, probe bool)
+	// Flush ends an atomic section: nothing queued stays unwritten.
+	Flush()
+}
+
+// Group is one protocol stack hosted on a node: an independent cluster
+// member with its own routing, observers, topology, fault plane, and
+// message counters, multiplexed with its siblings over the node's link
+// by the frame's group id.
+type Group struct {
+	n         *Node
+	id        uint64
+	stack     core.Stack
+	routes    map[string]core.Machine
+	topo      *core.Topology
+	observers core.MultiObserver
+	fault     *core.FaultPlan
+	faultUnit time.Duration
+	epoch     time.Time // fault-schedule tick zero; set before the group is visible to the loops
+
+	// injMu guards the injector, which is not goroutine-safe: Arrive may
+	// run on one goroutine per connection, and the sweep tick releases
+	// delayed messages from the activation loop.
+	injMu sync.Mutex
+	inj   *core.Injector
+
+	// links holds the window state of every (peer, instance) link of the
+	// group behind its own leaf lock.
+	links *window.Table
+
+	sends        atomic.Int64
+	recvs        atomic.Int64
+	sendDrops    atomic.Int64
+	mailboxDrops atomic.Int64
+	echoFrames   atomic.Int64
+	probeFrames  atomic.Int64
+}
+
+// ID returns the wire group id the group's frames carry.
+func (g *Group) ID() uint64 { return g.id }
+
+func (g *Group) emit(ev core.Event) {
+	if len(g.observers) > 0 {
+		g.observers.OnEvent(ev)
+	}
+}
+
+// now returns the group's fault-schedule tick: wall time since its epoch
+// in plan.Unit ticks. Only meaningful when a fault plan is installed.
+func (g *Group) now() int64 {
+	return int64(time.Since(g.epoch) / g.faultUnit)
+}
+
+// down reports whether the group is inside a crash window for self.
+func (g *Group) down() bool {
+	return g.fault != nil && g.fault.Down(g.n.self, g.now())
+}
+
+// Sent accounts k messages toward peer to that the link accepted.
+func (g *Group) Sent(to core.ProcID, k int) {
+	g.sends.Add(int64(k))
+	g.n.linkSent[to].Add(int64(k))
+}
+
+// SendLost accounts k messages toward peer to that the link lost after
+// queueing them. The messages are not retained past encoding, so the
+// loss events carry the link, not the message body.
+func (g *Group) SendLost(to core.ProcID, k int, note string) {
+	g.sendDrops.Add(int64(k))
+	g.n.linkDropped[to].Add(int64(k))
+	for i := 0; i < k; i++ {
+		g.emit(core.Event{Kind: core.EvSendLost, Proc: g.n.self, Peer: to, Note: note})
+	}
+}
+
+// ControlSent accounts one control frame (no messages, link headers
+// only) the link wrote: a probe, or else an echo.
+func (g *Group) ControlSent(probe bool) {
+	if probe {
+		g.probeFrames.Add(1)
+	} else {
+		g.echoFrames.Add(1)
+	}
+}
+
+// Stats returns the group's message counters and window gauges beside
+// the node's socket-wide frame, syscall, redial and per-link message
+// counters, which every group the node hosts shares.
+func (g *Group) Stats() core.TransportStats {
+	n := g.n
+	s := core.TransportStats{
+		Addr:          n.Addr(),
+		Sends:         g.sends.Load(),
+		Recvs:         g.recvs.Load(),
+		SendDrops:     g.sendDrops.Load(),
+		MailboxDrops:  g.mailboxDrops.Load(),
+		Redials:       n.io.Redials.Load(),
+		SendDatagrams: n.io.SendFrames.Load(),
+		RecvDatagrams: n.io.RecvFrames.Load(),
+		SendSyscalls:  n.io.SendSyscalls.Load(),
+		RecvSyscalls:  n.io.RecvSyscalls.Load(),
+		EchoFrames:    g.echoFrames.Load(),
+		ProbeFrames:   g.probeFrames.Load(),
+		Capacity:      n.capacity,
+	}
+	for p := range n.linkSent {
+		if core.ProcID(p) == n.self {
+			continue
+		}
+		s.Links = append(s.Links, core.LinkStats{
+			Peer:     core.ProcID(p),
+			Sent:     n.linkSent[p].Load(),
+			Received: n.linkRecvd[p].Load(),
+			Dropped:  n.linkDropped[p].Load(),
+		})
+	}
+	g.links.FillLinkStats(s.Links)
+	if g.inj != nil {
+		s.Faults = g.inj.Stats()
+	}
+	return s
+}
+
+// buildGroup assembles and validates one hosted group.
+func (n *Node) buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan *core.FaultPlan,
+	obs core.MultiObserver) (*Group, error) {
+	if topo != nil && topo.N() != len(n.wired) {
+		return nil, fmt.Errorf("engine: topology over %d processes, %d peers", topo.N(), len(n.wired))
+	}
+	g := &Group{
+		n:         n,
+		id:        id,
+		stack:     stack,
+		routes:    stack.ByInstance(),
+		topo:      topo,
+		observers: obs,
+		fault:     plan,
+		// A random first sequence keeps a restarted node's numbering
+		// clear of acknowledgments addressed to its previous life.
+		links: window.NewTable(n.capacity, 1+uint64(rand.Uint32()>>1)),
+	}
+	if plan != nil {
+		if err := plan.Validate(); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		if err := plan.ValidateTopology(topo); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		g.faultUnit = plan.TickUnit()
+		seed := rng.Mix(plan.Seed, n.salt, uint64(n.self))
+		if id != 0 {
+			// Extra groups get distinct injector streams; group 0 keeps the
+			// exact legacy seeding so recorded runs stay reproducible.
+			seed = rng.Mix(plan.Seed, n.salt, uint64(n.self), id)
+		}
+		g.inj = core.NewInjector(plan, rng.New(seed))
+	}
+	return g, nil
+}
+
+// groupSet is the copy-on-write view of a node's hosted groups, swapped
+// atomically so the loops read it without locks.
+type groupSet struct {
+	byID map[uint64]*Group
+	list []*Group
+}
+
+type mailKey struct {
+	gid      uint64
+	from     core.ProcID
+	instance string
+}
+
+// Node is one process on one link, hosting one or more groups.
+type Node struct {
+	self     core.ProcID
+	link     Link
+	capacity int
+	salt     uint64
+	wired    []bool // indexed by peer: the link has an address for it
+	io       IOCounters
+
+	g0 *Group // the default group (nil on mux-hosted nodes)
+
+	gmu    sync.Mutex // serializes attach/detach
+	groups atomic.Pointer[groupSet]
+
+	// mu is the action mutex: it makes stack actions (Step, Deliver, Do)
+	// atomic, and serializes the link's outbound half. Every atomic
+	// section ends with link.Flush.
+	mu  sync.Mutex
+	due []window.Due // step-timer scratch: control frames due
+
+	// mbMu guards the double-buffered mailboxes and is never held across
+	// link calls or protocol actions.
+	mbMu      sync.Mutex
+	mailboxes map[mailKey][]core.Message // filled by Arrive
+	spare     map[mailKey][]core.Message // drained buffer, swapped in by actLoop
+	boxed     int                        // messages currently in mailboxes
+	mail      chan struct{}              // capacity 1: drain wakeup
+
+	// Per-peer message counters, shared by every group the node hosts.
+	linkSent    []atomic.Int64
+	linkRecvd   []atomic.Int64
+	linkDropped []atomic.Int64
+
+	stopOnce sync.Once
+	stop     chan struct{}
+	wg       sync.WaitGroup
+}
+
+// NewNode binds process self to laddr on transport t. peers maps every
+// process ID (including self, whose entry is ignored) to its address;
+// empty entries may be wired later with SetPeer, before Start. stack
+// becomes the node's default group (group 0); a nil stack builds a bare
+// mux-style node hosting no groups yet.
+func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peers []string, opts ...Option) (*Node, error) {
+	if self < 0 || int(self) >= len(peers) {
+		return nil, fmt.Errorf("engine: self %d outside peer list of %d", self, len(peers))
+	}
+	o := Options{capacity: DefaultCapacity}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.capacity < 1 || (o.batchSet && (o.batch < 1 || o.batch > wire.MaxBatch)) {
+		return nil, fmt.Errorf("engine: invalid capacity %d / batch %d", o.capacity, o.batch)
+	}
+	n := &Node{
+		self:        self,
+		capacity:    o.capacity,
+		salt:        t.FaultSalt,
+		wired:       make([]bool, len(peers)),
+		mailboxes:   make(map[mailKey][]core.Message),
+		spare:       make(map[mailKey][]core.Message),
+		mail:        make(chan struct{}, 1),
+		stop:        make(chan struct{}),
+		linkSent:    make([]atomic.Int64, len(peers)),
+		linkRecvd:   make([]atomic.Int64, len(peers)),
+		linkDropped: make([]atomic.Int64, len(peers)),
+	}
+	n.groups.Store(&groupSet{byID: map[uint64]*Group{}})
+	if stack == nil {
+		if o.topology != nil || o.faults != nil || len(o.observers) > 0 {
+			return nil, fmt.Errorf("engine: group option on a node with no default group")
+		}
+	} else {
+		g, err := n.buildGroup(0, stack, o.topology, o.faults, o.observers)
+		if err != nil {
+			return nil, err
+		}
+		n.g0 = g
+		n.setGroup(0, g)
+	}
+	link, err := t.Bind(LinkConfig{
+		Self: self, Listen: laddr, Peers: len(peers), Instances: len(stack),
+		Capacity: o.capacity, Batch: o.batch, Topology: o.topology, Link: o.Link,
+		Arrive: n.arrive, IO: &n.io,
+	})
+	if err != nil {
+		return nil, err
+	}
+	n.link = link
+	for i, p := range peers {
+		if p == "" {
+			continue
+		}
+		if err := n.SetPeer(core.ProcID(i), p); err != nil {
+			link.Stop()
+			return nil, err
+		}
+	}
+	return n, nil
+}
+
+// setGroup publishes g to the loops as group id, copy-on-write; a nil g
+// detaches the group: its boxed mail is discarded on the next drain and
+// inbound frames for it are dropped.
+func (n *Node) setGroup(id uint64, g *Group) {
+	n.gmu.Lock()
+	defer n.gmu.Unlock()
+	old := n.groups.Load()
+	gs := &groupSet{byID: make(map[uint64]*Group, len(old.byID)+1)}
+	for gid, og := range old.byID {
+		gs.byID[gid] = og
+	}
+	delete(gs.byID, id)
+	if g != nil {
+		gs.byID[id] = g
+	}
+	gs.list = make([]*Group, 0, len(gs.byID))
+	for _, og := range gs.byID {
+		gs.list = append(gs.list, og)
+	}
+	n.groups.Store(gs)
+}
+
+// Addr returns the bound local address (useful with port 0).
+func (n *Node) Addr() string { return n.link.Addr() }
+
+// SetPeer sets the address of peer id after construction, enabling
+// two-phase setup: bind every node with port 0 first, then wire the
+// learned addresses. Must be called before Start. Under a default-group
+// topology a non-neighbour is never wired: the node simply does not
+// learn where it lives, as a host configured with its neighbour list.
+func (n *Node) SetPeer(id core.ProcID, addr string) error {
+	if id == n.self || (n.g0 != nil && n.g0.topo != nil && !n.g0.topo.HasEdge(n.self, id)) {
+		return nil
+	}
+	if err := n.link.Wire(id, addr); err != nil {
+		return err
+	}
+	n.wired[id] = true
+	return nil
+}
+
+// Start launches the link and the activation loop. Peers must not
+// change after Start.
+func (n *Node) Start() {
+	epoch := time.Now() // fault-schedule tick zero
+	for _, g := range n.groups.Load().list {
+		g.epoch = epoch
+	}
+	n.link.Start()
+	n.wg.Add(1)
+	go n.actLoop()
+}
+
+// Stop terminates the activation loop, then the link and its sockets.
+// It is idempotent and safe to call from multiple goroutines.
+func (n *Node) Stop() {
+	n.stopOnce.Do(func() {
+		close(n.stop)
+		n.wg.Wait()
+		n.link.Stop()
+	})
+}
+
+// Stats returns the default group's counters (see Group.Stats).
+func (n *Node) Stats() core.TransportStats { return n.g0.Stats() }
+
+// env implements core.Env for one group; use only under n.mu.
+type env struct {
+	n *Node
+	g *Group
+}
+
+func (v env) Self() core.ProcID { return v.n.self }
+func (v env) N() int            { return len(v.n.wired) }
+
+func (v env) Emit(ev core.Event) {
+	ev.Proc = v.n.self
+	v.g.emit(ev)
+}
+
+func (v env) Send(to core.ProcID, m core.Message) {
+	n, g := v.n, v.g
+	if int(to) < 0 || int(to) >= len(n.wired) {
+		return
+	}
+	if g.topo != nil && !g.topo.HasEdge(n.self, to) {
+		// Not a neighbour under the topology: no channel exists, the send
+		// vanishes at the sender (and is counted, unlike an unwired peer).
+		g.sendDrops.Add(1)
+		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: "no edge"})
+		return
+	}
+	if !n.wired[to] {
+		return
+	}
+	lost := func(note string) {
+		g.sendDrops.Add(1)
+		n.linkDropped[to].Add(1)
+		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: note})
+	}
+	e := g.links.Link(to, m.Instance)
+	if !e.Admit() {
+		// The link already holds c unconsumed messages: the send is lost
+		// at the sender, the model's rule for a full channel.
+		lost("window")
+		return
+	}
+	if err := n.link.Queue(g, e, m); err != nil {
+		// Unencodable, or the link has no room: counted so the loss is
+		// observable. The message never entered the link.
+		e.Cancel()
+		lost(err.Error())
+		return
+	}
+	// The send event fires at enqueue so observers see protocol order;
+	// the link counts the message (Group.Sent) when it accepts it.
+	g.emit(core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m})
+}
+
+// arrive is LinkConfig.Arrive: it feeds one frame's headers to the
+// windows and pushes each carried message through its group's fault
+// plane into the mailboxes.
+func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message) {
+	g := n.groups.Load().byID[gid]
+	if g == nil {
+		return // no such group here (stale or stray traffic): dropped
+	}
+	if g.topo != nil && !g.topo.HasEdge(sender, n.self) {
+		return // not a neighbour in this group's graph: dropped
+	}
+	// Headers first: the acknowledgments release our own windows, and the
+	// frame's messages occupy the sender's until they are consumed.
+	for _, h := range links {
+		g.links.Link(sender, h.Instance).Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
+	}
+	for _, m := range msgs {
+		if g.inj == nil {
+			n.box(g, sender, m)
+			continue
+		}
+		// Per logical message, never per frame: packing is invisible to
+		// the fault plane.
+		g.injMu.Lock()
+		held := g.inj.Held()
+		out, fate := g.inj.Filter(sender, n.self, m, g.now())
+		// The arrival became len(out) mailbox entries plus whatever the
+		// injector now holds back on this link: a drop frees the slot, a
+		// duplicate occupies one more, holdback keeps it.
+		d := len(out) + g.inj.Held() - held - 1
+		// Filter returns the injector's reusable scratch slice, which the
+		// next Filter rewrites as soon as the lock drops: snapshot it.
+		out = append([]core.Message(nil), out...)
+		g.injMu.Unlock()
+		if d != 0 {
+			g.links.Link(sender, m.Instance).Occupy(d)
+		}
+		if fate == core.FateDrop {
+			g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
+		}
+		for _, dm := range out {
+			n.box(g, sender, dm)
+		}
+	}
+}
+
+// flushDelayed surfaces expired delayed messages even on quiet links.
+func (n *Node) flushDelayed() {
+	for _, g := range n.groups.Load().list {
+		if g.inj == nil {
+			continue
+		}
+		g.injMu.Lock()
+		rel := g.inj.Flush(g.now())
+		g.injMu.Unlock()
+		for _, r := range rel {
+			// A released message keeps the window slot it has held since
+			// it arrived.
+			n.box(g, r.From, r.Msg)
+		}
+	}
+}
+
+// put appends m to its mailbox unless the mailbox is full. Callers hold
+// n.mbMu.
+func (n *Node) put(key mailKey, m core.Message) bool {
+	b := n.mailboxes[key]
+	if len(b) >= n.capacity {
+		return false
+	}
+	n.mailboxes[key] = append(b, m)
+	n.boxed++
+	return true
+}
+
+// lose is the lose-on-full rule: a message that was in transit finds its
+// mailbox full and is dropped at the receiver — the model's link loss,
+// not a send failure. The mailbox has one slot per window slot, so only
+// traffic that ignored the window (or a fault-plane duplicate) gets here.
+func (n *Node) lose(g *Group, sender core.ProcID, m core.Message) {
+	g.links.Link(sender, m.Instance).Occupy(-1)
+	g.mailboxDrops.Add(1)
+	n.linkDropped[sender].Add(1)
+	g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
+}
+
+// box appends one in-transit message to its bounded mailbox and wakes
+// the activation loop.
+func (n *Node) box(g *Group, sender core.ProcID, m core.Message) {
+	n.mbMu.Lock()
+	ok := n.put(mailKey{gid: g.id, from: sender, instance: m.Instance}, m)
+	n.mbMu.Unlock()
+	if !ok {
+		n.lose(g, sender, m)
+		return
+	}
+	g.recvs.Add(1)
+	n.linkRecvd[sender].Add(1)
+	select {
+	case n.mail <- struct{}{}:
+	default: // a wakeup is already pending
+	}
+}
+
+// actLoop delivers mailbox batches as soon as Arrive signals them and
+// runs every group's internal actions at the step interval.
+func (n *Node) actLoop() {
+	defer n.wg.Done()
+	stepTimer := time.NewTicker(stepInterval)
+	defer stepTimer.Stop()
+	sweep := time.NewTicker(sweepInterval)
+	defer sweep.Stop()
+	for {
+		select {
+		case <-n.stop:
+			return
+		case <-n.mail:
+			n.drainMail()
+		case <-sweep.C:
+			n.flushDelayed()
+			n.drainMail()
+			// Deadline flush: a queued frame never waits longer than one
+			// sweep, whatever its section did.
+			n.mu.Lock()
+			n.link.Flush()
+			n.mu.Unlock()
+		case <-stepTimer.C:
+			gs := n.groups.Load()
+			n.mu.Lock()
+			for _, g := range gs.list {
+				if g.down() {
+					continue // crash window: no internal actions until restart
+				}
+				ev := env{n: n, g: g}
+				for _, m := range g.stack {
+					m.Step(ev)
+				}
+				n.control(g)
+			}
+			n.link.Flush()
+			n.mu.Unlock()
+		}
+	}
+}
+
+// control runs the timer edge of every link of g, after the group's own
+// Step so that anything Step sent already carried the acknowledgments:
+// an echo that found no data to ride on for a full step interval leaves
+// as an echo-only frame, and a window that refused a send while shut
+// emits a probe. Callers hold n.mu and flush.
+func (n *Node) control(g *Group) {
+	n.due = g.links.Tick(n.due[:0])
+	for _, d := range n.due {
+		if n.wired[d.Entry.Peer] {
+			n.link.Control(g, d.Entry, d.Control == window.Probe)
+		}
+	}
+}
+
+// drainMail swaps the filled mailbox buffer out (one pointer swap under
+// the mailbox lock, batching the handoff) and delivers its contents
+// under the action mutex, routing each mailbox to its group. Mail for a
+// group inside a crash window stays in transit: it is re-boxed untouched
+// and the sweep retries after the window (re-boxed mail that no longer
+// fits is lost, the lose-on-full rule again).
+func (n *Node) drainMail() {
+	gs := n.groups.Load()
+	if len(gs.list) == 1 && gs.list[0].down() {
+		// Sole group crashed: leave everything boxed without swapping.
+		return
+	}
+	n.mbMu.Lock()
+	if n.boxed == 0 {
+		n.mbMu.Unlock()
+		return
+	}
+	batch := n.mailboxes
+	n.mailboxes, n.spare = n.spare, n.mailboxes
+	n.boxed = 0
+	n.mbMu.Unlock()
+
+	type heldMsg struct {
+		g   *Group
+		key mailKey
+		m   core.Message
+	}
+	var held []heldMsg
+	n.mu.Lock()
+	for key, box := range batch {
+		if len(box) == 0 {
+			continue
+		}
+		batch[key] = box[:0]
+		g := gs.byID[key.gid]
+		if g == nil {
+			continue // group detached: its in-transit mail evaporates
+		}
+		if g.down() {
+			for _, m := range box {
+				held = append(held, heldMsg{g: g, key: key, m: m})
+			}
+			continue
+		}
+		e := g.links.Link(key.from, key.instance)
+		mach, ok := g.routes[key.instance]
+		if !ok {
+			// A message addressed to an unknown instance is consumed with
+			// no effect, like a receive action with a false guard.
+			e.Occupy(-len(box))
+			continue
+		}
+		ev := env{n: n, g: g}
+		for _, m := range box {
+			// The message leaves the link as it is handed to Deliver, so
+			// a reply sent from inside Deliver already acknowledges it.
+			e.Occupy(-1)
+			g.emit(core.Event{Kind: core.EvDeliver, Proc: n.self, Peer: key.from, Instance: key.instance, Msg: m})
+			mach.Deliver(ev, key.from, m)
+		}
+	}
+	n.link.Flush()
+	n.mu.Unlock()
+
+	if len(held) == 0 {
+		return
+	}
+	n.mbMu.Lock()
+	kept := held[:0]
+	for _, h := range held {
+		if !n.put(h.key, h.m) {
+			kept = append(kept, h)
+		}
+	}
+	n.mbMu.Unlock()
+	for _, h := range kept {
+		n.lose(h.g, h.key.from, h.m)
+	}
+}
+
+// Do runs f under the node's action mutex with its default group's
+// environment, then flushes any sends f made.
+func (n *Node) Do(f func(env core.Env)) {
+	if n.g0 == nil {
+		panic("engine: Do on a node with no default group")
+	}
+	n.doGroup(n.g0, f)
+}
+
+func (n *Node) doGroup(g *Group, f func(env core.Env)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	f(env{n: n, g: g})
+	n.link.Flush()
+}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/rng"
 	"github.com/snapstab/snapstab/internal/wire"
@@ -24,39 +25,7 @@ func mkPIF(machines []*pif.PIF, self core.ProcID, n int) core.Stack {
 	return core.Stack{m}
 }
 
-func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return cond()
-}
-
-// broadcastDone drives a broadcast at node src and waits for its PIF
-// handshake to complete with the token.
-func broadcastDone(t *testing.T, node *Node, m *pif.PIF, token core.Payload) {
-	t.Helper()
-	invoked := waitFor(t, 20*time.Second, func() bool {
-		var ok bool
-		node.Do(func(env core.Env) { ok = m.Invoke(env, token) })
-		return ok
-	})
-	if !invoked {
-		t.Fatal("Invoke never accepted (prior computation never terminated)")
-	}
-	ok := waitFor(t, 20*time.Second, func() bool {
-		var done bool
-		node.Do(func(core.Env) { done = m.Done() && m.BMes.Equal(token) })
-		return done
-	})
-	if !ok {
-		t.Fatal("broadcast over TCP did not complete")
-	}
-}
+var waitFor = linktest.WaitFor
 
 func TestPIFOverLoopbackTCP(t *testing.T) {
 	// Not parallel: concurrent clusters share the loopback path; the
@@ -71,9 +40,9 @@ func TestPIFOverLoopbackTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWindows(t, c)
+	linktest.CheckWindows(t, c)
 	defer c.Close()
-	broadcastDone(t, c.nodes[0], machines[0], core.Payload{Tag: "hello", Num: 4})
+	linktest.Broadcast(t, linktest.At0(c), machines[0], core.Payload{Tag: "hello", Num: 4})
 	for i, s := range c.TransportStats() {
 		if s.Sends == 0 {
 			t.Errorf("node %d accepted no sends", i)
@@ -98,9 +67,9 @@ func TestPIFOverTCPFromCorruptedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWindows(t, c)
+	linktest.CheckWindows(t, c)
 	defer c.Close()
-	broadcastDone(t, c.nodes[0], machines[0], core.Payload{Tag: "fresh", Num: 3})
+	linktest.Broadcast(t, linktest.At0(c), machines[0], core.Payload{Tag: "fresh", Num: 3})
 }
 
 // TestSimultaneousStartDialRace releases every node's Start from a
@@ -122,11 +91,13 @@ func TestSimultaneousStartDialRace(t *testing.T) {
 	for i, node := range nodes {
 		for j, other := range nodes {
 			if i != j {
-				node.SetPeer(core.ProcID(j), other.Addr())
+				if err := node.SetPeer(core.ProcID(j), other.Addr()); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
-	checkWindows(t, nodeStats(nodes))
+	linktest.CheckWindows(t, linktest.NodeStats(nodes))
 	var barrier, started sync.WaitGroup
 	barrier.Add(1)
 	for _, node := range nodes {
@@ -145,7 +116,7 @@ func TestSimultaneousStartDialRace(t *testing.T) {
 			node.Stop()
 		}
 	})
-	broadcastDone(t, nodes[0], machines[0], core.Payload{Tag: "race", Num: 9})
+	linktest.Broadcast(t, nodes[0].Do, machines[0], core.Payload{Tag: "race", Num: 9})
 }
 
 // TestRedialAfterPeerRestart kills one node, rebinds a fresh node (fresh
@@ -166,14 +137,20 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 		nodes[i] = node
 	}
 	addr1 := nodes[1].Addr()
-	nodes[0].SetPeer(1, addr1)
-	nodes[1].SetPeer(0, nodes[0].Addr())
-	checkWindows(t, nodeStats(nodes))
+	wire := func(node *Node, peer core.ProcID, addr string) {
+		t.Helper()
+		if err := node.SetPeer(peer, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wire(nodes[0], 1, addr1)
+	wire(nodes[1], 0, nodes[0].Addr())
+	linktest.CheckWindows(t, linktest.NodeStats(nodes))
 	nodes[0].Start()
 	nodes[1].Start()
 	t.Cleanup(func() { nodes[0].Stop(); nodes[1].Stop() })
 
-	broadcastDone(t, nodes[0], machines[0], core.Payload{Tag: "before", Num: 1})
+	linktest.Broadcast(t, nodes[0].Do, machines[0], core.Payload{Tag: "before", Num: 1})
 
 	nodes[1].Stop()
 	// Rebind the same port. The listener was closed, not left in
@@ -193,12 +170,12 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	restarted.SetPeer(0, nodes[0].Addr())
-	checkWindows(t, nodeStats{restarted})
+	wire(restarted, 0, nodes[0].Addr())
+	linktest.CheckWindows(t, linktest.NodeStats{restarted})
 	restarted.Start()
 	t.Cleanup(restarted.Stop)
 
-	broadcastDone(t, nodes[0], machines[0], core.Payload{Tag: "after", Num: 2})
+	linktest.Broadcast(t, nodes[0].Do, machines[0], core.Payload{Tag: "after", Num: 2})
 	if got := nodes[0].Stats().Redials; got == 0 {
 		t.Fatalf("Redials = %d after a peer restart, want > 0", got)
 	}
@@ -220,7 +197,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWindows(t, c)
+	linktest.CheckWindows(t, c)
 	closed := false
 	defer func() {
 		if !closed {
@@ -230,7 +207,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 
 	// A liar claiming to be process 1 (a real peer), then silence: the
 	// reader blocks on the next frame forever.
-	liar, err := net.Dial("tcp", c.nodes[0].Addr())
+	liar, err := net.Dial("tcp", c.Addrs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +226,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 
 	// A babbler: a length prefix promising more than maxFrame, which the
 	// reader must reject without allocating it.
-	babbler, err := net.Dial("tcp", c.nodes[0].Addr())
+	babbler, err := net.Dial("tcp", c.Addrs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +236,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 	}
 
 	// The node still serves real traffic around both.
-	broadcastDone(t, c.nodes[0], machines[0], core.Payload{Tag: "alive", Num: 6})
+	linktest.Broadcast(t, linktest.At0(c), machines[0], core.Payload{Tag: "alive", Num: 6})
 
 	// Stop must unblock the half-open readers and return promptly.
 	done := make(chan struct{})
@@ -291,7 +268,7 @@ func TestStopIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWindows(t, c)
+	linktest.CheckWindows(t, c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package udp
 
 import (
 	"fmt"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -56,43 +55,6 @@ func blobBody(size int) []byte {
 // pre-window mailboxes did.
 const floodWindow = 1024
 
-// benchCluster binds n nodes on loopback and wires the learned ports.
-func benchCluster(b *testing.B, n int, mk func(self core.ProcID) core.Stack) []*Node {
-	b.Helper()
-	nodes := make([]*Node, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		node, err := NewNode(core.ProcID(i), mk(core.ProcID(i)), "127.0.0.1:0", make([]string, n), WithCapacity(floodWindow))
-		if err != nil {
-			b.Fatalf("bind node %d: %v", i, err)
-		}
-		nodes[i] = node
-		addrs[i] = node.Addr()
-	}
-	for i, node := range nodes {
-		for j, a := range addrs {
-			if i == j {
-				continue
-			}
-			peer, err := net.ResolveUDPAddr("udp", a)
-			if err != nil {
-				b.Fatalf("parse %q: %v", a, err)
-			}
-			node.SetPeer(core.ProcID(j), peer)
-		}
-	}
-	for _, node := range nodes {
-		node.Start()
-	}
-	return nodes
-}
-
-func stopCluster(nodes []*Node) {
-	for _, node := range nodes {
-		node.Stop()
-	}
-}
-
 // BenchmarkUDPThroughput measures sustained deliveries/sec over real
 // loopback sockets: one op is one delivered message. Compare across
 // revisions with benchstat. The blob sub-family scales the opaque
@@ -118,13 +80,18 @@ func BenchmarkUDPThroughput(b *testing.B) {
 func benchUDPThroughput(b *testing.B, n, blob int) {
 	var delivered atomic.Int64
 	body := blobBody(blob)
-	nodes := benchCluster(b, n, func(self core.ProcID) core.Stack {
-		return core.Stack{&flooder{inst: "flood", self: self, n: n, blob: body, delivered: &delivered}}
-	})
-	// Stop per invocation (not b.Cleanup): the runner re-invokes
+	stacks := make([]core.Stack, n)
+	for i := range stacks {
+		stacks[i] = core.Stack{&flooder{inst: "flood", self: core.ProcID(i), n: n, blob: body, delivered: &delivered}}
+	}
+	c, err := NewCluster(stacks, WithCapacity(floodWindow))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Close per invocation (not b.Cleanup): the runner re-invokes
 	// this function while calibrating b.N, and leaked clusters
 	// would keep flooding the loopback during the timed run.
-	defer stopCluster(nodes)
+	defer c.Close()
 	// Let the flood reach steady state before timing.
 	warmup := time.Now().Add(10 * time.Second)
 	for delivered.Load() < int64(n) {

@@ -2,42 +2,26 @@ package udp
 
 import (
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
-// recorder is a sink machine: it keeps every delivered message.
-type recorder struct {
-	inst string
-	mu   sync.Mutex
-	got  []core.Message
-}
-
-func (r *recorder) Instance() string   { return r.inst }
-func (r *recorder) Step(core.Env) bool { return false }
-func (r *recorder) Deliver(_ core.Env, _ core.ProcID, m core.Message) {
-	r.mu.Lock()
-	r.got = append(r.got, m)
-	r.mu.Unlock()
-}
-
-func (r *recorder) snapshot() []core.Message {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]core.Message(nil), r.got...)
-}
-
 // rawPeer pairs a node with a hand-driven UDP socket standing in for
 // peer 1, so tests can watch the node's exact wire bytes and feed it
-// arbitrary frames.
-func rawPeer(t *testing.T, opts ...Option) (*Node, *recorder, *net.UDPConn) {
+// arbitrary frames. It is this package's linktest.RawPeer.
+type rawPeer struct {
+	t    *testing.T
+	node *Node
+	raw  *net.UDPConn
+}
+
+func newRawPeer(t *testing.T, stack core.Stack, opts ...Option) linktest.RawPeer {
 	t.Helper()
-	rec := &recorder{inst: "rec"}
-	node, err := NewNode(0, core.Stack{rec}, "127.0.0.1:0", make([]string, 2), opts...)
+	node, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,39 +30,69 @@ func rawPeer(t *testing.T, opts ...Option) (*Node, *recorder, *net.UDPConn) {
 		node.Stop()
 		t.Fatal(err)
 	}
-	node.SetPeer(1, raw.LocalAddr().(*net.UDPAddr))
-	node.Start()
-	checkWindows(t, nodeStats{node})
-	t.Cleanup(func() { node.Stop(); raw.Close() })
-	return node, rec, raw
-}
-
-// linkFrame hand-builds one wire v4 frame carrying msgs (all of one
-// instance, possibly none) under a single link header.
-func linkFrame(t *testing.T, gid uint64, h wire.LinkHeader, msgs ...core.Message) []byte {
-	t.Helper()
-	data, err := wire.AppendLinkFrame(nil, gid, []wire.LinkHeader{h}, msgs)
-	if err != nil {
+	p := &rawPeer{t: t, node: node, raw: raw}
+	if err := node.SetPeer(1, raw.LocalAddr().String()); err != nil {
 		t.Fatal(err)
 	}
-	return data
+	node.Start()
+	linktest.CheckWindows(t, linktest.NodeStats{node})
+	t.Cleanup(func() { node.Stop(); p.raw.Close() })
+	return p
 }
 
-// readLinkFrame reads the raw peer's next datagram within d and decodes
-// it; ok is false when nothing arrived in time.
-func readLinkFrame(t *testing.T, raw *net.UDPConn, d time.Duration) (links []wire.LinkHeader, msgs []core.Message, ok bool) {
-	t.Helper()
+// recorderAtRawPeer is a raw peer whose node delivers into a recorder.
+func recorderAtRawPeer(t *testing.T, opts ...Option) (*rawPeer, *linktest.Recorder) {
+	rec := &linktest.Recorder{Inst: "rec"}
+	return newRawPeer(t, core.Stack{rec}, opts...).(*rawPeer), rec
+}
+
+func (p *rawPeer) Node() *Node { return p.node }
+
+// Send fires one link frame at the node.
+func (p *rawPeer) Send(links []wire.LinkHeader, msgs ...core.Message) {
+	p.t.Helper()
+	data, err := wire.AppendLinkFrame(nil, 0, links, msgs)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	p.write(data)
+}
+
+func (p *rawPeer) write(data []byte) {
+	p.t.Helper()
+	if _, err := p.raw.WriteToUDP(data, mustUDPAddr(p.t, p.node.Addr())); err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+// Next reads the raw peer's next datagram within d and decodes it.
+func (p *rawPeer) Next(d time.Duration) (links []wire.LinkHeader, msgs []core.Message, ok bool) {
+	p.t.Helper()
 	buf := make([]byte, 64*1024)
-	_ = raw.SetReadDeadline(time.Now().Add(d))
-	sz, _, err := raw.ReadFromUDP(buf)
+	_ = p.raw.SetReadDeadline(time.Now().Add(d))
+	sz, _, err := p.raw.ReadFromUDP(buf)
 	if err != nil {
 		return nil, nil, false
 	}
 	_, links, msgs, err = wire.DecodeLinkFrame(nil, nil, buf[:sz])
 	if err != nil {
-		t.Fatalf("node emitted a datagram that is not a link frame: %v", err)
+		p.t.Fatalf("node emitted a datagram that is not a link frame: %v", err)
 	}
 	return links, msgs, true
+}
+
+// Restart closes the socket and, once the node has filled its window
+// toward nobody, binds a fresh one on the same address.
+func (p *rawPeer) Restart() {
+	p.t.Helper()
+	addr := p.raw.LocalAddr().(*net.UDPAddr)
+	p.raw.Close()
+	time.Sleep(50 * time.Millisecond)
+	fresh, err := net.ListenUDP("udp", addr)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	p.raw = fresh
 }
 
 // TestBatchOneIsOneLinkFramePerMessage pins the WithBatch(1) contract at
@@ -87,7 +101,8 @@ func readLinkFrame(t *testing.T, raw *net.UDPConn, d time.Duration) (links []wir
 // peer that cannot acknowledge is dropped, not delivered.
 func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
-	node, rec, raw := rawPeer(t, WithBatch(1))
+	p, rec := recorderAtRawPeer(t, WithBatch(1))
+	node := p.node
 	out := []core.Message{
 		{Instance: "rec", Kind: "K", B: core.Payload{Tag: "m", Num: 42, Blob: []byte("body")}},
 		{Instance: "rec", Kind: "K", B: core.Payload{Tag: "m", Num: 43}},
@@ -99,7 +114,7 @@ func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
 	})
 	var first uint64
 	for i, want := range out {
-		links, msgs, ok := readLinkFrame(t, raw, 5*time.Second)
+		links, msgs, ok := p.Next(5 * time.Second)
 		if !ok {
 			t.Fatalf("no datagram %d from the batch=1 node", i)
 		}
@@ -119,15 +134,12 @@ func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.Message{Instance: "rec", Kind: "K", B: core.Payload{Tag: "windowed", Num: 8}}
-	for _, data := range [][]byte{legacy, linkFrame(t, 0, wire.LinkHeader{Instance: "rec", Seq: 1}, in)} {
-		if _, err := raw.WriteToUDP(data, mustUDPAddr(t, node.Addr())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !waitFor(t, 5*time.Second, func() bool { return len(rec.snapshot()) == 1 }) {
+	p.write(legacy)
+	p.Send([]wire.LinkHeader{{Instance: "rec", Seq: 1}}, in)
+	if !waitFor(t, 5*time.Second, func() bool { return len(rec.Snapshot()) == 1 }) {
 		t.Fatal("link frame was not delivered")
 	}
-	if got := rec.snapshot(); len(got) != 1 || !got[0].Equal(in) {
+	if got := rec.Snapshot(); len(got) != 1 || !got[0].Equal(in) {
 		t.Fatalf("delivered %v, want only %v", got, in)
 	}
 }
@@ -138,13 +150,14 @@ func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
 func TestBatchedSendCoalescesAndCounts(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
 	const burst = 10
-	node, _, raw := rawPeer(t, WithCapacity(burst)) // default batching
+	p, _ := recorderAtRawPeer(t, WithCapacity(burst)) // default batching
+	node := p.node
 	node.Do(func(env core.Env) {
 		for i := 0; i < burst; i++ {
 			env.Send(1, core.Message{Instance: "rec", Kind: "K", B: core.Payload{Num: int64(i)}})
 		}
 	})
-	links, msgs, ok := readLinkFrame(t, raw, 5*time.Second)
+	links, msgs, ok := p.Next(5 * time.Second)
 	if !ok {
 		t.Fatal("no datagram")
 	}
@@ -172,25 +185,22 @@ func TestBatchedSendCoalescesAndCounts(t *testing.T) {
 // peer is unpacked into individual mailbox deliveries.
 func TestLinkFrameDeliveredPerMessage(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
-	node, rec, raw := rawPeer(t)
+	p, rec := recorderAtRawPeer(t)
 	msgs := []core.Message{
 		{Instance: "rec", Kind: "K", B: core.Payload{Num: 1}},
 		{Instance: "rec", Kind: "K", B: core.Payload{Num: 2, Blob: []byte("x")}},
 		{Instance: "rec", Kind: "K", B: core.Payload{Num: 3}},
 	}
-	data := linkFrame(t, 0, wire.LinkHeader{Instance: "rec", Seq: 3}, msgs...)
-	if _, err := raw.WriteToUDP(data, mustUDPAddr(t, node.Addr())); err != nil {
-		t.Fatal(err)
+	p.Send([]wire.LinkHeader{{Instance: "rec", Seq: 3}}, msgs...)
+	if !waitFor(t, 5*time.Second, func() bool { return len(rec.Snapshot()) == len(msgs) }) {
+		t.Fatalf("link frame delivered %d of %d messages", len(rec.Snapshot()), len(msgs))
 	}
-	if !waitFor(t, 5*time.Second, func() bool { return len(rec.snapshot()) == len(msgs) }) {
-		t.Fatalf("link frame delivered %d of %d messages", len(rec.snapshot()), len(msgs))
-	}
-	for i, m := range rec.snapshot() {
+	for i, m := range rec.Snapshot() {
 		if !m.Equal(msgs[i]) {
 			t.Fatalf("delivery %d = %v, want %v", i, m, msgs[i])
 		}
 	}
-	s := node.Stats()
+	s := p.node.Stats()
 	if s.Recvs != int64(len(msgs)) || s.RecvDatagrams != 1 {
 		t.Fatalf("Recvs = %d, RecvDatagrams = %d; want %d and 1", s.Recvs, s.RecvDatagrams, len(msgs))
 	}

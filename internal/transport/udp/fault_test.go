@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/pif"
 )
 
@@ -27,7 +28,7 @@ func faultCluster(t *testing.T, n int, plan *core.FaultPlan) (*Cluster, []*pif.P
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
-	checkWindows(t, c)
+	linktest.CheckWindows(t, c)
 	t.Cleanup(func() { c.Close() })
 	return c, machines
 }
@@ -64,7 +65,7 @@ func TestPIFOverUDPUnderFaultPlan(t *testing.T) {
 		t.Fatal("broadcast over UDP did not survive the fault plan")
 	}
 	var agg core.FaultStats
-	for _, s := range c.NodeStats() {
+	for _, s := range c.TransportStats() {
 		agg.Add(s.Faults)
 	}
 	if agg.Total() == 0 {
@@ -94,7 +95,7 @@ func TestCrashRestartWindowOverUDP(t *testing.T) {
 	if !ok {
 		t.Fatal("broadcast did not complete after the crash window")
 	}
-	if c.nodes[1].Stats().Faults.CrashDrops == 0 {
+	if c.TransportStats()[1].Faults.CrashDrops == 0 {
 		t.Fatal("no arrivals were consumed during the crash window")
 	}
 }

@@ -19,8 +19,6 @@ import (
 	"net/netip"
 	"syscall"
 	"unsafe"
-
-	"github.com/snapstab/snapstab/internal/core"
 )
 
 // mmsgCap is how many datagrams one recvmmsg/sendmmsg call moves at
@@ -42,7 +40,7 @@ type mmsgState struct {
 	rc     syscall.RawConn
 	sendSA [][]byte // per-peer raw sockaddr bytes, fixed after Start
 
-	// sendmmsg scratch, used under n.mu only.
+	// sendmmsg scratch, used under the action mutex only.
 	sIov  []syscall.Iovec
 	sHdrs []mmsghdr
 }
@@ -50,31 +48,31 @@ type mmsgState struct {
 // initTransportIO precomputes raw sockaddrs for every wired peer and
 // grabs the raw connection. Any address the socket's family cannot
 // express disables the raw path wholesale; the portable loop takes over.
-func (n *Node) initTransportIO() {
-	rc, err := n.conn.SyscallConn()
+func (s *socket) initTransportIO() {
+	rc, err := s.conn.SyscallConn()
 	if err != nil {
 		return
 	}
-	la, ok := n.conn.LocalAddr().(*net.UDPAddr)
+	la, ok := s.conn.LocalAddr().(*net.UDPAddr)
 	if !ok {
 		return
 	}
 	v4sock := la.IP.To4() != nil
-	n.mm.sendSA = make([][]byte, len(n.peers))
-	for i, p := range n.peers {
-		if p == nil || core.ProcID(i) == n.self {
+	s.mm.sendSA = make([][]byte, len(s.peers))
+	for i, p := range s.peers {
+		if p == nil {
 			continue
 		}
 		sa := rawSockaddr(p, v4sock)
 		if sa == nil {
 			return
 		}
-		n.mm.sendSA[i] = sa
+		s.mm.sendSA[i] = sa
 	}
-	n.mm.rc = rc
-	n.mm.sIov = make([]syscall.Iovec, mmsgCap)
-	n.mm.sHdrs = make([]mmsghdr, mmsgCap)
-	n.mm.ok = true
+	s.mm.rc = rc
+	s.mm.sIov = make([]syscall.Iovec, mmsgCap)
+	s.mm.sHdrs = make([]mmsghdr, mmsgCap)
+	s.mm.ok = true
 }
 
 // rawSockaddr renders addr as the raw sockaddr bytes the socket's
@@ -111,10 +109,10 @@ func rawSockaddr(addr *net.UDPAddr, v4sock bool) []byte {
 
 // sendFrames writes every rendered frame, packing up to mmsgCap
 // datagrams — across destinations — into each sendmmsg call. Callers
-// hold n.mu.
-func (n *Node) sendFrames(buf []byte, frames []frameRef) {
-	if !n.mm.ok {
-		n.sendFramesLoop(buf, frames)
+// hold the action mutex.
+func (s *socket) sendFrames(buf []byte, frames []frameRef) {
+	if !s.mm.ok {
+		s.sendFramesLoop(buf, frames)
 		return
 	}
 	for start := 0; start < len(frames); {
@@ -124,11 +122,11 @@ func (n *Node) sendFrames(buf []byte, frames []frameRef) {
 		}
 		for j := 0; j < k; j++ {
 			fr := frames[start+j]
-			sa := n.mm.sendSA[fr.to]
-			iov := &n.mm.sIov[j]
+			sa := s.mm.sendSA[fr.to]
+			iov := &s.mm.sIov[j]
 			iov.Base = &buf[fr.off]
 			iov.SetLen(fr.len)
-			h := &n.mm.sHdrs[j].hdr
+			h := &s.mm.sHdrs[j].hdr
 			h.Name = &sa[0]
 			h.Namelen = uint32(len(sa))
 			h.Iov = iov
@@ -136,10 +134,10 @@ func (n *Node) sendFrames(buf []byte, frames []frameRef) {
 		}
 		sent := 0
 		var serr syscall.Errno
-		werr := n.mm.rc.Write(func(fd uintptr) bool {
+		werr := s.mm.rc.Write(func(fd uintptr) bool {
 			for sent < k {
 				v, _, e := syscall.Syscall6(sysSENDMMSG, fd,
-					uintptr(unsafe.Pointer(&n.mm.sHdrs[sent])), uintptr(k-sent), 0, 0, 0)
+					uintptr(unsafe.Pointer(&s.mm.sHdrs[sent])), uintptr(k-sent), 0, 0, 0)
 				if e == syscall.EINTR {
 					continue
 				}
@@ -150,23 +148,23 @@ func (n *Node) sendFrames(buf []byte, frames []frameRef) {
 					serr = e
 					return true
 				}
-				n.sendSyscalls.Add(1)
+				s.cfg.IO.SendSyscalls.Add(1)
 				sent += int(v)
 			}
 			return true
 		})
 		for j := 0; j < sent; j++ {
-			n.frameSent(frames[start+j])
+			s.frameSent(frames[start+j])
 		}
 		if sent < k {
 			for j := sent; j < k; j++ {
-				n.frameFailed(frames[start+j])
+				s.frameFailed(frames[start+j])
 			}
 			if werr != nil || serr != 0 {
 				// Socket-level failure (closed, unreachable): the remaining
 				// chunks would fail identically.
 				for _, fr := range frames[start+k:] {
-					n.frameFailed(fr)
+					s.frameFailed(fr)
 				}
 				return
 			}
@@ -177,7 +175,7 @@ func (n *Node) sendFrames(buf []byte, frames []frameRef) {
 
 // reader pulls up to mmsgCap datagrams per recvmmsg call.
 type reader struct {
-	n     *Node
+	s     *socket
 	ok    bool
 	bufs  [][]byte
 	names []syscall.RawSockaddrAny
@@ -186,16 +184,16 @@ type reader struct {
 	pbuf  []byte // portable fallback
 }
 
-func (n *Node) newReader() *reader {
-	r := &reader{n: n}
-	rc := n.mm.rc
+func (s *socket) newReader() *reader {
+	r := &reader{s: s}
+	rc := s.mm.rc
 	if rc == nil {
 		var err error
-		if rc, err = n.conn.SyscallConn(); err != nil {
+		if rc, err = s.conn.SyscallConn(); err != nil {
 			r.pbuf = make([]byte, 64*1024)
 			return r
 		}
-		n.mm.rc = rc
+		s.mm.rc = rc
 	}
 	r.ok = true
 	r.bufs = make([][]byte, mmsgCap)
@@ -216,10 +214,9 @@ func (n *Node) newReader() *reader {
 
 func (r *reader) read(h func([]byte, netip.AddrPort)) {
 	if !r.ok {
-		r.n.readPortable(r.pbuf, h)
+		r.s.readPortable(r.pbuf, h)
 		return
 	}
-	n := r.n
 	for i := range r.hdrs {
 		// The kernel overwrote these on the previous call.
 		r.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
@@ -227,7 +224,7 @@ func (r *reader) read(h func([]byte, netip.AddrPort)) {
 	}
 	got := 0
 	var serr syscall.Errno
-	err := n.mm.rc.Read(func(fd uintptr) bool {
+	err := r.s.mm.rc.Read(func(fd uintptr) bool {
 		for {
 			v, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
 				uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
@@ -249,8 +246,8 @@ func (r *reader) read(h func([]byte, netip.AddrPort)) {
 	if err != nil || serr != 0 || got == 0 {
 		return // deadline or transient error: try again
 	}
-	n.recvSyscalls.Add(1)
-	n.recvDatagrams.Add(int64(got))
+	r.s.cfg.IO.RecvSyscalls.Add(1)
+	r.s.cfg.IO.RecvFrames.Add(int64(got))
 	for i := 0; i < got; i++ {
 		from, ok := rawToAddrPort(&r.names[i])
 		if !ok {

@@ -11,21 +11,21 @@ import "net/netip"
 
 type mmsgState struct{}
 
-func (n *Node) initTransportIO() {}
+func (s *socket) initTransportIO() {}
 
-func (n *Node) sendFrames(buf []byte, frames []frameRef) {
-	n.sendFramesLoop(buf, frames)
+func (s *socket) sendFrames(buf []byte, frames []frameRef) {
+	s.sendFramesLoop(buf, frames)
 }
 
 type reader struct {
-	n   *Node
+	s   *socket
 	buf []byte
 }
 
-func (n *Node) newReader() *reader {
-	return &reader{n: n, buf: make([]byte, 64*1024)}
+func (s *socket) newReader() *reader {
+	return &reader{s: s, buf: make([]byte, 64*1024)}
 }
 
 func (r *reader) read(h func([]byte, netip.AddrPort)) {
-	r.n.readPortable(r.buf, h)
+	r.s.readPortable(r.buf, h)
 }

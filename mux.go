@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 	tcp "github.com/snapstab/snapstab/internal/transport/tcp"
 	udp "github.com/snapstab/snapstab/internal/transport/udp"
 )
@@ -27,9 +28,20 @@ import (
 // to release the sockets (which also tears down any still-attached
 // clusters).
 type Mux struct {
-	udp      *udp.Mux
-	tcp      *tcp.Mux
+	name     string
+	mux      *engine.Mux
 	capacity int
+}
+
+// newMux builds the shared socket layer with the node-level options —
+// the ones that cannot vary per attached cluster.
+func newMux(name string, build func(int, ...engine.Option) (*engine.Mux, error), sub Substrate, nProcs int, opts []Option) (*Mux, error) {
+	o := buildOptions(append([]Option{WithSubstrate(sub)}, opts...))
+	m, err := build(nProcs, socketOptions(o)...)
+	if err != nil {
+		return nil, err
+	}
+	return &Mux{name: name, mux: m, capacity: o.capacity}, nil
 }
 
 // UDPMux binds one loopback datagram socket per process and returns a
@@ -41,16 +53,7 @@ type Mux struct {
 // the cluster constructors instead. Socket binding failures are
 // returned, not panicked: the mux is built before any cluster exists.
 func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
-	o := buildOptions(append([]Option{WithSubstrate(UDP())}, opts...))
-	uopts := []udp.Option{udp.WithCapacity(o.capacity)}
-	if o.batch > 0 {
-		uopts = append(uopts, udp.WithBatch(o.batch))
-	}
-	m, err := udp.NewMux(nProcs, uopts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Mux{udp: m, capacity: o.capacity}, nil
+	return newMux("udp-mux", udp.NewMux, UDP(), nProcs, opts)
 }
 
 // TCPMux binds one loopback listener per process, dials the full
@@ -59,33 +62,14 @@ func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
 // bounds the frames per vectored write on the shared connections — and
 // WithCapacity; per-cluster options belong to the cluster constructors.
 func TCPMux(nProcs int, opts ...Option) (*Mux, error) {
-	o := buildOptions(append([]Option{WithSubstrate(TCP())}, opts...))
-	topts := []tcp.Option{tcp.WithCapacity(o.capacity)}
-	if o.batch > 0 {
-		topts = append(topts, tcp.WithBatch(o.batch))
-	}
-	m, err := tcp.NewMux(nProcs, topts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Mux{tcp: m, capacity: o.capacity}, nil
+	return newMux("tcp-mux", tcp.NewMux, TCP(), nProcs, opts)
 }
 
 // N returns the process count every attached cluster must match.
-func (m *Mux) N() int {
-	if m.udp != nil {
-		return m.udp.N()
-	}
-	return m.tcp.N()
-}
+func (m *Mux) N() int { return m.mux.N() }
 
 // Addrs returns every node's bound local address.
-func (m *Mux) Addrs() []string {
-	if m.udp != nil {
-		return m.udp.Addrs()
-	}
-	return m.tcp.Addrs()
-}
+func (m *Mux) Addrs() []string { return m.mux.Addrs() }
 
 // Substrate returns the substrate specification that attaches a cluster
 // to this mux. Each cluster constructed with it becomes a fresh group on
@@ -96,35 +80,18 @@ func (m *Mux) Addrs() []string {
 // ceiling and the window were fixed when the mux was built) and are
 // ignored: the cluster's machines are built for the mux's capacity.
 func (m *Mux) Substrate() Substrate {
-	if m.udp != nil {
-		return Substrate{
-			name:          "udp-mux",
-			fixedCapacity: m.capacity,
-			build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-				if len(stacks) != m.udp.N() {
-					return nil, fmt.Errorf("snapstab: %d-process cluster on a %d-process mux", len(stacks), m.udp.N())
-				}
-				return m.udp.Attach(stacks, udpOptions(o, obs)...)
-			},
-		}
-	}
 	return Substrate{
-		name:          "tcp-mux",
+		name:          m.name,
 		fixedCapacity: m.capacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			if len(stacks) != m.tcp.N() {
-				return nil, fmt.Errorf("snapstab: %d-process cluster on a %d-process mux", len(stacks), m.tcp.N())
+			if len(stacks) != m.mux.N() {
+				return nil, fmt.Errorf("snapstab: %d-process cluster on a %d-process mux", len(stacks), m.mux.N())
 			}
-			return m.tcp.Attach(stacks, tcpOptions(o, obs)...)
+			return m.mux.Attach(stacks, groupOptions(o, obs)...)
 		},
 	}
 }
 
 // Close releases the shared sockets, tearing down every still-attached
 // cluster. Idempotent.
-func (m *Mux) Close() error {
-	if m.udp != nil {
-		return m.udp.Close()
-	}
-	return m.tcp.Close()
-}
+func (m *Mux) Close() error { return m.mux.Close() }

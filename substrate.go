@@ -7,6 +7,7 @@ import (
 	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/runtime"
 	"github.com/snapstab/snapstab/internal/sim"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 	tcp "github.com/snapstab/snapstab/internal/transport/tcp"
 	udp "github.com/snapstab/snapstab/internal/transport/udp"
 	"github.com/snapstab/snapstab/internal/window"
@@ -41,7 +42,7 @@ type Substrate struct {
 	name string
 	// defaultCapacity is the channel-capacity bound of a cluster built
 	// without WithCapacity: the paper's 1 on the in-memory engines, the
-	// transports' DefaultCapacity on sockets.
+	// engine's DefaultCapacity on sockets.
 	defaultCapacity int
 	// fixedCapacity, when nonzero, overrides WithCapacity: a mux fixed
 	// its window when its sockets were built.
@@ -126,20 +127,36 @@ func Runtime() Substrate {
 	}
 }
 
-// udpOptions assembles the per-cluster transport options shared by UDP
-// and a UDP mux attachment.
-func udpOptions(o options, obs []core.Observer) []udp.Option {
-	uopts := make([]udp.Option, 0, len(obs)+4)
+// groupOptions assembles the per-cluster transport options: what a
+// dedicated socket substrate and a mux attachment both take.
+func groupOptions(o options, obs []core.Observer) []engine.Option {
+	eopts := make([]engine.Option, 0, len(obs)+4)
 	for _, ob := range obs {
-		uopts = append(uopts, udp.WithObserver(ob))
+		eopts = append(eopts, engine.WithObserver(ob))
 	}
 	if o.topology != nil {
-		uopts = append(uopts, udp.WithTopology(o.topology))
+		eopts = append(eopts, engine.WithTopology(o.topology))
 	}
 	if o.faults != nil {
-		uopts = append(uopts, udp.WithFaults(o.faults))
+		eopts = append(eopts, engine.WithFaults(o.faults))
 	}
-	return uopts
+	return eopts
+}
+
+// socketOptions assembles the node-level transport options: what a
+// dedicated socket substrate takes with its cluster, and a mux fixes
+// when it is built.
+func socketOptions(o options) []engine.Option {
+	eopts := []engine.Option{engine.WithCapacity(o.capacity)}
+	if o.batch > 0 {
+		eopts = append(eopts, engine.WithBatch(o.batch))
+	}
+	return eopts
+}
+
+// nodeOptions is everything a dedicated socket substrate takes.
+func nodeOptions(o options, obs []core.Observer) []engine.Option {
+	return append(groupOptions(o, obs), socketOptions(o)...)
 }
 
 // UDP selects the loopback datagram transport: one socket per process,
@@ -154,41 +171,11 @@ func udpOptions(o options, obs []core.Observer) []udp.Option {
 func UDP() Substrate {
 	return Substrate{
 		name:            "udp",
-		defaultCapacity: udp.DefaultCapacity,
+		defaultCapacity: engine.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			uopts := append(udpOptions(o, obs), udp.WithCapacity(o.capacity))
-			if o.batch > 0 {
-				uopts = append(uopts, udp.WithBatch(o.batch))
-			}
-			return udp.NewCluster(stacks, uopts...)
+			return udp.NewCluster(stacks, nodeOptions(o, obs)...)
 		},
 	}
-}
-
-// tcpOptions assembles the per-cluster transport options shared by TCP,
-// TCPHost and a TCP mux attachment.
-func tcpOptions(o options, obs []core.Observer, extra ...tcp.Option) []tcp.Option {
-	topts := append([]tcp.Option(nil), extra...)
-	for _, ob := range obs {
-		topts = append(topts, tcp.WithObserver(ob))
-	}
-	if o.topology != nil {
-		topts = append(topts, tcp.WithTopology(o.topology))
-	}
-	if o.faults != nil {
-		topts = append(topts, tcp.WithFaults(o.faults))
-	}
-	return topts
-}
-
-// tcpNodeOptions adds the node-level options of a dedicated TCP
-// substrate (a mux fixed them when it was built).
-func tcpNodeOptions(o options, obs []core.Observer) []tcp.Option {
-	topts := tcpOptions(o, obs, tcp.WithCapacity(o.capacity))
-	if o.batch > 0 {
-		topts = append(topts, tcp.WithBatch(o.batch))
-	}
-	return topts
 }
 
 // TCP selects the loopback stream transport: one listener per process,
@@ -205,9 +192,9 @@ func tcpNodeOptions(o options, obs []core.Observer) []tcp.Option {
 func TCP() Substrate {
 	return Substrate{
 		name:            "tcp",
-		defaultCapacity: tcp.DefaultCapacity,
+		defaultCapacity: engine.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			return tcp.NewCluster(stacks, tcpNodeOptions(o, obs)...)
+			return tcp.NewCluster(stacks, nodeOptions(o, obs)...)
 		},
 	}
 }
@@ -237,14 +224,14 @@ type TCPFleet struct {
 func TCPHost(f TCPFleet) Substrate {
 	return Substrate{
 		name:            "tcp-host",
-		defaultCapacity: tcp.DefaultCapacity,
+		defaultCapacity: engine.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			cfg := tcp.HostConfig{
 				Self:   core.ProcID(f.Self),
 				Listen: f.Listen,
 				Peers:  f.Peers,
 			}
-			return tcp.NewHost(cfg, stacks, tcpNodeOptions(o, obs)...)
+			return tcp.NewHost(cfg, stacks, nodeOptions(o, obs)...)
 		},
 	}
 }
