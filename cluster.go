@@ -9,14 +9,29 @@ import (
 	"github.com/snapstab/snapstab/internal/config"
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/rng"
-	"github.com/snapstab/snapstab/internal/runtime"
 	"github.com/snapstab/snapstab/internal/sim"
-	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // ErrClosed is returned by requests that were aborted because the
 // cluster was closed.
 var ErrClosed = errors.New("snapstab: cluster closed")
+
+// Cluster is what all seven cluster families share: the part a tool
+// needs to host, corrupt, count and tear down a cluster whatever
+// protocol it runs (the request calls are the family's own).
+type Cluster interface {
+	// N returns the number of processes.
+	N() int
+	// Close aborts in-flight requests and releases the substrate.
+	Close() error
+	// CorruptEverything drives the cluster into an arbitrary initial
+	// configuration, reproducible from the seed.
+	CorruptEverything(seed uint64)
+	// TransportStats returns one entry of transport counters per process.
+	TransportStats() []TransportStats
+	// FaultStats returns the injected-fault totals.
+	FaultStats() FaultStats
+}
 
 // clusterCore is the substrate-facing half shared by every cluster type:
 // it owns the built substrate, the cluster lifetime context, and the
@@ -26,8 +41,7 @@ type clusterCore struct {
 	opt    options
 	stacks []core.Stack
 	sub    core.Substrate
-	simNet *sim.Network    // non-nil on the deterministic substrate
-	rtNet  *runtime.Engine // non-nil on the concurrent in-memory substrate
+	simNet *sim.Network // non-nil on the deterministic substrate
 
 	ctx       context.Context
 	cancel    context.CancelFunc
@@ -69,7 +83,6 @@ func (c *clusterCore) init(o options, stacks []core.Stack, obs ...core.Observer)
 	}
 	c.sub = sub
 	c.simNet, _ = sub.(*sim.Network)
-	c.rtNet, _ = sub.(*runtime.Engine)
 	c.reqMu = make([]sync.Mutex, sub.N())
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 }
@@ -126,7 +139,7 @@ type LinkStats struct {
 // on every substrate (the mirror of core.TransportStats).
 type TransportStats struct {
 	// Addr is the node's bound local address ("" on the in-memory
-	// substrates, which have no transport).
+	// substrates, which have no sockets).
 	Addr string
 	// Sends counts messages successfully handed to the network.
 	Sends int64
@@ -137,7 +150,8 @@ type TransportStats struct {
 	// backlogged connections).
 	SendDrops int64
 	// MailboxDrops counts messages dropped at a full receive mailbox
-	// (the model's lose-on-full rule).
+	// (the model's lose-on-full rule); on Runtime, the arrivals
+	// WithLossRate dropped.
 	MailboxDrops int64
 	// Redials counts reconnection attempts (TCP's dial/accept lifecycle
 	// re-establishing lost connections; zero elsewhere).
@@ -174,14 +188,11 @@ type TransportStats struct {
 }
 
 // TransportStats returns one entry per process on every substrate: real
-// socket counters on the network substrates (UDP, TCP), zero-valued
-// entries on the in-memory ones (sim, runtime), which have no transport.
+// socket counters on the network substrates (UDP, TCP), the message
+// counters (Sends, Recvs, SendDrops, Faults) on Runtime, and zero-valued
+// entries on Sim, which counts per network (see Stats).
 func (c *clusterCore) TransportStats() []TransportStats {
-	ts, ok := c.sub.(core.TransportStatser)
-	if !ok {
-		return nil
-	}
-	stats := ts.TransportStats()
+	stats := c.sub.TransportStats()
 	out := make([]TransportStats, len(stats))
 	for i, s := range stats {
 		out[i] = TransportStats{
@@ -257,9 +268,7 @@ func (c *clusterCore) describeErr(err error, label string, p int) error {
 		return nil
 	case errors.As(err, &budget):
 		return fmt.Errorf("%w: %s at %d", ErrBudget, label, p)
-	case errors.Is(err, sim.ErrClosed), errors.Is(err, runtime.ErrStopped),
-		errors.Is(err, engine.ErrStopped),
-		c.ctx.Err() != nil:
+	case errors.Is(err, core.ErrClosed), c.ctx.Err() != nil:
 		return fmt.Errorf("%w: %s at %d", ErrClosed, label, p)
 	}
 	return fmt.Errorf("snapstab: %s at %d: %w", label, p, err)

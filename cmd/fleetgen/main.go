@@ -32,13 +32,14 @@ import (
 	"path/filepath"
 	"strings"
 
+	snapstab "github.com/snapstab/snapstab"
 	"github.com/snapstab/snapstab/internal/deploy"
 )
 
 func main() {
 	var (
 		n        = flag.Int("n", 5, "fleet size (2..1000)")
-		protocol = flag.String("protocol", "typed", "cluster type: pif, typed, idl, mutex, reset, snap, forward")
+		protocol = flag.String("protocol", "typed", "cluster type: "+strings.Join(snapstab.Protocols, ", "))
 		outDir   = flag.String("out", "", "output directory (required; created if missing)")
 		mode     = flag.String("mode", "all", "comma-separated artifacts: shell, tmux, compose, or all")
 		host     = flag.String("host", "127.0.0.1", "bind/dial host for the shell and tmux layouts")

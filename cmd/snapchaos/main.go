@@ -3,11 +3,13 @@
 // on any (or every) execution substrate — and asserts the
 // snap-stabilization specification for each request it starts.
 //
-// Each scenario is a seeded core.FaultPlan (installed through
-// snapstab.WithFaults) describing one shape of network adversity: flaky
-// links, a split-brain partition that heals, a duplicate storm, payload
-// corruption on top of a corrupted initial configuration, or a rolling
-// crash-restart sweep. The paper's guarantee is that EVERY started
+// The first two scenarios are the paper's own setting, with no adversary
+// on the network: a clean start, and every variable corrupted before the
+// first request. Each of the others is a seeded core.FaultPlan (installed
+// through snapstab.WithFaults) describing one shape of network adversity:
+// flaky links, a split-brain partition that heals, a duplicate storm,
+// payload corruption on top of a corrupted initial configuration, or a
+// rolling crash-restart sweep. The paper's guarantee is that EVERY started
 // request satisfies its specification from an ARBITRARY configuration
 // under loss, duplication, and reordering; snapchaos is that claim run in
 // anger. Assertions are end-to-end spec projections: PIF feedback is
@@ -23,7 +25,12 @@
 //	snapchaos                                  # everything × everything
 //	snapchaos -scenario split-brain -substrate udp
 //	snapchaos -protocol mutex -n 5 -seed 7
+//	snapchaos -scenario corrupted-start -protocol forward -substrate tcp -topology tree
 //	snapchaos -list
+//
+// A selection of exactly one run (one scenario, one protocol, one
+// substrate) also prints every node's transport counters, as does any
+// failed run: the drop columns are the first diagnostic for a timeout.
 //
 // Exit status 1 when any run fails; -failures FILE appends one
 // reproduction line per failure (scenario, protocol, substrate, n, seed)
@@ -35,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,7 +52,7 @@ import (
 func main() {
 	var (
 		scenarioF  = flag.String("scenario", "all", "scenario to run (-list to enumerate), or all")
-		protocolF  = flag.String("protocol", "all", "cluster type: pif, typed, idl, mutex, reset, snap, or all")
+		protocolF  = flag.String("protocol", "all", "cluster type: "+strings.Join(snapstab.Protocols, ", ")+", or all")
 		substrateF = flag.String("substrate", "all", "execution substrate: sim, runtime, udp, tcp, or all")
 		n          = flag.Int("n", 4, "number of processes (>= 2)")
 		topologyF  = flag.String("topology", "", "route over this graph: a family name (complete, ring, line, star, tree, gnp:<p>) or a graph.txt file; default = each protocol's native graph")
@@ -130,7 +138,7 @@ func run(w io.Writer, cfg config) (failed []string, err error) {
 	if err != nil {
 		return nil, err
 	}
-	prots, err := expand(cfg.Protocol, protocolNames)
+	prots, err := expand(cfg.Protocol, snapstab.Protocols)
 	if err != nil {
 		return nil, err
 	}
@@ -147,15 +155,12 @@ func run(w io.Writer, cfg config) (failed []string, err error) {
 		// asking for an unsupported combination by name is an error.
 		var supported []string
 		for _, p := range prots {
-			if supportsTopology(p, topo) {
+			if snapstab.CheckTopology(p, topo) == nil {
 				supported = append(supported, p)
 			}
 		}
 		if len(supported) == 0 {
 			return nil, fmt.Errorf("no selected protocol can run over topology %q", cfg.Topology)
-		}
-		if cfg.Protocol != "all" && len(supported) < len(prots) {
-			return nil, fmt.Errorf("protocol %q cannot run over topology %q", cfg.Protocol, cfg.Topology)
 		}
 		prots = supported
 	}
@@ -165,13 +170,16 @@ func run(w io.Writer, cfg config) (failed []string, err error) {
 	}
 
 	total := 0
-	for _, scName := range scs {
-		sc := scenarioByName(scName)
+	single := len(scs)*len(subs)*len(prots) == 1
+	for _, sc := range scenarios {
+		if !slices.Contains(scs, sc.name) {
+			continue
+		}
 		for _, sub := range subs {
 			for _, prot := range prots {
 				total++
 				start := time.Now()
-				runErr := runOne(sc, prot, sub, cfg)
+				stats, runErr := runOne(sc, prot, sub, cfg)
 				elapsed := time.Since(start).Round(time.Millisecond)
 				if runErr != nil {
 					fmt.Fprintf(w, "FAIL %-22s %-6s %-8s n=%d seed=%d %8s  %v\n",
@@ -179,10 +187,20 @@ func run(w io.Writer, cfg config) (failed []string, err error) {
 					failed = append(failed, fmt.Sprintf(
 						"scenario=%s protocol=%s substrate=%s n=%d seed=%d err=%q",
 						sc.name, prot, sub, cfg.N, cfg.Seed, runErr))
-					continue
+				} else {
+					fmt.Fprintf(w, "ok   %-22s %-6s %-8s n=%d seed=%d %8s\n",
+						sc.name, prot, sub, cfg.N, cfg.Seed, elapsed)
 				}
-				fmt.Fprintf(w, "ok   %-22s %-6s %-8s n=%d seed=%d %8s\n",
-					sc.name, prot, sub, cfg.N, cfg.Seed, elapsed)
+				if single || runErr != nil {
+					// Sender-side drops (refused or failed sends) and
+					// receiver-side drops (full mailboxes, the model's
+					// lose-on-full rule) are kept apart, mirroring
+					// EvSendLost vs EvLose.
+					for i, s := range stats {
+						fmt.Fprintf(w, "  node %d: sent=%d send-drops=%d mailbox-drops=%d\n",
+							i, s.Sends, s.SendDrops, s.MailboxDrops)
+					}
+				}
 			}
 		}
 	}

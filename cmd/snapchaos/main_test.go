@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -25,8 +26,8 @@ func TestGauntletOnSim(t *testing.T) {
 	if len(failed) > 0 {
 		t.Fatalf("failed runs:\n%s\noutput:\n%s", strings.Join(failed, "\n"), out.String())
 	}
-	// 5 scenarios x 7 protocols (forwarding included since PR 6).
-	if !strings.Contains(out.String(), "35/35 runs passed") {
+	// 7 scenarios x 7 protocols.
+	if !strings.Contains(out.String(), "49/49 runs passed") {
 		t.Fatalf("unexpected summary:\n%s", out.String())
 	}
 }
@@ -68,25 +69,45 @@ func TestGauntletTopologyNarrowsMatrix(t *testing.T) {
 }
 
 // TestGauntletOneConcurrentRun smoke-tests the real-concurrency path the
-// nightly exercises in full: one scenario on the runtime substrate.
+// nightly exercises in full: one adversarial scenario on the runtime
+// substrate, and the paper's own setting — a corrupted start, no
+// adversary — over loopback sockets. A selection of exactly one run
+// prints every node's transport counters.
 func TestGauntletOneConcurrentRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrent gauntlet skipped in -short mode")
 	}
-	var out strings.Builder
-	failed, err := run(&out, config{
-		Scenario:  "flaky-links",
-		Protocol:  "pif",
-		Substrate: "runtime",
-		N:         3,
-		Seed:      2,
-		Timeout:   time.Minute,
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(failed) > 0 {
-		t.Fatalf("failed runs:\n%s\noutput:\n%s", strings.Join(failed, "\n"), out.String())
+	for _, tc := range []struct {
+		scenario, protocol, substrate string
+		seed                          uint64
+	}{
+		{"flaky-links", "pif", "runtime", 2},
+		{"corrupted-start", "pif", "udp", 2},
+		{"corrupted-start", "forward", "tcp", 2},
+	} {
+		var out strings.Builder
+		failed, err := run(&out, config{
+			Scenario:  tc.scenario,
+			Protocol:  tc.protocol,
+			Substrate: tc.substrate,
+			N:         3,
+			Seed:      tc.seed,
+			Timeout:   time.Minute,
+		})
+		if err != nil {
+			t.Fatalf("%+v: run: %v", tc, err)
+		}
+		if len(failed) > 0 {
+			t.Fatalf("%+v: failed runs:\n%s\noutput:\n%s", tc, strings.Join(failed, "\n"), out.String())
+		}
+		for node := 0; node < 3; node++ {
+			if want := fmt.Sprintf("node %d: sent=", node); !strings.Contains(out.String(), want) {
+				t.Errorf("%+v: single-run output lacks %q:\n%s", tc, want, out.String())
+			}
+		}
+		if strings.Contains(out.String(), "sent=0 ") {
+			t.Errorf("%+v: a node reports no sends:\n%s", tc, out.String())
+		}
 	}
 }
 
@@ -130,5 +151,9 @@ func TestFailureDescriptorsAreReproducible(t *testing.T) {
 		if !strings.Contains(failed[0], want) {
 			t.Fatalf("descriptor %q missing %q", failed[0], want)
 		}
+	}
+	// A failed run always prints its per-node counters.
+	if !strings.Contains(out.String(), "node 0: sent=") {
+		t.Fatalf("failed run printed no per-node counters:\n%s", out.String())
 	}
 }

@@ -9,30 +9,7 @@ import (
 	snapstab "github.com/snapstab/snapstab"
 )
 
-var (
-	protocolNames  = []string{"pif", "typed", "idl", "mutex", "reset", "snap", "forward"}
-	substrateNames = []string{"sim", "runtime", "udp", "tcp"}
-)
-
-// completeOnly names the protocols that assume the paper's fully
-// connected network; a sparse -topology excludes them from the matrix.
-var completeOnly = map[string]bool{"idl": true, "mutex": true, "reset": true, "snap": true}
-
-// supportsTopology reports whether the protocol can run over topo (zero
-// topo = every protocol's default graph: complete for the paper's
-// protocols, Line(n) for forwarding).
-func supportsTopology(protocol string, topo snapstab.Topology) bool {
-	if topo.IsZero() {
-		return true
-	}
-	switch {
-	case protocol == "forward":
-		return topo.IsTree()
-	case completeOnly[protocol]:
-		return topo.IsComplete()
-	}
-	return topo.Connected() // pif, typed: any connected graph (neighbourhood computation)
-}
+var substrateNames = []string{"sim", "runtime", "udp", "tcp"}
 
 // scenario is one named shape of network adversity.
 type scenario struct {
@@ -40,7 +17,8 @@ type scenario struct {
 	desc string
 	// plan builds the fault plan for an n-process cluster on substrate
 	// sub ("sim" ticks are scheduler steps; on the real-time substrates —
-	// runtime, udp, tcp — ticks are milliseconds of wall time).
+	// runtime, udp, tcp — ticks are milliseconds of wall time). A nil
+	// plan is no adversary: the cluster is built without a fault plane.
 	plan func(n int, sub string, seed uint64) snapstab.FaultPlan
 	// corrupt additionally drives the cluster into an arbitrary initial
 	// configuration before the first request.
@@ -60,6 +38,15 @@ func ticks(sub string, steps, ms int64) int64 {
 // scenarios is the library. Every plan is a pure function of (n,
 // substrate, seed), so a failing run reproduces from its descriptor line.
 var scenarios = []scenario{
+	{
+		name: "clean",
+		desc: "the paper's setting without faults: no adversary, clean start",
+	},
+	{
+		name:    "corrupted-start",
+		desc:    "the paper's claim itself: no adversary, every variable corrupted before the first request",
+		corrupt: true,
+	},
 	{
 		name:    "flaky-links",
 		desc:    "moderate drop + duplicate + reorder + delay + corruption on every link, from a corrupted start",
@@ -131,15 +118,6 @@ var scenarios = []scenario{
 	},
 }
 
-func scenarioByName(name string) scenario {
-	for _, sc := range scenarios {
-		if sc.name == name {
-			return sc
-		}
-	}
-	panic("snapchaos: unknown scenario " + name)
-}
-
 // corruptsAnywhere reports whether the plan can garble payloads on any
 // link — the default policy or any per-link override.
 func corruptsAnywhere(plan snapstab.FaultPlan) bool {
@@ -169,86 +147,89 @@ func substrateOf(sub string) snapstab.Substrate {
 	panic("snapchaos: unknown substrate " + sub)
 }
 
-// runOne builds one cluster under the scenario's plan and drives the
-// protocol's request script to its spec verdict.
-func runOne(sc scenario, protocol, sub string, cfg config) error {
-	plan := sc.plan(cfg.N, sub, cfg.Seed)
-	if protocol == "forward" && sub != "sim" && corruptsAnywhere(plan) {
-		// In-flight payload corruption is beyond the channel model
-		// (channels lose, duplicate, and reorder — they do not forge). For
-		// the request-response protocols a forged echo decides a wrong
-		// value and the value assertions are relaxed below; for forwarding
-		// a forged acceptance transition DISPLACES the genuine item — a
-		// loss, which the spec can never tolerate. On the deterministic
-		// substrate the pinned seeds decide genuinely; on the concurrent
-		// substrates the corruption knob alone is switched off, keeping
-		// the scenario's losses, duplicates, and reorders.
-		plan.Default.CorruptRate = 0
-		for sel, f := range plan.Links {
-			f.CorruptRate = 0
-			plan.Links[sel] = f
-		}
-	}
+// script drives one built cluster through its protocol's requests to the
+// spec verdict. tolerateForged relaxes the value-exact assertions (see
+// runOne).
+type script func(ctx context.Context, tolerateForged bool) error
+
+// families maps each name of snapstab.Protocols to its builder.
+var families = map[string]func(cfg config, opts []snapstab.Option) (snapstab.Cluster, script){
+	"pif":     newPIF,
+	"typed":   newTyped,
+	"idl":     newIDL,
+	"mutex":   newMutex,
+	"reset":   newReset,
+	"snap":    newSnap,
+	"forward": newForward,
+}
+
+// runOne builds one cluster under the scenario's plan, drives the
+// protocol's request script to its spec verdict, and tears the cluster
+// down, returning its final per-node counters. An otherwise successful
+// run fails if any link's in-flight count ever exceeded the capacity
+// bound the transport claims to enforce (vacuous on sim and runtime,
+// which report no links).
+func runOne(sc scenario, protocol, sub string, cfg config) ([]snapstab.TransportStats, error) {
 	opts := []snapstab.Option{
 		snapstab.WithSubstrate(substrateOf(sub)),
 		snapstab.WithSeed(cfg.Seed),
-		snapstab.WithFaults(plan),
+	}
+	tolerateForged := false
+	if sc.plan != nil {
+		plan := sc.plan(cfg.N, sub, cfg.Seed)
+		if protocol == "forward" && sub != "sim" && corruptsAnywhere(plan) {
+			// In-flight payload corruption is beyond the channel model
+			// (channels lose, duplicate, and reorder — they do not forge).
+			// For the request-response protocols a forged echo decides a
+			// wrong value and the value assertions are relaxed below; for
+			// forwarding a forged acceptance transition DISPLACES the
+			// genuine item — a loss, which the spec can never tolerate. On
+			// the deterministic substrate the pinned seeds decide
+			// genuinely; on the concurrent substrates the corruption knob
+			// alone is switched off, keeping the scenario's losses,
+			// duplicates, and reorders.
+			plan.Default.CorruptRate = 0
+			for sel, f := range plan.Links {
+				f.CorruptRate = 0
+				plan.Links[sel] = f
+			}
+		}
+		opts = append(opts, snapstab.WithFaults(plan))
+		// In-flight payload corruption is an adversary BEYOND the paper's
+		// channel model. The flag discipline rejects every STALE value,
+		// and on the deterministic substrate the chosen seeds decide on
+		// genuine values; but on the concurrent substrates a corrupted
+		// message can, with small probability per run, carry the exact
+		// echo the final handshake round expects, and the decided
+		// acknowledgment is then the forgery. Value-exact assertions
+		// therefore run everywhere EXCEPT that combination, where a
+		// garbled acknowledgment is tolerated (the request must still
+		// decide with full feedback — liveness and termination stay
+		// asserted).
+		tolerateForged = sub != "sim" && corruptsAnywhere(plan)
 	}
 	if !cfg.Topo.IsZero() {
 		opts = append(opts, snapstab.WithTopology(cfg.Topo))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
-	// In-flight payload corruption is an adversary BEYOND the paper's
-	// channel model (channels lose, duplicate, and reorder — they do not
-	// forge). The flag discipline rejects every STALE value, and on the
-	// deterministic substrate the chosen seeds decide on genuine values;
-	// but on the concurrent substrates a corrupted message can, with
-	// small probability per run, carry the exact echo the final
-	// handshake round expects, and the decided acknowledgment is then
-	// the forgery. Value-exact assertions therefore run everywhere
-	// EXCEPT that combination, where a garbled acknowledgment is
-	// tolerated (the request must still decide with full feedback —
-	// liveness and termination stay asserted).
-	tolerateForged := sub != "sim" && corruptsAnywhere(plan)
-	switch protocol {
-	case "pif":
-		return runPIF(ctx, sc, cfg, opts, tolerateForged)
-	case "typed":
-		return runTyped(ctx, sc, cfg, opts, tolerateForged)
-	case "idl":
-		return runIDL(ctx, sc, cfg, opts, tolerateForged)
-	case "mutex":
-		return runMutex(ctx, sc, cfg, opts, tolerateForged)
-	case "reset":
-		return runReset(ctx, sc, cfg, opts, tolerateForged)
-	case "snap":
-		return runSnap(ctx, sc, cfg, opts, tolerateForged)
-	case "forward":
-		return runForward(ctx, sc, cfg, opts)
+
+	c, drive := families[protocol](cfg, opts)
+	if sc.corrupt {
+		c.CorruptEverything(cfg.Seed * 7)
 	}
-	panic("snapchaos: unknown protocol " + protocol)
-}
-
-// windowed is what every cluster offers the teardown assertion.
-type windowed interface {
-	Close() error
-	TransportStats() []snapstab.TransportStats
-}
-
-// closeChecked tears c down and fails an otherwise successful run if any
-// link's in-flight count ever exceeded the capacity bound the transport
-// claims to enforce (vacuous on sim and runtime, which report no links).
-func closeChecked(c windowed, err *error) {
+	err := drive(ctx, tolerateForged)
 	c.Close()
-	for p, s := range c.TransportStats() {
+	stats := c.TransportStats()
+	for p, s := range stats {
 		for _, l := range s.Links {
-			if l.PeakInFlight > s.Capacity && *err == nil {
-				*err = fmt.Errorf("capacity bound broken: link %d->%d peaked at %d messages in flight, capacity %d",
+			if l.PeakInFlight > s.Capacity && err == nil {
+				err = fmt.Errorf("capacity bound broken: link %d->%d peaked at %d messages in flight, capacity %d",
 					p, l.Peer, l.PeakInFlight, s.Capacity)
 			}
 		}
 	}
+	return stats, err
 }
 
 // participants returns how many processes take part in a PIF computation
@@ -261,51 +242,39 @@ func (c config) participants() int {
 	return c.Topo.Degree(0)
 }
 
-// ids returns the distinct identifier set used by the identifier-based
-// clusters.
-func ids(n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(i*13 + 5)
-	}
-	return out
-}
-
-func runPIF(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
+func newPIF(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	c := snapstab.NewPIFCluster(cfg.N, opts...)
-	defer closeChecked(c, &err)
-	if sc.corrupt {
-		c.CorruptEverything(cfg.Seed * 7)
+	return c, func(ctx context.Context, tolerateForged bool) error {
+		for round := int64(0); round < 2; round++ {
+			token := 1000*(cfg.SeedToken()) + round
+			// On the deterministic substrate the internal Specification 1
+			// checker judges the computation event by event.
+			armed := c.ArmSpec(0, "chaos", token) == nil
+			req := c.BroadcastAsync(0, "chaos", token)
+			if err := req.Wait(ctx); err != nil {
+				return fmt.Errorf("broadcast round %d: %w", round, err)
+			}
+			fb := req.Feedbacks()
+			if want := cfg.participants(); len(fb) != want {
+				return fmt.Errorf("broadcast round %d: %d feedbacks, want %d", round, len(fb), want)
+			}
+			for _, f := range fb {
+				if f.Value.Num != token*1000+int64(f.From) && !tolerateForged {
+					return fmt.Errorf("broadcast round %d: feedback %+v not derived from this broadcast", round, f)
+				}
+			}
+			if armed {
+				rep := c.SpecReport()
+				if !rep.Started || !rep.Decided {
+					return fmt.Errorf("spec checker: started=%v decided=%v", rep.Started, rep.Decided)
+				}
+				if len(rep.Violations) > 0 {
+					return fmt.Errorf("specification 1 violated: %v", rep.Violations)
+				}
+			}
+		}
+		return nil
 	}
-	for round := int64(0); round < 2; round++ {
-		token := 1000*(cfg.SeedToken()) + round
-		// On the deterministic substrate the internal Specification 1
-		// checker judges the computation event by event.
-		armed := c.ArmSpec(0, "chaos", token) == nil
-		req := c.BroadcastAsync(0, "chaos", token)
-		if err := req.Wait(ctx); err != nil {
-			return fmt.Errorf("broadcast round %d: %w", round, err)
-		}
-		fb := req.Feedbacks()
-		if want := cfg.participants(); len(fb) != want {
-			return fmt.Errorf("broadcast round %d: %d feedbacks, want %d", round, len(fb), want)
-		}
-		for _, f := range fb {
-			if f.Value.Num != token*1000+int64(f.From) && !tolerateForged {
-				return fmt.Errorf("broadcast round %d: feedback %+v not derived from this broadcast", round, f)
-			}
-		}
-		if armed {
-			rep := c.SpecReport()
-			if !rep.Started || !rep.Decided {
-				return fmt.Errorf("spec checker: started=%v decided=%v", rep.Started, rep.Decided)
-			}
-			if len(rep.Violations) > 0 {
-				return fmt.Errorf("specification 1 violated: %v", rep.Violations)
-			}
-		}
-	}
-	return nil
 }
 
 // SeedToken derives a small per-config token base so payloads differ
@@ -320,161 +289,151 @@ type chaosDoc struct {
 	Body  []byte `json:"body"`
 }
 
-// runTyped drives the generic JSON cluster through the scenario: a 4KiB
+// newTyped drives the generic JSON cluster through the scenario: a 4KiB
 // struct payload is broadcast under the fault plan and every decided
 // feedback must decode byte-identical to the echo of the broadcast —
-// the blob transit counterpart of runPIF's value-exact Num assertion.
-func runTyped(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
+// the blob transit counterpart of newPIF's value-exact Num assertion.
+func newTyped(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	c := snapstab.NewTypedPIFCluster(cfg.N, snapstab.JSON[chaosDoc](), opts...)
-	defer closeChecked(c, &err)
-	if sc.corrupt {
-		c.CorruptEverything(cfg.Seed * 7)
-	}
-	body := make([]byte, 4096)
-	for i := range body {
-		body[i] = byte(uint64(i)*2654435761 + cfg.Seed)
-	}
-	for round := int64(0); round < 2; round++ {
-		doc := chaosDoc{Round: round, Seed: cfg.Seed, Body: body}
-		armed := c.ArmSpec(0, doc) == nil
-		req := c.BroadcastAsync(0, doc)
-		if err := req.Wait(ctx); err != nil {
-			return fmt.Errorf("typed broadcast round %d: %w", round, err)
+	return c, func(ctx context.Context, tolerateForged bool) error {
+		body := make([]byte, 4096)
+		for i := range body {
+			body[i] = byte(uint64(i)*2654435761 + cfg.Seed)
 		}
-		fb := req.Feedbacks()
-		if want := cfg.participants(); len(fb) != want {
-			return fmt.Errorf("typed round %d: %d feedbacks, want %d", round, len(fb), want)
-		}
-		if !tolerateForged {
-			for _, f := range fb {
-				if f.Err != nil {
-					return fmt.Errorf("typed round %d: feedback from %d undecodable: %w", round, f.From, f.Err)
-				}
-				if f.Value.Round != round || f.Value.Seed != cfg.Seed || !bytes.Equal(f.Value.Body, body) {
-					return fmt.Errorf("typed round %d: feedback from %d not the byte-identical echo", round, f.From)
+		for round := int64(0); round < 2; round++ {
+			doc := chaosDoc{Round: round, Seed: cfg.Seed, Body: body}
+			armed := c.ArmSpec(0, doc) == nil
+			req := c.BroadcastAsync(0, doc)
+			if err := req.Wait(ctx); err != nil {
+				return fmt.Errorf("typed broadcast round %d: %w", round, err)
+			}
+			fb := req.Feedbacks()
+			if want := cfg.participants(); len(fb) != want {
+				return fmt.Errorf("typed round %d: %d feedbacks, want %d", round, len(fb), want)
+			}
+			if !tolerateForged {
+				for _, f := range fb {
+					if f.Err != nil {
+						return fmt.Errorf("typed round %d: feedback from %d undecodable: %w", round, f.From, f.Err)
+					}
+					if f.Value.Round != round || f.Value.Seed != cfg.Seed || !bytes.Equal(f.Value.Body, body) {
+						return fmt.Errorf("typed round %d: feedback from %d not the byte-identical echo", round, f.From)
+					}
 				}
 			}
+			if armed {
+				rep := c.SpecReport()
+				if !rep.Started || !rep.Decided {
+					return fmt.Errorf("typed spec checker: started=%v decided=%v", rep.Started, rep.Decided)
+				}
+				if !rep.ValueChecked {
+					return fmt.Errorf("typed spec checker: default echo receiver must be value-checked")
+				}
+				if len(rep.Violations) > 0 {
+					return fmt.Errorf("typed specification 1 violated: %v", rep.Violations)
+				}
+			}
 		}
-		if armed {
-			rep := c.SpecReport()
-			if !rep.Started || !rep.Decided {
-				return fmt.Errorf("typed spec checker: started=%v decided=%v", rep.Started, rep.Decided)
-			}
-			if !rep.ValueChecked {
-				return fmt.Errorf("typed spec checker: default echo receiver must be value-checked")
-			}
-			if len(rep.Violations) > 0 {
-				return fmt.Errorf("typed specification 1 violated: %v", rep.Violations)
-			}
-		}
-	}
-	return nil
-}
-
-func runIDL(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
-	idlist := ids(cfg.N)
-	c := snapstab.NewIDCluster(idlist, opts...)
-	defer closeChecked(c, &err)
-	if sc.corrupt {
-		c.CorruptEverything(cfg.Seed * 7)
-	}
-	req := c.LearnAsync(0)
-	if err := req.Wait(ctx); err != nil {
-		return fmt.Errorf("learn: %w", err)
-	}
-	if tolerateForged {
 		return nil
 	}
-	if req.MinID() != idlist[0] {
-		return fmt.Errorf("learn: minID = %d, want %d", req.MinID(), idlist[0])
-	}
-	for q, id := range req.Table() {
-		if id != idlist[q] {
-			return fmt.Errorf("learn: table[%d] = %d, want %d", q, id, idlist[q])
-		}
-	}
-	return nil
 }
 
-func runMutex(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
-	c := snapstab.NewMutexCluster(ids(cfg.N), opts...)
-	defer closeChecked(c, &err)
-	if sc.corrupt {
-		c.CorruptEverything(cfg.Seed * 7)
-	}
-	// Every process requests the critical section concurrently; the
-	// internal MutexChecker watches Specification 3 the whole time.
-	entered := make([]bool, cfg.N)
-	reqs := make([]*snapstab.Request, cfg.N)
-	for p := 0; p < cfg.N; p++ {
-		p := p
-		reqs[p] = c.AcquireAsync(p, func() { entered[p] = true })
-	}
-	for p, req := range reqs {
+func newIDL(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
+	idlist := snapstab.FleetIDs(cfg.N)
+	c := snapstab.NewIDCluster(idlist, opts...)
+	return c, func(ctx context.Context, tolerateForged bool) error {
+		req := c.LearnAsync(0)
 		if err := req.Wait(ctx); err != nil {
-			return fmt.Errorf("acquire at %d: %w", p, err)
+			return fmt.Errorf("learn: %w", err)
 		}
-	}
-	for p, ok := range entered {
-		if !ok {
-			return fmt.Errorf("process %d was served without executing its critical section", p)
-		}
-	}
-	if v := c.Violations(); len(v) > 0 && !tolerateForged {
-		// A forged handshake echo can fabricate a privilege and overlap
-		// the critical section — the same beyond-the-model event the
-		// other protocols' value assertions tolerate here.
-		return fmt.Errorf("mutual exclusion violated: %v", v)
-	}
-	return nil
-}
-
-func runReset(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
-	c := snapstab.NewResetCluster(cfg.N, nil, opts...)
-	defer closeChecked(c, &err)
-	if sc.corrupt {
-		c.CorruptEverything(cfg.Seed * 7)
-	}
-	req := c.ResetAsync(0)
-	if err := req.Wait(ctx); err != nil {
-		if tolerateForged && errors.Is(err, snapstab.ErrPartialAck) {
-			// A forged echo completed the child PIF on a value that was
-			// never a real acknowledgment; the request still terminated
-			// and reported the partial acknowledgment honestly.
+		if tolerateForged {
 			return nil
 		}
-		return fmt.Errorf("reset: %w", err)
+		if req.MinID() != idlist[0] {
+			return fmt.Errorf("learn: minID = %d, want %d", req.MinID(), idlist[0])
+		}
+		for q, id := range req.Table() {
+			if id != idlist[q] {
+				return fmt.Errorf("learn: table[%d] = %d, want %d", q, id, idlist[q])
+			}
+		}
+		return nil
 	}
-	// ResetAsync itself verifies full acknowledgment of the epoch and
-	// fails the request otherwise; reaching here is the spec verdict.
-	return nil
 }
 
-func runSnap(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option, tolerateForged bool) (err error) {
+func newMutex(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
+	c := snapstab.NewMutexCluster(snapstab.FleetIDs(cfg.N), opts...)
+	return c, func(ctx context.Context, tolerateForged bool) error {
+		// Every process requests the critical section concurrently; the
+		// internal MutexChecker watches Specification 3 the whole time.
+		entered := make([]bool, cfg.N)
+		reqs := make([]*snapstab.Request, cfg.N)
+		for p := 0; p < cfg.N; p++ {
+			p := p
+			reqs[p] = c.AcquireAsync(p, func() { entered[p] = true })
+		}
+		for p, req := range reqs {
+			if err := req.Wait(ctx); err != nil {
+				return fmt.Errorf("acquire at %d: %w", p, err)
+			}
+		}
+		for p, ok := range entered {
+			if !ok {
+				return fmt.Errorf("process %d was served without executing its critical section", p)
+			}
+		}
+		if v := c.Violations(); len(v) > 0 && !tolerateForged {
+			// A forged handshake echo can fabricate a privilege and overlap
+			// the critical section — the same beyond-the-model event the
+			// other protocols' value assertions tolerate here.
+			return fmt.Errorf("mutual exclusion violated: %v", v)
+		}
+		return nil
+	}
+}
+
+func newReset(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
+	c := snapstab.NewResetCluster(cfg.N, nil, opts...)
+	return c, func(ctx context.Context, tolerateForged bool) error {
+		req := c.ResetAsync(0)
+		if err := req.Wait(ctx); err != nil {
+			if tolerateForged && errors.Is(err, snapstab.ErrPartialAck) {
+				// A forged echo completed the child PIF on a value that was
+				// never a real acknowledgment; the request still terminated
+				// and reported the partial acknowledgment honestly.
+				return nil
+			}
+			return fmt.Errorf("reset: %w", err)
+		}
+		// ResetAsync itself verifies full acknowledgment of the epoch and
+		// fails the request otherwise; reaching here is the spec verdict.
+		return nil
+	}
+}
+
+func newSnap(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	c := snapstab.NewSnapshotCluster(cfg.N, func(p int) snapstab.Payload {
 		return snapstab.Payload{Tag: "state", Num: int64(p) * 111}
 	}, opts...)
-	defer closeChecked(c, &err)
-	if sc.corrupt {
-		c.CorruptEverything(cfg.Seed * 7)
-	}
-	req := c.CollectAsync(0)
-	if err := req.Wait(ctx); err != nil {
-		return fmt.Errorf("collect: %w", err)
-	}
-	views := req.Views()
-	if len(views) != cfg.N {
-		return fmt.Errorf("collect: %d views, want %d", len(views), cfg.N)
-	}
-	for q, v := range views {
-		if (v.Tag != "state" || v.Num != int64(q)*111) && !tolerateForged {
-			return fmt.Errorf("collect: view[%d] = %+v, want state(%d) — stale or fabricated", q, v, q*111)
+	return c, func(ctx context.Context, tolerateForged bool) error {
+		req := c.CollectAsync(0)
+		if err := req.Wait(ctx); err != nil {
+			return fmt.Errorf("collect: %w", err)
 		}
+		views := req.Views()
+		if len(views) != cfg.N {
+			return fmt.Errorf("collect: %d views, want %d", len(views), cfg.N)
+		}
+		for q, v := range views {
+			if (v.Tag != "state" || v.Num != int64(q)*111) && !tolerateForged {
+				return fmt.Errorf("collect: view[%d] = %+v, want state(%d) — stale or fabricated", q, v, q*111)
+			}
+		}
+		return nil
 	}
-	return nil
 }
 
-// runForward drives the tree-forwarding cluster through the scenario:
+// newForward drives the tree-forwarding cluster through the scenario:
 // every process sends a string item across the tree from a corrupted
 // initial configuration, and the armed forwarding checker judges the
 // no-loss / no-duplication / correct-destination spec on every
@@ -482,46 +441,44 @@ func runSnap(ctx context.Context, sc scenario, cfg config, opts []snapstab.Optio
 // a corrupted message can never carry an armed key (garbled sequence
 // numbers stay below the genuine floor), so a genuine delivery is a
 // genuine body.
-func runForward(ctx context.Context, sc scenario, cfg config, opts []snapstab.Option) (err error) {
+func newForward(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	c := snapstab.NewForwardingCluster(cfg.N, snapstab.JSON[string](), opts...)
-	defer closeChecked(c, &err)
-	if sc.corrupt {
-		c.CorruptEverything(cfg.Seed * 7)
-	}
-	type sent struct{ src, dst int }
-	want := make(map[sent]string)
-	var reqs []*snapstab.ForwardRequest
-	for round := 0; round < 2; round++ {
-		for src := 0; src < cfg.N; src++ {
-			dst := (src + cfg.N/2 + round) % cfg.N
-			if dst == src {
-				dst = (src + 1) % cfg.N
-			}
-			// A pure function of the route: both rounds may pick the same
-			// (src, dst) pair on tiny clusters, and the expectation must
-			// not depend on which round's entry survives in the map.
-			v := fmt.Sprintf("chaos-%d-%d-%d", cfg.Seed, src, dst)
-			want[sent{src, dst}] = v
-			reqs = append(reqs, c.SendAsync(src, dst, v))
-		}
-	}
-	for _, req := range reqs {
-		if err := req.Wait(ctx); err != nil {
-			return fmt.Errorf("send %s: %w", req.Key(), err)
-		}
-	}
-	for p := 0; p < cfg.N; p++ {
-		for _, d := range c.Deliveries(p) {
-			if d.Err != nil {
-				continue // fabricated by the initial configuration, flagged as such
-			}
-			if v, ok := want[sent{d.From, p}]; !ok || d.Value != v {
-				return fmt.Errorf("process %d received %q from %d, want %q", p, d.Value, d.From, v)
+	return c, func(ctx context.Context, _ bool) error {
+		type sent struct{ src, dst int }
+		want := make(map[sent]string)
+		var reqs []*snapstab.ForwardRequest
+		for round := 0; round < 2; round++ {
+			for src := 0; src < cfg.N; src++ {
+				dst := (src + cfg.N/2 + round) % cfg.N
+				if dst == src {
+					dst = (src + 1) % cfg.N
+				}
+				// A pure function of the route: both rounds may pick the same
+				// (src, dst) pair on tiny clusters, and the expectation must
+				// not depend on which round's entry survives in the map.
+				v := fmt.Sprintf("chaos-%d-%d-%d", cfg.Seed, src, dst)
+				want[sent{src, dst}] = v
+				reqs = append(reqs, c.SendAsync(src, dst, v))
 			}
 		}
+		for _, req := range reqs {
+			if err := req.Wait(ctx); err != nil {
+				return fmt.Errorf("send %s: %w", req.Key(), err)
+			}
+		}
+		for p := 0; p < cfg.N; p++ {
+			for _, d := range c.Deliveries(p) {
+				if d.Err != nil {
+					continue // fabricated by the initial configuration, flagged as such
+				}
+				if v, ok := want[sent{d.From, p}]; !ok || d.Value != v {
+					return fmt.Errorf("process %d received %q from %d, want %q", p, d.Value, d.From, v)
+				}
+			}
+		}
+		if rep := c.SpecReport(); len(rep.Violations) > 0 {
+			return fmt.Errorf("forwarding specification violated: %v", rep.Violations)
+		}
+		return nil
 	}
-	if rep := c.SpecReport(); len(rep.Violations) > 0 {
-		return fmt.Errorf("forwarding specification violated: %v", rep.Violations)
-	}
-	return nil
 }

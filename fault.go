@@ -157,20 +157,5 @@ func publicFaultStats(s core.FaultStats) FaultStats {
 // lifetime, aggregated across processes on the concurrent substrates.
 // Safe to call while requests are in flight.
 func (c *clusterCore) FaultStats() FaultStats {
-	var agg core.FaultStats
-	switch {
-	case c.simNet != nil:
-		c.simNet.Sync(func() { agg = c.simNet.Stats().Faults })
-	case c.rtNet != nil:
-		agg = c.rtNet.FaultStats()
-	default:
-		// The network substrates surface their injector counters through
-		// the transport-stats interface.
-		if ts, ok := c.sub.(core.TransportStatser); ok {
-			for _, s := range ts.TransportStats() {
-				agg.Add(s.Faults)
-			}
-		}
-	}
-	return publicFaultStats(agg)
+	return publicFaultStats(c.sub.FaultStats())
 }

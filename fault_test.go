@@ -70,6 +70,23 @@ func TestSameFaultPlanAcrossSubstrates(t *testing.T) {
 			if c.FaultStats().Total() == 0 {
 				t.Fatal("fault plan injected nothing")
 			}
+			// The concurrent substrates inject per receiver: the cluster
+			// totals are the sum of the per-node counters (the simulator
+			// has one injector and no per-node counters).
+			c.Close()
+			var sum snapstab.FaultStats
+			for _, s := range c.TransportStats() {
+				sum.Drops += s.Faults.Drops
+				sum.Duplicates += s.Faults.Duplicates
+				sum.Reorders += s.Faults.Reorders
+				sum.Delays += s.Faults.Delays
+				sum.Corrupts += s.Faults.Corrupts
+				sum.PartitionDrops += s.Faults.PartitionDrops
+				sum.CrashDrops += s.Faults.CrashDrops
+			}
+			if total := c.FaultStats(); tc.name != "sim" && sum != total {
+				t.Fatalf("FaultStats() = %+v, per-node Faults sum to %+v", total, sum)
+			}
 		})
 	}
 }

@@ -82,10 +82,7 @@ func NewForwardingCluster[T any](n int, codec Codec[T], opts ...Option) *Forward
 	if topo.N() != n {
 		panic(fmt.Sprintf("snapstab: NewForwardingCluster over a %d-process topology, want %d", topo.N(), n))
 	}
-	if !topo.IsTree() {
-		panic(fmt.Sprintf("snapstab: NewForwardingCluster requires a tree topology; got %d edges over %d processes",
-			topo.EdgeCount(), n))
-	}
+	o.requireTopology("forward")
 	c := &ForwardingCluster[T]{codec: codec, checker: spec.NewForwardChecker()}
 	c.seq.Store(fwd.SeqFloor)
 	hops := topo.NextHops()

@@ -30,9 +30,11 @@ type LinkStats struct {
 
 // TransportStats is the substrate-agnostic transport counter snapshot for
 // one node. The network substrates (UDP, TCP) fill it from their socket
-// paths; the in-memory substrates (sim, runtime) have no transport and
-// report the zero value. The façade re-exports it per node, so operators
-// and the metrics layer read one shape regardless of the engine.
+// paths; the runtime fills the message counters (Sends, Recvs,
+// SendDrops, Faults) from its in-memory links; the simulator counts per
+// network, not per node (sim.Stats), and reports the zero value. The
+// façade re-exports it per node, so operators and the metrics layer
+// read one shape regardless of the engine.
 type TransportStats struct {
 	// Addr is the node's bound local address ("" on in-memory substrates).
 	Addr string
@@ -42,10 +44,12 @@ type TransportStats struct {
 	Recvs int64
 	// SendDrops counts messages lost at the sender — sends refused by a
 	// full link window, failed writes, unencodable payloads, dead or
-	// backlogged connections.
+	// backlogged connections, and (runtime) sends to a non-neighbour or
+	// to an instance the destination does not run.
 	SendDrops int64
 	// MailboxDrops counts messages dropped at a full receive mailbox,
-	// the transport's lose-on-full rule (reported as EvLose).
+	// the transport's lose-on-full rule (reported as EvLose); on the
+	// runtime, the arrivals WithLossRate dropped (EvLose too).
 	MailboxDrops int64
 	// Redials counts transport reconnection attempts (TCP only: the
 	// dial/accept lifecycle re-establishing a lost connection).
@@ -81,13 +85,22 @@ type TransportStats struct {
 	Faults FaultStats
 }
 
-// TransportStatser is implemented by substrates that move messages over
-// a real network and count what happened to them. The in-memory
-// substrates (sim, runtime) implement it too, returning one zero-valued
-// entry per process, so callers can range over the result uniformly;
-// use the zero Addr to tell "no transport" from "no traffic yet".
+// TransportStatser is implemented by every substrate: one entry per
+// process, so callers can range over the result uniformly (the
+// simulator's entries are zero-valued); use the zero Addr to tell "no
+// sockets" from "no traffic yet".
 type TransportStatser interface {
 	TransportStats() []TransportStats
+}
+
+// FaultTotals sums the per-node injected-fault counters: Substrate's
+// FaultStats on every substrate that injects per receiver.
+func FaultTotals(stats []TransportStats) FaultStats {
+	var agg FaultStats
+	for _, s := range stats {
+		agg.Add(s.Faults)
+	}
+	return agg
 }
 
 // CheckWindows reports the first link whose peak in-flight count

@@ -12,13 +12,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	snapstab "github.com/snapstab/snapstab"
 )
-
-// Protocols lists the cluster types a daemon can host.
-var Protocols = []string{"pif", "typed", "idl", "mutex", "reset", "snap", "forward"}
 
 // Config is one daemon's config file.
 type Config struct {
@@ -145,14 +143,7 @@ func (c Config) Validate() error {
 	if c.Node < 0 || c.Node >= len(c.Peers) {
 		return fmt.Errorf("node %d outside fleet of %d", c.Node, len(c.Peers))
 	}
-	ok := false
-	for _, p := range Protocols {
-		if p == c.Protocol {
-			ok = true
-			break
-		}
-	}
-	if !ok {
+	if !slices.Contains(snapstab.Protocols, c.Protocol) {
 		return fmt.Errorf("unknown protocol %q", c.Protocol)
 	}
 	if c.Listen == "" {

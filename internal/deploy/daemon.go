@@ -47,10 +47,7 @@ type Daemon struct {
 // driver is the protocol-specific slice of a daemon: the built cluster
 // and the operations it serves.
 type driver struct {
-	cluster interface {
-		TransportStats() []snapstab.TransportStats
-		Close() error
-	}
+	cluster snapstab.Cluster
 	// ops maps operation names to handlers. Params arrive as the
 	// request's raw JSON "params" field.
 	ops map[string]func(ctx context.Context, params json.RawMessage) (any, error)
@@ -99,11 +96,8 @@ func New(cfg Config, log *slog.Logger) (*Daemon, error) {
 	d.drv = drv
 	d.metrics = obs.NewNodeMetrics(cfg.Node, cfg.Protocol, coreStatser{drv.cluster.TransportStats})
 	if cfg.Corrupt {
-		type corrupter interface{ CorruptEverything(seed uint64) }
-		if c, ok := drv.cluster.(corrupter); ok {
-			c.CorruptEverything(cfg.corruptSeed())
-			log.Info("initial configuration corrupted", "seed", cfg.corruptSeed())
-		}
+		drv.cluster.CorruptEverything(cfg.corruptSeed())
+		log.Info("initial configuration corrupted", "seed", cfg.corruptSeed())
 	}
 	ln, err := net.Listen("tcp", cfg.Control)
 	if err != nil {

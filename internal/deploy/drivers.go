@@ -14,17 +14,6 @@ import (
 	snapstab "github.com/snapstab/snapstab"
 )
 
-// fleetIDs derives the identifier set the id-based protocols (idl,
-// mutex) use: a pure function of the fleet size, so every daemon agrees
-// without configuring ids explicitly.
-func fleetIDs(n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(i*13 + 5)
-	}
-	return out
-}
-
 // buildDriver constructs the configured protocol's cluster on the
 // TCPHost substrate and wires its operations. Cluster construction
 // panics on substrate failures (a busy transport port); the recover
@@ -44,15 +33,8 @@ func buildDriver(cfg Config, countEvent func(kind string), log *slog.Logger) (dr
 	}))
 	n := len(cfg.Peers)
 	self := cfg.Node
-	if !topo.IsZero() {
-		switch {
-		case cfg.Protocol == "forward" && !topo.IsTree():
-			return nil, fmt.Errorf("deploy: the forwarding protocol needs a tree topology, %q is not one", cfg.Topology)
-		case (cfg.Protocol == "idl" || cfg.Protocol == "mutex" || cfg.Protocol == "reset" || cfg.Protocol == "snap") && !topo.IsComplete():
-			return nil, fmt.Errorf("deploy: protocol %q needs the complete graph, %q is not complete", cfg.Protocol, cfg.Topology)
-		case !topo.Connected():
-			return nil, fmt.Errorf("deploy: topology %q is disconnected", cfg.Topology)
-		}
+	if err := snapstab.CheckTopology(cfg.Protocol, topo); err != nil {
+		return nil, fmt.Errorf("deploy: topology %q: %w", cfg.Topology, err)
 	}
 
 	switch cfg.Protocol {
@@ -82,7 +64,7 @@ func buildDriver(cfg Config, countEvent func(kind string), log *slog.Logger) (dr
 				}
 				return map[string]any{"feedbacks": out}, nil
 			},
-		}.done()}, nil
+		}}, nil
 
 	case "typed":
 		// Application values are arbitrary JSON documents: the codec
@@ -119,10 +101,10 @@ func buildDriver(cfg Config, countEvent func(kind string), log *slog.Logger) (dr
 				}
 				return map[string]any{"feedbacks": out}, nil
 			},
-		}.done()}, nil
+		}}, nil
 
 	case "idl":
-		c := snapstab.NewIDCluster(fleetIDs(n), opts...)
+		c := snapstab.NewIDCluster(snapstab.FleetIDs(n), opts...)
 		return &driver{cluster: c, ops: opsMap{
 			"learn": func(ctx context.Context, params json.RawMessage) (any, error) {
 				req := c.LearnAsync(self)
@@ -131,10 +113,10 @@ func buildDriver(cfg Config, countEvent func(kind string), log *slog.Logger) (dr
 				}
 				return map[string]any{"min_id": req.MinID(), "table": req.Table()}, nil
 			},
-		}.done()}, nil
+		}}, nil
 
 	case "mutex":
-		c := snapstab.NewMutexCluster(fleetIDs(n), opts...)
+		c := snapstab.NewMutexCluster(snapstab.FleetIDs(n), opts...)
 		return &driver{cluster: c, ops: opsMap{
 			"acquire": func(ctx context.Context, params json.RawMessage) (any, error) {
 				entered := false
@@ -151,7 +133,7 @@ func buildDriver(cfg Config, countEvent func(kind string), log *slog.Logger) (dr
 					"violations": len(c.Violations()),
 				}, nil
 			},
-		}.done()}, nil
+		}}, nil
 
 	case "reset":
 		c := snapstab.NewResetCluster(n, func(p int, epoch int64) {
@@ -165,7 +147,7 @@ func buildDriver(cfg Config, countEvent func(kind string), log *slog.Logger) (dr
 				}
 				return map[string]any{"epoch": req.Epoch()}, nil
 			},
-		}.done()}, nil
+		}}, nil
 
 	case "snap":
 		// The snapshot provider is a pure function of the process index,
@@ -192,7 +174,7 @@ func buildDriver(cfg Config, countEvent func(kind string), log *slog.Logger) (dr
 				}
 				return map[string]any{"views": out}, nil
 			},
-		}.done()}, nil
+		}}, nil
 
 	case "forward":
 		c := snapstab.NewForwardingCluster(n, snapstab.JSON[json.RawMessage](), opts...)
@@ -231,17 +213,13 @@ func buildDriver(cfg Config, countEvent func(kind string), log *slog.Logger) (dr
 				}
 				return map[string]any{"deliveries": out}, nil
 			},
-		}.done()}, nil
+		}}, nil
 	}
 	return nil, fmt.Errorf("deploy: unknown protocol %q", cfg.Protocol)
 }
 
 // opsMap is sugar for the driver op tables.
 type opsMap map[string]func(ctx context.Context, params json.RawMessage) (any, error)
-
-func (m opsMap) done() map[string]func(ctx context.Context, params json.RawMessage) (any, error) {
-	return m
-}
 
 // unmarshalParams decodes params into v, treating absent params as the
 // zero value (operations with optional arguments).

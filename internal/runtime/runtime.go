@@ -112,6 +112,12 @@ type linkTable struct {
 	inflight  []atomic.Int32
 }
 
+// procCounters is one process's slice of core.TransportStats, atomic so
+// TransportStats can read while the engine runs.
+type procCounters struct {
+	sends, recvs, sendDrops, recvDrops atomic.Int64
+}
+
 // Engine is a running concurrent deployment.
 type Engine struct {
 	n         int
@@ -130,10 +136,10 @@ type Engine struct {
 	faultUnit time.Duration
 	epoch     time.Time // set by Start, before the goroutines launch
 
-	procMu []sync.Mutex // one per process: atomic guarded actions
+	procMu []sync.Mutex   // one per process: atomic guarded actions
+	counts []procCounters // one per process, written under its mutex
 
 	step     atomic.Int64
-	dropped  atomic.Int64
 	started  atomic.Bool
 	launched atomic.Bool
 	stopOnce sync.Once
@@ -152,6 +158,7 @@ func New(stacks []core.Stack, opts ...Option) *Engine {
 		tick:     50 * time.Microsecond,
 		stacks:   stacks,
 		procMu:   make([]sync.Mutex, len(stacks)),
+		counts:   make([]procCounters, len(stacks)),
 		stop:     make(chan struct{}),
 	}
 	for _, opt := range opts {
@@ -162,6 +169,9 @@ func New(stacks []core.Stack, opts ...Option) *Engine {
 	}
 	if e.loss < 0 || e.loss >= 1 {
 		panic(fmt.Sprintf("runtime: loss rate %v outside [0,1)", e.loss))
+	}
+	if e.tick <= 0 {
+		panic(fmt.Sprintf("runtime: invalid tick %v", e.tick))
 	}
 	if e.topo != nil && e.topo.N() != e.n {
 		panic(fmt.Sprintf("runtime: topology over %d processes, %d stacks", e.topo.N(), e.n))
@@ -244,12 +254,15 @@ func (v env) N() int            { return v.e.n }
 func (v env) Send(to core.ProcID, m core.Message) {
 	e := v.e
 	t := e.tables[to]
+	lost := func(note string) {
+		e.counts[v.self].sendDrops.Add(1)
+		e.emit(core.Event{Kind: core.EvSendLost, Proc: v.self, Peer: to, Instance: m.Instance, Msg: m, Note: note})
+	}
 	row := t.senderIdx[v.self]
 	if row < 0 {
 		// Not a neighbour under the topology: no channel exists, the send
 		// vanishes at the sender.
-		e.dropped.Add(1)
-		e.emit(core.Event{Kind: core.EvSendLost, Proc: v.self, Peer: to, Instance: m.Instance, Msg: m, Note: "no edge"})
+		lost("no edge")
 		return
 	}
 	idx, ok := t.instIdx[m.Instance]
@@ -257,8 +270,7 @@ func (v env) Send(to core.ProcID, m core.Message) {
 		// The destination runs no machine for this instance, so the
 		// message could never be delivered: a send into a zero-capacity
 		// channel, lost immediately.
-		e.dropped.Add(1)
-		e.emit(core.Event{Kind: core.EvSendLost, Proc: v.self, Peer: to, Instance: m.Instance, Msg: m})
+		lost("")
 		return
 	}
 	slot := row*len(t.instances) + idx
@@ -266,11 +278,11 @@ func (v env) Send(to core.ProcID, m core.Message) {
 	if in := ctr.Add(1); in > int32(e.capacity) {
 		// Link full: the message is lost, per the model.
 		ctr.Add(-1)
-		e.dropped.Add(1)
-		e.emit(core.Event{Kind: core.EvSendLost, Proc: v.self, Peer: to, Instance: m.Instance, Msg: m})
+		lost("")
 		return
 	}
 	e.inbox[to] <- core.Envelope{From: v.self, Link: int32(slot), Msg: m}
+	e.counts[v.self].sends.Add(1)
 	e.emit(core.Event{Kind: core.EvSend, Proc: v.self, Peer: to, Instance: m.Instance, Msg: m})
 }
 
@@ -280,10 +292,11 @@ func (v env) Emit(ev core.Event) {
 }
 
 func (e *Engine) emit(ev core.Event) {
-	ev.Step = int(e.step.Add(1))
-	if len(e.observers) > 0 {
-		e.observers.OnEvent(ev)
+	if len(e.observers) == 0 {
+		return
 	}
+	ev.Step = int(e.step.Add(1))
+	e.observers.OnEvent(ev)
 }
 
 // Start launches the process goroutines. It may be called once; a second
@@ -355,30 +368,35 @@ func (e *Engine) run(p core.ProcID) {
 func (e *Engine) deliver(ev env, t *linkTable, in core.Envelope, r *rng.Source) {
 	t.inflight[in.Link].Add(-1)
 	idx := int(in.Link) % len(t.instances)
-	inst := t.instances[idx]
 	if e.loss > 0 && r.Float64() < e.loss {
-		e.dropped.Add(1)
-		e.emit(core.Event{Kind: core.EvLose, Proc: ev.self, Peer: in.From, Instance: inst, Msg: in.Msg})
+		e.counts[ev.self].recvDrops.Add(1)
+		e.emit(core.Event{Kind: core.EvLose, Proc: ev.self, Peer: in.From, Instance: t.instances[idx], Msg: in.Msg})
 		return
 	}
-	if e.injs != nil {
-		out, fate := e.injs[ev.self].Filter(in.From, ev.self, in.Msg, e.faultNow())
-		if fate == core.FateDrop {
-			// Injected drops are counted in FaultStats only — Dropped()
-			// keeps measuring the engine's native losses (full links,
-			// WithLossRate), matching the sim/udp counter contract.
-			e.emit(core.Event{Kind: core.EvLose, Proc: ev.self, Peer: in.From, Instance: inst, Msg: in.Msg})
-		}
-		// Every surviving copy — the message, duplicates, and released
-		// holdbacks — shares the envelope's link, hence its machine.
-		for _, m := range out {
-			e.emit(core.Event{Kind: core.EvDeliver, Proc: ev.self, Peer: in.From, Instance: inst, Msg: m})
-			t.machines[idx].Deliver(ev, in.From, m)
-		}
+	if e.injs == nil {
+		e.receive(ev, t, idx, in.From, in.Msg)
 		return
 	}
-	e.emit(core.Event{Kind: core.EvDeliver, Proc: ev.self, Peer: in.From, Instance: inst, Msg: in.Msg})
-	t.machines[idx].Deliver(ev, in.From, in.Msg)
+	out, fate := e.injs[ev.self].Filter(in.From, ev.self, in.Msg, e.faultNow())
+	if fate == core.FateDrop {
+		// Injected drops are counted in Faults only — SendDrops and
+		// MailboxDrops keep measuring the engine's native losses (full
+		// links, WithLossRate), matching the sim/udp counter contract.
+		e.emit(core.Event{Kind: core.EvLose, Proc: ev.self, Peer: in.From, Instance: t.instances[idx], Msg: in.Msg})
+	}
+	// Every surviving copy — the message, duplicates, and released
+	// holdbacks — shares the envelope's link, hence its machine.
+	for _, m := range out {
+		e.receive(ev, t, idx, in.From, m)
+	}
+}
+
+// receive hands one message to the receive action of machine idx.
+// Caller holds the process mutex.
+func (e *Engine) receive(ev env, t *linkTable, idx int, from core.ProcID, m core.Message) {
+	e.counts[ev.self].recvs.Add(1)
+	e.emit(core.Event{Kind: core.EvDeliver, Proc: ev.self, Peer: from, Instance: t.instances[idx], Msg: m})
+	t.machines[idx].Deliver(ev, from, m)
 }
 
 // faultNow returns the fault-schedule tick: wall time since Start in
@@ -395,20 +413,39 @@ func (e *Engine) flushFaults(ev env, t *linkTable, p core.ProcID, now int64) {
 		if !ok {
 			continue // unreachable: the message was admitted on this table
 		}
-		e.emit(core.Event{Kind: core.EvDeliver, Proc: p, Peer: rel.From, Instance: rel.Msg.Instance, Msg: rel.Msg})
-		t.machines[idx].Deliver(ev, rel.From, rel.Msg)
+		e.receive(ev, t, idx, rel.From, rel.Msg)
 	}
 }
 
-// FaultStats returns the engine-wide injected-fault counters, aggregated
-// over the per-receiver injectors. Zero when no plan is installed. Safe to
-// call while the engine runs.
-func (e *Engine) FaultStats() core.FaultStats {
-	var agg core.FaultStats
-	for _, inj := range e.injs {
-		agg.Add(inj.Stats())
+// TransportStats implements core.TransportStatser: per process, the
+// messages it put on its in-memory links (Sends), the sends it lost to a
+// full link, a missing edge or an instance the destination does not run
+// (SendDrops), the messages handed to its receive actions (Recvs), the
+// arrivals WithLossRate dropped (MailboxDrops: lost at the receiver,
+// reported as EvLose), and what its injector did (Faults). There are no
+// sockets, so Addr, the frame and syscall counters and Links stay zero.
+// Safe to call while the engine runs.
+func (e *Engine) TransportStats() []core.TransportStats {
+	out := make([]core.TransportStats, e.n)
+	for p := range out {
+		c := &e.counts[p]
+		out[p] = core.TransportStats{
+			Sends:        c.sends.Load(),
+			Recvs:        c.recvs.Load(),
+			SendDrops:    c.sendDrops.Load(),
+			MailboxDrops: c.recvDrops.Load(),
+		}
+		if e.injs != nil {
+			out[p].Faults = e.injs[p].Stats()
+		}
 	}
-	return agg
+	return out
+}
+
+// FaultStats returns the engine-wide injected-fault counters. Zero when
+// no plan is installed. Part of core.Substrate.
+func (e *Engine) FaultStats() core.FaultStats {
+	return core.FaultTotals(e.TransportStats())
 }
 
 // Do runs f under process p's action mutex, with p's environment. Use it
@@ -419,12 +456,6 @@ func (e *Engine) Do(p core.ProcID, f func(env core.Env)) {
 	defer e.procMu[p].Unlock()
 	f(env{e: e, self: p})
 }
-
-// Dropped returns the number of messages lost so far to the engine's
-// native mechanisms: full links, unroutable instances, and WithLossRate.
-// Fault-plan drops are counted in FaultStats only, so injected adversity
-// never contaminates the loss measurement.
-func (e *Engine) Dropped() int64 { return e.dropped.Load() }
 
 // Stop terminates all process goroutines and waits for them to exit. It
 // is idempotent and safe to call from multiple goroutines concurrently

@@ -8,15 +8,14 @@ package runtime
 
 import (
 	"context"
-	"errors"
-	"time"
 
 	"github.com/snapstab/snapstab/internal/core"
 )
 
 // ErrStopped is returned by Await when the engine was stopped before the
-// condition held.
-var ErrStopped = errors.New("runtime: engine stopped")
+// condition held: core.ErrClosed, under the name this package's callers
+// know.
+var ErrStopped = core.ErrClosed
 
 var _ core.Substrate = (*Engine)(nil)
 
@@ -27,26 +26,10 @@ func (e *Engine) N() int { return e.n }
 // it holds; see core.Substrate for the contract. It returns nil,
 // ctx.Err(), or ErrStopped.
 func (e *Engine) Await(ctx context.Context, p core.ProcID, cond func(env core.Env) bool) error {
-	poll := e.tick
-	if poll <= 0 {
-		poll = 50 * time.Microsecond
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		ok := false
+	return core.PollAwait(ctx, e.tick, e.stop, nil, func() (ok bool) {
 		e.Do(p, func(env core.Env) { ok = cond(env) })
-		if ok {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-e.stop:
-			return ErrStopped
-		case <-ticker.C:
-		}
-	}
+		return ok
+	})
 }
 
 // Close stops the engine; idempotent. Part of the core.Substrate
@@ -54,12 +37,4 @@ func (e *Engine) Await(ctx context.Context, p core.ProcID, cond func(env core.En
 func (e *Engine) Close() error {
 	e.Stop()
 	return nil
-}
-
-// TransportStats implements core.TransportStatser with one zero-valued
-// entry per process: the runtime delivers through in-memory channels, so
-// there is no transport to count. Callers that range over per-node
-// transport counters work uniformly across substrates.
-func (e *Engine) TransportStats() []core.TransportStats {
-	return make([]core.TransportStats, e.N())
 }

@@ -255,9 +255,7 @@ func (net *Network) Capacity() int {
 func (net *Network) Stats() Stats {
 	out := net.stats
 	out.Steps = net.step
-	if net.inj != nil {
-		out.Faults = net.inj.Stats()
-	}
+	out.Faults = net.FaultStats()
 	return out
 }
 

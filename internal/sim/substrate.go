@@ -23,7 +23,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 
 	"github.com/snapstab/snapstab/internal/core"
 )
@@ -34,8 +33,9 @@ import (
 const DefaultAwaitBudget = 50_000_000
 
 // ErrClosed is returned by Await when the network was closed before (or
-// while) the condition was being awaited.
-var ErrClosed = errors.New("sim: network closed")
+// while) the condition was being awaited: core.ErrClosed, under the name
+// this package's callers know.
+var ErrClosed = core.ErrClosed
 
 // WithAwaitBudget sets the step budget of each Await: an Await whose
 // condition is still false after that many scheduler steps (counted from
@@ -176,9 +176,18 @@ func (net *Network) drive() {
 }
 
 // TransportStats implements core.TransportStatser with one zero-valued
-// entry per process: the simulator moves messages in memory, so there is
-// no transport to count. Callers that range over per-node transport
-// counters work uniformly across substrates.
+// entry per process: the simulator counts per network (Stats), not per
+// node. Callers that range over per-node transport counters work
+// uniformly across substrates.
 func (net *Network) TransportStats() []core.TransportStats {
 	return make([]core.TransportStats, net.N())
+}
+
+// FaultStats returns the injected-fault counters (Stats().Faults alone,
+// readable while Awaits are in flight). Part of core.Substrate.
+func (net *Network) FaultStats() core.FaultStats {
+	if net.inj == nil {
+		return core.FaultStats{}
+	}
+	return net.inj.Stats()
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -21,8 +20,9 @@ import (
 // mailboxes.
 
 // ErrStopped is returned by Await when the node or cluster was closed
-// before the condition held.
-var ErrStopped = errors.New("engine: stopped")
+// before the condition held: core.ErrClosed, under the name this
+// package's callers know.
+var ErrStopped = core.ErrClosed
 
 // Await evaluates cond under the node's action mutex with the default
 // group's environment until it holds; see members.Await.
@@ -30,29 +30,14 @@ func (n *Node) Await(ctx context.Context, cond func(env core.Env) bool) error {
 	return n.g0.await(ctx, nil, cond)
 }
 
-// await is the one way to wait for a condition: poll it under the action
-// mutex at millisecond cadence (deliveries are event-driven; the poll
-// bounds only external observation latency) until it holds, ctx ends, or
-// the node — or the caller's view of it, done — stops.
+// await polls cond under the action mutex at millisecond cadence until
+// it holds, ctx ends, or the node — or the caller's view of it, done —
+// stops.
 func (g *Group) await(ctx context.Context, done <-chan struct{}, cond func(env core.Env) bool) error {
-	ticker := time.NewTicker(time.Millisecond)
-	defer ticker.Stop()
-	for {
-		ok := false
+	return core.PollAwait(ctx, time.Millisecond, g.n.stop, done, func() (ok bool) {
 		g.n.doGroup(g, func(env core.Env) { ok = cond(env) })
-		if ok {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-done:
-			return ErrStopped
-		case <-g.n.stop:
-			return ErrStopped
-		case <-ticker.C:
-		}
-	}
+		return ok
+	})
 }
 
 // members is the core.Substrate face shared by Cluster and MuxCluster:
@@ -88,6 +73,11 @@ func (c *members) TransportStats() []core.TransportStats {
 		out[i] = g.Stats()
 	}
 	return out
+}
+
+// FaultStats sums the groups' injector counters. Part of core.Substrate.
+func (c *members) FaultStats() core.FaultStats {
+	return core.FaultTotals(c.TransportStats())
 }
 
 // loopback binds one node per stack on a loopback port the kernel
@@ -151,10 +141,7 @@ type Cluster struct {
 	closeOnce sync.Once
 }
 
-var (
-	_ core.Substrate        = (*Cluster)(nil)
-	_ core.TransportStatser = (*Cluster)(nil)
-)
+var _ core.Substrate = (*Cluster)(nil)
 
 // NewCluster binds one loopback node per stack, wires every node to its
 // neighbours, and starts them. The caller owns the cluster and must
@@ -271,10 +258,7 @@ type MuxCluster struct {
 	closeOnce sync.Once
 }
 
-var (
-	_ core.Substrate        = (*MuxCluster)(nil)
-	_ core.TransportStatser = (*MuxCluster)(nil)
-)
+var _ core.Substrate = (*MuxCluster)(nil)
 
 // Group returns the wire group id this cluster's traffic carries.
 func (c *MuxCluster) Group() uint64 { return c.groups[0].id }

@@ -78,8 +78,7 @@ const DefaultCapacity = 4
 const (
 	// sweepInterval is the fallback mailbox sweep. Drains are
 	// notification-driven, so the sweep is a safety net; it is also the
-	// cadence at which delayed fault-plan messages surface and the
-	// deadline of a coalesced send.
+	// cadence at which delayed fault-plan messages surface.
 	sweepInterval = time.Millisecond
 	// stepInterval paces internal protocol actions. Action A2 retransmits
 	// on every activation, so this is the retransmission interval;
@@ -727,11 +726,6 @@ func (n *Node) actLoop() {
 		case <-sweep.C:
 			n.flushDelayed()
 			n.drainMail()
-			// Deadline flush: a queued frame never waits longer than one
-			// sweep, whatever its section did.
-			n.mu.Lock()
-			n.link.Flush()
-			n.mu.Unlock()
 		case <-stepTimer.C:
 			gs := n.groups.Load()
 			n.mu.Lock()

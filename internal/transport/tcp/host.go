@@ -43,7 +43,6 @@ type Host struct {
 }
 
 var _ core.Substrate = (*Host)(nil)
-var _ core.TransportStatser = (*Host)(nil)
 
 // NewHost binds the hosted process's listener and starts it. The caller
 // owns the host and must Close it.
@@ -130,6 +129,10 @@ func (h *Host) TransportStats() []core.TransportStats {
 	out[h.self] = h.node.Stats()
 	return out
 }
+
+// FaultStats returns the hosted node's injector counters. Part of
+// core.Substrate.
+func (h *Host) FaultStats() core.FaultStats { return h.node.Stats().Faults }
 
 // Close stops the hosted node. Idempotent.
 func (h *Host) Close() error {

@@ -14,13 +14,13 @@
 // Outbound messages are coalesced per (destination, group) into wire v4
 // link frames — a batch of records plus one sequence/acknowledgment
 // header per instance — and flushed at the end of every atomic section
-// (a Step round, a mailbox drain, a Do body), when a batch reaches
-// WithBatch messages or the datagram budget, and on the engine's sweep
-// tick as a deadline. Flushing hands all pending frames — across
-// destinations — to the kernel in one sendmmsg call where the platform
-// supports it (Linux amd64/arm64; elsewhere a portable write loop), and
-// the receive loop pulls multiple datagrams per recvmmsg. One syscall
-// therefore moves many protocol messages in both directions;
+// (a Step round, a mailbox drain, a Do body) and when a batch reaches
+// WithBatch messages or the datagram budget. Flushing hands all pending
+// frames — across destinations — to the kernel in one sendmmsg call
+// where the platform supports it (Linux amd64/arm64; elsewhere a
+// portable write loop), and the receive loop pulls multiple datagrams
+// per recvmmsg. One syscall therefore moves many protocol messages in
+// both directions;
 // core.TransportStats separates message counts from datagram and syscall
 // counts so the amortization is observable. Frames of any earlier wire
 // version are dropped: a peer that cannot acknowledge cannot be held to
@@ -64,8 +64,8 @@ const DefaultCapacity = engine.DefaultCapacity
 
 // DefaultBatch is the default ceiling on messages coalesced into one
 // datagram (see WithBatch). Batches also flush at the end of every
-// atomic section and on the sweep tick, so raising the ceiling never
-// delays a message past the tick.
+// atomic section, so raising the ceiling never delays a message past
+// the section that sent it.
 const DefaultBatch = 16
 
 // maxRecordBytes conservatively bounds one batched record (a maximal v2

@@ -1,5 +1,5 @@
 // Package wire encodes protocol messages for transmission over real
-// networks (the UDP transport of cmd/snapnet) and for size accounting in
+// networks (the UDP and TCP transports) and for size accounting in
 // the benchmarks.
 //
 // The format is deliberately simple and self-delimiting:

@@ -37,7 +37,7 @@ type ResetCluster struct {
 // be goroutine-safe.
 func NewResetCluster(n int, handler func(p int, epoch int64), opts ...Option) *ResetCluster {
 	o := buildOptions(opts)
-	o.requireCompleteTopology("NewResetCluster")
+	o.requireTopology("reset")
 	c := &ResetCluster{}
 	c.machines = make([]*reset.Reset, n)
 	stacks := make([]core.Stack, n)

@@ -24,7 +24,7 @@ type SnapshotCluster struct {
 // substrates it runs on process goroutines and must be goroutine-safe.
 func NewSnapshotCluster(n int, provider func(p int) Payload, opts ...Option) *SnapshotCluster {
 	o := buildOptions(opts)
-	o.requireCompleteTopology("NewSnapshotCluster")
+	o.requireTopology("snap")
 	c := &SnapshotCluster{}
 	c.machines = make([]*snapshot.Snapshot, n)
 	stacks := make([]core.Stack, n)

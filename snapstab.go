@@ -31,8 +31,11 @@
 // which the synchronous calls behave exactly as in earlier revisions. The
 // underlying machines, substrates, checkers, model checker, and adversary
 // constructions live in the internal packages and are exercised by the
-// tools under cmd/ (snapsim, snapcheck, snapbench, snapnet, snapchaos,
-// and the snapd/snapctl deployment pair).
+// tools under cmd/ (snapsim, snapcheck, snapbench, snapchaos, and the
+// snapd/snapctl deployment pair). To watch one family answer its first
+// request after corruption over real sockets, run
+// `snapchaos -scenario corrupted-start -protocol pif -substrate udp`
+// (or tcp), or read examples/udp.
 package snapstab
 
 import (
@@ -137,15 +140,14 @@ func WithCapacity(c int) Option { return func(o *options) { o.capacity = c } }
 // WithBatch tunes the transports' syscall amortization; the in-memory
 // substrates (Sim, Runtime) have no wire and ignore it. On UDP it sets
 // how many messages may coalesce into one wire v4 link-frame datagram
-// (default 16): batches flush when full, at the end of every atomic
-// protocol section, and on the transport's sweep tick, so raising the
-// ceiling amortizes syscalls without delaying any message past the
-// tick. WithBatch(1) disables coalescing — every message travels alone
-// in its own link frame. On TCP it bounds how many queued frames
-// one vectored write may carry (default 32); the bytes on the wire are
-// identical at every setting. On a mux, pass it to UDPMux/TCPMux
-// instead — the sockets are shared, so the knob cannot vary per
-// attached cluster.
+// (default 16): batches flush when full and at the end of every atomic
+// protocol section, so raising the ceiling amortizes syscalls without
+// delaying any message past the section that sent it. WithBatch(1)
+// disables coalescing — every message travels alone in its own link
+// frame. On TCP it bounds how many queued frames one vectored write may
+// carry (default 32); the bytes on the wire are identical at every
+// setting. On a mux, pass it to UDPMux/TCPMux instead — the sockets are
+// shared, so the knob cannot vary per attached cluster.
 func WithBatch(k int) Option { return func(o *options) { o.batch = k } }
 
 // WithStepBudget bounds each request's simulation steps on the Sim
@@ -342,7 +344,7 @@ type IDCluster struct {
 // distinct identifiers.
 func NewIDCluster(ids []int64, opts ...Option) *IDCluster {
 	o := buildOptions(opts)
-	o.requireCompleteTopology("NewIDCluster")
+	o.requireTopology("idl")
 	n := len(ids)
 	c := &IDCluster{ids: append([]int64(nil), ids...)}
 	c.machines = make([]*idl.IDL, n)
@@ -439,7 +441,7 @@ type MutexCluster struct {
 // given distinct identifiers (the smallest is the leader).
 func NewMutexCluster(ids []int64, opts ...Option) *MutexCluster {
 	o := buildOptions(opts)
-	o.requireCompleteTopology("NewMutexCluster")
+	o.requireTopology("mutex")
 	n := len(ids)
 	c := &MutexCluster{}
 	c.machines = make([]*mutex.ME, n)

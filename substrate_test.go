@@ -11,6 +11,10 @@ import (
 	"time"
 
 	snapstab "github.com/snapstab/snapstab"
+	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/runtime"
+	"github.com/snapstab/snapstab/internal/sim"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // substrates lists the in-memory substrates every façade test should
@@ -494,6 +498,47 @@ func TestCloseAbortsRequests(t *testing.T) {
 			after := c.BroadcastAsync(0, "late", 2)
 			if err := after.Wait(testCtx(t)); !errors.Is(err, snapstab.ErrClosed) {
 				t.Fatalf("request after close: got %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestClosePendingRequestOnEverySubstrate closes a cluster under a
+// request that cannot finish — a partition that never heals cuts the
+// initiator off — on all four substrates: the request must fail with
+// ErrClosed, never hang and never succeed. Underneath, every engine
+// reports a closed substrate with the same sentinel value.
+func TestClosePendingRequestOnEverySubstrate(t *testing.T) {
+	t.Parallel()
+	for name, err := range map[string]error{
+		"sim.ErrClosed": sim.ErrClosed, "runtime.ErrStopped": runtime.ErrStopped, "engine.ErrStopped": engine.ErrStopped,
+	} {
+		// Matching in both directions is identity for plain sentinels.
+		if !errors.Is(err, core.ErrClosed) || !errors.Is(core.ErrClosed, err) {
+			t.Errorf("%s is not core.ErrClosed", name)
+		}
+	}
+	cut := snapstab.FaultPlan{Partitions: []snapstab.PartitionWindow{{From: 0, Until: 1 << 40, GroupA: []int{0}}}}
+	for name, sub := range map[string]func() snapstab.Substrate{
+		"sim": snapstab.Sim, "runtime": snapstab.Runtime, "udp": snapstab.UDP, "tcp": snapstab.TCP,
+	} {
+		sub := sub
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			c := snapstab.NewPIFCluster(3, snapstab.WithSubstrate(sub()),
+				snapstab.WithFaults(cut), snapstab.WithStepBudget(1<<40))
+			req := c.BroadcastAsync(0, "cut-off", 1)
+			time.Sleep(5 * time.Millisecond)
+			select {
+			case <-req.Done():
+				t.Fatalf("request finished across the partition: %v", req.Err())
+			default:
+			}
+			if err := c.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if err := req.Wait(testCtx(t)); !errors.Is(err, snapstab.ErrClosed) {
+				t.Fatalf("pending request after close: got %v, want ErrClosed", err)
 			}
 		})
 	}

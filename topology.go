@@ -216,11 +216,55 @@ func WithTopology(t Topology) Option {
 	return func(o *options) { o.topology = t.t }
 }
 
-// requireCompleteTopology rejects sparser graphs for the clusters whose
-// protocols assume the paper's fully-connected network.
-func (o options) requireCompleteTopology(cluster string) {
-	if o.topology != nil && !o.topology.IsComplete() {
-		panic(fmt.Sprintf("snapstab: %s runs a fully-connected protocol; the %d-process topology with %d edges is not complete",
-			cluster, o.topology.N(), o.topology.EdgeCount()))
+// Protocols names the seven cluster families, as every tool's -protocol
+// flag and the snapd config spell them: NewPIFCluster,
+// NewTypedPIFCluster, NewIDCluster, NewMutexCluster, NewResetCluster,
+// NewSnapshotCluster, NewForwardingCluster.
+var Protocols = []string{"pif", "typed", "idl", "mutex", "reset", "snap", "forward"}
+
+// CheckTopology reports whether the named family can span t. The zero
+// Topology — each family's native graph — always passes. The paper's
+// fully-connected protocols (idl, mutex, reset, snap) need the complete
+// graph and forwarding needs a tree: their constructors panic with this
+// error. PIF computations span the initiator's neighbourhood, so pif and
+// typed pass on any connected graph; their constructors accept a
+// disconnected one too (the far side never hears of the broadcast),
+// which a tool running the family cluster-wide has no use for.
+func CheckTopology(protocol string, t Topology) error {
+	var ok bool
+	var need string
+	switch protocol {
+	case "pif", "typed":
+		ok, need = t.Connected(), "connected"
+	case "idl", "mutex", "reset", "snap":
+		ok, need = t.IsComplete(), "complete (the protocol is the paper's fully-connected one)"
+	case "forward":
+		ok, need = t.IsTree(), "a tree"
+	default:
+		return fmt.Errorf("snapstab: unknown protocol %q (want one of %s)", protocol, strings.Join(Protocols, ", "))
 	}
+	if t.IsZero() || ok {
+		return nil
+	}
+	return fmt.Errorf("snapstab: protocol %q: the %d-process topology with %d edges is not %s",
+		protocol, t.N(), t.EdgeCount(), need)
+}
+
+// requireTopology is CheckTopology at cluster construction.
+func (o options) requireTopology(protocol string) {
+	if err := CheckTopology(protocol, Topology{o.topology}); err != nil {
+		panic(err.Error())
+	}
+}
+
+// FleetIDs returns the distinct identifier set the tools give the
+// identifier-based families (idl, mutex): a pure function of the cluster
+// size, so the daemons of a fleet agree on it without configuring it and
+// a checker knows the ground truth.
+func FleetIDs(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(i*13 + 5)
+	}
+	return out
 }
