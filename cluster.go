@@ -50,11 +50,11 @@ type clusterCore struct {
 
 	// reqMu[p] serializes requests issued at process p. The machine
 	// itself admits one computation at a time (Invoke is rejected until
-	// the previous decision), but on the polling substrates two pending
-	// conditions at one process would race for the decision window: the
-	// loser's Invoke consumes the machine's Done state before the winner
-	// observes it, and the winner's completion condition could then never
-	// hold. Holding the per-process gate for the whole request makes
+	// the previous decision), but two pending conditions at one process
+	// would race for the decision window: evaluated first, the next
+	// request's Invoke consumes the machine's Done state before the
+	// request that decided observes it, and that request's completion
+	// condition could then never hold. Holding the per-process gate for the whole request makes
 	// "requests at one process serialize" true on every substrate.
 	reqMu []sync.Mutex
 }
@@ -145,6 +145,11 @@ type TransportStats struct {
 	Sends int64
 	// Recvs counts messages received into the mailbox layer.
 	Recvs int64
+	// Retransmits counts the sends that repeated the link's last
+	// message: the step timer's, on a link that stayed silent for a whole
+	// interval. Everything new leaves on arrival, so a loss-free run
+	// reads zero.
+	Retransmits int64
 	// SendDrops counts messages lost at the sender (sends refused by a
 	// full link window, failed writes, unencodable payloads, dead or
 	// backlogged connections).
@@ -189,7 +194,7 @@ type TransportStats struct {
 
 // TransportStats returns one entry per process on every substrate: real
 // socket counters on the network substrates (UDP, TCP), the message
-// counters (Sends, Recvs, SendDrops, Faults) on Runtime, and zero-valued
+// counters (Sends, Recvs, Retransmits, SendDrops, Faults) on Runtime, and zero-valued
 // entries on Sim, which counts per network (see Stats).
 func (c *clusterCore) TransportStats() []TransportStats {
 	stats := c.sub.TransportStats()
@@ -199,6 +204,7 @@ func (c *clusterCore) TransportStats() []TransportStats {
 			Addr:          s.Addr,
 			Sends:         s.Sends,
 			Recvs:         s.Recvs,
+			Retransmits:   s.Retransmits,
 			SendDrops:     s.SendDrops,
 			MailboxDrops:  s.MailboxDrops,
 			Redials:       s.Redials,

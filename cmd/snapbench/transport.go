@@ -17,7 +17,8 @@ import (
 // and of TCP's framing and connection management relative to UDP, is
 // recorded next to the in-memory ceiling. The socket substrates run at
 // several capacity bounds c: one broadcast costs 2c+2 handshake rounds
-// per peer, and the rows put that slope on record.
+// per peer — wire turnarounds, since new flags leave on arrival — and
+// the rows put that slope on record.
 //
 // Timings are hardware-dependent — the committed file is a recorded
 // baseline for trend reading, not a byte-stable artifact like the
@@ -35,15 +36,14 @@ type transportBenchResult struct {
 	BroadcastNsOp float64 `json:"broadcast_ns_op"`
 	// ThroughputOpsSec is its reciprocal in broadcasts per second.
 	ThroughputOpsSec float64 `json:"throughput_ops_sec"`
-	// SendsPerBroadcast is how many transport sends one broadcast costs
-	// across the cluster (zero on the in-memory runtime, which has no
-	// transport counters).
+	// SendsPerBroadcast is how many messages one broadcast costs across
+	// the cluster: 4(c+1)(n-1) when nothing is lost.
 	SendsPerBroadcast float64 `json:"sends_per_broadcast"`
 	// FramesPerBroadcast is how many wire frames (datagrams, stream
 	// frames) carried them, control frames included.
 	FramesPerBroadcast float64 `json:"frames_per_broadcast"`
 	// MailboxDropsPerBroadcast is the lose-on-full rate under the
-	// benchmark load (zero on the runtime).
+	// benchmark load.
 	MailboxDropsPerBroadcast float64 `json:"mailbox_drops_per_broadcast"`
 }
 

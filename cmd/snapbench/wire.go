@@ -147,9 +147,12 @@ const floodWindow = 1024
 // floodMachine seeds one message per peer on Step and echoes each
 // delivery back, so sustained traffic is driven by the delivery path —
 // the same shape as the transport package's own throughput benchmark.
+// Every message carries a fresh number: the engine sends only what
+// differs from a link's last message.
 type floodMachine struct {
 	self      core.ProcID
 	n         int
+	seq       int64
 	blob      []byte
 	delivered *atomic.Int64
 }
@@ -159,7 +162,7 @@ func (f *floodMachine) Instance() string { return "flood" }
 func (f *floodMachine) Step(env core.Env) bool {
 	for q := 0; q < f.n; q++ {
 		if core.ProcID(q) != f.self {
-			env.Send(core.ProcID(q), core.Message{Instance: "flood", Kind: "flood", B: core.Payload{Blob: f.blob}})
+			env.Send(core.ProcID(q), f.next())
 		}
 	}
 	return true
@@ -167,7 +170,12 @@ func (f *floodMachine) Step(env core.Env) bool {
 
 func (f *floodMachine) Deliver(env core.Env, from core.ProcID, m core.Message) {
 	f.delivered.Add(1)
-	env.Send(from, core.Message{Instance: "flood", Kind: "flood", B: core.Payload{Blob: f.blob}})
+	env.Send(from, f.next())
+}
+
+func (f *floodMachine) next() core.Message {
+	f.seq++
+	return core.Message{Instance: "flood", Kind: "flood", B: core.Payload{Num: f.seq, Blob: f.blob}}
 }
 
 // benchWireFlood measures one (n, batch, blob) cell: sustained

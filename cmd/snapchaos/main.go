@@ -197,8 +197,8 @@ func run(w io.Writer, cfg config) (failed []string, err error) {
 					// lose-on-full rule) are kept apart, mirroring
 					// EvSendLost vs EvLose.
 					for i, s := range stats {
-						fmt.Fprintf(w, "  node %d: sent=%d send-drops=%d mailbox-drops=%d\n",
-							i, s.Sends, s.SendDrops, s.MailboxDrops)
+						fmt.Fprintf(w, "  node %d: sent=%d retransmits=%d send-drops=%d mailbox-drops=%d\n",
+							i, s.Sends, s.Retransmits, s.SendDrops, s.MailboxDrops)
 					}
 				}
 			}

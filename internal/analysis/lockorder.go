@@ -21,7 +21,8 @@ var lockRank = map[string]int{"mu": 1, "mbMu": 2, "injMu": 3}
 // LockOrder enforces the socket engine's documented mu → mbMu → injMu
 // acquisition order, rejects re-acquisition of a held rank, and forbids
 // taking any ranked mutex inside an atomic-section callback (a func
-// literal handed to a Do method, which already runs under mu).
+// literal handed to a Do, Await or Eval method: Do bodies and awaited
+// conditions, wherever the waiter registry runs them, run under mu).
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "enforce the documented mu → mbMu → injMu lock order in the socket engine",
@@ -201,14 +202,20 @@ func isSyncMutex(t types.Type) bool {
 		(n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex")
 }
 
+// atomicEntry names the methods whose func-literal argument runs in an
+// atomic section: Do bodies, and the conditions Await hands to the
+// waiter registry (core.Waiters.Eval), which evaluates them under the
+// action mutex and nowhere else.
+var atomicEntry = map[string]bool{"Do": true, "Await": true, "Eval": true}
+
 // checkAtomicCallback flags ranked-mutex acquisition inside a func
-// literal passed to a Do method: Do is the transports' atomic-section
-// entry point and already holds the action mutex, so any ranked Lock in
-// the callback either self-deadlocks (mu) or runs socket-side work under
-// a lock the callback must not know about.
+// literal passed to an atomic-section entry point: the callback already
+// runs under the action mutex, so any ranked Lock in it either
+// self-deadlocks (mu) or runs socket-side work under a lock the callback
+// must not know about.
 func checkAtomicCallback(pass *Pass, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Do" {
+	if !ok || !atomicEntry[sel.Sel.Name] {
 		return
 	}
 	for _, arg := range call.Args {
@@ -222,7 +229,7 @@ func checkAtomicCallback(pass *Pass, call *ast.CallExpr) {
 				return true
 			}
 			if name, op := rankedLockCall(pass, inner); name != "" && (op == "Lock" || op == "RLock") {
-				pass.Reportf(inner.Pos(), "acquires %s inside an atomic-section callback: Do already runs under mu; hoist the locking out of the callback", name)
+				pass.Reportf(inner.Pos(), "acquires %s inside an atomic-section callback: %s already runs it under mu; hoist the locking out of the callback", name, sel.Sel.Name)
 			}
 			return true
 		})

@@ -18,6 +18,14 @@ func (c *conn) Do(f func()) {
 	f()
 }
 
+// Await registers cond with the waiter registry, which evaluates it
+// under mu at the end of atomic sections.
+func (c *conn) Await(cond func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cond()
+}
+
 func (c *conn) goodOrder() {
 	c.mu.Lock()
 	c.mbMu.Lock()
@@ -73,4 +81,13 @@ func (c *conn) callbackLocks() {
 		c.n++
 		c.mbMu.Unlock()
 	})
+}
+
+func (c *conn) conditionLocks() {
+	c.Await(func() bool {
+		c.mu.Lock() // want `acquires mu inside an atomic-section callback: Await already runs it under mu`
+		defer c.mu.Unlock()
+		return c.n > 0
+	})
+	c.Await(func() bool { return c.n > 0 }) // a condition that only reads state is the idiom
 }

@@ -241,6 +241,13 @@ type Rand interface {
 // deliveries by instance ID.
 type Stack []Machine
 
+// Step runs every machine's internal actions once, in text order.
+func (s Stack) Step(env Env) {
+	for _, mach := range s {
+		mach.Step(env)
+	}
+}
+
 // ByInstance builds the delivery routing table. It panics on duplicate
 // instance IDs, which indicate a mis-assembled stack.
 func (s Stack) ByInstance() map[string]Machine {

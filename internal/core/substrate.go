@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
-	"time"
+	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Substrate is a running execution substrate: a set of protocol stacks
@@ -63,28 +65,128 @@ type Substrate interface {
 // (or the caller's view of it) was closed before the condition held.
 var ErrClosed = errors.New("core: substrate closed")
 
-// PollAwait is how the concurrent substrates wait for a condition: eval
-// — the condition, run by the caller in the process's atomic context —
-// is polled every interval until it holds, ctx ends, or one of the stop
-// channels (nil: never) closes. Deliveries are event-driven, so the
-// interval bounds only how soon an external observer notices a state
-// change, not how fast the protocols progress. The simulator does not
-// use it: its Await drives the scheduler rather than waits.
-func PollAwait(ctx context.Context, every time.Duration, stop, done <-chan struct{}, eval func() bool) error {
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		if eval() {
-			return nil
+// SendPath says where in a concurrent engine a Send comes from. A message
+// that differs from the last one on its link is new and always leaves;
+// whether an identical one, a retransmission, does depends on the path.
+type SendPath uint8
+
+const (
+	// PathAction: a Deliver, a Do body, an awaited condition. It leaves:
+	// what Deliver answers, the peer is waiting for.
+	PathAction SendPath = iota
+	// PathEager: the Step ending an atomic section. It is lost at the
+	// sender, silently, as the model allows.
+	PathEager
+	// PathTick: the step timer's Step. It leaves if its link sent
+	// nothing since the previous tick.
+	PathTick
+	NumPaths // sizes a per-path table
+)
+
+// LinkOut is the sender's record of one directed (peer, instance) link,
+// kept in the engine's per-link slot, under the sender's action mutex.
+type LinkOut struct {
+	last Message
+	used bool // last is valid
+	busy bool // sent from an atomic section since the tick last asked
+}
+
+// Pass applies the sending rule to m on path and reports whether m
+// leaves now; a timer retransmission is counted in again. A tick that
+// finds the link busy stands down once; the next one retransmits.
+func (l *LinkOut) Pass(path SendPath, m Message, again *atomic.Int64) bool {
+	if path != PathAction && l.used && l.last.Equal(m) {
+		send := path == PathTick && !l.busy
+		l.busy = l.busy && path != PathTick
+		if send {
+			again.Add(1)
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-stop:
-			return ErrClosed
-		case <-done:
-			return ErrClosed
-		case <-ticker.C:
-		}
+		return send
 	}
+	l.last, l.used, l.busy = m, true, path != PathTick
+	return true
+}
+
+// Waiters holds the pending Awaits of one process of a concurrent engine
+// (a group of a socket node, a runtime process) and ends its atomic
+// sections (Settle). Every method but Wait runs under the action mutex.
+type Waiters struct {
+	list    []*Waiter
+	refused bool // a full link lost an eagerly stepped message since the last tick
+}
+
+// Waiter is one registered condition.
+type Waiter struct {
+	cond func(Env) bool
+	done chan struct{} // closed, under the action mutex, once cond held
+}
+
+// Eval is the first evaluation of an awaited condition: nil if cond
+// already holds, else its registration, to be handed to Wait.
+func (ws *Waiters) Eval(env Env, cond func(Env) bool) *Waiter {
+	if cond(env) {
+		return nil
+	}
+	w := &Waiter{cond: cond, done: make(chan struct{})}
+	ws.list = append(ws.list, w)
+	return w
+}
+
+// Len returns the number of registered conditions.
+func (ws *Waiters) Len() int { return len(ws.list) }
+
+// Settle ends an atomic section of an engine's loop: the stack steps on
+// path (PathEager after mail, PathTick from the timer), the registered
+// conditions are re-evaluated in order and, as one may Invoke, the stack
+// steps again if any ran. envs is the process's Env per path. Eager
+// stepping stands down from a Refused to the next tick: a full channel
+// loses what it is sent, and stepping into it only adds losses.
+func (ws *Waiters) Settle(s Stack, envs *[NumPaths]Env, path SendPath) {
+	ws.refused = ws.refused && path != PathTick
+	if !ws.refused {
+		s.Step(envs[path])
+	}
+	if len(ws.list) == 0 {
+		return
+	}
+	ws.list = slices.DeleteFunc(ws.list, func(w *Waiter) bool {
+		held := w.cond(envs[PathAction])
+		if held {
+			close(w.done)
+		}
+		return held
+	})
+	if !ws.refused {
+		s.Step(envs[PathEager])
+	}
+}
+
+// Refused records that a full link lost a message sent on path.
+func (ws *Waiters) Refused(path SendPath) {
+	ws.refused = ws.refused || path == PathEager
+}
+
+// Wait blocks until w is released (nil), ctx ends (ctx.Err()), or stop or
+// done (nil: never) closes (ErrClosed), and leaves w unregistered; mu is
+// the action mutex. A nil w — the condition held at Eval — returns nil.
+func (ws *Waiters) Wait(ctx context.Context, mu sync.Locker, w *Waiter, stop, done <-chan struct{}) error {
+	if w == nil {
+		return nil
+	}
+	err := ErrClosed
+	select {
+	case <-w.done:
+		return nil
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-stop:
+	case <-done:
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if i := slices.Index(ws.list, w); i >= 0 {
+		ws.list = slices.Delete(ws.list, i, i+1)
+		return err
+	}
+	return nil // released while we were taking the lock: completion wins
 }

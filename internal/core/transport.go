@@ -31,10 +31,10 @@ type LinkStats struct {
 // TransportStats is the substrate-agnostic transport counter snapshot for
 // one node. The network substrates (UDP, TCP) fill it from their socket
 // paths; the runtime fills the message counters (Sends, Recvs,
-// SendDrops, Faults) from its in-memory links; the simulator counts per
-// network, not per node (sim.Stats), and reports the zero value. The
-// façade re-exports it per node, so operators and the metrics layer
-// read one shape regardless of the engine.
+// Retransmits, SendDrops, Faults) from its in-memory links; the
+// simulator counts per network, not per node (sim.Stats), and reports
+// the zero value. The façade re-exports it per node, so operators and
+// the metrics layer read one shape regardless of the engine.
 type TransportStats struct {
 	// Addr is the node's bound local address ("" on in-memory substrates).
 	Addr string
@@ -42,6 +42,9 @@ type TransportStats struct {
 	Sends int64
 	// Recvs counts messages received and delivered to the mailbox layer.
 	Recvs int64
+	// Retransmits counts the sends that repeated their link's last
+	// message: the step timer's, on a silent link. Zero without loss.
+	Retransmits int64
 	// SendDrops counts messages lost at the sender — sends refused by a
 	// full link window, failed writes, unencodable payloads, dead or
 	// backlogged connections, and (runtime) sends to a non-neighbour or

@@ -133,6 +133,7 @@ func (c coreStatser) TransportStats() []core.TransportStats {
 			Addr:         s.Addr,
 			Sends:        s.Sends,
 			Recvs:        s.Recvs,
+			Retransmits:  s.Retransmits,
 			SendDrops:    s.SendDrops,
 			MailboxDrops: s.MailboxDrops,
 			Redials:      s.Redials,

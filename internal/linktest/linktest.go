@@ -257,6 +257,30 @@ func MuxClusterCloseDetaches(t *testing.T, l Link) {
 	Broadcast(t, At0(cb), machB[0], core.Payload{Tag: "b", Num: 2})
 }
 
+// IdleIsSilent: a decided request leaves the sockets quiet. 50 ms
+// after the decision the closing acknowledgments have left as echo-only
+// frames, and 50 ms after that not one more frame has: eager stepping
+// adds no idle chatter and the timer has nothing to repeat.
+func IdleIsSilent(t *testing.T, l Link) {
+	const n = 3
+	m := newMux(t, l, n)
+	stacks, machines := PIFStacks(n)
+	c := attach(t, m, stacks)
+	Broadcast(t, At0(c), machines[0], core.Payload{Tag: "once", Num: 1})
+	frames := func() (sent int64) {
+		for _, s := range c.TransportStats() {
+			sent += s.SendDatagrams
+		}
+		return sent
+	}
+	time.Sleep(50 * time.Millisecond)
+	settled := frames()
+	time.Sleep(50 * time.Millisecond)
+	if again := frames(); again != settled || settled == 0 {
+		t.Fatalf("idle cluster wrote %d frames in 50 ms (%d before)", again-settled, settled)
+	}
+}
+
 // MuxRejectsNodeLevelAttachOptions: socket-level knobs are fixed at
 // NewMux; passing them per cluster must fail loudly.
 func MuxRejectsNodeLevelAttachOptions(t *testing.T, l Link) {

@@ -78,6 +78,7 @@ var transportFields = []struct {
 }{
 	{"snapstab_transport_sends_total", "Messages handed to the network by this node.", func(s core.TransportStats) int64 { return s.Sends }},
 	{"snapstab_transport_recvs_total", "Messages received into this node's mailbox layer.", func(s core.TransportStats) int64 { return s.Recvs }},
+	{"snapstab_transport_retransmits_total", "Sends that repeated a link's last message: the step timer's, on a link silent for a whole interval.", func(s core.TransportStats) int64 { return s.Retransmits }},
 	{"snapstab_transport_send_drops_total", "Messages lost at the sender (full link windows, dead connections, full queues, failed writes).", func(s core.TransportStats) int64 { return s.SendDrops }},
 	{"snapstab_transport_mailbox_drops_total", "Messages dropped at a full receive mailbox (lose-on-full).", func(s core.TransportStats) int64 { return s.MailboxDrops }},
 	{"snapstab_transport_redials_total", "Connections re-established after a loss (TCP lifecycle).", func(s core.TransportStats) int64 { return s.Redials }},

@@ -12,11 +12,11 @@
 //     receiver's fan-in channel, sized so that a send never blocks; the
 //     receiver drains the channel to empty on every wakeup, so links with
 //     capacity > 1 never backlog;
-//   - internal (non-receive) actions are paced by a per-process step
-//     timer (WithTick); deliveries are event-driven and happen as soon as
-//     the receiving goroutine is scheduled. Go's scheduler provides
-//     genuine asynchrony, and its fairness gives the paper's weak
-//     fairness in practice.
+//   - deliveries are event-driven, and each batch ends, in the same lock
+//     hold, with the internal actions and the awaited conditions
+//     (core.Waiters.Settle); a message equal to its link's last is a
+//     retransmission and waits for the step timer (WithTick). Go's
+//     scheduler gives genuine asynchrony and, in practice, weak fairness.
 //
 // The link table is built once at New from the stacks' instances — the
 // hot path takes no engine-wide lock and performs no map writes. A
@@ -62,9 +62,9 @@ func WithObserver(o core.Observer) Option {
 	return func(e *Engine) { e.observers = append(e.observers, o) }
 }
 
-// WithTick sets the pacing of internal protocol actions (default 50µs).
-// Deliveries are event-driven and do not wait for the tick; the tick is
-// the retransmission cadence of actions like PIF's A2.
+// WithTick sets the retransmission interval (default 50µs). Nothing new
+// waits for it; the tick repeats the last message of a link that sent
+// nothing since the previous tick, as PIF's A2 needs after a loss.
 func WithTick(d time.Duration) Option {
 	return func(e *Engine) { e.tick = d }
 }
@@ -97,8 +97,9 @@ func WithFaults(plan *core.FaultPlan) Option {
 }
 
 // linkTable is the precomputed delivery state for one receiver: its
-// instances in stack order and one in-flight counter per directed
-// (sender, instance) link. Senders are compacted through senderIdx —
+// instances in stack order and, per directed (sender, instance) link, an
+// in-flight counter and the sender's core.LinkOut (under the sender's
+// mutex). Senders are compacted through senderIdx —
 // the identity map on the complete graph, a dense neighbour index on a
 // sparse topology — so the table is degree-bounded. The slot for a link
 // is senderIdx[sender]*len(instances) + instance index; the instance
@@ -110,12 +111,13 @@ type linkTable struct {
 	machines  []core.Machine
 	senderIdx []int // per-process dense sender row, -1 = not a neighbour
 	inflight  []atomic.Int32
+	out       []core.LinkOut
 }
 
 // procCounters is one process's slice of core.TransportStats, atomic so
 // TransportStats can read while the engine runs.
 type procCounters struct {
-	sends, recvs, sendDrops, recvDrops atomic.Int64
+	sends, recvs, retransmits, sendDrops, recvDrops atomic.Int64
 }
 
 // Engine is a running concurrent deployment.
@@ -136,8 +138,10 @@ type Engine struct {
 	faultUnit time.Duration
 	epoch     time.Time // set by Start, before the goroutines launch
 
-	procMu []sync.Mutex   // one per process: atomic guarded actions
-	counts []procCounters // one per process, written under its mutex
+	procMu  []sync.Mutex   // one per process: atomic guarded actions
+	counts  []procCounters // one per process, written under its mutex
+	envs    [][core.NumPaths]core.Env
+	waiters []core.Waiters // pending Awaits, under the process's mutex
 
 	step     atomic.Int64
 	started  atomic.Bool
@@ -159,6 +163,8 @@ func New(stacks []core.Stack, opts ...Option) *Engine {
 		stacks:   stacks,
 		procMu:   make([]sync.Mutex, len(stacks)),
 		counts:   make([]procCounters, len(stacks)),
+		envs:     make([][core.NumPaths]core.Env, len(stacks)),
+		waiters:  make([]core.Waiters, len(stacks)),
 		stop:     make(chan struct{}),
 	}
 	for _, opt := range opts {
@@ -222,6 +228,10 @@ func New(stacks []core.Stack, opts ...Option) *Engine {
 			}
 		}
 		t.inflight = make([]atomic.Int32, senders*len(t.instances))
+		t.out = make([]core.LinkOut, len(t.inflight))
+		for path := range e.envs[i] {
+			e.envs[i][path] = env{e: e, self: core.ProcID(i), path: core.SendPath(path)}
+		}
 		e.tables[i] = t
 		// Sized to the total in-flight bound across all of this
 		// receiver's links, so a send that passed the capacity check can
@@ -241,11 +251,12 @@ func New(stacks []core.Stack, opts ...Option) *Engine {
 // default complete graph.
 func (e *Engine) Topology() *core.Topology { return e.topo }
 
-// env implements core.Env for one process. It must only be used while the
-// process mutex is held (the engine and Do guarantee that).
+// env implements core.Env for one process on one send path. It must only
+// be used while the process mutex is held (the engine guarantees that).
 type env struct {
 	e    *Engine
 	self core.ProcID
+	path core.SendPath
 }
 
 func (v env) Self() core.ProcID { return v.self }
@@ -274,11 +285,15 @@ func (v env) Send(to core.ProcID, m core.Message) {
 		return
 	}
 	slot := row*len(t.instances) + idx
+	if !t.out[slot].Pass(v.path, m, &e.counts[v.self].retransmits) {
+		return
+	}
 	ctr := &t.inflight[slot]
 	if in := ctr.Add(1); in > int32(e.capacity) {
 		// Link full: the message is lost, per the model.
 		ctr.Add(-1)
 		lost("")
+		e.waiters[v.self].Refused(v.path)
 		return
 	}
 	e.inbox[to] <- core.Envelope{From: v.self, Link: int32(slot), Msg: m}
@@ -314,7 +329,7 @@ func (e *Engine) Start() {
 }
 
 // run is the main loop of one process: block on the fan-in channel (a
-// delivery) or the step timer (internal actions), forever.
+// delivery) or the step timer (retransmission), forever; both settle.
 func (e *Engine) run(p core.ProcID) {
 	defer e.wg.Done()
 	r := rng.New(uint64(p) + 0x9E3779B9)
@@ -325,37 +340,35 @@ func (e *Engine) run(p core.ProcID) {
 	batch := cap(in)
 	ticker := time.NewTicker(e.tick)
 	defer ticker.Stop()
-	ev := env{e: e, self: p}
+	stack, envs, waiters := e.stacks[p], &e.envs[p], &e.waiters[p]
 	for {
 		select {
 		case <-e.stop:
 			return
 		case first := <-in:
 			e.procMu[p].Lock()
-			e.deliver(ev, t, first, r)
+			e.deliver(p, t, first, r)
 		drain:
 			for k := 1; k < batch; k++ {
 				select {
 				case next := <-in:
-					e.deliver(ev, t, next, r)
+					e.deliver(p, t, next, r)
 				default:
 					break drain
 				}
+			}
+			if !e.down(p) {
+				waiters.Settle(stack, envs, core.PathEager)
 			}
 			e.procMu[p].Unlock()
 		case <-ticker.C:
 			e.procMu[p].Lock()
 			if e.injs != nil {
-				now := e.faultNow()
-				e.flushFaults(ev, t, p, now)
-				if e.fault.Down(p, now) {
-					// Crash window: no internal actions until restart.
-					e.procMu[p].Unlock()
-					continue
-				}
+				e.flushFaults(t, p, e.faultNow())
 			}
-			for _, m := range e.stacks[p] {
-				m.Step(ev)
+			// Crash window: no internal actions until restart.
+			if !e.down(p) {
+				waiters.Settle(stack, envs, core.PathTick)
 			}
 			e.procMu[p].Unlock()
 		}
@@ -365,38 +378,38 @@ func (e *Engine) run(p core.ProcID) {
 // deliver removes one envelope from the link (freeing its capacity slot),
 // applies injected loss and the fault plan, and runs the receive action.
 // Caller holds the process mutex.
-func (e *Engine) deliver(ev env, t *linkTable, in core.Envelope, r *rng.Source) {
+func (e *Engine) deliver(p core.ProcID, t *linkTable, in core.Envelope, r *rng.Source) {
 	t.inflight[in.Link].Add(-1)
 	idx := int(in.Link) % len(t.instances)
 	if e.loss > 0 && r.Float64() < e.loss {
-		e.counts[ev.self].recvDrops.Add(1)
-		e.emit(core.Event{Kind: core.EvLose, Proc: ev.self, Peer: in.From, Instance: t.instances[idx], Msg: in.Msg})
+		e.counts[p].recvDrops.Add(1)
+		e.emit(core.Event{Kind: core.EvLose, Proc: p, Peer: in.From, Instance: t.instances[idx], Msg: in.Msg})
 		return
 	}
 	if e.injs == nil {
-		e.receive(ev, t, idx, in.From, in.Msg)
+		e.receive(p, t, idx, in.From, in.Msg)
 		return
 	}
-	out, fate := e.injs[ev.self].Filter(in.From, ev.self, in.Msg, e.faultNow())
+	out, fate := e.injs[p].Filter(in.From, p, in.Msg, e.faultNow())
 	if fate == core.FateDrop {
 		// Injected drops are counted in Faults only — SendDrops and
 		// MailboxDrops keep measuring the engine's native losses (full
 		// links, WithLossRate), matching the sim/udp counter contract.
-		e.emit(core.Event{Kind: core.EvLose, Proc: ev.self, Peer: in.From, Instance: t.instances[idx], Msg: in.Msg})
+		e.emit(core.Event{Kind: core.EvLose, Proc: p, Peer: in.From, Instance: t.instances[idx], Msg: in.Msg})
 	}
 	// Every surviving copy — the message, duplicates, and released
 	// holdbacks — shares the envelope's link, hence its machine.
 	for _, m := range out {
-		e.receive(ev, t, idx, in.From, m)
+		e.receive(p, t, idx, in.From, m)
 	}
 }
 
 // receive hands one message to the receive action of machine idx.
 // Caller holds the process mutex.
-func (e *Engine) receive(ev env, t *linkTable, idx int, from core.ProcID, m core.Message) {
-	e.counts[ev.self].recvs.Add(1)
-	e.emit(core.Event{Kind: core.EvDeliver, Proc: ev.self, Peer: from, Instance: t.instances[idx], Msg: m})
-	t.machines[idx].Deliver(ev, from, m)
+func (e *Engine) receive(p core.ProcID, t *linkTable, idx int, from core.ProcID, m core.Message) {
+	e.counts[p].recvs.Add(1)
+	e.emit(core.Event{Kind: core.EvDeliver, Proc: p, Peer: from, Instance: t.instances[idx], Msg: m})
+	t.machines[idx].Deliver(e.envs[p][core.PathAction], from, m)
 }
 
 // faultNow returns the fault-schedule tick: wall time since Start in
@@ -405,20 +418,26 @@ func (e *Engine) faultNow() int64 {
 	return int64(time.Since(e.epoch) / e.faultUnit)
 }
 
+// down reports whether p is inside a crash window.
+func (e *Engine) down(p core.ProcID) bool {
+	return e.injs != nil && e.fault.Down(p, e.faultNow())
+}
+
 // flushFaults delivers every expired held-back message of receiver p.
 // Caller holds p's mutex.
-func (e *Engine) flushFaults(ev env, t *linkTable, p core.ProcID, now int64) {
+func (e *Engine) flushFaults(t *linkTable, p core.ProcID, now int64) {
 	for _, rel := range e.injs[p].Flush(now) {
 		idx, ok := t.instIdx[rel.Msg.Instance]
 		if !ok {
 			continue // unreachable: the message was admitted on this table
 		}
-		e.receive(ev, t, idx, rel.From, rel.Msg)
+		e.receive(p, t, idx, rel.From, rel.Msg)
 	}
 }
 
 // TransportStats implements core.TransportStatser: per process, the
-// messages it put on its in-memory links (Sends), the sends it lost to a
+// messages it put on its in-memory links (Sends), the sends that were
+// timer retransmissions (Retransmits), the sends it lost to a
 // full link, a missing edge or an instance the destination does not run
 // (SendDrops), the messages handed to its receive actions (Recvs), the
 // arrivals WithLossRate dropped (MailboxDrops: lost at the receiver,
@@ -432,6 +451,7 @@ func (e *Engine) TransportStats() []core.TransportStats {
 		out[p] = core.TransportStats{
 			Sends:        c.sends.Load(),
 			Recvs:        c.recvs.Load(),
+			Retransmits:  c.retransmits.Load(),
 			SendDrops:    c.sendDrops.Load(),
 			MailboxDrops: c.recvDrops.Load(),
 		}
@@ -454,7 +474,7 @@ func (e *Engine) FaultStats() core.FaultStats {
 func (e *Engine) Do(p core.ProcID, f func(env core.Env)) {
 	e.procMu[p].Lock()
 	defer e.procMu[p].Unlock()
-	f(env{e: e, self: p})
+	f(e.envs[p][core.PathAction])
 }
 
 // Stop terminates all process goroutines and waits for them to exit. It

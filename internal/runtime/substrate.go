@@ -1,9 +1,8 @@
 // Substrate-mode driving: Engine implements core.Substrate. Do already
 // gives external code atomic actions under the per-process mutex; Await
-// adds condition waiting by polling the condition at the engine's tick
-// cadence (deliveries are event-driven, so the tick bounds only how
-// quickly an external observer notices a state change, not how quickly
-// the protocols progress).
+// adds condition waiting through the process's core.Waiters: its loop
+// re-evaluates a pending condition at the end of each atomic section, so
+// the waiter wakes in the section that made the condition true.
 package runtime
 
 import (
@@ -22,14 +21,17 @@ var _ core.Substrate = (*Engine)(nil)
 // N returns the number of processes.
 func (e *Engine) N() int { return e.n }
 
-// Await evaluates cond under process p's mutex at the tick cadence until
-// it holds; see core.Substrate for the contract. It returns nil,
-// ctx.Err(), or ErrStopped.
+// Await evaluates cond under process p's mutex — here, in a section ending
+// with an eager Step (a request it injected starts at once), then from
+// p's loop — until it holds: nil, ctx.Err(), or ErrStopped.
 func (e *Engine) Await(ctx context.Context, p core.ProcID, cond func(env core.Env) bool) error {
-	return core.PollAwait(ctx, e.tick, e.stop, nil, func() (ok bool) {
-		e.Do(p, func(env core.Env) { ok = cond(env) })
-		return ok
-	})
+	e.procMu[p].Lock()
+	w := e.waiters[p].Eval(e.envs[p][core.PathAction], cond)
+	if !e.down(p) {
+		e.stacks[p].Step(e.envs[p][core.PathEager])
+	}
+	e.procMu[p].Unlock()
+	return e.waiters[p].Wait(ctx, &e.procMu[p], w, e.stop, nil)
 }
 
 // Close stops the engine; idempotent. Part of the core.Substrate

@@ -30,14 +30,19 @@ func (n *Node) Await(ctx context.Context, cond func(env core.Env) bool) error {
 	return n.g0.await(ctx, nil, cond)
 }
 
-// await polls cond under the action mutex at millisecond cadence until
-// it holds, ctx ends, or the node — or the caller's view of it, done —
-// stops.
+// await evaluates cond in an atomic section ending with an eager Step (a
+// request it injected starts at once), then has the loop re-evaluate it
+// until it holds, ctx ends, or the node — or the view of it, done — stops.
 func (g *Group) await(ctx context.Context, done <-chan struct{}, cond func(env core.Env) bool) error {
-	return core.PollAwait(ctx, time.Millisecond, g.n.stop, done, func() (ok bool) {
-		g.n.doGroup(g, func(env core.Env) { ok = cond(env) })
-		return ok
-	})
+	n := g.n
+	n.mu.Lock()
+	w := g.waiters.Eval(g.envs[core.PathAction], cond)
+	if !g.down() {
+		g.stack.Step(g.envs[core.PathEager])
+	}
+	n.link.Flush()
+	n.mu.Unlock()
+	return g.waiters.Wait(ctx, &n.mu, w, n.stop, done)
 }
 
 // members is the core.Substrate face shared by Cluster and MuxCluster:
@@ -57,8 +62,8 @@ func (c *members) Do(p core.ProcID, f func(env core.Env)) {
 	g.n.doGroup(g, f)
 }
 
-// Await evaluates cond under process p's action mutex until it holds.
-// It returns nil, ctx.Err(), or ErrStopped.
+// Await evaluates cond under process p's action mutex, now and after each
+// atomic section at p, until it holds: nil, ctx.Err(), or ErrStopped.
 func (c *members) Await(ctx context.Context, p core.ProcID, cond func(env core.Env) bool) error {
 	return c.groups[p].await(ctx, c.done, cond)
 }

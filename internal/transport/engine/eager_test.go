@@ -1,0 +1,392 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/pif"
+)
+
+// The tests in this file drive unstarted nodes by hand: no activation
+// loop runs, so no ticker exists, and the test decides when mail is
+// drained (pump) and when the step timer fires (Node.tick). What they
+// pin is therefore exact: which atomic section sent what.
+
+// still builds n wired, unstarted nodes on one pipe net.
+func still(t *testing.T, n int, opts ...Option) (*pipeNet, []*Node, []*pif.PIF) {
+	t.Helper()
+	pn := newPipeNet()
+	stacks, machines := pifStacks(n)
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		node, err := NewNode(pn.transport(), core.ProcID(i), stacks[i], "", make([]string, n), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = node
+	}
+	for _, node := range nodes {
+		for j, other := range nodes {
+			if err := node.SetPeer(core.ProcID(j), other.Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return pn, nodes, machines
+}
+
+// pump drains mail at every node until none is left anywhere.
+func pump(nodes []*Node) {
+	for busy := true; busy; {
+		busy = false
+		for _, n := range nodes {
+			n.mbMu.Lock()
+			boxed := n.boxed
+			n.mbMu.Unlock()
+			if boxed > 0 {
+				n.drainMail()
+				busy = true
+			}
+		}
+	}
+}
+
+func waiting(n *Node) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.g0.waiters.Len()
+}
+
+// broadcasting is the façade's injected idiom: the condition issues the
+// request on its first evaluation and holds once it decided.
+func broadcasting(m *pif.PIF, token core.Payload) func(core.Env) bool {
+	injected := false
+	return func(env core.Env) bool {
+		if !injected {
+			injected = m.Invoke(env, token)
+			return false
+		}
+		return m.Done() && m.BMes.Equal(token)
+	}
+}
+
+// request awaits a broadcast of token at node from a goroutine and
+// returns once its first atomic section is over.
+func request(t *testing.T, node *Node, m *pif.PIF, token core.Payload) <-chan error {
+	t.Helper()
+	errc := make(chan error, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel) // a request a test leaves undecided ends with the test
+	go func() { errc <- node.Await(ctx, broadcasting(m, token)) }()
+	if !waitFor(10*time.Second, func() bool { return waiting(node) == 1 }) {
+		t.Fatal("Await never registered its condition")
+	}
+	return errc
+}
+
+// settled asserts the broadcast behind errc decided and woke its waiter
+// in an atomic section already over: nothing is registered any more,
+// and no loop, ticker or sleep exists that could have done it later.
+func settled(t *testing.T, node *Node, errc <-chan error) {
+	t.Helper()
+	if k := waiting(node); k != 0 {
+		t.Fatalf("%d conditions still registered once the mail was drained", k)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+func totals(nodes []*Node) (sends, retransmits int64) {
+	for _, n := range nodes {
+		s := n.Stats()
+		sends += s.Sends
+		retransmits += s.Retransmits
+	}
+	return sends, retransmits
+}
+
+// warm runs one whole broadcast, after which every flag of every
+// process stands at the top and a broadcast costs its minimum.
+func warm(t *testing.T, nodes []*Node, machines []*pif.PIF) {
+	t.Helper()
+	errc := request(t, nodes[0], machines[0], core.Payload{Tag: "warm"})
+	pump(nodes)
+	settled(t, nodes[0], errc)
+}
+
+// TestWarmBroadcastIsFortySends: with no timer at all, a warm n = 3,
+// c = 4 broadcast completes in exactly 4(c+1)(n-1) sends — 2c+2 flags
+// and as many echoes per peer — and wakes its waiter on the last echo.
+func TestWarmBroadcastIsFortySends(t *testing.T) {
+	_, nodes, machines := still(t, 3)
+	warm(t, nodes, machines)
+	before, _ := totals(nodes)
+	errc := request(t, nodes[0], machines[0], core.Payload{Tag: "hello", Num: 4})
+	pump(nodes)
+	settled(t, nodes[0], errc)
+	after, retransmits := totals(nodes)
+	if want := int64(4 * (DefaultCapacity + 1) * 2); after-before != want || retransmits != 0 {
+		t.Fatalf("warm broadcast took %d sends (%d retransmissions), want %d and 0", after-before, retransmits, want)
+	}
+}
+
+// TestDuplicateEchoCostsNothing: a duplicated echo makes the initiator
+// step once more, and everything that Step says was said already.
+// Without the last-message filter the copy doubles every later round.
+func TestDuplicateEchoCostsNothing(t *testing.T) {
+	pn, nodes, machines := still(t, 3)
+	warm(t, nodes, machines)
+	before, _ := totals(nodes)
+	echoes := 0
+	pn.setCopies(func(from, to core.ProcID) int {
+		if from == 1 && to == 0 {
+			if echoes++; echoes == 3 {
+				return 2
+			}
+		}
+		return 1
+	})
+	errc := request(t, nodes[0], machines[0], core.Payload{Tag: "hello", Num: 5})
+	pump(nodes)
+	settled(t, nodes[0], errc)
+	if echoes < 3 {
+		t.Fatalf("only %d echoes seen, none duplicated", echoes)
+	}
+	if after, _ := totals(nodes); after-before != 40 {
+		t.Fatalf("broadcast with one duplicated echo took %d sends, want 40", after-before)
+	}
+}
+
+// TestTickRecoversDroppedFlag: a lost flag stalls its link until the
+// step timer finds the link silent for a whole interval — the second
+// tick after the loss at the latest — and costs one retransmission.
+func TestTickRecoversDroppedFlag(t *testing.T) {
+	pn, nodes, machines := still(t, 3)
+	warm(t, nodes, machines)
+	before, _ := totals(nodes)
+	flags := 0
+	pn.setCopies(func(from, to core.ProcID) int {
+		if from == 0 && to == 1 {
+			if flags++; flags == 4 {
+				return 0
+			}
+		}
+		return 1
+	})
+	errc := request(t, nodes[0], machines[0], core.Payload{Tag: "hello", Num: 6})
+	pump(nodes)
+	if waiting(nodes[0]) != 1 {
+		t.Fatal("broadcast decided although a flag was lost")
+	}
+	ticks := 0
+	for ; ticks < 5 && waiting(nodes[0]) == 1; ticks++ {
+		for _, n := range nodes {
+			n.tick()
+		}
+		pump(nodes)
+	}
+	if ticks > 2 {
+		t.Fatalf("dropped flag recovered after %d ticks, want at most 2", ticks)
+	}
+	settled(t, nodes[0], errc)
+	after, retransmits := totals(nodes)
+	if after-before != 41 || retransmits != 1 {
+		t.Fatalf("%d sends, %d retransmissions; want 41 and 1", after-before, retransmits)
+	}
+}
+
+// TestStalledLinkIsNotStarved: the timer's rule is per link. While the
+// handshake with process 2 advances between every two ticks, the link
+// to process 1, which hears nothing, is still retransmitted on at every
+// tick — and the busy link never is.
+func TestStalledLinkIsNotStarved(t *testing.T) {
+	pn, nodes, machines := still(t, 3)
+	warm(t, nodes, machines)
+	pn.setCopies(func(from, to core.ProcID) int {
+		if from == 0 && to == 1 {
+			return 0
+		}
+		return 1
+	})
+	request(t, nodes[0], machines[0], core.Payload{Tag: "hello", Num: 7})
+	round := func() {
+		nodes[2].drainMail()
+		nodes[0].drainMail()
+	}
+	nodes[0].tick() // both links sent in the section that started the request
+	if _, r := totals(nodes); r != 0 {
+		t.Fatalf("%d retransmissions at the first tick, on links that had just sent", r)
+	}
+	for i := int64(1); i <= 3; i++ {
+		round()
+		nodes[0].tick()
+		if _, r := totals(nodes); r != i {
+			t.Fatalf("after %d more ticks: %d retransmissions, want one per tick, all on the stalled link", i, r)
+		}
+	}
+	var toward2 uint8
+	nodes[0].Do(func(core.Env) { toward2 = machines[0].State[2] })
+	if toward2 < 3 {
+		t.Fatalf("handshake with process 2 stands at %d, want 3 rounds done", toward2)
+	}
+}
+
+// TestCrashWindowSuppressesEagerStepping: inside a crash window a group
+// neither steps — not from Await, not from the timer — nor delivers;
+// the request the condition injected starts when the window ends.
+func TestCrashWindowSuppressesEagerStepping(t *testing.T) {
+	var delivered int
+	var mu sync.Mutex
+	plan := &core.FaultPlan{Unit: time.Hour, Crashes: []core.CrashWindow{{Proc: 0, From: 0, Until: 1}}}
+	_, nodes, machines := still(t, 2, WithFaults(plan), WithObserver(core.ObserverFunc(func(ev core.Event) {
+		if ev.Kind == core.EvDeliver && ev.Proc == 0 {
+			mu.Lock()
+			delivered++
+			mu.Unlock()
+		}
+	})))
+	for _, n := range nodes {
+		n.g0.epoch = time.Now() // the first hour: process 0 is down
+	}
+	// Mail already in transit when the window opened stays boxed.
+	nodes[0].box(nodes[0].g0, 1, core.Message{Instance: "pif", Kind: pif.Kind})
+	request(t, nodes[0], machines[0], core.Payload{Tag: "hello", Num: 8})
+	nodes[0].tick()
+	nodes[0].drainMail()
+	var req core.ReqState
+	nodes[0].Do(func(core.Env) { req = machines[0].Request })
+	mu.Lock()
+	if req != core.Wait || delivered != 0 || nodes[0].Stats().Sends != 0 {
+		t.Fatalf("inside the crash window: Request = %v, %d deliveries, %d sends; want Wait, 0, 0",
+			req, delivered, nodes[0].Stats().Sends)
+	}
+	mu.Unlock()
+	nodes[0].g0.epoch = time.Now().Add(-2 * time.Hour) // the window is over
+	nodes[0].drainMail()
+	nodes[0].Do(func(core.Env) { req = machines[0].Request })
+	mu.Lock()
+	defer mu.Unlock()
+	if req != core.In || delivered != 1 || nodes[0].Stats().Sends == 0 {
+		t.Fatalf("after the crash window: Request = %v, %d deliveries, %d sends; want In, 1, some",
+			req, delivered, nodes[0].Stats().Sends)
+	}
+}
+
+// TestAwaitTrueAtOnce: a condition that holds on its first evaluation
+// returns from that atomic section, registering nothing — on a node
+// that has no loop to wake anyone.
+func TestAwaitTrueAtOnce(t *testing.T) {
+	_, nodes, _ := still(t, 2)
+	evals := 0
+	if err := nodes[0].Await(context.Background(), func(core.Env) bool { evals++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if evals != 1 || waiting(nodes[0]) != 0 {
+		t.Fatalf("%d evaluations, %d registered; want 1 and 0", evals, waiting(nodes[0]))
+	}
+}
+
+// TestAwaitEndsUnregistered: whatever ends a wait other than its
+// condition — the context, the node, the mux view — returns the right
+// error and leaves no condition registered and no goroutine behind.
+func TestAwaitEndsUnregistered(t *testing.T) {
+	never := func(core.Env) bool { return false }
+	base := runtime.NumGoroutine()
+	stacks, _ := pifStacks(2)
+	c, err := NewCluster(newPipeNet().transport(), stacks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux, err := NewMux(newPipeNet().transport(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	muxStacks, _ := pifStacks(2)
+	view, err := mux.Attach(muxStacks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	for _, tc := range []struct {
+		name string
+		sub  core.Substrate
+		g    *Group
+		ctx  context.Context
+		end  func()
+		want error
+	}{
+		{"ctx", c, c.groups[0], ctx, cancel, context.Canceled},
+		{"MuxCluster.Close", view, view.groups[0], context.Background(), func() { view.Close() }, core.ErrClosed},
+		{"Node.Stop", c, c.groups[0], context.Background(), func() { c.Close() }, core.ErrClosed},
+	} {
+		errc := make(chan error, 1)
+		go func() { errc <- tc.sub.Await(tc.ctx, 0, never) }()
+		registered := func() (k int) {
+			tc.g.n.mu.Lock()
+			defer tc.g.n.mu.Unlock()
+			return tc.g.waiters.Len()
+		}
+		if !waitFor(10*time.Second, func() bool { return registered() == 1 }) {
+			t.Fatalf("%s: Await never registered", tc.name)
+		}
+		tc.end()
+		if err := <-errc; !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Await returned %v, want %v", tc.name, err, tc.want)
+		}
+		if k := registered(); k != 0 {
+			t.Fatalf("%s: %d conditions left registered", tc.name, k)
+		}
+	}
+	mux.Close()
+	if !waitFor(10*time.Second, func() bool { return runtime.NumGoroutine() <= base }) {
+		t.Fatalf("%d goroutines left, %d before the clusters were built", runtime.NumGoroutine(), base)
+	}
+}
+
+// TestConcurrentAwaitsSerialize: two requests awaited at one process of
+// a running cluster take turns — the second's Invoke is refused until
+// the first decided — so their computations never interleave.
+func TestConcurrentAwaitsSerialize(t *testing.T) {
+	var mu sync.Mutex
+	var order []core.EventKind
+	stacks, machines := pifStacks(3)
+	c, err := NewCluster(newPipeNet().transport(), stacks, WithObserver(core.ObserverFunc(func(ev core.Event) {
+		if ev.Proc == 0 && (ev.Kind == core.EvStart || ev.Kind == core.EvDecide) {
+			mu.Lock()
+			order = append(order, ev.Kind)
+			mu.Unlock()
+		}
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	for i := int64(1); i <= 2; i++ {
+		wg.Add(1)
+		go func(token core.Payload) {
+			defer wg.Done()
+			if err := c.Await(context.Background(), 0, broadcasting(machines[0], token)); err != nil {
+				t.Error(err)
+			}
+		}(core.Payload{Tag: "turn", Num: i})
+	}
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	want := []core.EventKind{core.EvStart, core.EvDecide, core.EvStart, core.EvDecide}
+	if len(order) != len(want) {
+		t.Fatalf("process 0 saw %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("process 0 saw %v, want %v", order, want)
+		}
+	}
+}

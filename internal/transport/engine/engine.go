@@ -49,6 +49,12 @@
 // what it queues, and nothing the receive side does ever waits on a
 // send. The lock order is mu → mbMu → injMu (snapvet's lockorder).
 //
+// The loop is event-driven end to end (DESIGN.md §7): a section that
+// delivered mail ends, before its Flush, by stepping the stacks it
+// delivered to and re-evaluating their awaited conditions
+// (core.Waiters.Settle); what a Step would send again, the link's
+// core.LinkOut holds back for the step timer.
+//
 // The fault plane (DESIGN.md §9) acts per logical message at the mailbox
 // boundary, never per frame: every decoded message passes its group's
 // injector individually before it is boxed, so §9 semantics and seed
@@ -80,10 +86,10 @@ const (
 	// notification-driven, so the sweep is a safety net; it is also the
 	// cadence at which delayed fault-plan messages surface.
 	sweepInterval = time.Millisecond
-	// stepInterval paces internal protocol actions. Action A2 retransmits
-	// on every activation, so this is the retransmission interval;
-	// unpaced retransmission floods the path and the queueing delay
-	// stalls the handshake (deliveries are event-driven and unpaced).
+	// stepInterval is the retransmission interval: the step timer repeats
+	// the last message of a link that sent nothing for a whole interval
+	// (new information never waits for it). Unpaced retransmission would
+	// flood the path and stall the handshake behind its own queue.
 	stepInterval = 2 * time.Millisecond
 )
 
@@ -228,6 +234,9 @@ type Group struct {
 	routes    map[string]core.Machine
 	topo      *core.Topology
 	observers core.MultiObserver
+	envs      [core.NumPaths]core.Env // per send path
+	waiters   core.Waiters            // pending Awaits; under n.mu
+	dirty     bool                    // got mail in the drain under way; under n.mu
 	fault     *core.FaultPlan
 	faultUnit time.Duration
 	epoch     time.Time // fault-schedule tick zero; set before the group is visible to the loops
@@ -244,6 +253,7 @@ type Group struct {
 
 	sends        atomic.Int64
 	recvs        atomic.Int64
+	retransmits  atomic.Int64
 	sendDrops    atomic.Int64
 	mailboxDrops atomic.Int64
 	echoFrames   atomic.Int64
@@ -306,6 +316,7 @@ func (g *Group) Stats() core.TransportStats {
 		Addr:          n.Addr(),
 		Sends:         g.sends.Load(),
 		Recvs:         g.recvs.Load(),
+		Retransmits:   g.retransmits.Load(),
 		SendDrops:     g.sendDrops.Load(),
 		MailboxDrops:  g.mailboxDrops.Load(),
 		Redials:       n.io.Redials.Load(),
@@ -352,6 +363,9 @@ func (n *Node) buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan
 		// A random first sequence keeps a restarted node's numbering
 		// clear of acknowledgments addressed to its previous life.
 		links: window.NewTable(n.capacity, 1+uint64(rand.Uint32()>>1)),
+	}
+	for path := range g.envs {
+		g.envs[path] = env{n: n, g: g, path: core.SendPath(path)}
 	}
 	if plan != nil {
 		if err := plan.Validate(); err != nil {
@@ -402,8 +416,9 @@ type Node struct {
 	// mu is the action mutex: it makes stack actions (Step, Deliver, Do)
 	// atomic, and serializes the link's outbound half. Every atomic
 	// section ends with link.Flush.
-	mu  sync.Mutex
-	due []window.Due // step-timer scratch: control frames due
+	mu    sync.Mutex
+	due   []window.Due // step-timer scratch: control frames due
+	dirty []*Group     // drain scratch: groups that got mail
 
 	// mbMu guards the double-buffered mailboxes and is never held across
 	// link calls or protocol actions.
@@ -552,10 +567,11 @@ func (n *Node) Stop() {
 // Stats returns the default group's counters (see Group.Stats).
 func (n *Node) Stats() core.TransportStats { return n.g0.Stats() }
 
-// env implements core.Env for one group; use only under n.mu.
+// env implements core.Env for one group on one path; use only under n.mu.
 type env struct {
-	n *Node
-	g *Group
+	n    *Node
+	g    *Group
+	path core.SendPath
 }
 
 func (v env) Self() core.ProcID { return v.n.self }
@@ -585,8 +601,12 @@ func (v env) Send(to core.ProcID, m core.Message) {
 		g.sendDrops.Add(1)
 		n.linkDropped[to].Add(1)
 		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: note})
+		g.waiters.Refused(v.path)
 	}
 	e := g.links.Link(to, m.Instance)
+	if !e.Out.Pass(v.path, m, &g.retransmits) {
+		return
+	}
 	if !e.Admit() {
 		// The link already holds c unconsumed messages: the send is lost
 		// at the sender, the model's rule for a full channel.
@@ -710,7 +730,7 @@ func (n *Node) box(g *Group, sender core.ProcID, m core.Message) {
 }
 
 // actLoop delivers mailbox batches as soon as Arrive signals them and
-// runs every group's internal actions at the step interval.
+// retransmits for every group at the step interval.
 func (n *Node) actLoop() {
 	defer n.wg.Done()
 	stepTimer := time.NewTicker(stepInterval)
@@ -727,22 +747,25 @@ func (n *Node) actLoop() {
 			n.flushDelayed()
 			n.drainMail()
 		case <-stepTimer.C:
-			gs := n.groups.Load()
-			n.mu.Lock()
-			for _, g := range gs.list {
-				if g.down() {
-					continue // crash window: no internal actions until restart
-				}
-				ev := env{n: n, g: g}
-				for _, m := range g.stack {
-					m.Step(ev)
-				}
-				n.control(g)
-			}
-			n.link.Flush()
-			n.mu.Unlock()
+			n.tick()
 		}
 	}
+}
+
+// tick is the step timer's atomic section: every group outside a crash
+// window retransmits on its quiet links and runs its windows' timer edge.
+func (n *Node) tick() {
+	gs := n.groups.Load()
+	n.mu.Lock()
+	for _, g := range gs.list {
+		if g.down() {
+			continue // crash window: no internal actions until restart
+		}
+		g.waiters.Settle(g.stack, &g.envs, core.PathTick)
+		n.control(g)
+	}
+	n.link.Flush()
+	n.mu.Unlock()
 }
 
 // control runs the timer edge of every link of g, after the group's own
@@ -761,8 +784,9 @@ func (n *Node) control(g *Group) {
 
 // drainMail swaps the filled mailbox buffer out (one pointer swap under
 // the mailbox lock, batching the handoff) and delivers its contents
-// under the action mutex, routing each mailbox to its group. Mail for a
-// group inside a crash window stays in transit: it is re-boxed untouched
+// under the action mutex, routing each mailbox to its group; the groups
+// that got mail then settle. Mail for a group inside a crash window
+// stays in transit: it is re-boxed untouched
 // and the sweep retries after the window (re-boxed mail that no longer
 // fits is lost, the lose-on-full rule again).
 func (n *Node) drainMail() {
@@ -811,7 +835,11 @@ func (n *Node) drainMail() {
 			e.Occupy(-len(box))
 			continue
 		}
-		ev := env{n: n, g: g}
+		if !g.dirty {
+			g.dirty = true
+			n.dirty = append(n.dirty, g)
+		}
+		ev := g.envs[core.PathAction]
 		for _, m := range box {
 			// The message leaves the link as it is handed to Deliver, so
 			// a reply sent from inside Deliver already acknowledges it.
@@ -820,6 +848,11 @@ func (n *Node) drainMail() {
 			mach.Deliver(ev, key.from, m)
 		}
 	}
+	for i, g := range n.dirty {
+		g.dirty, n.dirty[i] = false, nil
+		g.waiters.Settle(g.stack, &g.envs, core.PathEager)
+	}
+	n.dirty = n.dirty[:0]
 	n.link.Flush()
 	n.mu.Unlock()
 
@@ -851,6 +884,6 @@ func (n *Node) Do(f func(env core.Env)) {
 func (n *Node) doGroup(g *Group, f func(env core.Env)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	f(env{n: n, g: g})
+	f(g.envs[core.PathAction])
 	n.link.Flush()
 }

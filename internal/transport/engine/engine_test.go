@@ -23,7 +23,7 @@ type pipe struct {
 }
 
 type pipeFrame struct {
-	to   string
+	peer core.ProcID
 	gid  uint64
 	h    wire.LinkHeader
 	msgs []core.Message
@@ -33,6 +33,16 @@ type pipeFrame struct {
 type pipeNet struct {
 	mu     sync.Mutex
 	byAddr map[string]*pipe
+	// copies, if set, decides how many times a frame from -> to arrives:
+	// 0 loses it, 2 duplicates it.
+	copies func(from, to core.ProcID) int
+}
+
+// setCopies installs the net's loss and duplication rule.
+func (pn *pipeNet) setCopies(f func(from, to core.ProcID) int) {
+	pn.mu.Lock()
+	pn.copies = f
+	pn.mu.Unlock()
 }
 
 func (pn *pipeNet) transport() Transport {
@@ -69,17 +79,22 @@ func (p *pipe) Control(g *Group, e *window.Entry, probe bool) {
 
 func (p *pipe) frame(g *Group, e *window.Entry, probe bool, msgs ...core.Message) {
 	h := e.Stamp(probe)
-	p.out = append(p.out, pipeFrame{to: p.wired[e.Peer], gid: g.ID(), msgs: msgs,
+	p.out = append(p.out, pipeFrame{peer: e.Peer, gid: g.ID(), msgs: msgs,
 		h: wire.LinkHeader{Instance: e.Instance, Seq: h.Seq, Ack: h.Ack, Probe: h.Probe, Count: len(msgs)}})
 }
 
 func (p *pipe) Flush() {
 	for _, f := range p.out {
 		p.net.mu.Lock()
-		peer := p.net.byAddr[f.to]
+		peer, copies := p.net.byAddr[p.wired[f.peer]], 1
+		if p.net.copies != nil {
+			copies = p.net.copies(p.cfg.Self, f.peer)
+		}
 		p.net.mu.Unlock()
 		p.cfg.IO.SendFrames.Add(1)
-		peer.cfg.Arrive(p.cfg.Self, f.gid, []wire.LinkHeader{f.h}, f.msgs)
+		for ; copies > 0; copies-- {
+			peer.cfg.Arrive(p.cfg.Self, f.gid, []wire.LinkHeader{f.h}, f.msgs)
+		}
 	}
 	p.out = p.out[:0]
 }

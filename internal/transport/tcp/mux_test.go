@@ -22,6 +22,7 @@ var suite = linktest.Link{
 func TestTCPMuxHostsIndependentClusters(t *testing.T) { linktest.MuxHostsIndependentClusters(t, suite) }
 func TestTCPMuxFaultIsolation(t *testing.T)           { linktest.MuxIsolation(t, suite, nil) }
 func TestTCPMuxClusterCloseDetaches(t *testing.T)     { linktest.MuxClusterCloseDetaches(t, suite) }
+func TestTCPIdleIsSilent(t *testing.T)                { linktest.IdleIsSilent(t, suite) }
 
 func TestTCPMuxRejectsNodeLevelAttachOptions(t *testing.T) {
 	t.Parallel()

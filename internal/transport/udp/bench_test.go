@@ -17,6 +17,7 @@ type flooder struct {
 	inst      string
 	self      core.ProcID
 	n         int
+	seq       int64  // numbers every message: the engines send only what differs from a link's last message
 	blob      []byte // opaque payload body wire-encoded into every datagram
 	delivered *atomic.Int64
 }
@@ -26,7 +27,7 @@ func (f *flooder) Instance() string { return f.inst }
 func (f *flooder) Step(env core.Env) bool {
 	for q := 0; q < f.n; q++ {
 		if core.ProcID(q) != f.self {
-			env.Send(core.ProcID(q), core.Message{Instance: f.inst, Kind: "flood", B: core.Payload{Blob: f.blob}})
+			env.Send(core.ProcID(q), f.next())
 		}
 	}
 	return true
@@ -34,7 +35,12 @@ func (f *flooder) Step(env core.Env) bool {
 
 func (f *flooder) Deliver(env core.Env, from core.ProcID, m core.Message) {
 	f.delivered.Add(1)
-	env.Send(from, core.Message{Instance: f.inst, Kind: "flood", B: core.Payload{Blob: f.blob}})
+	env.Send(from, f.next())
+}
+
+func (f *flooder) next() core.Message {
+	f.seq++
+	return core.Message{Instance: f.inst, Kind: "flood", B: core.Payload{Num: f.seq, Blob: f.blob}}
 }
 
 func blobBody(size int) []byte {

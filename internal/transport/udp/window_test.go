@@ -18,3 +18,4 @@ func TestSilentPeerSeesAtMostCMessages(t *testing.T) {
 }
 func TestProbeReopensShutWindow(t *testing.T) { linktest.ProbeReopensShutWindow(t, suite) }
 func TestReboxOverflowIsLost(t *testing.T)    { linktest.ReboxOverflowIsLost(t, suite) }
+func TestIdleIsSilent(t *testing.T)           { linktest.IdleIsSilent(t, suite) }

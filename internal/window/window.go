@@ -205,7 +205,11 @@ type Entry struct {
 	Peer core.ProcID
 	// Instance is the protocol instance the link serves.
 	Instance string
-	l        Link
+	// Out is the sender's record of what the protocol last put on the
+	// link. The table does not guard it: the engine uses it under its
+	// action mutex.
+	Out core.LinkOut
+	l   Link
 }
 
 // Admit is Link.Admit under the table lock.

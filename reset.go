@@ -94,7 +94,8 @@ func (c *ResetCluster) ResetAsync(p int) *ResetRequest {
 		}
 		// The condition keys only on absorbing states (Invoke accepted,
 		// then Request back at Done), never on the transient In — a
-		// polling substrate could miss a transient state entirely. The
+		// substrate re-evaluates conditions at the end of atomic
+		// sections and could pass over a transient state entirely. The
 		// epoch OUR computation broadcast is the child PIF's broadcast
 		// payload: written by our start action and by nothing else until
 		// the next request (the per-process gate holds until we finish).
