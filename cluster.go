@@ -36,7 +36,7 @@ type Cluster interface {
 // clusterCore is the substrate-facing half shared by every cluster type:
 // it owns the built substrate, the cluster lifetime context, and the
 // request plumbing. The concrete cluster types embed it, so N, Close,
-// Stats, and TransportStats are uniform across all five.
+// Stats, and TransportStats are uniform across all seven.
 type clusterCore struct {
 	opt    options
 	stacks []core.Stack

@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/linktest"
 	udp "github.com/snapstab/snapstab/internal/transport/udp"
 )
 
@@ -144,57 +144,12 @@ func printWireRow(r wireBenchResult) {
 // the flood asks for a window deep enough to keep every link saturated.
 const floodWindow = 1024
 
-// floodMachine seeds one message per peer on Step and echoes each
-// delivery back, so sustained traffic is driven by the delivery path —
-// the same shape as the transport package's own throughput benchmark.
-// Every message carries a fresh number: the engine sends only what
-// differs from a link's last message.
-type floodMachine struct {
-	self      core.ProcID
-	n         int
-	seq       int64
-	blob      []byte
-	delivered *atomic.Int64
-}
-
-func (f *floodMachine) Instance() string { return "flood" }
-
-func (f *floodMachine) Step(env core.Env) bool {
-	for q := 0; q < f.n; q++ {
-		if core.ProcID(q) != f.self {
-			env.Send(core.ProcID(q), f.next())
-		}
-	}
-	return true
-}
-
-func (f *floodMachine) Deliver(env core.Env, from core.ProcID, m core.Message) {
-	f.delivered.Add(1)
-	env.Send(from, f.next())
-}
-
-func (f *floodMachine) next() core.Message {
-	f.seq++
-	return core.Message{Instance: "flood", Kind: "flood", B: core.Payload{Num: f.seq, Blob: f.blob}}
-}
-
 // benchWireFlood measures one (n, batch, blob) cell: sustained
 // deliveries/sec over window, with the occupancy and amortization ratios
 // read from the transport counters across the same interval.
 func benchWireFlood(n, batch, blob int, window time.Duration) (wireBenchResult, error) {
 	var delivered atomic.Int64
-	var body []byte
-	if blob > 0 {
-		body = make([]byte, blob)
-		for i := range body {
-			body[i] = byte(i)
-		}
-	}
-	stacks := make([]core.Stack, n)
-	for i := range stacks {
-		stacks[i] = core.Stack{&floodMachine{self: core.ProcID(i), n: n, blob: body, delivered: &delivered}}
-	}
-	c, err := udp.NewCluster(stacks, udp.WithBatch(batch), udp.WithCapacity(floodWindow))
+	c, err := udp.NewCluster(linktest.Flood(n, blob, &delivered), udp.WithBatch(batch), udp.WithCapacity(floodWindow))
 	if err != nil {
 		return wireBenchResult{}, err
 	}

@@ -18,24 +18,25 @@ import (
 
 // LinkFaults is the fault policy of one directed link (or the plan-wide
 // default): independent probabilities, all in [0, 1), applied to each
-// in-transit message at the delivery boundary.
+// in-transit message at the delivery boundary. The JSON tags are the
+// snapd/fleetgen config shape.
 type LinkFaults struct {
 	// DropRate drops the message (link loss).
-	DropRate float64
+	DropRate float64 `json:"drop_rate,omitempty"`
 	// DupRate delivers the message twice.
-	DupRate float64
+	DupRate float64 `json:"dup_rate,omitempty"`
 	// ReorderRate holds the message back and releases it behind the next
 	// message on its link — an adjacent FIFO violation.
-	ReorderRate float64
+	ReorderRate float64 `json:"reorder_rate,omitempty"`
 	// DelayRate holds the message for DelayTicks ticks.
-	DelayRate float64
+	DelayRate float64 `json:"delay_rate,omitempty"`
 	// DelayTicks is how long a delayed message is held (simulator: in
 	// scheduler steps; runtime/UDP: in FaultPlan.Unit of wall time).
-	DelayTicks int64
+	DelayTicks int64 `json:"delay_ticks,omitempty"`
 	// CorruptRate garbles the message's payloads and handshake fields,
 	// keeping it routable — garbage the protocols must reject, not mere
 	// loss.
-	CorruptRate float64
+	CorruptRate float64 `json:"corrupt_rate,omitempty"`
 }
 
 // Link selects one directed physical link for a per-link policy override.

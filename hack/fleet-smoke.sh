@@ -69,6 +69,10 @@ while [ "$i" -lt "$N" ]; do
     || fail "node $i has an empty latency histogram"
   echo "$m" | grep -q 'snapstab_transport_sends_total' \
     || fail "node $i exposes no transport counters"
+  for series in snapstab_transport_send_datagrams_total snapstab_transport_send_batch_occupancy; do
+    echo "$m" | grep "^$series " | grep -vq ' 0$' \
+      || fail "node $i: $series is absent or zero after two broadcasts"
+  done
   i=$((i + 1))
 done
 "$WORK/typed/down.sh" >/dev/null

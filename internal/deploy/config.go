@@ -66,46 +66,25 @@ type Config struct {
 // unit in milliseconds).
 type FaultConfig struct {
 	Seed       uint64                     `json:"seed,omitempty"`
-	Default    LinkFaultsConfig           `json:"default,omitempty"`
+	Default    snapstab.LinkFaults        `json:"default,omitempty"`
 	Links      []LinkOverride             `json:"links,omitempty"`
 	Partitions []snapstab.PartitionWindow `json:"partitions,omitempty"`
 	Crashes    []snapstab.CrashWindow     `json:"crashes,omitempty"`
 	UnitMS     int64                      `json:"unit_ms,omitempty"`
 }
 
-// LinkFaultsConfig mirrors snapstab.LinkFaults with JSON tags.
-type LinkFaultsConfig struct {
-	DropRate    float64 `json:"drop_rate,omitempty"`
-	DupRate     float64 `json:"dup_rate,omitempty"`
-	ReorderRate float64 `json:"reorder_rate,omitempty"`
-	DelayRate   float64 `json:"delay_rate,omitempty"`
-	DelayTicks  int64   `json:"delay_ticks,omitempty"`
-	CorruptRate float64 `json:"corrupt_rate,omitempty"`
-}
-
 // LinkOverride is one directed link's policy override.
 type LinkOverride struct {
 	From int `json:"from"`
 	To   int `json:"to"`
-	LinkFaultsConfig
-}
-
-func (l LinkFaultsConfig) plan() snapstab.LinkFaults {
-	return snapstab.LinkFaults{
-		DropRate:    l.DropRate,
-		DupRate:     l.DupRate,
-		ReorderRate: l.ReorderRate,
-		DelayRate:   l.DelayRate,
-		DelayTicks:  l.DelayTicks,
-		CorruptRate: l.CorruptRate,
-	}
+	snapstab.LinkFaults
 }
 
 // Plan converts the config shape to the façade's plan.
 func (f *FaultConfig) Plan() snapstab.FaultPlan {
 	p := snapstab.FaultPlan{
 		Seed:       f.Seed,
-		Default:    f.Default.plan(),
+		Default:    f.Default,
 		Partitions: f.Partitions,
 		Crashes:    f.Crashes,
 		Unit:       time.Duration(f.UnitMS) * time.Millisecond,
@@ -113,7 +92,7 @@ func (f *FaultConfig) Plan() snapstab.FaultPlan {
 	if len(f.Links) > 0 {
 		p.Links = make(map[snapstab.Link]snapstab.LinkFaults, len(f.Links))
 		for _, o := range f.Links {
-			p.Links[snapstab.Link{From: o.From, To: o.To}] = o.LinkFaultsConfig.plan()
+			p.Links[snapstab.Link{From: o.From, To: o.To}] = o.LinkFaults
 		}
 	}
 	return p

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	snapstab "github.com/snapstab/snapstab"
-	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/obs"
 )
 
@@ -94,7 +93,7 @@ func New(cfg Config, log *slog.Logger) (*Daemon, error) {
 		return nil, err
 	}
 	d.drv = drv
-	d.metrics = obs.NewNodeMetrics(cfg.Node, cfg.Protocol, coreStatser{drv.cluster.TransportStats})
+	d.metrics = obs.NewNodeMetrics(cfg.Node, cfg.Protocol, drv.cluster.TransportStats)
 	if cfg.Corrupt {
 		drv.cluster.CorruptEverything(cfg.corruptSeed())
 		log.Info("initial configuration corrupted", "seed", cfg.corruptSeed())
@@ -117,41 +116,6 @@ func New(cfg Config, log *slog.Logger) (*Daemon, error) {
 type noopWriter struct{}
 
 func (noopWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-// coreStatser adapts the façade's TransportStats to the core shape the
-// metrics layer consumes (obs depends on internal/core only, not on the
-// root package).
-type coreStatser struct {
-	get func() []snapstab.TransportStats
-}
-
-func (c coreStatser) TransportStats() []core.TransportStats {
-	pub := c.get()
-	out := make([]core.TransportStats, len(pub))
-	for i, s := range pub {
-		cs := core.TransportStats{
-			Addr:         s.Addr,
-			Sends:        s.Sends,
-			Recvs:        s.Recvs,
-			Retransmits:  s.Retransmits,
-			SendDrops:    s.SendDrops,
-			MailboxDrops: s.MailboxDrops,
-			Redials:      s.Redials,
-			EchoFrames:   s.EchoFrames,
-			ProbeFrames:  s.ProbeFrames,
-			Capacity:     s.Capacity,
-			Faults:       core.FaultStats(s.Faults),
-		}
-		for _, l := range s.Links {
-			cs.Links = append(cs.Links, core.LinkStats{
-				Peer: core.ProcID(l.Peer), Sent: l.Sent, Received: l.Received, Dropped: l.Dropped,
-				InFlight: l.InFlight, PeakInFlight: l.PeakInFlight,
-			})
-		}
-		out[i] = cs
-	}
-	return out
-}
 
 // ControlAddr returns the bound control address (useful with port 0).
 func (d *Daemon) ControlAddr() string { return d.httpLn.Addr().String() }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -137,7 +138,27 @@ func TestFleetTypedBroadcastWithMetrics(t *testing.T) {
 				t.Fatalf("node %d scrape missing %q", i, want)
 			}
 		}
+		// The frame counters reach the scrape too: a node that sent
+		// messages wrote frames, and the derived ratio is live.
+		for _, name := range []string{"snapstab_transport_send_datagrams_total", "snapstab_transport_send_batch_occupancy"} {
+			if v := sample(text, name); v <= 0 {
+				t.Fatalf("node %d scrape: %s = %v after a broadcast, want > 0", i, name, v)
+			}
+		}
 	}
+}
+
+// sample returns the value of the unlabelled series name in a scrape, or
+// -1 if it is absent.
+func sample(text, name string) float64 {
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			if v, err := strconv.ParseFloat(rest, 64); err == nil {
+				return v
+			}
+		}
+	}
+	return -1
 }
 
 // TestFleetForwardOnTree drives the tree-forwarding protocol across
@@ -279,7 +300,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestFaultConfigRoundTrip pins the JSON fault-plan shape onto the
-// façade plan, link overrides included.
+// façade plan, link overrides included, and the bytes fleetgen writes
+// for it.
 func TestFaultConfigRoundTrip(t *testing.T) {
 	raw := `{
 		"seed": 9,
@@ -312,5 +334,16 @@ func TestFaultConfigRoundTrip(t *testing.T) {
 	}
 	if len(plan.Crashes) != 1 || plan.Crashes[0].Until != 100 {
 		t.Fatalf("crashes lost: %+v", plan.Crashes)
+	}
+	for _, tc := range []struct {
+		fc   FaultConfig
+		want string
+	}{
+		{fc, `{"seed":9,"default":{"drop_rate":0.1,"delay_rate":0.05,"delay_ticks":20},"links":[{"from":0,"to":1,"corrupt_rate":0.5}],"crashes":[{"Proc":1,"From":0,"Until":100}],"unit_ms":2}`},
+		{FaultConfig{}, `{"default":{}}`},
+	} {
+		if got, err := json.Marshal(tc.fc); err != nil || string(got) != tc.want {
+			t.Fatalf("config written as %s (%v), want %s", got, err, tc.want)
+		}
 	}
 }

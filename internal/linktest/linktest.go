@@ -208,9 +208,10 @@ func MuxHostsIndependentClusters(t *testing.T, l Link) {
 
 // MuxIsolation is the crossing test: cluster A runs under an aggressive
 // corruption/drop plan while cluster B runs clean on the same links. B
-// must complete untouched — no injected faults. pressure, if not nil,
-// runs once both clusters are attached, to aim link-specific garbage at
-// A's group id.
+// must complete untouched — no injected faults — and while only A has
+// run, every per-link counter of B reads zero and A's add up to its
+// totals. pressure, if not nil, runs once both clusters are attached, to
+// aim link-specific garbage at A's group id.
 func MuxIsolation(t *testing.T, l Link, pressure func(m *engine.Mux, gidA uint64)) {
 	const n = 3
 	m := newMux(t, l, n)
@@ -225,6 +226,27 @@ func MuxIsolation(t *testing.T, l Link, pressure func(m *engine.Mux, gidA uint64
 		pressure(m, ca.Group())
 	}
 	Broadcast(t, At0(ca), machA[0], core.Payload{Tag: "a", Num: 5})
+	// linkTotals sums a cluster's Sends, and what its Links[] count.
+	linkTotals := func(c *engine.MuxCluster) (sends, sent, all int64) {
+		for _, s := range c.TransportStats() {
+			sends += s.Sends
+			for _, l := range s.Links {
+				sent += l.Sent
+				all += l.Sent + l.Received + l.Dropped
+			}
+		}
+		return sends, sent, all
+	}
+	if _, _, all := linkTotals(cb); all != 0 {
+		t.Fatalf("idle cluster B counts %d messages on its links after traffic on A only", all)
+	}
+	// A snapshot taken between two sends reads the counters apart.
+	if !WaitFor(t, 5*time.Second, func() bool {
+		sends, sent, _ := linkTotals(ca)
+		return sends > 0 && sent == sends
+	}) {
+		t.Fatal("cluster A: Sends never equals the sum of Links.Sent")
+	}
 	Broadcast(t, At0(cb), machB[0], core.Payload{Tag: "b", Num: 6})
 
 	var faultsA, faultsB int64
@@ -424,13 +446,13 @@ func (m held) Instance() string                            { return m.inst }
 func (m held) Step(core.Env) bool                          { m.step.wait(m.inst); return false }
 func (m held) Deliver(core.Env, core.ProcID, core.Message) { m.deliver.wait(m.inst) }
 
-// ReboxOverflowIsLost pins the lose-on-full contract on the crash-window
-// re-box path: mail drained while its group is down goes back to its
-// mailbox, and what no longer fits is a MailboxDrop reported as EvLose
-// and charged to the link — exactly like an arrival that finds the
-// mailbox full. The run parks a drain across the start of a crash
-// window with one instance's mail still to route, fills that instance's
-// fresh mailbox meanwhile (duplicates included), and lets the drain go.
+// ReboxOverflowIsLost pins the lose-on-full contract across the start of
+// a crash window: a message is lost where it arrives — at a full mailbox,
+// as a MailboxDrop reported as EvLose and charged to its link — and
+// nowhere else. The run parks a drain in a Deliver with a second
+// instance's mail still boxed, overfills both mailboxes meanwhile
+// (duplicates included), and lets the drain go inside the window, where
+// it finds the group down and leaves that mail alone.
 func ReboxOverflowIsLost(t *testing.T, l Link) {
 	const c = 2
 	const crashAt = time.Second
@@ -464,45 +486,46 @@ func ReboxOverflowIsLost(t *testing.T, l Link) {
 			core.Message{Instance: "a", Kind: "K"}, core.Message{Instance: "b", Kind: "K"})
 		if !WaitFor(t, 5*time.Second, func() bool {
 			s = node.Stats()
-			return s.Recvs+s.MailboxDrops == int64(sent)+s.Faults.Duplicates
+			return s.Recvs+s.MailboxDrops == int64(sent)+s.Faults.Duplicates &&
+				loses.Load() == s.MailboxDrops && s.Links[0].Dropped == s.MailboxDrops
 		}) {
-			t.Fatalf("%d messages sent, not all boxed or dropped: %+v", sent, s)
+			t.Fatalf("%d messages sent, not all boxed or dropped as EvLose on their link: %+v, %d EvLose", sent, s, loses.Load())
 		}
 	}
 
-	// Mail for both instances is boxed while the loop sits in a Step, so
-	// one drain swaps both out; it parks delivering the first.
+	// Mail for both instances is boxed while the loop sits in a Step; the
+	// drain that follows takes one instance's mailbox and parks delivering
+	// its first message, the other's mail still boxed.
 	step.armed.Store(true)
 	<-step.entered
 	both(1)
 	deliver.armed.Store(true)
 	step.release()
 	first := <-deliver.entered
-	// The swapped-out mail of the other instance now waits behind the
-	// parked drain; c+1 more arrivals each fill the fresh mailboxes.
+	// c+1 more arrivals each: at least one overflows the mailbox the drain
+	// emptied, at least two the one that still holds its first message.
 	for seq := uint64(2); seq <= c+2; seq++ {
 		both(seq)
 	}
 	if time.Since(start) >= crashAt {
 		t.Skip("host too slow: the crash window opened before the mailboxes were full")
 	}
-
-	// Inside the crash window the drain finds the group down and re-boxes
-	// the other instance's mail into a mailbox that is already full.
-	time.Sleep(time.Until(started.Add(crashAt + 20*time.Millisecond)))
 	before := s.MailboxDrops
+	if before < 3 {
+		t.Fatalf("drain parked on %q: MailboxDrops = %d, want >= 3: overflow is lost on arrival", first, before)
+	}
+
+	// Inside the crash window the drain finishes the mailbox it took and
+	// finds the group down for the other: nothing more is lost.
+	time.Sleep(time.Until(started.Add(crashAt + 20*time.Millisecond)))
 	deliver.release()
-	if !WaitFor(t, 5*time.Second, func() bool {
-		s = node.Stats()
-		return s.MailboxDrops > before && loses.Load() == s.MailboxDrops
-	}) {
-		t.Fatalf("drain parked on %q: MailboxDrops %d -> %d with %d EvLose events; re-boxed mail that no longer fits must be a MailboxDrop reported as EvLose",
-			first, before, s.MailboxDrops, loses.Load())
+	node.Do(func(core.Env) {}) // returns once the parked section is over
+	s = node.Stats()
+	if s.MailboxDrops != before || loses.Load() != before || s.Links[0].Dropped != before {
+		t.Fatalf("releasing the drain inside the crash window: MailboxDrops %d -> %d, %d EvLose, Links[0].Dropped = %d; mail held through a crash window is not touched",
+			before, s.MailboxDrops, loses.Load(), s.Links[0].Dropped)
 	}
 	if d := s.Faults.Total() - s.Faults.Duplicates; d != 0 {
 		t.Fatalf("%d injected faults beyond duplicates: not the run this test sets up (%+v)", d, s.Faults)
-	}
-	if got := s.Links[0].Dropped; got != s.MailboxDrops {
-		t.Fatalf("Links[0].Dropped = %d, MailboxDrops = %d: a mailbox drop is a loss on its link", got, s.MailboxDrops)
 	}
 }

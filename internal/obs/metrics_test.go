@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	snapstab "github.com/snapstab/snapstab"
 	"github.com/snapstab/snapstab/internal/core"
 )
 
@@ -60,28 +61,24 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 	mustPanic("label arity", func() { v.With("only-one") })
 }
 
-// fakeStatser returns a fixed snapshot for the transport families.
-type fakeStatser struct{ stats []core.TransportStats }
-
-func (f fakeStatser) TransportStats() []core.TransportStats { return f.stats }
-
 // TestNodeMetricsEndToEnd wires the daemon metric set from a synthetic
 // event stream and transport snapshot and checks the scrape contains the
 // acceptance-critical series: nonzero per-link throughput and a nonzero
 // latency histogram.
 func TestNodeMetricsEndToEnd(t *testing.T) {
-	stats := fakeStatser{stats: []core.TransportStats{
+	stats := []snapstab.TransportStats{
 		{},
 		{
 			Addr: "127.0.0.1:9", Sends: 10, Recvs: 8, Redials: 1,
+			SendDatagrams: 5, RecvSyscalls: 4,
 			EchoFrames: 2, ProbeFrames: 1, Capacity: 4,
-			Links: []core.LinkStats{{Peer: 0, Sent: 6, Received: 5, InFlight: 1, PeakInFlight: 3},
+			Links: []snapstab.LinkStats{{Peer: 0, Sent: 6, Received: 5, InFlight: 1, PeakInFlight: 3},
 				{Peer: 2, Sent: 4, Received: 3, Dropped: 1}},
-			Faults: core.FaultStats{Drops: 2},
+			Faults: snapstab.FaultStats{Drops: 2},
 		},
 		{},
-	}}
-	m := NewNodeMetrics(1, "pif", stats)
+	}
+	m := NewNodeMetrics(1, "pif", func() []snapstab.TransportStats { return stats })
 	obs := m.Observer()
 	obs.OnEvent(core.Event{Kind: core.EvSend})
 	obs.OnEvent(core.Event{Kind: core.EvDecide})
@@ -97,6 +94,9 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 		"snapstab_transport_sends_total 10",
 		"snapstab_transport_recvs_total 8",
 		"snapstab_transport_redials_total 1",
+		"snapstab_transport_send_datagrams_total 5",
+		"snapstab_transport_send_batch_occupancy 2",
+		"snapstab_transport_recvs_per_syscall 2",
 		`snapstab_link_sent_total{peer="0"} 6`,
 		`snapstab_link_received_total{peer="2"} 3`,
 		`snapstab_link_dropped_total{peer="2"} 1`,

@@ -1,13 +1,14 @@
 // Node-level metric assembly: the standard metric set a snapd daemon
 // exposes, wired from the protocol event stream and the transport
 // counters. Everything here is substrate-agnostic — it consumes
-// core.Observer events and core.TransportStatser snapshots, the same
-// interfaces the tests and tools already use.
+// core.Observer events and the façade's TransportStats snapshots as they
+// are, with no conversion on the way to a scrape.
 package obs
 
 import (
 	"strconv"
 
+	snapstab "github.com/snapstab/snapstab"
 	"github.com/snapstab/snapstab/internal/core"
 )
 
@@ -32,7 +33,7 @@ type NodeMetrics struct {
 // registry. node and protocol become constant labels on the info gauge;
 // stats, when non-nil, is sampled at every scrape for the transport and
 // fault families.
-func NewNodeMetrics(node int, protocol string, stats core.TransportStatser) *NodeMetrics {
+func NewNodeMetrics(node int, protocol string, stats func() []snapstab.TransportStats) *NodeMetrics {
 	reg := NewRegistry()
 	m := &NodeMetrics{
 		reg:            reg,
@@ -74,35 +75,35 @@ func (m *NodeMetrics) CountEvent(kind string) {
 var transportFields = []struct {
 	name string
 	help string
-	get  func(core.TransportStats) int64
+	get  func(snapstab.TransportStats) int64
 }{
-	{"snapstab_transport_sends_total", "Messages handed to the network by this node.", func(s core.TransportStats) int64 { return s.Sends }},
-	{"snapstab_transport_recvs_total", "Messages received into this node's mailbox layer.", func(s core.TransportStats) int64 { return s.Recvs }},
-	{"snapstab_transport_retransmits_total", "Sends that repeated a link's last message: the step timer's, on a link silent for a whole interval.", func(s core.TransportStats) int64 { return s.Retransmits }},
-	{"snapstab_transport_send_drops_total", "Messages lost at the sender (full link windows, dead connections, full queues, failed writes).", func(s core.TransportStats) int64 { return s.SendDrops }},
-	{"snapstab_transport_mailbox_drops_total", "Messages dropped at a full receive mailbox (lose-on-full).", func(s core.TransportStats) int64 { return s.MailboxDrops }},
-	{"snapstab_transport_redials_total", "Connections re-established after a loss (TCP lifecycle).", func(s core.TransportStats) int64 { return s.Redials }},
-	{"snapstab_transport_send_datagrams_total", "Datagrams (UDP) or wire frames (TCP) written by this node; messages batch into them.", func(s core.TransportStats) int64 { return s.SendDatagrams }},
-	{"snapstab_transport_recv_datagrams_total", "Datagrams (UDP) or wire frames (TCP) read by this node.", func(s core.TransportStats) int64 { return s.RecvDatagrams }},
-	{"snapstab_transport_send_syscalls_total", "Socket write system calls; sendmmsg and vectored writes keep this below the datagram count.", func(s core.TransportStats) int64 { return s.SendSyscalls }},
-	{"snapstab_transport_recv_syscalls_total", "Socket read system calls; recvmmsg and buffered reads keep this below the datagram count.", func(s core.TransportStats) int64 { return s.RecvSyscalls }},
-	{"snapstab_transport_echo_frames_total", "Control frames carrying only acknowledgments that found no data to ride on.", func(s core.TransportStats) int64 { return s.EchoFrames }},
-	{"snapstab_transport_probe_frames_total", "Control frames probing a peer from a shut link window.", func(s core.TransportStats) int64 { return s.ProbeFrames }},
-	{"snapstab_transport_capacity", "Channel-capacity bound c enforced on every directed link.", func(s core.TransportStats) int64 { return int64(s.Capacity) }},
+	{"snapstab_transport_sends_total", "Messages handed to the network by this node.", func(s snapstab.TransportStats) int64 { return s.Sends }},
+	{"snapstab_transport_recvs_total", "Messages received into this node's mailbox layer.", func(s snapstab.TransportStats) int64 { return s.Recvs }},
+	{"snapstab_transport_retransmits_total", "Sends that repeated a link's last message: the step timer's, on a link silent for a whole interval.", func(s snapstab.TransportStats) int64 { return s.Retransmits }},
+	{"snapstab_transport_send_drops_total", "Messages lost at the sender (full link windows, dead connections, full queues, failed writes).", func(s snapstab.TransportStats) int64 { return s.SendDrops }},
+	{"snapstab_transport_mailbox_drops_total", "Messages dropped at a full receive mailbox (lose-on-full).", func(s snapstab.TransportStats) int64 { return s.MailboxDrops }},
+	{"snapstab_transport_redials_total", "Connections re-established after a loss (TCP lifecycle).", func(s snapstab.TransportStats) int64 { return s.Redials }},
+	{"snapstab_transport_send_datagrams_total", "Datagrams (UDP) or wire frames (TCP) written by this node; messages batch into them.", func(s snapstab.TransportStats) int64 { return s.SendDatagrams }},
+	{"snapstab_transport_recv_datagrams_total", "Datagrams (UDP) or wire frames (TCP) read by this node.", func(s snapstab.TransportStats) int64 { return s.RecvDatagrams }},
+	{"snapstab_transport_send_syscalls_total", "Socket write system calls; sendmmsg and vectored writes keep this below the datagram count.", func(s snapstab.TransportStats) int64 { return s.SendSyscalls }},
+	{"snapstab_transport_recv_syscalls_total", "Socket read system calls; recvmmsg and buffered reads keep this below the datagram count.", func(s snapstab.TransportStats) int64 { return s.RecvSyscalls }},
+	{"snapstab_transport_echo_frames_total", "Control frames carrying only acknowledgments that found no data to ride on.", func(s snapstab.TransportStats) int64 { return s.EchoFrames }},
+	{"snapstab_transport_probe_frames_total", "Control frames probing a peer from a shut link window.", func(s snapstab.TransportStats) int64 { return s.ProbeFrames }},
+	{"snapstab_transport_capacity", "Channel-capacity bound c enforced on every directed link.", func(s snapstab.TransportStats) int64 { return int64(s.Capacity) }},
 }
 
 // faultFields maps the injected-fault counters by fault type.
 var faultFields = []struct {
 	typ string
-	get func(core.FaultStats) int64
+	get func(snapstab.FaultStats) int64
 }{
-	{"drop", func(f core.FaultStats) int64 { return f.Drops }},
-	{"duplicate", func(f core.FaultStats) int64 { return f.Duplicates }},
-	{"reorder", func(f core.FaultStats) int64 { return f.Reorders }},
-	{"delay", func(f core.FaultStats) int64 { return f.Delays }},
-	{"corrupt", func(f core.FaultStats) int64 { return f.Corrupts }},
-	{"partition_drop", func(f core.FaultStats) int64 { return f.PartitionDrops }},
-	{"crash_drop", func(f core.FaultStats) int64 { return f.CrashDrops }},
+	{"drop", func(f snapstab.FaultStats) int64 { return f.Drops }},
+	{"duplicate", func(f snapstab.FaultStats) int64 { return f.Duplicates }},
+	{"reorder", func(f snapstab.FaultStats) int64 { return f.Reorders }},
+	{"delay", func(f snapstab.FaultStats) int64 { return f.Delays }},
+	{"corrupt", func(f snapstab.FaultStats) int64 { return f.Corrupts }},
+	{"partition_drop", func(f snapstab.FaultStats) int64 { return f.PartitionDrops }},
+	{"crash_drop", func(f snapstab.FaultStats) int64 { return f.CrashDrops }},
 }
 
 // registerTransport wires the scrape-time transport families: node-level
@@ -110,13 +111,13 @@ var faultFields = []struct {
 // families render as gauges sampled from the live transport counters —
 // monotone in practice, but a daemon restart resets them, which gauge
 // semantics state honestly.
-func registerTransport(reg *Registry, node int, stats core.TransportStatser) {
+func registerTransport(reg *Registry, node int, stats func() []snapstab.TransportStats) {
 	// self returns this node's snapshot; on a Host substrate the slice
 	// has zero entries for remote processes and only index node is real.
-	self := func() core.TransportStats {
-		all := stats.TransportStats()
+	self := func() snapstab.TransportStats {
+		all := stats()
 		if node < 0 || node >= len(all) {
-			return core.TransportStats{}
+			return snapstab.TransportStats{}
 		}
 		return all[node]
 	}
@@ -129,31 +130,31 @@ func registerTransport(reg *Registry, node int, stats core.TransportStatser) {
 	reg.NewGaugeFunc("snapstab_link_sent_total", "Messages sent toward each peer over this node's links.",
 		[]string{"peer"}, func(emit func([]string, float64)) {
 			for _, l := range self().Links {
-				emit([]string{strconv.Itoa(int(l.Peer))}, float64(l.Sent))
+				emit([]string{strconv.Itoa(l.Peer)}, float64(l.Sent))
 			}
 		})
 	reg.NewGaugeFunc("snapstab_link_received_total", "Messages received from each peer over this node's links.",
 		[]string{"peer"}, func(emit func([]string, float64)) {
 			for _, l := range self().Links {
-				emit([]string{strconv.Itoa(int(l.Peer))}, float64(l.Received))
+				emit([]string{strconv.Itoa(l.Peer)}, float64(l.Received))
 			}
 		})
 	reg.NewGaugeFunc("snapstab_link_dropped_total", "Messages lost per link at this node, either direction.",
 		[]string{"peer"}, func(emit func([]string, float64)) {
 			for _, l := range self().Links {
-				emit([]string{strconv.Itoa(int(l.Peer))}, float64(l.Dropped))
+				emit([]string{strconv.Itoa(l.Peer)}, float64(l.Dropped))
 			}
 		})
 	reg.NewGaugeFunc("snapstab_link_in_flight", "Messages sent toward each peer and not yet reported consumed (fullest link window).",
 		[]string{"peer"}, func(emit func([]string, float64)) {
 			for _, l := range self().Links {
-				emit([]string{strconv.Itoa(int(l.Peer))}, float64(l.InFlight))
+				emit([]string{strconv.Itoa(l.Peer)}, float64(l.InFlight))
 			}
 		})
 	reg.NewGaugeFunc("snapstab_link_peak_in_flight", "Largest in-flight count each peer's link windows ever reached; never above snapstab_transport_capacity.",
 		[]string{"peer"}, func(emit func([]string, float64)) {
 			for _, l := range self().Links {
-				emit([]string{strconv.Itoa(int(l.Peer))}, float64(l.PeakInFlight))
+				emit([]string{strconv.Itoa(l.Peer)}, float64(l.PeakInFlight))
 			}
 		})
 	// Derived batching-efficiency gauges: cumulative ratios over the

@@ -6,59 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/stat"
 )
-
-// flooder is a synthetic machine for throughput measurement: every Step
-// seeds one message to each peer, and every Deliver echoes one message
-// back to the sender. Once seeded, the echo traffic is self-sustaining,
-// so the sustained delivery rate measures the substrate's message path
-// (link bookkeeping, delivery dispatch) rather than the step pacing.
-type flooder struct {
-	inst      string
-	self      core.ProcID
-	n         int
-	seq       int64  // numbers every message: the engines send only what differs from a link's last message
-	blob      []byte // opaque payload body carried by every message
-	delivered *atomic.Int64
-}
-
-func (f *flooder) Instance() string { return f.inst }
-
-func (f *flooder) Step(env core.Env) bool {
-	for q := 0; q < f.n; q++ {
-		if core.ProcID(q) != f.self {
-			env.Send(core.ProcID(q), f.next())
-		}
-	}
-	return true
-}
-
-func (f *flooder) Deliver(env core.Env, from core.ProcID, m core.Message) {
-	f.delivered.Add(1)
-	env.Send(from, f.next())
-}
-
-func (f *flooder) next() core.Message {
-	f.seq++
-	return core.Message{Instance: f.inst, Kind: "flood", B: core.Payload{Num: f.seq, Blob: f.blob}}
-}
-
-func flooderStacks(n, blob int, delivered *atomic.Int64) []core.Stack {
-	var body []byte
-	if blob > 0 {
-		body = make([]byte, blob)
-		for i := range body {
-			body[i] = byte(i)
-		}
-	}
-	stacks := make([]core.Stack, n)
-	for i := 0; i < n; i++ {
-		stacks[i] = core.Stack{&flooder{inst: "flood", self: core.ProcID(i), n: n, blob: body, delivered: delivered}}
-	}
-	return stacks
-}
 
 // BenchmarkRuntimeThroughput measures sustained deliveries/sec on the
 // concurrent substrate: one op is one delivered message. Compare across
@@ -84,7 +34,7 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 
 func benchRuntimeThroughput(b *testing.B, n, blob int) {
 	var delivered atomic.Int64
-	e := New(flooderStacks(n, blob, &delivered), WithCapacity(4))
+	e := New(linktest.Flood(n, blob, &delivered), WithCapacity(4))
 	e.Start()
 	defer e.Stop()
 	// Let the flood reach steady state before timing.

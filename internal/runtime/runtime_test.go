@@ -8,6 +8,7 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/idl"
+	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/mutex"
 	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/rng"
@@ -278,7 +279,7 @@ func TestCapacityDoesNotBacklog(t *testing.T) {
 	const c = 8
 	var delivered atomic.Int64
 	stacks := []core.Stack{
-		{&flooder{inst: "flood", self: 0, n: 2, delivered: &delivered}},
+		linktest.Flood(2, 0, &delivered)[0],
 		{&countSink{inst: "flood", delivered: &delivered}},
 	}
 	e := New(stacks, WithCapacity(c), WithTick(time.Hour)) // no step-driven traffic

@@ -17,7 +17,7 @@ import (
 // own. Groups are isolated end to end: routing, observers, topology,
 // fault plane, and counters are per group, and a frame for a group a
 // node does not host is dropped before it can reach another group's
-// mailboxes.
+// channels.
 
 // ErrStopped is returned by Await when the node or cluster was closed
 // before the condition held: core.ErrClosed, under the name this
@@ -69,9 +69,9 @@ func (c *members) Await(ctx context.Context, p core.ProcID, cond func(env core.E
 }
 
 // TransportStats implements core.TransportStatser: one snapshot per
-// process. The message counters and window gauges are this cluster's
-// own; the frame, syscall, redial and per-link message counters belong
-// to the node and are shared with any other cluster it hosts.
+// process. The message counters (Links[] too: Sends is the sum of
+// Links[i].Sent) and window gauges are this cluster's own; the frame,
+// syscall and redial counters are the node's, shared with its siblings.
 func (c *members) TransportStats() []core.TransportStats {
 	out := make([]core.TransportStats, len(c.groups))
 	for i, g := range c.groups {
@@ -268,8 +268,8 @@ var _ core.Substrate = (*MuxCluster)(nil)
 // Group returns the wire group id this cluster's traffic carries.
 func (c *MuxCluster) Group() uint64 { return c.groups[0].id }
 
-// Close detaches the cluster from every node: its boxed mail is
-// discarded, subsequent frames for its group id are dropped, and the mux
+// Close detaches the cluster from every node: its channels and their
+// mail go, subsequent frames for its group id are dropped, and the mux
 // keeps running for its siblings. Idempotent.
 func (c *MuxCluster) Close() error {
 	c.closeOnce.Do(func() {

@@ -10,6 +10,7 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/pif"
+	"github.com/snapstab/snapstab/internal/wire"
 )
 
 // The tests in this file drive unstarted nodes by hand: no activation
@@ -46,9 +47,9 @@ func pump(nodes []*Node) {
 		busy = false
 		for _, n := range nodes {
 			n.mbMu.Lock()
-			boxed := n.boxed
+			ready := len(n.ready)
 			n.mbMu.Unlock()
-			if boxed > 0 {
+			if ready > 0 {
 				n.drainMail()
 				busy = true
 			}
@@ -254,7 +255,7 @@ func TestCrashWindowSuppressesEagerStepping(t *testing.T) {
 	for _, n := range nodes {
 		n.g0.epoch = time.Now() // the first hour: process 0 is down
 	}
-	// Mail already in transit when the window opened stays boxed.
+	// Mail already in transit when the window opened stays in its box.
 	nodes[0].box(nodes[0].g0, 1, core.Message{Instance: "pif", Kind: pif.Kind})
 	request(t, nodes[0], machines[0], core.Payload{Tag: "hello", Num: 8})
 	nodes[0].tick()
@@ -275,6 +276,178 @@ func TestCrashWindowSuppressesEagerStepping(t *testing.T) {
 	if req != core.In || delivered != 1 || nodes[0].Stats().Sends == 0 {
 		t.Fatalf("after the crash window: Request = %v, %d deliveries, %d sends; want In, 1, some",
 			req, delivered, nodes[0].Stats().Sends)
+	}
+}
+
+// deliveries records, in order, B.Num of every message handed to a
+// Deliver at process 0.
+type deliveries struct {
+	mu   sync.Mutex
+	nums []int64
+}
+
+func (d *deliveries) OnEvent(ev core.Event) {
+	if ev.Kind == core.EvDeliver && ev.Proc == 0 {
+		d.mu.Lock()
+		d.nums = append(d.nums, ev.Msg.B.Num)
+		d.mu.Unlock()
+	}
+}
+
+func (d *deliveries) snapshot() []int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]int64(nil), d.nums...)
+}
+
+// from1 is one frame from process 1 carrying one message numbered num.
+func from1(n *Node, seq uint64, num int64) {
+	n.arrive(1, 0, []wire.LinkHeader{{Instance: "pif", Seq: seq, Count: 1}},
+		[]core.Message{{Instance: "pif", Kind: pif.Kind, B: core.Payload{Num: num}}})
+}
+
+// TestCrashWindowHoldsBoxedMail: mail that arrived before a crash window opens
+// waits the window out where it is — no drain and no tick delivers,
+// moves or loses it — and the first tick after the window delivers it in
+// arrival order.
+func TestCrashWindowHoldsBoxedMail(t *testing.T) {
+	var got deliveries
+	plan := &core.FaultPlan{Unit: time.Hour, Crashes: []core.CrashWindow{{Proc: 0, From: 1, Until: 2}}}
+	_, nodes, _ := still(t, 2, WithFaults(plan), WithObserver(&got))
+	n := nodes[0]
+	n.g0.epoch = time.Now() // hour 0: up
+	for i := 1; i <= 3; i++ {
+		from1(n, uint64(i), int64(i))
+	}
+	n.g0.epoch = time.Now().Add(-time.Hour) // hour 1: down
+	n.drainMail()
+	n.tick()
+	n.drainMail()
+	n.mbMu.Lock()
+	inBox := len(n.g0.channel(1, "pif").box)
+	n.mbMu.Unlock()
+	if s := n.Stats(); inBox != 3 || len(got.snapshot()) != 0 || s.MailboxDrops != 0 || s.Sends != 0 {
+		t.Fatalf("inside the crash window: %d in the box, deliveries %v, %d mailbox drops, %d sends; want 3, none, 0, 0",
+			inBox, got.snapshot(), s.MailboxDrops, s.Sends)
+	}
+	n.g0.epoch = time.Now().Add(-2 * time.Hour) // hour 2: up again
+	n.tick()
+	if nums := got.snapshot(); len(nums) != 3 || nums[0] != 1 || nums[1] != 2 || nums[2] != 3 {
+		t.Fatalf("first tick after the crash window delivered %v, want [1 2 3]", nums)
+	}
+	if s := n.Stats(); s.MailboxDrops != 0 {
+		t.Fatalf("%d mailbox drops", s.MailboxDrops)
+	}
+}
+
+// TestDelayedMailSurfacesFromTick: a message the fault plan delays is in
+// no mailbox until it comes due, and then the step tick alone — the node
+// has no other timer — releases, boxes and delivers it.
+func TestDelayedMailSurfacesFromTick(t *testing.T) {
+	var got deliveries
+	plan := &core.FaultPlan{Unit: time.Hour, Default: core.LinkFaults{DelayRate: 0.99, DelayTicks: 1}}
+	_, nodes, _ := still(t, 2, WithFaults(plan), WithObserver(&got))
+	n := nodes[0]
+	n.g0.epoch = time.Now()
+	from1(n, 1, 7)
+	n.tick()
+	if nums, s := got.snapshot(), n.Stats(); len(nums) != 0 || s.Recvs != 0 || s.Faults.Delays != 1 {
+		t.Fatalf("before the delay ran out: deliveries %v, Recvs = %d, Delays = %d; want none, 0, 1", nums, s.Recvs, s.Faults.Delays)
+	}
+	n.g0.epoch = time.Now().Add(-time.Hour)
+	n.tick()
+	if nums := got.snapshot(); len(nums) != 1 || nums[0] != 7 {
+		t.Fatalf("tick after the delay ran out delivered %v, want [7]", nums)
+	}
+}
+
+// TestUnknownInstanceMailIsConsumed: mail for an instance the stack does
+// not have is taken from its mailbox like any other and handed to no one;
+// its window slots come back, and the acknowledgment leaves as an echo.
+func TestUnknownInstanceMailIsConsumed(t *testing.T) {
+	var got deliveries
+	_, nodes, _ := still(t, 2, WithObserver(&got))
+	n := nodes[0]
+	n.arrive(1, 0, []wire.LinkHeader{{Instance: "nope", Seq: 9, Count: 2}},
+		[]core.Message{{Instance: "nope", Kind: "K"}, {Instance: "nope", Kind: "K"}})
+	n.drainMail()
+	n.mbMu.Lock()
+	c := n.g0.channel(1, "nope")
+	inBox, occupied := len(c.box), c.w.Occupied()
+	n.mbMu.Unlock()
+	if inBox != 0 || occupied != 0 || len(got.snapshot()) != 0 {
+		t.Fatalf("after the drain: %d in the box, %d occupying the window, deliveries %v; want 0, 0, none", inBox, occupied, got.snapshot())
+	}
+	n.tick()
+	n.tick()
+	if s := n.Stats(); s.Recvs != 2 || s.MailboxDrops != 0 || s.EchoFrames != 1 {
+		t.Fatalf("Recvs = %d, MailboxDrops = %d, EchoFrames = %d; want 2, 0, 1", s.Recvs, s.MailboxDrops, s.EchoFrames)
+	}
+}
+
+// TestChannelsAreSafeForConcurrentUse drives everything that touches a
+// channel record at once, for the race detector: sends both ways (admit,
+// Stamp), their arrivals (Arrive, box), a third party boxing past the
+// window, drains, ticks and Stats. No window ever exceeds c, and every
+// message that arrived is accounted as received or dropped.
+func TestChannelsAreSafeForConcurrentUse(t *testing.T) {
+	const rounds = 1000
+	_, nodes, _ := still(t, 2)
+	var senders, driver sync.WaitGroup
+	for p := range nodes {
+		senders.Add(1)
+		go func(p int) {
+			defer senders.Done()
+			for i := 0; i < rounds; i++ {
+				nodes[p].Do(func(env core.Env) {
+					env.Send(core.ProcID(1-p), core.Message{Instance: "pif", Kind: pif.Kind, B: core.Payload{Num: int64(i)}})
+				})
+			}
+		}(p)
+	}
+	senders.Add(1)
+	go func() {
+		defer senders.Done()
+		for i := 0; i < rounds; i++ {
+			from1(nodes[0], 0, int64(i))
+			nodes[0].Stats()
+		}
+	}()
+	stop := make(chan struct{})
+	driver.Add(1)
+	go func() {
+		defer driver.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, n := range nodes {
+				n.drainMail()
+				n.tick()
+			}
+		}
+	}()
+	senders.Wait()
+	close(stop)
+	driver.Wait()
+	pump(nodes)
+
+	stats := []core.TransportStats{nodes[0].Stats(), nodes[1].Stats()}
+	if err := core.CheckWindows(stats); err != nil {
+		t.Fatal(err)
+	}
+	for p, s := range stats {
+		if peak := s.Links[0].PeakInFlight; peak < 1 {
+			t.Fatalf("node %d: window peaked at %d, want 1..%d", p, peak, DefaultCapacity)
+		}
+	}
+	if s, want := stats[0], stats[1].Sends+rounds; s.Recvs+s.MailboxDrops != want {
+		t.Fatalf("node 0: Recvs %d + MailboxDrops %d, want the %d messages that arrived", s.Recvs, s.MailboxDrops, want)
+	}
+	if s, want := stats[1], stats[0].Sends; s.Recvs+s.MailboxDrops != want {
+		t.Fatalf("node 1: Recvs %d + MailboxDrops %d, want the %d messages that arrived", s.Recvs, s.MailboxDrops, want)
 	}
 }
 

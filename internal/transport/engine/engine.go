@@ -34,20 +34,23 @@
 // A Node hosts one or more groups, each an independent protocol stack
 // with its own routes, observers, topology, fault plan and counters, all
 // sharing the node's link and loops. The wire frame's group id routes
-// every received message to its group's mailboxes. NewNode installs its
+// every received message to its group's channels. NewNode installs its
 // stack as group 0; Mux attaches further clusters with fresh ids.
 //
 // # Concurrency structure
 //
-// The link's receive side and the engine's activation loop are coupled
-// only through the double-buffered mailboxes: Arrive appends decoded
-// messages under the mailbox lock mbMu and signals a wakeup channel; the
-// activation loop swaps the whole mailbox map out under that lock, then
-// delivers the batch — and performs any resulting sends — under the
-// action mutex mu only. The link's outbound calls (Queue, Control,
-// Flush) all happen under mu, so a link needs no lock of its own for
-// what it queues, and nothing the receive side does ever waits on a
-// send. The lock order is mu → mbMu → injMu (snapvet's lockorder).
+// Every (group, peer, instance) channel is one record, a Chan: the last
+// message sent on it (under the action mutex mu), its capacity window
+// and its mailbox (under the node's mailbox lock mbMu, with the list of
+// channels that have mail). The link's receive side and the activation
+// loop are coupled only through that list: Arrive feeds the windows,
+// boxes the decoded messages and signals a wakeup channel; the loop swaps
+// the list out, then — under mu — takes each listed channel's mailbox and
+// delivers it, performing any resulting sends. The link's outbound calls
+// (Queue, Control, Flush) all happen under mu, so a link needs no lock of
+// its own for what it queues, and nothing the receive side does ever
+// waits on a send. The lock order is mu → mbMu → injMu (snapvet's
+// lockorder).
 //
 // The loop is event-driven end to end (DESIGN.md §7): a section that
 // delivered mail ends, before its Flush, by stepping the stacks it
@@ -57,9 +60,9 @@
 //
 // The fault plane (DESIGN.md §9) acts per logical message at the mailbox
 // boundary, never per frame: every decoded message passes its group's
-// injector individually before it is boxed, so §9 semantics and seed
+// injector individually before it is put in a mailbox, so §9 semantics and seed
 // reproducibility are independent of how a link packed messages on the
-// wire. Delayed messages surface from the activation loop's sweep tick.
+// wire. Delayed messages surface at the head of the step tick.
 package engine
 
 import (
@@ -81,17 +84,13 @@ import (
 // 2c+2 = 10).
 const DefaultCapacity = 4
 
-const (
-	// sweepInterval is the fallback mailbox sweep. Drains are
-	// notification-driven, so the sweep is a safety net; it is also the
-	// cadence at which delayed fault-plan messages surface.
-	sweepInterval = time.Millisecond
-	// stepInterval is the retransmission interval: the step timer repeats
-	// the last message of a link that sent nothing for a whole interval
-	// (new information never waits for it). Unpaced retransmission would
-	// flood the path and stall the handshake behind its own queue.
-	stepInterval = 2 * time.Millisecond
-)
+// stepInterval is the retransmission interval: the step timer repeats
+// the last message of a link that sent nothing for a whole interval
+// (new information never waits for it). Unpaced retransmission would
+// flood the path and stall the handshake behind its own queue. It is
+// also the cadence at which delayed fault-plan messages surface and mail
+// held through a crash window is retried.
+const stepInterval = 2 * time.Millisecond
 
 // Options is the option set of a node (capacity, batch, Link) and of its
 // default group (observers, topology, faults).
@@ -148,7 +147,7 @@ func WithTopology(t *core.Topology) Option {
 // WithFaults installs a fault-injection plan (see core.FaultPlan) on the
 // default group, interposed at the mailbox boundary: every decoded
 // message from a known peer — individually, whatever frame carried it —
-// passes the group's injector before it is boxed, which may drop,
+// passes the group's injector before it reaches a mailbox, which may drop,
 // duplicate, corrupt, reorder, or delay it, honor partition windows, and
 // silence the group inside crash windows (no internal actions, no
 // mailbox drains, arrivals consumed). The injector is seeded
@@ -213,12 +212,12 @@ type Link interface {
 	// Stop ends them and closes the sockets, started or not.
 	Stop()
 
-	// Queue takes one message already admitted by e's window, toward
-	// e.Peer. An error means the message never entered the link.
-	Queue(g *Group, e *window.Entry, m core.Message) error
-	// Control queues an echo or probe header for e. Best effort: the
+	// Queue takes one message already admitted by c's window, toward
+	// c.Peer. An error means the message never entered the link.
+	Queue(g *Group, c *Chan, m core.Message) error
+	// Control queues an echo or probe header for c. Best effort: the
 	// next step tick asks again.
-	Control(g *Group, e *window.Entry, probe bool)
+	Control(g *Group, c *Chan, probe bool)
 	// Flush ends an atomic section: nothing queued stays unwritten.
 	Flush()
 }
@@ -242,14 +241,19 @@ type Group struct {
 	epoch     time.Time // fault-schedule tick zero; set before the group is visible to the loops
 
 	// injMu guards the injector, which is not goroutine-safe: Arrive may
-	// run on one goroutine per connection, and the sweep tick releases
+	// run on one goroutine per connection, and the step tick releases
 	// delayed messages from the activation loop.
 	injMu sync.Mutex
 	inj   *core.Injector
 
-	// links holds the window state of every (peer, instance) link of the
-	// group behind its own leaf lock.
-	links *window.Table
+	// The group's channels, created on first use; under n.mbMu.
+	chans map[chanKey]*Chan
+	order []*Chan // creation order: the step tick and Stats iterate this
+
+	// Per-peer message counters.
+	linkSent    []atomic.Int64
+	linkRecvd   []atomic.Int64
+	linkDropped []atomic.Int64
 
 	sends        atomic.Int64
 	recvs        atomic.Int64
@@ -283,7 +287,7 @@ func (g *Group) down() bool {
 // Sent accounts k messages toward peer to that the link accepted.
 func (g *Group) Sent(to core.ProcID, k int) {
 	g.sends.Add(int64(k))
-	g.n.linkSent[to].Add(int64(k))
+	g.linkSent[to].Add(int64(k))
 }
 
 // SendLost accounts k messages toward peer to that the link lost after
@@ -291,7 +295,7 @@ func (g *Group) Sent(to core.ProcID, k int) {
 // loss events carry the link, not the message body.
 func (g *Group) SendLost(to core.ProcID, k int, note string) {
 	g.sendDrops.Add(int64(k))
-	g.n.linkDropped[to].Add(int64(k))
+	g.linkDropped[to].Add(int64(k))
 	for i := 0; i < k; i++ {
 		g.emit(core.Event{Kind: core.EvSendLost, Proc: g.n.self, Peer: to, Note: note})
 	}
@@ -307,9 +311,9 @@ func (g *Group) ControlSent(probe bool) {
 	}
 }
 
-// Stats returns the group's message counters and window gauges beside
-// the node's socket-wide frame, syscall, redial and per-link message
-// counters, which every group the node hosts shares.
+// Stats returns the group's message counters — the totals and, per link,
+// Links[] — and window gauges beside the node's socket-wide frame,
+// syscall and redial counters, which every group the node hosts shares.
 func (g *Group) Stats() core.TransportStats {
 	n := g.n
 	s := core.TransportStats{
@@ -328,18 +332,28 @@ func (g *Group) Stats() core.TransportStats {
 		ProbeFrames:   g.probeFrames.Load(),
 		Capacity:      n.capacity,
 	}
-	for p := range n.linkSent {
+	n.mbMu.Lock()
+	for p := range g.linkSent {
 		if core.ProcID(p) == n.self {
 			continue
 		}
-		s.Links = append(s.Links, core.LinkStats{
+		ls := core.LinkStats{
 			Peer:     core.ProcID(p),
-			Sent:     n.linkSent[p].Load(),
-			Received: n.linkRecvd[p].Load(),
-			Dropped:  n.linkDropped[p].Load(),
-		})
+			Sent:     g.linkSent[p].Load(),
+			Received: g.linkRecvd[p].Load(),
+			Dropped:  g.linkDropped[p].Load(),
+		}
+		// The gauges: the fullest current window and the highest peak
+		// among the peer's instances.
+		for _, c := range g.order {
+			if c.Peer == ls.Peer {
+				ls.InFlight = max(ls.InFlight, c.w.InFlight())
+				ls.PeakInFlight = max(ls.PeakInFlight, c.w.Peak())
+			}
+		}
+		s.Links = append(s.Links, ls)
 	}
-	g.links.FillLinkStats(s.Links)
+	n.mbMu.Unlock()
 	if g.inj != nil {
 		s.Faults = g.inj.Stats()
 	}
@@ -353,16 +367,17 @@ func (n *Node) buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan
 		return nil, fmt.Errorf("engine: topology over %d processes, %d peers", topo.N(), len(n.wired))
 	}
 	g := &Group{
-		n:         n,
-		id:        id,
-		stack:     stack,
-		routes:    stack.ByInstance(),
-		topo:      topo,
-		observers: obs,
-		fault:     plan,
-		// A random first sequence keeps a restarted node's numbering
-		// clear of acknowledgments addressed to its previous life.
-		links: window.NewTable(n.capacity, 1+uint64(rand.Uint32()>>1)),
+		n:           n,
+		id:          id,
+		stack:       stack,
+		routes:      stack.ByInstance(),
+		topo:        topo,
+		observers:   obs,
+		fault:       plan,
+		chans:       make(map[chanKey]*Chan),
+		linkSent:    make([]atomic.Int64, len(n.wired)),
+		linkRecvd:   make([]atomic.Int64, len(n.wired)),
+		linkDropped: make([]atomic.Int64, len(n.wired)),
 	}
 	for path := range g.envs {
 		g.envs[path] = env{n: n, g: g, path: core.SendPath(path)}
@@ -393,10 +408,56 @@ type groupSet struct {
 	list []*Group
 }
 
-type mailKey struct {
-	gid      uint64
-	from     core.ProcID
+type chanKey struct {
+	peer     core.ProcID
 	instance string
+}
+
+// Chan is this node's end of one channel: the two directed links between
+// one group here and at Peer that serve one protocol instance. It is all
+// the engine knows about the channel, so a message enters, waits in and
+// leaves it in one place. A link uses Peer, Instance and Stamp only.
+type Chan struct {
+	g        *Group
+	Peer     core.ProcID
+	Instance string
+
+	out core.LinkOut // the sender's last message; under n.mu
+
+	// Under n.mbMu.
+	w   window.Link
+	box []core.Message // arrived, not yet taken by a drain: at most c
+}
+
+// Stamp returns the header of a frame about to leave on c and records
+// that the current acknowledgment is on the wire.
+func (c *Chan) Stamp(probe bool) wire.LinkHeader {
+	n := c.g.n
+	n.mbMu.Lock()
+	h := c.w.Stamp(probe)
+	n.mbMu.Unlock()
+	return wire.LinkHeader{Instance: c.Instance, Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}
+}
+
+// channel returns g's record for (peer, instance), creating it on first
+// use. Callers hold n.mbMu.
+func (g *Group) channel(peer core.ProcID, instance string) *Chan {
+	k := chanKey{peer: peer, instance: instance}
+	c := g.chans[k]
+	if c == nil {
+		// A random first sequence keeps a restarted node's numbering
+		// clear of acknowledgments addressed to its previous life.
+		c = &Chan{g: g, Peer: peer, Instance: instance, w: window.NewLink(g.n.capacity, 1+uint64(rand.Uint32()>>1))}
+		g.chans[k] = c
+		g.order = append(g.order, c)
+	}
+	return c
+}
+
+// due is one control frame the step tick owes.
+type due struct {
+	c     *Chan
+	probe bool
 }
 
 // Node is one process on one link, hosting one or more groups.
@@ -417,21 +478,17 @@ type Node struct {
 	// atomic, and serializes the link's outbound half. Every atomic
 	// section ends with link.Flush.
 	mu    sync.Mutex
-	due   []window.Due // step-timer scratch: control frames due
-	dirty []*Group     // drain scratch: groups that got mail
+	due   []due          // step-timer scratch: control frames due
+	dirty []*Group       // drain scratch: groups that got mail
+	taken []core.Message // drain scratch: the mailbox being delivered
 
-	// mbMu guards the double-buffered mailboxes and is never held across
-	// link calls or protocol actions.
-	mbMu      sync.Mutex
-	mailboxes map[mailKey][]core.Message // filled by Arrive
-	spare     map[mailKey][]core.Message // drained buffer, swapped in by actLoop
-	boxed     int                        // messages currently in mailboxes
-	mail      chan struct{}              // capacity 1: drain wakeup
-
-	// Per-peer message counters, shared by every group the node hosts.
-	linkSent    []atomic.Int64
-	linkRecvd   []atomic.Int64
-	linkDropped []atomic.Int64
+	// mbMu guards every channel's window and mailbox, every group's
+	// channel map, and the ready list. It is never held across link
+	// calls, protocol actions or observers.
+	mbMu  sync.Mutex
+	ready []*Chan       // the channels with a non-empty mailbox, each listed once
+	spare []*Chan       // the drained list, swapped back in by drainMail
+	mail  chan struct{} // capacity 1: drain wakeup
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -455,17 +512,12 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 		return nil, fmt.Errorf("engine: invalid capacity %d / batch %d", o.capacity, o.batch)
 	}
 	n := &Node{
-		self:        self,
-		capacity:    o.capacity,
-		salt:        t.FaultSalt,
-		wired:       make([]bool, len(peers)),
-		mailboxes:   make(map[mailKey][]core.Message),
-		spare:       make(map[mailKey][]core.Message),
-		mail:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
-		linkSent:    make([]atomic.Int64, len(peers)),
-		linkRecvd:   make([]atomic.Int64, len(peers)),
-		linkDropped: make([]atomic.Int64, len(peers)),
+		self:     self,
+		capacity: o.capacity,
+		salt:     t.FaultSalt,
+		wired:    make([]bool, len(peers)),
+		mail:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
 	}
 	n.groups.Store(&groupSet{byID: map[uint64]*Group{}})
 	if stack == nil {
@@ -502,7 +554,7 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 }
 
 // setGroup publishes g to the loops as group id, copy-on-write; a nil g
-// detaches the group: its boxed mail is discarded on the next drain and
+// detaches the group: its channels, their mail included, go with it and
 // inbound frames for it are dropped.
 func (n *Node) setGroup(id uint64, g *Group) {
 	n.gmu.Lock()
@@ -599,24 +651,30 @@ func (v env) Send(to core.ProcID, m core.Message) {
 	}
 	lost := func(note string) {
 		g.sendDrops.Add(1)
-		n.linkDropped[to].Add(1)
+		g.linkDropped[to].Add(1)
 		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: note})
 		g.waiters.Refused(v.path)
 	}
-	e := g.links.Link(to, m.Instance)
-	if !e.Out.Pass(v.path, m, &g.retransmits) {
+	n.mbMu.Lock()
+	c := g.channel(to, m.Instance)
+	pass := c.out.Pass(v.path, m, &g.retransmits)
+	admitted := pass && c.w.Admit()
+	n.mbMu.Unlock()
+	if !pass {
 		return
 	}
-	if !e.Admit() {
+	if !admitted {
 		// The link already holds c unconsumed messages: the send is lost
 		// at the sender, the model's rule for a full channel.
 		lost("window")
 		return
 	}
-	if err := n.link.Queue(g, e, m); err != nil {
+	if err := n.link.Queue(g, c, m); err != nil {
 		// Unencodable, or the link has no room: counted so the loss is
 		// observable. The message never entered the link.
-		e.Cancel()
+		n.mbMu.Lock()
+		c.w.Cancel()
+		n.mbMu.Unlock()
 		lost(err.Error())
 		return
 	}
@@ -626,8 +684,8 @@ func (v env) Send(to core.ProcID, m core.Message) {
 }
 
 // arrive is LinkConfig.Arrive: it feeds one frame's headers to the
-// windows and pushes each carried message through its group's fault
-// plane into the mailboxes.
+// channels' windows and pushes each carried message through its group's
+// fault plane into its channel's mailbox.
 func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message) {
 	g := n.groups.Load().byID[gid]
 	if g == nil {
@@ -638,9 +696,11 @@ func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, m
 	}
 	// Headers first: the acknowledgments release our own windows, and the
 	// frame's messages occupy the sender's until they are consumed.
+	n.mbMu.Lock()
 	for _, h := range links {
-		g.links.Link(sender, h.Instance).Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
+		g.channel(sender, h.Instance).w.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
 	}
+	n.mbMu.Unlock()
 	for _, m := range msgs {
 		if g.inj == nil {
 			n.box(g, sender, m)
@@ -660,7 +720,9 @@ func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, m
 		out = append([]core.Message(nil), out...)
 		g.injMu.Unlock()
 		if d != 0 {
-			g.links.Link(sender, m.Instance).Occupy(d)
+			n.mbMu.Lock()
+			g.channel(sender, m.Instance).w.Occupy(d)
+			n.mbMu.Unlock()
 		}
 		if fate == core.FateDrop {
 			g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
@@ -688,63 +750,50 @@ func (n *Node) flushDelayed() {
 	}
 }
 
-// put appends m to its mailbox unless the mailbox is full. Callers hold
-// n.mbMu.
-func (n *Node) put(key mailKey, m core.Message) bool {
-	b := n.mailboxes[key]
-	if len(b) >= n.capacity {
-		return false
-	}
-	n.mailboxes[key] = append(b, m)
-	n.boxed++
-	return true
-}
-
-// lose is the lose-on-full rule: a message that was in transit finds its
-// mailbox full and is dropped at the receiver — the model's link loss,
-// not a send failure. The mailbox has one slot per window slot, so only
-// traffic that ignored the window (or a fault-plane duplicate) gets here.
-func (n *Node) lose(g *Group, sender core.ProcID, m core.Message) {
-	g.links.Link(sender, m.Instance).Occupy(-1)
-	g.mailboxDrops.Add(1)
-	n.linkDropped[sender].Add(1)
-	g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
-}
-
-// box appends one in-transit message to its bounded mailbox and wakes
-// the activation loop.
+// box appends one in-transit message to its channel's bounded mailbox
+// and wakes the activation loop. A message that finds the mailbox full is
+// dropped, lose-on-full — the model's link loss, not a send failure. The
+// mailbox has one slot per window slot, so only traffic that ignored the
+// window (or a fault-plane duplicate) is lost here.
 func (n *Node) box(g *Group, sender core.ProcID, m core.Message) {
 	n.mbMu.Lock()
-	ok := n.put(mailKey{gid: g.id, from: sender, instance: m.Instance}, m)
+	c := g.channel(sender, m.Instance)
+	full := len(c.box) >= n.capacity
+	if full {
+		c.w.Occupy(-1)
+	} else {
+		if len(c.box) == 0 {
+			n.ready = append(n.ready, c)
+		}
+		c.box = append(c.box, m)
+	}
 	n.mbMu.Unlock()
-	if !ok {
-		n.lose(g, sender, m)
+	if full {
+		g.mailboxDrops.Add(1)
+		g.linkDropped[sender].Add(1)
+		g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
 		return
 	}
 	g.recvs.Add(1)
-	n.linkRecvd[sender].Add(1)
+	g.linkRecvd[sender].Add(1)
 	select {
 	case n.mail <- struct{}{}:
 	default: // a wakeup is already pending
 	}
 }
 
-// actLoop delivers mailbox batches as soon as Arrive signals them and
-// retransmits for every group at the step interval.
+// actLoop delivers mail as soon as Arrive signals it and retransmits for
+// every group at the step interval. No wakeup is lost: box signals after
+// it appends, so a token is pending whenever an append followed a swap.
 func (n *Node) actLoop() {
 	defer n.wg.Done()
 	stepTimer := time.NewTicker(stepInterval)
 	defer stepTimer.Stop()
-	sweep := time.NewTicker(sweepInterval)
-	defer sweep.Stop()
 	for {
 		select {
 		case <-n.stop:
 			return
 		case <-n.mail:
-			n.drainMail()
-		case <-sweep.C:
-			n.flushDelayed()
 			n.drainMail()
 		case <-stepTimer.C:
 			n.tick()
@@ -752,12 +801,15 @@ func (n *Node) actLoop() {
 	}
 }
 
-// tick is the step timer's atomic section: every group outside a crash
-// window retransmits on its quiet links and runs its windows' timer edge.
+// tick is the step timer's edge: delayed fault-plan messages that came
+// due surface and mail that waited out a crash window is retried; then,
+// in one atomic section, every group outside a crash window retransmits
+// on its quiet links and runs its windows' timer edge.
 func (n *Node) tick() {
-	gs := n.groups.Load()
+	n.flushDelayed()
+	n.drainMail()
 	n.mu.Lock()
-	for _, g := range gs.list {
+	for _, g := range n.groups.Load().list {
 		if g.down() {
 			continue // crash window: no internal actions until restart
 		}
@@ -768,84 +820,76 @@ func (n *Node) tick() {
 	n.mu.Unlock()
 }
 
-// control runs the timer edge of every link of g, after the group's own
-// Step so that anything Step sent already carried the acknowledgments:
-// an echo that found no data to ride on for a full step interval leaves
-// as an echo-only frame, and a window that refused a send while shut
-// emits a probe. Callers hold n.mu and flush.
+// control runs the timer edge of every channel of g, after the group's
+// own Step so that anything Step sent already carried the
+// acknowledgments: an echo that found no data to ride on for a full step
+// interval leaves as an echo-only frame, and a window that refused a send
+// while shut emits a probe. Callers hold n.mu and flush.
 func (n *Node) control(g *Group) {
-	n.due = g.links.Tick(n.due[:0])
-	for _, d := range n.due {
-		if n.wired[d.Entry.Peer] {
-			n.link.Control(g, d.Entry, d.Control == window.Probe)
+	n.due = n.due[:0]
+	n.mbMu.Lock()
+	for _, c := range g.order {
+		if ctl := c.w.Tick(); ctl != window.None && n.wired[c.Peer] {
+			n.due = append(n.due, due{c: c, probe: ctl == window.Probe})
 		}
+	}
+	n.mbMu.Unlock()
+	for _, d := range n.due {
+		n.link.Control(g, d.c, d.probe)
 	}
 }
 
-// drainMail swaps the filled mailbox buffer out (one pointer swap under
-// the mailbox lock, batching the handoff) and delivers its contents
-// under the action mutex, routing each mailbox to its group; the groups
-// that got mail then settle. Mail for a group inside a crash window
-// stays in transit: it is re-boxed untouched
-// and the sweep retries after the window (re-boxed mail that no longer
-// fits is lost, the lose-on-full rule again).
+// drainMail swaps the ready list out (one swap under the mailbox lock,
+// batching the handoff) and, under the action mutex, takes each listed
+// channel's mailbox and delivers it; the groups that got mail then
+// settle. A group inside a crash window is skipped: its mail stays in
+// transit, untouched where it is, and its channels go back on the
+// list for the step tick to retry. A detached group's channels drop off
+// the list, and its mail with them.
 func (n *Node) drainMail() {
-	gs := n.groups.Load()
-	if len(gs.list) == 1 && gs.list[0].down() {
-		// Sole group crashed: leave everything boxed without swapping.
-		return
-	}
 	n.mbMu.Lock()
-	if n.boxed == 0 {
+	if len(n.ready) == 0 {
 		n.mbMu.Unlock()
 		return
 	}
-	batch := n.mailboxes
-	n.mailboxes, n.spare = n.spare, n.mailboxes
-	n.boxed = 0
+	batch := n.ready
+	n.ready, n.spare = n.spare, nil
 	n.mbMu.Unlock()
 
-	type heldMsg struct {
-		g   *Group
-		key mailKey
-		m   core.Message
-	}
-	var held []heldMsg
+	gs := n.groups.Load()
+	held := batch[:0]
 	n.mu.Lock()
-	for key, box := range batch {
-		if len(box) == 0 {
-			continue
-		}
-		batch[key] = box[:0]
-		g := gs.byID[key.gid]
-		if g == nil {
+	for _, c := range batch {
+		g := c.g
+		if gs.byID[g.id] != g {
 			continue // group detached: its in-transit mail evaporates
 		}
 		if g.down() {
-			for _, m := range box {
-				held = append(held, heldMsg{g: g, key: key, m: m})
-			}
+			held = append(held, c) // crash window: still in transit
 			continue
 		}
-		e := g.links.Link(key.from, key.instance)
-		mach, ok := g.routes[key.instance]
-		if !ok {
-			// A message addressed to an unknown instance is consumed with
-			// no effect, like a receive action with a false guard.
-			e.Occupy(-len(box))
-			continue
-		}
-		if !g.dirty {
+		mach := g.routes[c.Instance]
+		n.mbMu.Lock()
+		n.taken, c.box = c.box, n.taken[:0] // the channel gets the last drained mailbox's room
+		n.mbMu.Unlock()
+		if mach != nil && !g.dirty {
 			g.dirty = true
 			n.dirty = append(n.dirty, g)
 		}
 		ev := g.envs[core.PathAction]
-		for _, m := range box {
-			// The message leaves the link as it is handed to Deliver, so
-			// a reply sent from inside Deliver already acknowledges it.
-			e.Occupy(-1)
-			g.emit(core.Event{Kind: core.EvDeliver, Proc: n.self, Peer: key.from, Instance: key.instance, Msg: m})
-			mach.Deliver(ev, key.from, m)
+		for _, m := range n.taken {
+			// The message leaves the channel as it is handed to Deliver,
+			// so a reply sent from inside Deliver already acknowledges it.
+			n.mbMu.Lock()
+			c.w.Occupy(-1)
+			n.mbMu.Unlock()
+			if mach == nil {
+				// Mail for an unknown instance is consumed with no effect,
+				// like a receive action with a false guard.
+				continue
+			}
+			g.emit(core.Event{Kind: core.EvDeliver, Proc: n.self, Peer: c.Peer, Instance: c.Instance, Msg: m})
+			mach.Deliver(ev, c.Peer, m)
 		}
 	}
 	for i, g := range n.dirty {
@@ -856,20 +900,11 @@ func (n *Node) drainMail() {
 	n.link.Flush()
 	n.mu.Unlock()
 
-	if len(held) == 0 {
-		return
-	}
 	n.mbMu.Lock()
-	kept := held[:0]
-	for _, h := range held {
-		if !n.put(h.key, h.m) {
-			kept = append(kept, h)
-		}
-	}
+	n.ready = append(n.ready, held...)
+	clear(batch)
+	n.spare = batch[:0]
 	n.mbMu.Unlock()
-	for _, h := range kept {
-		n.lose(h.g, h.key.from, h.m)
-	}
 }
 
 // Do runs f under the node's action mutex with its default group's

@@ -7,12 +7,11 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/pif"
-	"github.com/snapstab/snapstab/internal/window"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
 // pipe is an in-memory Link: the engine's own tests run on it, so what
-// they pin — mailboxes, groups, wiring — is checked without a socket.
+// they pin — channels, groups, wiring — is checked without a socket.
 // Frames queued in an atomic section reach the peer's Arrive at Flush.
 type pipe struct {
 	cfg   LinkConfig
@@ -66,21 +65,21 @@ func (p *pipe) Wire(peer core.ProcID, addr string) error {
 	return nil
 }
 
-func (p *pipe) Queue(g *Group, e *window.Entry, m core.Message) error {
-	p.frame(g, e, false, m)
-	g.Sent(e.Peer, 1)
+func (p *pipe) Queue(g *Group, c *Chan, m core.Message) error {
+	p.frame(g, c, false, m)
+	g.Sent(c.Peer, 1)
 	return nil
 }
 
-func (p *pipe) Control(g *Group, e *window.Entry, probe bool) {
-	p.frame(g, e, probe)
+func (p *pipe) Control(g *Group, c *Chan, probe bool) {
+	p.frame(g, c, probe)
 	g.ControlSent(probe)
 }
 
-func (p *pipe) frame(g *Group, e *window.Entry, probe bool, msgs ...core.Message) {
-	h := e.Stamp(probe)
-	p.out = append(p.out, pipeFrame{peer: e.Peer, gid: g.ID(), msgs: msgs,
-		h: wire.LinkHeader{Instance: e.Instance, Seq: h.Seq, Ack: h.Ack, Probe: h.Probe, Count: len(msgs)}})
+func (p *pipe) frame(g *Group, c *Chan, probe bool, msgs ...core.Message) {
+	h := c.Stamp(probe)
+	h.Count = len(msgs)
+	p.out = append(p.out, pipeFrame{peer: c.Peer, gid: g.ID(), msgs: msgs, h: h})
 }
 
 func (p *pipe) Flush() {
@@ -118,7 +117,7 @@ func waitFor(d time.Duration, cond func() bool) bool {
 	return cond()
 }
 
-// TestBroadcastOverPipes: the engine alone — window, mailboxes, loops —
+// TestBroadcastOverPipes: the engine alone — channels and loops —
 // carries a PIF broadcast to its decision within the capacity bound.
 func TestBroadcastOverPipes(t *testing.T) {
 	t.Parallel()
@@ -172,7 +171,7 @@ func TestMailboxHoldsAtMostC(t *testing.T) {
 			[]core.Message{{Instance: "pif", Kind: pif.Kind}})
 	}
 	n.mbMu.Lock()
-	held := len(n.mailboxes[mailKey{from: 1, instance: "pif"}])
+	held := len(n.g0.channel(1, "pif").box)
 	n.mbMu.Unlock()
 	if held != n.capacity {
 		t.Fatalf("mailbox holds %d messages, want the bound %d", held, n.capacity)

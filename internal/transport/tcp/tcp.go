@@ -70,7 +70,6 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/transport/engine"
-	"github.com/snapstab/snapstab/internal/window"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
@@ -260,26 +259,26 @@ func (ms *mesh) Start() {
 // when a frame outgrows its recycled buffer.
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// Queue frames m alone under e's header. The message counts as sent
+// Queue frames m alone under c's header. The message counts as sent
 // once it is in the link's queue, and therefore in the model's channel.
-func (ms *mesh) Queue(g *engine.Group, e *window.Entry, m core.Message) error {
+func (ms *mesh) Queue(g *engine.Group, c *engine.Chan, m core.Message) error {
 	ms.sendOne[0] = m
-	err := ms.enqueue(g, e, frameData, ms.sendOne[:])
+	err := ms.enqueue(g, c, frameData, ms.sendOne[:])
 	ms.sendOne[0] = core.Message{}
 	if err == nil {
-		g.Sent(e.Peer, 1)
+		g.Sent(c.Peer, 1)
 	}
 	return err
 }
 
-// Control queues e's header alone. A control frame that finds its queue
+// Control queues c's header alone. A control frame that finds its queue
 // full is dropped; the next tick asks again.
-func (ms *mesh) Control(g *engine.Group, e *window.Entry, probe bool) {
+func (ms *mesh) Control(g *engine.Group, c *engine.Chan, probe bool) {
 	kind := uint8(frameEcho)
 	if probe {
 		kind = frameProbe
 	}
-	_ = ms.enqueue(g, e, kind, nil)
+	_ = ms.enqueue(g, c, kind, nil)
 }
 
 // Flush has nothing to do: frames leave through the writers' queues.
@@ -290,15 +289,14 @@ func (ms *mesh) Flush() {}
 var errQueueFull = errors.New("queue full")
 
 // enqueue frames msgs (one message for frameData, none for a control
-// frame) under e's freshly stamped link header and queues the frame
-// toward e.Peer.
-func (ms *mesh) enqueue(g *engine.Group, e *window.Entry, kind uint8, msgs []core.Message) error {
-	l := ms.out[e.Peer]
+// frame) under c's freshly stamped link header and queues the frame
+// toward c.Peer.
+func (ms *mesh) enqueue(g *engine.Group, c *engine.Chan, kind uint8, msgs []core.Message) error {
+	l := ms.out[c.Peer]
 	if len(l.q) == cap(l.q) {
 		return errQueueFull
 	}
-	h := e.Stamp(kind == frameProbe)
-	ms.hdrOne[0] = wire.LinkHeader{Instance: e.Instance, Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}
+	ms.hdrOne[0] = c.Stamp(kind == frameProbe)
 	bp := framePool.Get().(*[]byte)
 	buf, err := wire.AppendLinkFrame(append((*bp)[:0], 0, 0, 0, 0), g.ID(), ms.hdrOne[:], msgs)
 	if err != nil {

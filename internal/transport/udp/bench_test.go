@@ -6,53 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/stat"
 )
-
-// flooder mirrors the runtime package's throughput machine: Step seeds
-// one message per peer, Deliver echoes one back, so sustained traffic is
-// driven by the delivery path, not the step pacing.
-type flooder struct {
-	inst      string
-	self      core.ProcID
-	n         int
-	seq       int64  // numbers every message: the engines send only what differs from a link's last message
-	blob      []byte // opaque payload body wire-encoded into every datagram
-	delivered *atomic.Int64
-}
-
-func (f *flooder) Instance() string { return f.inst }
-
-func (f *flooder) Step(env core.Env) bool {
-	for q := 0; q < f.n; q++ {
-		if core.ProcID(q) != f.self {
-			env.Send(core.ProcID(q), f.next())
-		}
-	}
-	return true
-}
-
-func (f *flooder) Deliver(env core.Env, from core.ProcID, m core.Message) {
-	f.delivered.Add(1)
-	env.Send(from, f.next())
-}
-
-func (f *flooder) next() core.Message {
-	f.seq++
-	return core.Message{Instance: f.inst, Kind: "flood", B: core.Payload{Num: f.seq, Blob: f.blob}}
-}
-
-func blobBody(size int) []byte {
-	if size == 0 {
-		return nil
-	}
-	body := make([]byte, size)
-	for i := range body {
-		body[i] = byte(i)
-	}
-	return body
-}
 
 // floodWindow is the capacity the flood benchmarks run at. The flooder
 // has no handshake flags to size, and at the protocols' DefaultCapacity
@@ -85,12 +41,7 @@ func BenchmarkUDPThroughput(b *testing.B) {
 
 func benchUDPThroughput(b *testing.B, n, blob int) {
 	var delivered atomic.Int64
-	body := blobBody(blob)
-	stacks := make([]core.Stack, n)
-	for i := range stacks {
-		stacks[i] = core.Stack{&flooder{inst: "flood", self: core.ProcID(i), n: n, blob: body, delivered: &delivered}}
-	}
-	c, err := NewCluster(stacks, WithCapacity(floodWindow))
+	c, err := NewCluster(linktest.Flood(n, blob, &delivered), WithCapacity(floodWindow))
 	if err != nil {
 		b.Fatal(err)
 	}

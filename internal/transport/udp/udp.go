@@ -38,7 +38,6 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/transport/engine"
-	"github.com/snapstab/snapstab/internal/window"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
@@ -202,7 +201,7 @@ type sendKey struct {
 // batchLink is one link an outbound frame speaks for: it has records in
 // the frame, or a control header (echo or probe) to deliver.
 type batchLink struct {
-	e     *window.Entry
+	c     *engine.Chan
 	probe bool
 }
 
@@ -216,10 +215,10 @@ type outBatch struct {
 	live     bool
 }
 
-// find returns the index of e among the batch's links, or -1.
-func (ob *outBatch) find(e *window.Entry) int {
+// find returns the index of c among the batch's links, or -1.
+func (ob *outBatch) find(c *engine.Chan) int {
 	for i, bl := range ob.links {
-		if bl.e == e {
+		if bl.c == c {
 			return i
 		}
 	}
@@ -240,34 +239,34 @@ type frameRef struct {
 	probe    bool
 }
 
-// Queue adds m to the pending batch toward e.Peer, flushing the batch
+// Queue adds m to the pending batch toward c.Peer, flushing the batch
 // when it reaches the WithBatch ceiling. Unencodable payloads are
 // refused.
-func (s *socket) Queue(g *engine.Group, e *window.Entry, m core.Message) error {
-	ob := s.roomFor(g, e)
+func (s *socket) Queue(g *engine.Group, c *engine.Chan, m core.Message) error {
+	ob := s.roomFor(g, c)
 	if err := ob.b.Add(m); err != nil {
 		return err
 	}
-	ob.addLink(e, false)
+	ob.addLink(c, false)
 	if ob.b.Count() >= s.batchMsgs {
 		s.flushBatch(ob)
 	}
 	return nil
 }
 
-// Control makes the pending batch toward e.Peer carry e's header.
-func (s *socket) Control(g *engine.Group, e *window.Entry, probe bool) {
-	s.roomFor(g, e).addLink(e, probe)
+// Control makes the pending batch toward c.Peer carry c's header.
+func (s *socket) Control(g *engine.Group, c *engine.Chan, probe bool) {
+	s.roomFor(g, c).addLink(c, probe)
 }
 
-// roomFor returns the pending batch for (e.Peer, g) with room for one
-// more record and a header for e, shipping what is pending first if the
+// roomFor returns the pending batch for (c.Peer, g) with room for one
+// more record and a header for c, shipping what is pending first if the
 // next record or header could overflow the frame.
-func (s *socket) roomFor(g *engine.Group, e *window.Entry) *outBatch {
-	ob := s.outFor(e.Peer, g)
-	if len(ob.links) > 0 && (ob.size() > flushCut || (len(ob.links) == wire.MaxLinks && ob.find(e) < 0)) {
+func (s *socket) roomFor(g *engine.Group, c *engine.Chan) *outBatch {
+	ob := s.outFor(c.Peer, g)
+	if len(ob.links) > 0 && (ob.size() > flushCut || (len(ob.links) == wire.MaxLinks && ob.find(c) < 0)) {
 		s.flushBatch(ob)
-		ob = s.outFor(e.Peer, g)
+		ob = s.outFor(c.Peer, g)
 	}
 	return ob
 }
@@ -294,15 +293,15 @@ func (s *socket) outFor(to core.ProcID, g *engine.Group) *outBatch {
 	return ob
 }
 
-// addLink makes the batch's frame speak for e: its records are in the
+// addLink makes the batch's frame speak for c: its records are in the
 // frame, or (probe or not) a control header is due.
-func (ob *outBatch) addLink(e *window.Entry, probe bool) {
-	if i := ob.find(e); i >= 0 {
+func (ob *outBatch) addLink(c *engine.Chan, probe bool) {
+	if i := ob.find(c); i >= 0 {
 		ob.links[i].probe = ob.links[i].probe || probe
 		return
 	}
-	ob.links = append(ob.links, batchLink{e: e, probe: probe})
-	ob.hdrBytes += len(e.Instance) + linkHeaderBytes
+	ob.links = append(ob.links, batchLink{c: c, probe: probe})
+	ob.hdrBytes += len(c.Instance) + linkHeaderBytes
 }
 
 // render stamps ob's link headers — sequence and acknowledgment are read
@@ -312,8 +311,7 @@ func (s *socket) render(ob *outBatch) {
 	s.hdrs = s.hdrs[:0]
 	probe := false
 	for _, bl := range ob.links {
-		h := bl.e.Stamp(bl.probe)
-		s.hdrs = append(s.hdrs, wire.LinkHeader{Instance: bl.e.Instance, Seq: h.Seq, Ack: h.Ack, Probe: h.Probe})
+		s.hdrs = append(s.hdrs, bl.c.Stamp(bl.probe))
 		probe = probe || bl.probe
 	}
 	off := len(s.sendBuf)

@@ -43,12 +43,7 @@
 // exhaustively (snapvet's determinism analyzer covers it).
 package window
 
-import (
-	"fmt"
-	"sync"
-
-	"github.com/snapstab/snapstab/internal/core"
-)
+import "fmt"
 
 // MaxCapacity is the largest bound a protocol stack can be built for:
 // the handshake flag domain {0..2c+2} must fit the wire format's
@@ -81,9 +76,10 @@ const (
 )
 
 // Link is one endpoint of one bidirectional link. The zero value is
-// unusable; build one with NewLink. It is not goroutine-safe (Table
-// adds the lock) and is a comparable value, so a model checker can use
-// it as part of a map key.
+// unusable; build one with NewLink. It is not goroutine-safe (the
+// socket engine keeps it in its per-channel record, under the node's
+// mailbox lock) and is a comparable value, so a model checker can use it
+// as part of a map key.
 type Link struct {
 	c int
 
@@ -197,133 +193,4 @@ func (l *Link) Tick() Control {
 		l.aged = true
 	}
 	return None
-}
-
-// Entry is one link of a Table; its methods take the table's lock.
-type Entry struct {
-	t    *Table
-	Peer core.ProcID
-	// Instance is the protocol instance the link serves.
-	Instance string
-	// Out is the sender's record of what the protocol last put on the
-	// link. The table does not guard it: the engine uses it under its
-	// action mutex.
-	Out core.LinkOut
-	l   Link
-}
-
-// Admit is Link.Admit under the table lock.
-func (e *Entry) Admit() bool {
-	e.t.mu.Lock()
-	ok := e.l.Admit()
-	e.t.mu.Unlock()
-	return ok
-}
-
-// Cancel is Link.Cancel under the table lock.
-func (e *Entry) Cancel() {
-	e.t.mu.Lock()
-	e.l.Cancel()
-	e.t.mu.Unlock()
-}
-
-// Stamp is Link.Stamp under the table lock.
-func (e *Entry) Stamp(probe bool) Header {
-	e.t.mu.Lock()
-	h := e.l.Stamp(probe)
-	e.t.mu.Unlock()
-	return h
-}
-
-// Arrive is Link.Arrive under the table lock.
-func (e *Entry) Arrive(h Header, n int) {
-	e.t.mu.Lock()
-	e.l.Arrive(h, n)
-	e.t.mu.Unlock()
-}
-
-// Occupy is Link.Occupy under the table lock.
-func (e *Entry) Occupy(d int) {
-	e.t.mu.Lock()
-	e.l.Occupy(d)
-	e.t.mu.Unlock()
-}
-
-// Due is one control frame a Table.Tick asks for.
-type Due struct {
-	Entry   *Entry
-	Control Control
-}
-
-type key struct {
-	peer core.ProcID
-	inst string
-}
-
-// Table holds every link of one hosted group behind one leaf lock: no
-// method calls out while holding it, so it nests inside any of the
-// transports' locks.
-type Table struct {
-	mu    sync.Mutex
-	c     int
-	first uint64
-	links map[key]*Entry
-	order []*Entry // creation order: Tick and Gauges iterate this
-}
-
-// NewTable returns an empty table whose links have window c and start
-// numbering at first. The transports pass a random first so that a
-// restarted endpoint's sequences do not collide with acknowledgments
-// addressed to its previous life.
-func NewTable(c int, first uint64) *Table {
-	return &Table{c: c, first: first, links: make(map[key]*Entry)}
-}
-
-// Link returns the entry for (peer, instance), creating it on first use.
-func (t *Table) Link(peer core.ProcID, instance string) *Entry {
-	k := key{peer: peer, inst: instance}
-	t.mu.Lock()
-	e := t.links[k]
-	if e == nil {
-		e = &Entry{t: t, Peer: peer, Instance: instance, l: NewLink(t.c, t.first)}
-		t.links[k] = e
-		t.order = append(t.order, e)
-	}
-	t.mu.Unlock()
-	return e
-}
-
-// Tick runs every link's timer edge and appends the control frames due
-// to dst.
-func (t *Table) Tick(dst []Due) []Due {
-	t.mu.Lock()
-	for _, e := range t.order {
-		if ctl := e.l.Tick(); ctl != None {
-			dst = append(dst, Due{Entry: e, Control: ctl})
-		}
-	}
-	t.mu.Unlock()
-	return dst
-}
-
-// FillLinkStats sets the window gauges of each element of links from
-// the table's links toward that element's Peer: the fullest current
-// window and the highest peak among the peer's instances.
-func (t *Table) FillLinkStats(links []core.LinkStats) {
-	t.mu.Lock()
-	for _, e := range t.order {
-		for i := range links {
-			ls := &links[i]
-			if ls.Peer != e.Peer {
-				continue
-			}
-			if n := e.l.InFlight(); n > ls.InFlight {
-				ls.InFlight = n
-			}
-			if n := e.l.Peak(); n > ls.PeakInFlight {
-				ls.PeakInFlight = n
-			}
-		}
-	}
-	t.mu.Unlock()
 }

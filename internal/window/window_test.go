@@ -1,11 +1,6 @@
 package window
 
-import (
-	"sync"
-	"testing"
-
-	"github.com/snapstab/snapstab/internal/core"
-)
+import "testing"
 
 // carry moves what a frame from src says (n of src's admitted messages
 // aboard) into dst.
@@ -156,34 +151,5 @@ func TestHoldbackKeepsTheSlot(t *testing.T) {
 	carry(&b, &a, false, 0)
 	if a.InFlight() != 0 {
 		t.Fatalf("in flight %d after the pipeline drained", a.InFlight())
-	}
-}
-
-func TestTableIsSafeForConcurrentUse(t *testing.T) {
-	const c = 4
-	tab := NewTable(c, 1)
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			e := tab.Link(core.ProcID(p%2), "pif")
-			for i := 0; i < 1000; i++ {
-				if e.Admit() {
-					e.Arrive(e.Stamp(false), 1)
-					e.Occupy(-1)
-					e.Arrive(e.Stamp(false), 0)
-				}
-				tab.Tick(nil)
-			}
-		}(p)
-	}
-	wg.Wait()
-	links := []core.LinkStats{{Peer: 0}, {Peer: 1}}
-	tab.FillLinkStats(links)
-	for _, l := range links {
-		if l.PeakInFlight < 1 || l.PeakInFlight > c {
-			t.Fatalf("peer %d peaked at %d, want 1..%d", l.Peer, l.PeakInFlight, c)
-		}
 	}
 }
