@@ -138,8 +138,8 @@ type LinkStats struct {
 // TransportStats holds one node's transport counters, in the same shape
 // on every substrate (the mirror of core.TransportStats).
 type TransportStats struct {
-	// Addr is the node's bound local address ("" on the in-memory
-	// substrates, which have no sockets).
+	// Addr is the node's bound local address: a socket address on UDP
+	// and TCP, the in-memory link's index on Runtime, "" on Sim.
 	Addr string
 	// Sends counts messages successfully handed to the network.
 	Sends int64
@@ -155,8 +155,8 @@ type TransportStats struct {
 	// backlogged connections).
 	SendDrops int64
 	// MailboxDrops counts messages dropped at a full receive mailbox
-	// (the model's lose-on-full rule); on Runtime, the arrivals
-	// WithLossRate dropped.
+	// (the model's lose-on-full rule). Injected loss — Runtime's
+	// WithLossRate included — reads in Faults.Drops instead.
 	MailboxDrops int64
 	// Redials counts reconnection attempts (TCP's dial/accept lifecycle
 	// re-establishing lost connections; zero elsewhere).
@@ -164,15 +164,16 @@ type TransportStats struct {
 	// SendDatagrams and RecvDatagrams count wire frames moved by the
 	// socket layer — UDP datagrams, or length-prefixed frames on a TCP
 	// stream. With batching one frame carries many messages, so
-	// Sends/SendDatagrams is the average batch occupancy. Zero on the
-	// in-memory substrates.
+	// Sends/SendDatagrams is the average batch occupancy. Runtime counts
+	// the frames its in-memory link hands over (one message each); zero
+	// on Sim.
 	SendDatagrams int64
 	RecvDatagrams int64
 	// SendSyscalls and RecvSyscalls count socket system calls.
 	// sendmmsg/recvmmsg (UDP on Linux), vectored writes, and buffered
 	// reads (TCP) move several frames per call, so Sends/SendSyscalls
-	// measures the syscall amortization the batch path buys. Zero on the
-	// in-memory substrates.
+	// measures the syscall amortization the batch path buys. Zero on
+	// Runtime and Sim, which make none.
 	SendSyscalls int64
 	RecvSyscalls int64
 	// EchoFrames and ProbeFrames count the link layer's control frames
@@ -181,20 +182,18 @@ type TransportStats struct {
 	EchoFrames  int64
 	ProbeFrames int64
 	// Capacity is the channel-capacity bound c (WithCapacity) the
-	// transport enforces on every directed link; zero on the in-memory
-	// substrates.
+	// transport enforces on every directed link; zero on Sim, whose
+	// channels hold the bound themselves.
 	Capacity int
-	// Links holds per-peer detail on the network substrates, nil
-	// otherwise.
+	// Links holds per-peer detail on Runtime, UDP and TCP; nil on Sim.
 	Links []LinkStats
 	// Faults counts the faults injected at this node's mailbox boundary
 	// by the cluster's FaultPlan (zero without one).
 	Faults FaultStats
 }
 
-// TransportStats returns one entry per process on every substrate: real
-// socket counters on the network substrates (UDP, TCP), the message
-// counters (Sends, Recvs, Retransmits, SendDrops, Faults) on Runtime, and zero-valued
+// TransportStats returns one entry per process on every substrate: the
+// concurrent engine's counters on Runtime, UDP and TCP, and zero-valued
 // entries on Sim, which counts per network (see Stats).
 func (c *clusterCore) TransportStats() []TransportStats {
 	stats := c.sub.TransportStats()

@@ -72,25 +72,33 @@ func TestGauntletTopologyNarrowsMatrix(t *testing.T) {
 // nightly exercises in full: one adversarial scenario on the runtime
 // substrate, and the paper's own setting — a corrupted start, no
 // adversary — over loopback sockets. A selection of exactly one run
-// prints every node's transport counters.
+// prints every node's transport counters. The four forwarding runs are
+// the seeds on which the runtime's former channel, which duplicated and
+// overtook, delivered an item twice (11, 21, 23) or wedged a send until
+// its deadline (32).
 func TestGauntletOneConcurrentRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrent gauntlet skipped in -short mode")
 	}
 	for _, tc := range []struct {
 		scenario, protocol, substrate string
+		n                             int
 		seed                          uint64
 	}{
-		{"flaky-links", "pif", "runtime", 2},
-		{"corrupted-start", "pif", "udp", 2},
-		{"corrupted-start", "forward", "tcp", 2},
+		{"flaky-links", "pif", "runtime", 3, 2},
+		{"corrupted-start", "pif", "udp", 3, 2},
+		{"corrupted-start", "forward", "tcp", 3, 2},
+		{"flaky-links", "forward", "runtime", 4, 11},
+		{"flaky-links", "forward", "runtime", 4, 21},
+		{"flaky-links", "forward", "runtime", 4, 23},
+		{"flaky-links", "forward", "runtime", 4, 32},
 	} {
 		var out strings.Builder
 		failed, err := run(&out, config{
 			Scenario:  tc.scenario,
 			Protocol:  tc.protocol,
 			Substrate: tc.substrate,
-			N:         3,
+			N:         tc.n,
 			Seed:      tc.seed,
 			Timeout:   time.Minute,
 		})
@@ -100,7 +108,7 @@ func TestGauntletOneConcurrentRun(t *testing.T) {
 		if len(failed) > 0 {
 			t.Fatalf("%+v: failed runs:\n%s\noutput:\n%s", tc, strings.Join(failed, "\n"), out.String())
 		}
-		for node := 0; node < 3; node++ {
+		for node := 0; node < tc.n; node++ {
 			if want := fmt.Sprintf("node %d: sent=", node); !strings.Contains(out.String(), want) {
 				t.Errorf("%+v: single-run output lacks %q:\n%s", tc, want, out.String())
 			}

@@ -167,8 +167,8 @@ var families = map[string]func(cfg config, opts []snapstab.Option) (snapstab.Clu
 // protocol's request script to its spec verdict, and tears the cluster
 // down, returning its final per-node counters. An otherwise successful
 // run fails if any link's in-flight count ever exceeded the capacity
-// bound the transport claims to enforce (vacuous on sim and runtime,
-// which report no links).
+// bound the transport claims to enforce (vacuous on sim, which reports
+// no links).
 func runOne(sc scenario, protocol, sub string, cfg config) ([]snapstab.TransportStats, error) {
 	opts := []snapstab.Option{
 		snapstab.WithSubstrate(substrateOf(sub)),

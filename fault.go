@@ -10,11 +10,10 @@ import (
 // §9): mirror types over core.FaultPlan, the WithFaults cluster option,
 // and the FaultStats accessor. The same plan value drives every
 // substrate — the deterministic simulator applies it at Step delivery
-// (replaying exactly from the seed), the runtime at each receiver's link
-// table, and the network transports (UDP and TCP, dedicated or muxed) at
-// the mailbox boundary, per logical message regardless of how messages
-// were batched into wire frames (reproducible decision streams under
-// real concurrency).
+// (replaying exactly from the seed), and the concurrent engine (Runtime,
+// UDP and TCP, dedicated or muxed) at the mailbox boundary, per logical
+// message regardless of how messages were batched into wire frames
+// (reproducible decision streams under real concurrency).
 
 // LinkFaults is the fault policy of one directed link (or the plan-wide
 // default): independent probabilities, all in [0, 1), applied to each

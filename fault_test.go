@@ -1,6 +1,8 @@
 package snapstab_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -204,4 +206,31 @@ func TestCrashAndPartitionWindowsOnFacade(t *testing.T) {
 	if st.PartitionDrops == 0 {
 		t.Fatalf("partition never dropped anything: %+v", st)
 	}
+}
+
+// TestRuntimeLossRateIsTheDropPlan: on Runtime WithLossRate is the fault
+// plane's drop — the losses read in FaultStats().Drops, not in
+// MailboxDrops — and stating it beside a plan is refused at construction.
+func TestRuntimeLossRateIsTheDropPlan(t *testing.T) {
+	t.Parallel()
+	c := snapstab.NewPIFCluster(3, snapstab.WithSubstrate(snapstab.Runtime()), snapstab.WithLossRate(0.3))
+	defer c.Close()
+	if _, err := c.Broadcast(0, "lossy", 1); err != nil {
+		t.Fatalf("broadcast: %v", err)
+	}
+	if c.FaultStats().Drops == 0 {
+		t.Fatal("WithLossRate dropped nothing")
+	}
+	for p, s := range c.TransportStats() {
+		if s.MailboxDrops != 0 {
+			t.Errorf("node %d: %d MailboxDrops at a window-respecting sender's receiver", p, s.MailboxDrops)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "state the loss in the plan") {
+			t.Fatalf("WithLossRate beside WithFaults on Runtime: recovered %v", r)
+		}
+	}()
+	snapstab.NewPIFCluster(3, snapstab.WithSubstrate(snapstab.Runtime()),
+		snapstab.WithLossRate(0.3), snapstab.WithFaults(snapstab.FaultPlan{Seed: 1, Default: snapstab.LinkFaults{DupRate: 0.1}}))
 }

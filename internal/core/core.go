@@ -159,22 +159,6 @@ func (m Message) IsZero() bool {
 		m.B.IsZero() && m.F.IsZero()
 }
 
-// Envelope is a routed message with provenance: the unit the concurrent
-// substrates pass between goroutines (the runtime's per-process fan-in
-// channels, the UDP transport's mailbox batches). The deterministic
-// simulator has no use for it — its scheduler owns both endpoints of
-// every link and routes by LinkKey directly.
-type Envelope struct {
-	// From is the sending process.
-	From ProcID
-	// Link is a substrate-defined dense link index: the slot of the
-	// (sender, instance) pair in the receiver's precomputed link table.
-	// Substrates that route by instance string may leave it 0.
-	Link int32
-	// Msg is the message itself.
-	Msg Message
-}
-
 // Env is the world a machine acts on during one atomic action: it can send
 // messages and emit observable events. Substrates provide implementations.
 type Env interface {

@@ -99,7 +99,7 @@ func (k EventKind) String() string {
 // event involves a message or a remote process.
 type Event struct {
 	// Step is the global step index at which the event occurred, stamped
-	// by the substrate.
+	// by the simulator; the concurrent engine has no global step (0).
 	Step int
 	// Kind classifies the event.
 	Kind EventKind

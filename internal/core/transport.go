@@ -29,14 +29,13 @@ type LinkStats struct {
 }
 
 // TransportStats is the substrate-agnostic transport counter snapshot for
-// one node. The network substrates (UDP, TCP) fill it from their socket
-// paths; the runtime fills the message counters (Sends, Recvs,
-// Retransmits, SendDrops, Faults) from its in-memory links; the
-// simulator counts per network, not per node (sim.Stats), and reports
-// the zero value. The façade re-exports it per node, so operators and
+// one node. The concurrent engine fills it on all three of its links
+// (Runtime's in-memory one, UDP, TCP); the simulator counts per network,
+// not per node (sim.Stats), and reports the zero value. The façade re-exports it per node, so operators and
 // the metrics layer read one shape regardless of the engine.
 type TransportStats struct {
-	// Addr is the node's bound local address ("" on in-memory substrates).
+	// Addr is the node's bound local address: a socket address, or the
+	// in-memory link's index in its address space.
 	Addr string
 	// Sends counts messages successfully handed to the network.
 	Sends int64
@@ -47,12 +46,11 @@ type TransportStats struct {
 	Retransmits int64
 	// SendDrops counts messages lost at the sender — sends refused by a
 	// full link window, failed writes, unencodable payloads, dead or
-	// backlogged connections, and (runtime) sends to a non-neighbour or
-	// to an instance the destination does not run.
+	// backlogged connections, and sends to a non-neighbour.
 	SendDrops int64
 	// MailboxDrops counts messages dropped at a full receive mailbox,
-	// the transport's lose-on-full rule (reported as EvLose); on the
-	// runtime, the arrivals WithLossRate dropped (EvLose too).
+	// the transport's lose-on-full rule (reported as EvLose). Injected
+	// loss is not here but in Faults.Drops.
 	MailboxDrops int64
 	// Redials counts transport reconnection attempts (TCP only: the
 	// dial/accept lifecycle re-establishing a lost connection).
@@ -60,15 +58,16 @@ type TransportStats struct {
 	// SendDatagrams and RecvDatagrams count wire frames (datagrams on
 	// UDP, length-prefixed frames on TCP), control frames included.
 	// With batching one frame carries many messages, so
-	// Sends/SendDatagrams is the outbound batch occupancy; zero on
-	// substrates without a framed wire.
+	// Sends/SendDatagrams is the outbound batch occupancy. The in-memory
+	// link counts the frames it hands over, one message each.
 	SendDatagrams int64
 	RecvDatagrams int64
 	// SendSyscalls and RecvSyscalls count the socket system calls that
 	// moved those frames (sendmmsg/recvmmsg and vectored writes make
 	// them smaller than the frame counts); Sends/SendSyscalls is the
 	// syscall amortization the batching path exists to maximize. Zero
-	// where the transport cannot observe the syscall boundary.
+	// where there is no syscall (the in-memory link) or the transport
+	// cannot observe the boundary.
 	SendSyscalls int64
 	RecvSyscalls int64
 	// EchoFrames and ProbeFrames count the link layer's control frames:
@@ -77,11 +76,11 @@ type TransportStats struct {
 	EchoFrames  int64
 	ProbeFrames int64
 	// Capacity is the channel-capacity bound c the transport enforces on
-	// every directed (peer, group, instance) link; zero on substrates
-	// without a transport.
+	// every directed (peer, group, instance) link; zero on the simulator,
+	// whose channels hold the bound themselves.
 	Capacity int
-	// Links holds per-peer detail on the network transports; nil on the
-	// in-memory substrates.
+	// Links holds per-peer detail on the engine's links; nil on the
+	// simulator.
 	Links []LinkStats
 	// Faults counts the faults injected at this node's mailbox boundary
 	// by an installed FaultPlan; zero without one.

@@ -8,6 +8,7 @@ import (
 
 	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/stat"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // BenchmarkRuntimeThroughput measures sustained deliveries/sec on the
@@ -34,9 +35,11 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 
 func benchRuntimeThroughput(b *testing.B, n, blob int) {
 	var delivered atomic.Int64
-	e := New(linktest.Flood(n, blob, &delivered), WithCapacity(4))
-	e.Start()
-	defer e.Stop()
+	e, err := NewCluster(linktest.Flood(n, blob, &delivered), engine.WithCapacity(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
 	// Let the flood reach steady state before timing.
 	warmup := time.Now().Add(10 * time.Second)
 	for delivered.Load() < int64(n) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 func TestPIFUnderFaultPlan(t *testing.T) {
@@ -21,9 +22,7 @@ func TestPIFUnderFaultPlan(t *testing.T) {
 			CorruptRate: 0.05,
 		},
 	}
-	e := New(stacks, WithFaults(plan))
-	e.Start()
-	defer e.Stop()
+	e := start(t, stacks, engine.WithFaults(plan))
 
 	token := core.Payload{Tag: "m", Num: 4}
 	e.Do(0, func(env core.Env) {
@@ -51,9 +50,7 @@ func TestCrashRestartWindowOnRuntime(t *testing.T) {
 		Unit:    time.Millisecond,
 		Crashes: []core.CrashWindow{{Proc: 1, From: 0, Until: 250}},
 	}
-	e := New(stacks, WithFaults(plan))
-	e.Start()
-	defer e.Stop()
+	e := start(t, stacks, engine.WithFaults(plan))
 
 	token := core.Payload{Tag: "m", Num: 9}
 	e.Do(0, func(env core.Env) { machines[0].Invoke(env, token) })
@@ -79,9 +76,7 @@ func TestPartitionWindowOnRuntime(t *testing.T) {
 		Unit:       time.Millisecond,
 		Partitions: []core.PartitionWindow{{From: 0, Until: 250, GroupA: []core.ProcID{0}}},
 	}
-	e := New(stacks, WithFaults(plan))
-	e.Start()
-	defer e.Stop()
+	e := start(t, stacks, engine.WithFaults(plan))
 
 	token := core.Payload{Tag: "m", Num: 2}
 	e.Do(0, func(env core.Env) { machines[0].Invoke(env, token) })

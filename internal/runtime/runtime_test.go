@@ -13,23 +13,36 @@ import (
 	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/rng"
 	"github.com/snapstab/snapstab/internal/spec"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
-// waitFor polls cond (under no lock; use engine.Do inside cond if state
-// access is needed) until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
+// start runs stacks on the in-memory link at the paper's c = 1, the bound
+// pifStacks builds its machines for (later options override it), and
+// registers the teardown: no window ever exceeded its bound, then Close.
+func start(t *testing.T, stacks []core.Stack, opts ...engine.Option) *engine.Cluster {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(time.Millisecond)
+	c, err := NewCluster(stacks, append([]engine.Option{engine.WithCapacity(1)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return cond()
+	t.Cleanup(func() { c.Close() })
+	linktest.CheckWindows(t, c)
+	return c
 }
 
-func pifStacks(n int) ([]core.Stack, []*pif.PIF) {
+// lossy is the plan the façade's WithLossRate(p) installs.
+func lossy(p float64) engine.Option {
+	return engine.WithFaults(&core.FaultPlan{Seed: 1, Default: core.LinkFaults{DropRate: p}})
+}
+
+// waitFor polls cond (under no lock; use Do inside cond if state access
+// is needed) until it holds or the deadline passes.
+var waitFor = linktest.WaitFor
+
+func pifStacks(n int) ([]core.Stack, []*pif.PIF) { return pifStacksAt(n, 1) }
+
+// pifStacksAt builds the machines for the capacity bound c.
+func pifStacksAt(n, c int) ([]core.Stack, []*pif.PIF) {
 	stacks := make([]core.Stack, n)
 	machines := make([]*pif.PIF, n)
 	for i := 0; i < n; i++ {
@@ -38,7 +51,7 @@ func pifStacks(n int) ([]core.Stack, []*pif.PIF) {
 			OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 				return core.Payload{Tag: "ack", Num: b.Num*100 + int64(id)}
 			},
-		})
+		}, pif.WithCapacityBound(c))
 		stacks[i] = core.Stack{machines[i]}
 	}
 	return stacks, machines
@@ -47,9 +60,7 @@ func pifStacks(n int) ([]core.Stack, []*pif.PIF) {
 func TestPIFOnConcurrentSubstrate(t *testing.T) {
 	t.Parallel()
 	stacks, machines := pifStacks(4)
-	e := New(stacks)
-	e.Start()
-	defer e.Stop()
+	e := start(t, stacks)
 
 	token := core.Payload{Tag: "m", Num: 9}
 	e.Do(0, func(env core.Env) {
@@ -70,9 +81,7 @@ func TestPIFOnConcurrentSubstrate(t *testing.T) {
 func TestPIFUnderInjectedLoss(t *testing.T) {
 	t.Parallel()
 	stacks, machines := pifStacks(3)
-	e := New(stacks, WithLossRate(0.3))
-	e.Start()
-	defer e.Stop()
+	e := start(t, stacks, lossy(0.3))
 	e.Do(0, func(env core.Env) { machines[0].Invoke(env, core.Payload{Tag: "m"}) })
 	if !waitFor(t, 20*time.Second, func() bool {
 		var d bool
@@ -81,11 +90,7 @@ func TestPIFUnderInjectedLoss(t *testing.T) {
 	}) {
 		t.Fatal("broadcast did not survive injected loss")
 	}
-	var lost int64
-	for _, s := range e.TransportStats() {
-		lost += s.MailboxDrops
-	}
-	if lost == 0 {
+	if e.FaultStats().Drops == 0 {
 		t.Fatal("no messages dropped; loss injection inert")
 	}
 }
@@ -102,9 +107,7 @@ func TestPIFFromCorruptedStateConcurrent(t *testing.T) {
 			return core.Payload{Tag: "ack", Num: b.Num*100 + int64(q)}
 		}}
 	guard := &lockedObserver{inner: checker}
-	e := New(stacks, WithObserver(guard))
-	e.Start()
-	defer e.Stop()
+	e := start(t, stacks, engine.WithObserver(guard))
 
 	token := core.Payload{Tag: "fresh", Num: 5}
 	invoked := waitFor(t, 10*time.Second, func() bool {
@@ -160,9 +163,7 @@ func TestIDLOnConcurrentSubstrate(t *testing.T) {
 		machines[i] = idl.New("idl", core.ProcID(i), 3, ids[i])
 		stacks[i] = machines[i].Machines()
 	}
-	e := New(stacks)
-	e.Start()
-	defer e.Stop()
+	e := start(t, stacks)
 	e.Do(2, func(env core.Env) { machines[2].Invoke(env) })
 	if !waitFor(t, 10*time.Second, func() bool {
 		var d bool
@@ -189,9 +190,7 @@ func TestMutexOnConcurrentSubstrate(t *testing.T) {
 	}
 	checker := spec.NewMutexChecker()
 	guard := &lockedObserver{inner: checker}
-	e := New(stacks, WithObserver(guard))
-	e.Start()
-	defer e.Stop()
+	e := start(t, stacks, engine.WithObserver(guard))
 
 	for i := 0; i < n; i++ {
 		i := core.ProcID(i)
@@ -224,51 +223,50 @@ func TestMutexOnConcurrentSubstrate(t *testing.T) {
 func TestStopIsIdempotentAndTerminates(t *testing.T) {
 	t.Parallel()
 	stacks, _ := pifStacks(2)
-	e := New(stacks)
-	e.Start()
-	e.Stop()
-	e.Stop() // second call must not panic or hang
+	e := start(t, stacks)
+	e.Close()
+	e.Close() // second call must not panic or hang
 }
 
 // TestStartStopConcurrent pins the liveness and memory safety of the
-// Start/Stop paths under -race: Start racing many concurrent Stops must
-// neither panic, nor leak goroutines, nor trip the race detector (the
-// old plain-bool `started` and the drained-select Stop did).
+// start and stop paths under -race: a cluster whose loops have barely
+// launched, closed from many goroutines at once, must neither panic nor
+// hang, and every Close returns only once the loops are gone.
 func TestStartStopConcurrent(t *testing.T) {
 	t.Parallel()
 	for i := 0; i < 20; i++ {
 		stacks, _ := pifStacks(3)
-		e := New(stacks)
+		e := start(t, stacks)
 		var wg sync.WaitGroup
-		wg.Add(5)
-		go func() {
-			defer wg.Done()
-			e.Start()
-		}()
 		for s := 0; s < 4; s++ {
+			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				e.Stop()
+				e.Close()
 			}()
 		}
 		wg.Wait()
-		e.Stop() // final Stop must wait out every goroutine
 	}
 }
 
-// TestStartTwicePanics pins the documented single-Start contract.
+// TestStartTwicePanics pins the single-Start contract where it lives
+// now: a cluster is born started, so the second Start of one of its
+// kind of node is a bug the engine refuses.
 func TestStartTwicePanics(t *testing.T) {
 	t.Parallel()
 	stacks, _ := pifStacks(2)
-	e := New(stacks)
-	e.Start()
-	defer e.Stop()
+	n, err := engine.NewNode(engine.Memory(), 0, stacks[0], "", make([]string, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	defer n.Stop()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second Start did not panic")
 		}
 	}()
-	e.Start()
+	n.Start()
 }
 
 // TestCapacityDoesNotBacklog pins the drain-to-empty behavior: with
@@ -278,13 +276,12 @@ func TestCapacityDoesNotBacklog(t *testing.T) {
 	t.Parallel()
 	const c = 8
 	var delivered atomic.Int64
+	// Two sinks: nothing is sent but the burst.
 	stacks := []core.Stack{
-		linktest.Flood(2, 0, &delivered)[0],
+		{&countSink{inst: "flood", delivered: &delivered}},
 		{&countSink{inst: "flood", delivered: &delivered}},
 	}
-	e := New(stacks, WithCapacity(c), WithTick(time.Hour)) // no step-driven traffic
-	e.Start()
-	defer e.Stop()
+	e := start(t, stacks, engine.WithCapacity(c))
 	e.Do(0, func(env core.Env) {
 		for i := 0; i < c; i++ {
 			env.Send(1, core.Message{Instance: "flood", Kind: "burst"})
@@ -313,19 +310,14 @@ func (s *countSink) Deliver(_ core.Env, _ core.ProcID, _ core.Message) {
 func TestConstructorValidation(t *testing.T) {
 	t.Parallel()
 	stacks, _ := pifStacks(2)
-	for name, f := range map[string]func(){
-		"one process": func() { New(stacks[:1]) },
-		"capacity 0":  func() { New(stacks, WithCapacity(0)) },
-		"loss 1":      func() { New(stacks, WithLossRate(1)) },
+	for name, build := range map[string]func() (*engine.Cluster, error){
+		"one process": func() (*engine.Cluster, error) { return NewCluster(stacks[:1]) },
+		"capacity 0":  func() (*engine.Cluster, error) { return NewCluster(stacks, engine.WithCapacity(0)) },
+		"loss 1":      func() (*engine.Cluster, error) { return NewCluster(stacks, lossy(1)) },
 	} {
-		name, f := name, f
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
+		if c, err := build(); err == nil {
+			c.Close()
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

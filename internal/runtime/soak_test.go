@@ -7,13 +7,12 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/rng"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
-// TestRuntimeSoak is the scaled-up confidence run for the event-driven
-// engine: cluster sizes the ticker-polling engine could not sustain
-// (n=16 meant 16 processes × 15 links hammering one global mutex every
-// 50µs), corrupted initial states, injected loss, and rotating
-// initiators. Skipped under -short.
+// TestRuntimeSoak is the scaled-up confidence run for the engine in
+// memory: n = 8 and 16, c = 2, corrupted initial states, loss injected
+// through the drop plan, and rotating initiators. Skipped under -short.
 func TestRuntimeSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short mode")
@@ -31,18 +30,16 @@ func TestRuntimeSoak(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("n=%d/loss=%v", tc.n, tc.loss), func(t *testing.T) {
 			t.Parallel()
-			stacks, machines := pifStacks(tc.n)
+			stacks, machines := pifStacksAt(tc.n, 2)
 			r := rng.New(uint64(tc.n)*31 + uint64(tc.loss*100))
 			for _, m := range machines {
 				m.Corrupt(r)
 			}
-			opts := []Option{WithCapacity(2)}
+			opts := []engine.Option{engine.WithCapacity(2)}
 			if tc.loss > 0 {
-				opts = append(opts, WithLossRate(tc.loss))
+				opts = append(opts, lossy(tc.loss))
 			}
-			e := New(stacks, opts...)
-			e.Start()
-			defer e.Stop()
+			e := start(t, stacks, opts...)
 
 			for round := 0; round < 5; round++ {
 				p := core.ProcID(round % tc.n)

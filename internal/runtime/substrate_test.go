@@ -9,6 +9,7 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/pif"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // TestEngineAwait completes a corrupted broadcast through the substrate
@@ -22,9 +23,7 @@ func TestEngineAwait(t *testing.T) {
 		machines[i] = pif.New("pif", core.ProcID(i), n, pif.Callbacks{})
 		stacks[i] = core.Stack{machines[i]}
 	}
-	var sub core.Substrate = New(stacks)
-	sub.(*Engine).Start()
-	defer sub.Close()
+	var sub core.Substrate = start(t, stacks)
 	if sub.N() != n {
 		t.Fatalf("N = %d, want %d", sub.N(), n)
 	}
@@ -52,8 +51,7 @@ func TestEngineAwaitStopped(t *testing.T) {
 	for i := range stacks {
 		stacks[i] = core.Stack{pif.New("pif", core.ProcID(i), 2, pif.Callbacks{})}
 	}
-	e := New(stacks)
-	e.Start()
+	e := start(t, stacks)
 	done := make(chan error, 1)
 	go func() {
 		done <- e.Await(context.Background(), 0, func(core.Env) bool { return false })
@@ -76,16 +74,16 @@ func TestEngineAwaitStopped(t *testing.T) {
 }
 
 // TestTransportStatsCountEvents pins the per-process counters to the
-// event stream: one broadcast from a clean start plus one send to an
-// instance nobody runs, and after Stop every process's Sends, SendDrops
-// and Recvs equal the EvSend, EvSendLost and EvDeliver events an
-// observer counted at it.
+// event stream: one broadcast from a clean start plus one send into a
+// full window, and once the cluster is quiet every process's Sends,
+// SendDrops and Recvs equal the EvSend, EvSendLost and EvDeliver events
+// an observer counted at it, and its Links[] add up to them.
 func TestTransportStatsCountEvents(t *testing.T) {
 	t.Parallel()
 	const n = 3
 	stacks, machines := pifStacks(n)
 	var sends, sendLost, delivers [n]atomic.Int64
-	e := New(stacks, WithObserver(core.ObserverFunc(func(ev core.Event) {
+	e := start(t, stacks, engine.WithObserver(core.ObserverFunc(func(ev core.Event) {
 		switch ev.Kind {
 		case core.EvSend:
 			sends[ev.Proc].Add(1)
@@ -95,35 +93,37 @@ func TestTransportStatsCountEvents(t *testing.T) {
 			delivers[ev.Proc].Add(1)
 		}
 	})))
-	e.Start()
 	token := core.Payload{Tag: "count", Num: 3}
 	e.Do(0, func(env core.Env) {
-		env.Send(1, core.Message{Instance: "nobody-runs-this"}) // lost at the sender, always
 		if !machines[0].Invoke(env, token) {
 			t.Error("Invoke rejected")
 		}
+		machines[0].Step(env)                                 // the first flag takes the one slot toward 1
+		env.Send(1, core.Message{Instance: "pif", Kind: "x"}) // lost at the sender, always
 	})
+	counted := func() bool {
+		for p, s := range e.TransportStats() {
+			var sent, received int64
+			for _, l := range s.Links {
+				sent += l.Sent
+				received += l.Received
+			}
+			if s.Sends != sends[p].Load() || s.SendDrops != sendLost[p].Load() || s.Recvs != delivers[p].Load() ||
+				sent != s.Sends || received != s.Recvs {
+				return false
+			}
+		}
+		return true
+	}
 	if !waitFor(t, 20*time.Second, func() bool {
 		var d bool
 		e.Do(0, func(core.Env) { d = machines[0].Done() && machines[0].BMes.Equal(token) })
-		return d
+		return d && counted()
 	}) {
-		t.Fatal("broadcast did not complete")
+		t.Fatalf("broadcast incomplete or counters apart from the events: %+v", e.TransportStats())
 	}
-	e.Stop()
-	var totalSends, totalDrops int64
-	for p, s := range e.TransportStats() {
-		if s.Sends != sends[p].Load() || s.SendDrops != sendLost[p].Load() || s.Recvs != delivers[p].Load() {
-			t.Errorf("process %d: Sends/SendDrops/Recvs = %d/%d/%d, events send/send-lost/deliver = %d/%d/%d",
-				p, s.Sends, s.SendDrops, s.Recvs, sends[p].Load(), sendLost[p].Load(), delivers[p].Load())
-		}
-		if s.Addr != "" || s.Links != nil {
-			t.Errorf("process %d reports sockets: %+v", p, s)
-		}
-		totalSends += s.Sends
-		totalDrops += s.SendDrops
-	}
-	if totalSends == 0 || totalDrops == 0 {
-		t.Fatalf("counters inert: %d sends, %d send drops", totalSends, totalDrops)
+	s := e.TransportStats()[0]
+	if s.Sends == 0 || s.SendDrops == 0 {
+		t.Fatalf("counters inert: %d sends, %d send drops", s.Sends, s.SendDrops)
 	}
 }

@@ -27,7 +27,8 @@ type Violation struct {
 	Property string
 	// Detail is a human-readable description.
 	Detail string
-	// Step is the scheduler step at which the violation was detected.
+	// Step is the scheduler step at which the violation was detected: 0
+	// on Runtime, UDP and TCP, whose engine stamps no step on its events.
 	Step int
 }
 

@@ -93,9 +93,9 @@ func loopback(t Transport, stacks []core.Stack, opts []Option) ([]*Node, error) 
 	if len(stacks) < 2 {
 		return nil, fmt.Errorf("engine: need at least 2 processes, got %d", len(stacks))
 	}
-	nodes := make([]*Node, len(stacks))
+	nodes, unwired := make([]*Node, len(stacks)), make([]string, len(stacks))
 	for i, s := range stacks {
-		node, err := NewNode(t, core.ProcID(i), s, "127.0.0.1:0", make([]string, len(stacks)), opts...)
+		node, err := NewNode(t, core.ProcID(i), s, "127.0.0.1:0", unwired, opts...)
 		if err != nil {
 			stopAll(nodes[:i])
 			return nil, fmt.Errorf("engine: bind node %d: %w", i, err)
@@ -110,24 +110,27 @@ func loopback(t Transport, stacks []core.Stack, opts []Option) ([]*Node, error) 
 			}
 		}
 	}
+	// One tick zero for the whole cluster, fixed before any node runs: a
+	// started node's frames may arrive at peers whose turn is yet to come.
+	epoch := time.Now()
 	for _, node := range nodes {
-		node.Start()
+		node.setEpoch(epoch)
+	}
+	for _, node := range nodes {
+		node.launch()
 	}
 	return nodes, nil
 }
 
-// stopAll stops nodes concurrently, so a teardown costs the slowest
-// node's Stop rather than their sum.
+// stopAll halts every node before it waits for any, so a teardown costs
+// the slowest node's Stop rather than their sum.
 func stopAll(nodes []*Node) {
-	var wg sync.WaitGroup
 	for _, node := range nodes {
-		wg.Add(1)
-		go func(node *Node) {
-			defer wg.Done()
-			node.Stop()
-		}(node)
+		node.halt()
 	}
-	wg.Wait()
+	for _, node := range nodes {
+		node.Stop()
+	}
 }
 
 func addrs(nodes []*Node) []string {
@@ -156,9 +159,9 @@ func NewCluster(t Transport, stacks []core.Stack, opts ...Option) (*Cluster, err
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{nodes: nodes}
-	for _, node := range nodes {
-		c.groups = append(c.groups, node.g0)
+	c := &Cluster{nodes: nodes, members: members{groups: make([]*Group, len(nodes))}}
+	for i, node := range nodes {
+		c.groups[i] = node.g0
 	}
 	return c, nil
 }

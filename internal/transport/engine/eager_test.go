@@ -18,10 +18,13 @@ import (
 // drained (pump) and when the step timer fires (Node.tick). What they
 // pin is therefore exact: which atomic section sent what.
 
-// still builds n wired, unstarted nodes on one pipe net.
-func still(t *testing.T, n int, opts ...Option) (*pipeNet, []*Node, []*pif.PIF) {
+// setCopies installs the net's loss and duplication rule.
+func (mn *memNet) setCopies(f func(from, to core.ProcID) int) { mn.copies.Store(&f) }
+
+// still builds n wired, unstarted nodes on one in-memory net.
+func still(t *testing.T, n int, opts ...Option) (*memNet, []*Node, []*pif.PIF) {
 	t.Helper()
-	pn := newPipeNet()
+	pn := new(memNet)
 	stacks, machines := pifStacks(n)
 	nodes := make([]*Node, n)
 	for i := range nodes {
@@ -472,11 +475,11 @@ func TestAwaitEndsUnregistered(t *testing.T) {
 	never := func(core.Env) bool { return false }
 	base := runtime.NumGoroutine()
 	stacks, _ := pifStacks(2)
-	c, err := NewCluster(newPipeNet().transport(), stacks)
+	c, err := NewCluster(Memory(), stacks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux, err := NewMux(newPipeNet().transport(), 2)
+	mux, err := NewMux(Memory(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +532,7 @@ func TestConcurrentAwaitsSerialize(t *testing.T) {
 	var mu sync.Mutex
 	var order []core.EventKind
 	stacks, machines := pifStacks(3)
-	c, err := NewCluster(newPipeNet().transport(), stacks, WithObserver(core.ObserverFunc(func(ev core.Event) {
+	c, err := NewCluster(Memory(), stacks, WithObserver(core.ObserverFunc(func(ev core.Event) {
 		if ev.Proc == 0 && (ev.Kind == core.EvStart || ev.Kind == core.EvDecide) {
 			mu.Lock()
 			order = append(order, ev.Kind)

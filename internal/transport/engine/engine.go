@@ -1,8 +1,9 @@
-// Package engine is the one concurrent engine behind both socket
-// transports: everything between a protocol stack and a socket that
-// does not depend on what kind of socket it is. internal/transport/udp
+// Package engine is the one concurrent engine, behind all three
+// concurrent substrates: everything between a protocol stack and a link
+// that does not depend on what kind of link it is. internal/transport/udp
 // and internal/transport/tcp implement the narrow Link interface below
-// — datagram I/O and connection lifecycle respectively — and the engine
+// over sockets — datagram I/O and connection lifecycle respectively —
+// memory.go implements it in memory (snapstab.Runtime), and the engine
 // never asks which of them it is driving.
 //
 // # Channel semantics
@@ -67,6 +68,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -161,7 +163,7 @@ func WithFaults(plan *core.FaultPlan) Option {
 // Transport names one socket layer to the engine.
 type Transport struct {
 	// FaultSalt namespaces the layer's injector seeds within the plan's
-	// rng.Mix hierarchy (sim, runtime, udp and tcp each use their own).
+	// rng.Mix hierarchy (sim and each of the three links use their own).
 	FaultSalt uint64
 	// Bind opens one node's sockets.
 	Bind func(LinkConfig) (Link, error)
@@ -233,7 +235,8 @@ type Group struct {
 	routes    map[string]core.Machine
 	topo      *core.Topology
 	observers core.MultiObserver
-	envs      [core.NumPaths]core.Env // per send path
+	paths     [core.NumPaths]env      // per send path
+	envs      [core.NumPaths]core.Env // pointers into paths
 	waiters   core.Waiters            // pending Awaits; under n.mu
 	dirty     bool                    // got mail in the drain under way; under n.mu
 	fault     *core.FaultPlan
@@ -246,14 +249,7 @@ type Group struct {
 	injMu sync.Mutex
 	inj   *core.Injector
 
-	// The group's channels, created on first use; under n.mbMu.
-	chans map[chanKey]*Chan
-	order []*Chan // creation order: the step tick and Stats iterate this
-
-	// Per-peer message counters.
-	linkSent    []atomic.Int64
-	linkRecvd   []atomic.Int64
-	linkDropped []atomic.Int64
+	peers []peerLinks // indexed by peer
 
 	sends        atomic.Int64
 	recvs        atomic.Int64
@@ -262,6 +258,13 @@ type Group struct {
 	mailboxDrops atomic.Int64
 	echoFrames   atomic.Int64
 	probeFrames  atomic.Int64
+}
+
+// peerLinks is what a group keeps per peer: the message counters and the
+// channels, one per instance in creation order, created on first use.
+type peerLinks struct {
+	sent, recvd, dropped atomic.Int64
+	chans                []*Chan // under n.mbMu
 }
 
 // ID returns the wire group id the group's frames carry.
@@ -287,7 +290,7 @@ func (g *Group) down() bool {
 // Sent accounts k messages toward peer to that the link accepted.
 func (g *Group) Sent(to core.ProcID, k int) {
 	g.sends.Add(int64(k))
-	g.linkSent[to].Add(int64(k))
+	g.peers[to].sent.Add(int64(k))
 }
 
 // SendLost accounts k messages toward peer to that the link lost after
@@ -295,7 +298,7 @@ func (g *Group) Sent(to core.ProcID, k int) {
 // loss events carry the link, not the message body.
 func (g *Group) SendLost(to core.ProcID, k int, note string) {
 	g.sendDrops.Add(int64(k))
-	g.linkDropped[to].Add(int64(k))
+	g.peers[to].dropped.Add(int64(k))
 	for i := 0; i < k; i++ {
 		g.emit(core.Event{Kind: core.EvSendLost, Proc: g.n.self, Peer: to, Note: note})
 	}
@@ -333,23 +336,22 @@ func (g *Group) Stats() core.TransportStats {
 		Capacity:      n.capacity,
 	}
 	n.mbMu.Lock()
-	for p := range g.linkSent {
+	for p := range g.peers {
 		if core.ProcID(p) == n.self {
 			continue
 		}
+		pl := &g.peers[p]
 		ls := core.LinkStats{
 			Peer:     core.ProcID(p),
-			Sent:     g.linkSent[p].Load(),
-			Received: g.linkRecvd[p].Load(),
-			Dropped:  g.linkDropped[p].Load(),
+			Sent:     pl.sent.Load(),
+			Received: pl.recvd.Load(),
+			Dropped:  pl.dropped.Load(),
 		}
 		// The gauges: the fullest current window and the highest peak
 		// among the peer's instances.
-		for _, c := range g.order {
-			if c.Peer == ls.Peer {
-				ls.InFlight = max(ls.InFlight, c.w.InFlight())
-				ls.PeakInFlight = max(ls.PeakInFlight, c.w.Peak())
-			}
+		for _, c := range pl.chans {
+			ls.InFlight = max(ls.InFlight, c.w.InFlight())
+			ls.PeakInFlight = max(ls.PeakInFlight, c.w.Peak())
 		}
 		s.Links = append(s.Links, ls)
 	}
@@ -367,20 +369,18 @@ func (n *Node) buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan
 		return nil, fmt.Errorf("engine: topology over %d processes, %d peers", topo.N(), len(n.wired))
 	}
 	g := &Group{
-		n:           n,
-		id:          id,
-		stack:       stack,
-		routes:      stack.ByInstance(),
-		topo:        topo,
-		observers:   obs,
-		fault:       plan,
-		chans:       make(map[chanKey]*Chan),
-		linkSent:    make([]atomic.Int64, len(n.wired)),
-		linkRecvd:   make([]atomic.Int64, len(n.wired)),
-		linkDropped: make([]atomic.Int64, len(n.wired)),
+		n:         n,
+		id:        id,
+		stack:     stack,
+		routes:    stack.ByInstance(),
+		topo:      topo,
+		observers: obs,
+		fault:     plan,
+		peers:     make([]peerLinks, len(n.wired)),
 	}
 	for path := range g.envs {
-		g.envs[path] = env{n: n, g: g, path: core.SendPath(path)}
+		g.paths[path] = env{n: n, g: g, path: core.SendPath(path)}
+		g.envs[path] = &g.paths[path]
 	}
 	if plan != nil {
 		if err := plan.Validate(); err != nil {
@@ -406,11 +406,6 @@ func (n *Node) buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan
 type groupSet struct {
 	byID map[uint64]*Group
 	list []*Group
-}
-
-type chanKey struct {
-	peer     core.ProcID
-	instance string
 }
 
 // Chan is this node's end of one channel: the two directed links between
@@ -440,17 +435,18 @@ func (c *Chan) Stamp(probe bool) wire.LinkHeader {
 }
 
 // channel returns g's record for (peer, instance), creating it on first
-// use. Callers hold n.mbMu.
+// use: a scan of the peer's few instances, no hashing. Callers hold n.mbMu.
 func (g *Group) channel(peer core.ProcID, instance string) *Chan {
-	k := chanKey{peer: peer, instance: instance}
-	c := g.chans[k]
-	if c == nil {
-		// A random first sequence keeps a restarted node's numbering
-		// clear of acknowledgments addressed to its previous life.
-		c = &Chan{g: g, Peer: peer, Instance: instance, w: window.NewLink(g.n.capacity, 1+uint64(rand.Uint32()>>1))}
-		g.chans[k] = c
-		g.order = append(g.order, c)
+	pl := &g.peers[peer]
+	for _, c := range pl.chans {
+		if c.Instance == instance {
+			return c
+		}
 	}
+	// A random first sequence keeps a restarted node's numbering clear of
+	// acknowledgments addressed to its previous life.
+	c := &Chan{g: g, Peer: peer, Instance: instance, w: window.NewLink(g.n.capacity, 1+uint64(rand.Uint32()>>1))}
+	pl.chans = append(pl.chans, c)
 	return c
 }
 
@@ -490,7 +486,9 @@ type Node struct {
 	spare []*Chan       // the drained list, swapped back in by drainMail
 	mail  chan struct{} // capacity 1: drain wakeup
 
+	started  atomic.Bool
 	stopOnce sync.Once
+	linkOnce sync.Once
 	stop     chan struct{}
 	wg       sync.WaitGroup
 }
@@ -519,11 +517,11 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 		mail:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 	}
-	n.groups.Store(&groupSet{byID: map[uint64]*Group{}})
 	if stack == nil {
 		if o.topology != nil || o.faults != nil || len(o.observers) > 0 {
 			return nil, fmt.Errorf("engine: group option on a node with no default group")
 		}
+		n.groups.Store(new(groupSet))
 	} else {
 		g, err := n.buildGroup(0, stack, o.topology, o.faults, o.observers)
 		if err != nil {
@@ -559,10 +557,9 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 func (n *Node) setGroup(id uint64, g *Group) {
 	n.gmu.Lock()
 	defer n.gmu.Unlock()
-	old := n.groups.Load()
-	gs := &groupSet{byID: make(map[uint64]*Group, len(old.byID)+1)}
-	for gid, og := range old.byID {
-		gs.byID[gid] = og
+	gs := &groupSet{byID: make(map[uint64]*Group)}
+	if old := n.groups.Load(); old != nil {
+		maps.Copy(gs.byID, old.byID)
 	}
 	delete(gs.byID, id)
 	if g != nil {
@@ -594,26 +591,40 @@ func (n *Node) SetPeer(id core.ProcID, addr string) error {
 	return nil
 }
 
-// Start launches the link and the activation loop. Peers must not
-// change after Start.
+// Start launches the link and the activation loop, once: a second call
+// panics. Peers must not change after Start.
 func (n *Node) Start() {
-	epoch := time.Now() // fault-schedule tick zero
+	n.setEpoch(time.Now())
+	n.launch()
+}
+
+// setEpoch fixes the fault-schedule tick zero of the groups hosted so far.
+func (n *Node) setEpoch(epoch time.Time) {
 	for _, g := range n.groups.Load().list {
 		g.epoch = epoch
+	}
+}
+
+func (n *Node) launch() {
+	if n.started.Swap(true) {
+		panic("engine: Start called twice") // a second loop would double the timer
 	}
 	n.link.Start()
 	n.wg.Add(1)
 	go n.actLoop()
 }
 
-// Stop terminates the activation loop, then the link and its sockets.
-// It is idempotent and safe to call from multiple goroutines.
+// halt tells the activation loop and every Await to end.
+func (n *Node) halt() { n.stopOnce.Do(func() { close(n.stop) }) }
+
+// Stop terminates the activation loop, then the link and its sockets: the
+// loop stops the link on its way out, so nodes halted together stop their
+// links together. It is idempotent and safe to call from multiple
+// goroutines.
 func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		close(n.stop)
-		n.wg.Wait()
-		n.link.Stop()
-	})
+	n.halt()
+	n.wg.Wait()
+	n.linkOnce.Do(n.link.Stop) // never started: no loop did it
 }
 
 // Stats returns the default group's counters (see Group.Stats).
@@ -626,15 +637,15 @@ type env struct {
 	path core.SendPath
 }
 
-func (v env) Self() core.ProcID { return v.n.self }
-func (v env) N() int            { return len(v.n.wired) }
+func (v *env) Self() core.ProcID { return v.n.self }
+func (v *env) N() int            { return len(v.n.wired) }
 
-func (v env) Emit(ev core.Event) {
+func (v *env) Emit(ev core.Event) {
 	ev.Proc = v.n.self
 	v.g.emit(ev)
 }
 
-func (v env) Send(to core.ProcID, m core.Message) {
+func (v *env) Send(to core.ProcID, m core.Message) {
 	n, g := v.n, v.g
 	if int(to) < 0 || int(to) >= len(n.wired) {
 		return
@@ -651,7 +662,7 @@ func (v env) Send(to core.ProcID, m core.Message) {
 	}
 	lost := func(note string) {
 		g.sendDrops.Add(1)
-		g.linkDropped[to].Add(1)
+		g.peers[to].dropped.Add(1)
 		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: note})
 		g.waiters.Refused(v.path)
 	}
@@ -770,12 +781,12 @@ func (n *Node) box(g *Group, sender core.ProcID, m core.Message) {
 	n.mbMu.Unlock()
 	if full {
 		g.mailboxDrops.Add(1)
-		g.linkDropped[sender].Add(1)
+		g.peers[sender].dropped.Add(1)
 		g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
 		return
 	}
 	g.recvs.Add(1)
-	g.linkRecvd[sender].Add(1)
+	g.peers[sender].recvd.Add(1)
 	select {
 	case n.mail <- struct{}{}:
 	default: // a wakeup is already pending
@@ -787,6 +798,7 @@ func (n *Node) box(g *Group, sender core.ProcID, m core.Message) {
 // it appends, so a token is pending whenever an append followed a swap.
 func (n *Node) actLoop() {
 	defer n.wg.Done()
+	defer n.linkOnce.Do(n.link.Stop)
 	stepTimer := time.NewTicker(stepInterval)
 	defer stepTimer.Stop()
 	for {
@@ -828,9 +840,11 @@ func (n *Node) tick() {
 func (n *Node) control(g *Group) {
 	n.due = n.due[:0]
 	n.mbMu.Lock()
-	for _, c := range g.order {
-		if ctl := c.w.Tick(); ctl != window.None && n.wired[c.Peer] {
-			n.due = append(n.due, due{c: c, probe: ctl == window.Probe})
+	for p := range g.peers {
+		for _, c := range g.peers[p].chans {
+			if ctl := c.w.Tick(); ctl != window.None && n.wired[p] {
+				n.due = append(n.due, due{c: c, probe: ctl == window.Probe})
+			}
 		}
 	}
 	n.mbMu.Unlock()

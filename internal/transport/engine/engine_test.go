@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -10,93 +9,8 @@ import (
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
-// pipe is an in-memory Link: the engine's own tests run on it, so what
+// The engine's own tests run on the in-memory link (memory.go), so what
 // they pin — channels, groups, wiring — is checked without a socket.
-// Frames queued in an atomic section reach the peer's Arrive at Flush.
-type pipe struct {
-	cfg   LinkConfig
-	net   *pipeNet
-	addr  string
-	wired []string
-	out   []pipeFrame
-}
-
-type pipeFrame struct {
-	peer core.ProcID
-	gid  uint64
-	h    wire.LinkHeader
-	msgs []core.Message
-}
-
-// pipeNet is the address space the pipes of one test share.
-type pipeNet struct {
-	mu     sync.Mutex
-	byAddr map[string]*pipe
-	// copies, if set, decides how many times a frame from -> to arrives:
-	// 0 loses it, 2 duplicates it.
-	copies func(from, to core.ProcID) int
-}
-
-// setCopies installs the net's loss and duplication rule.
-func (pn *pipeNet) setCopies(f func(from, to core.ProcID) int) {
-	pn.mu.Lock()
-	pn.copies = f
-	pn.mu.Unlock()
-}
-
-func (pn *pipeNet) transport() Transport {
-	return Transport{FaultSalt: 1, Bind: func(cfg LinkConfig) (Link, error) {
-		pn.mu.Lock()
-		defer pn.mu.Unlock()
-		p := &pipe{cfg: cfg, net: pn, addr: string(rune('a' + len(pn.byAddr))), wired: make([]string, cfg.Peers)}
-		pn.byAddr[p.addr] = p
-		return p, nil
-	}}
-}
-
-func newPipeNet() *pipeNet { return &pipeNet{byAddr: make(map[string]*pipe)} }
-
-func (p *pipe) Addr() string { return p.addr }
-func (p *pipe) Start()       {}
-func (p *pipe) Stop()        {}
-
-func (p *pipe) Wire(peer core.ProcID, addr string) error {
-	p.wired[peer] = addr
-	return nil
-}
-
-func (p *pipe) Queue(g *Group, c *Chan, m core.Message) error {
-	p.frame(g, c, false, m)
-	g.Sent(c.Peer, 1)
-	return nil
-}
-
-func (p *pipe) Control(g *Group, c *Chan, probe bool) {
-	p.frame(g, c, probe)
-	g.ControlSent(probe)
-}
-
-func (p *pipe) frame(g *Group, c *Chan, probe bool, msgs ...core.Message) {
-	h := c.Stamp(probe)
-	h.Count = len(msgs)
-	p.out = append(p.out, pipeFrame{peer: c.Peer, gid: g.ID(), msgs: msgs, h: h})
-}
-
-func (p *pipe) Flush() {
-	for _, f := range p.out {
-		p.net.mu.Lock()
-		peer, copies := p.net.byAddr[p.wired[f.peer]], 1
-		if p.net.copies != nil {
-			copies = p.net.copies(p.cfg.Self, f.peer)
-		}
-		p.net.mu.Unlock()
-		p.cfg.IO.SendFrames.Add(1)
-		for ; copies > 0; copies-- {
-			peer.cfg.Arrive(p.cfg.Self, f.gid, []wire.LinkHeader{f.h}, f.msgs)
-		}
-	}
-	p.out = p.out[:0]
-}
 
 func pifStacks(n int) ([]core.Stack, []*pif.PIF) {
 	machines := make([]*pif.PIF, n)
@@ -122,7 +36,7 @@ func waitFor(d time.Duration, cond func() bool) bool {
 func TestBroadcastOverPipes(t *testing.T) {
 	t.Parallel()
 	stacks, machines := pifStacks(3)
-	c, err := NewCluster(newPipeNet().transport(), stacks)
+	c, err := NewCluster(Memory(), stacks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +52,7 @@ func TestBroadcastOverPipes(t *testing.T) {
 		return ok
 	}
 	if !waitFor(20*time.Second, done) {
-		t.Fatal("broadcast over pipes did not complete")
+		t.Fatal("broadcast over the in-memory link did not complete")
 	}
 	stats := c.TransportStats()
 	if err := core.CheckWindows(stats); err != nil {
@@ -160,12 +74,8 @@ func TestBroadcastOverPipes(t *testing.T) {
 // ignores the window; the rest are MailboxDrops.
 func TestMailboxHoldsAtMostC(t *testing.T) {
 	t.Parallel()
-	stacks, _ := pifStacks(2)
-	n, err := NewNode(newPipeNet().transport(), 0, stacks[0], "", []string{"", "peer"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Never started: nothing drains.
+	_, nodes, _ := still(t, 2)
+	n := nodes[0] // never started: nothing drains
 	for i := 1; i <= 100; i++ {
 		n.arrive(1, 0, []wire.LinkHeader{{Instance: "pif", Seq: uint64(i), Count: 1}},
 			[]core.Message{{Instance: "pif", Kind: pif.Kind}})
@@ -186,11 +96,8 @@ func TestMailboxHoldsAtMostC(t *testing.T) {
 // sender-side loss, not a silent one.
 func TestSetPeerKeepsToTopology(t *testing.T) {
 	t.Parallel()
-	stacks, _ := pifStacks(3)
-	n, err := NewNode(newPipeNet().transport(), 0, stacks[0], "", []string{"", "one", "two"}, WithTopology(core.Line(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, nodes, _ := still(t, 3, WithTopology(core.Line(3)))
+	n := nodes[0]
 	if !n.wired[1] || n.wired[2] {
 		t.Fatalf("wired = %v on the line 0-1-2, want only peer 1", n.wired)
 	}
@@ -203,7 +110,7 @@ func TestSetPeerKeepsToTopology(t *testing.T) {
 // TestNodeValidation: the engine rejects what no link could serve.
 func TestNodeValidation(t *testing.T) {
 	t.Parallel()
-	tr := newPipeNet().transport()
+	tr := Memory()
 	stacks, _ := pifStacks(2)
 	peers := make([]string, 2)
 	if _, err := NewNode(tr, 5, stacks[0], "", peers); err == nil {

@@ -117,7 +117,9 @@ type Option func(*options)
 
 // WithLossRate makes links drop in-transit messages with probability p
 // (0 <= p < 1). Applies to the Sim and Runtime substrates; UDP loses
-// messages naturally.
+// messages naturally. On Runtime it is the fault plane's drop rate (see
+// Runtime): the losses read in FaultStats().Drops, and together with
+// WithFaults it panics — state the loss in the plan.
 func WithLossRate(p float64) Option { return func(o *options) { o.lossRate = p } }
 
 // WithSeed seeds the deterministic scheduler (default 1). Two Sim

@@ -21,9 +21,9 @@ import (
 //   - Sim: the deterministic seeded simulator (default). Executions
 //     replay exactly from (topology, options); Stats reports scheduler
 //     counters; step budgets apply.
-//   - Runtime: one goroutine per process with event-driven in-memory
-//     delivery — real concurrency, not reproducible. Use context
-//     deadlines instead of step budgets.
+//   - Runtime: the concurrent engine of UDP and TCP on an in-memory
+//     link — real concurrency, no sockets, not reproducible. Use
+//     context deadlines instead of step budgets.
 //   - UDP: one loopback socket per process exchanging wire-encoded
 //     datagrams — the paper's concluding "future challenge". Natural
 //     loss, and the known capacity bound enforced by a per-link
@@ -97,32 +97,30 @@ func Sim() Substrate {
 	}
 }
 
-// Runtime selects the concurrent in-memory engine: one goroutine per
-// process, per-link bounded capacity, event-driven delivery. WithCapacity
-// and WithLossRate apply; WithSeed seeds only corruption (executions are
-// genuinely nondeterministic) and WithStepBudget is ignored — bound
-// requests with Request.Wait contexts instead.
+// Runtime selects the concurrent engine on its in-memory link: one
+// activation loop per process, frames handed between them as values, the
+// per-link window of WithCapacity (default 1, the paper's) enforced as on
+// the sockets. WithLossRate is the fault plane's drop rate here — a plan
+// of FaultPlan{Seed: seed, Default: LinkFaults{DropRate: p}} — so the
+// losses read in FaultStats().Drops, and combining it with WithFaults
+// panics: state the loss in the plan. WithSeed seeds only corruption and
+// that plan (executions are genuinely nondeterministic) and
+// WithStepBudget is ignored — bound requests with Request.Wait contexts
+// instead.
 func Runtime() Substrate {
 	return Substrate{
 		name:            "runtime",
 		defaultCapacity: 1,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			ropts := []runtime.Option{
-				runtime.WithCapacity(o.capacity),
-				runtime.WithLossRate(o.lossRate),
+			if o.lossRate != 0 {
+				if o.faults != nil {
+					panic("snapstab: WithLossRate and WithFaults on Runtime: state the loss in the plan")
+				}
+				// A drop at arrival frees the window slot: the model's lost
+				// message no longer occupies the channel.
+				o.faults = &core.FaultPlan{Seed: o.seed, Default: core.LinkFaults{DropRate: o.lossRate}}
 			}
-			if o.topology != nil {
-				ropts = append(ropts, runtime.WithTopology(o.topology))
-			}
-			if o.faults != nil {
-				ropts = append(ropts, runtime.WithFaults(o.faults))
-			}
-			for _, ob := range obs {
-				ropts = append(ropts, runtime.WithObserver(ob))
-			}
-			e := runtime.New(stacks, ropts...)
-			e.Start()
-			return e, nil
+			return runtime.NewCluster(stacks, append(groupOptions(o, obs), engine.WithCapacity(o.capacity))...)
 		},
 	}
 }
