@@ -8,8 +8,9 @@
 // first request. Each of the others is a seeded core.FaultPlan (installed
 // through snapstab.WithFaults) describing one shape of network adversity:
 // flaky links, a split-brain partition that heals, a duplicate storm,
-// payload corruption on top of a corrupted initial configuration, or a
-// rolling crash-restart sweep. The paper's guarantee is that EVERY started
+// in-flight corruption (every garbled message is discarded: a loss) on
+// top of a corrupted initial configuration, or a rolling crash-restart
+// sweep. The paper's guarantee is that EVERY started
 // request satisfies its specification from an ARBITRARY configuration
 // under loss, duplication, and reordering; snapchaos is that claim run in
 // anger. Assertions are end-to-end spec projections: PIF feedback is
@@ -29,8 +30,9 @@
 //	snapchaos -list
 //
 // A selection of exactly one run (one scenario, one protocol, one
-// substrate) also prints every node's transport counters, as does any
-// failed run: the drop columns are the first diagnostic for a timeout.
+// substrate) also prints every node's transport counters and the fault
+// plane's totals, as does any failed run: the drop columns are the first
+// diagnostic for a timeout.
 //
 // Exit status 1 when any run fails; -failures FILE appends one
 // reproduction line per failure (scenario, protocol, substrate, n, seed)
@@ -179,7 +181,7 @@ func run(w io.Writer, cfg config) (failed []string, err error) {
 			for _, prot := range prots {
 				total++
 				start := time.Now()
-				stats, runErr := runOne(sc, prot, sub, cfg)
+				stats, faults, runErr := runOne(sc, prot, sub, cfg)
 				elapsed := time.Since(start).Round(time.Millisecond)
 				if runErr != nil {
 					fmt.Fprintf(w, "FAIL %-22s %-6s %-8s n=%d seed=%d %8s  %v\n",
@@ -200,6 +202,9 @@ func run(w io.Writer, cfg config) (failed []string, err error) {
 						fmt.Fprintf(w, "  node %d: sent=%d retransmits=%d send-drops=%d mailbox-drops=%d\n",
 							i, s.Sends, s.Retransmits, s.SendDrops, s.MailboxDrops)
 					}
+					fmt.Fprintf(w, "  faults: drops=%d dups=%d reorders=%d delays=%d corrupts=%d partition=%d crash=%d\n",
+						faults.Drops, faults.Duplicates, faults.Reorders, faults.Delays,
+						faults.Corrupts, faults.PartitionDrops, faults.CrashDrops)
 				}
 			}
 		}

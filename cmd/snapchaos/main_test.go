@@ -72,10 +72,15 @@ func TestGauntletTopologyNarrowsMatrix(t *testing.T) {
 // nightly exercises in full: one adversarial scenario on the runtime
 // substrate, and the paper's own setting — a corrupted start, no
 // adversary — over loopback sockets. A selection of exactly one run
-// prints every node's transport counters. The four forwarding runs are
-// the seeds on which the runtime's former channel, which duplicated and
-// overtook, delivered an item twice (11, 21, 23) or wedged a send until
-// its deadline (32).
+// prints every node's transport counters and the fault plane's totals.
+// The four flaky-links forwarding runs are the seeds on which the
+// runtime's former channel, which duplicated and overtook, delivered an
+// item twice (11, 21, 23) or wedged a send until its deadline (32). The
+// corrupt-then-reset runs date from when in-flight corruption forged
+// payloads: forwarding on sim exhausted its step budget on seeds 1, 3, 20
+// and 32, forwarding ran with the plan's corruption zeroed on the
+// concurrent substrates, and mutex there ran with its violation log
+// unread.
 func TestGauntletOneConcurrentRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrent gauntlet skipped in -short mode")
@@ -92,6 +97,12 @@ func TestGauntletOneConcurrentRun(t *testing.T) {
 		{"flaky-links", "forward", "runtime", 4, 21},
 		{"flaky-links", "forward", "runtime", 4, 23},
 		{"flaky-links", "forward", "runtime", 4, 32},
+		{"corrupt-then-reset", "forward", "sim", 4, 1},
+		{"corrupt-then-reset", "forward", "sim", 4, 3},
+		{"corrupt-then-reset", "forward", "sim", 4, 20},
+		{"corrupt-then-reset", "forward", "sim", 4, 32},
+		{"corrupt-then-reset", "forward", "udp", 4, 2},
+		{"corrupt-then-reset", "mutex", "runtime", 4, 2},
 	} {
 		var out strings.Builder
 		failed, err := run(&out, config{
@@ -113,7 +124,13 @@ func TestGauntletOneConcurrentRun(t *testing.T) {
 				t.Errorf("%+v: single-run output lacks %q:\n%s", tc, want, out.String())
 			}
 		}
-		if strings.Contains(out.String(), "sent=0 ") {
+		// Every scenario here but the adversary-free one corrupts in flight.
+		if !strings.Contains(out.String(), "  faults: drops=") ||
+			strings.Contains(out.String(), " corrupts=0 ") != (tc.scenario == "corrupted-start") {
+			t.Errorf("%+v: single-run output lacks the fault plane's totals, or they are not the plan's:\n%s", tc, out.String())
+		}
+		// The simulator has no transport: its per-node counters are zero.
+		if tc.substrate != "sim" && strings.Contains(out.String(), "sent=0 ") {
 			t.Errorf("%+v: a node reports no sends:\n%s", tc, out.String())
 		}
 	}
@@ -160,8 +177,9 @@ func TestFailureDescriptorsAreReproducible(t *testing.T) {
 			t.Fatalf("descriptor %q missing %q", failed[0], want)
 		}
 	}
-	// A failed run always prints its per-node counters.
-	if !strings.Contains(out.String(), "node 0: sent=") {
-		t.Fatalf("failed run printed no per-node counters:\n%s", out.String())
+	// A failed run always prints its per-node counters and what the
+	// fault plane did to it.
+	if !strings.Contains(out.String(), "node 0: sent=") || !strings.Contains(out.String(), "  faults: drops=") {
+		t.Fatalf("failed run printed no per-node counters or no fault totals:\n%s", out.String())
 	}
 }

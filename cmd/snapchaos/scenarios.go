@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 
 	snapstab "github.com/snapstab/snapstab"
@@ -49,7 +48,7 @@ var scenarios = []scenario{
 	},
 	{
 		name:    "flaky-links",
-		desc:    "moderate drop + duplicate + reorder + delay + corruption on every link, from a corrupted start",
+		desc:    "moderate drop + duplicate + reorder + delay + in-flight corruption (a loss) on every link, from a corrupted start",
 		corrupt: true,
 		plan: func(n int, sub string, seed uint64) snapstab.FaultPlan {
 			return snapstab.FaultPlan{
@@ -91,7 +90,7 @@ var scenarios = []scenario{
 	},
 	{
 		name:    "corrupt-then-reset",
-		desc:    "corrupted initial configuration plus heavy in-flight payload corruption",
+		desc:    "corrupted initial configuration plus heavy in-flight corruption, every garbled message discarded at the receiver",
 		corrupt: true,
 		plan: func(n int, sub string, seed uint64) snapstab.FaultPlan {
 			return snapstab.FaultPlan{
@@ -118,20 +117,6 @@ var scenarios = []scenario{
 	},
 }
 
-// corruptsAnywhere reports whether the plan can garble payloads on any
-// link — the default policy or any per-link override.
-func corruptsAnywhere(plan snapstab.FaultPlan) bool {
-	if plan.Default.CorruptRate > 0 {
-		return true
-	}
-	for _, f := range plan.Links {
-		if f.CorruptRate > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // substrateOf maps the flag value to a substrate specification.
 func substrateOf(sub string) snapstab.Substrate {
 	switch sub {
@@ -148,9 +133,8 @@ func substrateOf(sub string) snapstab.Substrate {
 }
 
 // script drives one built cluster through its protocol's requests to the
-// spec verdict. tolerateForged relaxes the value-exact assertions (see
-// runOne).
-type script func(ctx context.Context, tolerateForged bool) error
+// spec verdict, every assertion value-exact on every substrate.
+type script func(ctx context.Context) error
 
 // families maps each name of snapstab.Protocols to its builder.
 var families = map[string]func(cfg config, opts []snapstab.Option) (snapstab.Cluster, script){
@@ -165,48 +149,18 @@ var families = map[string]func(cfg config, opts []snapstab.Option) (snapstab.Clu
 
 // runOne builds one cluster under the scenario's plan, drives the
 // protocol's request script to its spec verdict, and tears the cluster
-// down, returning its final per-node counters. An otherwise successful
+// down, returning its final per-node counters and what the fault plane did
+// to the run. An otherwise successful
 // run fails if any link's in-flight count ever exceeded the capacity
 // bound the transport claims to enforce (vacuous on sim, which reports
 // no links).
-func runOne(sc scenario, protocol, sub string, cfg config) ([]snapstab.TransportStats, error) {
+func runOne(sc scenario, protocol, sub string, cfg config) ([]snapstab.TransportStats, snapstab.FaultStats, error) {
 	opts := []snapstab.Option{
 		snapstab.WithSubstrate(substrateOf(sub)),
 		snapstab.WithSeed(cfg.Seed),
 	}
-	tolerateForged := false
 	if sc.plan != nil {
-		plan := sc.plan(cfg.N, sub, cfg.Seed)
-		if protocol == "forward" && sub != "sim" && corruptsAnywhere(plan) {
-			// In-flight payload corruption is beyond the channel model
-			// (channels lose, duplicate, and reorder — they do not forge).
-			// For the request-response protocols a forged echo decides a
-			// wrong value and the value assertions are relaxed below; for
-			// forwarding a forged acceptance transition DISPLACES the
-			// genuine item — a loss, which the spec can never tolerate. On
-			// the deterministic substrate the pinned seeds decide
-			// genuinely; on the concurrent substrates the corruption knob
-			// alone is switched off, keeping the scenario's losses,
-			// duplicates, and reorders.
-			plan.Default.CorruptRate = 0
-			for sel, f := range plan.Links {
-				f.CorruptRate = 0
-				plan.Links[sel] = f
-			}
-		}
-		opts = append(opts, snapstab.WithFaults(plan))
-		// In-flight payload corruption is an adversary BEYOND the paper's
-		// channel model. The flag discipline rejects every STALE value,
-		// and on the deterministic substrate the chosen seeds decide on
-		// genuine values; but on the concurrent substrates a corrupted
-		// message can, with small probability per run, carry the exact
-		// echo the final handshake round expects, and the decided
-		// acknowledgment is then the forgery. Value-exact assertions
-		// therefore run everywhere EXCEPT that combination, where a
-		// garbled acknowledgment is tolerated (the request must still
-		// decide with full feedback — liveness and termination stay
-		// asserted).
-		tolerateForged = sub != "sim" && corruptsAnywhere(plan)
+		opts = append(opts, snapstab.WithFaults(sc.plan(cfg.N, sub, cfg.Seed)))
 	}
 	if !cfg.Topo.IsZero() {
 		opts = append(opts, snapstab.WithTopology(cfg.Topo))
@@ -218,7 +172,7 @@ func runOne(sc scenario, protocol, sub string, cfg config) ([]snapstab.Transport
 	if sc.corrupt {
 		c.CorruptEverything(cfg.Seed * 7)
 	}
-	err := drive(ctx, tolerateForged)
+	err := drive(ctx)
 	c.Close()
 	stats := c.TransportStats()
 	for p, s := range stats {
@@ -229,7 +183,7 @@ func runOne(sc scenario, protocol, sub string, cfg config) ([]snapstab.Transport
 			}
 		}
 	}
-	return stats, err
+	return stats, c.FaultStats(), err
 }
 
 // participants returns how many processes take part in a PIF computation
@@ -244,7 +198,7 @@ func (c config) participants() int {
 
 func newPIF(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	c := snapstab.NewPIFCluster(cfg.N, opts...)
-	return c, func(ctx context.Context, tolerateForged bool) error {
+	return c, func(ctx context.Context) error {
 		for round := int64(0); round < 2; round++ {
 			token := 1000*(cfg.SeedToken()) + round
 			// On the deterministic substrate the internal Specification 1
@@ -259,7 +213,7 @@ func newPIF(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 				return fmt.Errorf("broadcast round %d: %d feedbacks, want %d", round, len(fb), want)
 			}
 			for _, f := range fb {
-				if f.Value.Num != token*1000+int64(f.From) && !tolerateForged {
+				if f.Value.Num != token*1000+int64(f.From) {
 					return fmt.Errorf("broadcast round %d: feedback %+v not derived from this broadcast", round, f)
 				}
 			}
@@ -295,7 +249,7 @@ type chaosDoc struct {
 // the blob transit counterpart of newPIF's value-exact Num assertion.
 func newTyped(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	c := snapstab.NewTypedPIFCluster(cfg.N, snapstab.JSON[chaosDoc](), opts...)
-	return c, func(ctx context.Context, tolerateForged bool) error {
+	return c, func(ctx context.Context) error {
 		body := make([]byte, 4096)
 		for i := range body {
 			body[i] = byte(uint64(i)*2654435761 + cfg.Seed)
@@ -311,14 +265,12 @@ func newTyped(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 			if want := cfg.participants(); len(fb) != want {
 				return fmt.Errorf("typed round %d: %d feedbacks, want %d", round, len(fb), want)
 			}
-			if !tolerateForged {
-				for _, f := range fb {
-					if f.Err != nil {
-						return fmt.Errorf("typed round %d: feedback from %d undecodable: %w", round, f.From, f.Err)
-					}
-					if f.Value.Round != round || f.Value.Seed != cfg.Seed || !bytes.Equal(f.Value.Body, body) {
-						return fmt.Errorf("typed round %d: feedback from %d not the byte-identical echo", round, f.From)
-					}
+			for _, f := range fb {
+				if f.Err != nil {
+					return fmt.Errorf("typed round %d: feedback from %d undecodable: %w", round, f.From, f.Err)
+				}
+				if f.Value.Round != round || f.Value.Seed != cfg.Seed || !bytes.Equal(f.Value.Body, body) {
+					return fmt.Errorf("typed round %d: feedback from %d not the byte-identical echo", round, f.From)
 				}
 			}
 			if armed {
@@ -341,13 +293,10 @@ func newTyped(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 func newIDL(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	idlist := snapstab.FleetIDs(cfg.N)
 	c := snapstab.NewIDCluster(idlist, opts...)
-	return c, func(ctx context.Context, tolerateForged bool) error {
+	return c, func(ctx context.Context) error {
 		req := c.LearnAsync(0)
 		if err := req.Wait(ctx); err != nil {
 			return fmt.Errorf("learn: %w", err)
-		}
-		if tolerateForged {
-			return nil
 		}
 		if req.MinID() != idlist[0] {
 			return fmt.Errorf("learn: minID = %d, want %d", req.MinID(), idlist[0])
@@ -363,7 +312,7 @@ func newIDL(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 
 func newMutex(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	c := snapstab.NewMutexCluster(snapstab.FleetIDs(cfg.N), opts...)
-	return c, func(ctx context.Context, tolerateForged bool) error {
+	return c, func(ctx context.Context) error {
 		// Every process requests the critical section concurrently; the
 		// internal MutexChecker watches Specification 3 the whole time.
 		entered := make([]bool, cfg.N)
@@ -382,10 +331,7 @@ func newMutex(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 				return fmt.Errorf("process %d was served without executing its critical section", p)
 			}
 		}
-		if v := c.Violations(); len(v) > 0 && !tolerateForged {
-			// A forged handshake echo can fabricate a privilege and overlap
-			// the critical section — the same beyond-the-model event the
-			// other protocols' value assertions tolerate here.
+		if v := c.Violations(); len(v) > 0 {
 			return fmt.Errorf("mutual exclusion violated: %v", v)
 		}
 		return nil
@@ -394,15 +340,9 @@ func newMutex(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 
 func newReset(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	c := snapstab.NewResetCluster(cfg.N, nil, opts...)
-	return c, func(ctx context.Context, tolerateForged bool) error {
+	return c, func(ctx context.Context) error {
 		req := c.ResetAsync(0)
 		if err := req.Wait(ctx); err != nil {
-			if tolerateForged && errors.Is(err, snapstab.ErrPartialAck) {
-				// A forged echo completed the child PIF on a value that was
-				// never a real acknowledgment; the request still terminated
-				// and reported the partial acknowledgment honestly.
-				return nil
-			}
 			return fmt.Errorf("reset: %w", err)
 		}
 		// ResetAsync itself verifies full acknowledgment of the epoch and
@@ -415,7 +355,7 @@ func newSnap(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	c := snapstab.NewSnapshotCluster(cfg.N, func(p int) snapstab.Payload {
 		return snapstab.Payload{Tag: "state", Num: int64(p) * 111}
 	}, opts...)
-	return c, func(ctx context.Context, tolerateForged bool) error {
+	return c, func(ctx context.Context) error {
 		req := c.CollectAsync(0)
 		if err := req.Wait(ctx); err != nil {
 			return fmt.Errorf("collect: %w", err)
@@ -425,7 +365,7 @@ func newSnap(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 			return fmt.Errorf("collect: %d views, want %d", len(views), cfg.N)
 		}
 		for q, v := range views {
-			if (v.Tag != "state" || v.Num != int64(q)*111) && !tolerateForged {
+			if v.Tag != "state" || v.Num != int64(q)*111 {
 				return fmt.Errorf("collect: view[%d] = %+v, want state(%d) — stale or fabricated", q, v, q*111)
 			}
 		}
@@ -437,13 +377,10 @@ func newSnap(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 // every process sends a string item across the tree from a corrupted
 // initial configuration, and the armed forwarding checker judges the
 // no-loss / no-duplication / correct-destination spec on every
-// substrate. Value assertions are exact even under payload corruption —
-// a corrupted message can never carry an armed key (garbled sequence
-// numbers stay below the genuine floor), so a genuine delivery is a
-// genuine body.
+// substrate.
 func newForward(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	c := snapstab.NewForwardingCluster(cfg.N, snapstab.JSON[string](), opts...)
-	return c, func(ctx context.Context, _ bool) error {
+	return c, func(ctx context.Context) error {
 		type sent struct{ src, dst int }
 		want := make(map[sent]string)
 		var reqs []*snapstab.ForwardRequest

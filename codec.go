@@ -15,9 +15,10 @@ import (
 // A codec must be deterministic for the cluster's value-exact checks:
 // Marshal(v) must always produce the same bytes for the same value
 // during one request's lifetime. Unmarshal must tolerate arbitrary
-// input — under payload corruption (WithFaults' CorruptRate, or a
-// corrupted initial configuration) it will be handed garbage, and must
-// return an error rather than panic.
+// input — a corrupted initial configuration (CorruptEverything) hands it
+// garbage bodies, and it must return an error rather than panic. That is
+// the only source: a message WithFaults' CorruptRate garbles in flight is
+// discarded before any codec sees it.
 type Codec[T any] interface {
 	// Marshal serializes v into an opaque body.
 	Marshal(v T) ([]byte, error)
@@ -27,9 +28,9 @@ type Codec[T any] interface {
 }
 
 // Bytes is the identity codec: the application value IS the body. Every
-// byte slice unmarshals successfully, so under payload corruption the
-// receiver sees the garbled bytes rather than a decode error — the
-// rawest adversarial surface.
+// byte slice unmarshals successfully, so a garbage body from a corrupted
+// initial configuration is told apart by its payload tag alone, never by
+// a decode error — the rawest adversarial surface.
 var Bytes Codec[[]byte] = bytesCodec{}
 
 type bytesCodec struct{}

@@ -2,7 +2,8 @@
 // substrates — and every request still satisfies its specification.
 //
 // A FaultPlan composes per-link fault policies (drop, duplicate, reorder,
-// delay, payload corruption) with scheduled faults (a split-brain
+// delay, and in-flight corruption, which the receiver's integrity check
+// turns into one more loss) with scheduled faults (a split-brain
 // partition that heals, a crash-restart window). Installed with one
 // option, the plan runs natively inside whichever engine executes the
 // cluster: the deterministic simulator replays it exactly from the seed;
@@ -60,7 +61,7 @@ func run(name string, cluster *snapstab.PIFCluster) {
 	fmt.Printf("--- %s ---\n", name)
 	fmt.Printf("broadcast decided with %d acknowledgments despite:\n", len(feedback))
 	st := cluster.FaultStats()
-	fmt.Printf("  %d drops, %d duplicates, %d reorders, %d delays, %d corruptions\n",
+	fmt.Printf("  %d drops, %d duplicates, %d reorders, %d delays, %d garbled in flight and discarded\n",
 		st.Drops, st.Duplicates, st.Reorders, st.Delays, st.Corrupts)
 	fmt.Printf("  %d partition drops, %d arrivals consumed by the crashed process\n",
 		st.PartitionDrops, st.CrashDrops)

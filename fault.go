@@ -32,9 +32,11 @@ type LinkFaults struct {
 	// DelayTicks is how long a delayed message is held (simulator: in
 	// scheduler steps; runtime/UDP: in FaultPlan.Unit of wall time).
 	DelayTicks int64 `json:"delay_ticks,omitempty"`
-	// CorruptRate garbles the message's payloads and handshake fields,
-	// keeping it routable — garbage the protocols must reject, not mere
-	// loss.
+	// CorruptRate garbles the message in flight; the receiver's integrity
+	// check discards it, so it is lost — counted in FaultStats.Corrupts,
+	// apart from DropRate's losses. Channels only lose: the paper's
+	// adversary writes garbage into the initial configuration
+	// (CorruptEverything), never into a message under way.
 	CorruptRate float64 `json:"corrupt_rate,omitempty"`
 }
 
@@ -131,7 +133,8 @@ type FaultStats struct {
 	Reorders int64
 	// Delays counts messages held back by DelayRate.
 	Delays int64
-	// Corrupts counts messages garbled by CorruptRate.
+	// Corrupts counts messages garbled in flight by CorruptRate and
+	// discarded — lost, like Drops, never delivered.
 	Corrupts int64
 	// PartitionDrops counts messages dropped crossing an open partition.
 	PartitionDrops int64

@@ -104,7 +104,7 @@ func TestForwardingAllSubstratesAllTrees(t *testing.T) {
 }
 
 // TestForwardingFlakyLinks runs the corrupted cluster under heavy
-// link-level chaos — drops, duplicates, adjacent reorders, payload
+// link-level chaos — drops, duplicates, adjacent reorders, in-flight
 // corruption — on the deterministic substrate, where the whole run
 // replays from the seed. The protocol's per-edge handshake must carry
 // every item through regardless.

@@ -57,9 +57,6 @@ func (r ReqState) String() string {
 
 // MaxBlobLen bounds a payload body everywhere — the authoritative limit
 // the wire format enforces per datagram (internal/wire re-exports it).
-// The corruption policy clamps garbled bodies to it too: a corrupted
-// message must stay routable AND encodable, so adversity degrades
-// values, never the transport's ability to carry the message.
 const MaxBlobLen = 16 << 10
 
 // Payload is a message-value: the application-level data carried in the

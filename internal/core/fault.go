@@ -13,7 +13,8 @@
 // # Composition
 //
 // A plan composes independent per-link policies (LinkFaults: drop,
-// duplicate, reorder, delay, payload-corrupt) with global schedules
+// duplicate, reorder, delay, corrupt — which is a loss: a channel only
+// loses, it never forges) with global schedules
 // (PartitionWindow: messages crossing the partition are dropped while the
 // window is open; CrashWindow: the process takes no actions and arriving
 // messages are consumed with no effect while down, then resumes with its
@@ -68,11 +69,11 @@ type LinkFaults struct {
 	DelayRate float64
 	// DelayTicks is how long a delayed message is held.
 	DelayTicks int64
-	// CorruptRate is the probability the message's application payloads
-	// (B and F) and handshake fields are garbled before delivery. The
-	// routing envelope (Instance, Kind) stays intact: a fully malformed
-	// message is mere loss, while a well-formed message carrying garbage
-	// is the adversarial case snap-stabilization must reject.
+	// CorruptRate is the probability the message is garbled in flight and
+	// discarded by the receiver's integrity check — a loss, counted apart
+	// from DropRate's. The paper's adversary corrupts the initial
+	// configuration; afterwards its channels only lose, as a checksummed
+	// socket does, so no protocol ever receives the garbage.
 	CorruptRate float64
 }
 
@@ -276,7 +277,8 @@ type FaultStats struct {
 	Reorders int64
 	// Delays counts messages held back by DelayRate.
 	Delays int64
-	// Corrupts counts messages garbled by CorruptRate.
+	// Corrupts counts messages garbled in flight by CorruptRate and
+	// discarded — lost, like Drops, never delivered.
 	Corrupts int64
 	// PartitionDrops counts messages dropped crossing an open partition.
 	PartitionDrops int64
@@ -306,9 +308,10 @@ type Fate uint8
 
 const (
 	// FateDeliver: the message is delivered (it is the first entry of the
-	// returned batch; duplication or corruption may have applied).
+	// returned batch; duplication may have applied).
 	FateDeliver Fate = iota
-	// FateDrop: the message is dropped — injected loss. Substrates emit
+	// FateDrop: the message is lost — dropped, garbled and discarded, cut
+	// by a partition or consumed by a down receiver. Substrates emit
 	// EvLose for it, attributing the loss to the receiver side like every
 	// other in-transit loss.
 	FateDrop
@@ -412,7 +415,7 @@ func (inj *Injector) Held() int { return inj.heldN }
 
 // Filter decides the fate of message m in transit from -> to at tick now.
 // The returned batch holds the messages to hand to the receiver, in order:
-// the current message first (possibly corrupted, possibly twice), then any
+// the current message first (possibly twice), then any
 // expired held messages of the same link. The batch aliases an internal
 // buffer valid until the next Filter call. Policy draw order is fixed —
 // crash, partition, drop, corrupt, hold (delay, then reorder), duplicate —
@@ -439,31 +442,29 @@ func (inj *Injector) Filter(from, to ProcID, m Message, now int64) ([]Message, F
 	case f.DropRate > 0 && inj.r.Float64() < f.DropRate:
 		inj.stats.drops.Add(1)
 		fate = FateDrop
+	case f.CorruptRate > 0 && inj.r.Float64() < f.CorruptRate:
+		// Garbled in flight: the receiver's integrity check discards it,
+		// so the channel lost it. Counted apart from Drops.
+		inj.stats.corrupts.Add(1)
+		fate = FateDrop
+	case f.DelayRate > 0 && inj.r.Float64() < f.DelayRate:
+		stash = &heldMsg{msg: m, trafficAt: now + f.DelayTicks, flushAt: now + f.DelayTicks}
+		inj.stats.delays.Add(1)
+		fate = FateHold
+	case f.ReorderRate > 0 && inj.r.Float64() < f.ReorderRate:
+		// Held for the next traffic on this link: stashing AFTER the
+		// release scan below defers it to the next Filter, which
+		// delivers its own message first — an adjacent swap. Flush
+		// must not pre-empt the swap (see heldMsg), so its release
+		// waits out the grace period.
+		stash = &heldMsg{msg: m, trafficAt: now, flushAt: now + ReorderFlushGrace}
+		inj.stats.reorders.Add(1)
+		fate = FateHold
 	default:
-		if f.CorruptRate > 0 && inj.r.Float64() < f.CorruptRate {
-			m = corruptMessage(m, inj.r)
-			inj.stats.corrupts.Add(1)
-		}
-		switch {
-		case f.DelayRate > 0 && inj.r.Float64() < f.DelayRate:
-			stash = &heldMsg{msg: m, trafficAt: now + f.DelayTicks, flushAt: now + f.DelayTicks}
-			inj.stats.delays.Add(1)
-			fate = FateHold
-		case f.ReorderRate > 0 && inj.r.Float64() < f.ReorderRate:
-			// Held for the next traffic on this link: stashing AFTER the
-			// release scan below defers it to the next Filter, which
-			// delivers its own message first — an adjacent swap. Flush
-			// must not pre-empt the swap (see heldMsg), so its release
-			// waits out the grace period.
-			stash = &heldMsg{msg: m, trafficAt: now, flushAt: now + ReorderFlushGrace}
-			inj.stats.reorders.Add(1)
-			fate = FateHold
-		default:
+		out = append(out, m)
+		if f.DupRate > 0 && inj.r.Float64() < f.DupRate {
 			out = append(out, m)
-			if f.DupRate > 0 && inj.r.Float64() < f.DupRate {
-				out = append(out, m)
-				inj.stats.duplicates.Add(1)
-			}
+			inj.stats.duplicates.Add(1)
 		}
 	}
 	if inj.heldN > 0 {
@@ -532,49 +533,6 @@ func (inj *Injector) Flush(now int64) []Released {
 			}
 		}
 		inj.hold[key] = keep
-	}
-	return out
-}
-
-// corruptTags is the garbage vocabulary for payload corruption; it
-// includes the empty tag and tags that collide with no protocol's
-// meaningful values.
-var corruptTags = []string{"", "junk", "zap", "noise"}
-
-// corruptMessage garbles the message's application payloads and handshake
-// fields, keeping the routing envelope (Instance, Kind) intact so the
-// message still reaches a receive action — the adversarial case the
-// protocols must survive, per the arbitrary-channel-content model.
-// Payload bodies are garbled too, but only when the message carries one:
-// a blob-free message consumes exactly the random draws of earlier
-// revisions, keeping legacy decision streams reproducible.
-func corruptMessage(m Message, r Rand) Message {
-	m.B = corruptPayload(m.B, r)
-	m.F = corruptPayload(m.F, r)
-	m.State = uint8(r.Intn(256))
-	m.Echo = uint8(r.Intn(256))
-	return m
-}
-
-// corruptPayload draws a garbage replacement for p. A carried blob is
-// replaced by a fresh random body (never mutated in place — in-flight
-// duplicates may alias it) whose length varies around the original —
-// clamped to MaxBlobLen, so corruption exercises truncation and growth
-// at the decode layer without manufacturing a message the wire format
-// could never carry (an unencodable feedback echo would silently drop
-// at every UDP send, forever).
-func corruptPayload(p Payload, r Rand) Payload {
-	out := Payload{Tag: corruptTags[r.Intn(len(corruptTags))], Num: int64(r.Uint64() % 1024)}
-	if n := len(p.Blob); n > 0 {
-		bound := 2 * n
-		if bound > MaxBlobLen {
-			bound = MaxBlobLen
-		}
-		garbled := make([]byte, r.Intn(bound+1))
-		for i := range garbled {
-			garbled[i] = byte(r.Uint64())
-		}
-		out.Blob = garbled
 	}
 	return out
 }

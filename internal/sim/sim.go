@@ -128,9 +128,9 @@ const faultSeedSalt = 0x51
 
 // WithFaults installs a fault-injection plan (see core.FaultPlan). The
 // plan is interposed at Step delivery: every message popped from a channel
-// passes through the plan's injector, which may drop, duplicate, corrupt,
-// reorder, or delay it, honor partition windows, and silence processes
-// inside crash windows. The injector draws from its own generator seeded
+// passes through the plan's injector, which may lose (drop or corrupt),
+// duplicate, reorder, or delay it, honor partition windows, and silence
+// processes inside crash windows. The injector draws from its own generator seeded
 // rng.Mix(plan.Seed, salt) — never from the scheduler PRNG — so a nil or
 // zero-value plan leaves every execution byte-identical to a network
 // without one, and a configured plan replays exactly from its seed.
@@ -439,9 +439,8 @@ func (net *Network) Activate(p core.ProcID) bool {
 
 // Deliver pops the head message of link k and runs the destination's
 // receive action — routed through the installed fault plan, when one
-// exists, which may turn the delivery into a drop, a duplicate pair, a
-// corrupted message, or a holdback. It reports false when the link is
-// empty.
+// exists, which may turn the delivery into a loss, a duplicate pair, or
+// a holdback. It reports false when the link is empty.
 func (net *Network) Deliver(k LinkKey) bool {
 	q, ok := net.links[k]
 	if !ok {

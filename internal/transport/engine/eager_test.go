@@ -364,6 +364,48 @@ func TestDelayedMailSurfacesFromTick(t *testing.T) {
 	}
 }
 
+// TestCorruptedMailIsLost: a message the fault plan corrupts never
+// reaches a mailbox — the receiver reports it lost, once, and its window
+// slot comes back exactly as a dropped message's does, so a window the
+// plan emptied admits a full window again.
+func TestCorruptedMailIsLost(t *testing.T) {
+	var mu sync.Mutex
+	lost, delivered := 0, 0
+	plan := &core.FaultPlan{Links: map[core.LinkSel]core.LinkFaults{{From: 1, To: 0}: {CorruptRate: 0.999}}}
+	_, nodes, _ := still(t, 2, WithFaults(plan), WithObserver(core.ObserverFunc(func(ev core.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case ev.Kind == core.EvLose && ev.Proc == 0:
+			lost++
+		case ev.Kind == core.EvDeliver && ev.Proc == 0:
+			delivered++
+		}
+	})))
+	for round := 1; round <= 2; round++ {
+		nodes[1].Do(func(env core.Env) {
+			for i := 0; i < DefaultCapacity; i++ {
+				env.Send(0, core.Message{Instance: "pif", Kind: pif.Kind, B: core.Payload{Num: int64(i)}})
+			}
+		})
+		nodes[0].drainMail()
+		nodes[0].tick() // the acknowledgment finds nothing to ride on,
+		nodes[0].tick() // and leaves as an echo at the second tick
+		s0, s1 := nodes[0].Stats(), nodes[1].Stats()
+		want := int64(round * DefaultCapacity)
+		mu.Lock()
+		if int64(lost) != want || delivered != 0 || s0.Faults.Corrupts != want || s0.Faults.Total() != want || s0.Recvs != 0 || s0.MailboxDrops != 0 {
+			t.Fatalf("round %d: %d EvLose, %d deliveries, faults %+v, Recvs = %d, MailboxDrops = %d; want %d losses, all corrupts, and nothing else",
+				round, lost, delivered, s0.Faults, s0.Recvs, s0.MailboxDrops, want)
+		}
+		mu.Unlock()
+		if l := s1.Links[0]; s1.Sends != want || s1.SendDrops != 0 || l.InFlight != 0 || l.PeakInFlight > DefaultCapacity {
+			t.Fatalf("round %d: sender counts %d sends, %d send drops, %d in flight, peak %d; want %d, 0, 0 and at most %d",
+				round, s1.Sends, s1.SendDrops, l.InFlight, l.PeakInFlight, want, DefaultCapacity)
+		}
+	}
+}
+
 // TestUnknownInstanceMailIsConsumed: mail for an instance the stack does
 // not have is taken from its mailbox like any other and handed to no one;
 // its window slots come back, and the acknowledgment leaves as an echo.

@@ -149,10 +149,10 @@ func WithTopology(t *core.Topology) Option {
 // WithFaults installs a fault-injection plan (see core.FaultPlan) on the
 // default group, interposed at the mailbox boundary: every decoded
 // message from a known peer — individually, whatever frame carried it —
-// passes the group's injector before it reaches a mailbox, which may drop,
-// duplicate, corrupt, reorder, or delay it, honor partition windows, and
-// silence the group inside crash windows (no internal actions, no
-// mailbox drains, arrivals consumed). The injector is seeded
+// passes the group's injector before it reaches a mailbox, which may lose
+// (drop or corrupt), duplicate, reorder, or delay it, honor partition
+// windows, and silence the group inside crash windows (no internal
+// actions, no mailbox drains, arrivals consumed). The injector is seeded
 // rng.Mix(plan.Seed, Transport.FaultSalt, self); schedule windows are
 // measured in plan.Unit ticks of wall time from Start. The link's own
 // losses compose underneath the plan.

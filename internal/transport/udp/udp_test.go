@@ -238,11 +238,10 @@ func TestStatsCountMailboxDrops(t *testing.T) {
 	})))
 	defer linktest.Freeze(p.node)()
 	flood(p, 50)
-	if !waitFor(t, 5*time.Second, func() bool { return p.node.Stats().MailboxDrops > 0 }) {
-		t.Fatal("flooding a 1-slot mailbox on a frozen receiver produced no MailboxDrops")
-	}
-	if losses.Load() == 0 {
-		t.Fatal("mailbox-full drops emitted no EvLose events")
+	// box counts the drop before it emits the event: wait for both.
+	if !waitFor(t, 5*time.Second, func() bool { return p.node.Stats().MailboxDrops > 0 && losses.Load() > 0 }) {
+		t.Fatalf("flooding a 1-slot mailbox on a frozen receiver: MailboxDrops=%d, EvLose events=%d, want both > 0",
+			p.node.Stats().MailboxDrops, losses.Load())
 	}
 	if got := sendLost.Load(); got != 0 {
 		t.Fatalf("mailbox-full drops emitted %d EvSendLost events; receive-side loss must be EvLose", got)

@@ -12,13 +12,13 @@ import (
 )
 
 // ErrPartialAck is returned (wrapped) by a reset request whose decision
-// was reached without every process acknowledging the epoch — for a
-// correct protocol under the paper's channel model this is unreachable,
-// but in-flight payload corruption (an adversary beyond that model) can
-// forge the final handshake echo and complete the child PIF on a value
-// that was never a real acknowledgment. Callers running under such an
-// adversary can distinguish this protocol-level outcome from timeouts
-// and budget errors with errors.Is.
+// was reached without every process acknowledging the epoch. It is a
+// check the model never trips: channels lose, duplicate and reorder but
+// never forge, so from any initial configuration a started reset decides
+// on real acknowledgments (Theorem 2), on every substrate and under every
+// fault plan. It stays so that a broken invariant surfaces as an error
+// callers can tell from timeouts and budget errors with errors.Is, not as
+// a half-acknowledged epoch.
 var ErrPartialAck = errors.New("snapstab: reset decided without full acknowledgment")
 
 // ResetCluster is a system running the snap-stabilizing global reset

@@ -10,7 +10,7 @@ import (
 )
 
 // typedTag marks payloads produced by a typed cluster's codec, so traces
-// distinguish application bodies from corruption garbage.
+// distinguish application bodies from initial-configuration garbage.
 const typedTag = "app"
 
 // typedGarbageBlob is how many opaque garbage bytes (at most, per
@@ -43,10 +43,10 @@ type TypedPIFCluster[T any] struct {
 // runs at process proc when a broadcast from process from is accepted
 // and returns the feedback value, both marshaled through the cluster's
 // codec. Only valid with NewTypedPIFCluster over the same T (the
-// constructor panics otherwise). Under payload corruption a receiver may
-// be handed garbage the codec rejects; the machine then answers with an
-// explicitly tagged undecodable marker instead of invoking f with a
-// fabricated value.
+// constructor panics otherwise). From a corrupted initial configuration
+// a receiver may be handed garbage the codec rejects; the machine then
+// answers with an explicitly tagged undecodable marker instead of
+// invoking f with a fabricated value.
 func WithReceiverT[T any](f func(proc, from int, b T) T) Option {
 	return func(o *options) { o.onReceiveTyped = f }
 }
@@ -66,9 +66,9 @@ func NewTypedPIFCluster[T any](n int, codec Codec[T], opts ...Option) *TypedPIFC
 		// Echo receiver: feedback is the broadcast payload verbatim, so
 		// the expected value at every process is the token itself and the
 		// Decision clause stays value-exact. A body beyond the wire bound
-		// (only corruption could fabricate one) must not be echoed into
-		// the feedback — it would fail encoding at every UDP send — so it
-		// degrades to the unencodable marker instead.
+		// (only a corrupted configuration could hold one) must not be
+		// echoed into the feedback — it would fail encoding at every UDP
+		// send — so it degrades to the unencodable marker instead.
 		cfg.recv = func(proc, from int, b core.Payload) core.Payload {
 			if len(b.Blob) > wire.MaxBlobLen {
 				return core.Payload{Tag: "unencodable"}
@@ -83,17 +83,17 @@ func NewTypedPIFCluster[T any](n int, codec Codec[T], opts ...Option) *TypedPIFC
 		}
 		cfg.recv = func(proc, from int, b core.Payload) core.Payload {
 			if b.Tag != typedTag {
-				// Not an application payload at all (corruption garbage,
-				// garbage machine state): answer with the marker without
+				// Not an application payload at all (garbage of the initial
+				// configuration, in a channel or in machine state): answer with the marker without
 				// consulting the codec — under never-failing codecs
 				// (Bytes, String) Unmarshal alone cannot tell.
 				return core.Payload{Tag: "undecodable"}
 			}
 			v, err := codec.Unmarshal(b.Blob)
 			if err != nil {
-				// A tagged body the codec rejects (garbled in flight):
-				// answer neutrally and recognizably rather than fabricate
-				// a T.
+				// A tagged body the codec rejects (garbage the initial
+				// configuration happened to tag): answer neutrally and
+				// recognizably rather than fabricate a T.
 				return core.Payload{Tag: "undecodable"}
 			}
 			out, err := codec.Marshal(f(proc, from, v))
@@ -158,12 +158,14 @@ type TypedFeedback[T any] struct {
 	// Value is the decoded feedback; meaningful only when Err is nil.
 	Value T
 	// Err reports a feedback that was not a decodable application
-	// payload: a body the codec rejected, a receiver's undecodable /
-	// unencodable marker, or corruption garbage accepted into the
-	// handshake. Under payload corruption an accepted acknowledgment can
-	// carry garbage — the adversarial case the paper's model admits —
-	// and a typed API must surface it rather than hand the application a
-	// zero T, even under codecs whose Unmarshal never fails.
+	// payload: a receiver's undecodable / unencodable marker, a body the
+	// codec rejected, or an untagged payload. A receiver whose handler
+	// returns a value the codec cannot marshal reaches the first; the
+	// others are checks — channels only lose, so undecodable bodies come
+	// from an arbitrary initial configuration only, and the handshake
+	// keeps those out of a started request's decision. The typed API
+	// checks regardless rather than hand the application a zero T, even
+	// under codecs whose Unmarshal never fails.
 	Err error
 }
 
@@ -191,9 +193,9 @@ func (r *TypedBroadcastRequest[T]) Feedbacks() []TypedFeedback[T] {
 	r.once.Do(func() {
 		r.fb = make([]TypedFeedback[T], len(r.raw.fb))
 		for i, f := range r.raw.fb {
-			// A payload not tagged as an application body is adversarial
-			// residue: a receiver's undecodable/unencodable marker, or
-			// corruption garbage accepted into the handshake. It must
+			// A payload not tagged as an application body is a receiver's
+			// undecodable/unencodable marker, or garbage of the initial
+			// configuration. It must
 			// surface as Err even under codecs whose Unmarshal never
 			// fails (Bytes, String) — a fabricated zero value with a nil
 			// Err is exactly what this API promises not to produce.

@@ -284,8 +284,8 @@ func TestTypedBlobTransitAllSubstrates(t *testing.T) {
 
 // TestTypedBlobTransitCorruptThenReset runs the snapchaos
 // corrupt-then-reset shape on the deterministic substrate — corrupted
-// initial configuration plus heavy in-flight payload corruption that
-// garbles blobs — and asserts the 4KiB payload still decodes
+// initial configuration plus heavy in-flight corruption, every garbled
+// message discarded — and asserts the 4KiB payload still decodes
 // byte-identical at every receiver and in the decision. This is
 // Theorem 2 with the opaque body as the value under test.
 func TestTypedBlobTransitCorruptThenReset(t *testing.T) {
@@ -338,7 +338,7 @@ func TestTypedBlobTransitCorruptThenReset(t *testing.T) {
 		}
 	}
 	if faults := c.FaultStats(); faults.Corrupts == 0 {
-		t.Fatalf("scenario injected no payload corruption: %+v — the test proved nothing", faults)
+		t.Fatalf("scenario injected no in-flight corruption: %+v — the test proved nothing", faults)
 	}
 }
 
@@ -445,28 +445,23 @@ func TestErrorsIsThroughWrapPaths(t *testing.T) {
 
 	t.Run("partial-ack", func(t *testing.T) {
 		t.Parallel()
-		// ErrPartialAck needs an adversary beyond the channel model: the
-		// fault plane's CorruptRate can forge the final handshake echo,
-		// completing the child PIF on a value that was never a real
-		// acknowledgment. The deterministic substrate replays the whole
-		// run from (seed, plan), so a short seed sweep reproduces the
-		// outcome reliably; the sentinel must answer errors.Is through
-		// the double wrap ("reset at p: ... of epoch e").
-		hit := false
-		for seed := uint64(1); seed <= 40 && !hit; seed++ {
-			c := NewResetCluster(3, nil,
-				WithSeed(seed),
-				WithFaults(FaultPlan{Seed: seed * 7, Default: LinkFaults{CorruptRate: 0.8}}))
-			_, err := c.Reset(0)
-			if err != nil && !errors.Is(err, ErrPartialAck) {
-				c.Close()
-				t.Fatalf("seed %d: got %v, want nil or errors.Is ErrPartialAck", seed, err)
+		// No channel fault reaches ErrPartialAck: it checks a decision the
+		// protocol's proof already guarantees. The test therefore breaks
+		// the initiator's own bookkeeping: the hook runs inside the atomic
+		// section in which process 0's child PIF decides — after the last
+		// feedback was recorded, before the reset machine's termination
+		// action reads the table — and overwrites one acknowledgment. The
+		// sentinel must answer errors.Is through the double wrap ("reset
+		// at p: ... of epoch e").
+		var c *ResetCluster
+		c = NewResetCluster(3, nil, WithSeed(1), WithEventHook(func(ev ObservedEvent) {
+			if ev.Kind == "decide" && ev.Proc == 0 && ev.Instance == "reset/pif" {
+				c.machines[0].Acked[1] = -7
 			}
-			hit = errors.Is(err, ErrPartialAck)
-			c.Close()
-		}
-		if !hit {
-			t.Fatal("no seed in the sweep produced ErrPartialAck; the corruption stream changed, widen or repin the sweep")
+		}))
+		defer c.Close()
+		if _, err := c.Reset(0); !errors.Is(err, ErrPartialAck) {
+			t.Fatalf("got %v, want errors.Is ErrPartialAck", err)
 		}
 	})
 
