@@ -279,16 +279,10 @@ func (c *clusterCore) describeErr(err error, label string, p int) error {
 	return fmt.Errorf("snapstab: %s at %d: %w", label, p, err)
 }
 
-// corruptMachines randomizes every machine's protocol state: in one
-// scheduler-paused critical section on the deterministic substrate
-// (preserving the exact per-seed corruption of earlier revisions), and
-// process by process under each substrate-atomic context on the
-// concurrent engines.
+// corruptMachines randomizes every machine's protocol state, process by
+// process under each one's substrate-atomic context: the same draws in
+// the same order on every substrate.
 func (c *clusterCore) corruptMachines(r *rng.Source) {
-	if net := c.simNet; net != nil {
-		net.Sync(func() { config.CorruptMachines(net, r) })
-		return
-	}
 	for p := 0; p < c.sub.N(); p++ {
 		stack := c.stacks[p]
 		c.sub.Do(core.ProcID(p), func(core.Env) { stack.Corrupt(r) })

@@ -11,7 +11,8 @@ import (
 	"time"
 
 	"github.com/snapstab/snapstab/internal/linktest"
-	udp "github.com/snapstab/snapstab/internal/transport/udp"
+	"github.com/snapstab/snapstab/internal/transport/engine"
+	"github.com/snapstab/snapstab/internal/transport/udp"
 )
 
 // This file is the -transport -batch mode: the BENCH_0009.json artifact.
@@ -149,7 +150,7 @@ const floodWindow = 1024
 // read from the transport counters across the same interval.
 func benchWireFlood(n, batch, blob int, window time.Duration) (wireBenchResult, error) {
 	var delivered atomic.Int64
-	c, err := udp.NewCluster(linktest.Flood(n, blob, &delivered), udp.WithBatch(batch), udp.WithCapacity(floodWindow))
+	c, err := udp.NewCluster(linktest.Flood(n, blob, &delivered), engine.WithBatch(batch), engine.WithCapacity(floodWindow))
 	if err != nil {
 		return wireBenchResult{}, err
 	}

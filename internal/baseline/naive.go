@@ -177,12 +177,3 @@ func (m *Naive) Corrupt(r core.Rand) {
 		m.Acked[q] = r.Bool()
 	}
 }
-
-// NaiveGarbage draws a random well-formed naive-protocol message.
-func NaiveGarbage(r core.Rand, inst string) core.Message {
-	kind := KindNaiveBrd
-	if r.Bool() {
-		kind = KindNaiveFck
-	}
-	return core.Message{Instance: inst, Kind: kind, B: pif.GarbagePayload(r), F: pif.GarbagePayload(r)}
-}

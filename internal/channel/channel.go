@@ -1,7 +1,7 @@
 // Package channel implements the communication channels of the paper's
 // model: FIFO, unreliable (fair-lossy) links between pairs of processes.
 //
-// Two capacity regimes matter:
+// Two capacity regimes matter, both realized by the one Queue type:
 //
 //   - Bounded: the channel holds at most c messages; a message sent into a
 //     full channel is lost (paper, §4: "if a process sends a message in a
@@ -19,244 +19,154 @@ package channel
 
 import "fmt"
 
-// Queue is the common interface of bounded and unbounded FIFO channels.
-type Queue[T any] interface {
-	// Send enqueues m. It reports false when the message was lost because
-	// the channel was full (only possible for bounded channels).
-	Send(m T) bool
-	// Recv dequeues the head message. ok is false when the channel is
-	// empty.
-	Recv() (m T, ok bool)
-	// Peek returns the head message without dequeuing it.
-	Peek() (m T, ok bool)
-	// Drop removes the head message (models link-level loss). It reports
-	// false when the channel was empty.
-	Drop() bool
-	// Len returns the number of messages currently in transit.
-	Len() int
-	// Cap returns the channel capacity; Unlimited for unbounded channels.
-	Cap() int
-	// Contents returns the in-transit messages, head first. The returned
-	// slice is a copy.
-	Contents() []T
-	// Preload replaces the channel contents with msgs (head first). It is
-	// used to construct arbitrary initial configurations. It returns an
-	// error if msgs exceeds the channel capacity: such a configuration
-	// does not exist in the bounded model (this is exactly the step of
-	// the Theorem 1 proof that fails under bounded capacity).
-	Preload(msgs []T) error
-	// SetTransition registers f to be invoked whenever the channel
-	// transitions between empty and non-empty: f(true) when a message
-	// enters an empty channel, f(false) when the last message leaves. At
-	// most one hook is supported; registering replaces the previous one.
-	// The scheduler uses the hook to maintain its O(1) non-empty-link
-	// index (DESIGN.md §4), so the hook fires from every mutating method,
-	// including Preload.
-	SetTransition(f func(nonEmpty bool))
-}
-
 // Unlimited is the Cap value reported by unbounded channels.
 const Unlimited = -1
 
-// Bounded is a FIFO channel with capacity c >= 1 that silently loses
-// messages sent while full.
-type Bounded[T any] struct {
+// Queue is a FIFO channel over a ring buffer. Built by NewBounded it
+// holds at most c messages and silently loses a message sent while full;
+// built by NewUnbounded the ring grows instead, so a send is never lost.
+type Queue[T any] struct {
 	buf        []T
 	head       int
 	n          int
 	lost       int
+	unbounded  bool
 	transition func(nonEmpty bool)
 }
-
-var _ Queue[int] = (*Bounded[int])(nil)
 
 // NewBounded returns an empty bounded channel of capacity c. It panics if
 // c < 1: the paper's positive results assume at least single-message
 // capacity.
-func NewBounded[T any](c int) *Bounded[T] {
+func NewBounded[T any](c int) *Queue[T] {
 	if c < 1 {
 		panic(fmt.Sprintf("channel: invalid capacity %d", c))
 	}
-	return &Bounded[T]{buf: make([]T, c)}
+	return &Queue[T]{buf: make([]T, c)}
 }
 
-// Send enqueues m, reporting false (message lost) when the channel is full.
-func (b *Bounded[T]) Send(m T) bool {
-	if b.n == len(b.buf) {
-		b.lost++
-		return false
+// NewUnbounded returns an empty channel with no capacity limit, the
+// setting of the Theorem 1 impossibility result.
+func NewUnbounded[T any]() *Queue[T] {
+	return &Queue[T]{buf: make([]T, 1), unbounded: true}
+}
+
+// resize moves the contents, head first, into a fresh ring of the given
+// size (at least Len).
+func (q *Queue[T]) resize(size int) {
+	buf := make([]T, size)
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)%len(q.buf)]
 	}
-	b.buf[(b.head+b.n)%len(b.buf)] = m
-	b.n++
-	if b.n == 1 && b.transition != nil {
-		b.transition(true)
+	q.buf, q.head = buf, 0
+}
+
+// Send enqueues m. It reports false when the message was lost because
+// the channel was full (only possible for bounded channels).
+func (q *Queue[T]) Send(m T) bool {
+	if q.n == len(q.buf) {
+		if !q.unbounded {
+			q.lost++
+			return false
+		}
+		q.resize(2 * len(q.buf))
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = m
+	q.n++
+	if q.n == 1 && q.transition != nil {
+		q.transition(true)
 	}
 	return true
 }
 
-// Recv dequeues the head message.
-func (b *Bounded[T]) Recv() (T, bool) {
+// Recv dequeues the head message. ok is false when the channel is empty.
+func (q *Queue[T]) Recv() (T, bool) {
 	var zero T
-	if b.n == 0 {
+	if q.n == 0 {
 		return zero, false
 	}
-	m := b.buf[b.head]
-	b.buf[b.head] = zero
-	b.head = (b.head + 1) % len(b.buf)
-	b.n--
-	if b.n == 0 && b.transition != nil {
-		b.transition(false)
+	m := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	if q.n == 0 && q.transition != nil {
+		q.transition(false)
 	}
 	return m, true
 }
 
 // Peek returns the head message without dequeuing it.
-func (b *Bounded[T]) Peek() (T, bool) {
+func (q *Queue[T]) Peek() (T, bool) {
 	var zero T
-	if b.n == 0 {
+	if q.n == 0 {
 		return zero, false
 	}
-	return b.buf[b.head], true
+	return q.buf[q.head], true
 }
 
-// Drop removes the head message, modeling link-level loss.
-func (b *Bounded[T]) Drop() bool {
-	if _, ok := b.Recv(); !ok {
+// Drop removes the head message (models link-level loss). It reports
+// false when the channel was empty.
+func (q *Queue[T]) Drop() bool {
+	if _, ok := q.Recv(); !ok {
 		return false
 	}
-	b.lost++
+	q.lost++
 	return true
 }
 
-// Len returns the number of in-transit messages.
-func (b *Bounded[T]) Len() int { return b.n }
+// Len returns the number of messages currently in transit.
+func (q *Queue[T]) Len() int { return q.n }
 
-// Cap returns the channel capacity.
-func (b *Bounded[T]) Cap() int { return len(b.buf) }
+// Cap returns the channel capacity; Unlimited for unbounded channels.
+func (q *Queue[T]) Cap() int {
+	if q.unbounded {
+		return Unlimited
+	}
+	return len(q.buf)
+}
 
 // Lost returns the total number of messages lost so far, from both
 // full-channel sends and explicit drops.
-func (b *Bounded[T]) Lost() int { return b.lost }
+func (q *Queue[T]) Lost() int { return q.lost }
 
-// Contents returns a copy of the in-transit messages, head first.
-func (b *Bounded[T]) Contents() []T {
-	out := make([]T, 0, b.n)
-	for i := 0; i < b.n; i++ {
-		out = append(out, b.buf[(b.head+i)%len(b.buf)])
+// Contents returns the in-transit messages, head first. The returned
+// slice is a copy.
+func (q *Queue[T]) Contents() []T {
+	out := make([]T, 0, q.n)
+	for i := 0; i < q.n; i++ {
+		out = append(out, q.buf[(q.head+i)%len(q.buf)])
 	}
 	return out
 }
 
-// Preload replaces the contents with msgs, head first. It returns an error
-// when len(msgs) exceeds the capacity: no such configuration exists in the
-// bounded model.
-func (b *Bounded[T]) Preload(msgs []T) error {
-	if len(msgs) > len(b.buf) {
-		return fmt.Errorf("channel: cannot preload %d messages into capacity-%d channel", len(msgs), len(b.buf))
+// Preload replaces the channel contents with msgs (head first). It is
+// used to construct arbitrary initial configurations. On a bounded
+// channel it returns an error if msgs exceeds the capacity: such a
+// configuration does not exist in the bounded model (this is exactly the
+// step of the Theorem 1 proof that fails under bounded capacity). An
+// unbounded channel accepts any preload; this is the capability
+// Theorem 1's adversary exploits.
+func (q *Queue[T]) Preload(msgs []T) error {
+	was := q.n > 0
+	if len(msgs) > len(q.buf) {
+		if !q.unbounded {
+			return fmt.Errorf("channel: cannot preload %d messages into capacity-%d channel", len(msgs), len(q.buf))
+		}
+		q.buf = make([]T, len(msgs))
+	} else {
+		clear(q.buf)
 	}
-	var zero T
-	for i := range b.buf {
-		b.buf[i] = zero
-	}
-	was := b.n > 0
-	b.head = 0
-	b.n = copy(b.buf, msgs)
-	if now := b.n > 0; now != was && b.transition != nil {
-		b.transition(now)
-	}
-	return nil
-}
-
-// SetTransition registers the empty/non-empty hook.
-func (b *Bounded[T]) SetTransition(f func(nonEmpty bool)) { b.transition = f }
-
-// Unbounded is a FIFO channel with no capacity limit, the setting of the
-// Theorem 1 impossibility result.
-type Unbounded[T any] struct {
-	buf        []T
-	lost       int
-	transition func(nonEmpty bool)
-}
-
-var _ Queue[int] = (*Unbounded[int])(nil)
-
-// NewUnbounded returns an empty unbounded channel.
-func NewUnbounded[T any]() *Unbounded[T] {
-	return &Unbounded[T]{}
-}
-
-// Send enqueues m; an unbounded channel never loses on send.
-func (u *Unbounded[T]) Send(m T) bool {
-	u.buf = append(u.buf, m)
-	if len(u.buf) == 1 && u.transition != nil {
-		u.transition(true)
-	}
-	return true
-}
-
-// Recv dequeues the head message.
-func (u *Unbounded[T]) Recv() (T, bool) {
-	var zero T
-	if len(u.buf) == 0 {
-		return zero, false
-	}
-	m := u.buf[0]
-	// Shift rather than re-slice so the backing array does not pin every
-	// message ever sent.
-	copy(u.buf, u.buf[1:])
-	u.buf[len(u.buf)-1] = zero
-	u.buf = u.buf[:len(u.buf)-1]
-	if len(u.buf) == 0 && u.transition != nil {
-		u.transition(false)
-	}
-	return m, true
-}
-
-// Peek returns the head message without dequeuing it.
-func (u *Unbounded[T]) Peek() (T, bool) {
-	var zero T
-	if len(u.buf) == 0 {
-		return zero, false
-	}
-	return u.buf[0], true
-}
-
-// Drop removes the head message, modeling link-level loss.
-func (u *Unbounded[T]) Drop() bool {
-	if _, ok := u.Recv(); !ok {
-		return false
-	}
-	u.lost++
-	return true
-}
-
-// Len returns the number of in-transit messages.
-func (u *Unbounded[T]) Len() int { return len(u.buf) }
-
-// Cap returns Unlimited.
-func (u *Unbounded[T]) Cap() int { return Unlimited }
-
-// Lost returns the number of messages dropped so far.
-func (u *Unbounded[T]) Lost() int { return u.lost }
-
-// Contents returns a copy of the in-transit messages, head first.
-func (u *Unbounded[T]) Contents() []T {
-	out := make([]T, len(u.buf))
-	copy(out, u.buf)
-	return out
-}
-
-// Preload replaces the contents with msgs, head first. An unbounded
-// channel accepts any preload; this is the capability Theorem 1's
-// adversary exploits.
-func (u *Unbounded[T]) Preload(msgs []T) error {
-	was := len(u.buf) > 0
-	u.buf = append(u.buf[:0:0], msgs...)
-	if now := len(u.buf) > 0; now != was && u.transition != nil {
-		u.transition(now)
+	q.head = 0
+	q.n = copy(q.buf, msgs)
+	if now := q.n > 0; now != was && q.transition != nil {
+		q.transition(now)
 	}
 	return nil
 }
 
-// SetTransition registers the empty/non-empty hook.
-func (u *Unbounded[T]) SetTransition(f func(nonEmpty bool)) { u.transition = f }
+// SetTransition registers f to be invoked whenever the channel
+// transitions between empty and non-empty: f(true) when a message enters
+// an empty channel, f(false) when the last message leaves. At most one
+// hook is supported; registering replaces the previous one. The scheduler
+// uses the hook to maintain its O(1) non-empty-link index (DESIGN.md §4),
+// so the hook fires from every mutating method, including Preload.
+func (q *Queue[T]) SetTransition(f func(nonEmpty bool)) { q.transition = f }

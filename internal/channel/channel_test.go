@@ -178,6 +178,63 @@ func TestUnboundedPreloadAnyLength(t *testing.T) {
 	}
 }
 
+// TestUnboundedGrowsPastInitialRing wraps the ring (head off zero) before
+// forcing it to grow, so growth must carry the contents over head first.
+func TestUnboundedGrowsPastInitialRing(t *testing.T) {
+	t.Parallel()
+	ch := NewUnbounded[int]()
+	initial := len(ch.buf)
+	next, want := 0, 0
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 3*initial+round; i++ {
+			ch.Send(next)
+			next++
+		}
+		for i := 0; i < initial+1; i++ {
+			if m, ok := ch.Recv(); !ok || m != want {
+				t.Fatalf("round %d: Recv() = %d,%v, want %d,true", round, m, ok, want)
+			}
+			want++
+		}
+	}
+	if len(ch.buf) <= initial {
+		t.Fatalf("ring still %d slots after holding %d messages", len(ch.buf), ch.Len())
+	}
+	if got := ch.Contents(); len(got) != next-want || got[0] != want || got[len(got)-1] != next-1 {
+		t.Fatalf("Contents() = %v, want %d..%d", got, want, next-1)
+	}
+	if ch.Lost() != 0 || ch.Cap() != Unlimited {
+		t.Fatalf("Lost() = %d, Cap() = %d after growth", ch.Lost(), ch.Cap())
+	}
+}
+
+// TestUnboundedPreloadLongerThanRing preloads more than the ring holds
+// into a queue whose head is off zero, then keeps using it.
+func TestUnboundedPreloadLongerThanRing(t *testing.T) {
+	t.Parallel()
+	ch := NewUnbounded[int]()
+	ch.Send(-1)
+	ch.Send(-2)
+	ch.Recv()
+	msgs := make([]int, 4*len(ch.buf)+1)
+	for i := range msgs {
+		msgs[i] = i
+	}
+	if err := ch.Preload(msgs); err != nil {
+		t.Fatal(err)
+	}
+	msgs[0] = 99 // the queue holds a copy
+	ch.Send(len(msgs))
+	for want := 0; want <= len(msgs); want++ {
+		if m, ok := ch.Recv(); !ok || m != want {
+			t.Fatalf("Recv() = %d,%v, want %d,true", m, ok, want)
+		}
+	}
+	if _, ok := ch.Recv(); ok {
+		t.Fatal("Recv() on drained channel succeeded")
+	}
+}
+
 func TestUnboundedDropAndPeek(t *testing.T) {
 	t.Parallel()
 	ch := NewUnbounded[string]()
@@ -264,12 +321,12 @@ func TestPropertyFIFOModuloLoss(t *testing.T) {
 }
 
 // TestPropertyLenMatchesContents checks Len/Contents consistency under
-// random workloads for both channel kinds.
+// random workloads in both capacity regimes.
 func TestPropertyLenMatchesContents(t *testing.T) {
 	t.Parallel()
 	f := func(seed uint64, unbounded bool) bool {
 		r := rng.New(seed)
-		var ch Queue[int]
+		var ch *Queue[int]
 		if unbounded {
 			ch = NewUnbounded[int]()
 		} else {
@@ -331,7 +388,7 @@ func TestTransitionHookBounded(t *testing.T) {
 func TestTransitionHookPreload(t *testing.T) {
 	t.Parallel()
 	for _, unbounded := range []bool{false, true} {
-		var ch Queue[int]
+		var ch *Queue[int]
 		if unbounded {
 			ch = NewUnbounded[int]()
 		} else {

@@ -3,12 +3,13 @@
 // it at a delivery boundary (Injector).
 //
 // The paper's whole claim is correct behavior from ARBITRARY initial
-// configurations under message loss, duplication, and reordering; the
-// deterministic simulator can realize those faults through its scheduler,
-// but the concurrent substrates could not. A FaultPlan closes the gap: the
-// same plan value installs into all three engines (sim at Step delivery,
-// runtime at the per-receiver link table, udp at the mailbox boundary), so
-// one seeded chaos scenario runs everywhere.
+// configurations over channels that are FIFO and only lose. The
+// deterministic simulator realizes loss through its scheduler; a
+// FaultPlan adds seeded adversity — loss, and the duplication, reordering
+// and delay a real network adds on top of the model — and installs the
+// same way into both engines (sim at Step delivery, the concurrent engine
+// at each node's mailbox boundary, on its in-memory, UDP and TCP links
+// alike), so one seeded chaos scenario runs everywhere.
 //
 // # Composition
 //

@@ -10,20 +10,20 @@ import (
 
 // Substrate is a running execution substrate: a set of protocol stacks
 // being executed under some scheduling discipline, with channels between
-// them. The three engines of the repository implement it — the
-// deterministic simulator (internal/sim), the goroutine runtime
-// (internal/runtime), and the socket engine (internal/transport/engine,
-// over the udp and tcp links) — so the high-level façade can assemble
-// and drive a cluster without knowing which engine runs it.
+// them. The two engines of the repository implement it — the
+// deterministic simulator (internal/sim) and the concurrent engine
+// (internal/transport/engine, over its in-memory, udp and tcp links) —
+// so the high-level façade can assemble and drive a cluster without
+// knowing which engine runs it.
 //
 // The interface deliberately exposes no scheduling detail. Its unit of
 // interaction is the atomic external action: Do and Await run caller code
 // atomically with respect to every protocol action of one process, which
 // is exactly the power the paper's model grants the external application
 // (submitting a request, reading the Request variable). How atomicity is
-// realized — the simulator's single-threaded driver, the runtime's
-// per-process mutex, the socket node's action mutex — is the substrate's
-// business.
+// realized — the simulator's one mutex, under which the awaiting caller
+// steps the scheduler itself; the engine node's action mutex — is the
+// substrate's business.
 type Substrate interface {
 	// N returns the number of processes.
 	N() int
@@ -34,11 +34,14 @@ type Substrate interface {
 	// must not call back into the substrate.
 	Do(p ProcID, f func(env Env))
 
-	// Await drives or observes the execution until cond holds, then
-	// returns nil. cond is evaluated in process p's atomic context,
-	// exactly like a Do body, and is re-evaluated as the execution
-	// advances; it may carry side effects — issuing the request under
-	// test on its first successful evaluation is the idiomatic use.
+	// Await drives (the simulator: the caller steps the scheduler) or
+	// observes (the engine: the caller sleeps until a section at p makes
+	// it true) the execution until cond holds, then returns nil. cond is
+	// evaluated in process p's atomic context, exactly like a Do body,
+	// and is re-evaluated as the execution advances — on this call's own
+	// turns, not necessarily after every action; it may carry side
+	// effects — issuing the request under test on its first successful
+	// evaluation is the idiomatic use.
 	//
 	// Await returns ctx.Err() when the context is cancelled first (the
 	// execution itself keeps running), ErrClosed when the substrate was

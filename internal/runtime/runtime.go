@@ -18,11 +18,6 @@ import (
 	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
-// ErrStopped is returned by Await when the cluster was closed before the
-// condition held: core.ErrClosed, under the name this package's callers
-// know.
-var ErrStopped = engine.ErrStopped
-
 // NewCluster runs one cluster in memory, one node per stack, each
 // cluster in an address space of its own; see engine.NewCluster.
 func NewCluster(stacks []core.Stack, opts ...engine.Option) (*engine.Cluster, error) {

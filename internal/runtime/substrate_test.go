@@ -43,7 +43,7 @@ func TestEngineAwait(t *testing.T) {
 	}
 }
 
-// TestEngineAwaitStopped verifies Await unblocks with ErrStopped when
+// TestEngineAwaitStopped verifies Await unblocks with core.ErrClosed when
 // the engine is closed underneath it, and that Close is idempotent.
 func TestEngineAwaitStopped(t *testing.T) {
 	t.Parallel()
@@ -65,8 +65,8 @@ func TestEngineAwaitStopped(t *testing.T) {
 	}
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrStopped) {
-			t.Fatalf("got %v, want ErrStopped", err)
+		if !errors.Is(err, core.ErrClosed) {
+			t.Fatalf("got %v, want core.ErrClosed", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Await never unblocked after Close")

@@ -154,7 +154,7 @@ type Network struct {
 	r         *rng.Source
 	stacks    []core.Stack
 	routes    []map[string]core.Machine
-	links     map[LinkKey]channel.Queue[core.Message]
+	links     map[LinkKey]*channel.Queue[core.Message]
 	linkOrder []LinkKey
 	observers core.MultiObserver
 
@@ -178,11 +178,8 @@ type Network struct {
 
 	// Substrate-mode state (substrate.go). Deterministic single-threaded
 	// use — experiments, the model checker, the adversary — never touches
-	// any of it: the driver goroutine is spawned lazily by the first
-	// Await, so the scheduler hot path stays lock-free.
-	subMu       sync.Mutex // guards the network while the driver runs
-	subWaiters  []*awaitWaiter
-	subDriver   bool
+	// any of it, so the scheduler hot path stays lock-free.
+	subMu       sync.Mutex // held by whichever Await, Do or Sync is running
 	subClosed   bool
 	awaitBudget int
 }
@@ -198,7 +195,7 @@ func New(stacks []core.Stack, opts ...Option) *Network {
 		capacity:     1,
 		seed:         1,
 		stacks:       stacks,
-		links:        make(map[LinkKey]channel.Queue[core.Message]),
+		links:        make(map[LinkKey]*channel.Queue[core.Message]),
 		activatedSet: make([]bool, len(stacks)),
 		crashed:      make([]bool, len(stacks)),
 		awaitBudget:  DefaultAwaitBudget,
@@ -278,7 +275,7 @@ func (net *Network) Rand() *rng.Source { return net.r }
 
 // Link returns the logical channel for key k, creating it empty on first
 // use. Creation order is recorded so scheduling stays deterministic.
-func (net *Network) Link(k LinkKey) channel.Queue[core.Message] {
+func (net *Network) Link(k LinkKey) *channel.Queue[core.Message] {
 	if q, ok := net.links[k]; ok {
 		return q
 	}
@@ -288,7 +285,7 @@ func (net *Network) Link(k LinkKey) channel.Queue[core.Message] {
 	if net.topo != nil && !net.topo.HasEdge(k.From, k.To) {
 		panic(fmt.Sprintf("sim: link %v is not an edge of the topology", k))
 	}
-	var q channel.Queue[core.Message]
+	var q *channel.Queue[core.Message]
 	if net.unbounded {
 		q = channel.NewUnbounded[core.Message]()
 	} else {

@@ -3,11 +3,13 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/snapstab/snapstab/internal/check"
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/pif"
 )
@@ -22,14 +24,15 @@ func pifStacks(n int) ([]core.Stack, []*pif.PIF) {
 	return stacks, machines
 }
 
-// TestAwaitMatchesRunUntil pins the driver's core determinism property:
-// a single sequential request through Await replays the exact step
-// sequence of RunUntil with the same predicate discipline.
+// TestAwaitMatchesRunUntil pins Await's core determinism property: a
+// single sequential request through Await replays the exact step
+// sequence of RunUntil with the same predicate discipline, at every seed
+// and loss rate — same steps, same counters, same final configuration.
 func TestAwaitMatchesRunUntil(t *testing.T) {
 	t.Parallel()
-	run := func(useAwait bool) int {
+	run := func(seed uint64, loss float64, useAwait bool) (int, Stats, string) {
 		stacks, machines := pifStacks(3)
-		net := New(stacks, WithSeed(99), WithLossRate(0.1))
+		net := New(stacks, WithSeed(seed), WithLossRate(loss))
 		token := core.Payload{Tag: "t", Num: 1}
 		requested := false
 		pred := func(env core.Env) bool {
@@ -49,10 +52,17 @@ func TestAwaitMatchesRunUntil(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return net.StepCount()
+		return net.StepCount(), net.Stats(), net.ConfigHash()
 	}
-	if a, b := run(true), run(false); a != b {
-		t.Fatalf("Await executed %d steps, RunUntil %d", a, b)
+	for seed := uint64(1); seed <= 20; seed++ {
+		for _, loss := range []float64{0, 0.1, 0.3} {
+			aSteps, aStats, aHash := run(seed, loss, true)
+			rSteps, rStats, rHash := run(seed, loss, false)
+			if aSteps != rSteps || aStats != rStats || aHash != rHash {
+				t.Fatalf("seed %d loss %v: Await %d steps %+v, RunUntil %d steps %+v (same configuration: %v)",
+					seed, loss, aSteps, aStats, rSteps, rStats, aHash == rHash)
+			}
+		}
 	}
 }
 
@@ -71,8 +81,8 @@ func TestAwaitBudget(t *testing.T) {
 	}
 }
 
-// TestAwaitConcurrent drives many conditions at once: the driver must
-// satisfy all of them from one scheduler.
+// TestAwaitConcurrent drives many conditions at once: whichever request
+// holds the mutex steps the one scheduler, and all of them complete.
 func TestAwaitConcurrent(t *testing.T) {
 	t.Parallel()
 	const n = 4
@@ -104,8 +114,8 @@ func TestAwaitConcurrent(t *testing.T) {
 	}
 }
 
-// TestAwaitContextCancel verifies cancellation deregisters the waiter
-// and leaves the network usable.
+// TestAwaitContextCancel verifies cancellation ends the Await and leaves
+// the network usable.
 func TestAwaitContextCancel(t *testing.T) {
 	t.Parallel()
 	stacks, machines := pifStacks(2)
@@ -158,14 +168,14 @@ func TestAwaitClose(t *testing.T) {
 	}
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("pending await got %v, want ErrClosed", err)
+		if !errors.Is(err, core.ErrClosed) {
+			t.Fatalf("pending await got %v, want core.ErrClosed", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("pending Await never failed after Close")
 	}
-	if err := net.Await(context.Background(), 0, func(core.Env) bool { return true }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("await after close got %v, want ErrClosed", err)
+	if err := net.Await(context.Background(), 0, func(core.Env) bool { return true }); !errors.Is(err, core.ErrClosed) {
+		t.Fatalf("await after close got %v, want core.ErrClosed", err)
 	}
 }
 
@@ -185,17 +195,89 @@ func TestAwaitZeroBudget(t *testing.T) {
 	}
 }
 
-// TestDriverExitsWhenIdle verifies the driver goroutine is released as
-// soon as no request is pending, so clusters that are never Closed leak
-// nothing.
-func TestDriverExitsWhenIdle(t *testing.T) {
+// spinAwaits starts k concurrent Awaits whose condition never holds and
+// returns a function that waits for them and hands back their errors.
+func spinAwaits(ctx context.Context, net *Network, k int) func() []error {
+	var wg sync.WaitGroup
+	errs := make([]error, k)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = net.Await(ctx, core.ProcID(i%net.N()), func(core.Env) bool { return false })
+		}()
+	}
+	return func() []error { wg.Wait(); return errs }
+}
+
+// TestAwaitConcurrentBudget runs 16 never-true Awaits at once. Each one
+// fails on its own budget, counted in scheduler steps since its call
+// whoever took them; and Do and Sync from a seventeenth goroutine get
+// their turn while the sixteen spin.
+func TestAwaitConcurrentBudget(t *testing.T) {
 	t.Parallel()
+	const waiters, budget = 16, 10_000
+	stacks, _ := pifStacks(4)
+	net := New(stacks, WithSeed(7), WithAwaitBudget(budget))
+	for i, err := range spinAwaits(context.Background(), net, waiters)() {
+		var b *ErrBudget
+		if !errors.As(err, &b) {
+			t.Fatalf("await %d: got %v, want *ErrBudget", i, err)
+		}
+		if b.Steps < budget || b.Unit != "steps" {
+			t.Fatalf("await %d: budget error = %+v, want at least %d steps", i, b, budget)
+		}
+	}
+	if got := net.StepCount(); got < budget || got > waiters*budget {
+		t.Fatalf("%d waiters took %d steps, want %d (all overlapped) to %d (none did)", waiters, got, budget, waiters*budget)
+	}
+
+	// Without a budget the sixteen cannot finish on their own, so a Sync
+	// that sees the step count move ran while they spin: take five (on
+	// one CPU each turn costs a preemption slice).
+	stacks, _ = pifStacks(4)
+	net = New(stacks, WithSeed(7), WithAwaitBudget(math.MaxInt))
+	ctx, cancel := context.WithCancel(context.Background())
+	wait := spinAwaits(ctx, net, waiters)
+	for last, seen := 0, 0; seen < 5; {
+		p := core.ProcID(seen % 4)
+		net.Do(p, func(env core.Env) {
+			if env.Self() != p {
+				t.Errorf("Do(%d) ran with process %d's environment", p, env.Self())
+			}
+		})
+		net.Sync(func() {
+			if now := net.StepCount(); now > last {
+				last = now
+				seen++
+			}
+		})
+	}
+	cancel()
+	for i, err := range wait() {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("await %d: got %v, want context.Canceled", i, err)
+		}
+	}
+}
+
+// TestDriverExitsWhenIdle pins that nothing is left running, because
+// nothing is started: the waiter drives, so the goroutine count is the
+// same before an Await, at every evaluation of its condition (on the
+// caller's own goroutine) and after it. Not parallel: the count is the
+// whole process's.
+func TestDriverExitsWhenIdle(t *testing.T) {
 	stacks, machines := pifStacks(2)
 	net := New(stacks, WithSeed(3))
+	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		requested := false
 		token := core.Payload{Tag: "idle", Num: int64(i)}
+		during := ""
 		err := net.Await(context.Background(), 0, func(env core.Env) bool {
+			if g := runtime.NumGoroutine(); g != before && during == "" {
+				during = fmt.Sprintf("%d goroutines at step %d", g, net.StepCount())
+			}
 			if !requested {
 				requested = machines[0].Invoke(env, token)
 				return false
@@ -205,12 +287,11 @@ func TestDriverExitsWhenIdle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !check.Eventually(10*time.Second, time.Millisecond, func() bool {
-		net.subMu.Lock()
-		defer net.subMu.Unlock()
-		return !net.subDriver
-	}) {
-		t.Fatal("driver still running with no pending requests")
+		if during != "" {
+			t.Fatalf("request %d: %s, %d before the Await", i, during, before)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("request %d: %d goroutines after the Await, %d before", i, after, before)
+		}
 	}
 }

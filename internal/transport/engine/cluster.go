@@ -19,11 +19,6 @@ import (
 // node does not host is dropped before it can reach another group's
 // channels.
 
-// ErrStopped is returned by Await when the node or cluster was closed
-// before the condition held: core.ErrClosed, under the name this
-// package's callers know.
-var ErrStopped = core.ErrClosed
-
 // Await evaluates cond under the node's action mutex with the default
 // group's environment until it holds; see members.Await.
 func (n *Node) Await(ctx context.Context, cond func(env core.Env) bool) error {
@@ -63,7 +58,7 @@ func (c *members) Do(p core.ProcID, f func(env core.Env)) {
 }
 
 // Await evaluates cond under process p's action mutex, now and after each
-// atomic section at p, until it holds: nil, ctx.Err(), or ErrStopped.
+// atomic section at p, until it holds: nil, ctx.Err(), or core.ErrClosed.
 func (c *members) Await(ctx context.Context, p core.ProcID, cond func(env core.Env) bool) error {
 	return c.groups[p].await(ctx, c.done, cond)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // ErrRemoteProcess is returned by Host.Await for any process other than
@@ -35,7 +36,7 @@ type HostConfig struct {
 // daemons sharing a seed perturbs its n real processes exactly as one
 // local cluster would.
 type Host struct {
-	node      *Node
+	node      *engine.Node
 	self      core.ProcID
 	stacks    []core.Stack
 	deadMu    []sync.Mutex // one per inert stack; index Self is unused
@@ -46,7 +47,7 @@ var _ core.Substrate = (*Host)(nil)
 
 // NewHost binds the hosted process's listener and starts it. The caller
 // owns the host and must Close it.
-func NewHost(cfg HostConfig, stacks []core.Stack, opts ...Option) (*Host, error) {
+func NewHost(cfg HostConfig, stacks []core.Stack, opts ...engine.Option) (*Host, error) {
 	n := len(stacks)
 	if n < 2 {
 		return nil, fmt.Errorf("tcp: need at least 2 processes, got %d", n)

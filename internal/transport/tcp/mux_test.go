@@ -5,13 +5,14 @@ import (
 	"time"
 
 	"github.com/snapstab/snapstab/internal/linktest"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // The window and mux behaviours are the engine's; linktest holds their
 // tests once, and this file and window_test.go run them over TCP
 // connections (with a short redial backoff, so the mesh is up at once).
 var suite = linktest.Link{
-	NewMux: func(n int, opts ...Option) (*Mux, error) {
+	NewMux: func(n int, opts ...engine.Option) (*engine.Mux, error) {
 		return NewMux(n, append(opts, WithDialBackoff(time.Millisecond, 50*time.Millisecond))...)
 	},
 	NewRawPeer: newRawPeer,

@@ -73,26 +73,6 @@ import (
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
-// The engine's types and options, under the names this package's
-// callers use.
-type (
-	Option  = engine.Option
-	Node    = engine.Node
-	Cluster = engine.Cluster
-	Mux     = engine.Mux
-)
-
-var (
-	WithCapacity = engine.WithCapacity
-	WithBatch    = engine.WithBatch
-	WithObserver = engine.WithObserver
-	WithTopology = engine.WithTopology
-	WithFaults   = engine.WithFaults
-)
-
-// DefaultCapacity is the engine's default per-link capacity bound c.
-const DefaultCapacity = engine.DefaultCapacity
-
 // Frame format: a 4-byte big-endian length prefix followed by one wire
 // frame — the bare v1 hello, then v4 link frames. maxFrame bounds the
 // declared length against memory exhaustion from a malformed or hostile
@@ -122,7 +102,7 @@ type dialBackoff struct{ min, max time.Duration }
 
 // WithDialBackoff sets the redial backoff range (default 25ms..1s): the
 // first redial after a connection loss waits min, doubling up to max.
-func WithDialBackoff(min, max time.Duration) Option {
+func WithDialBackoff(min, max time.Duration) engine.Option {
 	return func(o *engine.Options) { o.Link = dialBackoff{min, max} }
 }
 
@@ -132,19 +112,19 @@ var transport = engine.Transport{FaultSalt: 0x7c, Bind: bind}
 
 // NewNode binds process self to the TCP listen address laddr; see
 // engine.NewNode.
-func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, opts ...Option) (*Node, error) {
+func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, opts ...engine.Option) (*engine.Node, error) {
 	return engine.NewNode(transport, self, stack, laddr, peers, opts...)
 }
 
 // NewCluster runs one cluster on loopback TCP listeners, one per stack;
 // see engine.NewCluster.
-func NewCluster(stacks []core.Stack, opts ...Option) (*Cluster, error) {
+func NewCluster(stacks []core.Stack, opts ...engine.Option) (*engine.Cluster, error) {
 	return engine.NewCluster(transport, stacks, opts...)
 }
 
 // NewMux binds one loopback listener per process and dials the full
 // connection mesh for many clusters to share; see engine.NewMux.
-func NewMux(nProcs int, opts ...Option) (*Mux, error) {
+func NewMux(nProcs int, opts ...engine.Option) (*engine.Mux, error) {
 	return engine.NewMux(transport, nProcs, opts...)
 }
 

@@ -11,6 +11,7 @@ import (
 	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/rng"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
@@ -20,7 +21,7 @@ func mkPIF(machines []*pif.PIF, self core.ProcID, n int) core.Stack {
 		OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 			return core.Payload{Tag: "ack", Num: b.Num*10 + int64(self)}
 		},
-	}, pif.WithCapacityBound(DefaultCapacity))
+	}, pif.WithCapacityBound(engine.DefaultCapacity))
 	machines[self] = m
 	return core.Stack{m}
 }
@@ -79,7 +80,7 @@ func TestSimultaneousStartDialRace(t *testing.T) {
 	// Not parallel: shares the loopback path.
 	const n = 3
 	machines := make([]*pif.PIF, n)
-	nodes := make([]*Node, n)
+	nodes := make([]*engine.Node, n)
 	for i := 0; i < n; i++ {
 		node, err := NewNode(core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n),
 			WithDialBackoff(time.Millisecond, 50*time.Millisecond))
@@ -127,7 +128,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	// Not parallel: shares the loopback path, and rebinds a fixed port.
 	const n = 2
 	machines := make([]*pif.PIF, n)
-	nodes := make([]*Node, n)
+	nodes := make([]*engine.Node, n)
 	for i := 0; i < n; i++ {
 		node, err := NewNode(core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n),
 			WithDialBackoff(time.Millisecond, 50*time.Millisecond))
@@ -137,7 +138,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 		nodes[i] = node
 	}
 	addr1 := nodes[1].Addr()
-	wire := func(node *Node, peer core.ProcID, addr string) {
+	wire := func(node *engine.Node, peer core.ProcID, addr string) {
 		t.Helper()
 		if err := node.SetPeer(peer, addr); err != nil {
 			t.Fatal(err)
@@ -156,7 +157,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	// Rebind the same port. The listener was closed, not left in
 	// TIME_WAIT, so the bind should succeed promptly; retry briefly in
 	// case the kernel lags.
-	var restarted *Node
+	var restarted *engine.Node
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		node, err := NewNode(1, mkPIF(machines, 1, n), addr1, make([]string, n),
@@ -323,7 +324,7 @@ func TestNodeValidation(t *testing.T) {
 	if _, err := NewNode(5, stack, "127.0.0.1:0", []string{"a", "b"}); err == nil {
 		t.Fatal("out-of-range self accepted")
 	}
-	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), WithCapacity(0)); err == nil {
+	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), engine.WithCapacity(0)); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), WithDialBackoff(time.Second, time.Millisecond)); err == nil {

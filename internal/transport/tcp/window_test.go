@@ -9,6 +9,7 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/linktest"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
@@ -18,14 +19,14 @@ import (
 // leave through it). It is this package's linktest.RawPeer.
 type rawPeer struct {
 	t    *testing.T
-	node *Node
+	node *engine.Node
 	ln   net.Listener
 	in   net.Conn      // accepted from the node
 	src  *bufio.Reader // over in
 	out  net.Conn      // dialed to the node
 }
 
-func newRawPeer(t *testing.T, stack core.Stack, opts ...Option) linktest.RawPeer {
+func newRawPeer(t *testing.T, stack core.Stack, opts ...engine.Option) linktest.RawPeer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -49,7 +50,7 @@ func newRawPeer(t *testing.T, stack core.Stack, opts ...Option) linktest.RawPeer
 	return p
 }
 
-func (p *rawPeer) Node() *Node { return p.node }
+func (p *rawPeer) Node() *engine.Node { return p.node }
 
 // accept takes the node's next connection and consumes its hello.
 func (p *rawPeer) accept() {

@@ -8,11 +8,12 @@ import (
 
 	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/stat"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // floodWindow is the capacity the flood benchmarks run at. The flooder
-// has no handshake flags to size, and at the protocols' DefaultCapacity
-// the benchmark would measure the window, not the datagram path: two
+// has no handshake flags to size, and at engine.DefaultCapacity the
+// benchmark would measure the window, not the datagram path: two
 // full default batches per link keep the path saturated, as the
 // pre-window mailboxes did.
 const floodWindow = 1024
@@ -41,7 +42,7 @@ func BenchmarkUDPThroughput(b *testing.B) {
 
 func benchUDPThroughput(b *testing.B, n, blob int) {
 	var delivered atomic.Int64
-	c, err := NewCluster(linktest.Flood(n, blob, &delivered), WithCapacity(floodWindow))
+	c, err := NewCluster(linktest.Flood(n, blob, &delivered), engine.WithCapacity(floodWindow))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/linktest"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
@@ -15,11 +16,11 @@ import (
 // arbitrary frames. It is this package's linktest.RawPeer.
 type rawPeer struct {
 	t    *testing.T
-	node *Node
+	node *engine.Node
 	raw  *net.UDPConn
 }
 
-func newRawPeer(t *testing.T, stack core.Stack, opts ...Option) linktest.RawPeer {
+func newRawPeer(t *testing.T, stack core.Stack, opts ...engine.Option) linktest.RawPeer {
 	t.Helper()
 	node, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), opts...)
 	if err != nil {
@@ -41,12 +42,12 @@ func newRawPeer(t *testing.T, stack core.Stack, opts ...Option) linktest.RawPeer
 }
 
 // recorderAtRawPeer is a raw peer whose node delivers into a recorder.
-func recorderAtRawPeer(t *testing.T, opts ...Option) (*rawPeer, *linktest.Recorder) {
+func recorderAtRawPeer(t *testing.T, opts ...engine.Option) (*rawPeer, *linktest.Recorder) {
 	rec := &linktest.Recorder{Inst: "rec"}
 	return newRawPeer(t, core.Stack{rec}, opts...).(*rawPeer), rec
 }
 
-func (p *rawPeer) Node() *Node { return p.node }
+func (p *rawPeer) Node() *engine.Node { return p.node }
 
 // Send fires one link frame at the node.
 func (p *rawPeer) Send(links []wire.LinkHeader, msgs ...core.Message) {
@@ -95,13 +96,13 @@ func (p *rawPeer) Restart() {
 	p.raw = fresh
 }
 
-// TestBatchOneIsOneLinkFramePerMessage pins the WithBatch(1) contract at
+// TestBatchOneIsOneLinkFramePerMessage pins the engine.WithBatch(1) contract at
 // the socket: every message leaves at once in a link frame of its own,
 // numbered consecutively on its link — and a bare pre-v4 frame from a
 // peer that cannot acknowledge is dropped, not delivered.
 func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
-	p, rec := recorderAtRawPeer(t, WithBatch(1))
+	p, rec := recorderAtRawPeer(t, engine.WithBatch(1))
 	node := p.node
 	out := []core.Message{
 		{Instance: "rec", Kind: "K", B: core.Payload{Tag: "m", Num: 42, Blob: []byte("body")}},
@@ -150,7 +151,7 @@ func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
 func TestBatchedSendCoalescesAndCounts(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
 	const burst = 10
-	p, _ := recorderAtRawPeer(t, WithCapacity(burst)) // default batching
+	p, _ := recorderAtRawPeer(t, engine.WithCapacity(burst)) // default batching
 	node := p.node
 	node.Do(func(env core.Env) {
 		for i := 0; i < burst; i++ {

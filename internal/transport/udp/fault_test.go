@@ -7,11 +7,12 @@ import (
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/pif"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // faultCluster builds a started PIF Cluster with the given plan installed
 // on every node.
-func faultCluster(t *testing.T, n int, plan *core.FaultPlan) (*Cluster, []*pif.PIF) {
+func faultCluster(t *testing.T, n int, plan *core.FaultPlan) (*engine.Cluster, []*pif.PIF) {
 	t.Helper()
 	machines := make([]*pif.PIF, n)
 	stacks := make([]core.Stack, n)
@@ -21,10 +22,10 @@ func faultCluster(t *testing.T, n int, plan *core.FaultPlan) (*Cluster, []*pif.P
 			OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 				return core.Payload{Tag: "ack", Num: b.Num*10 + int64(self)}
 			},
-		}, pif.WithCapacityBound(DefaultCapacity))
+		}, pif.WithCapacityBound(engine.DefaultCapacity))
 		stacks[i] = core.Stack{machines[i]}
 	}
-	c, err := NewCluster(stacks, WithFaults(plan))
+	c, err := NewCluster(stacks, engine.WithFaults(plan))
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestCrashRestartWindowOverUDP(t *testing.T) {
 func TestInvalidFaultPlanRejectedAtBind(t *testing.T) {
 	t.Parallel()
 	bad := &core.FaultPlan{Default: core.LinkFaults{DropRate: 1.5}}
-	if _, err := NewNode(0, core.Stack{}, "127.0.0.1:0", make([]string, 2), WithFaults(bad)); err == nil {
+	if _, err := NewNode(0, core.Stack{}, "127.0.0.1:0", make([]string, 2), engine.WithFaults(bad)); err == nil {
 		t.Fatal("invalid plan accepted")
 	}
 }

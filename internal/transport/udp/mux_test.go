@@ -33,8 +33,8 @@ func TestMuxIsolation(t *testing.T) {
 		return l, err
 	}}
 	l := suite
-	l.NewMux = func(n int, opts ...Option) (*Mux, error) { return engine.NewMux(capture, n, opts...) }
-	linktest.MuxIsolation(t, l, func(m *Mux, gidA uint64) {
+	l.NewMux = func(n int, opts ...engine.Option) (*engine.Mux, error) { return engine.NewMux(capture, n, opts...) }
+	linktest.MuxIsolation(t, l, func(m *engine.Mux, gidA uint64) {
 		// Garbage pressure: corrupt link frames for A's group, an unknown
 		// group, and raw noise, all fired at node 0 from node 1's address —
 		// i.e. from a known peer, past the sender check.

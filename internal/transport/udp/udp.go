@@ -41,26 +41,6 @@ import (
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
-// The engine's types and options, under the names this package's
-// callers use.
-type (
-	Option  = engine.Option
-	Node    = engine.Node
-	Cluster = engine.Cluster
-	Mux     = engine.Mux
-)
-
-var (
-	WithCapacity = engine.WithCapacity
-	WithBatch    = engine.WithBatch
-	WithObserver = engine.WithObserver
-	WithTopology = engine.WithTopology
-	WithFaults   = engine.WithFaults
-)
-
-// DefaultCapacity is the engine's default per-link capacity bound c.
-const DefaultCapacity = engine.DefaultCapacity
-
 // DefaultBatch is the default ceiling on messages coalesced into one
 // datagram (see WithBatch). Batches also flush at the end of every
 // atomic section, so raising the ceiling never delays a message past
@@ -87,19 +67,19 @@ var transport = engine.Transport{FaultSalt: 0x53, Bind: bind}
 
 // NewNode binds process self to the UDP address laddr; see
 // engine.NewNode.
-func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, opts ...Option) (*Node, error) {
+func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, opts ...engine.Option) (*engine.Node, error) {
 	return engine.NewNode(transport, self, stack, laddr, peers, opts...)
 }
 
 // NewCluster runs one cluster on loopback UDP sockets, one per stack;
 // see engine.NewCluster.
-func NewCluster(stacks []core.Stack, opts ...Option) (*Cluster, error) {
+func NewCluster(stacks []core.Stack, opts ...engine.Option) (*engine.Cluster, error) {
 	return engine.NewCluster(transport, stacks, opts...)
 }
 
 // NewMux binds one loopback UDP socket per process for many clusters to
 // share; see engine.NewMux.
-func NewMux(nProcs int, opts ...Option) (*Mux, error) {
+func NewMux(nProcs int, opts ...engine.Option) (*engine.Mux, error) {
 	return engine.NewMux(transport, nProcs, opts...)
 }
 

@@ -10,12 +10,13 @@ import (
 	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/rng"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
 // cluster spins up n nodes on loopback with OS-assigned ports; each
 // process's stack is produced by mk.
-func cluster(t *testing.T, n int, mk func(self core.ProcID) core.Stack) *Cluster {
+func cluster(t *testing.T, n int, mk func(self core.ProcID) core.Stack) *engine.Cluster {
 	t.Helper()
 	stacks := make([]core.Stack, n)
 	for i := range stacks {
@@ -42,7 +43,7 @@ func TestPIFOverLoopbackUDP(t *testing.T) {
 			OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 				return core.Payload{Tag: "ack", Num: b.Num*10 + int64(self)}
 			},
-		}, pif.WithCapacityBound(DefaultCapacity))
+		}, pif.WithCapacityBound(engine.DefaultCapacity))
 		machines[self] = m
 		return core.Stack{m}
 	})
@@ -90,7 +91,7 @@ func TestPIFOverUDPFromCorruptedState(t *testing.T) {
 			OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 				return core.Payload{Tag: "ack", Num: b.Num*10 + int64(self)}
 			},
-		}, pif.WithCapacityBound(DefaultCapacity))
+		}, pif.WithCapacityBound(engine.DefaultCapacity))
 		m.Corrupt(r)
 		machines[self] = m
 		return core.Stack{m}
@@ -132,7 +133,7 @@ func TestIDLOverUDP(t *testing.T) {
 	ids := []int64{30, 10, 20}
 	machines := make([]*idl.IDL, n)
 	c := cluster(t, n, func(self core.ProcID) core.Stack {
-		d := idl.New("idl", self, n, ids[self], pif.WithCapacityBound(DefaultCapacity))
+		d := idl.New("idl", self, n, ids[self], pif.WithCapacityBound(engine.DefaultCapacity))
 		machines[self] = d
 		return d.Machines()
 	})
@@ -172,8 +173,8 @@ func TestMailboxBoundsBacklog(t *testing.T) {
 	if !waitFor(t, 5*time.Second, func() bool { return p.node.Stats().MailboxDrops > 0 }) {
 		t.Fatal("100 datagrams at a frozen node overflowed nothing")
 	}
-	if held := p.node.Stats().Recvs; held > 2*DefaultCapacity {
-		t.Fatalf("frozen node holds %d messages, above the bound %d", held, 2*DefaultCapacity)
+	if held := p.node.Stats().Recvs; held > 2*engine.DefaultCapacity {
+		t.Fatalf("frozen node holds %d messages, above the bound %d", held, 2*engine.DefaultCapacity)
 	}
 }
 
@@ -182,7 +183,7 @@ func TestStatsCountSendsAndDrops(t *testing.T) {
 	const n = 2
 	machines := make([]*pif.PIF, n)
 	c := cluster(t, n, func(self core.ProcID) core.Stack {
-		m := pif.New("pif", self, n, pif.Callbacks{}, pif.WithCapacityBound(DefaultCapacity))
+		m := pif.New("pif", self, n, pif.Callbacks{}, pif.WithCapacityBound(engine.DefaultCapacity))
 		machines[self] = m
 		return core.Stack{m}
 	})
@@ -228,7 +229,7 @@ func TestStatsCountMailboxDrops(t *testing.T) {
 	// must count every overflowing message — and report each as a
 	// receive-side EvLose, never as the sender-side EvSendLost.
 	var losses, sendLost atomic.Int64
-	p, _ := recorderAtRawPeer(t, WithCapacity(1), WithObserver(core.ObserverFunc(func(e core.Event) {
+	p, _ := recorderAtRawPeer(t, engine.WithCapacity(1), engine.WithObserver(core.ObserverFunc(func(e core.Event) {
 		switch e.Kind {
 		case core.EvLose:
 			losses.Add(1)
@@ -257,7 +258,7 @@ func TestNodeValidation(t *testing.T) {
 	if _, err := NewNode(0, stack, "127.0.0.1:0", []string{"", "not-an-addr:xx"}); err == nil {
 		t.Fatal("bad peer address accepted")
 	}
-	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), WithCapacity(0)); err == nil {
+	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), engine.WithCapacity(0)); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 }

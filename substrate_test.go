@@ -11,10 +11,6 @@ import (
 	"time"
 
 	snapstab "github.com/snapstab/snapstab"
-	"github.com/snapstab/snapstab/internal/core"
-	"github.com/snapstab/snapstab/internal/runtime"
-	"github.com/snapstab/snapstab/internal/sim"
-	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // substrates lists the in-memory substrates every façade test should
@@ -507,17 +503,10 @@ func TestCloseAbortsRequests(t *testing.T) {
 // request that cannot finish — a partition that never heals cuts the
 // initiator off — on all four substrates: the request must fail with
 // ErrClosed, never hang and never succeed. Underneath, every engine
-// reports a closed substrate with the same sentinel value.
+// reports a closed substrate with the one sentinel, core.ErrClosed
+// (pinned by each engine's own Await-after-Close test).
 func TestClosePendingRequestOnEverySubstrate(t *testing.T) {
 	t.Parallel()
-	for name, err := range map[string]error{
-		"sim.ErrClosed": sim.ErrClosed, "runtime.ErrStopped": runtime.ErrStopped, "engine.ErrStopped": engine.ErrStopped,
-	} {
-		// Matching in both directions is identity for plain sentinels.
-		if !errors.Is(err, core.ErrClosed) || !errors.Is(core.ErrClosed, err) {
-			t.Errorf("%s is not core.ErrClosed", name)
-		}
-	}
 	cut := snapstab.FaultPlan{Partitions: []snapstab.PartitionWindow{{From: 0, Until: 1 << 40, GroupA: []int{0}}}}
 	for name, sub := range map[string]func() snapstab.Substrate{
 		"sim": snapstab.Sim, "runtime": snapstab.Runtime, "udp": snapstab.UDP, "tcp": snapstab.TCP,
