@@ -12,7 +12,7 @@
 //	snapbench -markdown        # emit EXPERIMENTS.md-style markdown
 //	snapbench -topo -out bench/BENCH_0006.json        # topology benchmark matrix
 //	snapbench -transport -out bench/BENCH_0008.json   # substrate comparison (runtime/udp/tcp)
-//	snapbench -transport -batch 1,16 -out bench/BENCH_0009.json   # UDP flood over the batch dimension
+//	snapbench -transport -batch 1,16 -out bench/BENCH_0009.json   # UDP and TCP floods over the batch dimension
 //
 // Tables are byte-identical at every -parallel setting: each trial's
 // randomness is a pure function of (seed, row, trial). The -topo mode is
@@ -41,7 +41,7 @@ func main() {
 		markdown = flag.Bool("markdown", false, "emit markdown tables")
 		topo     = flag.Bool("topo", false, "run the topology benchmark matrix and emit BENCH_0006.json instead")
 		trans    = flag.Bool("transport", false, "run the substrate comparison (runtime/udp/tcp) and emit BENCH_0008.json instead")
-		batch    = flag.String("batch", "", "-transport only: run the UDP flood matrix over these coalescing ceilings (e.g. \"1,16\") and emit BENCH_0009.json instead")
+		batch    = flag.String("batch", "", "-transport only: run the UDP and TCP flood matrix over these coalescing ceilings (e.g. \"1,16\") and emit BENCH_0009.json instead")
 		out      = flag.String("out", "-", "-topo/-transport only: output file (default stdout)")
 	)
 	flag.Parse()

@@ -10,19 +10,23 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/transport/engine"
+	"github.com/snapstab/snapstab/internal/transport/tcp"
 	"github.com/snapstab/snapstab/internal/transport/udp"
 )
 
 // This file is the -transport -batch mode: the BENCH_0009.json artifact.
 // Where BENCH_0008 prices one end-to-end broadcast per substrate, this
-// matrix measures raw sustained message throughput over real UDP
-// sockets along the batch dimension — batch=1 (one datagram per
-// message) against the coalescing ceilings — so the batch-frame
-// syscall-amortization claim is a recorded number, not prose. Each row also reports the achieved batch
-// occupancy (messages per datagram) and the syscall amortization
-// (messages per sendto/sendmmsg call) from the transport counters.
+// matrix measures raw sustained message throughput over real UDP and TCP
+// sockets along the batch dimension — batch=1 (one frame per message)
+// against the coalescing ceilings — so the batch-frame
+// syscall-amortization claim is a recorded number, not prose. Each row
+// also reports the achieved batch occupancy (messages per frame:
+// datagram or length-prefixed stream frame) and the syscall amortization
+// (messages per sendmmsg/sendto or writev call) from the transport
+// counters.
 //
 // Timings are hardware-dependent — the committed file is a recorded
 // baseline for trend reading, not a byte-stable artifact like the
@@ -41,7 +45,7 @@ type wireBenchResult struct {
 	BlobBytes int `json:"blob_bytes"`
 	// MsgsPerSec is the sustained delivery rate across the cluster.
 	MsgsPerSec float64 `json:"msgs_per_sec"`
-	// BatchOccupancy is messages per sent datagram (≈1 at batch=1).
+	// BatchOccupancy is messages per sent frame (≈1 at batch=1).
 	BatchOccupancy float64 `json:"batch_occupancy"`
 	// SendsPerSyscall is messages per socket write call — occupancy
 	// times the sendmmsg amortization on Linux.
@@ -80,8 +84,8 @@ func parseBatches(s string) ([]int, error) {
 	return out, nil
 }
 
-// runWireBench runs the UDP flood matrix over the batch dimension and
-// writes the JSON artifact (stdout when out is "-"). quick shrinks the
+// runWireBench runs the flood matrix over the batch dimension, on UDP and
+// then TCP, and writes the JSON artifact (stdout when out is "-"). quick shrinks the
 // matrix and the measurement window to CI-smoke scale.
 func runWireBench(out string, batches []int, quick bool) error {
 	file := wireBenchFile{
@@ -99,27 +103,29 @@ func runWireBench(out string, batches []int, quick bool) error {
 		blobs = []int{0}
 		window = 200 * time.Millisecond
 	}
-	for _, batch := range batches {
-		for _, n := range ns {
-			r, err := benchWireFlood(n, batch, 0, window)
-			if err != nil {
-				return err
+	for _, sub := range floodSubstrates {
+		for _, batch := range batches {
+			for _, n := range ns {
+				r, err := benchWireFlood(sub, n, batch, 0, window)
+				if err != nil {
+					return err
+				}
+				file.Results = append(file.Results, r)
+				printWireRow(r)
 			}
-			file.Results = append(file.Results, r)
-			printWireRow(r)
-		}
-		// Payload scaling at fixed n=8: bigger bodies mean fewer
-		// messages fit under the datagram size cap, squeezing occupancy.
-		for _, blob := range blobs {
-			if blob == 0 {
-				continue // the n=8 row above IS the 0B point
+			// Payload scaling at fixed n=8: bigger bodies mean fewer
+			// messages fit under the frame's byte budget, squeezing occupancy.
+			for _, blob := range blobs {
+				if blob == 0 {
+					continue // the n=8 row above IS the 0B point
+				}
+				r, err := benchWireFlood(sub, 8, batch, blob, window)
+				if err != nil {
+					return err
+				}
+				file.Results = append(file.Results, r)
+				printWireRow(r)
 			}
-			r, err := benchWireFlood(8, batch, blob, window)
-			if err != nil {
-				return err
-			}
-			file.Results = append(file.Results, r)
-			printWireRow(r)
 		}
 	}
 	data, err := json.MarshalIndent(file, "", "  ")
@@ -135,8 +141,8 @@ func runWireBench(out string, batches []int, quick bool) error {
 }
 
 func printWireRow(r wireBenchResult) {
-	fmt.Fprintf(os.Stderr, "udp n=%-2d batch=%-4d blob=%-4dB  %12.0f msgs/sec  %6.2f msgs/datagram  %6.2f msgs/syscall\n",
-		r.N, r.Batch, r.BlobBytes, r.MsgsPerSec, r.BatchOccupancy, r.SendsPerSyscall)
+	fmt.Fprintf(os.Stderr, "%s n=%-2d batch=%-4d blob=%-4dB  %12.0f msgs/sec  %6.2f msgs/frame  %6.2f msgs/syscall\n",
+		r.Substrate, r.N, r.Batch, r.BlobBytes, r.MsgsPerSec, r.BatchOccupancy, r.SendsPerSyscall)
 }
 
 // floodWindow is the capacity bound the flood runs at. Its machine has
@@ -145,12 +151,20 @@ func printWireRow(r wireBenchResult) {
 // the flood asks for a window deep enough to keep every link saturated.
 const floodWindow = 1024
 
-// benchWireFlood measures one (n, batch, blob) cell: sustained
+// floodSubstrate is one socket link the flood runs over.
+type floodSubstrate struct {
+	name       string
+	newCluster func([]core.Stack, ...engine.Option) (*engine.Cluster, error)
+}
+
+var floodSubstrates = []floodSubstrate{{"udp", udp.NewCluster}, {"tcp", tcp.NewCluster}}
+
+// benchWireFlood measures one (substrate, n, batch, blob) cell: sustained
 // deliveries/sec over window, with the occupancy and amortization ratios
 // read from the transport counters across the same interval.
-func benchWireFlood(n, batch, blob int, window time.Duration) (wireBenchResult, error) {
+func benchWireFlood(sub floodSubstrate, n, batch, blob int, window time.Duration) (wireBenchResult, error) {
 	var delivered atomic.Int64
-	c, err := udp.NewCluster(linktest.Flood(n, blob, &delivered), engine.WithBatch(batch), engine.WithCapacity(floodWindow))
+	c, err := sub.newCluster(linktest.Flood(n, blob, &delivered), engine.WithBatch(batch), engine.WithCapacity(floodWindow))
 	if err != nil {
 		return wireBenchResult{}, err
 	}
@@ -159,7 +173,7 @@ func benchWireFlood(n, batch, blob int, window time.Duration) (wireBenchResult, 
 	warmup := time.Now().Add(10 * time.Second)
 	for delivered.Load() < int64(n) {
 		if time.Now().After(warmup) {
-			return wireBenchResult{}, fmt.Errorf("n=%d batch=%d: flood never started", n, batch)
+			return wireBenchResult{}, fmt.Errorf("%s n=%d batch=%d: flood never started", sub.name, n, batch)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -181,7 +195,7 @@ func benchWireFlood(n, batch, blob int, window time.Duration) (wireBenchResult, 
 	after := delivered.Load()
 	s1, d1, ss1, r1, rs1 := sum()
 
-	res := wireBenchResult{Substrate: "udp", N: n, Batch: batch, Window: floodWindow, BlobBytes: blob}
+	res := wireBenchResult{Substrate: sub.name, N: n, Batch: batch, Window: floodWindow, BlobBytes: blob}
 	if elapsed > 0 {
 		res.MsgsPerSec = float64(after-before) / elapsed
 	}

@@ -62,11 +62,13 @@ func handedOff(q chan outFrame) {
 	q <- outFrame{b: buf}
 }
 
-func storedLinkFrame(s *sink, b *wirestub.BatchBuilder) {
-	fr := b.AppendLinkFrame(nil, nil)
+func storedLinkFrame(s *sink) {
+	fr, _ := wirestub.AppendLinkFrame(nil, 1, nil)
 	s.saved = fr // want `append-rendered buffer fr is retained beyond its flush scope`
 }
 
-func renderedLinkFrame(s *sink, b *wirestub.BatchBuilder) {
-	s.saved = b.AppendLinkFrame(s.saved, nil) // the flush buffer renders into itself
+func renderedLinkFrame(s *sink) {
+	var err error
+	s.saved, err = wirestub.AppendLinkFrame(s.saved, 1, nil) // the flush buffer renders into itself
+	_ = err
 }

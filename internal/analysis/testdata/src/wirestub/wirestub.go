@@ -10,10 +10,6 @@ func (b *BatchBuilder) Frame() []byte { return b.buf }
 
 func AppendEncode(dst []byte, v byte) []byte { return append(dst, v) }
 
-func (b *BatchBuilder) AppendLinkFrame(dst []byte, links []string) []byte {
-	return append(dst, b.buf...)
-}
-
 func AppendLinkFrame(dst []byte, group uint64, links []string) ([]byte, error) {
 	return append(dst, byte(group)), nil
 }

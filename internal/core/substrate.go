@@ -110,9 +110,9 @@ func (l *LinkOut) Pass(path SendPath, m Message, again *atomic.Int64) bool {
 	return true
 }
 
-// Waiters holds the pending Awaits of one process of a concurrent engine
-// (a group of a socket node, a runtime process) and ends its atomic
-// sections (Settle). Every method but Wait runs under the action mutex.
+// Waiters holds the pending Awaits of one group of a node of the
+// concurrent engine — on any of its links — and ends its atomic sections
+// (Settle). Every method but Wait runs under the action mutex.
 type Waiters struct {
 	list    []*Waiter
 	refused bool // a full link lost an eagerly stepped message since the last tick

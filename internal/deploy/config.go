@@ -46,11 +46,10 @@ type Config struct {
 	// CorruptSeed seeds the corruption draws (default: Seed). Must agree
 	// across the fleet.
 	CorruptSeed uint64 `json:"corrupt_seed,omitempty"`
-	// Batch bounds how many wire frames one socket write may carry on
-	// this daemon's transport (snapstab.WithBatch; 0 = the transport
-	// default, 1 disables write amortization). A local performance knob:
-	// it never changes the bytes on the wire, so daemons in one fleet may
-	// set it differently.
+	// Batch bounds how many messages one wire frame from this daemon
+	// carries (snapstab.WithBatch; 0 = the default, 1 gives every message
+	// its own frame). A local performance knob: receivers take frames of
+	// any packing, so daemons in one fleet may set it differently.
 	Batch int `json:"batch,omitempty"`
 	// Faults installs a fault plan on the transport. Must agree across
 	// the fleet for a coherent adversary (each daemon injects at its own

@@ -1,12 +1,15 @@
 // Package linktest holds the tests every engine.Link must pass, written
-// once against the engine's API. Each link package (udp, tcp) describes
-// itself as a Link and runs them from its own test files, so the
-// behaviours the engine promises — the capacity window seen from
-// outside, group isolation on a mux, lose-on-full accounting — are
-// checked over real sockets of both kinds without a copy per kind.
+// once against the engine's API. Each link — udp, tcp, and the in-memory
+// one from internal/runtime — describes itself as a Link and runs them
+// from its own test files, so the behaviours the engine promises — the
+// frames it packs, the capacity window seen from outside, group
+// isolation on a mux, lose-on-full accounting — are checked on all
+// three links without a copy per link.
 package linktest
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -313,6 +316,77 @@ func MuxRejectsNodeLevelAttachOptions(t *testing.T, l Link) {
 	}
 	if _, err := m.Attach(stacks, engine.WithCapacity(4)); err == nil {
 		t.Fatal("WithCapacity accepted per attached cluster")
+	}
+}
+
+// OneFramePerSection is the frame contract every link carries out: what
+// one atomic section sends to one peer — here one message to each of k
+// instances — reaches the peer as one frame, a header per instance, each
+// over its one record.
+func OneFramePerSection(t *testing.T, l Link) {
+	const k = 4
+	stack := make(core.Stack, k)
+	for i := range stack {
+		stack[i] = &Recorder{Inst: fmt.Sprintf("rec%d", i)}
+	}
+	p := l.NewRawPeer(t, stack)
+	p.Node().Do(func(env core.Env) {
+		for _, m := range stack {
+			env.Send(1, core.Message{Instance: m.Instance(), Kind: "K"})
+		}
+	})
+	links, msgs, ok := p.Next(5 * time.Second)
+	if !ok {
+		t.Fatal("no frame from the node")
+	}
+	if len(links) != k || len(msgs) != k {
+		t.Fatalf("one section's sends to %d instances arrived as a frame of %d headers over %d messages, want %d and %d",
+			k, len(links), len(msgs), k, k)
+	}
+	for i, h := range links {
+		if h.Instance != stack[i].Instance() || h.Count != 1 || msgs[i].Instance != h.Instance {
+			t.Fatalf("header %d = %+v over %v, want %q over its one message", i, h, msgs[i], stack[i].Instance())
+		}
+	}
+}
+
+// FrameAtBudget: a section's worth of maximal-blob messages arrives
+// complete and in order, in frames the byte budget keeps within one
+// datagram — frames past the pre-v4 stream bound, which every link's
+// reader must take.
+func FrameAtBudget(t *testing.T, l Link) {
+	const k = 8
+	p := l.NewRawPeer(t, core.Stack{&Recorder{Inst: "rec"}}, engine.WithCapacity(k))
+	blob := bytes.Repeat([]byte{7}, wire.MaxBlobLen)
+	p.Node().Do(func(env core.Env) {
+		for i := 0; i < k; i++ {
+			env.Send(1, core.Message{Instance: "rec", Kind: "K", B: core.Payload{Num: int64(i), Blob: blob}})
+		}
+	})
+	got, frames, largest := 0, 0, 0
+	for got < k {
+		links, msgs, ok := p.Next(5 * time.Second)
+		if !ok {
+			t.Fatalf("%d of %d messages arrived, in %d frames", got, k, frames)
+		}
+		frame, err := wire.AppendLinkFrame(nil, 0, links, msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) > wire.MaxDatagram {
+			t.Fatalf("frame %d is %d bytes, above wire.MaxDatagram", frames, len(frame))
+		}
+		largest = max(largest, len(frame))
+		for _, m := range msgs {
+			if m.B.Num != int64(got) || !bytes.Equal(m.B.Blob, blob) {
+				t.Fatalf("message %d arrived as Num %d with a %d-byte blob", got, m.B.Num, len(m.B.Blob))
+			}
+			got++
+		}
+		frames++
+	}
+	if frames == k || largest <= 2*wire.MaxBlobLen+8<<10 {
+		t.Fatalf("%d messages in %d frames, the largest %d bytes: the budget packed nothing past the pre-v4 stream bound", k, frames, largest)
 	}
 }
 

@@ -29,6 +29,8 @@ func TestReboxOverflowIsLost(t *testing.T)         { linktest.ReboxOverflowIsLos
 func TestMuxIsolation(t *testing.T)                { linktest.MuxIsolation(t, suite, nil) }
 func TestMuxHostsIndependentClusters(t *testing.T) { linktest.MuxHostsIndependentClusters(t, suite) }
 func TestMuxClusterCloseDetaches(t *testing.T)     { linktest.MuxClusterCloseDetaches(t, suite) }
+func TestOneFramePerSection(t *testing.T)          { linktest.OneFramePerSection(t, suite) }
+func TestFrameAtBudget(t *testing.T)               { linktest.FrameAtBudget(t, suite) }
 
 // rawPeer is process 1 by hand, bound in the node's own address space:
 // what the node flushes toward it queues up here, and Send calls the

@@ -1,7 +1,8 @@
 // Package runtime is the in-memory link of the concurrent engine
 // (internal/transport/engine), as internal/transport/udp and tcp are its
 // socket links: protocol stacks run as real concurrent processes — one
-// activation loop per process, frames handed from node to node as values —
+// activation loop per process, the sockets' frames handed from node to
+// node as values —
 // under the engine's channel semantics, the paper's model: every directed
 // (peer, instance) link holds at most c unconsumed messages, a send into
 // a full link is lost at the sender, new information leaves on arrival

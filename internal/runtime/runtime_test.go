@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"github.com/snapstab/snapstab/internal/rng"
 	"github.com/snapstab/snapstab/internal/spec"
 	"github.com/snapstab/snapstab/internal/transport/engine"
+	"github.com/snapstab/snapstab/internal/wire"
 )
 
 // start runs stacks on the in-memory link at the paper's c = 1, the bound
@@ -75,6 +77,37 @@ func TestPIFOnConcurrentSubstrate(t *testing.T) {
 	})
 	if !done {
 		t.Fatal("broadcast did not complete on the concurrent substrate")
+	}
+}
+
+// TestUnencodableSendIsRefused: a message the wire cannot encode is lost
+// at the sender with the wire's note and its window slot back, on the
+// in-memory link exactly as on the sockets — the framer checks every
+// message, whatever link carries the frame.
+func TestUnencodableSendIsRefused(t *testing.T) {
+	t.Parallel()
+	var mu sync.Mutex
+	var notes []string
+	stacks := []core.Stack{{&linktest.Recorder{Inst: "rec"}}, {&linktest.Recorder{Inst: "rec"}}}
+	c := start(t, stacks, engine.WithObserver(core.ObserverFunc(func(ev core.Event) {
+		if ev.Kind == core.EvSendLost {
+			mu.Lock()
+			notes = append(notes, ev.Note)
+			mu.Unlock()
+		}
+	})))
+	c.Do(0, func(env core.Env) {
+		env.Send(1, core.Message{Instance: "rec", Kind: strings.Repeat("k", wire.MaxStringLen+1)})
+	})
+	s := c.TransportStats()[0]
+	mu.Lock()
+	defer mu.Unlock()
+	if s.Sends != 0 || s.SendDrops != 1 || len(notes) != 1 || !strings.HasPrefix(notes[0], "wire: ") {
+		t.Fatalf("a 256-byte Kind: Sends = %d, SendDrops = %d, EvSendLost notes %q; want 0, 1 and the wire's refusal",
+			s.Sends, s.SendDrops, notes)
+	}
+	if l := s.Links[0]; l.InFlight != 0 || l.Dropped != 1 {
+		t.Fatalf("the refused message holds %d window slots and counts %d drops on its link; want 0 and 1", l.InFlight, l.Dropped)
 	}
 }
 

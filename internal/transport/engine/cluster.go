@@ -35,7 +35,7 @@ func (g *Group) await(ctx context.Context, done <-chan struct{}, cond func(env c
 	if !g.down() {
 		g.stack.Step(g.envs[core.PathEager])
 	}
-	n.link.Flush()
+	n.flush()
 	n.mu.Unlock()
 	return g.waiters.Wait(ctx, &n.mu, w, n.stop, done)
 }
@@ -216,7 +216,7 @@ func (m *Mux) Attach(stacks []core.Stack, opts ...Option) (*MuxCluster, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.capacity != 0 || o.batchSet || o.Link != nil {
+	if o.capacity != 0 || o.batch != 0 || o.Link != nil {
 		return nil, fmt.Errorf("engine: node-level option per attached cluster; set it on NewMux")
 	}
 	m.mu.Lock()

@@ -18,9 +18,10 @@
 //     to Deliver or drops it; a send into a full window is lost at the
 //     sender (core.EvSendLost, Note "window"). The receiver reports
 //     consumption in the link headers of whatever it sends next, or in
-//     an echo-only frame from the step timer; a sender refused at a shut
-//     window probes from the same timer, so a lost echo or a restarted
-//     peer cannot wedge the link (internal/window is the state machine);
+//     an echo the step timer adds to its next frame to the peer; a
+//     sender refused at a shut window probes from the same timer, so a
+//     lost echo or a restarted peer cannot wedge the link
+//     (internal/window is the state machine);
 //   - each (group, sender, instance) triple gets a mailbox of c slots at
 //     the receiver. A window-admitted message always finds room; the
 //     bound only bites on traffic that ignores the window (a hostile or
@@ -47,23 +48,30 @@
 // loop are coupled only through that list: Arrive feeds the windows,
 // boxes the decoded messages and signals a wakeup channel; the loop swaps
 // the list out, then — under mu — takes each listed channel's mailbox and
-// delivers it, performing any resulting sends. The link's outbound calls
-// (Queue, Control, Flush) all happen under mu, so a link needs no lock of
-// its own for what it queues, and nothing the receive side does ever
-// waits on a send. The lock order is mu → mbMu → injMu (snapvet's
-// lockorder).
+// delivers it, performing any resulting sends. The lock order is mu →
+// mbMu → injMu (snapvet's lockorder).
 //
 // The loop is event-driven end to end (DESIGN.md §7): a section that
-// delivered mail ends, before its Flush, by stepping the stacks it
+// delivered mail ends, before its frames leave, by stepping the stacks it
 // delivered to and re-evaluating their awaited conditions
-// (core.Waiters.Settle); what a Step would send again, the link's
+// (core.Waiters.Settle); what a Step would send again, the channel's
 // core.LinkOut holds back for the step timer.
+//
+// # One framer
+//
+// The engine packs every frame every link ships (frame.go, DESIGN.md
+// §13): one open frame per (peer, group), closed — and its headers
+// stamped — when it is full or the atomic section ends, and all of a
+// section's frames go to the link in one Write under mu. So a link needs
+// no lock of its own for what it writes, nothing the receive side does
+// ever waits on a send, and udp, tcp and the in-memory link carry the
+// same frames.
 //
 // The fault plane (DESIGN.md §9) acts per logical message at the mailbox
 // boundary, never per frame: every decoded message passes its group's
-// injector individually before it is put in a mailbox, so §9 semantics and seed
-// reproducibility are independent of how a link packed messages on the
-// wire. Delayed messages surface at the head of the step tick.
+// injector individually before it is put in a mailbox, so §9 semantics
+// and seed reproducibility are independent of how messages were packed.
+// Delayed messages surface at the head of the step tick.
 package engine
 
 import (
@@ -99,7 +107,6 @@ const stepInterval = 2 * time.Millisecond
 type Options struct {
 	capacity  int
 	batch     int
-	batchSet  bool
 	observers core.MultiObserver
 	topology  *core.Topology
 	faults    *core.FaultPlan
@@ -121,12 +128,11 @@ func WithCapacity(c int) Option {
 	return func(o *Options) { o.capacity = c }
 }
 
-// WithBatch bounds how many messages (UDP: per coalesced datagram,
-// default 16) or frames (TCP: per vectored write, default 32) one socket
-// write carries; the ceiling is wire.MaxBatch. WithBatch(1) gives every
-// message its own frame and write.
+// WithBatch bounds how many messages one frame carries (default 16, at
+// most wire.MaxBatch), on every link alike. WithBatch(1) gives every
+// message a frame of its own.
 func WithBatch(k int) Option {
-	return func(o *Options) { o.batch, o.batchSet = k, true }
+	return func(o *Options) { o.batch = k }
 }
 
 // WithObserver subscribes an event observer on the default group.
@@ -178,7 +184,6 @@ type LinkConfig struct {
 	// sizing receive buffers.
 	Instances int
 	Capacity  int
-	Batch     int // WithBatch, or 0 for the link's default
 	// Topology is the default group's graph (nil: complete, or a mux
 	// node whose groups restrict traffic per message).
 	Topology *core.Topology
@@ -200,10 +205,8 @@ type IOCounters struct {
 	Redials                    atomic.Int64
 }
 
-// Link is the socket layer under one node. The outbound methods (Queue,
-// Control, Flush) are only called under the node's action mutex, one
-// call at a time. A link reports what became of the frames it queued
-// through the Group methods Sent, SendLost and ControlSent.
+// Link is the layer under one node that moves frames: it frames nothing
+// and stamps nothing itself.
 type Link interface {
 	// Addr returns the bound local address.
 	Addr() string
@@ -213,15 +216,11 @@ type Link interface {
 	Start()
 	// Stop ends them and closes the sockets, started or not.
 	Stop()
-
-	// Queue takes one message already admitted by c's window, toward
-	// c.Peer. An error means the message never entered the link.
-	Queue(g *Group, c *Chan, m core.Message) error
-	// Control queues an echo or probe header for c. Best effort: the
-	// next step tick asks again.
-	Control(g *Group, c *Chan, probe bool)
-	// Flush ends an atomic section: nothing queued stays unwritten.
-	Flush()
+	// Write takes every frame one atomic section closed, in order, under
+	// the node's action mutex. The link reports each frame's fate through
+	// its Tally, now or later and from any goroutine, and reads Links and
+	// Msgs only during the call.
+	Write(frames []Frame)
 }
 
 // Group is one protocol stack hosted on a node: an independent cluster
@@ -260,15 +259,14 @@ type Group struct {
 	probeFrames  atomic.Int64
 }
 
-// peerLinks is what a group keeps per peer: the message counters and the
-// channels, one per instance in creation order, created on first use.
+// peerLinks is what a group keeps per peer: the message counters, the
+// channels, one per instance in creation order, created on first use,
+// and the frame open toward the peer.
 type peerLinks struct {
 	sent, recvd, dropped atomic.Int64
 	chans                []*Chan // under n.mbMu
+	open                 int     // 1 + the open frame's index in n.out, 0 if none; under n.mu
 }
-
-// ID returns the wire group id the group's frames carry.
-func (g *Group) ID() uint64 { return g.id }
 
 func (g *Group) emit(ev core.Event) {
 	if len(g.observers) > 0 {
@@ -285,33 +283,6 @@ func (g *Group) now() int64 {
 // down reports whether the group is inside a crash window for self.
 func (g *Group) down() bool {
 	return g.fault != nil && g.fault.Down(g.n.self, g.now())
-}
-
-// Sent accounts k messages toward peer to that the link accepted.
-func (g *Group) Sent(to core.ProcID, k int) {
-	g.sends.Add(int64(k))
-	g.peers[to].sent.Add(int64(k))
-}
-
-// SendLost accounts k messages toward peer to that the link lost after
-// queueing them. The messages are not retained past encoding, so the
-// loss events carry the link, not the message body.
-func (g *Group) SendLost(to core.ProcID, k int, note string) {
-	g.sendDrops.Add(int64(k))
-	g.peers[to].dropped.Add(int64(k))
-	for i := 0; i < k; i++ {
-		g.emit(core.Event{Kind: core.EvSendLost, Proc: g.n.self, Peer: to, Note: note})
-	}
-}
-
-// ControlSent accounts one control frame (no messages, link headers
-// only) the link wrote: a probe, or else an echo.
-func (g *Group) ControlSent(probe bool) {
-	if probe {
-		g.probeFrames.Add(1)
-	} else {
-		g.echoFrames.Add(1)
-	}
 }
 
 // Stats returns the group's message counters — the totals and, per link,
@@ -411,7 +382,7 @@ type groupSet struct {
 // Chan is this node's end of one channel: the two directed links between
 // one group here and at Peer that serve one protocol instance. It is all
 // the engine knows about the channel, so a message enters, waits in and
-// leaves it in one place. A link uses Peer, Instance and Stamp only.
+// leaves it in one place.
 type Chan struct {
 	g        *Group
 	Peer     core.ProcID
@@ -422,16 +393,6 @@ type Chan struct {
 	// Under n.mbMu.
 	w   window.Link
 	box []core.Message // arrived, not yet taken by a drain: at most c
-}
-
-// Stamp returns the header of a frame about to leave on c and records
-// that the current acknowledgment is on the wire.
-func (c *Chan) Stamp(probe bool) wire.LinkHeader {
-	n := c.g.n
-	n.mbMu.Lock()
-	h := c.w.Stamp(probe)
-	n.mbMu.Unlock()
-	return wire.LinkHeader{Instance: c.Instance, Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}
 }
 
 // channel returns g's record for (peer, instance), creating it on first
@@ -461,6 +422,7 @@ type Node struct {
 	self     core.ProcID
 	link     Link
 	capacity int
+	batch    int // messages per frame at most
 	salt     uint64
 	wired    []bool // indexed by peer: the link has an address for it
 	io       IOCounters
@@ -471,10 +433,11 @@ type Node struct {
 	groups atomic.Pointer[groupSet]
 
 	// mu is the action mutex: it makes stack actions (Step, Deliver, Do)
-	// atomic, and serializes the link's outbound half. Every atomic
-	// section ends with link.Flush.
+	// atomic, and serializes the framer and the link's Write. Every
+	// atomic section ends with flush.
 	mu    sync.Mutex
-	due   []due          // step-timer scratch: control frames due
+	out   []Frame        // the section's frames, in the order they opened
+	due   []due          // step-timer scratch: control headers due
 	dirty []*Group       // drain scratch: groups that got mail
 	taken []core.Message // drain scratch: the mailbox being delivered
 
@@ -502,16 +465,17 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 	if self < 0 || int(self) >= len(peers) {
 		return nil, fmt.Errorf("engine: self %d outside peer list of %d", self, len(peers))
 	}
-	o := Options{capacity: DefaultCapacity}
+	o := Options{capacity: DefaultCapacity, batch: defaultBatch}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.capacity < 1 || (o.batchSet && (o.batch < 1 || o.batch > wire.MaxBatch)) {
+	if o.capacity < 1 || o.batch < 1 || o.batch > wire.MaxBatch {
 		return nil, fmt.Errorf("engine: invalid capacity %d / batch %d", o.capacity, o.batch)
 	}
 	n := &Node{
 		self:     self,
 		capacity: o.capacity,
+		batch:    o.batch,
 		salt:     t.FaultSalt,
 		wired:    make([]bool, len(peers)),
 		mail:     make(chan struct{}, 1),
@@ -532,7 +496,7 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 	}
 	link, err := t.Bind(LinkConfig{
 		Self: self, Listen: laddr, Peers: len(peers), Instances: len(stack),
-		Capacity: o.capacity, Batch: o.batch, Topology: o.topology, Link: o.Link,
+		Capacity: o.capacity, Topology: o.topology, Link: o.Link,
 		Arrive: n.arrive, IO: &n.io,
 	})
 	if err != nil {
@@ -680,17 +644,19 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 		lost("window")
 		return
 	}
-	if err := n.link.Queue(g, c, m); err != nil {
-		// Unencodable, or the link has no room: counted so the loss is
-		// observable. The message never entered the link.
+	size, err := wire.RecordSize(m)
+	if err != nil {
+		// Unencodable: counted so the loss is observable. The message
+		// never entered the link.
 		n.mbMu.Lock()
 		c.w.Cancel()
 		n.mbMu.Unlock()
 		lost(err.Error())
 		return
 	}
-	// The send event fires at enqueue so observers see protocol order;
-	// the link counts the message (Group.Sent) when it accepts it.
+	n.pack(c, m, size)
+	// The send event fires as the message is framed, so observers see
+	// protocol order; its Tally counts it once the link wrote the frame.
 	g.emit(core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m})
 }
 
@@ -828,15 +794,16 @@ func (n *Node) tick() {
 		g.waiters.Settle(g.stack, &g.envs, core.PathTick)
 		n.control(g)
 	}
-	n.link.Flush()
+	n.flush()
 	n.mu.Unlock()
 }
 
 // control runs the timer edge of every channel of g, after the group's
-// own Step so that anything Step sent already carried the
-// acknowledgments: an echo that found no data to ride on for a full step
-// interval leaves as an echo-only frame, and a window that refused a send
-// while shut emits a probe. Callers hold n.mu and flush.
+// own Step so that anything Step sent carries the acknowledgments: an
+// echo that found no data to ride on for a full step interval puts its
+// header in the peer's frame — an echo-only frame if Step sent the peer
+// nothing — and a window that refused a send while shut adds a probe.
+// Callers hold n.mu and flush.
 func (n *Node) control(g *Group) {
 	n.due = n.due[:0]
 	n.mbMu.Lock()
@@ -849,7 +816,8 @@ func (n *Node) control(g *Group) {
 	}
 	n.mbMu.Unlock()
 	for _, d := range n.due {
-		n.link.Control(g, d.c, d.probe)
+		f, j := n.frame(d.c, 0)
+		f.Links[j].Probe = f.Links[j].Probe || d.probe
 	}
 }
 
@@ -870,9 +838,26 @@ func (n *Node) drainMail() {
 	n.ready, n.spare = n.spare, nil
 	n.mbMu.Unlock()
 
-	gs := n.groups.Load()
-	held := batch[:0]
 	n.mu.Lock()
+	held := n.deliver(batch)
+	n.flush()
+	n.mu.Unlock()
+
+	n.mbMu.Lock()
+	n.ready = append(n.ready, held...)
+	clear(batch)
+	n.spare = batch[:0]
+	n.mbMu.Unlock()
+}
+
+// deliver is drainMail's atomic section up to its flush, a call of its
+// own so that its frame is off the stack while the section's frames
+// leave (the in-memory link's Write runs the peers' Arrive on this
+// goroutine). It returns the channels held through a crash window.
+// Callers hold n.mu.
+func (n *Node) deliver(batch []*Chan) (held []*Chan) {
+	gs := n.groups.Load()
+	held = batch[:0]
 	for _, c := range batch {
 		g := c.g
 		if gs.byID[g.id] != g {
@@ -911,18 +896,11 @@ func (n *Node) drainMail() {
 		g.waiters.Settle(g.stack, &g.envs, core.PathEager)
 	}
 	n.dirty = n.dirty[:0]
-	n.link.Flush()
-	n.mu.Unlock()
-
-	n.mbMu.Lock()
-	n.ready = append(n.ready, held...)
-	clear(batch)
-	n.spare = batch[:0]
-	n.mbMu.Unlock()
+	return held
 }
 
 // Do runs f under the node's action mutex with its default group's
-// environment, then flushes any sends f made.
+// environment; the frames of any sends f made leave as it returns.
 func (n *Node) Do(f func(env core.Env)) {
 	if n.g0 == nil {
 		panic("engine: Do on a node with no default group")
@@ -934,5 +912,5 @@ func (n *Node) doGroup(g *Group, f func(env core.Env)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	f(g.envs[core.PathAction])
-	n.link.Flush()
+	n.flush()
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"github.com/snapstab/snapstab/internal/core"
-	"github.com/snapstab/snapstab/internal/wire"
 )
 
 // memoryFaultSalt is the salt the in-memory substrate has always seeded
@@ -16,11 +15,12 @@ const memoryFaultSalt = 0x52
 
 // Memory returns the in-memory transport, the third Link beside udp and
 // tcp: the nodes bound through one returned value share an address space
-// of their own, and a frame queued in an atomic section reaches its
-// peer's Arrive, as the header and message values themselves, at that
-// section's Flush. Nothing is encoded and no goroutine runs; the channel
-// semantics — window, mailbox, fault plane — are the engine's, as on
-// sockets.
+// of their own, and the frames an atomic section closed reach their
+// peers' Arrive, as the header and message values themselves, as the
+// section ends. They are the frames the sockets ship, packed and stamped
+// by the same framer; only the encoding is skipped, and no goroutine
+// runs. The channel semantics — window, mailbox, fault plane — are the
+// engine's, as on sockets.
 func Memory() Transport { return new(memNet).transport() }
 
 // memNet is one in-memory address space: a link's address is its index.
@@ -42,24 +42,12 @@ func (mn *memNet) transport() Transport {
 	}}
 }
 
-// memLink is one node's end of a memNet. Its outbound state needs no
-// lock: the engine calls Queue, Control and Flush under the node's action
-// mutex only.
+// memLink is one node's end of a memNet.
 type memLink struct {
 	cfg   LinkConfig
 	net   *memNet
 	addr  string
 	peers []*memLink
-	out   []memFrame
-}
-
-// memFrame is one queued frame: a link header and, when its Count is 1,
-// the message it heads, as the one-element slices Arrive takes.
-type memFrame struct {
-	to  *memLink
-	gid uint64
-	h   [1]wire.LinkHeader
-	m   [1]core.Message
 }
 
 func (l *memLink) Addr() string { return l.addr }
@@ -77,37 +65,24 @@ func (l *memLink) Wire(peer core.ProcID, addr string) error {
 	return nil
 }
 
-func (l *memLink) Queue(g *Group, c *Chan, m core.Message) error {
-	h := c.Stamp(false)
-	h.Count = 1
-	l.out = append(l.out, memFrame{to: l.peers[c.Peer], gid: g.ID(), h: [1]wire.LinkHeader{h}, m: [1]core.Message{m}})
-	g.Sent(c.Peer, 1)
-	return nil
-}
-
-func (l *memLink) Control(g *Group, c *Chan, probe bool) {
-	l.out = append(l.out, memFrame{to: l.peers[c.Peer], gid: g.ID(), h: [1]wire.LinkHeader{c.Stamp(probe)}})
-	g.ControlSent(probe)
-}
-
-// Flush hands every queued frame to its peer's Arrive, on the caller's
-// goroutine and under the caller's action mutex: Arrive takes the
-// receiving node's mailbox and injector locks and never an action mutex,
-// so the lock order mu → mbMu → injMu holds across nodes.
-func (l *memLink) Flush() {
+// Write hands every frame to its peer's Arrive, on the caller's goroutine
+// and under the caller's action mutex: Arrive takes the receiving node's
+// mailbox and injector locks and never an action mutex, so the lock
+// order mu → mbMu → injMu holds across nodes. Nothing can fail, so every
+// frame counts as sent as it is handed over.
+func (l *memLink) Write(frames []Frame) {
 	self := l.cfg.Self
-	for i := range l.out {
-		f := &l.out[i]
+	for i := range frames {
+		f := &frames[i]
+		to := l.peers[f.To]
 		copies := 1
 		if rule := l.net.copies.Load(); rule != nil {
-			copies = (*rule)(self, f.to.cfg.Self)
+			copies = (*rule)(self, to.cfg.Self)
 		}
-		l.cfg.IO.SendFrames.Add(1)
+		f.Sent()
 		for ; copies > 0; copies-- {
-			f.to.cfg.IO.RecvFrames.Add(1)
-			f.to.cfg.Arrive(self, f.gid, f.h[:], f.m[:f.h[0].Count])
+			to.cfg.IO.RecvFrames.Add(1)
+			to.cfg.Arrive(self, f.Group, f.Links, f.Msgs)
 		}
 	}
-	clear(l.out) // drop the payload references
-	l.out = l.out[:0]
 }

@@ -30,19 +30,22 @@
 //
 // Every frame on a connection is a 4-byte big-endian length prefix
 // followed by one wire-encoded unit: the bare v1 hello that opens the
-// connection, then wire v4 link frames — one message under its link's
-// sequence/acknowledgment header, or a header alone (echo, probe) —
-// whose uvarint group id the engine routes on.
+// connection, then the engine's wire v4 link frames — the same frames
+// UDP sends as datagrams, packed and stamped by the engine, at most
+// wire.MaxDatagram bytes each — whose uvarint group id the engine routes
+// on.
 //
 // # Amortized socket IO
 //
-// Writers coalesce: when a writer wakes it drains every frame already
-// queued on its link and hands them to the kernel as one vectored write
-// (writev via net.Buffers), so a retransmission burst costs one syscall,
-// not one per message. Readers amortize symmetrically through a buffered
-// reader sized to pull many frames per socket read. Sends enqueue
-// encoded frames and never block: a blocking socket write can only stall
-// its own link's writer goroutine, never a protocol action.
+// Write renders each frame, length-prefixed, and queues it to its
+// link's writer; it never blocks, so a blocking socket write can only
+// stall its own link's writer goroutine, never a protocol action. When
+// a writer wakes it drains every frame already queued on its link, up
+// to sendVecCap, and hands them to the kernel as one vectored write
+// (writev via net.Buffers), so a retransmission burst costs one
+// syscall. A frame counts as sent once that write succeeded. Readers
+// amortize symmetrically through a buffered reader sized to pull many
+// frames per socket read.
 //
 // # Dial/accept lifecycle
 //
@@ -76,15 +79,11 @@ import (
 // Frame format: a 4-byte big-endian length prefix followed by one wire
 // frame — the bare v1 hello, then v4 link frames. maxFrame bounds the
 // declared length against memory exhaustion from a malformed or hostile
-// peer; the headroom over a maximal v2 record covers the link header and
-// the record prefix. A violation is a protocol error and closes the
-// connection.
-const maxFrame = 2*wire.MaxBlobLen + 8<<10
+// peer: the engine's frames are datagram-sized. A violation is a
+// protocol error and closes the connection.
+const maxFrame = wire.MaxDatagram
 
-// sendVecCap is the default bound on how many queued frames one
-// vectored write carries (WithBatch). Unlike UDP's coalescing knob this
-// is purely a syscall bound: frames are never merged or delayed, so the
-// bytes on the wire are identical at every setting.
+// sendVecCap bounds how many queued frames one vectored write carries.
 const sendVecCap = 32
 
 // writeTimeout bounds every connect and frame write. A write that
@@ -128,49 +127,36 @@ func NewMux(nProcs int, opts ...engine.Option) (*engine.Mux, error) {
 	return engine.NewMux(transport, nProcs, opts...)
 }
 
-// Kinds of queued frame: one message, or a control frame.
-const (
-	frameData = iota
-	frameEcho
-	frameProbe
-)
-
-// outFrame is one encoded frame queued on a link, tagged with the group
-// whose counters and observers account for its fate.
+// outFrame is one encoded frame queued on a link, with the tally its fate
+// is reported to.
 type outFrame struct {
 	b    []byte
-	g    *engine.Group
-	kind uint8
+	fate engine.Tally
 }
 
 // sendQueueSlots sizes a connection's outbound queue from the capacity
 // bound: eight (group, instance) links' worth of full windows plus a
-// control frame each. Every queued message holds a window slot, so the
-// queue adds nothing to the bound; a node multiplexing more links than
-// that onto one connection sees the overflow as sender-side loss.
+// control frame each, at one message per frame. Every queued message
+// holds a window slot, so the queue adds nothing to the bound; a node
+// multiplexing more frames than that onto one connection sees the
+// overflow as loss in transit.
 func sendQueueSlots(capacity int) int { return 8 * (capacity + 1) }
 
 // link is one outgoing directed edge: a bounded queue of encoded frames
 // drained by a writer goroutine that owns the connection lifecycle.
 type link struct {
-	peer core.ProcID
 	addr string
 	q    chan outFrame
 }
 
 // mesh is one node's listener and connections: the engine.Link of this
-// package. The engine calls Queue and Control under the node's action
-// mutex only, which is what guards the scratch arrays and makes the
-// queue-room check race-free.
+// package. The engine calls Write under the node's action mutex only,
+// which is what makes the queue-room check race-free.
 type mesh struct {
 	cfg     engine.LinkConfig
 	ln      net.Listener
-	vecCap  int
 	dialMin time.Duration
 	dialMax time.Duration
-
-	sendOne [1]core.Message    // single-record scratch
-	hdrOne  [1]wire.LinkHeader // single-header scratch
 
 	out []*link // indexed by peer; nil for self and unwired peers
 
@@ -190,16 +176,12 @@ type mesh struct {
 func bind(cfg engine.LinkConfig) (engine.Link, error) {
 	ms := &mesh{
 		cfg:      cfg,
-		vecCap:   cfg.Batch,
 		dialMin:  25 * time.Millisecond,
 		dialMax:  time.Second,
 		out:      make([]*link, cfg.Peers),
 		accepted: make(map[net.Conn]struct{}),
 		inbound:  make(map[core.ProcID]*inboundConn),
 		stop:     make(chan struct{}),
-	}
-	if ms.vecCap == 0 {
-		ms.vecCap = sendVecCap
 	}
 	if b, ok := cfg.Link.(dialBackoff); ok {
 		ms.dialMin, ms.dialMax = b.min, b.max
@@ -218,7 +200,7 @@ func bind(cfg engine.LinkConfig) (engine.Link, error) {
 func (ms *mesh) Addr() string { return ms.ln.Addr().String() }
 
 func (ms *mesh) Wire(peer core.ProcID, addr string) error {
-	ms.out[peer] = &link{peer: peer, addr: addr, q: make(chan outFrame, sendQueueSlots(ms.cfg.Capacity))}
+	ms.out[peer] = &link{addr: addr, q: make(chan outFrame, sendQueueSlots(ms.cfg.Capacity))}
 	return nil
 }
 
@@ -234,59 +216,39 @@ func (ms *mesh) Start() {
 	go ms.acceptLoop()
 }
 
-// framePool recycles encoded frames between Queue (producer) and the
+// framePool recycles encoded frames between Write (producer) and the
 // writer goroutines (consumer), so steady-state sending allocates only
 // when a frame outgrows its recycled buffer.
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// Queue frames m alone under c's header. The message counts as sent
-// once it is in the link's queue, and therefore in the model's channel.
-func (ms *mesh) Queue(g *engine.Group, c *engine.Chan, m core.Message) error {
-	ms.sendOne[0] = m
-	err := ms.enqueue(g, c, frameData, ms.sendOne[:])
-	ms.sendOne[0] = core.Message{}
-	if err == nil {
-		g.Sent(c.Peer, 1)
+// Write length-prefixes every frame and queues it toward its peer. A
+// frame that finds the queue full, or the link stopped, is lost in
+// transit.
+func (ms *mesh) Write(frames []engine.Frame) {
+	for i := range frames {
+		f := &frames[i]
+		l := ms.out[f.To]
+		select {
+		case <-ms.stop:
+			f.Lost("link stopped")
+			continue
+		default:
+		}
+		if len(l.q) == cap(l.q) {
+			f.Lost("queue full")
+			continue
+		}
+		bp := framePool.Get().(*[]byte)
+		buf, err := wire.AppendLinkFrame(append((*bp)[:0], 0, 0, 0, 0), f.Group, f.Links, f.Msgs)
+		if err != nil {
+			framePool.Put(bp)
+			f.Lost(err.Error())
+			continue
+		}
+		binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
+		//lint:ignore poolalias the queue hands the frame's ownership to the link's writer, which returns it to framePool after the write
+		l.q <- outFrame{b: buf, fate: f.Tally}
 	}
-	return err
-}
-
-// Control queues c's header alone. A control frame that finds its queue
-// full is dropped; the next tick asks again.
-func (ms *mesh) Control(g *engine.Group, c *engine.Chan, probe bool) {
-	kind := uint8(frameEcho)
-	if probe {
-		kind = frameProbe
-	}
-	_ = ms.enqueue(g, c, kind, nil)
-}
-
-// Flush has nothing to do: frames leave through the writers' queues.
-func (ms *mesh) Flush() {}
-
-// errQueueFull is enqueue's verdict on a full outbound queue: more links
-// than the queue was sized for share this connection.
-var errQueueFull = errors.New("queue full")
-
-// enqueue frames msgs (one message for frameData, none for a control
-// frame) under c's freshly stamped link header and queues the frame
-// toward c.Peer.
-func (ms *mesh) enqueue(g *engine.Group, c *engine.Chan, kind uint8, msgs []core.Message) error {
-	l := ms.out[c.Peer]
-	if len(l.q) == cap(l.q) {
-		return errQueueFull
-	}
-	ms.hdrOne[0] = c.Stamp(kind == frameProbe)
-	bp := framePool.Get().(*[]byte)
-	buf, err := wire.AppendLinkFrame(append((*bp)[:0], 0, 0, 0, 0), g.ID(), ms.hdrOne[:], msgs)
-	if err != nil {
-		framePool.Put(bp)
-		return err
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	//lint:ignore poolalias the queue hands the frame's ownership to the link's writer, which returns it to framePool after the write
-	l.q <- outFrame{b: buf, g: g, kind: kind}
-	return nil
 }
 
 // helloFrame encodes this node's identification frame: a bare wire v1
@@ -333,7 +295,8 @@ func (ms *mesh) dial(l *link) (net.Conn, error) {
 // write (writev), so a burst costs one syscall, not one per frame. A
 // frame caught by a write error is lost in transit — the model's message
 // loss; the protocols' retransmission keeps fresh copies coming once the
-// link is back.
+// link is back. Each frame's fate is reported once, after its write or
+// at Stop.
 func (ms *mesh) writeLoop(l *link) {
 	defer ms.wg.Done()
 	var conn net.Conn
@@ -341,12 +304,20 @@ func (ms *mesh) writeLoop(l *link) {
 		if conn != nil {
 			conn.Close()
 		}
+		for {
+			select {
+			case f := <-l.q:
+				f.fate.Lost("link stopped")
+			default:
+				return
+			}
+		}
 	}()
 	cnt := ms.cfg.IO
 	backoff := ms.dialMin
 	dialed := 0
-	batch := make([]outFrame, 0, ms.vecCap)
-	vec := make(net.Buffers, 0, ms.vecCap)
+	batch := make([]outFrame, 0, sendVecCap)
+	vec := make(net.Buffers, 0, sendVecCap)
 	for {
 		if conn == nil {
 			c, err := ms.dial(l)
@@ -398,23 +369,14 @@ func (ms *mesh) writeLoop(l *link) {
 				fp := bf.b[:0]
 				framePool.Put(&fp)
 			}
-			cnt.SendFrames.Add(int64(len(batch) - lost))
 			for _, bf := range batch[:len(batch)-lost] {
-				if bf.kind != frameData {
-					bf.g.ControlSent(bf.kind == frameProbe)
-				}
+				bf.fate.Sent()
 			}
 			if err != nil {
 				conn.Close()
 				conn = nil
 				for _, bf := range batch[len(batch)-lost:] {
-					if bf.kind == frameData {
-						// The message keeps its window slot until an
-						// acknowledgment or a probe over the next connection
-						// proves it gone. (A lost control frame carried no
-						// message.)
-						bf.g.SendLost(l.peer, 1, "connection lost")
-					}
+					bf.fate.Lost("connection lost")
 				}
 			}
 		}

@@ -1,9 +1,11 @@
 package tcp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -314,6 +316,66 @@ func TestSendAfterStopCountsDrops(t *testing.T) {
 	s := node.Stats()
 	if s.Sends+s.SendDrops != attempts {
 		t.Fatalf("Sends (%d) + SendDrops (%d) = %d, want %d", s.Sends, s.SendDrops, s.Sends+s.SendDrops, attempts)
+	}
+}
+
+// TestResetPeerCountsEachSendOnce: a peer that accepts every connection
+// and resets it makes the writer lose frames. Once the writer is idle,
+// every EvSend is counted exactly once — in Sends if its frame's write
+// succeeded, as an EvSendLost with the link's note if not — never both.
+func TestResetPeerCountsEachSendOnce(t *testing.T) {
+	// Not parallel: shares the loopback path.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			_, _, _ = readFrame(bufio.NewReader(conn), nil) // the hello
+			_ = conn.(*net.TCPConn).SetLinger(0)            // close with a reset
+			conn.Close()
+		}
+	}()
+	var sends, linkLost atomic.Int64
+	const k = 200
+	node, err := NewNode(0, core.Stack{&linktest.Recorder{Inst: "rec"}}, "127.0.0.1:0", []string{"", ln.Addr().String()},
+		engine.WithCapacity(k), WithDialBackoff(time.Millisecond, 5*time.Millisecond),
+		engine.WithObserver(core.ObserverFunc(func(e core.Event) {
+			switch {
+			case e.Kind == core.EvSend:
+				sends.Add(1)
+			case e.Kind == core.EvSendLost && e.Note != "window":
+				linkLost.Add(1)
+			}
+		})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Start()
+	defer node.Stop()
+	for i := 0; i < k; i++ {
+		node.Do(func(env core.Env) {
+			env.Send(1, core.Message{Instance: "rec", Kind: "K", B: core.Payload{Num: int64(i)}})
+		})
+		time.Sleep(200 * time.Microsecond)
+	}
+	var s core.TransportStats
+	once := waitFor(t, 10*time.Second, func() bool {
+		s = node.Stats()
+		return s.Sends+linkLost.Load() == sends.Load() && s.SendDrops == linkLost.Load()
+	})
+	if linkLost.Load() == 0 {
+		t.Fatal("no frame was lost: the peer's resets never failed a write")
+	}
+	if !once {
+		t.Fatalf("%d EvSend, but Sends = %d and %d EvSendLost on the link (SendDrops = %d): a message counted twice or not at all",
+			sends.Load(), s.Sends, linkLost.Load(), s.SendDrops)
 	}
 }
 

@@ -154,3 +154,5 @@ func TestProbeReopensShutWindow(t *testing.T) {
 }
 
 func TestReboxOverflowIsLost(t *testing.T) { linktest.ReboxOverflowIsLost(t, suite) }
+func TestOneFramePerSection(t *testing.T)  { linktest.OneFramePerSection(t, suite) }
+func TestFrameAtBudget(t *testing.T)       { linktest.FrameAtBudget(t, suite) }

@@ -122,7 +122,7 @@ func (s *socket) sendFrames(buf []byte, frames []frameRef) {
 		}
 		for j := 0; j < k; j++ {
 			fr := frames[start+j]
-			sa := s.mm.sendSA[fr.to]
+			sa := s.mm.sendSA[fr.f.To]
 			iov := &s.mm.sIov[j]
 			iov.Base = &buf[fr.off]
 			iov.SetLen(fr.len)
@@ -154,17 +154,17 @@ func (s *socket) sendFrames(buf []byte, frames []frameRef) {
 			return true
 		})
 		for j := 0; j < sent; j++ {
-			s.frameSent(frames[start+j])
+			frames[start+j].f.Sent()
 		}
 		if sent < k {
 			for j := sent; j < k; j++ {
-				s.frameFailed(frames[start+j])
+				frames[start+j].f.Lost(writeFailed)
 			}
 			if werr != nil || serr != 0 {
 				// Socket-level failure (closed, unreachable): the remaining
 				// chunks would fail identically.
 				for _, fr := range frames[start+k:] {
-					s.frameFailed(fr)
+					fr.f.Lost(writeFailed)
 				}
 				return
 			}

@@ -19,3 +19,5 @@ func TestSilentPeerSeesAtMostCMessages(t *testing.T) {
 func TestProbeReopensShutWindow(t *testing.T) { linktest.ProbeReopensShutWindow(t, suite) }
 func TestReboxOverflowIsLost(t *testing.T)    { linktest.ReboxOverflowIsLost(t, suite) }
 func TestIdleIsSilent(t *testing.T)           { linktest.IdleIsSilent(t, suite) }
+func TestOneFramePerSection(t *testing.T)     { linktest.OneFramePerSection(t, suite) }
+func TestFrameAtBudget(t *testing.T)          { linktest.FrameAtBudget(t, suite) }

@@ -59,10 +59,10 @@ var ErrBatch = errors.New("wire: malformed batch frame")
 const batchHeadroom = 3 + binary.MaxVarintLen64 + binary.MaxVarintLen64
 
 // BatchBuilder accumulates records bound for one (destination, group)
-// and renders them as a single frame. The zero value is unusable; call
-// Reset first. Builders are reused across flushes by the transports'
-// send paths, so steady-state batching performs no allocation once the
-// record buffer has grown to its working size.
+// and renders them as a single v3 frame. The zero value is unusable;
+// call Reset first. A builder reused across frames performs no
+// allocation once the record buffer has grown to its working size. (The
+// transports render v4 frames with AppendLinkFrame instead.)
 type BatchBuilder struct {
 	group uint64
 	count int
@@ -84,8 +84,7 @@ func (b *BatchBuilder) Group() uint64 { return b.group }
 func (b *BatchBuilder) Count() int { return b.count }
 
 // Size returns an upper bound on the frame AppendFrame would produce
-// now — the accumulated records plus worst-case header overhead. Send
-// paths compare it against their datagram budget before adding more.
+// now — the accumulated records plus worst-case header overhead.
 func (b *BatchBuilder) Size() int { return batchHeadroom + len(b.recs) }
 
 // Add appends one message as a record. It returns the single-message
@@ -96,23 +95,11 @@ func (b *BatchBuilder) Add(m core.Message) error {
 	if b.count >= MaxBatch {
 		return fmt.Errorf("%w: %d records", ErrBatch, b.count)
 	}
-	// Reserve a maximal length prefix, encode the record after it, then
-	// close the gap if the actual prefix is shorter. Records are tens of
-	// bytes, so the prefix is nearly always one byte and the move is a
-	// few dozen bytes within one cache line.
-	start := len(b.recs)
-	b.recs = append(b.recs, make([]byte, binary.MaxVarintLen64)...)
-	rec, err := AppendEncode(b.recs, m)
+	n, err := RecordSize(m)
 	if err != nil {
-		b.recs = b.recs[:start]
 		return err
 	}
-	recLen := len(rec) - start - binary.MaxVarintLen64
-	var pfx [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(pfx[:], uint64(recLen))
-	copy(rec[start:], pfx[:n])
-	copy(rec[start+n:], rec[start+binary.MaxVarintLen64:])
-	b.recs = rec[:start+n+recLen]
+	b.recs = appendRecord(binary.AppendUvarint(b.recs, uint64(n)), m)
 	b.count++
 	return nil
 }

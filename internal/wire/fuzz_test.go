@@ -150,6 +150,10 @@ func FuzzRoundTrip(f *testing.F) {
 			State: state, Echo: echo,
 		}
 		data, err := Encode(m)
+		size, serr := RecordSize(m)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("Encode says %v, RecordSize says %v", err, serr)
+		}
 		if err != nil {
 			if len(inst) > MaxStringLen || len(kind) > MaxStringLen ||
 				len(bTag) > MaxStringLen || len(fTag) > MaxStringLen ||
@@ -157,6 +161,9 @@ func FuzzRoundTrip(f *testing.F) {
 				return // out of the format's domain: rejection is the contract
 			}
 			t.Fatalf("in-domain message rejected: %v", err)
+		}
+		if size != len(data) {
+			t.Fatalf("RecordSize = %d, the record is %d bytes", size, len(data))
 		}
 		got, err := Decode(data)
 		if err != nil {

@@ -80,18 +80,22 @@ func checkLinkHeaders(links []LinkHeader) error {
 	return nil
 }
 
-// AppendLinkFrame renders the accumulated records (possibly none) as a
-// v4 frame under links and leaves the builder ready for reuse via
-// Reset. The caller guarantees what the decoder checks: one header per
-// distinct record instance, at most MaxLinks of them. It panics on a
-// header list that cannot head a frame: like AppendFrame on an empty
-// builder, that is a transport bug, not a runtime condition.
-func (b *BatchBuilder) AppendLinkFrame(dst []byte, links []LinkHeader) []byte {
+// AppendLinkFrame renders msgs (possibly none) as one v4 frame for group
+// under links, straight into dst: the one render call of the links, which
+// allocates nothing once dst has room. The caller guarantees what the
+// decoder checks: one header per distinct record instance. Headers that
+// cannot head a frame, more than MaxBatch messages or an unencodable
+// message are an error, and dst comes back unchanged.
+func AppendLinkFrame(dst []byte, group uint64, links []LinkHeader, msgs []core.Message) ([]byte, error) {
 	if err := checkLinkHeaders(links); err != nil {
-		panic(err.Error())
+		return dst, err
 	}
+	if len(msgs) > MaxBatch {
+		return dst, fmt.Errorf("%w: %d records", ErrLink, len(msgs))
+	}
+	start := len(dst)
 	dst = append(dst, magic0, magic1, Version4)
-	dst = binary.AppendUvarint(dst, b.group)
+	dst = binary.AppendUvarint(dst, group)
 	dst = binary.AppendUvarint(dst, uint64(len(links)))
 	for _, h := range links {
 		dst = append(dst, byte(len(h.Instance)))
@@ -104,25 +108,15 @@ func (b *BatchBuilder) AppendLinkFrame(dst []byte, links []LinkHeader) []byte {
 		dst = binary.AppendUvarint(dst, h.Seq)
 		dst = binary.AppendUvarint(dst, h.Ack)
 	}
-	dst = binary.AppendUvarint(dst, uint64(b.count))
-	return append(dst, b.recs...)
-}
-
-// AppendLinkFrame renders msgs (possibly none) as one v4 frame for
-// group under links: the convenience form for callers that hold the
-// whole frame (the TCP transport, tests).
-func AppendLinkFrame(dst []byte, group uint64, links []LinkHeader, msgs []core.Message) ([]byte, error) {
-	if err := checkLinkHeaders(links); err != nil {
-		return nil, err
-	}
-	var b BatchBuilder
-	b.Reset(group)
+	dst = binary.AppendUvarint(dst, uint64(len(msgs)))
 	for _, m := range msgs {
-		if err := b.Add(m); err != nil {
-			return nil, err
+		n, err := RecordSize(m)
+		if err != nil {
+			return dst[:start], err
 		}
+		dst = appendRecord(binary.AppendUvarint(dst, uint64(n)), m)
 	}
-	return b.AppendLinkFrame(dst, links), nil
+	return dst, nil
 }
 
 // DecodeLinkFrame parses a v4 frame, appending its headers to links and

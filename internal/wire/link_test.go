@@ -110,6 +110,23 @@ func TestLinkFrameRejections(t *testing.T) {
 	}
 }
 
+// TestAppendLinkFrameAllocatesNothing: the links render every frame into
+// a reused buffer, so a frame into a buffer with room costs no allocation.
+func TestAppendLinkFrameAllocatesNothing(t *testing.T) {
+	links := []LinkHeader{{Instance: "pif", Seq: 9, Ack: 8}, {Instance: "typed/pif", Seq: 1 << 40, Probe: true}}
+	msgs := []core.Message{
+		{Instance: "pif", Kind: "PIF", State: 3, B: core.Payload{Tag: "m", Num: 7}},
+		{Instance: "typed/pif", Kind: "PIF", B: core.Payload{Blob: make([]byte, 1024)}, F: core.Payload{Tag: "ack"}},
+	}
+	buf := make([]byte, 0, MaxDatagram)
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf, err = AppendLinkFrame(buf[:0], 7, links, msgs)
+	}); allocs != 0 || err != nil {
+		t.Fatalf("AppendLinkFrame: %v allocations per frame (%v), want 0", allocs, err)
+	}
+}
+
 // FuzzLinkFrame pins totality of the v4 decoder and the round-trip law
 // of the framing the windowed transports put on the wire: whatever
 // DecodeLinkFrame accepts re-encodes to a frame that decodes to the

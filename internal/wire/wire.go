@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/snapstab/snapstab/internal/core"
 )
@@ -61,25 +62,48 @@ var (
 // Encode serializes m. It returns an error if a string field exceeds
 // MaxStringLen or a blob exceeds MaxBlobLen.
 func Encode(m core.Message) ([]byte, error) {
-	buf := make([]byte, 0, 5+4+len(m.Instance)+len(m.Kind)+len(m.B.Tag)+len(m.F.Tag)+16+
-		len(m.B.Blob)+len(m.F.Blob)+6)
-	return AppendEncode(buf, m)
+	n, err := RecordSize(m)
+	if err != nil {
+		return nil, err
+	}
+	return AppendEncode(make([]byte, 0, n), m)
 }
 
-// AppendEncode serializes m into dst and returns the extended slice,
-// reusing dst's capacity. Hot send paths (the UDP transport encodes one
-// datagram per Send under its action mutex) call this with a per-sender
-// scratch buffer so steady-state sending performs no heap allocation.
-func AppendEncode(dst []byte, m core.Message) ([]byte, error) {
+// RecordSize returns the exact length of m's Encode frame — the record a
+// batch or link frame carries — or the error Encode would return. It is
+// the engine's admission check: a message it accepts always renders.
+func RecordSize(m core.Message) (int, error) {
 	for _, s := range []string{m.Instance, m.Kind, m.B.Tag, m.F.Tag} {
 		if len(s) > MaxStringLen {
-			return nil, fmt.Errorf("wire: field %q exceeds %d bytes", s[:16]+"...", MaxStringLen)
+			return 0, fmt.Errorf("wire: field %q exceeds %d bytes", s[:16]+"...", MaxStringLen)
 		}
 	}
 	if len(m.B.Blob) > MaxBlobLen || len(m.F.Blob) > MaxBlobLen {
-		return nil, fmt.Errorf("wire: blob of %d/%d bytes exceeds %d",
+		return 0, fmt.Errorf("wire: blob of %d/%d bytes exceeds %d",
 			len(m.B.Blob), len(m.F.Blob), MaxBlobLen)
 	}
+	// Magic, version, state, echo; four length-prefixed strings; two nums.
+	n := 5 + 4 + len(m.Instance) + len(m.Kind) + len(m.B.Tag) + len(m.F.Tag) + 16
+	if len(m.B.Blob) > 0 || len(m.F.Blob) > 0 {
+		for _, b := range [2][]byte{m.B.Blob, m.F.Blob} {
+			n += max(1, (bits.Len(uint(len(b)))+6)/7) + len(b) // uvarint length, body
+		}
+	}
+	return n, nil
+}
+
+// AppendEncode serializes m into dst and returns the extended slice,
+// reusing dst's capacity, so steady-state rendering into a reused buffer
+// performs no heap allocation.
+func AppendEncode(dst []byte, m core.Message) ([]byte, error) {
+	if _, err := RecordSize(m); err != nil {
+		return nil, err
+	}
+	return appendRecord(dst, m), nil
+}
+
+// appendRecord renders m, which RecordSize accepted, into dst.
+func appendRecord(dst []byte, m core.Message) []byte {
 	version := byte(Version1)
 	if len(m.B.Blob) > 0 || len(m.F.Blob) > 0 {
 		version = Version2
@@ -103,7 +127,7 @@ func AppendEncode(dst []byte, m core.Message) ([]byte, error) {
 	appendStr(m.F.Tag)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.F.Num))
 	appendBlob(m.F.Blob)
-	return buf, nil
+	return buf
 }
 
 // Decode parses a datagram produced by Encode (either version).

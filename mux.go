@@ -58,9 +58,8 @@ func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
 
 // TCPMux binds one loopback listener per process, dials the full
 // connection mesh, and returns a mux ready to host clusters. As with
-// UDPMux, the cluster options read here are WithBatch — on TCP it
-// bounds the frames per vectored write on the shared connections — and
-// WithCapacity; per-cluster options belong to the cluster constructors.
+// UDPMux, the cluster options read here are WithBatch and WithCapacity;
+// per-cluster options belong to the cluster constructors.
 func TCPMux(nProcs int, opts ...Option) (*Mux, error) {
 	return newMux("tcp-mux", tcp.NewMux, TCP(), nProcs, opts)
 }

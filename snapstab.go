@@ -75,8 +75,8 @@ type options struct {
 	// generic constructor asserts it back to func(proc, from int, b T) T.
 	onReceiveTyped any
 	substrate      Substrate
-	// batch is the WithBatch coalescing ceiling for the UDP transport
-	// (0 = the transport's default).
+	// batch is the WithBatch ceiling on messages per frame (0 = the
+	// engine's default).
 	batch  int
 	faults *core.FaultPlan
 	// topology is the communication graph (nil = the paper's complete
@@ -139,17 +139,16 @@ func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 // panics at cluster construction.
 func WithCapacity(c int) Option { return func(o *options) { o.capacity = c } }
 
-// WithBatch tunes the transports' syscall amortization; the in-memory
-// substrates (Sim, Runtime) have no wire and ignore it. On UDP it sets
-// how many messages may coalesce into one wire v4 link-frame datagram
-// (default 16): batches flush when full and at the end of every atomic
+// WithBatch sets how many messages may coalesce into one wire v4 link
+// frame (default 16) on the concurrent substrates — Runtime, UDP, TCP,
+// TCPHost — which all carry the same frames: a datagram on UDP, a
+// length-prefixed frame on TCP, values in memory; Sim has no frames and
+// ignores it. Frames close when full and at the end of every atomic
 // protocol section, so raising the ceiling amortizes syscalls without
 // delaying any message past the section that sent it. WithBatch(1)
-// disables coalescing — every message travels alone in its own link
-// frame. On TCP it bounds how many queued frames one vectored write may
-// carry (default 32); the bytes on the wire are identical at every
-// setting. On a mux, pass it to UDPMux/TCPMux instead — the sockets are
-// shared, so the knob cannot vary per attached cluster.
+// disables coalescing — every message travels alone in its own frame.
+// On a mux, pass it to UDPMux/TCPMux instead — the sockets are shared,
+// so the knob cannot vary per attached cluster.
 func WithBatch(k int) Option { return func(o *options) { o.batch = k } }
 
 // WithStepBudget bounds each request's simulation steps on the Sim

@@ -22,13 +22,15 @@ import (
 //     replay exactly from (topology, options); Stats reports scheduler
 //     counters; step budgets apply.
 //   - Runtime: the concurrent engine of UDP and TCP on an in-memory
-//     link — real concurrency, no sockets, not reproducible. Use
-//     context deadlines instead of step budgets.
+//     link carrying the sockets' frames as values — real concurrency,
+//     no sockets, not reproducible. Use context deadlines instead of
+//     step budgets.
 //   - UDP: one loopback socket per process exchanging wire-encoded
 //     datagrams — the paper's concluding "future challenge". Natural
 //     loss, and the known capacity bound enforced by a per-link
 //     sender-side window (WithCapacity); messages coalesce into wire
-//     v4 link-frame datagrams (WithBatch).
+//     v4 link-frame datagrams (WithBatch), as on every concurrent
+//     substrate.
 //   - TCP: one loopback listener per process with persistent
 //     connections; the same per-link window restores the model's
 //     bounded channels, and connection loss is message loss.
@@ -98,9 +100,10 @@ func Sim() Substrate {
 }
 
 // Runtime selects the concurrent engine on its in-memory link: one
-// activation loop per process, frames handed between them as values, the
+// activation loop per process, the sockets' frames — packed per WithBatch
+// and stamped by the same engine — handed between them as values, the
 // per-link window of WithCapacity (default 1, the paper's) enforced as on
-// the sockets. WithLossRate is the fault plane's drop rate here — a plan
+// the sockets; it takes the same node options as UDP and TCP. WithLossRate is the fault plane's drop rate here — a plan
 // of FaultPlan{Seed: seed, Default: LinkFaults{DropRate: p}} — so the
 // losses read in FaultStats().Drops, and combining it with WithFaults
 // panics: state the loss in the plan. WithSeed seeds only corruption and
@@ -120,7 +123,7 @@ func Runtime() Substrate {
 				// message no longer occupies the channel.
 				o.faults = &core.FaultPlan{Seed: o.seed, Default: core.LinkFaults{DropRate: o.lossRate}}
 			}
-			return runtime.NewCluster(stacks, append(groupOptions(o, obs), engine.WithCapacity(o.capacity))...)
+			return runtime.NewCluster(stacks, nodeOptions(o, obs)...)
 		},
 	}
 }
@@ -142,8 +145,8 @@ func groupOptions(o options, obs []core.Observer) []engine.Option {
 }
 
 // socketOptions assembles the node-level transport options: what a
-// dedicated socket substrate takes with its cluster, and a mux fixes
-// when it is built.
+// dedicated substrate takes with its cluster, and a mux fixes when it is
+// built.
 func socketOptions(o options) []engine.Option {
 	eopts := []engine.Option{engine.WithCapacity(o.capacity)}
 	if o.batch > 0 {
@@ -152,7 +155,8 @@ func socketOptions(o options) []engine.Option {
 	return eopts
 }
 
-// nodeOptions is everything a dedicated socket substrate takes.
+// nodeOptions is everything a dedicated node — in memory or on sockets —
+// takes.
 func nodeOptions(o options, obs []core.Observer) []engine.Option {
 	return append(groupOptions(o, obs), socketOptions(o)...)
 }
@@ -162,10 +166,11 @@ func nodeOptions(o options, obs []core.Observer) []engine.Option {
 // the channel-capacity bound c the transport enforces: every directed
 // link admits at most c unconsumed messages, a send beyond that is lost
 // at the sender, and the machines' flag domain is sized from the same
-// number — so one request costs 2c+2 round trips per peer. WithLossRate
-// and WithStepBudget are ignored — UDP loses messages on its own, and
-// requests are bounded with Request.Wait contexts. Socket binding
-// happens at cluster construction and panics on failure.
+// number — so one request costs 2c+2 round trips per peer. Each frame is
+// one datagram (WithBatch). WithLossRate and WithStepBudget are ignored —
+// UDP loses messages on its own, and requests are bounded with
+// Request.Wait contexts. Socket binding happens at cluster construction
+// and panics on failure.
 func UDP() Substrate {
 	return Substrate{
 		name:            "udp",
@@ -184,7 +189,8 @@ func UDP() Substrate {
 // it enforces with a per-link sender-side window exactly as on UDP — a
 // send beyond c unconsumed messages is lost at the sender, and the
 // machines' flag domain is sized from the same number — and connection
-// loss is message loss. WithLossRate and WithStepBudget are ignored —
+// loss is message loss. Each frame is UDP's (WithBatch), length-prefixed
+// on the stream. WithLossRate and WithStepBudget are ignored —
 // bound requests with Request.Wait contexts. Listener binding happens
 // at cluster construction and panics on failure.
 func TCP() Substrate {
