@@ -145,10 +145,10 @@ type TransportStats struct {
 	Sends int64
 	// Recvs counts messages received into the mailbox layer.
 	Recvs int64
-	// Retransmits counts the sends that repeated the link's last
-	// message: the step timer's, on a link that stayed silent for a whole
-	// interval. Everything new leaves on arrival, so a loss-free run
-	// reads zero.
+	// Retransmits counts the repeats of a link's last message that left,
+	// each once the link's repeat deadline passed: 1 ms after the message
+	// left new, then every 2 ms. Everything new leaves on arrival, so a
+	// loss-free run reads zero unless an answer took longer than that.
 	Retransmits int64
 	// SendDrops counts messages lost at the sender (sends refused by a
 	// full link window, failed writes, unencodable payloads, dead or

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
-	"sync/atomic"
+	"time"
 )
 
 // Substrate is a running execution substrate: a set of protocol stacks
@@ -70,7 +70,7 @@ var ErrClosed = errors.New("core: substrate closed")
 
 // SendPath says where in a concurrent engine a Send comes from. A message
 // that differs from the last one on its link is new and always leaves;
-// whether an identical one, a retransmission, does depends on the path.
+// whether an identical one, a repeat, does depends on the path.
 type SendPath uint8
 
 const (
@@ -80,42 +80,58 @@ const (
 	// PathEager: the Step ending an atomic section. It is lost at the
 	// sender, silently, as the model allows.
 	PathEager
-	// PathTick: the step timer's Step. It leaves if its link sent
-	// nothing since the previous tick.
+	// PathTick: a timer's Step — the step tick's or a retransmission
+	// edge's. It leaves once its link's repeat deadline has passed.
 	PathTick
 	NumPaths // sizes a per-path table
 )
 
 // LinkOut is the sender's record of one directed (peer, instance) link,
-// kept in the engine's per-link slot, under the sender's action mutex.
+// kept in the engine's per-link slot, under the sender's action mutex:
+// the last message the link sent and its repeat deadline. Times are on
+// the engine's clock.
 type LinkOut struct {
-	last Message
-	used bool // last is valid
-	busy bool // sent from an atomic section since the tick last asked
+	last   Message
+	used   bool          // last is valid
+	sentAt time.Duration // when last left, or a repeat of it was last tried
+	rto    time.Duration // how long after sentAt a repeat comes due; 0: disarmed
 }
 
-// Pass applies the sending rule to m on path and reports whether m
-// leaves now; a timer retransmission is counted in again. A tick that
-// finds the link busy stands down once; the next one retransmits.
-func (l *LinkOut) Pass(path SendPath, m Message, again *atomic.Int64) bool {
-	if path != PathAction && l.used && l.last.Equal(m) {
-		send := path == PathTick && !l.busy
-		l.busy = l.busy && path != PathTick
-		if send {
-			again.Add(1)
-		}
-		return send
+// Pass applies the sending rule to m on path at time now and reports
+// whether m leaves, and whether it leaves as a repeat of the link's last
+// message. A repeat leaves only from the tick path, once now − sentAt ≥
+// rto; rto is step/2 after a new message and step after a repeat, so a
+// lost message is tried again half a step after it left and a link that
+// stays silent repeats once per step.
+func (l *LinkOut) Pass(path SendPath, m Message, now, step time.Duration) (send, repeat bool) {
+	if path == PathAction || !l.used || !l.last.Equal(m) {
+		l.last, l.used, l.sentAt, l.rto = m, true, now, step/2
+		return true, false
 	}
-	l.last, l.used, l.busy = m, true, path != PathTick
-	return true
+	if path != PathTick || now-l.sentAt < l.rto {
+		return false, false
+	}
+	l.sentAt, l.rto = now, step
+	return true, true
 }
+
+// Due reports when a repeat of the link's last message comes due, and
+// whether the link is armed: whether a timer should wake for it.
+func (l *LinkOut) Due() (at time.Duration, armed bool) {
+	return l.sentAt + l.rto, l.rto != 0
+}
+
+// Disarm stops the timer from waking for the link, whose deadline passed
+// without a repeat: its last message is no longer what its stack says.
+// A tick path that says it again still finds it due.
+func (l *LinkOut) Disarm() { l.rto = 0 }
 
 // Waiters holds the pending Awaits of one group of a node of the
 // concurrent engine — on any of its links — and ends its atomic sections
 // (Settle). Every method but Wait runs under the action mutex.
 type Waiters struct {
 	list    []*Waiter
-	refused bool // a full link lost an eagerly stepped message since the last tick
+	refused bool // a full link lost an eagerly stepped message since the last timer step
 }
 
 // Waiter is one registered condition.
@@ -139,11 +155,11 @@ func (ws *Waiters) Eval(env Env, cond func(Env) bool) *Waiter {
 func (ws *Waiters) Len() int { return len(ws.list) }
 
 // Settle ends an atomic section of an engine's loop: the stack steps on
-// path (PathEager after mail, PathTick from the timer), the registered
+// path (PathEager after mail, PathTick from a timer), the registered
 // conditions are re-evaluated in order and, as one may Invoke, the stack
 // steps again if any ran. envs is the process's Env per path. Eager
-// stepping stands down from a Refused to the next tick: a full channel
-// loses what it is sent, and stepping into it only adds losses.
+// stepping stands down from a Refused to the next timer step: a full
+// channel loses what it is sent, and stepping into it only adds losses.
 func (ws *Waiters) Settle(s Stack, envs *[NumPaths]Env, path SendPath) {
 	ws.refused = ws.refused && path != PathTick
 	if !ws.refused {

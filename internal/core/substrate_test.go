@@ -1,40 +1,53 @@
 package core
 
 import (
-	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestLinkOutRule walks one link through the sending rule: new messages
-// leave from every path, a repeated one only from the tick, and only
-// once the link has been silent since the tick before.
+// leave from every path, a repeated one only from the tick path, half a
+// step after a new message and a whole step after a repeat.
 func TestLinkOutRule(t *testing.T) {
+	const step, ms = 2 * time.Millisecond, time.Millisecond
 	a := Message{Instance: "i", Kind: "k", State: 1}
 	b := Message{Instance: "i", Kind: "k", State: 2}
 	var l LinkOut
-	var retransmits atomic.Int64
-	for i, step := range []struct {
-		path        SendPath
-		m           Message
-		send, again bool
+	for i, s := range []struct {
+		path         SendPath
+		m            Message
+		now          time.Duration
+		send, repeat bool
+		due          time.Duration // the deadline after the call
 	}{
-		{PathEager, a, true, false},  // first message on the link: new
-		{PathEager, a, false, false}, // the same again: stays behind
-		{PathAction, a, true, false}, // Deliver answers whatever it answers
-		{PathTick, a, false, false},  // the link sent since the last tick: stand down once
-		{PathTick, a, true, true},    // silent for a whole interval: retransmit
-		{PathTick, a, true, true},    // and again, every tick, while nothing new leaves
-		{PathEager, b, true, false},  // new information leaves at once
-		{PathTick, b, false, false},
-		{PathTick, a, true, false}, // the timer may carry new information too
-		{PathTick, a, true, true},  // which does not count as traffic since the tick
+		{PathEager, a, 0, true, false, ms},                   // first message on the link: new
+		{PathEager, a, 0, false, false, ms},                  // the same again: stays behind
+		{PathAction, a, ms / 2, true, false, 3 * ms / 2},     // Deliver answers whatever it answers, and restarts the deadline
+		{PathTick, a, ms, false, false, 3 * ms / 2},          // not due yet
+		{PathEager, a, 2 * ms, false, false, 3 * ms / 2},     // due, but only the tick path repeats
+		{PathTick, a, 2 * ms, true, true, 4 * ms},            // due: repeat, and back off to a whole step
+		{PathTick, a, 3 * ms, false, false, 4 * ms},          // half a step is not enough after a repeat
+		{PathTick, a, 4 * ms, true, true, 6 * ms},            // and again, once per step, while nothing new leaves
+		{PathEager, b, 9 * ms / 2, true, false, 11 * ms / 2}, // new information leaves at once
+		{PathTick, b, 5 * ms, false, false, 11 * ms / 2},
+		{PathTick, a, 5 * ms, true, false, 6 * ms}, // the timer may carry new information too
+		{PathTick, a, 6 * ms, true, true, 8 * ms},  // whose repeat is due half a step later
 	} {
-		send := l.Pass(step.path, step.m, &retransmits)
-		again := retransmits.Swap(0) == 1
-		if send != step.send || again != step.again {
-			t.Fatalf("step %d: Pass(%d, State=%d) = %v, %v; want %v, %v",
-				i, step.path, step.m.State, send, again, step.send, step.again)
+		send, repeat := l.Pass(s.path, s.m, s.now, step)
+		if due, armed := l.Due(); send != s.send || repeat != s.repeat || due != s.due || !armed {
+			t.Fatalf("step %d: Pass(%d, State=%d, %v) = %v, %v, due %v (armed %v); want %v, %v, due %v",
+				i, s.path, s.m.State, s.now, send, repeat, due, armed, s.send, s.repeat, s.due)
 		}
+	}
+	l.Disarm()
+	if _, armed := l.Due(); armed {
+		t.Fatal("armed after Disarm")
+	}
+	if send, repeat := l.Pass(PathTick, a, 7*ms, step); !send || !repeat {
+		t.Fatalf("a disarmed link's last message, said again on the tick path: Pass = %v, %v; want a repeat", send, repeat)
+	}
+	if due, armed := l.Due(); due != 9*ms || !armed {
+		t.Fatalf("after the repeat: due %v (armed %v), want 9ms and armed", due, armed)
 	}
 }
 

@@ -41,8 +41,9 @@ type TransportStats struct {
 	Sends int64
 	// Recvs counts messages received and delivered to the mailbox layer.
 	Recvs int64
-	// Retransmits counts the sends that repeated their link's last
-	// message: the step timer's, on a silent link. Zero without loss.
+	// Retransmits counts the repeats of a link's last message that left,
+	// each once the link's repeat deadline passed (LinkOut). A repeat the
+	// window refuses is a SendDrop only. Zero without loss or delay.
 	Retransmits int64
 	// SendDrops counts messages lost at the sender — sends refused by a
 	// full link window, failed writes, unencodable payloads, dead or

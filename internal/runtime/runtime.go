@@ -6,7 +6,7 @@
 // under the engine's channel semantics, the paper's model: every directed
 // (peer, instance) link holds at most c unconsumed messages, a send into
 // a full link is lost at the sender, new information leaves on arrival
-// and the step timer only retransmits.
+// and a timer only repeats what a link lost.
 //
 // Unlike internal/sim, executions here are not reproducible — this
 // substrate exists to demonstrate that the protocols run unchanged under

@@ -14,12 +14,71 @@ import (
 )
 
 // The tests in this file drive unstarted nodes by hand: no activation
-// loop runs, so no ticker exists, and the test decides when mail is
-// drained (pump) and when the step timer fires (Node.tick). What they
-// pin is therefore exact: which atomic section sent what.
+// loop runs, so no timer fires, and the test decides when mail is
+// drained (pump), when the step tick runs (Node.tick) and when a
+// retransmission edge does (Node.edge). Their clocks stand still
+// between the test's own moves (pin, advance). What they pin is
+// therefore exact: which atomic section sent what.
 
 // setCopies installs the net's loss and duplication rule.
 func (mn *memNet) setCopies(f func(from, to core.ProcID) int) { mn.copies.Store(&f) }
+
+// pin holds n's clock at its last reading, by moving its epoch that far
+// before now: the next section reads it again, plus the microseconds it
+// has run, however long the test took in between.
+func pin(n *Node) {
+	n.mu.Lock()
+	n.epoch = time.Now().Add(-n.now)
+	n.mu.Unlock()
+}
+
+// advance moves the clock of every node d forward and pins it there.
+func advance(nodes []*Node, d time.Duration) {
+	for _, n := range nodes {
+		n.mu.Lock()
+		n.now += d
+		n.mu.Unlock()
+		pin(n)
+	}
+}
+
+// edges runs a retransmission edge at every node, clocks pinned.
+func edges(nodes []*Node) {
+	for _, n := range nodes {
+		pin(n)
+		n.edge()
+	}
+}
+
+// armed reports whether n's retransmission timer is set.
+func armed(n *Node) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.wake != never
+}
+
+// repeats records, per sender and peer, the retransmissions that left.
+type repeats struct {
+	mu   sync.Mutex
+	seen map[[2]core.ProcID]int
+}
+
+func (r *repeats) OnEvent(ev core.Event) {
+	if ev.Kind == core.EvSend && ev.Note == "retransmit" {
+		r.mu.Lock()
+		if r.seen == nil {
+			r.seen = make(map[[2]core.ProcID]int)
+		}
+		r.seen[[2]core.ProcID{ev.Proc, ev.Peer}]++
+		r.mu.Unlock()
+	}
+}
+
+func (r *repeats) on(from, to core.ProcID) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seen[[2]core.ProcID{from, to}]
+}
 
 // still builds n wired, unstarted nodes on one in-memory net.
 func still(t *testing.T, n int, opts ...Option) (*memNet, []*Node, []*pif.PIF) {
@@ -53,6 +112,7 @@ func pump(nodes []*Node) {
 			ready := len(n.ready)
 			n.mbMu.Unlock()
 			if ready > 0 {
+				pin(n)
 				n.drainMail()
 				busy = true
 			}
@@ -86,6 +146,7 @@ func request(t *testing.T, node *Node, m *pif.PIF, token core.Payload) <-chan er
 	errc := make(chan error, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel) // a request a test leaves undecided ends with the test
+	pin(node)
 	go func() { errc <- node.Await(ctx, broadcasting(m, token)) }()
 	if !waitFor(10*time.Second, func() bool { return waiting(node) == 1 }) {
 		t.Fatal("Await never registered its condition")
@@ -167,9 +228,10 @@ func TestDuplicateEchoCostsNothing(t *testing.T) {
 	}
 }
 
-// TestTickRecoversDroppedFlag: a lost flag stalls its link until the
-// step timer finds the link silent for a whole interval — the second
-// tick after the loss at the latest — and costs one retransmission.
+// TestTickRecoversDroppedFlag: a lost flag stalls its link until its
+// repeat deadline, half a step after the flag left: the first
+// retransmission edge at or past it repeats the flag, and the broadcast
+// costs exactly one retransmission.
 func TestTickRecoversDroppedFlag(t *testing.T) {
 	pn, nodes, machines := still(t, 3)
 	warm(t, nodes, machines)
@@ -185,19 +247,19 @@ func TestTickRecoversDroppedFlag(t *testing.T) {
 	})
 	errc := request(t, nodes[0], machines[0], core.Payload{Tag: "hello", Num: 6})
 	pump(nodes)
-	if waiting(nodes[0]) != 1 {
-		t.Fatal("broadcast decided although a flag was lost")
-	}
-	ticks := 0
-	for ; ticks < 5 && waiting(nodes[0]) == 1; ticks++ {
-		for _, n := range nodes {
-			n.tick()
-		}
+	// The lost flag was node 0's last send toward 1; what node 0 sent
+	// after it, toward 2, only moved its clock on by microseconds.
+	for _, d := range []time.Duration{0, stepInterval / 4} {
+		advance(nodes, d)
+		edges(nodes)
 		pump(nodes)
+		if waiting(nodes[0]) != 1 {
+			t.Fatalf("broadcast decided with the lost flag's deadline %v ahead", stepInterval/2-d)
+		}
 	}
-	if ticks > 2 {
-		t.Fatalf("dropped flag recovered after %d ticks, want at most 2", ticks)
-	}
+	advance(nodes, stepInterval/4) // half a step after the loss
+	edges(nodes)
+	pump(nodes)
 	settled(t, nodes[0], errc)
 	after, retransmits := totals(nodes)
 	if after-before != 41 || retransmits != 1 {
@@ -205,12 +267,14 @@ func TestTickRecoversDroppedFlag(t *testing.T) {
 	}
 }
 
-// TestStalledLinkIsNotStarved: the timer's rule is per link. While the
-// handshake with process 2 advances between every two ticks, the link
-// to process 1, which hears nothing, is still retransmitted on at every
-// tick — and the busy link never is.
+// TestStalledLinkIsNotStarved: the deadline is per link. While the
+// handshake with process 2 advances before every edge, the link to
+// process 1, which hears nothing, still repeats at each of its
+// deadlines — half a step after the request, then a step apart — and
+// the busy link never does.
 func TestStalledLinkIsNotStarved(t *testing.T) {
-	pn, nodes, machines := still(t, 3)
+	var seen repeats
+	pn, nodes, machines := still(t, 3, WithObserver(&seen))
 	warm(t, nodes, machines)
 	pn.setCopies(func(from, to core.ProcID) int {
 		if from == 0 && to == 1 {
@@ -220,24 +284,118 @@ func TestStalledLinkIsNotStarved(t *testing.T) {
 	})
 	request(t, nodes[0], machines[0], core.Payload{Tag: "hello", Num: 7})
 	round := func() {
+		pin(nodes[2])
 		nodes[2].drainMail()
+		pin(nodes[0])
 		nodes[0].drainMail()
 	}
-	nodes[0].tick() // both links sent in the section that started the request
+	edges(nodes[:1]) // both links sent in the section that started the request
 	if _, r := totals(nodes); r != 0 {
-		t.Fatalf("%d retransmissions at the first tick, on links that had just sent", r)
+		t.Fatalf("%d retransmissions at the first edge, on links that had just sent", r)
 	}
-	for i := int64(1); i <= 3; i++ {
+	for i, d := range []time.Duration{stepInterval / 2, stepInterval, stepInterval} {
+		advance(nodes, d)
 		round()
-		nodes[0].tick()
-		if _, r := totals(nodes); r != i {
-			t.Fatalf("after %d more ticks: %d retransmissions, want one per tick, all on the stalled link", i, r)
+		edges(nodes[:1])
+		if _, r := totals(nodes); r != int64(i+1) || seen.on(0, 1) != i+1 {
+			t.Fatalf("after %d more edges: %d retransmissions, %d toward 1; want one per edge, all toward 1", i+1, r, seen.on(0, 1))
 		}
 	}
 	var toward2 uint8
 	nodes[0].Do(func(core.Env) { toward2 = machines[0].State[2] })
-	if toward2 < 3 {
-		t.Fatalf("handshake with process 2 stands at %d, want 3 rounds done", toward2)
+	if toward2 < 3 || seen.on(0, 2) != 0 {
+		t.Fatalf("handshake with process 2 stands at %d after %d retransmissions toward it; want 3 rounds done and none",
+			toward2, seen.on(0, 2))
+	}
+}
+
+// lossyPair builds two still nodes whose link 0 → 1 loses everything,
+// and starts a broadcast at node 0: its flag toward 1 is the one message
+// the link carries, repeated or refused from then on.
+func lossyPair(t *testing.T) []*Node {
+	t.Helper()
+	pn, nodes, machines := still(t, 2)
+	pn.setCopies(func(from, to core.ProcID) int {
+		if from == 0 {
+			return 0
+		}
+		return 1
+	})
+	request(t, nodes[0], machines[0], core.Payload{Tag: "lost"})
+	return nodes
+}
+
+// TestRepeatBacksOffToStepInterval: a link that stays silent repeats
+// half a step after its last new message, then a whole step apart —
+// until its window of c is full of unanswered copies.
+func TestRepeatBacksOffToStepInterval(t *testing.T) {
+	nodes := lossyPair(t)
+	var at []time.Duration
+	for now := time.Duration(0); now <= 8*stepInterval; now += stepInterval / 4 {
+		if now > 0 {
+			advance(nodes, stepInterval/4)
+		}
+		edges(nodes)
+		if s := nodes[0].Stats(); s.Retransmits > int64(len(at)) {
+			at = append(at, now)
+		}
+	}
+	want := []time.Duration{stepInterval / 2, 3 * stepInterval / 2, 5 * stepInterval / 2}
+	if len(at) != len(want) || len(want) != DefaultCapacity-1 {
+		t.Fatalf("repeats left at %v, want %v: the window holds the flag and c-1 copies", at, want)
+	}
+	for i := range want {
+		if at[i] != want[i] {
+			t.Fatalf("repeats left at %v, want %v", at, want)
+		}
+	}
+}
+
+// TestRetransmitsCountRepeatsThatLeft: a repeat the full window refuses
+// is a window loss, not also a retransmission. Over 20 step ticks a
+// step apart the link carries the flag and c-1 repeats; the other 17
+// repeats are lost at the sender.
+func TestRetransmitsCountRepeatsThatLeft(t *testing.T) {
+	nodes := lossyPair(t)
+	for i := 0; i < 20; i++ {
+		advance(nodes[:1], stepInterval)
+		nodes[0].tick()
+	}
+	s := nodes[0].Stats()
+	if s.Sends != DefaultCapacity || s.Retransmits != DefaultCapacity-1 || s.SendDrops != 20-(DefaultCapacity-1) {
+		t.Fatalf("%d sends, %d retransmissions, %d send drops; want %d, %d and %d",
+			s.Sends, s.Retransmits, s.SendDrops, DefaultCapacity, DefaultCapacity-1, 20-(DefaultCapacity-1))
+	}
+}
+
+// TestIdleDisarmsRetransmission: once a request decided, the edge that
+// finds every armed link past its deadline — each answered, so no stack
+// says its last message again — repeats nothing and leaves no timer set.
+func TestIdleDisarmsRetransmission(t *testing.T) {
+	_, nodes, machines := still(t, 3)
+	warm(t, nodes, machines)
+	before, _ := totals(nodes)
+	for i, n := range nodes {
+		if !armed(n) {
+			t.Fatalf("node %d: no timer set after sending", i)
+		}
+	}
+	edges(nodes)
+	for i, n := range nodes {
+		if !armed(n) {
+			t.Fatalf("node %d: timer disarmed before any deadline passed", i)
+		}
+	}
+	advance(nodes, stepInterval/2)
+	edges(nodes)
+	after, retransmits := totals(nodes)
+	for i, n := range nodes {
+		if armed(n) {
+			t.Fatalf("node %d: timer still set once every deadline passed", i)
+		}
+	}
+	if after != before || retransmits != 0 {
+		t.Fatalf("the idle edge sent %d messages, %d retransmissions; want none", after-before, retransmits)
 	}
 }
 
@@ -433,7 +591,7 @@ func TestUnknownInstanceMailIsConsumed(t *testing.T) {
 // TestChannelsAreSafeForConcurrentUse drives everything that touches a
 // channel record at once, for the race detector: sends both ways (admit,
 // Stamp), their arrivals (Arrive, box), a third party boxing past the
-// window, drains, ticks and Stats. No window ever exceeds c, and every
+// window, drains, ticks, retransmission edges and Stats. No window ever exceeds c, and every
 // message that arrived is accounted as received or dropped.
 func TestChannelsAreSafeForConcurrentUse(t *testing.T) {
 	const rounds = 1000
@@ -471,6 +629,7 @@ func TestChannelsAreSafeForConcurrentUse(t *testing.T) {
 			for _, n := range nodes {
 				n.drainMail()
 				n.tick()
+				n.edge()
 			}
 		}
 	}()

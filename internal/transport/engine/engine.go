@@ -55,7 +55,11 @@
 // delivered mail ends, before its frames leave, by stepping the stacks it
 // delivered to and re-evaluating their awaited conditions
 // (core.Waiters.Settle); what a Step would send again, the channel's
-// core.LinkOut holds back for the step timer.
+// core.LinkOut holds back until its repeat deadline. One timer drives the
+// loop, set for the next step tick or the earliest deadline of an armed
+// link: a retransmission edge steps every group on the tick path, so the
+// links that came due repeat; the step tick (stepInterval) does the same
+// and also runs the windows' control and the fault plane's delays.
 //
 // # One framer
 //
@@ -77,6 +81,7 @@ package engine
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -94,13 +99,27 @@ import (
 // 2c+2 = 10).
 const DefaultCapacity = 4
 
-// stepInterval is the retransmission interval: the step timer repeats
-// the last message of a link that sent nothing for a whole interval
-// (new information never waits for it). Unpaced retransmission would
-// flood the path and stall the handshake behind its own queue. It is
-// also the cadence at which delayed fault-plan messages surface and mail
-// held through a crash window is retried.
+// stepInterval paces repetition (core.LinkOut has the rule): a link's
+// last message is repeated half an interval after it left new, then once
+// per interval while the link stays silent; new information never waits
+// for it. Unpaced retransmission would flood the path and stall the
+// handshake behind its own queue. The step tick runs at this cadence:
+// it surfaces delayed fault-plan messages, retries mail held through a
+// crash window, ages echoes and sends probes.
+//
+// The first repeat waits a fixed half interval, not a multiple of a
+// measured turnaround. Go's netpoller sleeps in whole milliseconds, so a
+// deadline under 1 ms fires at about 1 ms anyway (bench/perf reads
+// env.timer_granularity_us ≈ 860–1,020 on a 2-core box). Measured there
+// on tcp-lossy: a 50 µs floor left setup_s at 2.21 ms, against 2.04–2.07
+// for the fixed 1 ms, and cost udp-contend 3.4 % more frames_per_req in
+// spurious repeats; an RFC 6298 estimator clamped to [1 ms, 2 ms] read
+// 2.22–2.35 ms, because cold-cycle turnarounds (p50 180 µs, p90 350 µs)
+// inflate it past its floor.
 const stepInterval = 2 * time.Millisecond
+
+// never is a node timer's time for "none": no armed link, no step yet.
+const never = time.Duration(math.MaxInt64)
 
 // Options is the option set of a node (capacity, batch, Link) and of its
 // default group (observers, topology, faults).
@@ -441,6 +460,18 @@ type Node struct {
 	dirty []*Group       // drain scratch: groups that got mail
 	taken []core.Message // drain scratch: the mailbox being delivered
 
+	// The node's clock, under mu: time since epoch, read once per section.
+	epoch   time.Time
+	now     time.Duration // the section's reading, if haveNow
+	haveNow bool
+	// The loop's one timer, under mu, is set for next: the next step tick
+	// or the earliest deadline of an armed link (wake), whichever comes
+	// first. never stands for none. Start makes the timer, already set
+	// for the first step: a node no loop runs has neither, and a timer
+	// made and stopped in NewNode measurably slowed a cold cluster.
+	timer            *time.Timer
+	step, wake, next time.Duration
+
 	// mbMu guards every channel's window and mailbox, every group's
 	// channel map, and the ready list. It is never held across link
 	// calls, protocol actions or observers.
@@ -480,6 +511,10 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 		wired:    make([]bool, len(peers)),
 		mail:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
+		epoch:    time.Now(),
+		step:     never,
+		wake:     never,
+		next:     never,
 	}
 	if stack == nil {
 		if o.topology != nil || o.faults != nil || len(o.observers) > 0 {
@@ -573,6 +608,12 @@ func (n *Node) launch() {
 	if n.started.Swap(true) {
 		panic("engine: Start called twice") // a second loop would double the timer
 	}
+	n.mu.Lock()
+	now := time.Since(n.epoch)
+	n.step = now + stepInterval
+	n.next = min(n.step, n.wake)
+	n.timer = time.NewTimer(n.next - now)
+	n.mu.Unlock()
 	n.link.Start()
 	n.wg.Add(1)
 	go n.actLoop()
@@ -630,14 +671,20 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: note})
 		g.waiters.Refused(v.path)
 	}
+	now := n.clock()
 	n.mbMu.Lock()
 	c := g.channel(to, m.Instance)
-	pass := c.out.Pass(v.path, m, &g.retransmits)
-	admitted := pass && c.w.Admit()
+	send, repeat := c.out.Pass(v.path, m, now, stepInterval)
+	admitted := send && c.w.Admit()
 	n.mbMu.Unlock()
-	if !pass {
+	if !send {
 		return
 	}
+	// Every send that passed the rule arms its link — one refused below
+	// is lost, and its deadline is when it is tried again; flush sets the
+	// timer.
+	at, _ := c.out.Due()
+	n.wake = min(n.wake, at)
 	if !admitted {
 		// The link already holds c unconsumed messages: the send is lost
 		// at the sender, the model's rule for a full channel.
@@ -657,7 +704,12 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	n.pack(c, m, size)
 	// The send event fires as the message is framed, so observers see
 	// protocol order; its Tally counts it once the link wrote the frame.
-	g.emit(core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m})
+	ev := core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m}
+	if repeat {
+		g.retransmits.Add(1) // counted once it left: a refused repeat is a window loss only
+		ev.Note = "retransmit"
+	}
+	g.emit(ev)
 }
 
 // arrive is LinkConfig.Arrive: it feeds one frame's headers to the
@@ -759,30 +811,77 @@ func (n *Node) box(g *Group, sender core.ProcID, m core.Message) {
 	}
 }
 
-// actLoop delivers mail as soon as Arrive signals it and retransmits for
-// every group at the step interval. No wakeup is lost: box signals after
-// it appends, so a token is pending whenever an append followed a swap.
+// actLoop delivers mail as soon as Arrive signals it and runs the timer's
+// edges. No wakeup is lost: box signals after it appends, so a token is
+// pending whenever an append followed a swap.
 func (n *Node) actLoop() {
 	defer n.wg.Done()
 	defer n.linkOnce.Do(n.link.Stop)
-	stepTimer := time.NewTicker(stepInterval)
-	defer stepTimer.Stop()
+	defer n.timer.Stop()
 	for {
 		select {
 		case <-n.stop:
 			return
 		case <-n.mail:
 			n.drainMail()
-		case <-stepTimer.C:
-			n.tick()
+		case <-n.timer.C:
+			n.alarm()
 		}
 	}
 }
 
-// tick is the step timer's edge: delayed fault-plan messages that came
-// due surface and mail that waited out a crash window is retried; then,
-// in one atomic section, every group outside a crash window retransmits
-// on its quiet links and runs its windows' timer edge.
+// clock returns the node's time since its epoch, read at the first call
+// in an atomic section and kept until the section's flush. Callers hold
+// n.mu.
+func (n *Node) clock() time.Duration {
+	if !n.haveNow {
+		n.now, n.haveNow = time.Since(n.epoch), true
+	}
+	return n.now
+}
+
+// alarm is the timer's edge: the step tick if its time came, else a
+// retransmission edge. The step keeps its phase; a step the loop was too
+// busy to take is skipped, as a ticker's is.
+func (n *Node) alarm() {
+	n.mu.Lock()
+	now := time.Since(n.epoch)
+	step := now >= n.step
+	if step {
+		n.step = now + stepInterval - (now-n.step)%stepInterval
+	}
+	n.mu.Unlock()
+	if step {
+		n.tick()
+	} else {
+		n.edge()
+	}
+}
+
+// edge is a retransmission edge: in one atomic section every group
+// outside a crash window steps on the tick path, so each link whose
+// deadline passed repeats its last message if its stack still says it.
+// An edge before every deadline — a stale one, which Reset leaves in the
+// timer's channel under go 1.22 semantics — does nothing.
+func (n *Node) edge() {
+	n.mu.Lock()
+	if now := n.clock(); now >= n.wake {
+		for _, g := range n.groups.Load().list {
+			if !g.down() {
+				g.waiters.Settle(g.stack, &g.envs, core.PathTick)
+			}
+		}
+		n.rearm(now)
+	}
+	n.flush()
+	n.mu.Unlock()
+}
+
+// tick is the step tick: delayed fault-plan messages that came due
+// surface and mail that waited out a crash window is retried; then, in
+// one atomic section, every group outside a crash window steps on the
+// tick path — repeating on the links that came due — and runs its
+// windows' timer edge.
 func (n *Node) tick() {
 	n.flushDelayed()
 	n.drainMail()
@@ -794,8 +893,34 @@ func (n *Node) tick() {
 		g.waiters.Settle(g.stack, &g.envs, core.PathTick)
 		n.control(g)
 	}
+	n.rearm(n.clock())
 	n.flush()
 	n.mu.Unlock()
+}
+
+// rearm ends a timer section: it disarms every link whose deadline passed
+// without a repeat and sets the timer for the next step or the earliest
+// deadline left, whichever comes first. Callers hold n.mu.
+func (n *Node) rearm(now time.Duration) {
+	n.wake = never
+	n.mbMu.Lock()
+	for _, g := range n.groups.Load().list {
+		for p := range g.peers {
+			for _, c := range g.peers[p].chans {
+				switch at, armed := c.out.Due(); {
+				case !armed:
+				case at <= now:
+					c.out.Disarm()
+				default:
+					n.wake = min(n.wake, at)
+				}
+			}
+		}
+	}
+	n.mbMu.Unlock()
+	if n.next = min(n.step, n.wake); n.next != never && n.timer != nil {
+		n.timer.Reset(n.next - now)
+	}
 }
 
 // control runs the timer edge of every channel of g, after the group's

@@ -140,10 +140,18 @@ func (n *Node) close(f *Frame) {
 	n.mbMu.Unlock()
 }
 
-// flush ends an atomic section: every open frame closes, and all of the
-// section's frames go to the link in one Write, in the order they opened.
-// Callers hold n.mu.
+// flush ends an atomic section. If a send in it armed a deadline earlier
+// than the one the timer is set for, the timer moves up — here, where the
+// loop's stack is shallow, not in Send. Then every open frame closes, and
+// all of the section's frames go to the link in one Write, in the order
+// they opened. The section's clock reading goes with it. Callers hold
+// n.mu.
 func (n *Node) flush() {
+	if n.wake < n.next && n.timer != nil {
+		n.next = n.wake
+		n.timer.Reset(n.wake - n.clock())
+	}
+	n.haveNow = false
 	if len(n.out) == 0 {
 		return
 	}
