@@ -337,7 +337,8 @@ type faultLink struct {
 // heldMsg is one message in a holdback queue. The two release conditions
 // are separate because they answer different adversaries: trafficAt is
 // when later traffic on the link may carry the message out (Filter — the
-// reordering swap), flushAt is when the substrate's periodic flush may
+// reordering swap — or Traffic, for a frame header that carried no
+// message), flushAt is when the substrate's periodic flush may
 // (Flush — the delay bound). A reorder holdback is releasable by traffic
 // immediately but NOT by the next flush, otherwise the flush cadence
 // (every sim step, every udp receive iteration) would re-deliver it
@@ -353,10 +354,14 @@ type heldMsg struct {
 }
 
 // ReorderFlushGrace is how many ticks a reorder holdback waits for the
-// next message on its link before the periodic flush may deliver it
+// next traffic on its link before the periodic flush may deliver it
 // anyway. On a link with traffic (every protocol here retransmits
 // continuously) the swap happens first; on a quiet link the holdback
-// degrades into a bounded delay instead of a silent permanent loss.
+// degrades into a bounded delay instead of a silent permanent loss. On
+// the concurrent engine a message-less header (a probe or an echo) is
+// traffic too (Injector.Traffic): a sender whose window the holdback
+// keeps shut sends no messages, only probes, and without them the link
+// would wait out the whole grace.
 const ReorderFlushGrace = 64
 
 // atomicFaultStats is the injector's live counter set: written only by
@@ -476,6 +481,20 @@ func (inj *Injector) Filter(from, to ProcID, m Message, now int64) ([]Message, F
 	}
 	inj.out = out
 	return out, fate
+}
+
+// Traffic is traffic on the link from -> to for instance that carried no
+// message — a frame header alone, such as a probe or an echo: it releases
+// the link's held messages whose trafficAt has passed, as a message's
+// Filter would, and draws nothing from the random stream. Inside a crash
+// window for to or a partition cutting the link it releases nothing. The
+// batch aliases the buffer Filter returns, valid until the next call.
+func (inj *Injector) Traffic(from, to ProcID, instance string, now int64) []Message {
+	if inj.heldN == 0 || inj.plan.Down(to, now) || inj.plan.Cut(from, to, now) {
+		return nil
+	}
+	inj.out = inj.releaseLink(faultLink{From: from, To: to, Instance: instance}, now, inj.out[:0])
+	return inj.out
 }
 
 // releaseLink appends every expired held message of key to out and removes

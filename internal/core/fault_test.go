@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -315,6 +316,94 @@ func TestHeldMessagesSurviveCrashAndPartition(t *testing.T) {
 	}
 	if rel := inj.Flush(6); len(rel) != 1 || !rel[0].Msg.Equal(m) {
 		t.Fatalf("held message lost across the crash window: %v", rel)
+	}
+}
+
+// TestTrafficReleasesOnlyExpiredHoldbacks: a message-less header on a
+// link releases that link's holdbacks whose trafficAt has passed — a
+// reorder holdback at once, a delayed message only once its delay ran
+// out — and nothing on another link or instance. Inside a crash window
+// for the receiver or a partition cutting the link it releases nothing,
+// and whatever it was offered stays held for later traffic.
+func TestTrafficReleasesOnlyExpiredHoldbacks(t *testing.T) {
+	plan := &FaultPlan{
+		Default:    LinkFaults{DelayRate: 0.5, DelayTicks: 10, ReorderRate: 0.5},
+		Crashes:    []CrashWindow{{Proc: 1, From: 20, Until: 24}},
+		Partitions: []PartitionWindow{{From: 24, Until: 28, GroupA: []ProcID{0}}},
+	}
+	// Delay hits for the first message; delay misses and reorder hits
+	// for the second and the third.
+	inj := NewInjector(plan, &floatsOnly{panicRand{t}, []float64{0.1, 0.9, 0.1, 0.9, 0.1}, 0})
+	delayed, reordered := msg("DELAYED"), msg("REORDERED")
+	for _, m := range []Message{delayed, reordered} {
+		if _, fate := inj.Filter(0, 1, m, 0); fate != FateHold {
+			t.Fatalf("%s not held: fate=%v", m.Kind, fate)
+		}
+	}
+	if rel := inj.Traffic(1, 0, "pif", 0); len(rel) != 0 {
+		t.Fatalf("traffic on the reverse link released %v", rel)
+	}
+	if rel := inj.Traffic(0, 1, "other", 0); len(rel) != 0 {
+		t.Fatalf("traffic on another instance released %v", rel)
+	}
+	if rel := inj.Traffic(0, 1, "pif", 0); len(rel) != 1 || !rel[0].Equal(reordered) {
+		t.Fatalf("Traffic(0) = %v, want the reorder holdback alone", rel)
+	}
+	if rel := inj.Traffic(0, 1, "pif", 9); len(rel) != 0 || inj.Held() != 1 {
+		t.Fatalf("Traffic(9) = %v with %d held, want nothing before the delay ran out", rel, inj.Held())
+	}
+	if rel := inj.Traffic(0, 1, "pif", 10); len(rel) != 1 || !rel[0].Equal(delayed) || inj.Held() != 0 {
+		t.Fatalf("Traffic(10) = %v with %d held, want the delayed message and none left", rel, inj.Held())
+	}
+
+	if _, fate := inj.Filter(0, 1, reordered, 19); fate != FateHold {
+		t.Fatalf("third message not held: fate=%v", fate)
+	}
+	if rel := inj.Traffic(0, 1, "pif", 20); len(rel) != 0 {
+		t.Fatalf("traffic to a down receiver released %v", rel)
+	}
+	if rel := inj.Traffic(0, 1, "pif", 25); len(rel) != 0 {
+		t.Fatalf("traffic across an open partition released %v", rel)
+	}
+	if rel := inj.Traffic(0, 1, "pif", 28); len(rel) != 1 || !rel[0].Equal(reordered) {
+		t.Fatalf("Traffic after the windows = %v, want the holdback they kept", rel)
+	}
+	if st := inj.Stats(); st.Total() != 3 {
+		t.Fatalf("stats = %+v, want the three holds and nothing counted by Traffic", st)
+	}
+}
+
+// TestTrafficDrawsNothing: Traffic leaves the random stream where it was,
+// so a seeded run's later fates do not depend on how many message-less
+// headers arrived. Twin injectors on one script see the same messages;
+// only one of them also sees headers, and afterwards both decide the same
+// fates.
+func TestTrafficDrawsNothing(t *testing.T) {
+	plan := &FaultPlan{Default: LinkFaults{DropRate: 0.1, DelayRate: 0.1, DelayTicks: 3, ReorderRate: 0.2, DupRate: 0.1}}
+	r := rand.New(rand.NewSource(1))
+	script := make([]float64, 4*200)
+	for i := range script {
+		script[i] = r.Float64()
+	}
+	withHeaders := NewInjector(plan, &stubRand{floats: script})
+	twin := NewInjector(plan, &stubRand{floats: script})
+	released := 0
+	for now := int64(0); now < 200; now++ {
+		m := msg("PIF")
+		m.B.Num = now
+		_, fate := withHeaders.Filter(0, 1, m, now)
+		_, twinFate := twin.Filter(0, 1, m, now)
+		if fate != twinFate {
+			t.Fatalf("message %d: fate %v, the twin's %v", now, fate, twinFate)
+		}
+		released += len(withHeaders.Traffic(0, 1, "pif", now))
+	}
+	if released == 0 {
+		t.Fatal("the headers released nothing: the test exercised no holdback")
+	}
+	a, b := withHeaders.Stats(), twin.Stats()
+	if a != b {
+		t.Fatalf("stats %+v, the twin's %+v", a, b)
 	}
 }
 

@@ -71,8 +71,8 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 		{
 			Addr: "127.0.0.1:9", Sends: 10, Recvs: 8, Redials: 1,
 			SendDatagrams: 5, RecvSyscalls: 4,
-			EchoFrames: 2, ProbeFrames: 1, Capacity: 4,
-			Links: []snapstab.LinkStats{{Peer: 0, Sent: 6, Received: 5, InFlight: 1, PeakInFlight: 3},
+			EchoFrames: 2, ProbeFrames: 1, Capacity: 2,
+			Links: []snapstab.LinkStats{{Peer: 0, Sent: 6, Received: 5, InFlight: 1, PeakInFlight: 2},
 				{Peer: 2, Sent: 4, Received: 3, Dropped: 1}},
 			Faults: snapstab.FaultStats{Drops: 2},
 		},
@@ -101,10 +101,10 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 		`snapstab_link_received_total{peer="2"} 3`,
 		`snapstab_link_dropped_total{peer="2"} 1`,
 		`snapstab_link_in_flight{peer="0"} 1`,
-		`snapstab_link_peak_in_flight{peer="0"} 3`,
+		`snapstab_link_peak_in_flight{peer="0"} 2`,
 		"snapstab_transport_echo_frames_total 2",
 		"snapstab_transport_probe_frames_total 1",
-		"snapstab_transport_capacity 4",
+		"snapstab_transport_capacity 2",
 		`snapstab_faults_injected_total{type="drop"} 2`,
 		`snapstab_requests_total{op="broadcast",outcome="ok"} 1`,
 		`snapstab_request_duration_seconds_bucket{le="0.016"} 1`,

@@ -35,6 +35,8 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 
 func benchRuntimeThroughput(b *testing.B, n, blob int) {
 	var delivered atomic.Int64
+	// A window of its own, not DefaultCapacity, so ns/op compares across
+	// revisions that move the protocols' default.
 	e, err := NewCluster(linktest.Flood(n, blob, &delivered), engine.WithCapacity(4))
 	if err != nil {
 		b.Fatal(err)

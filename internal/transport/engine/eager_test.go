@@ -185,10 +185,11 @@ func warm(t *testing.T, nodes []*Node, machines []*pif.PIF) {
 	settled(t, nodes[0], errc)
 }
 
-// TestWarmBroadcastIsFortySends: with no timer at all, a warm n = 3,
-// c = 4 broadcast completes in exactly 4(c+1)(n-1) sends — 2c+2 flags
-// and as many echoes per peer — and wakes its waiter on the last echo.
-func TestWarmBroadcastIsFortySends(t *testing.T) {
+// TestWarmBroadcastIs4cPlus4SendsPerPeer: with no timer at all, a warm
+// n = 3 broadcast completes in exactly 4(c+1)(n-1) sends — 2c+2 flags
+// and as many echoes per peer, 24 at the default c = 2 — and wakes its
+// waiter on the last echo.
+func TestWarmBroadcastIs4cPlus4SendsPerPeer(t *testing.T) {
 	_, nodes, machines := still(t, 3)
 	warm(t, nodes, machines)
 	before, _ := totals(nodes)
@@ -202,8 +203,9 @@ func TestWarmBroadcastIsFortySends(t *testing.T) {
 }
 
 // TestDuplicateEchoCostsNothing: a duplicated echo makes the initiator
-// step once more, and everything that Step says was said already.
-// Without the last-message filter the copy doubles every later round.
+// step once more, and everything that Step says was said already — the
+// broadcast still costs 4(c+1)(n-1) sends. Without the last-message
+// filter the copy doubles every later round.
 func TestDuplicateEchoCostsNothing(t *testing.T) {
 	pn, nodes, machines := still(t, 3)
 	warm(t, nodes, machines)
@@ -223,15 +225,16 @@ func TestDuplicateEchoCostsNothing(t *testing.T) {
 	if echoes < 3 {
 		t.Fatalf("only %d echoes seen, none duplicated", echoes)
 	}
-	if after, _ := totals(nodes); after-before != 40 {
-		t.Fatalf("broadcast with one duplicated echo took %d sends, want 40", after-before)
+	after, _ := totals(nodes)
+	if want := int64(4 * (DefaultCapacity + 1) * 2); after-before != want {
+		t.Fatalf("broadcast with one duplicated echo took %d sends, want %d", after-before, want)
 	}
 }
 
 // TestTickRecoversDroppedFlag: a lost flag stalls its link until its
 // repeat deadline, half a step after the flag left: the first
 // retransmission edge at or past it repeats the flag, and the broadcast
-// costs exactly one retransmission.
+// costs exactly one retransmission on top of its 4(c+1)(n-1) sends.
 func TestTickRecoversDroppedFlag(t *testing.T) {
 	pn, nodes, machines := still(t, 3)
 	warm(t, nodes, machines)
@@ -262,8 +265,8 @@ func TestTickRecoversDroppedFlag(t *testing.T) {
 	pump(nodes)
 	settled(t, nodes[0], errc)
 	after, retransmits := totals(nodes)
-	if after-before != 41 || retransmits != 1 {
-		t.Fatalf("%d sends, %d retransmissions; want 41 and 1", after-before, retransmits)
+	if want := int64(4*(DefaultCapacity+1)*2 + 1); after-before != want || retransmits != 1 {
+		t.Fatalf("%d sends, %d retransmissions; want %d and 1", after-before, retransmits, want)
 	}
 }
 
@@ -271,10 +274,11 @@ func TestTickRecoversDroppedFlag(t *testing.T) {
 // handshake with process 2 advances before every edge, the link to
 // process 1, which hears nothing, still repeats at each of its
 // deadlines — half a step after the request, then a step apart — and
-// the busy link never does.
+// the busy link never does. The window is roomWindow, so the silent link
+// has room for the three repeats.
 func TestStalledLinkIsNotStarved(t *testing.T) {
 	var seen repeats
-	pn, nodes, machines := still(t, 3, WithObserver(&seen))
+	pn, nodes, machines := still(t, 3, WithObserver(&seen), WithCapacity(roomWindow))
 	warm(t, nodes, machines)
 	pn.setCopies(func(from, to core.ProcID) int {
 		if from == 0 && to == 1 {
@@ -309,12 +313,17 @@ func TestStalledLinkIsNotStarved(t *testing.T) {
 	}
 }
 
+// roomWindow is the window of the tests that need room for more repeats
+// than DefaultCapacity-1: a link holds its message and c-1 unanswered
+// copies, and these tests watch the spacing of several.
+const roomWindow = 4
+
 // lossyPair builds two still nodes whose link 0 → 1 loses everything,
 // and starts a broadcast at node 0: its flag toward 1 is the one message
 // the link carries, repeated or refused from then on.
-func lossyPair(t *testing.T) []*Node {
+func lossyPair(t *testing.T, opts ...Option) []*Node {
 	t.Helper()
-	pn, nodes, machines := still(t, 2)
+	pn, nodes, machines := still(t, 2, opts...)
 	pn.setCopies(func(from, to core.ProcID) int {
 		if from == 0 {
 			return 0
@@ -327,9 +336,10 @@ func lossyPair(t *testing.T) []*Node {
 
 // TestRepeatBacksOffToStepInterval: a link that stays silent repeats
 // half a step after its last new message, then a whole step apart —
-// until its window of c is full of unanswered copies.
+// until its window of c is full of unanswered copies. It runs at
+// roomWindow, so the back-off shows in more than one repeat.
 func TestRepeatBacksOffToStepInterval(t *testing.T) {
-	nodes := lossyPair(t)
+	nodes := lossyPair(t, WithCapacity(roomWindow))
 	var at []time.Duration
 	for now := time.Duration(0); now <= 8*stepInterval; now += stepInterval / 4 {
 		if now > 0 {
@@ -341,7 +351,7 @@ func TestRepeatBacksOffToStepInterval(t *testing.T) {
 		}
 	}
 	want := []time.Duration{stepInterval / 2, 3 * stepInterval / 2, 5 * stepInterval / 2}
-	if len(at) != len(want) || len(want) != DefaultCapacity-1 {
+	if len(at) != len(want) || len(want) != roomWindow-1 {
 		t.Fatalf("repeats left at %v, want %v: the window holds the flag and c-1 copies", at, want)
 	}
 	for i := range want {
@@ -461,6 +471,20 @@ func (d *deliveries) snapshot() []int64 {
 	return append([]int64(nil), d.nums...)
 }
 
+// upTo reports whether the deliveries are exactly 1..k, in order.
+func (d *deliveries) upTo(k int) bool {
+	nums := d.snapshot()
+	if len(nums) != k {
+		return false
+	}
+	for i, num := range nums {
+		if num != int64(i+1) {
+			return false
+		}
+	}
+	return true
+}
+
 // from1 is one frame from process 1 carrying one message numbered num.
 func from1(n *Node, seq uint64, num int64) {
 	n.arrive(1, 0, []wire.LinkHeader{{Instance: "pif", Seq: seq, Count: 1}},
@@ -468,16 +492,16 @@ func from1(n *Node, seq uint64, num int64) {
 }
 
 // TestCrashWindowHoldsBoxedMail: mail that arrived before a crash window opens
-// waits the window out where it is — no drain and no tick delivers,
-// moves or loses it — and the first tick after the window delivers it in
-// arrival order.
+// — a full mailbox of c messages — waits the window out where it is: no
+// drain and no tick delivers, moves or loses it, and the first tick after
+// the window delivers it in arrival order.
 func TestCrashWindowHoldsBoxedMail(t *testing.T) {
 	var got deliveries
 	plan := &core.FaultPlan{Unit: time.Hour, Crashes: []core.CrashWindow{{Proc: 0, From: 1, Until: 2}}}
 	_, nodes, _ := still(t, 2, WithFaults(plan), WithObserver(&got))
 	n := nodes[0]
 	n.g0.epoch = time.Now() // hour 0: up
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= DefaultCapacity; i++ {
 		from1(n, uint64(i), int64(i))
 	}
 	n.g0.epoch = time.Now().Add(-time.Hour) // hour 1: down
@@ -487,14 +511,14 @@ func TestCrashWindowHoldsBoxedMail(t *testing.T) {
 	n.mbMu.Lock()
 	inBox := len(n.g0.channel(1, "pif").box)
 	n.mbMu.Unlock()
-	if s := n.Stats(); inBox != 3 || len(got.snapshot()) != 0 || s.MailboxDrops != 0 || s.Sends != 0 {
-		t.Fatalf("inside the crash window: %d in the box, deliveries %v, %d mailbox drops, %d sends; want 3, none, 0, 0",
-			inBox, got.snapshot(), s.MailboxDrops, s.Sends)
+	if s := n.Stats(); inBox != DefaultCapacity || len(got.snapshot()) != 0 || s.MailboxDrops != 0 || s.Sends != 0 {
+		t.Fatalf("inside the crash window: %d in the box, deliveries %v, %d mailbox drops, %d sends; want %d, none, 0, 0",
+			inBox, got.snapshot(), s.MailboxDrops, s.Sends, DefaultCapacity)
 	}
 	n.g0.epoch = time.Now().Add(-2 * time.Hour) // hour 2: up again
 	n.tick()
-	if nums := got.snapshot(); len(nums) != 3 || nums[0] != 1 || nums[1] != 2 || nums[2] != 3 {
-		t.Fatalf("first tick after the crash window delivered %v, want [1 2 3]", nums)
+	if !got.upTo(DefaultCapacity) {
+		t.Fatalf("first tick after the crash window delivered %v, want 1..%d in order", got.snapshot(), DefaultCapacity)
 	}
 	if s := n.Stats(); s.MailboxDrops != 0 {
 		t.Fatalf("%d mailbox drops", s.MailboxDrops)
@@ -519,6 +543,58 @@ func TestDelayedMailSurfacesFromTick(t *testing.T) {
 	n.tick()
 	if nums := got.snapshot(); len(nums) != 1 || nums[0] != 7 {
 		t.Fatalf("tick after the delay ran out delivered %v, want [7]", nums)
+	}
+}
+
+// TestProbeReleasesReorderHoldback: a reorder holdback that keeps its
+// sender's window shut leaves with the sender's probe. The link 1 → 0
+// holds back every message it can, so of c messages sent at once the
+// last is held: it keeps the receiver's pipeline occupied, no
+// acknowledgment covers the others, and the sender's next send is
+// refused. Its step tick then sends a probe — a header with no message —
+// and that header's arrival carries the holdback out. The fault clock
+// is in hours and reads 0 throughout: ReorderFlushGrace never passes, so
+// nothing but the probe can release it.
+func TestProbeReleasesReorderHoldback(t *testing.T) {
+	var got deliveries
+	plan := &core.FaultPlan{Unit: time.Hour, Links: map[core.LinkSel]core.LinkFaults{{From: 1, To: 0}: {ReorderRate: 0.999}}}
+	_, nodes, _ := still(t, 2, WithFaults(plan), WithObserver(&got))
+	for _, n := range nodes {
+		n.g0.epoch = time.Now()
+	}
+	send := func(from, to int64) {
+		nodes[1].Do(func(env core.Env) {
+			for num := from; num <= to; num++ {
+				env.Send(0, core.Message{Instance: "pif", Kind: pif.Kind, B: core.Payload{Num: num}})
+			}
+		})
+	}
+	held := func() int {
+		g := nodes[0].g0
+		g.injMu.Lock()
+		defer g.injMu.Unlock()
+		return g.inj.Held()
+	}
+	send(1, DefaultCapacity)
+	nodes[0].drainMail()
+	nodes[0].tick() // the receiver's own tick releases nothing
+	if !got.upTo(DefaultCapacity-1) || held() != 1 {
+		t.Fatalf("after the window's worth: deliveries %v, %d held; want 1..%d and 1", got.snapshot(), held(), DefaultCapacity-1)
+	}
+	send(DefaultCapacity+1, DefaultCapacity+1)
+	if s := nodes[1].Stats(); s.SendDrops != 1 || s.Links[0].InFlight != DefaultCapacity {
+		t.Fatalf("sender: %d send drops, %d in flight; want the window shut at %d and the send refused",
+			s.SendDrops, s.Links[0].InFlight, DefaultCapacity)
+	}
+
+	nodes[1].tick() // the probe
+	nodes[0].drainMail()
+	if s := nodes[1].Stats(); s.ProbeFrames != 1 || !got.upTo(DefaultCapacity) || held() != 0 {
+		t.Fatalf("after %d probes: deliveries %v, %d held; want one probe to deliver 1..%d", s.ProbeFrames, got.snapshot(), held(), DefaultCapacity)
+	}
+	nodes[0].tick() // the probe's answer
+	if l := nodes[1].Stats().Links[0]; l.InFlight != 0 || l.PeakInFlight > DefaultCapacity {
+		t.Fatalf("sender's window after the answer: %d in flight, peak %d; want 0 and at most %d", l.InFlight, l.PeakInFlight, DefaultCapacity)
 	}
 }
 

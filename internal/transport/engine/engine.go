@@ -96,8 +96,12 @@ import (
 // DefaultCapacity is the per-link capacity bound c enforced by default:
 // the window of every directed (peer, group, instance) link, the mailbox
 // size, and the bound protocol stacks must be built with (flag top
-// 2c+2 = 10).
-const DefaultCapacity = 4
+// 2c+2 = 6). It is the smallest c that loses nowhere (DESIGN.md §7): a
+// request costs 2c+2 flag rounds per peer, so c = 2 sends 40 % fewer
+// frames than c = 4, while at c = 1 an endpoint that both answers and
+// initiates on one link finds its window shut behind its own answer, and
+// its new flags are refused until the acknowledgment returns.
+const DefaultCapacity = 2
 
 // stepInterval paces repetition (core.LinkOut has the rule): a link's
 // last message is repeated half an interval after it left new, then once
@@ -730,6 +734,9 @@ func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, m
 		g.channel(sender, h.Instance).w.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
 	}
 	n.mbMu.Unlock()
+	if g.inj != nil {
+		n.traffic(g, sender, links)
+	}
 	for _, m := range msgs {
 		if g.inj == nil {
 			n.box(g, sender, m)
@@ -758,6 +765,28 @@ func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, m
 		}
 		for _, dm := range out {
 			n.box(g, sender, dm)
+		}
+	}
+}
+
+// traffic shows the fault plane every header of a frame that carried no
+// message — a probe or an echo — as traffic on its link (DESIGN.md §9),
+// so a reorder holdback that keeps its sender's window shut leaves with
+// the sender's probe. A released message keeps the window slot it has
+// held since it arrived, as in flushDelayed.
+func (n *Node) traffic(g *Group, sender core.ProcID, links []wire.LinkHeader) {
+	for _, h := range links {
+		if h.Count != 0 {
+			continue // its messages pass Filter, which releases the link
+		}
+		g.injMu.Lock()
+		rel := g.inj.Traffic(sender, n.self, h.Instance, g.now())
+		// Traffic returns the injector's scratch: snapshot it, as arrive
+		// does Filter's.
+		rel = append([]core.Message(nil), rel...)
+		g.injMu.Unlock()
+		for _, m := range rel {
+			n.box(g, sender, m)
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // floodWindow is the capacity the flood benchmarks run at. The flooder
-// has no handshake flags to size, and at engine.DefaultCapacity the
-// benchmark would measure the window, not the datagram path: two
-// full default batches per link keep the path saturated, as the
-// pre-window mailboxes did.
+// has no handshake flags to size, and at engine.DefaultCapacity (c
+// messages per link) the benchmark would measure the window, not the
+// datagram path: a window of many full batches keeps every link
+// saturated, as the pre-window mailboxes did.
 const floodWindow = 1024
 
 // BenchmarkUDPThroughput measures sustained deliveries/sec over real

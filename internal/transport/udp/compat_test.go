@@ -183,15 +183,16 @@ func TestBatchedSendCoalescesAndCounts(t *testing.T) {
 }
 
 // TestLinkFrameDeliveredPerMessage: a hand-built link frame from a known
-// peer is unpacked into individual mailbox deliveries.
+// peer is unpacked into individual mailbox deliveries: a full mailbox of
+// c messages, one of them with a body.
 func TestLinkFrameDeliveredPerMessage(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
 	p, rec := recorderAtRawPeer(t)
-	msgs := []core.Message{
-		{Instance: "rec", Kind: "K", B: core.Payload{Num: 1}},
-		{Instance: "rec", Kind: "K", B: core.Payload{Num: 2, Blob: []byte("x")}},
-		{Instance: "rec", Kind: "K", B: core.Payload{Num: 3}},
+	msgs := make([]core.Message, engine.DefaultCapacity)
+	for i := range msgs {
+		msgs[i] = core.Message{Instance: "rec", Kind: "K", B: core.Payload{Num: int64(i + 1)}}
 	}
+	msgs[len(msgs)-1].B.Blob = []byte("x")
 	p.Send([]wire.LinkHeader{{Instance: "rec", Seq: 3}}, msgs...)
 	if !waitFor(t, 5*time.Second, func() bool { return len(rec.Snapshot()) == len(msgs) }) {
 		t.Fatalf("link frame delivered %d of %d messages", len(rec.Snapshot()), len(msgs))

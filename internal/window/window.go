@@ -28,6 +28,12 @@
 // <= s was consumed or lost, whatever order a fault plane's holdback
 // released them in; the rule needs no per-message identity, so it
 // survives duplication, reordering and delay at the mailbox boundary.
+// A held message counts in the pipeline, so it keeps done, and with it
+// the sender's window, where they are. The engine therefore shows the
+// fault plane every header that carried no message — a probe or an
+// echo — as traffic on its link (core.Injector.Traffic). Otherwise a
+// reorder holdback that keeps the window shut would wait for data the
+// shut window refuses to send.
 //
 // Two timer-driven control frames keep the link live. An echo that has
 // waited a full tick without data to ride on leaves as an echo-only

@@ -48,7 +48,7 @@ func newMux(name string, build func(int, ...engine.Option) (*engine.Mux, error),
 // mux ready to host clusters. The cluster options read here are the
 // socket-level ones, which cannot vary per attached cluster: WithBatch
 // fixes the coalescing ceiling and WithCapacity the per-link window
-// (default 4) — every attached cluster's machines are built for that
+// (default 2) — every attached cluster's machines are built for that
 // bound. Everything else — topology, faults, receivers — is given to
 // the cluster constructors instead. Socket binding failures are
 // returned, not panicked: the mux is built before any cluster exists.

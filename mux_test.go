@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	snapstab "github.com/snapstab/snapstab"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // muxRoundTrip attaches two independent PIF clusters to one mux,
@@ -53,8 +54,8 @@ func muxRoundTrip(t *testing.T, mux *snapstab.Mux) {
 	if _, err := b.Broadcast(1, "mux-b-after", 3); err != nil {
 		t.Fatalf("cluster b after sibling close: %v", err)
 	}
-	checkWindows(t, a.TransportStats(), 4)
-	checkWindows(t, b.TransportStats(), 4)
+	checkWindows(t, a.TransportStats(), engine.DefaultCapacity)
+	checkWindows(t, b.TransportStats(), engine.DefaultCapacity)
 }
 
 // TestUDPMuxFacade hosts two clusters as wire groups on one set of

@@ -162,7 +162,7 @@ func nodeOptions(o options, obs []core.Observer) []engine.Option {
 }
 
 // UDP selects the loopback datagram transport: one socket per process,
-// wire-encoded messages, natural loss. WithCapacity (default 4 here) is
+// wire-encoded messages, natural loss. WithCapacity (default 2 here) is
 // the channel-capacity bound c the transport enforces: every directed
 // link admits at most c unconsumed messages, a send beyond that is lost
 // at the sender, and the machines' flag domain is sized from the same
@@ -185,7 +185,7 @@ func UDP() Substrate {
 // persistent connections carrying length-prefixed wire frames, redial
 // with backoff on connection loss. TCP delivers reliably per connection,
 // so the transport restores the model's lossy bounded channels at its
-// edges: WithCapacity (default 4 here) is the channel-capacity bound c
+// edges: WithCapacity (default 2 here) is the channel-capacity bound c
 // it enforces with a per-link sender-side window exactly as on UDP — a
 // send beyond c unconsumed messages is lost at the sender, and the
 // machines' flag domain is sized from the same number — and connection

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	snapstab "github.com/snapstab/snapstab"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
 // substrates lists the in-memory substrates every façade test should
@@ -295,18 +296,19 @@ func checkWindows(t *testing.T, stats []snapstab.TransportStats, wantCapacity in
 
 // TestSocketCapacityIsTheEnforcedBound: on the socket substrates
 // WithCapacity is the per-link window the transport enforces (default
-// 4), a mux fixes it for every attached cluster, and a bound whose flag
-// domain would not fit the wire is refused at construction.
+// engine.DefaultCapacity), a mux fixes it for every attached cluster,
+// and a bound whose flag domain would not fit the wire is refused at
+// construction.
 func TestSocketCapacityIsTheEnforcedBound(t *testing.T) {
 	t.Parallel()
 	for name, sub := range map[string]snapstab.Substrate{"udp": snapstab.UDP(), "tcp": snapstab.TCP()} {
-		c := snapstab.NewPIFCluster(3, snapstab.WithSubstrate(sub), snapstab.WithCapacity(2))
+		c := snapstab.NewPIFCluster(3, snapstab.WithSubstrate(sub), snapstab.WithCapacity(engine.DefaultCapacity+1))
 		if _, err := c.Broadcast(0, "bound", 1); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		stats := c.TransportStats()
 		c.Close()
-		checkWindows(t, stats, 2)
+		checkWindows(t, stats, engine.DefaultCapacity+1)
 		if peak := stats[0].Links[0].PeakInFlight; peak < 1 {
 			t.Errorf("%s: initiator's window never held a message (peak %d)", name, peak)
 		}
@@ -361,7 +363,7 @@ func TestUDPSubstrate(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	checkWindows(t, c.TransportStats(), 4)
+	checkWindows(t, c.TransportStats(), engine.DefaultCapacity)
 }
 
 // TestTCPSubstrate completes a corrupted broadcast over persistent
@@ -401,7 +403,7 @@ func TestTCPSubstrate(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	checkWindows(t, c.TransportStats(), 4)
+	checkWindows(t, c.TransportStats(), engine.DefaultCapacity)
 }
 
 // TestTCPHostFleet assembles a fleet of single-process TCPHost
