@@ -87,6 +87,23 @@ func (c *clusterCore) init(o options, stacks []core.Stack, obs ...core.Observer)
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 }
 
+// lockedChecker serializes a spec checker's callbacks: events arrive
+// concurrently from every process goroutine on the concurrent substrates,
+// and the checkers are not goroutine-safe. It reads what its checker
+// reads, so it is a core.ProtocolObserver too.
+type lockedChecker struct {
+	mu      *sync.Mutex
+	checker core.ProtocolObserver
+}
+
+func (l lockedChecker) OnEvent(e core.Event) {
+	l.mu.Lock()
+	l.checker.OnEvent(e)
+	l.mu.Unlock()
+}
+
+func (lockedChecker) IgnoresTraffic() {}
+
 // N returns the number of processes.
 func (c *clusterCore) N() int { return c.sub.N() }
 

@@ -98,14 +98,7 @@ func NewForwardingCluster[T any](n int, codec Codec[T], opts ...Option) *Forward
 			fwd.WithCapacityBound(o.capacity))
 		stacks[i] = core.Stack{c.machines[i]}
 	}
-	// Events arrive concurrently from every process goroutine on the
-	// concurrent substrates; the checker itself is not goroutine-safe.
-	locked := core.ObserverFunc(func(e core.Event) {
-		c.chkMu.Lock()
-		c.checker.OnEvent(e)
-		c.chkMu.Unlock()
-	})
-	c.init(o, stacks, locked)
+	c.init(o, stacks, lockedChecker{&c.chkMu, c.checker})
 	return c
 }
 

@@ -141,10 +141,35 @@ func (e Event) String() string {
 // initial configuration carry an empty note.
 const NoteRequested = "requested"
 
+// Traffic reports whether k is one of the four message-movement kinds —
+// EvSend, EvSendLost, EvDeliver, EvLose — rather than a protocol event.
+func (k EventKind) Traffic() bool {
+	switch k {
+	case EvSend, EvSendLost, EvDeliver, EvLose:
+		return true
+	}
+	return false
+}
+
 // Observer consumes events as they occur. Implementations must be fast;
-// they run inside the simulation loop.
+// they run inside the simulation loop. An observer never influences the
+// execution it watches: a seed replays the same steps with any set of
+// observers installed, or none. Every observer receives the protocol
+// events; the simulator sends the traffic kinds (EventKind.Traffic) only
+// to observers that are not a ProtocolObserver.
 type Observer interface {
 	OnEvent(e Event)
+}
+
+// ProtocolObserver marks an Observer that ignores the traffic kinds and
+// reads only protocol events. The simulator withholds send, send-lost,
+// deliver and lose from it, and builds no traffic event at all when every
+// installed observer is one. The spec checkers implement it. An observer
+// that reads any traffic kind must not; the concurrent engine ignores the
+// marker and sends every event to every observer.
+type ProtocolObserver interface {
+	Observer
+	IgnoresTraffic()
 }
 
 // ObserverFunc adapts a function to the Observer interface.

@@ -103,17 +103,26 @@ func WithSeed(seed uint64) Option {
 	return func(n *Network) { n.seed = seed }
 }
 
-// WithObserver subscribes an event observer.
+// WithObserver subscribes an event observer. Observers never influence
+// the execution. Every observer receives the protocol events; the traffic
+// kinds (send, send-lost, deliver, lose) go only to observers that are not
+// a core.ProtocolObserver, and are not built at all when there is none.
 func WithObserver(o core.Observer) Option {
-	return func(n *Network) { n.observers = append(n.observers, o) }
+	return func(n *Network) {
+		n.observers = append(n.observers, o)
+		if _, protocolOnly := o.(core.ProtocolObserver); !protocolOnly {
+			n.traffic = append(n.traffic, o)
+		}
+	}
 }
 
 // WithTopology restricts the network to the edges of t: links exist only
 // along edges (Link panics on a non-edge key), sends to non-neighbours
 // are dropped at the sender, and the installed fault plan must address
 // only real links. The default (nil) is the paper's complete graph. The
-// link structures are lazily created per edge, so memory and the
-// scheduler's pending index stay degree-bounded on sparse graphs. Edge
+// links are lazily created per edge, so the queues and the scheduler's
+// pending index stay degree-bounded on sparse graphs (the pair table
+// holds one slice header per ordered pair). Edge
 // checks consume no scheduler randomness: a network over an explicit
 // Complete(n) executes byte-identically to one without a topology.
 func WithTopology(t *core.Topology) Option {
@@ -154,9 +163,19 @@ type Network struct {
 	r         *rng.Source
 	stacks    []core.Stack
 	routes    []map[string]core.Machine
-	links     map[LinkKey]*channel.Queue[core.Message]
+	observers core.MultiObserver // every observer: protocol events
+	traffic   core.MultiObserver // the observers that read traffic events
+
+	// The link table (DESIGN.md §4). A link's id is its creation index:
+	// linkOrder[id] is its key, queues[id] its channel, and recv[id] the
+	// receiver's machine for the link's instance (nil when it runs none).
+	// pairs[from*n+to] lists the ids of the links between one ordered
+	// pair, a few instances each, so a lookup compares a few strings
+	// instead of hashing a key.
 	linkOrder []LinkKey
-	observers core.MultiObserver
+	queues    []*channel.Queue[core.Message]
+	recv      []core.Machine
+	pairs     [][]int
 
 	// The non-empty-link index: pending holds the ids (indices into
 	// linkOrder) of every link currently carrying messages, as a dense
@@ -195,7 +214,7 @@ func New(stacks []core.Stack, opts ...Option) *Network {
 		capacity:     1,
 		seed:         1,
 		stacks:       stacks,
-		links:        make(map[LinkKey]*channel.Queue[core.Message]),
+		pairs:        make([][]int, len(stacks)*len(stacks)),
 		activatedSet: make([]bool, len(stacks)),
 		crashed:      make([]bool, len(stacks)),
 		awaitBudget:  DefaultAwaitBudget,
@@ -276,9 +295,29 @@ func (net *Network) Rand() *rng.Source { return net.r }
 // Link returns the logical channel for key k, creating it empty on first
 // use. Creation order is recorded so scheduling stays deterministic.
 func (net *Network) Link(k LinkKey) *channel.Queue[core.Message] {
-	if q, ok := net.links[k]; ok {
-		return q
+	id := net.linkID(k)
+	if id < 0 {
+		id = net.newLink(k)
 	}
+	return net.queues[id]
+}
+
+// linkID returns the id of link k, or -1 when it was never created (every
+// key Link would reject included).
+func (net *Network) linkID(k LinkKey) int {
+	if k.From < 0 || k.To < 0 || int(k.From) >= net.n || int(k.To) >= net.n {
+		return -1
+	}
+	for _, id := range net.pairs[int(k.From)*net.n+int(k.To)] {
+		if net.linkOrder[id].Instance == k.Instance {
+			return id
+		}
+	}
+	return -1
+}
+
+// newLink validates k and creates its empty link, returning the new id.
+func (net *Network) newLink(k LinkKey) int {
 	if k.From == k.To || int(k.From) >= net.n || int(k.To) >= net.n || k.From < 0 || k.To < 0 {
 		panic(fmt.Sprintf("sim: invalid link %v", k))
 	}
@@ -291,9 +330,12 @@ func (net *Network) Link(k LinkKey) *channel.Queue[core.Message] {
 	} else {
 		q = channel.NewBounded[core.Message](net.capacity)
 	}
-	net.links[k] = q
 	id := len(net.linkOrder)
 	net.linkOrder = append(net.linkOrder, k)
+	net.queues = append(net.queues, q)
+	net.recv = append(net.recv, net.routes[k.To][k.Instance])
+	pair := int(k.From)*net.n + int(k.To)
+	net.pairs[pair] = append(net.pairs[pair], id)
 	net.pendingPos = append(net.pendingPos, -1)
 	q.SetTransition(func(nonEmpty bool) {
 		if nonEmpty {
@@ -309,7 +351,7 @@ func (net *Network) Link(k LinkKey) *channel.Queue[core.Message] {
 		net.pending = net.pending[:last]
 		net.pendingPos[id] = -1
 	})
-	return q
+	return id
 }
 
 // Links returns the keys of every channel created so far, in a
@@ -337,11 +379,17 @@ func (net *Network) LinksSorted() []LinkKey {
 	return out
 }
 
-// emit stamps and fans out an event.
+// emit stamps an event and fans it out: a traffic event to the observers
+// that read traffic, any other to every observer. The traffic sites test
+// len(net.traffic) before building their event at all.
 func (net *Network) emit(e core.Event) {
 	e.Step = net.step
-	if len(net.observers) > 0 {
-		net.observers.OnEvent(e)
+	obs := net.observers
+	if e.Kind.Traffic() {
+		obs = net.traffic
+	}
+	if len(obs) > 0 {
+		obs.OnEvent(e)
 	}
 }
 
@@ -357,23 +405,34 @@ func (e env) Self() core.ProcID { return e.self }
 func (e env) N() int            { return e.net.n }
 
 func (e env) Send(to core.ProcID, m core.Message) {
-	if e.net.topo != nil && !e.net.topo.HasEdge(e.self, to) {
-		// No channel exists toward a non-neighbour: the send vanishes at
-		// the sender, accounted like a full-channel loss. The check draws
-		// no randomness, preserving the determinism contract.
-		e.net.stats.Sends++
-		e.net.stats.SendLosses++
-		e.net.emit(core.Event{Kind: core.EvSendLost, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m, Note: "no edge"})
+	net := e.net
+	k := LinkKey{From: e.self, To: to, Instance: m.Instance}
+	id := net.linkID(k)
+	if id < 0 {
+		if net.topo != nil && !net.topo.HasEdge(e.self, to) {
+			// No channel exists toward a non-neighbour: the send vanishes
+			// at the sender, accounted like a full-channel loss. The check
+			// draws no randomness, preserving the determinism contract.
+			net.stats.Sends++
+			net.stats.SendLosses++
+			if len(net.traffic) > 0 {
+				net.emit(core.Event{Kind: core.EvSendLost, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m, Note: "no edge"})
+			}
+			return
+		}
+		id = net.newLink(k)
+	}
+	net.stats.Sends++
+	if net.queues[id].Send(m) {
+		if len(net.traffic) > 0 {
+			net.emit(core.Event{Kind: core.EvSend, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m})
+		}
 		return
 	}
-	q := e.net.Link(LinkKey{From: e.self, To: to, Instance: m.Instance})
-	e.net.stats.Sends++
-	if q.Send(m) {
-		e.net.emit(core.Event{Kind: core.EvSend, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m})
-		return
+	net.stats.SendLosses++
+	if len(net.traffic) > 0 {
+		net.emit(core.Event{Kind: core.EvSendLost, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m})
 	}
-	e.net.stats.SendLosses++
-	e.net.emit(core.Event{Kind: core.EvSendLost, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m})
 }
 
 func (e env) Emit(ev core.Event) {
@@ -439,37 +498,57 @@ func (net *Network) Activate(p core.ProcID) bool {
 // exists, which may turn the delivery into a loss, a duplicate pair, or
 // a holdback. It reports false when the link is empty.
 func (net *Network) Deliver(k LinkKey) bool {
-	q, ok := net.links[k]
+	id := net.linkID(k)
+	if id < 0 {
+		return false
+	}
+	return net.deliver(id)
+}
+
+// deliver is Deliver on link id.
+func (net *Network) deliver(id int) bool {
+	m, ok := net.queues[id].Recv()
 	if !ok {
 		return false
 	}
-	m, ok := q.Recv()
-	if !ok {
-		return false
-	}
+	from, to := net.linkOrder[id].From, net.linkOrder[id].To
 	if net.inj != nil {
-		out, fate := net.inj.Filter(k.From, k.To, m, int64(net.step))
-		if fate == core.FateDrop {
+		out, fate := net.inj.Filter(from, to, m, int64(net.step))
+		if fate == core.FateDrop && len(net.traffic) > 0 {
 			// Injected loss is attributed to the receiver side like every
 			// in-transit loss; the category lives in Stats.Faults.
-			net.emit(core.Event{Kind: core.EvLose, Proc: k.To, Peer: k.From, Instance: m.Instance, Msg: m})
+			net.emit(core.Event{Kind: core.EvLose, Proc: to, Peer: from, Instance: m.Instance, Msg: m})
 		}
 		for _, dm := range out {
-			net.deliverMsg(k.From, k.To, dm)
+			net.deliverMsg(id, from, to, dm)
 		}
 		return true
 	}
-	net.deliverMsg(k.From, k.To, m)
+	net.deliverMsg(id, from, to, m)
 	return true
 }
 
 // deliverMsg hands one in-transit message to the destination's receive
 // action: the delivery accounting shared by the plain path, the fault
-// plan's surviving copies, and flushed holdbacks.
-func (net *Network) deliverMsg(from, to core.ProcID, m core.Message) {
+// plan's surviving copies, and flushed holdbacks. id is the link the
+// message left, whose cached receiver serves messages of the link's own
+// instance; any other message, and a flushed holdback (id -1), is routed
+// by its instance.
+func (net *Network) deliverMsg(id int, from, to core.ProcID, m core.Message) {
 	net.stats.Deliveries++
-	net.emit(core.Event{Kind: core.EvDeliver, Proc: to, Peer: from, Instance: m.Instance, Msg: m})
-	if mach, ok := net.routes[to][m.Instance]; ok && !net.crashed[to] {
+	if len(net.traffic) > 0 {
+		net.emit(core.Event{Kind: core.EvDeliver, Proc: to, Peer: from, Instance: m.Instance, Msg: m})
+	}
+	if net.crashed[to] {
+		return
+	}
+	var mach core.Machine
+	if id >= 0 && m.Instance == net.linkOrder[id].Instance {
+		mach = net.recv[id]
+	} else {
+		mach = net.routes[to][m.Instance]
+	}
+	if mach != nil {
 		mach.Deliver(net.envs[to], from, m)
 	}
 	// A message addressed to an unknown instance (initial garbage) is
@@ -483,24 +562,33 @@ func (net *Network) deliverMsg(from, to core.ProcID, m core.Message) {
 // surfaces on time.
 func (net *Network) flushFaults() {
 	for _, rel := range net.inj.Flush(int64(net.step)) {
-		net.deliverMsg(rel.From, rel.To, rel.Msg)
+		net.deliverMsg(-1, rel.From, rel.To, rel.Msg)
 	}
 }
 
 // Lose drops the head message of link k, modeling link-level loss. It
 // reports false when the link is empty.
 func (net *Network) Lose(k LinkKey) bool {
-	q, ok := net.links[k]
-	if !ok {
+	id := net.linkID(k)
+	if id < 0 {
 		return false
 	}
+	return net.lose(id)
+}
+
+// lose is Lose on link id.
+func (net *Network) lose(id int) bool {
+	q := net.queues[id]
 	m, peeked := q.Peek()
 	if !peeked {
 		return false
 	}
 	q.Drop()
 	net.stats.LinkLosses++
-	net.emit(core.Event{Kind: core.EvLose, Proc: k.To, Peer: k.From, Instance: m.Instance, Msg: m})
+	if len(net.traffic) > 0 {
+		k := net.linkOrder[id]
+		net.emit(core.Event{Kind: core.EvLose, Proc: k.To, Peer: k.From, Instance: m.Instance, Msg: m})
+	}
 	return true
 }
 
@@ -536,11 +624,11 @@ func (net *Network) Step() bool {
 	if choice < net.n {
 		return net.Activate(core.ProcID(choice))
 	}
-	k := net.linkOrder[net.pending[choice-net.n]]
+	id := net.pending[choice-net.n]
 	if net.loss > 0 && net.r.Float64() < net.loss {
-		return net.Lose(k)
+		return net.lose(id)
 	}
-	return net.Deliver(k)
+	return net.deliver(id)
 }
 
 // SyncRound activates every process once and then delivers (or loses)
@@ -557,11 +645,10 @@ func (net *Network) SyncRound() bool {
 		}
 	}
 	for _, id := range net.pendingSnapshot() {
-		k := net.linkOrder[id]
 		if net.loss > 0 && net.r.Float64() < net.loss {
-			net.Lose(k)
+			net.lose(id)
 		} else {
-			net.Deliver(k)
+			net.deliver(id)
 		}
 		changed = true
 	}
@@ -671,8 +758,8 @@ func (net *Network) Quiescent() bool {
 // InTransit returns the total number of messages currently in channels.
 func (net *Network) InTransit() int {
 	total := 0
-	for _, k := range net.linkOrder {
-		total += net.links[k].Len()
+	for _, q := range net.queues {
+		total += q.Len()
 	}
 	return total
 }
@@ -690,7 +777,7 @@ func (net *Network) ConfigHash() string {
 	for _, k := range net.LinksSorted() {
 		buf = append(buf, 0x03)
 		buf = append(buf, k.String()...)
-		for _, m := range net.links[k].Contents() {
+		for _, m := range net.queues[net.linkID(k)].Contents() {
 			buf = core.AppendMessage(buf, m)
 		}
 	}

@@ -512,7 +512,7 @@ func TestPendingIndexMatchesChannels(t *testing.T) {
 			if net.pendingPos[id] != pos {
 				t.Fatalf("%s: pendingPos[%d] = %d, want %d", when, id, net.pendingPos[id], pos)
 			}
-			if net.links[net.linkOrder[id]].Len() == 0 {
+			if net.queues[id].Len() == 0 {
 				t.Fatalf("%s: pending link %v is empty", when, net.linkOrder[id])
 			}
 		}

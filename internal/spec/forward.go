@@ -46,7 +46,10 @@ type ForwardChecker struct {
 	violations []Violation
 }
 
-var _ core.Observer = (*ForwardChecker)(nil)
+var _ core.ProtocolObserver = (*ForwardChecker)(nil)
+
+// IgnoresTraffic marks the checker as reading protocol events only.
+func (*ForwardChecker) IgnoresTraffic() {}
 
 // NewForwardChecker returns an empty checker.
 func NewForwardChecker() *ForwardChecker {

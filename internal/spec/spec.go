@@ -66,7 +66,10 @@ type PIFChecker struct {
 	violations []Violation
 }
 
-var _ core.Observer = (*PIFChecker)(nil)
+var _ core.ProtocolObserver = (*PIFChecker)(nil)
+
+// IgnoresTraffic marks the checker as reading protocol events only.
+func (*PIFChecker) IgnoresTraffic() {}
 
 // Arm begins checking the computation that will broadcast token. It must
 // be called after the previous computation's decision (the model forbids
@@ -190,7 +193,10 @@ type MutexChecker struct {
 	violations     []Violation
 }
 
-var _ core.Observer = (*MutexChecker)(nil)
+var _ core.ProtocolObserver = (*MutexChecker)(nil)
+
+// IgnoresTraffic marks the checker as reading protocol events only.
+func (*MutexChecker) IgnoresTraffic() {}
 
 // NewMutexChecker returns an empty checker.
 func NewMutexChecker() *MutexChecker {

@@ -454,14 +454,7 @@ func NewMutexCluster(ids []int64, opts ...Option) *MutexCluster {
 		stacks[i] = c.machines[i].Machines()
 	}
 	c.checker = spec.NewMutexChecker()
-	// Events arrive concurrently from every process goroutine on the
-	// concurrent substrates; the checker itself is not goroutine-safe.
-	locked := core.ObserverFunc(func(e core.Event) {
-		c.chkMu.Lock()
-		c.checker.OnEvent(e)
-		c.chkMu.Unlock()
-	})
-	c.init(o, stacks, locked)
+	c.init(o, stacks, lockedChecker{&c.chkMu, c.checker})
 	return c
 }
 
