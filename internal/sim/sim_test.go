@@ -418,6 +418,82 @@ func TestLinkValidation(t *testing.T) {
 	}
 }
 
+// TestUnknownLinksAreNoOps: Deliver and Lose on a key that was never
+// created — keys Link would reject included — report false and create
+// nothing. An out-of-range key must not alias another pair's slot.
+func TestUnknownLinksAreNoOps(t *testing.T) {
+	t.Parallel()
+	stacks, _ := pingerStacks(3)
+	net := New(stacks)
+	net.Activate(0) // links 0->1 and 0->2, one PING each
+	before := net.Links()
+	for _, k := range []LinkKey{
+		{From: 0, To: 1, Instance: "other"},
+		{From: 1, To: 0, Instance: "ping"},
+		{From: 0, To: 0, Instance: "ping"},
+		{From: 0, To: 3, Instance: "ping"},
+		{From: 3, To: 0, Instance: "ping"},
+		{From: -1, To: 1, Instance: "ping"},
+	} {
+		if net.Deliver(k) {
+			t.Errorf("Deliver(%v) succeeded", k)
+		}
+		if net.Lose(k) {
+			t.Errorf("Lose(%v) succeeded", k)
+		}
+	}
+	if after := net.Links(); len(after) != len(before) {
+		t.Fatalf("Links() went from %v to %v", before, after)
+	}
+	if got := net.InTransit(); got != 2 {
+		t.Fatalf("InTransit() = %d, want 2", got)
+	}
+	topo := New(stacks, WithTopology(core.Line(3)))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Link on a non-edge did not panic")
+			}
+		}()
+		topo.Link(LinkKey{From: 0, To: 2, Instance: "ping"})
+	}()
+	if got := len(topo.Links()); got != 0 {
+		t.Fatalf("a rejected Link created %d links", got)
+	}
+}
+
+// TestDeliveryRoutesByMessageInstance: the receiver's machine cached on a
+// link serves only messages of the link's own instance. A preloaded
+// message of another instance is routed by its own instance, or consumed
+// with no effect when the receiver runs no such machine.
+func TestDeliveryRoutesByMessageInstance(t *testing.T) {
+	t.Parallel()
+	stacks, _ := pingerStacks(2)
+	net := New(stacks)
+	reply := LinkKey{From: 1, To: 0, Instance: "ping"}
+	k := LinkKey{From: 0, To: 1, Instance: "other"}
+	if err := net.Link(k).Preload([]core.Message{{Instance: "ping", Kind: "PING"}}); err != nil {
+		t.Fatal(err)
+	}
+	if !net.Deliver(k) {
+		t.Fatal("preloaded PING not delivered")
+	}
+	if got := net.Link(reply).Len(); got != 1 {
+		t.Fatalf("a PING on another instance's link drew %d replies, want 1", got)
+	}
+	net.Lose(reply)
+	k = LinkKey{From: 0, To: 1, Instance: "ping"}
+	if err := net.Link(k).Preload([]core.Message{{Instance: "nope", Kind: "PING"}}); err != nil {
+		t.Fatal(err)
+	}
+	if !net.Deliver(k) {
+		t.Fatal("garbage of an unknown instance was not consumed")
+	}
+	if got := net.InTransit(); got != 0 {
+		t.Fatalf("garbage of an unknown instance reached the link's machine: %d messages in transit", got)
+	}
+}
+
 func TestLinksSortedIsCanonical(t *testing.T) {
 	t.Parallel()
 	stacks, _ := pingerStacks(3)
