@@ -555,16 +555,25 @@ func churnStacks(n int) []core.Stack {
 // nothing.
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	for _, loss := range []float64{0, 0.2} {
-		net := New(churnStacks(8), WithSeed(3), WithLossRate(loss))
-		for i := 0; i < 10_000; i++ { // warm up: create links, grow pending
-			net.Step()
-		}
-		avg := testing.AllocsPerRun(5_000, func() { net.Step() })
-		if avg != 0 {
-			t.Errorf("loss=%v: Step allocates %.2f objects per call in steady state, want 0", loss, avg)
+		for _, obs := range [][]Option{nil, {WithObserver(quietObserver{})}} {
+			opts := append([]Option{WithSeed(3), WithLossRate(loss)}, obs...)
+			net := New(churnStacks(8), opts...)
+			for i := 0; i < 10_000; i++ { // warm up: create links, grow pending
+				net.Step()
+			}
+			avg := testing.AllocsPerRun(5_000, func() { net.Step() })
+			if avg != 0 {
+				t.Errorf("loss=%v observers=%d: Step allocates %.2f objects per call in steady state, want 0", loss, len(obs), avg)
+			}
 		}
 	}
 }
+
+// quietObserver is a core.ProtocolObserver that reads nothing.
+type quietObserver struct{}
+
+func (quietObserver) OnEvent(core.Event) {}
+func (quietObserver) IgnoresTraffic()    {}
 
 // TestPendingIndexMatchesChannels cross-checks the incremental non-empty
 // index against the ground truth after every kind of mutation, including
