@@ -119,6 +119,32 @@ func BenchmarkMutexAcquire(b *testing.B) {
 	}
 }
 
+// BenchmarkMutexRecover measures the first acquisition after corruption
+// on an n = 8 cluster on Sim: each iteration corrupts every machine and
+// channel (untimed), then acquires once, as bench/perf's sim-recover does.
+// The execution is seeded: at the same b.N, base and head replay the same
+// steps, so the row moves only with the simulator's and the machines' cost
+// per step (steps/op says how many there were).
+func BenchmarkMutexRecover(b *testing.B) {
+	ids := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	c := snapstab.NewMutexCluster(ids, snapstab.WithSubstrate(snapstab.Sim()), snapstab.WithSeed(1))
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c.CorruptEverything(uint64(i + 1))
+		b.StartTimer()
+		req := c.AcquireAsync(i%len(ids), nil)
+		<-req.Done()
+		if err := req.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(c.Stats().Steps)/float64(b.N), "steps/op")
+}
+
 // BenchmarkLearnIDs measures one IDs-Learning computation.
 func BenchmarkLearnIDs(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {

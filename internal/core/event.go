@@ -141,22 +141,12 @@ func (e Event) String() string {
 // initial configuration carry an empty note.
 const NoteRequested = "requested"
 
-// Traffic reports whether k is one of the four message-movement kinds —
-// EvSend, EvSendLost, EvDeliver, EvLose — rather than a protocol event.
-func (k EventKind) Traffic() bool {
-	switch k {
-	case EvSend, EvSendLost, EvDeliver, EvLose:
-		return true
-	}
-	return false
-}
-
 // Observer consumes events as they occur. Implementations must be fast;
 // they run inside the simulation loop. An observer never influences the
 // execution it watches: a seed replays the same steps with any set of
 // observers installed, or none. Every observer receives the protocol
-// events; the simulator sends the traffic kinds (EventKind.Traffic) only
-// to observers that are not a ProtocolObserver.
+// events; the simulator sends the four traffic kinds (EvSend, EvSendLost,
+// EvDeliver, EvLose) only to observers that are not a ProtocolObserver.
 type Observer interface {
 	OnEvent(e Event)
 }

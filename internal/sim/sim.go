@@ -121,9 +121,9 @@ func WithObserver(o core.Observer) Option {
 // are dropped at the sender, and the installed fault plan must address
 // only real links. The default (nil) is the paper's complete graph. The
 // links are lazily created per edge, so the queues and the scheduler's
-// pending index stay degree-bounded on sparse graphs (the pair table
-// holds one slice header per ordered pair). Edge
-// checks consume no scheduler randomness: a network over an explicit
+// pending index stay degree-bounded on sparse graphs; the pair table
+// itself costs one empty slice header per ordered pair, O(n²) at New.
+// Edge checks consume no scheduler randomness: a network over an explicit
 // Complete(n) executes byte-identically to one without a topology.
 func WithTopology(t *core.Topology) Option {
 	return func(n *Network) { n.topo = t }
@@ -379,18 +379,20 @@ func (net *Network) LinksSorted() []LinkKey {
 	return out
 }
 
-// emit stamps an event and fans it out: a traffic event to the observers
-// that read traffic, any other to every observer. The traffic sites test
-// len(net.traffic) before building their event at all.
+// emit stamps a protocol event and fans it out to every observer.
 func (net *Network) emit(e core.Event) {
 	e.Step = net.step
-	obs := net.observers
-	if e.Kind.Traffic() {
-		obs = net.traffic
+	if len(net.observers) > 0 {
+		net.observers.OnEvent(e)
 	}
-	if len(obs) > 0 {
-		obs.OnEvent(e)
-	}
+}
+
+// emitTraffic stamps a send, send-lost, deliver or lose event and fans it
+// out to the observers that read traffic. Its callers test
+// len(net.traffic) before building the event at all.
+func (net *Network) emitTraffic(e core.Event) {
+	e.Step = net.step
+	net.traffic.OnEvent(e)
 }
 
 // env adapts the network to core.Env for one process.
@@ -416,7 +418,7 @@ func (e env) Send(to core.ProcID, m core.Message) {
 			net.stats.Sends++
 			net.stats.SendLosses++
 			if len(net.traffic) > 0 {
-				net.emit(core.Event{Kind: core.EvSendLost, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m, Note: "no edge"})
+				net.emitTraffic(core.Event{Kind: core.EvSendLost, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m, Note: "no edge"})
 			}
 			return
 		}
@@ -425,13 +427,13 @@ func (e env) Send(to core.ProcID, m core.Message) {
 	net.stats.Sends++
 	if net.queues[id].Send(m) {
 		if len(net.traffic) > 0 {
-			net.emit(core.Event{Kind: core.EvSend, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m})
+			net.emitTraffic(core.Event{Kind: core.EvSend, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m})
 		}
 		return
 	}
 	net.stats.SendLosses++
 	if len(net.traffic) > 0 {
-		net.emit(core.Event{Kind: core.EvSendLost, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m})
+		net.emitTraffic(core.Event{Kind: core.EvSendLost, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m})
 	}
 }
 
@@ -517,7 +519,7 @@ func (net *Network) deliver(id int) bool {
 		if fate == core.FateDrop && len(net.traffic) > 0 {
 			// Injected loss is attributed to the receiver side like every
 			// in-transit loss; the category lives in Stats.Faults.
-			net.emit(core.Event{Kind: core.EvLose, Proc: to, Peer: from, Instance: m.Instance, Msg: m})
+			net.emitTraffic(core.Event{Kind: core.EvLose, Proc: to, Peer: from, Instance: m.Instance, Msg: m})
 		}
 		for _, dm := range out {
 			net.deliverMsg(id, from, to, dm)
@@ -537,7 +539,7 @@ func (net *Network) deliver(id int) bool {
 func (net *Network) deliverMsg(id int, from, to core.ProcID, m core.Message) {
 	net.stats.Deliveries++
 	if len(net.traffic) > 0 {
-		net.emit(core.Event{Kind: core.EvDeliver, Proc: to, Peer: from, Instance: m.Instance, Msg: m})
+		net.emitTraffic(core.Event{Kind: core.EvDeliver, Proc: to, Peer: from, Instance: m.Instance, Msg: m})
 	}
 	if net.crashed[to] {
 		return
@@ -587,7 +589,7 @@ func (net *Network) lose(id int) bool {
 	net.stats.LinkLosses++
 	if len(net.traffic) > 0 {
 		k := net.linkOrder[id]
-		net.emit(core.Event{Kind: core.EvLose, Proc: k.To, Peer: k.From, Instance: m.Instance, Msg: m})
+		net.emitTraffic(core.Event{Kind: core.EvLose, Proc: k.To, Peer: k.From, Instance: m.Instance, Msg: m})
 	}
 	return true
 }

@@ -107,7 +107,11 @@ type ObservedEvent struct {
 // the raw material for monitoring (cmd/snapd feeds its Prometheus
 // protocol-phase counters from it). fn runs inside the execution engine,
 // concurrently on the concurrent substrates: it must be fast and
-// goroutine-safe, and must not call back into the cluster.
+// goroutine-safe, and must not call back into the cluster. A hook sees
+// every event, the traffic kinds (send, send-lost, deliver, lose)
+// included. On Sim the cluster's own spec checker reads only protocol
+// events, so the simulator builds traffic events only while a hook is
+// installed: a hook brings them back, at their cost per step.
 func WithEventHook(fn func(ObservedEvent)) Option {
 	return func(o *options) { o.eventHooks = append(o.eventHooks, fn) }
 }
