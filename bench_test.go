@@ -100,6 +100,29 @@ func BenchmarkBroadcastCorrupted(b *testing.B) {
 	}
 }
 
+// BenchmarkColdCluster measures a cold n = 3 cluster per concurrent
+// substrate: each iteration builds it, decides one broadcast and closes
+// it, as bench/perf's setup_s does. Socket setup is noisy (cold TCP rows
+// spread several-fold between back-to-back runs), so no gate reads these
+// rows; B/op is the stable figure.
+func BenchmarkColdCluster(b *testing.B) {
+	for _, sc := range []struct {
+		name string
+		sub  func() snapstab.Substrate
+	}{{"runtime", snapstab.Runtime}, {"udp", snapstab.UDP}, {"tcp", snapstab.TCP}} {
+		b.Run(sc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := snapstab.NewPIFCluster(3, snapstab.WithSubstrate(sc.sub()))
+				if _, err := c.Broadcast(0, "cold", int64(i)); err != nil {
+					b.Fatal(err)
+				}
+				c.Close()
+			}
+		})
+	}
+}
+
 // BenchmarkMutexAcquire measures one critical-section acquisition cycle.
 func BenchmarkMutexAcquire(b *testing.B) {
 	for _, n := range []int{2, 3, 5} {

@@ -22,8 +22,8 @@ import (
 )
 
 // mmsgCap is how many datagrams one recvmmsg/sendmmsg call moves at
-// most. Receive buffers are sized for a maximal datagram, so the cap
-// also bounds the reader's standing allocation (16 × 64KiB = 1MiB).
+// most. It also caps the reader's receive slots, which start at one and
+// grow with demand (reader).
 const mmsgCap = 16
 
 // mmsghdr is struct mmsghdr from socket(7): a Msghdr plus the
@@ -173,15 +173,21 @@ func (s *socket) sendFrames(buf []byte, frames []frameRef) {
 	}
 }
 
-// reader pulls up to mmsgCap datagrams per recvmmsg call.
+// reader pulls datagrams into receive slots of one maximal datagram
+// each, one recvmmsg call filling at most every slot it has. It starts
+// with one slot and doubles them, up to mmsgCap, whenever a call fills
+// all of them: a cold node reads its first datagram without zeroing
+// mmsgCap slots first, and a flooded one reaches full batches after four
+// full calls. The slots only grow; the kernel buffers what they cannot
+// take yet.
 type reader struct {
 	s     *socket
 	ok    bool
-	bufs  [][]byte
+	bufs  [][]byte // the slots: len(bufs) datagrams per call
 	names []syscall.RawSockaddrAny
 	iovs  []syscall.Iovec
-	hdrs  []mmsghdr
-	pbuf  []byte // portable fallback
+	hdrs  []mmsghdr // mmsgCap headers; the first len(bufs) are armed
+	pbuf  []byte    // portable fallback
 }
 
 func (s *socket) newReader() *reader {
@@ -190,26 +196,33 @@ func (s *socket) newReader() *reader {
 	if rc == nil {
 		var err error
 		if rc, err = s.conn.SyscallConn(); err != nil {
-			r.pbuf = make([]byte, 64*1024)
+			r.pbuf = make([]byte, slotBytes)
 			return r
 		}
 		s.mm.rc = rc
 	}
 	r.ok = true
-	r.bufs = make([][]byte, mmsgCap)
 	r.names = make([]syscall.RawSockaddrAny, mmsgCap)
 	r.iovs = make([]syscall.Iovec, mmsgCap)
 	r.hdrs = make([]mmsghdr, mmsgCap)
-	for i := range r.bufs {
-		r.bufs[i] = make([]byte, 64*1024)
-		r.iovs[i].Base = &r.bufs[i][0]
-		r.iovs[i].SetLen(len(r.bufs[i]))
+	for i := range r.hdrs {
 		h := &r.hdrs[i].hdr
 		h.Name = (*byte)(unsafe.Pointer(&r.names[i]))
 		h.Iov = &r.iovs[i]
 		h.Iovlen = 1
 	}
+	r.grow(1)
 	return r
+}
+
+// grow adds slots until there are n.
+func (r *reader) grow(n int) {
+	for i := len(r.bufs); i < n; i++ {
+		buf := make([]byte, slotBytes)
+		r.bufs = append(r.bufs, buf)
+		r.iovs[i].Base = &buf[0]
+		r.iovs[i].SetLen(len(buf))
+	}
 }
 
 func (r *reader) read(h func([]byte, netip.AddrPort)) {
@@ -217,7 +230,8 @@ func (r *reader) read(h func([]byte, netip.AddrPort)) {
 		r.s.readPortable(r.pbuf, h)
 		return
 	}
-	for i := range r.hdrs {
+	slots := len(r.bufs)
+	for i := 0; i < slots; i++ {
 		// The kernel overwrote these on the previous call.
 		r.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
 		r.hdrs[i].n = 0
@@ -227,7 +241,7 @@ func (r *reader) read(h func([]byte, netip.AddrPort)) {
 	err := r.s.mm.rc.Read(func(fd uintptr) bool {
 		for {
 			v, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-				uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
+				uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(slots),
 				uintptr(syscall.MSG_DONTWAIT), 0, 0)
 			switch e {
 			case syscall.EINTR:
@@ -254,6 +268,9 @@ func (r *reader) read(h func([]byte, netip.AddrPort)) {
 			continue
 		}
 		h(r.bufs[i][:r.hdrs[i].n], from)
+	}
+	if got == slots {
+		r.grow(min(2*slots, mmsgCap))
 	}
 }
 

@@ -23,7 +23,7 @@ type reader struct {
 }
 
 func (s *socket) newReader() *reader {
-	return &reader{s: s, buf: make([]byte, 64*1024)}
+	return &reader{s: s, buf: make([]byte, slotBytes)}
 }
 
 func (r *reader) read(h func([]byte, netip.AddrPort)) {

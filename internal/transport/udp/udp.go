@@ -42,6 +42,10 @@ import (
 // v2 message, its length prefix and its header.
 const maxRecordBytes = 2*wire.MaxBlobLen + 2048
 
+// slotBytes is one receive slot: room for any UDP payload, so a legal
+// frame (at most wire.MaxDatagram bytes) always arrives whole.
+const slotBytes = 64 << 10
+
 // minReadBuffer is the floor of the socket receive buffer request.
 const minReadBuffer = 64 << 10
 
