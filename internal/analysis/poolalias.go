@@ -17,10 +17,6 @@ var appendBufferFuncs = map[string]bool{
 	"AppendLinkFrame": true,
 }
 
-// frameMethods are BatchBuilder accessors whose result aliases the
-// builder's internal record buffer and dies at the next Reset/Add.
-var frameMethods = map[string]bool{"Frame": true, "Bytes": true}
-
 // PoolAlias flags pool-obtained or append-rendered buffers that escape
 // their flush scope: returned, sent on a channel, or stored into a
 // field, element, or package variable. Self-append into an owned scratch
@@ -113,9 +109,8 @@ func checkBufferScope(pass *Pass, body *ast.BlockStmt) {
 }
 
 // transientBufferSource classifies an expression that yields a
-// flush-scoped buffer, looking through type assertions: a sync.Pool Get,
-// a wire Append helper (declared outside this package), or a
-// BatchBuilder frame accessor.
+// flush-scoped buffer, looking through type assertions: a sync.Pool Get
+// or a wire Append helper (declared outside this package).
 func transientBufferSource(pass *Pass, e ast.Expr) string {
 	e = ast.Unparen(e)
 	if ta, ok := e.(*ast.TypeAssertExpr); ok {
@@ -145,8 +140,6 @@ func transientBufferSource(pass *Pass, e ast.Expr) string {
 		return "sync.Pool buffer"
 	case appendBufferFuncs[fn.Name()]:
 		return "append-rendered buffer"
-	case frameMethods[fn.Name()] && recv != nil && recv.Obj().Name() == "BatchBuilder":
-		return "BatchBuilder frame"
 	}
 	return ""
 }

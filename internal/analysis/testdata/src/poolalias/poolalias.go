@@ -25,9 +25,9 @@ func returnedCopy() []byte {
 	return append([]byte(nil), buf...) // copied out: safe
 }
 
-func sent(ch chan []byte, b *wirestub.BatchBuilder) {
-	fr := b.Frame()
-	ch <- fr // want `BatchBuilder frame fr escapes its flush scope: sent on a channel`
+func sent(ch chan []byte) {
+	fr, _ := wirestub.AppendLinkFrame(nil, 1, nil)
+	ch <- fr // want `append-rendered buffer fr escapes its flush scope: sent on a channel`
 }
 
 func stored(s *sink) {
@@ -39,14 +39,14 @@ func selfAppend(s *sink, v byte) {
 	s.saved = wirestub.AppendEncode(s.saved, v) // rendering into owned scratch is the idiom
 }
 
-func appendGlobal(b *wirestub.BatchBuilder) {
-	fr := b.Frame()
+func appendGlobal() {
+	fr, _ := wirestub.AppendLinkFrame(nil, 1, nil)
 	global = append(global, fr...) // content copied into the package buffer
 }
 
-func aliasGlobal(b *wirestub.BatchBuilder) {
-	fr := b.Frame()
-	global = fr // want `BatchBuilder frame fr is retained beyond its flush scope`
+func aliasGlobal() {
+	fr, _ := wirestub.AppendLinkFrame(nil, 1, nil)
+	global = fr // want `append-rendered buffer fr is retained beyond its flush scope`
 }
 
 type outFrame struct{ b []byte }

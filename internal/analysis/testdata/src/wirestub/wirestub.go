@@ -4,10 +4,6 @@
 // poolalias.
 package wirestub
 
-type BatchBuilder struct{ buf []byte }
-
-func (b *BatchBuilder) Frame() []byte { return b.buf }
-
 func AppendEncode(dst []byte, v byte) []byte { return append(dst, v) }
 
 func AppendLinkFrame(dst []byte, group uint64, links []string) ([]byte, error) {

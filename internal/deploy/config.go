@@ -46,11 +46,6 @@ type Config struct {
 	// CorruptSeed seeds the corruption draws (default: Seed). Must agree
 	// across the fleet.
 	CorruptSeed uint64 `json:"corrupt_seed,omitempty"`
-	// Batch bounds how many messages one wire frame from this daemon
-	// carries (snapstab.WithBatch; 0 = the default, 1 gives every message
-	// its own frame). A local performance knob: receivers take frames of
-	// any packing, so daemons in one fleet may set it differently.
-	Batch int `json:"batch,omitempty"`
 	// Faults installs a fault plan on the transport. Must agree across
 	// the fleet for a coherent adversary (each daemon injects at its own
 	// mailbox boundary).
@@ -135,9 +130,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("peer %d has no address", i)
 		}
 	}
-	if c.Batch < 0 {
-		return fmt.Errorf("batch must be >= 0, got %d", c.Batch)
-	}
 	return nil
 }
 
@@ -165,9 +157,6 @@ func (c Config) options() ([]snapstab.Option, snapstab.Topology, error) {
 	}
 	if c.Seed != 0 {
 		opts = append(opts, snapstab.WithSeed(c.Seed))
-	}
-	if c.Batch > 0 {
-		opts = append(opts, snapstab.WithBatch(c.Batch))
 	}
 	var topo snapstab.Topology
 	if c.Topology != "" {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -296,6 +298,20 @@ func TestConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestRetiredBatchKeyParses: a config written when snapd had a "batch"
+// key still loads, and the key is ignored.
+func TestRetiredBatchKeyParses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.json")
+	raw := `{"node": 0, "protocol": "pif", "listen": "127.0.0.1:1", "control": "127.0.0.1:2",
+		"peers": ["127.0.0.1:1", "127.0.0.1:3"], "batch": 8}`
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err != nil {
+		t.Fatalf("config with the retired batch key rejected: %v", err)
 	}
 }
 

@@ -40,8 +40,8 @@ func (f *flooder) next() core.Message {
 
 // Flood builds n flooder stacks on instance "flood": every message
 // carries a blob-byte body and every delivery counts into delivered. The
-// runtime's and the UDP link's benchmarks and snapbench's flood matrix
-// all drive it; this package imports none of them.
+// in-memory and UDP links' benchmarks and snapbench's flood matrix all
+// drive it; this package imports none of them.
 func Flood(n, blob int, delivered *atomic.Int64) []core.Stack {
 	var body []byte
 	if blob > 0 {

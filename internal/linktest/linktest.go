@@ -1,10 +1,10 @@
 // Package linktest holds the tests every engine.Link must pass, written
-// once against the engine's API. Each link — udp, tcp, and the in-memory
-// one from internal/runtime — describes itself as a Link and runs them
-// from its own test files, so the behaviours the engine promises — the
-// frames it packs, the capacity window seen from outside, group
-// isolation on a mux, lose-on-full accounting — are checked on all
-// three links without a copy per link.
+// once against the engine's API. Each link — udp, tcp, and the engine's
+// in-memory one (engine.Memory) — describes itself as a Link and runs
+// them from its own package's test files, so the behaviours the engine
+// promises — the frames it packs, the capacity window seen from
+// outside, group isolation on a mux, lose-on-full accounting — are
+// checked on all three links without a copy per link.
 package linktest
 
 import (

@@ -10,18 +10,33 @@ import (
 )
 
 // The engine's own tests run on the in-memory link (memory.go), so what
-// they pin — channels, groups, wiring — is checked without a socket.
+// they pin — channels, groups, wiring, whole clusters — is checked
+// without a socket. The tests every link must pass run on it from
+// link_test.go.
 
-func pifStacks(n int) ([]core.Stack, []*pif.PIF) {
+// pifStacks builds one PIF stack per process at the default capacity
+// bound.
+func pifStacks(n int) ([]core.Stack, []*pif.PIF) { return pifStacksAt(n, DefaultCapacity) }
+
+// pifStacksAt builds them for the capacity bound c. Process q answers a
+// broadcast of b with the feedback {ack, 100·b.Num + q}.
+func pifStacksAt(n, c int) ([]core.Stack, []*pif.PIF) {
 	machines := make([]*pif.PIF, n)
 	stacks := make([]core.Stack, n)
 	for i := range stacks {
-		machines[i] = pif.New("pif", core.ProcID(i), n, pif.Callbacks{}, pif.WithCapacityBound(DefaultCapacity))
+		id := core.ProcID(i)
+		machines[i] = pif.New("pif", id, n, pif.Callbacks{
+			OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
+				return core.Payload{Tag: "ack", Num: b.Num*100 + int64(id)}
+			},
+		}, pif.WithCapacityBound(c))
 		stacks[i] = core.Stack{machines[i]}
 	}
 	return stacks, machines
 }
 
+// waitFor polls cond (under no lock; use Do inside cond if state access
+// is needed) until it holds or d elapses.
 func waitFor(d time.Duration, cond func() bool) bool {
 	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		if cond() {

@@ -33,11 +33,11 @@ type Mux struct {
 	capacity int
 }
 
-// newMux builds the shared socket layer with the node-level options —
-// the ones that cannot vary per attached cluster.
+// newMux builds the shared socket layer with the one node-level option,
+// the window, which cannot vary per attached cluster.
 func newMux(name string, build func(int, ...engine.Option) (*engine.Mux, error), sub Substrate, nProcs int, opts []Option) (*Mux, error) {
 	o := buildOptions(append([]Option{WithSubstrate(sub)}, opts...))
-	m, err := build(nProcs, socketOptions(o)...)
+	m, err := build(nProcs, engine.WithCapacity(o.capacity))
 	if err != nil {
 		return nil, err
 	}
@@ -45,21 +45,21 @@ func newMux(name string, build func(int, ...engine.Option) (*engine.Mux, error),
 }
 
 // UDPMux binds one loopback datagram socket per process and returns a
-// mux ready to host clusters. The cluster options read here are the
-// socket-level ones, which cannot vary per attached cluster: WithBatch
-// fixes the coalescing ceiling and WithCapacity the per-link window
-// (default 2) — every attached cluster's machines are built for that
-// bound. Everything else — topology, faults, receivers — is given to
-// the cluster constructors instead. Socket binding failures are
-// returned, not panicked: the mux is built before any cluster exists.
+// mux ready to host clusters. The one cluster option read here is the
+// socket-level one, which cannot vary per attached cluster: WithCapacity
+// fixes the per-link window (default 2) — every attached cluster's
+// machines are built for that bound. Everything else — topology,
+// faults, receivers — is given to the cluster constructors instead.
+// Socket binding failures are returned, not panicked: the mux is built
+// before any cluster exists.
 func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
 	return newMux("udp-mux", udp.NewMux, UDP(), nProcs, opts)
 }
 
 // TCPMux binds one loopback listener per process, dials the full
 // connection mesh, and returns a mux ready to host clusters. As with
-// UDPMux, the cluster options read here are WithBatch and WithCapacity;
-// per-cluster options belong to the cluster constructors.
+// UDPMux, the one cluster option read here is WithCapacity; per-cluster
+// options belong to the cluster constructors.
 func TCPMux(nProcs int, opts ...Option) (*Mux, error) {
 	return newMux("tcp-mux", tcp.NewMux, TCP(), nProcs, opts)
 }
@@ -75,9 +75,9 @@ func (m *Mux) Addrs() []string { return m.mux.Addrs() }
 // the shared sockets; the specification is reusable — build as many
 // clusters from it as the application needs. Cluster topology, faults,
 // and event hooks apply per attached cluster as on the dedicated
-// UDP()/TCP() substrates; WithBatch and WithCapacity do not (the batch
-// ceiling and the window were fixed when the mux was built) and are
-// ignored: the cluster's machines are built for the mux's capacity.
+// UDP()/TCP() substrates; WithCapacity does not (the window was fixed
+// when the mux was built) and is ignored: the cluster's machines are
+// built for the mux's capacity.
 func (m *Mux) Substrate() Substrate {
 	return Substrate{
 		name:          m.name,

@@ -62,7 +62,7 @@ func muxRoundTrip(t *testing.T, mux *snapstab.Mux) {
 // UDP sockets through the public façade.
 func TestUDPMuxFacade(t *testing.T) {
 	t.Parallel()
-	mux, err := snapstab.UDPMux(3, snapstab.WithBatch(8))
+	mux, err := snapstab.UDPMux(3)
 	if err != nil {
 		t.Fatal(err)
 	}

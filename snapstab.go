@@ -75,10 +75,7 @@ type options struct {
 	// generic constructor asserts it back to func(proc, from int, b T) T.
 	onReceiveTyped any
 	substrate      Substrate
-	// batch is the WithBatch ceiling on messages per frame (0 = the
-	// engine's default).
-	batch  int
-	faults *core.FaultPlan
+	faults         *core.FaultPlan
 	// topology is the communication graph (nil = the paper's complete
 	// network; an explicit complete graph behaves byte-identically).
 	topology *core.Topology
@@ -142,18 +139,6 @@ func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 // shared sockets: pass it to UDPMux/TCPMux. An out-of-range bound
 // panics at cluster construction.
 func WithCapacity(c int) Option { return func(o *options) { o.capacity = c } }
-
-// WithBatch sets how many messages may coalesce into one wire v4 link
-// frame (default 16) on the concurrent substrates — Runtime, UDP, TCP,
-// TCPHost — which all carry the same frames: a datagram on UDP, a
-// length-prefixed frame on TCP, values in memory; Sim has no frames and
-// ignores it. Frames close when full and at the end of every atomic
-// protocol section, so raising the ceiling amortizes syscalls without
-// delaying any message past the section that sent it. WithBatch(1)
-// disables coalescing — every message travels alone in its own frame.
-// On a mux, pass it to UDPMux/TCPMux instead — the sockets are shared,
-// so the knob cannot vary per attached cluster.
-func WithBatch(k int) Option { return func(o *options) { o.batch = k } }
 
 // WithStepBudget bounds each request's simulation steps on the Sim
 // substrate (default 50M). The concurrent substrates have no step

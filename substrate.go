@@ -5,7 +5,6 @@ import (
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/pif"
-	"github.com/snapstab/snapstab/internal/runtime"
 	"github.com/snapstab/snapstab/internal/sim"
 	"github.com/snapstab/snapstab/internal/transport/engine"
 	tcp "github.com/snapstab/snapstab/internal/transport/tcp"
@@ -29,8 +28,7 @@ import (
 //     datagrams — the paper's concluding "future challenge". Natural
 //     loss, and the known capacity bound enforced by a per-link
 //     sender-side window (WithCapacity); messages coalesce into wire
-//     v4 link-frame datagrams (WithBatch), as on every concurrent
-//     substrate.
+//     v4 link-frame datagrams, as on every concurrent substrate.
 //   - TCP: one loopback listener per process with persistent
 //     connections; the same per-link window restores the model's
 //     bounded channels, and connection loss is message loss.
@@ -100,16 +98,16 @@ func Sim() Substrate {
 }
 
 // Runtime selects the concurrent engine on its in-memory link: one
-// activation loop per process, the sockets' frames — packed per WithBatch
-// and stamped by the same engine — handed between them as values, the
-// per-link window of WithCapacity (default 1, the paper's) enforced as on
-// the sockets; it takes the same node options as UDP and TCP. WithLossRate is the fault plane's drop rate here — a plan
-// of FaultPlan{Seed: seed, Default: LinkFaults{DropRate: p}} — so the
-// losses read in FaultStats().Drops, and combining it with WithFaults
-// panics: state the loss in the plan. WithSeed seeds only corruption and
-// that plan (executions are genuinely nondeterministic) and
-// WithStepBudget is ignored — bound requests with Request.Wait contexts
-// instead.
+// activation loop per process, the sockets' frames — packed and stamped
+// by the same engine — handed between them as values, the per-link
+// window of WithCapacity (default 1, the paper's) enforced as on the
+// sockets; it takes the same node options as UDP and TCP. WithLossRate
+// is the fault plane's drop rate here — a plan of FaultPlan{Seed: seed,
+// Default: LinkFaults{DropRate: p}} — so the losses read in
+// FaultStats().Drops, and combining it with WithFaults panics: state the
+// loss in the plan. WithSeed seeds only corruption and that plan
+// (executions are genuinely nondeterministic) and WithStepBudget is
+// ignored — bound requests with Request.Wait contexts instead.
 func Runtime() Substrate {
 	return Substrate{
 		name:            "runtime",
@@ -123,7 +121,7 @@ func Runtime() Substrate {
 				// message no longer occupies the channel.
 				o.faults = &core.FaultPlan{Seed: o.seed, Default: core.LinkFaults{DropRate: o.lossRate}}
 			}
-			return runtime.NewCluster(stacks, nodeOptions(o, obs)...)
+			return engine.NewCluster(engine.Memory(), stacks, nodeOptions(o, obs)...)
 		},
 	}
 }
@@ -144,21 +142,10 @@ func groupOptions(o options, obs []core.Observer) []engine.Option {
 	return eopts
 }
 
-// socketOptions assembles the node-level transport options: what a
-// dedicated substrate takes with its cluster, and a mux fixes when it is
-// built.
-func socketOptions(o options) []engine.Option {
-	eopts := []engine.Option{engine.WithCapacity(o.capacity)}
-	if o.batch > 0 {
-		eopts = append(eopts, engine.WithBatch(o.batch))
-	}
-	return eopts
-}
-
 // nodeOptions is everything a dedicated node — in memory or on sockets —
-// takes.
+// takes: the group's options and the window its sockets enforce.
 func nodeOptions(o options, obs []core.Observer) []engine.Option {
-	return append(groupOptions(o, obs), socketOptions(o)...)
+	return append(groupOptions(o, obs), engine.WithCapacity(o.capacity))
 }
 
 // UDP selects the loopback datagram transport: one socket per process,
@@ -167,7 +154,7 @@ func nodeOptions(o options, obs []core.Observer) []engine.Option {
 // link admits at most c unconsumed messages, a send beyond that is lost
 // at the sender, and the machines' flag domain is sized from the same
 // number — so one request costs 2c+2 round trips per peer. Each frame is
-// one datagram (WithBatch). WithLossRate and WithStepBudget are ignored —
+// one datagram. WithLossRate and WithStepBudget are ignored —
 // UDP loses messages on its own, and requests are bounded with
 // Request.Wait contexts. Socket binding happens at cluster construction
 // and panics on failure.
@@ -189,8 +176,8 @@ func UDP() Substrate {
 // it enforces with a per-link sender-side window exactly as on UDP — a
 // send beyond c unconsumed messages is lost at the sender, and the
 // machines' flag domain is sized from the same number — and connection
-// loss is message loss. Each frame is UDP's (WithBatch), length-prefixed
-// on the stream. WithLossRate and WithStepBudget are ignored —
+// loss is message loss. Each frame is UDP's, length-prefixed on the
+// stream. WithLossRate and WithStepBudget are ignored —
 // bound requests with Request.Wait contexts. Listener binding happens
 // at cluster construction and panics on failure.
 func TCP() Substrate {
