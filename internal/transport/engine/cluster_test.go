@@ -130,6 +130,112 @@ func TestDuplicateEchoesCostNothing(t *testing.T) {
 	}
 }
 
+// TestAwaitTrueAtOnceRunning: a condition that holds on its first
+// evaluation returns from that atomic section and is never evaluated
+// again, by any of the sections a running cluster goes on to take.
+func TestAwaitTrueAtOnceRunning(t *testing.T) {
+	t.Parallel()
+	stacks, machines := pifStacksAt(2, 1)
+	c := start(t, stacks)
+	evals := 0
+	if err := c.Await(context.Background(), 0, func(core.Env) bool { evals++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	await(t, c, machines[0], core.Payload{Tag: "after"}) // atomic sections at 0 that would re-evaluate it
+	c.Do(0, func(core.Env) {
+		if evals != 1 {
+			t.Fatalf("%d evaluations, want 1", evals)
+		}
+	})
+}
+
+// TestAwaitEndsUnregisteredRunning: a wait on a running cluster ended by
+// its context or by Close returns the matching error, and its condition
+// is not evaluated again by the atomic sections that follow.
+func TestAwaitEndsUnregisteredRunning(t *testing.T) {
+	t.Parallel()
+	stacks, machines := pifStacksAt(2, 1)
+	c := start(t, stacks)
+	ctx, cancel := context.WithCancel(context.Background())
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		end  func()
+		want error
+	}{
+		{"ctx", ctx, cancel, context.Canceled},
+		{"Close", context.Background(), func() { c.Close() }, core.ErrClosed},
+	} {
+		evals := 0 // under process 0's action mutex
+		evaluated := func() (k int) {
+			c.Do(0, func(core.Env) { k = evals })
+			return k
+		}
+		errc := make(chan error, 1)
+		go func() { errc <- c.Await(tc.ctx, 0, func(core.Env) bool { evals++; return false }) }()
+		if !waitFor(10*time.Second, func() bool { return evaluated() >= 1 }) {
+			t.Fatalf("%s: Await never evaluated its condition", tc.name)
+		}
+		tc.end()
+		if err := <-errc; !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Await returned %v, want %v", tc.name, err, tc.want)
+		}
+		before := evaluated()
+		if tc.want == context.Canceled {
+			await(t, c, machines[0], core.Payload{Tag: "after"})
+		}
+		c.Do(0, func(env core.Env) { machines[0].Step(env) })
+		if after := evaluated(); after != before {
+			t.Fatalf("%s: condition evaluated %d more times after its wait ended", tc.name, after-before)
+		}
+	}
+}
+
+// TestConcurrentAwaitsSerializeUnderLoss: two requests awaited at one
+// process take turns even while lost messages keep the step timer
+// retransmitting — the second's Invoke is refused until the first
+// decided — so their computations never interleave.
+func TestConcurrentAwaitsSerializeUnderLoss(t *testing.T) {
+	t.Parallel()
+	var mu sync.Mutex
+	var order []core.EventKind
+	stacks, machines := pifStacksAt(3, 1)
+	c := start(t, stacks, lossy(0.2), WithObserver(core.ObserverFunc(func(ev core.Event) {
+		if ev.Proc == 0 && (ev.Kind == core.EvStart || ev.Kind == core.EvDecide) {
+			mu.Lock()
+			order = append(order, ev.Kind)
+			mu.Unlock()
+		}
+	})))
+	var wg sync.WaitGroup
+	for i := int64(1); i <= 2; i++ {
+		wg.Add(1)
+		go func(token core.Payload) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if err := c.Await(ctx, 0, broadcasting(machines[0], token)); err != nil {
+				t.Error(err)
+			}
+		}(core.Payload{Tag: "turn", Num: i})
+	}
+	wg.Wait()
+	if c.FaultStats().Drops == 0 {
+		t.Fatal("the plan dropped nothing")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []core.EventKind{core.EvStart, core.EvDecide, core.EvStart, core.EvDecide}
+	if len(order) != len(want) {
+		t.Fatalf("process 0 saw %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("process 0 saw %v, want %v", order, want)
+		}
+	}
+}
+
 func TestPIFOnConcurrentSubstrate(t *testing.T) {
 	t.Parallel()
 	stacks, machines := pifStacksAt(4, 1)
