@@ -465,20 +465,6 @@ func sameKey(a, b Item) bool {
 	return a.Src == b.Src && a.Dst == b.Dst && a.Seq == b.Seq
 }
 
-// Busy reports whether the process still holds items: a non-empty local
-// queue, input buffer, or active transfer.
-func (f *Forwarder) Busy() bool {
-	if len(f.Local) > 0 {
-		return true
-	}
-	for _, q := range f.peers {
-		if f.Out[q].full || f.In[q].full {
-			return true
-		}
-	}
-	return false
-}
-
 // Holds reports whether the process still holds an item with it's key:
 // queued locally, in an input buffer, or in an unacknowledged transfer.
 // Once false for a submitted item, the next hop has accepted it and the

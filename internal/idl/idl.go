@@ -26,21 +26,16 @@ const (
 // must be placed immediately after it in the process's stack (Machines
 // assembles both in order).
 type IDL struct {
-	inst string
+	pif.Client
 	self core.ProcID
 	n    int
 	id   int64
 
-	// Request drives computations (input/output variable).
-	Request core.ReqState
 	// MinID is the smallest identifier learned (output variable).
 	MinID int64
 	// IDTab[q] is the learned identifier of process q (output variable;
 	// entry self unused).
 	IDTab []int64
-
-	// PIF is the child broadcast machine.
-	PIF *pif.PIF
 }
 
 var (
@@ -53,18 +48,8 @@ var (
 // on a fresh PIF instance named inst+"/pif". PIF options (capacity bound)
 // are forwarded.
 func New(inst string, self core.ProcID, n int, id int64, pifOpts ...pif.Option) *IDL {
-	if n < 2 {
-		panic(fmt.Sprintf("idl: need n >= 2, got %d", n))
-	}
-	d := &IDL{
-		inst:    inst,
-		self:    self,
-		n:       n,
-		id:      id,
-		Request: core.Done,
-		IDTab:   make([]int64, n),
-	}
-	d.PIF = pif.New(inst+"/pif", self, n, pif.Callbacks{
+	d := &IDL{self: self, n: n, id: id, IDTab: make([]int64, n)}
+	d.Client = pif.NewClient(inst, self, n, pif.Callbacks{
 		// A3 :: receive-brd<IDL> from q -> F-Mes[q] <- ID_p.
 		OnBroadcast: func(_ core.Env, _ core.ProcID, _ core.Payload) core.Payload {
 			return core.Payload{Tag: TagID, Num: d.id}
@@ -84,29 +69,12 @@ func New(inst string, self core.ProcID, n int, id int64, pifOpts ...pif.Option) 
 // followed by its PIF, in text order.
 func (d *IDL) Machines() core.Stack { return core.Stack{d, d.PIF} }
 
-// Instance returns the protocol instance ID.
-func (d *IDL) Instance() string { return d.inst }
-
 // ID returns the process's own (constant) identifier.
 func (d *IDL) ID() int64 { return d.id }
-
-// Invoke submits an external request. It reports false, without effect,
-// while a computation is requested or in progress.
-func (d *IDL) Invoke(env core.Env) bool {
-	if d.Request != core.Done {
-		return false
-	}
-	d.Request = core.Wait
-	env.Emit(core.Event{Kind: core.EvRequest, Peer: -1, Instance: d.inst})
-	return true
-}
 
 // Reset unconditionally re-requests a computation, abandoning any in
 // progress; used by composed protocols (Algorithm 3's action A0).
 func (d *IDL) Reset() { d.Request = core.Wait }
-
-// Done reports whether no computation is requested or in progress.
-func (d *IDL) Done() bool { return d.Request == core.Done }
 
 // Step runs the internal actions A1 and A2 in text order.
 func (d *IDL) Step(env core.Env) bool {
@@ -117,26 +85,20 @@ func (d *IDL) Step(env core.Env) bool {
 		d.Request = core.In
 		d.MinID = d.id
 		d.PIF.Reset(core.Payload{Tag: TagQuery})
-		env.Emit(core.Event{Kind: core.EvStart, Peer: -1, Instance: d.inst})
+		env.Emit(core.Event{Kind: core.EvStart, Peer: -1, Instance: d.Instance()})
 		fired = true
 	}
 
 	// A2 :: Request = In and PIF.Request = Done -> terminate.
 	if d.Request == core.In && d.PIF.Done() {
 		d.Request = core.Done
-		env.Emit(core.Event{Kind: core.EvDecide, Peer: -1, Instance: d.inst,
+		env.Emit(core.Event{Kind: core.EvDecide, Peer: -1, Instance: d.Instance(),
 			Note: fmt.Sprintf("minID=%d", d.MinID)})
 		fired = true
 	}
 
 	return fired
 }
-
-// Deliver handles messages addressed to the IDL instance itself. The
-// protocol communicates exclusively through its child PIF, so only
-// initial-configuration garbage arrives here; it is consumed with no
-// effect.
-func (d *IDL) Deliver(core.Env, core.ProcID, core.Message) {}
 
 // AppendState appends a canonical encoding of the machine state (the
 // child PIF encodes itself separately as part of the stack).

@@ -89,15 +89,16 @@ func WithPIFOptions(opts ...pif.Option) Option {
 
 // ME is one process's instance of Protocol ME.
 type ME struct {
-	inst    string
+	// Client holds Request, which drives critical-section requests, and
+	// PIF, the child broadcast machine for ASK/EXIT/EXITCS (instance
+	// inst+"/pif").
+	pif.Client
 	self    core.ProcID
 	n       int
 	id      int64
 	csLen   int
 	pifOpts []pif.Option
 
-	// Request drives critical-section requests (input/output variable).
-	Request core.ReqState
 	// Phase is the five-phase loop counter.
 	Phase uint8
 	// Value designates the favoured process (meaningful at the leader):
@@ -116,9 +117,6 @@ type ME struct {
 
 	// IDL is the child IDs-Learning machine (instance inst+"/idl").
 	IDL *idl.IDL
-	// PIF is the child broadcast machine for ASK/EXIT/EXITCS (instance
-	// inst+"/pif").
-	PIF *pif.PIF
 
 	// requested tracks a live external request. It is harness
 	// instrumentation (ground truth for the checker), not protocol state:
@@ -138,23 +136,12 @@ var (
 // New returns an ME machine for process self with identifier id. Identifiers
 // must be distinct across processes; the smallest one is the leader.
 func New(inst string, self core.ProcID, n int, id int64, opts ...Option) *ME {
-	if n < 2 {
-		panic(fmt.Sprintf("mutex: need n >= 2, got %d", n))
-	}
-	m := &ME{
-		inst:       inst,
-		self:       self,
-		n:          n,
-		id:         id,
-		csLen:      2,
-		Request:    core.Done,
-		Privileges: make([]bool, n),
-	}
+	m := &ME{self: self, n: n, id: id, csLen: 2, Privileges: make([]bool, n)}
 	for _, opt := range opts {
 		opt(m)
 	}
 	m.IDL = idl.New(inst+"/idl", self, n, id, m.pifOpts...)
-	m.PIF = pif.New(inst+"/pif", self, n, pif.Callbacks{
+	m.Client = pif.NewClient(inst, self, n, pif.Callbacks{
 		OnBroadcast: m.onBroadcast,
 		OnFeedback:  m.onFeedback,
 	}, m.pifOpts...)
@@ -166,9 +153,6 @@ func New(inst string, self core.ProcID, n int, id int64, opts ...Option) *ME {
 func (m *ME) Machines() core.Stack {
 	return append(core.Stack{m}, append(m.IDL.Machines(), m.PIF)...)
 }
-
-// Instance returns the protocol instance ID.
-func (m *ME) Instance() string { return m.inst }
 
 // ID returns the process's constant identifier.
 func (m *ME) ID() int64 { return m.id }
@@ -182,12 +166,10 @@ func (m *ME) localNum(q core.ProcID) int {
 // Invoke submits an external request for the critical section. It reports
 // false, without effect, while a request is pending or being served.
 func (m *ME) Invoke(env core.Env) bool {
-	if m.Request != core.Done {
+	if !m.Client.Invoke(env) {
 		return false
 	}
-	m.Request = core.Wait
 	m.requested = true
-	env.Emit(core.Event{Kind: core.EvRequest, Peer: -1, Instance: m.inst})
 	return true
 }
 
@@ -239,13 +221,13 @@ func (m *ME) Step(env core.Env) bool {
 			return true
 		}
 		m.InCS = false
-		env.Emit(core.Event{Kind: core.EvExitCS, Peer: -1, Instance: m.inst})
+		env.Emit(core.Event{Kind: core.EvExitCS, Peer: -1, Instance: m.Instance()})
 		if m.Served {
 			m.Served = false
 			if m.Request == core.In {
 				m.Request = core.Done
 				m.requested = false
-				env.Emit(core.Event{Kind: core.EvDecide, Peer: -1, Instance: m.inst})
+				env.Emit(core.Event{Kind: core.EvDecide, Peer: -1, Instance: m.Instance()})
 			}
 			m.release()
 			if m.Phase == 3 {
@@ -260,7 +242,7 @@ func (m *ME) Step(env core.Env) bool {
 		m.IDL.Reset()
 		if m.Request == core.Wait {
 			m.Request = core.In
-			env.Emit(core.Event{Kind: core.EvStart, Peer: -1, Instance: m.inst})
+			env.Emit(core.Event{Kind: core.EvStart, Peer: -1, Instance: m.Instance()})
 		}
 		m.Phase = 1
 		fired = true
@@ -294,7 +276,7 @@ func (m *ME) Step(env core.Env) bool {
 				m.InCS = true
 				m.Served = true
 				m.CSLeft = m.csLen
-				env.Emit(core.Event{Kind: core.EvEnterCS, Peer: -1, Instance: m.inst, Note: note})
+				env.Emit(core.Event{Kind: core.EvEnterCS, Peer: -1, Instance: m.Instance(), Note: note})
 				if m.CSBody != nil && m.requested {
 					// The body is the work of the external request; an
 					// entry fabricated by a corrupted Request = In
@@ -356,11 +338,6 @@ func (m *ME) onFeedback(_ core.Env, from core.ProcID, f core.Payload) {
 	}
 	// A10 (OK) and garbage: do nothing.
 }
-
-// Deliver handles messages addressed to the ME instance itself; the
-// protocol communicates exclusively through its child PIFs, so only
-// initial-configuration garbage arrives here. Consumed with no effect.
-func (m *ME) Deliver(core.Env, core.ProcID, core.Message) {}
 
 // AppendState appends a canonical encoding of the machine state (children
 // encode themselves separately as part of the stack).

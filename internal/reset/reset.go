@@ -38,12 +38,10 @@ type Handler func(epoch int64)
 
 // Reset is one process's instance of the reset protocol.
 type Reset struct {
-	inst string
+	pif.Client
 	self core.ProcID
 	n    int
 
-	// Request drives reset computations (input/output variable).
-	Request core.ReqState
 	// Epoch is the epoch of the last reset this process initiated or
 	// adopted.
 	Epoch int64
@@ -54,9 +52,6 @@ type Reset struct {
 
 	// OnReset is the application's reinitialization hook; may be nil.
 	OnReset Handler
-
-	// PIF is the child broadcast machine (instance inst+"/pif").
-	PIF *pif.PIF
 }
 
 var (
@@ -68,17 +63,8 @@ var (
 // New returns a reset machine for process self. PIF options (capacity
 // bound) are forwarded to the child machine.
 func New(inst string, self core.ProcID, n int, pifOpts ...pif.Option) *Reset {
-	if n < 2 {
-		panic(fmt.Sprintf("reset: need n >= 2, got %d", n))
-	}
-	r := &Reset{
-		inst:    inst,
-		self:    self,
-		n:       n,
-		Request: core.Done,
-		Acked:   make([]int64, n),
-	}
-	r.PIF = pif.New(inst+"/pif", self, n, pif.Callbacks{
+	r := &Reset{self: self, n: n, Acked: make([]int64, n)}
+	r.Client = pif.NewClient(inst, self, n, pif.Callbacks{
 		OnBroadcast: r.onBroadcast,
 		OnFeedback:  r.onFeedback,
 	}, pifOpts...)
@@ -87,23 +73,6 @@ func New(inst string, self core.ProcID, n int, pifOpts ...pif.Option) *Reset {
 
 // Machines returns the stack fragment in text order.
 func (r *Reset) Machines() core.Stack { return core.Stack{r, r.PIF} }
-
-// Instance returns the protocol instance ID.
-func (r *Reset) Instance() string { return r.inst }
-
-// Invoke requests a global reset. Rejected while one is pending or in
-// progress.
-func (r *Reset) Invoke(env core.Env) bool {
-	if r.Request != core.Done {
-		return false
-	}
-	r.Request = core.Wait
-	env.Emit(core.Event{Kind: core.EvRequest, Peer: -1, Instance: r.inst})
-	return true
-}
-
-// Done reports whether no reset is requested or in progress.
-func (r *Reset) Done() bool { return r.Request == core.Done }
 
 // Step runs the internal actions in text order.
 func (r *Reset) Step(env core.Env) bool {
@@ -121,7 +90,7 @@ func (r *Reset) Step(env core.Env) bool {
 			r.Acked[q] = -1
 		}
 		r.PIF.Reset(core.Payload{Tag: TagReset, Num: r.Epoch})
-		env.Emit(core.Event{Kind: core.EvStart, Peer: -1, Instance: r.inst,
+		env.Emit(core.Event{Kind: core.EvStart, Peer: -1, Instance: r.Instance(),
 			Note: fmt.Sprintf("epoch=%d", r.Epoch)})
 		fired = true
 	}
@@ -129,7 +98,7 @@ func (r *Reset) Step(env core.Env) bool {
 	// A2: terminate when the PIF decided — every process acknowledged.
 	if r.Request == core.In && r.PIF.Done() {
 		r.Request = core.Done
-		env.Emit(core.Event{Kind: core.EvDecide, Peer: -1, Instance: r.inst,
+		env.Emit(core.Event{Kind: core.EvDecide, Peer: -1, Instance: r.Instance(),
 			Note: fmt.Sprintf("epoch=%d", r.Epoch)})
 		fired = true
 	}
@@ -158,10 +127,6 @@ func (r *Reset) onFeedback(_ core.Env, from core.ProcID, f core.Payload) {
 		r.Acked[from] = f.Num
 	}
 }
-
-// Deliver consumes initial-configuration garbage addressed to the reset
-// instance itself (the protocol communicates through its child PIF).
-func (r *Reset) Deliver(core.Env, core.ProcID, core.Message) {}
 
 // AllAcked reports whether every other process acknowledged the given
 // epoch during the last computation (meaningful after a decision).

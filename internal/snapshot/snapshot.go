@@ -17,8 +17,6 @@
 package snapshot
 
 import (
-	"fmt"
-
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/pif"
 )
@@ -32,12 +30,10 @@ type Provider func() core.Payload
 
 // Snapshot is one process's instance of the collection protocol.
 type Snapshot struct {
-	inst string
+	pif.Client
 	self core.ProcID
 	n    int
 
-	// Request drives collections (input/output variable).
-	Request core.ReqState
 	// Views[q] is the state collected from q during the last computation
 	// (entry self is filled at the start action). Output variable.
 	Views []core.Payload
@@ -47,9 +43,6 @@ type Snapshot struct {
 	// Provide reads the local application state; nil yields zero
 	// payloads.
 	Provide Provider
-
-	// PIF is the child broadcast machine (instance inst+"/pif").
-	PIF *pif.PIF
 }
 
 var (
@@ -60,17 +53,8 @@ var (
 
 // New returns a snapshot machine for process self.
 func New(inst string, self core.ProcID, n int, pifOpts ...pif.Option) *Snapshot {
-	if n < 2 {
-		panic(fmt.Sprintf("snapshot: need n >= 2, got %d", n))
-	}
-	s := &Snapshot{
-		inst:    inst,
-		self:    self,
-		n:       n,
-		Request: core.Done,
-		Views:   make([]core.Payload, n),
-	}
-	s.PIF = pif.New(inst+"/pif", self, n, pif.Callbacks{
+	s := &Snapshot{self: self, n: n, Views: make([]core.Payload, n)}
+	s.Client = pif.NewClient(inst, self, n, pif.Callbacks{
 		OnBroadcast: func(_ core.Env, _ core.ProcID, b core.Payload) core.Payload {
 			if b.Tag != TagProbe {
 				return core.Payload{} // garbage probe: neutral reply
@@ -90,22 +74,6 @@ func New(inst string, self core.ProcID, n int, pifOpts ...pif.Option) *Snapshot 
 // Machines returns the stack fragment in text order.
 func (s *Snapshot) Machines() core.Stack { return core.Stack{s, s.PIF} }
 
-// Instance returns the protocol instance ID.
-func (s *Snapshot) Instance() string { return s.inst }
-
-// Invoke requests a collection; rejected while one is pending or running.
-func (s *Snapshot) Invoke(env core.Env) bool {
-	if s.Request != core.Done {
-		return false
-	}
-	s.Request = core.Wait
-	env.Emit(core.Event{Kind: core.EvRequest, Peer: -1, Instance: s.inst})
-	return true
-}
-
-// Done reports whether no collection is requested or in progress.
-func (s *Snapshot) Done() bool { return s.Request == core.Done }
-
 // Step runs the internal actions in text order.
 func (s *Snapshot) Step(env core.Env) bool {
 	fired := false
@@ -118,20 +86,16 @@ func (s *Snapshot) Step(env core.Env) bool {
 			s.Views[s.self] = core.Payload{}
 		}
 		s.PIF.Reset(core.Payload{Tag: TagProbe, Num: s.Nonce})
-		env.Emit(core.Event{Kind: core.EvStart, Peer: -1, Instance: s.inst})
+		env.Emit(core.Event{Kind: core.EvStart, Peer: -1, Instance: s.Instance()})
 		fired = true
 	}
 	if s.Request == core.In && s.PIF.Done() {
 		s.Request = core.Done
-		env.Emit(core.Event{Kind: core.EvDecide, Peer: -1, Instance: s.inst})
+		env.Emit(core.Event{Kind: core.EvDecide, Peer: -1, Instance: s.Instance()})
 		fired = true
 	}
 	return fired
 }
-
-// Deliver consumes initial-configuration garbage addressed to the
-// snapshot instance itself.
-func (s *Snapshot) Deliver(core.Env, core.ProcID, core.Message) {}
 
 // AppendState appends a canonical encoding of the machine state.
 func (s *Snapshot) AppendState(dst []byte) []byte {

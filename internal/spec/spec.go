@@ -188,7 +188,6 @@ type MutexChecker struct {
 	zombieIn map[core.ProcID]bool
 
 	entries        int
-	zombieEntries  int
 	zombieOverlaps int
 	violations     []Violation
 }
@@ -219,7 +218,6 @@ func (c *MutexChecker) OnEvent(e core.Event) {
 			// fabricated the conditions (corrupted Request = In, phase,
 			// privileges). Footnote 1 places it outside the guarantee;
 			// track its occupancy like an initial occupant.
-			c.zombieEntries++
 			c.zombieIn[e.Proc] = true
 			return
 		}
@@ -252,10 +250,6 @@ func (c *MutexChecker) OnEvent(e core.Event) {
 
 // Entries returns the number of served critical-section entries observed.
 func (c *MutexChecker) Entries() int { return c.entries }
-
-// ZombieEntries counts critical-section entries that served no external
-// request (fabricated by the initial configuration).
-func (c *MutexChecker) ZombieEntries() int { return c.zombieEntries }
 
 // ZombieOverlaps counts served entries that overlapped an
 // initial-configuration occupant — permitted by the specification

@@ -64,12 +64,10 @@ type summary struct {
 
 // Detector is one process's instance of the termination detector.
 type Detector struct {
-	inst string
+	pif.Client
 	self core.ProcID
 	n    int
 
-	// Request drives detections (input/output variable).
-	Request core.ReqState
 	// Terminated is the output verdict of the last completed detection.
 	Terminated bool
 	// Waves counts the waves of the current detection (diagnostic).
@@ -81,9 +79,6 @@ type Detector struct {
 	cur      summary
 	prev     summary
 	havePrev bool
-
-	// PIF is the child broadcast machine (instance inst+"/pif").
-	PIF *pif.PIF
 }
 
 var (
@@ -94,17 +89,8 @@ var (
 
 // New returns a detector for process self.
 func New(inst string, self core.ProcID, n int, app App, pifOpts ...pif.Option) *Detector {
-	if n < 2 {
-		panic(fmt.Sprintf("termdet: need n >= 2, got %d", n))
-	}
-	d := &Detector{
-		inst:    inst,
-		self:    self,
-		n:       n,
-		App:     app,
-		Request: core.Done,
-	}
-	d.PIF = pif.New(inst+"/pif", self, n, pif.Callbacks{
+	d := &Detector{self: self, n: n, App: app}
+	d.Client = pif.NewClient(inst, self, n, pif.Callbacks{
 		OnBroadcast: d.onProbe,
 		OnFeedback:  d.onReply,
 	}, pifOpts...)
@@ -113,22 +99,6 @@ func New(inst string, self core.ProcID, n int, app App, pifOpts ...pif.Option) *
 
 // Machines returns the stack fragment in text order.
 func (d *Detector) Machines() core.Stack { return core.Stack{d, d.PIF} }
-
-// Instance returns the protocol instance ID.
-func (d *Detector) Instance() string { return d.inst }
-
-// Invoke requests a detection; rejected while one is pending or running.
-func (d *Detector) Invoke(env core.Env) bool {
-	if d.Request != core.Done {
-		return false
-	}
-	d.Request = core.Wait
-	env.Emit(core.Event{Kind: core.EvRequest, Peer: -1, Instance: d.inst})
-	return true
-}
-
-// Done reports whether no detection is requested or in progress.
-func (d *Detector) Done() bool { return d.Request == core.Done }
 
 // pack encodes (sent, recv) into one payload number.
 func pack(sent, recv int64) int64 { return sent<<countBits | recv }
@@ -195,7 +165,7 @@ func (d *Detector) Step(env core.Env) bool {
 		d.havePrev = false
 		d.Waves = 0
 		d.startWave()
-		env.Emit(core.Event{Kind: core.EvStart, Peer: -1, Instance: d.inst})
+		env.Emit(core.Event{Kind: core.EvStart, Peer: -1, Instance: d.Instance()})
 		fired = true
 	}
 
@@ -206,7 +176,7 @@ func (d *Detector) Step(env core.Env) bool {
 		if quiet && d.havePrev && d.cur == d.prev {
 			d.Terminated = true
 			d.Request = core.Done
-			env.Emit(core.Event{Kind: core.EvDecide, Peer: -1, Instance: d.inst,
+			env.Emit(core.Event{Kind: core.EvDecide, Peer: -1, Instance: d.Instance(),
 				Note: fmt.Sprintf("terminated after %d waves", d.Waves)})
 		} else {
 			d.prev = d.cur
@@ -218,10 +188,6 @@ func (d *Detector) Step(env core.Env) bool {
 
 	return fired
 }
-
-// Deliver consumes initial-configuration garbage addressed to the detector
-// instance itself.
-func (d *Detector) Deliver(core.Env, core.ProcID, core.Message) {}
 
 // AppendState appends a canonical encoding of the machine state.
 func (d *Detector) AppendState(dst []byte) []byte {

@@ -183,9 +183,9 @@ type Mux struct {
 
 // NewMux binds one bare loopback node per process — no default group —
 // and starts the shared loops. Options must be node-level (capacity,
-// batch, Options.Link); per-cluster options (topology, faults,
-// observers) belong to Attach. The caller owns the mux and must Close
-// it to release the sockets.
+// batch); per-cluster options (topology, faults, observers) belong to
+// Attach. The caller owns the mux and must Close it to release the
+// sockets.
 func NewMux(t Transport, nProcs int, opts ...Option) (*Mux, error) {
 	// No default topology, so the wiring is full: per-group topologies
 	// restrict traffic at the message level.
@@ -212,11 +212,11 @@ func (m *Mux) Attach(stacks []core.Stack, opts ...Option) (*MuxCluster, error) {
 	if len(stacks) != len(m.nodes) {
 		return nil, fmt.Errorf("engine: %d stacks for a mux of %d processes", len(stacks), len(m.nodes))
 	}
-	var o Options
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.capacity != 0 || o.batch != 0 || o.Link != nil {
+	if o.capacity != 0 || o.batch != 0 {
 		return nil, fmt.Errorf("engine: node-level option per attached cluster; set it on NewMux")
 	}
 	m.mu.Lock()

@@ -125,21 +125,18 @@ const stepInterval = 2 * time.Millisecond
 // never is a node timer's time for "none": no armed link, no step yet.
 const never = time.Duration(math.MaxInt64)
 
-// Options is the option set of a node (capacity, batch, Link) and of its
+// options is the option set of a node (capacity, batch) and of its
 // default group (observers, topology, faults).
-type Options struct {
+type options struct {
 	capacity  int
 	batch     int
 	observers core.MultiObserver
 	topology  *core.Topology
 	faults    *core.FaultPlan
-	// Link carries one link-specific setting to the Transport's Bind;
-	// the engine only passes it through.
-	Link any
 }
 
 // Option configures a node or, on Mux.Attach, one attached cluster.
-type Option func(*Options)
+type Option func(*options)
 
 // WithCapacity sets the channel-capacity bound c the node enforces on
 // every directed (peer, group, instance) link (default DefaultCapacity):
@@ -148,14 +145,14 @@ type Option func(*Options)
 // accepts any c >= 1; stacks that carry handshake flags are limited to
 // window.MaxCapacity by the wire format's one-byte flag fields.
 func WithCapacity(c int) Option {
-	return func(o *Options) { o.capacity = c }
+	return func(o *options) { o.capacity = c }
 }
 
 // WithBatch bounds how many messages one frame carries (default 16, at
 // most wire.MaxBatch), on every link alike. WithBatch(1) gives every
 // message a frame of its own.
 func WithBatch(k int) Option {
-	return func(o *Options) { o.batch = k }
+	return func(o *options) { o.batch = k }
 }
 
 // WithObserver subscribes an event observer on the default group.
@@ -163,7 +160,7 @@ func WithBatch(k int) Option {
 // EvLose, EvSendLost on a dead connection) and the activation loop
 // (everything else), so the observer must be goroutine-safe.
 func WithObserver(ob core.Observer) Option {
-	return func(o *Options) { o.observers = append(o.observers, ob) }
+	return func(o *options) { o.observers = append(o.observers, ob) }
 }
 
 // WithTopology declares the communication graph of the default group:
@@ -172,7 +169,7 @@ func WithObserver(ob core.Observer) Option {
 // the receiver, and the installed fault plan is validated against the
 // edge set. The default (nil) is the complete graph.
 func WithTopology(t *core.Topology) Option {
-	return func(o *Options) { o.topology = t }
+	return func(o *options) { o.topology = t }
 }
 
 // WithFaults installs a fault-injection plan (see core.FaultPlan) on the
@@ -186,7 +183,7 @@ func WithTopology(t *core.Topology) Option {
 // measured in plan.Unit ticks of wall time from Start. The link's own
 // losses compose underneath the plan.
 func WithFaults(plan *core.FaultPlan) Option {
-	return func(o *Options) { o.faults = plan }
+	return func(o *options) { o.faults = plan }
 }
 
 // Transport names one socket layer to the engine.
@@ -210,7 +207,6 @@ type LinkConfig struct {
 	// Topology is the default group's graph (nil: complete, or a mux
 	// node whose groups restrict traffic per message).
 	Topology *core.Topology
-	Link     any // Options.Link
 	// Arrive is the inbound callback: one decoded frame from a known
 	// peer. links and msgs are only read during the call. Safe to call
 	// from several goroutines.
@@ -500,7 +496,7 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 	if self < 0 || int(self) >= len(peers) {
 		return nil, fmt.Errorf("engine: self %d outside peer list of %d", self, len(peers))
 	}
-	o := Options{capacity: DefaultCapacity, batch: defaultBatch}
+	o := options{capacity: DefaultCapacity, batch: defaultBatch}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -535,7 +531,7 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 	}
 	link, err := t.Bind(LinkConfig{
 		Self: self, Listen: laddr, Peers: len(peers), Instances: len(stack),
-		Capacity: o.capacity, Topology: o.topology, Link: o.Link,
+		Capacity: o.capacity, Topology: o.topology,
 		Arrive: n.arrive, IO: &n.io,
 	})
 	if err != nil {

@@ -96,14 +96,12 @@ const writeTimeout = 2 * time.Second
 // process index. It is consumed by the transport and never delivered.
 const helloInstance = "tcp/hello"
 
-// dialBackoff is the Options.Link setting of this package.
-type dialBackoff struct{ min, max time.Duration }
-
-// WithDialBackoff sets the redial backoff range (default 25ms..1s): the
-// first redial after a connection loss waits min, doubling up to max.
-func WithDialBackoff(min, max time.Duration) engine.Option {
-	return func(o *engine.Options) { o.Link = dialBackoff{min, max} }
-}
+// The redial backoff range: the first redial after a connection loss
+// waits dialMin, doubling up to dialMax.
+const (
+	dialMin = 25 * time.Millisecond
+	dialMax = time.Second
+)
 
 // transport describes this link to the engine. The salt namespaces the
 // substrate's injector seeds (sim, runtime and udp use their own).
@@ -153,10 +151,8 @@ type link struct {
 // package. The engine calls Write under the node's action mutex only,
 // which is what makes the queue-room check race-free.
 type mesh struct {
-	cfg     engine.LinkConfig
-	ln      net.Listener
-	dialMin time.Duration
-	dialMax time.Duration
+	cfg engine.LinkConfig
+	ln  net.Listener
 
 	out []*link // indexed by peer; nil for self and unwired peers
 
@@ -176,18 +172,10 @@ type mesh struct {
 func bind(cfg engine.LinkConfig) (engine.Link, error) {
 	ms := &mesh{
 		cfg:      cfg,
-		dialMin:  25 * time.Millisecond,
-		dialMax:  time.Second,
 		out:      make([]*link, cfg.Peers),
 		accepted: make(map[net.Conn]struct{}),
 		inbound:  make(map[core.ProcID]*inboundConn),
 		stop:     make(chan struct{}),
-	}
-	if b, ok := cfg.Link.(dialBackoff); ok {
-		ms.dialMin, ms.dialMax = b.min, b.max
-	}
-	if ms.dialMin <= 0 || ms.dialMax < ms.dialMin {
-		return nil, fmt.Errorf("tcp: invalid backoff %v..%v", ms.dialMin, ms.dialMax)
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -314,7 +302,7 @@ func (ms *mesh) writeLoop(l *link) {
 		}
 	}()
 	cnt := ms.cfg.IO
-	backoff := ms.dialMin
+	backoff := dialMin
 	dialed := 0
 	batch := make([]outFrame, 0, sendVecCap)
 	vec := make(net.Buffers, 0, sendVecCap)
@@ -328,13 +316,13 @@ func (ms *mesh) writeLoop(l *link) {
 				case <-time.After(backoff):
 				}
 				backoff *= 2
-				if backoff > ms.dialMax {
-					backoff = ms.dialMax
+				if backoff > dialMax {
+					backoff = dialMax
 				}
 				continue
 			}
 			conn = c
-			backoff = ms.dialMin
+			backoff = dialMin
 			dialed++
 			if dialed > 1 {
 				cnt.Redials.Add(1)

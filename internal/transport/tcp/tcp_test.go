@@ -84,8 +84,7 @@ func TestSimultaneousStartDialRace(t *testing.T) {
 	machines := make([]*pif.PIF, n)
 	nodes := make([]*engine.Node, n)
 	for i := 0; i < n; i++ {
-		node, err := NewNode(core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n),
-			WithDialBackoff(time.Millisecond, 50*time.Millisecond))
+		node, err := NewNode(core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,8 +131,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	machines := make([]*pif.PIF, n)
 	nodes := make([]*engine.Node, n)
 	for i := 0; i < n; i++ {
-		node, err := NewNode(core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n),
-			WithDialBackoff(time.Millisecond, 50*time.Millisecond))
+		node, err := NewNode(core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +160,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	var restarted *engine.Node
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		node, err := NewNode(1, mkPIF(machines, 1, n), addr1, make([]string, n),
-			WithDialBackoff(time.Millisecond, 50*time.Millisecond))
+		node, err := NewNode(1, mkPIF(machines, 1, n), addr1, make([]string, n))
 		if err == nil {
 			restarted = node
 			break
@@ -345,7 +342,7 @@ func TestResetPeerCountsEachSendOnce(t *testing.T) {
 	var sends, linkLost atomic.Int64
 	const k = 200
 	node, err := NewNode(0, core.Stack{&linktest.Recorder{Inst: "rec"}}, "127.0.0.1:0", []string{"", ln.Addr().String()},
-		engine.WithCapacity(k), WithDialBackoff(time.Millisecond, 5*time.Millisecond),
+		engine.WithCapacity(k),
 		engine.WithObserver(core.ObserverFunc(func(e core.Event) {
 			switch {
 			case e.Kind == core.EvSend:
@@ -388,9 +385,6 @@ func TestNodeValidation(t *testing.T) {
 	}
 	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), engine.WithCapacity(0)); err == nil {
 		t.Fatal("zero capacity accepted")
-	}
-	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), WithDialBackoff(time.Second, time.Millisecond)); err == nil {
-		t.Fatal("inverted backoff accepted")
 	}
 	if _, err := NewCluster(nil); err == nil {
 		t.Fatal("empty cluster accepted")

@@ -32,8 +32,7 @@ func newRawPeer(t *testing.T, stack core.Stack, opts ...engine.Option) linktest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := NewNode(0, stack, "127.0.0.1:0", []string{"", ln.Addr().String()},
-		append(opts, WithDialBackoff(time.Millisecond, 20*time.Millisecond))...)
+	node, err := NewNode(0, stack, "127.0.0.1:0", []string{"", ln.Addr().String()}, opts...)
 	if err != nil {
 		ln.Close()
 		t.Fatal(err)

@@ -37,3 +37,60 @@ func TestSimExecutionPinned(t *testing.T) {
 		t.Fatalf("Steps, Sends, Deliveries, SendLosses = %v, want %v", got, want)
 	}
 }
+
+// runPinnedRequests runs 32 rounds of CorruptEverything and one request
+// each on c; request issues the i-th request and returns its handle.
+func runPinnedRequests(t *testing.T, c interface{ CorruptEverything(uint64) }, request func(i int) *snapstab.Request) {
+	t.Helper()
+	for i := 0; i < 32; i++ {
+		c.CorruptEverything(uint64(1000 + i))
+		req := request(i)
+		<-req.Done()
+		if err := req.Err(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+}
+
+// TestSimExecutionPinnedFamilies pins, as TestSimExecutionPinned does for
+// mutual exclusion, the first requests after corruption of the other
+// single-PIF clients on an n = 5 Sim cluster, seed 7: IDs-Learning, reset
+// and snapshot. The values were read before the clients shared pif.Client;
+// a refactor of the request face must replay the same executions.
+func TestSimExecutionPinnedFamilies(t *testing.T) {
+	t.Parallel()
+	const n = 5
+	onSim := []snapstab.Option{snapstab.WithSubstrate(snapstab.Sim()), snapstab.WithSeed(7)}
+	check := func(t *testing.T, got, want [4]int) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("Steps, Sends, Deliveries, SendLosses = %v, want %v", got, want)
+		}
+	}
+	t.Run("idl", func(t *testing.T) {
+		t.Parallel()
+		c := snapstab.NewIDCluster([]int64{5, 3, 9, 1, 7}, onSim...)
+		defer c.Close()
+		runPinnedRequests(t, c, func(i int) *snapstab.Request { return c.LearnAsync(i % n).Request })
+		s := c.Stats()
+		check(t, [4]int{s.Steps, s.Sends, s.Deliveries, s.SendLosses}, [4]int{10782, 11761, 5929, 6131})
+	})
+	t.Run("reset", func(t *testing.T) {
+		t.Parallel()
+		c := snapstab.NewResetCluster(n, nil, onSim...)
+		defer c.Close()
+		runPinnedRequests(t, c, func(i int) *snapstab.Request { return c.ResetAsync(i % n).Request })
+		s := c.Stats()
+		check(t, [4]int{s.Steps, s.Sends, s.Deliveries, s.SendLosses}, [4]int{10782, 11761, 5929, 6131})
+	})
+	t.Run("snapshot", func(t *testing.T) {
+		t.Parallel()
+		c := snapstab.NewSnapshotCluster(n, func(p int) snapstab.Payload {
+			return snapstab.Payload{Tag: "S", Num: int64(p)}
+		}, onSim...)
+		defer c.Close()
+		runPinnedRequests(t, c, func(i int) *snapstab.Request { return c.CollectAsync(i % n).Request })
+		s := c.Stats()
+		check(t, [4]int{s.Steps, s.Sends, s.Deliveries, s.SendLosses}, [4]int{10665, 11442, 5843, 5899})
+	})
+}
