@@ -306,22 +306,27 @@ func (c *clusterCore) corruptMachines(r *rng.Source) {
 	}
 }
 
-// fillChannelGarbage loads random well-formed messages into every
-// channel of the listed instances. Preloading channels needs scheduler
-// cooperation, so it exists only on the deterministic substrate; on the
-// concurrent engines channels start empty, which the model permits (the
-// arbitrary state is the machines'). opts tunes the garbage (typed
-// clusters draw opaque bodies; the zero value replays legacy streams
-// byte-identically).
-func (c *clusterCore) fillChannelGarbage(r *rng.Source, specs []config.InstanceSpec, opts config.Options) {
+// fillChannelGarbage loads every channel with random well-formed
+// messages, each machine drawing its own instance's (config.FillChannels).
+// Preloading channels needs scheduler cooperation, so it exists only on
+// the deterministic substrate; on the concurrent engines channels start
+// empty, which the model permits (the arbitrary state is the machines').
+func (c *clusterCore) fillChannelGarbage(r *rng.Source) {
 	if net := c.simNet; net != nil {
-		net.Sync(func() { config.FillChannels(net, r, specs, opts) })
+		net.Sync(func() { config.FillChannels(net, r, config.Options{}) })
 	}
 }
 
-// corrupt is the shared CorruptEverything implementation: randomize all
-// machine state, then garbage every listed instance's channels.
-func (c *clusterCore) corrupt(r *rng.Source, specs []config.InstanceSpec, opts config.Options) {
+// CorruptEverything drives the cluster into an arbitrary initial
+// configuration: every protocol variable randomized and — on the
+// deterministic substrate — every channel filled with garbage the
+// protocol's own machines draw (the concurrent substrates start with
+// empty channels, which the model permits: their arbitrary state is the
+// machines'). Reproducible from the seed. Every family but mutual
+// exclusion uses it as is; MutexCluster overrides it to prime the
+// checker's zombie critical-section entries between the two draws.
+func (c *clusterCore) CorruptEverything(seed uint64) {
+	r := rng.New(seed)
 	c.corruptMachines(r)
-	c.fillChannelGarbage(r, specs, opts)
+	c.fillChannelGarbage(r)
 }

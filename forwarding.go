@@ -6,10 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/snapstab/snapstab/internal/config"
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/fwd"
-	"github.com/snapstab/snapstab/internal/rng"
 	"github.com/snapstab/snapstab/internal/spec"
 	"github.com/snapstab/snapstab/internal/wire"
 )
@@ -228,22 +226,4 @@ func (c *ForwardingCluster[T]) SpecReport() ForwardReport {
 		r.Violations = append(r.Violations, v.String())
 	}
 	return r
-}
-
-// CorruptEverything drives the cluster into an arbitrary initial
-// configuration: every forwarding variable randomized and, on the
-// deterministic substrate, every channel filled with well-formed FWD
-// garbage — fabricated items the protocol must route or sanitize without
-// ever touching a submitted one.
-func (c *ForwardingCluster[T]) CorruptEverything(seed uint64) {
-	n := c.N()
-	top := c.machines[0].FlagTop()
-	specs := []config.InstanceSpec{{
-		Instance: fwdInstance,
-		FlagTop:  top,
-		Generator: func(r *rng.Source) core.Message {
-			return fwd.GarbageMessage(r, fwdInstance, top, n)
-		},
-	}}
-	c.corrupt(rng.New(seed), specs, config.Options{})
 }

@@ -7,9 +7,10 @@
 //
 //   - machine state: every core.Corruptible machine in every stack
 //     randomizes its own variables over their domains;
-//   - channel contents: every logical channel is filled with up to
-//     capacity random well-formed protocol messages (garbage), the
-//     situation Figure 1 and Lemma 4 reason about.
+//   - channel contents: every logical channel of every core.Garbler
+//     machine's instance is filled with up to capacity random well-formed
+//     messages that the machine draws itself (garbage), the situation
+//     Figure 1 and Lemma 4 reason about.
 //
 // All randomness comes from a caller-provided generator, so corrupted
 // configurations replay from a seed.
@@ -17,26 +18,9 @@ package config
 
 import (
 	"github.com/snapstab/snapstab/internal/core"
-	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/rng"
 	"github.com/snapstab/snapstab/internal/sim"
 )
-
-// InstanceSpec describes the wire domain of one protocol instance so the
-// corruptor can synthesize well-formed garbage for its channels.
-type InstanceSpec struct {
-	// Instance is the protocol instance ID carried by the messages.
-	Instance string
-	// FlagTop is the top of the handshake-flag domain (4 for the paper's
-	// capacity-1 PIF).
-	FlagTop uint8
-	// Generator, when non-nil, synthesizes this instance's garbage
-	// messages instead of the default PIF-shaped draw. Non-PIF protocols
-	// (the forwarding layer) install one so their channels receive garbage
-	// their receive actions actually parse. It must draw all randomness
-	// from r, so corrupted configurations still replay from the seed.
-	Generator func(r *rng.Source) core.Message
-}
 
 // Options tunes corruption.
 type Options struct {
@@ -47,12 +31,6 @@ type Options struct {
 	// networks, where "up to capacity" is meaningless (default 3 when
 	// zero). Theorem 1's adversary preloads its own, longer sequences.
 	MaxUnboundedGarbage int
-	// GarbageBlobLen, when positive, gives every garbage payload an
-	// opaque body of up to that many random bytes — the arbitrary
-	// initial configuration of a typed (blob-carrying) deployment. The
-	// default 0 draws no extra randomness, so legacy corruption streams
-	// replay byte-identically.
-	GarbageBlobLen int
 }
 
 func (o Options) withDefaults() Options {
@@ -74,16 +52,22 @@ func CorruptMachines(net *sim.Network, r *rng.Source) {
 }
 
 // FillChannels loads random garbage messages into every directed channel
-// of every listed instance. Each slot of a bounded channel is filled with
-// probability opts.FillProbability; unbounded channels receive up to
+// of every instance whose machine is a core.Garbler, instance by instance
+// in the order of process 0's stack, each message drawn by process 0's
+// machine. Each slot of a bounded channel is filled with probability
+// opts.FillProbability; unbounded channels receive up to
 // opts.MaxUnboundedGarbage messages. Only channels that exist under the
 // network's topology are filled — non-edges have no channel to corrupt —
 // and skipped pairs draw no randomness, so a complete-graph fill is
 // byte-identical with or without an explicit topology.
-func FillChannels(net *sim.Network, r *rng.Source, specs []InstanceSpec, opts Options) {
+func FillChannels(net *sim.Network, r *rng.Source, opts Options) {
 	opts = opts.withDefaults()
 	topo := net.Topology()
-	for _, s := range specs {
+	for _, mach := range net.Stack(0) {
+		g, ok := mach.(core.Garbler)
+		if !ok {
+			continue
+		}
 		for from := 0; from < net.N(); from++ {
 			for to := 0; to < net.N(); to++ {
 				if from == to {
@@ -99,16 +83,10 @@ func FillChannels(net *sim.Network, r *rng.Source, specs []InstanceSpec, opts Op
 				var garbage []core.Message
 				for i := 0; i < slots; i++ {
 					if r.Float64() < opts.FillProbability {
-						var m core.Message
-						if s.Generator != nil {
-							m = s.Generator(r)
-						} else {
-							m = pif.GarbageMessageBlob(r, s.Instance, s.FlagTop, opts.GarbageBlobLen)
-						}
-						garbage = append(garbage, m)
+						garbage = append(garbage, g.Garbage(r))
 					}
 				}
-				k := sim.LinkKey{From: core.ProcID(from), To: core.ProcID(to), Instance: s.Instance}
+				k := sim.LinkKey{From: core.ProcID(from), To: core.ProcID(to), Instance: mach.Instance()}
 				if err := net.Link(k).Preload(garbage); err != nil {
 					// Unreachable: garbage never exceeds the capacity we
 					// just read. Panic loudly rather than corrupt half a
@@ -122,12 +100,7 @@ func FillChannels(net *sim.Network, r *rng.Source, specs []InstanceSpec, opts Op
 
 // Corrupt applies CorruptMachines and FillChannels: a full arbitrary
 // initial configuration.
-func Corrupt(net *sim.Network, r *rng.Source, specs []InstanceSpec, opts Options) {
+func Corrupt(net *sim.Network, r *rng.Source, opts Options) {
 	CorruptMachines(net, r)
-	FillChannels(net, r, specs, opts)
-}
-
-// PIFSpecs returns the instance specs of a bare PIF deployment.
-func PIFSpecs(instance string, flagTop uint8) []InstanceSpec {
-	return []InstanceSpec{{Instance: instance, FlagTop: flagTop}}
+	FillChannels(net, r, opts)
 }

@@ -208,6 +208,16 @@ type Corruptible interface {
 	Corrupt(r Rand)
 }
 
+// Garbler is implemented by machines whose instance has channels: it
+// draws one well-formed message of the machine's own protocol over the
+// fields' declared domains, the garbage an arbitrary initial
+// configuration may leave in any channel of that instance (§2).
+type Garbler interface {
+	// Garbage returns a random message of the machine's instance, drawn
+	// from r.
+	Garbage(r Rand) Message
+}
+
 // Rand is the minimal random interface machines need for corruption (and
 // randomized baselines).
 type Rand interface {

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"math"
+
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/sim"
 	"github.com/snapstab/snapstab/internal/stat"
@@ -42,10 +44,14 @@ func runE11(cfg Config) []stat.Table {
 		for k := 0; k < n-1; k++ {
 			n, k := n, k
 			results := runTrials(cfg, row, trials, func(trial int, seed uint64) trialResult {
-				net, machines := pifDeployment(n, 4, sim.WithSeed(seed))
+				// Crash the tail processes for good: crash windows that
+				// never close. A plan of crash windows alone draws no
+				// randomness, so the schedule is the crash-free one's.
+				plan := &core.FaultPlan{}
 				for c := 0; c < k; c++ {
-					net.Crash(core.ProcID(n - 1 - c)) // crash the tail processes
+					plan.Crashes = append(plan.Crashes, core.CrashWindow{Proc: core.ProcID(n - 1 - c), Until: math.MaxInt64})
 				}
+				net, machines := pifDeployment(n, 4, sim.WithSeed(seed), sim.WithFaults(plan))
 				token := core.Payload{Tag: "m", Num: int64(trial)}
 				machines[0].Invoke(net.Env(0), token)
 				// A bounded run: with k = 0 this is ample to decide; with

@@ -94,8 +94,7 @@ func runE12(cfg Config) []stat.Table {
 				})))
 				//lint:ignore determinism pinned pre-PR-10 derivation: the E12 corruption stream is byte-frozen with the published tables
 				r := rng.New(seed ^ 0xB10B)
-				config.Corrupt(net, r, config.PIFSpecs("pif", 4),
-					config.Options{GarbageBlobLen: size})
+				config.Corrupt(net, r, config.Options{})
 
 				requested := false
 				begin := net.StepCount()

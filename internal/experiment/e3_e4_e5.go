@@ -26,12 +26,12 @@ func pifTrial(n int, loss float64, seed uint64, maxSteps int) (steps int, violat
 	net, machines := pifDeployment(n, 4, sim.WithSeed(seed), sim.WithLossRate(loss))
 	//lint:ignore determinism pinned pre-PR-10 derivation: the E3/E4/E5 tables are byte-frozen; rerouting through rng.Mix would re-seed every row
 	r := rng.New(seed ^ 0xC0FFEE)
-	config.Corrupt(net, r, config.PIFSpecs("pif", 4), config.Options{})
+	config.Corrupt(net, r, config.Options{})
 
 	checker := &spec.PIFChecker{N: n, Initiator: 0, Instance: "pif", ExpectFck: ackFor}
 	// Rebuild with the observer attached (cheap; machines are shared).
 	net = sim.New(stacksOf(machines), sim.WithSeed(seed), sim.WithLossRate(loss), sim.WithObserver(checker))
-	config.FillChannels(net, r, config.PIFSpecs("pif", 4), config.Options{})
+	config.FillChannels(net, r, config.Options{})
 
 	//lint:ignore determinism token value (not a stream seed) derived from the trial seed; the E3/E4/E5 tables are byte-frozen
 	token := core.Payload{Tag: "fresh", Num: int64(seed % 1000)}
@@ -143,7 +143,7 @@ func runE4(cfg Config) []stat.Table {
 					{From: 0, To: core.ProcID(q), Instance: "pif"},
 					{From: core.ProcID(q), To: 0, Instance: "pif"},
 				} {
-					g := pif.GarbageMessage(r, "pif", 4)
+					g := machines[0].Garbage(r)
 					g.B = core.Payload{Tag: "planted", Num: int64(trial*100 + q)}
 					mustPreload(net, k, g)
 					tagged[msgKey(g)] = true
@@ -221,7 +221,7 @@ func runE5(cfg Config) []stat.Table {
 					stacks[i] = machines[i].Machines()
 				}
 				net := sim.New(stacks, sim.WithSeed(seed), sim.WithLossRate(loss))
-				config.Corrupt(net, r, config.PIFSpecs("idl/pif", 4), config.Options{})
+				config.Corrupt(net, r, config.Options{})
 				requested := false
 				err := net.RunUntil(func() bool {
 					if !requested {

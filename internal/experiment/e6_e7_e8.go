@@ -18,13 +18,6 @@ func init() {
 	register(Experiment{ID: "E8", Title: "Self- vs snap-stabilization: pre-convergence service quality", Paper: "§2 discussion (self- vs snap-stabilization)", Run: runE8})
 }
 
-func meSpecs() []config.InstanceSpec {
-	return []config.InstanceSpec{
-		{Instance: "me/idl/pif", FlagTop: 4},
-		{Instance: "me/pif", FlagTop: 4},
-	}
-}
-
 func runE6(cfg Config) []stat.Table {
 	cfg = cfg.withDefaults()
 	trials := cfg.Trials / 4
@@ -67,7 +60,7 @@ func runE6(cfg Config) []stat.Table {
 					}
 				}
 				net = sim.New(stacks, sim.WithSeed(seed), sim.WithLossRate(loss), sim.WithObserver(checker))
-				config.FillChannels(net, r, meSpecs(), config.Options{})
+				config.FillChannels(net, r, config.Options{})
 
 				requested := make([]bool, n)
 				begin := net.StepCount()
@@ -248,7 +241,7 @@ func e8Snap(g int, cfg Config) string {
 	requests := g + 2
 	net, machines := pifDeployment(2, 4, sim.WithSeed(uint64(g)))
 	r := rng.New(uint64(g) * 997)
-	config.Corrupt(net, r, config.PIFSpecs("pif", 4), config.Options{FillProbability: 0.99})
+	config.Corrupt(net, r, config.Options{FillProbability: 0.99})
 	violated := 0
 	for round := 0; round < requests; round++ {
 		checker := &spec.PIFChecker{N: 2, Initiator: 0, Instance: "pif", ExpectFck: ackFor}

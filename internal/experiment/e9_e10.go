@@ -164,7 +164,7 @@ func runE10(cfg Config) []stat.Table {
 			net = sim.New(stacksOf(machines), sim.WithSeed(seed), sim.WithCapacity(c), sim.WithObserver(checker))
 			//lint:ignore determinism pinned pre-PR-10 derivation: the E9/E10 corruption stream is byte-frozen with the published tables
 			r := rng.New(seed ^ 0xFACE)
-			config.Corrupt(net, r, config.PIFSpecs("pif", uint8(top)), config.Options{FillProbability: 0.9})
+			config.Corrupt(net, r, config.Options{FillProbability: 0.9})
 			token := core.Payload{Tag: "fresh", Num: int64(trial)}
 			requested := false
 			err := net.RunUntil(func() bool {

@@ -134,6 +134,7 @@ var (
 	_ core.Machine     = (*Forwarder)(nil)
 	_ core.Snapshotter = (*Forwarder)(nil)
 	_ core.Corruptible = (*Forwarder)(nil)
+	_ core.Garbler     = (*Forwarder)(nil)
 )
 
 // New returns a forwarding machine for process self of n, with the given
@@ -551,11 +552,12 @@ func (f *Forwarder) Corrupt(r core.Rand) {
 	}
 }
 
-// GarbageMessage draws a random FWD message with flags in {0..top}, used
-// to fill channels in arbitrary initial configurations.
-func GarbageMessage(r core.Rand, inst string, top uint8, n int) core.Message {
-	m := itemMessage(inst, garbageItem(r, n))
-	m.State = uint8(r.Intn(int(top) + 1))
-	m.Echo = uint8(r.Intn(int(top) + 1))
+// Garbage draws a random FWD message of this instance carrying an
+// arbitrary item, with flags in {0..top}: the garbage an arbitrary initial
+// configuration leaves in the instance's channels.
+func (f *Forwarder) Garbage(r core.Rand) core.Message {
+	m := itemMessage(f.inst, garbageItem(r, f.n))
+	m.State = uint8(r.Intn(int(f.top) + 1))
+	m.Echo = uint8(r.Intn(int(f.top) + 1))
 	return m
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/snapstab/snapstab/internal/config"
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/rng"
 	"github.com/snapstab/snapstab/internal/sim"
@@ -135,7 +136,7 @@ func TestArbitraryInitialConfiguration(t *testing.T) {
 			for seed := uint64(1); seed <= 15; seed++ {
 				topo := mk(seed)
 				net, machines, checker, rec := testNet(t, topo, sim.WithSeed(seed))
-				corrupt(net, machines, topo, rng.New(rng.Mix(seed, 977)))
+				config.Corrupt(net, rng.New(rng.Mix(seed, 977)), config.Options{})
 				n := topo.N()
 				var keys []spec.FwdKey
 				for src := 0; src < n; src++ {
@@ -158,33 +159,6 @@ func TestArbitraryInitialConfiguration(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// corrupt randomizes machine state and fills every edge channel with FWD
-// garbage (the fwd-package equivalent of config.Corrupt, kept local to
-// avoid an import cycle with config's pif dependency).
-func corrupt(net *sim.Network, machines []*Forwarder, topo *core.Topology, r *rng.Source) {
-	for _, m := range machines {
-		m.Corrupt(r)
-	}
-	top := machines[0].FlagTop()
-	for from := 0; from < net.N(); from++ {
-		for to := 0; to < net.N(); to++ {
-			if from == to || !topo.HasEdge(core.ProcID(from), core.ProcID(to)) {
-				continue
-			}
-			var garbage []core.Message
-			for i := 0; i < net.Capacity(); i++ {
-				if r.Float64() < 0.5 {
-					garbage = append(garbage, GarbageMessage(r, "fwd", top, net.N()))
-				}
-			}
-			k := sim.LinkKey{From: core.ProcID(from), To: core.ProcID(to), Instance: "fwd"}
-			if err := net.Link(k).Preload(garbage); err != nil {
-				panic(err)
-			}
-		}
 	}
 }
 
@@ -239,8 +213,9 @@ func slotFor(it Item) slot { return slot{item: it, full: true} }
 func TestGarbageSequencesStayBelowFloor(t *testing.T) {
 	t.Parallel()
 	r := rng.New(42)
+	_, machines, _, _ := testNet(t, core.Line(8))
 	for i := 0; i < 1000; i++ {
-		m := GarbageMessage(r, "fwd", 4, 8)
+		m := machines[0].Garbage(r)
 		if m.B.Num >= SeqFloor {
 			t.Fatalf("garbage sequence %d reached the application range", m.B.Num)
 		}

@@ -72,7 +72,7 @@ func TestLearningFromCorruptedConfigurations(t *testing.T) {
 		seed := uint64(trial + 1)
 		net, machines := build(t, ids, sim.WithSeed(seed))
 		r := rng.New(rng.Mix(seed, 31))
-		config.Corrupt(net, r, config.PIFSpecs("idl/pif", machines[0].PIF.FlagTop()), config.Options{})
+		config.Corrupt(net, r, config.Options{})
 		requested := false
 		err := net.RunUntil(func() bool {
 			if !requested {
@@ -174,7 +174,7 @@ func TestTerminationOfNonStartedComputations(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		net, machines := build(t, ids, sim.WithSeed(uint64(trial+100)))
 		r := rng.New(uint64(trial + 1))
-		config.Corrupt(net, r, config.PIFSpecs("idl/pif", machines[0].PIF.FlagTop()), config.Options{})
+		config.Corrupt(net, r, config.Options{})
 		err := net.RunUntil(func() bool {
 			for _, m := range machines {
 				if !m.Done() {

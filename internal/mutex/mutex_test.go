@@ -23,14 +23,6 @@ func build(t *testing.T, n int, opts ...Option) ([]*ME, []core.Stack) {
 	return machines, stacks
 }
 
-// specs lists the wire domains of all three PIF instances in an ME stack.
-func specs(m *ME) []config.InstanceSpec {
-	return []config.InstanceSpec{
-		{Instance: "me/idl/pif", FlagTop: m.IDL.PIF.FlagTop()},
-		{Instance: "me/pif", FlagTop: m.PIF.FlagTop()},
-	}
-}
-
 func TestLocalNumBijection(t *testing.T) {
 	t.Parallel()
 	for n := 2; n <= 6; n++ {
@@ -162,12 +154,12 @@ func TestSnapStabilizationRandomized(t *testing.T) {
 		machines, stacks := build(t, n)
 		r := rng.New(rng.Mix(seed, 1789))
 		net := sim.New(stacks, sim.WithSeed(seed))
-		config.Corrupt(net, r, specs(machines[0]), config.Options{})
+		config.Corrupt(net, r, config.Options{})
 		checker := NewCheckerFor(machines)
 		// Subscribe after priming zombies. The simulator copies its
 		// observer list at construction, so rebuild with the checker.
 		net = sim.New(stacks, sim.WithSeed(seed), sim.WithObserver(checker))
-		config.FillChannels(net, r, specs(machines[0]), config.Options{})
+		config.FillChannels(net, r, config.Options{})
 
 		// Everyone requests as soon as their Request variable allows.
 		requested := make([]bool, n)

@@ -79,10 +79,9 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 		{},
 	}
 	m := NewNodeMetrics(1, "pif", func() []snapstab.TransportStats { return stats })
-	obs := m.Observer()
-	obs.OnEvent(core.Event{Kind: core.EvSend})
-	obs.OnEvent(core.Event{Kind: core.EvDecide})
-	obs.OnEvent(core.Event{Kind: core.EvDecide})
+	m.CountEvent(core.EvSend.String())
+	m.CountEvent(core.EvDecide.String())
+	m.CountEvent(core.EvDecide.String())
 	m.RequestLatency.Observe(0.01)
 	m.Requests.With("broadcast", "ok").Inc()
 

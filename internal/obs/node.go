@@ -1,15 +1,15 @@
 // Node-level metric assembly: the standard metric set a snapd daemon
 // exposes, wired from the protocol event stream and the transport
-// counters. Everything here is substrate-agnostic — it consumes
-// core.Observer events and the façade's TransportStats snapshots as they
-// are, with no conversion on the way to a scrape.
+// counters. Everything here is substrate-agnostic — it consumes the event
+// kinds the façade's WithEventHook surfaces and the façade's
+// TransportStats snapshots as they are, with no conversion on the way to
+// a scrape.
 package obs
 
 import (
 	"strconv"
 
 	snapstab "github.com/snapstab/snapstab"
-	"github.com/snapstab/snapstab/internal/core"
 )
 
 // NodeMetrics is the daemon's metric set over one registry.
@@ -55,14 +55,6 @@ func NewNodeMetrics(node int, protocol string, stats func() []snapstab.Transport
 // Registry returns the underlying registry (for the /metrics handler and
 // for registering additional families).
 func (m *NodeMetrics) Registry() *Registry { return m.reg }
-
-// Observer returns the core.Observer feeding the event counters; it is
-// goroutine-safe and cheap (one atomic add per event).
-func (m *NodeMetrics) Observer() core.Observer {
-	return core.ObserverFunc(func(e core.Event) {
-		m.events.With(e.Kind.String()).Inc()
-	})
-}
 
 // CountEvent feeds the event counters by kind name — the entry point for
 // the façade's public WithEventHook, which surfaces kinds as strings.

@@ -1,6 +1,7 @@
 package pif
 
 import (
+	"math"
 	"testing"
 
 	"github.com/snapstab/snapstab/internal/core"
@@ -14,8 +15,9 @@ import (
 // crash or no crash.
 func TestCrashBlocksDecisionButNeverFakesIt(t *testing.T) {
 	t.Parallel()
-	net, machines := testNet(t, 3, sim.WithSeed(13))
-	net.Crash(2)
+	net, machines := testNet(t, 3, sim.WithSeed(13), sim.WithFaults(&core.FaultPlan{
+		Crashes: []core.CrashWindow{{Proc: 2, Until: math.MaxInt64}},
+	}))
 	machines[0].Invoke(net.Env(0), core.Payload{Tag: "m", Num: 1})
 	err := net.RunUntil(machines[0].Done, 500000)
 	if err == nil {
@@ -37,14 +39,17 @@ func TestCrashBlocksDecisionButNeverFakesIt(t *testing.T) {
 // membership change. This test pins the first half.
 func TestCrashAfterDecisionHarmless(t *testing.T) {
 	t.Parallel()
-	net, machines := testNet(t, 3, sim.WithSeed(17))
+	// Process 1 crashes for good at step crashAt, after the decision.
+	const crashAt = 100_000
+	net, machines := testNet(t, 3, sim.WithSeed(17), sim.WithFaults(&core.FaultPlan{
+		Crashes: []core.CrashWindow{{Proc: 1, From: crashAt, Until: math.MaxInt64}},
+	}))
 	machines[0].Invoke(net.Env(0), core.Payload{Tag: "m", Num: 1})
-	if err := net.RunUntil(machines[0].Done, 500000); err != nil {
+	if err := net.RunUntil(machines[0].Done, crashAt-1); err != nil {
 		t.Fatal(err)
 	}
-	net.Crash(1)
 	// The decided state is stable.
-	for i := 0; i < 1000; i++ {
+	for net.StepCount() < crashAt+1000 {
 		net.Step()
 	}
 	if !machines[0].Done() {

@@ -115,12 +115,12 @@ func sortProcIDs(s []core.ProcID) {
 	}
 }
 
-// WithGarbageBlobs makes Corrupt draw opaque payload bodies of up to max
-// random bytes alongside the structured garbage, realizing arbitrary
-// initial configurations for typed (blob-carrying) deployments. The
-// default max of 0 draws nothing extra, so legacy corruption consumes
-// exactly the random stream of earlier revisions — deterministic-sim
-// experiment output is unchanged.
+// WithGarbageBlobs makes Corrupt and Garbage draw opaque payload bodies
+// of up to max random bytes alongside the structured garbage, realizing
+// arbitrary initial configurations — variables and channels alike — for
+// typed (blob-carrying) deployments. The default max of 0 draws nothing
+// extra, so legacy corruption consumes exactly the random stream of
+// earlier revisions — deterministic-sim experiment output is unchanged.
 func WithGarbageBlobs(max int) Option {
 	return func(p *PIF) {
 		if max < 0 {
@@ -161,6 +161,7 @@ var (
 	_ core.Machine     = (*PIF)(nil)
 	_ core.Snapshotter = (*PIF)(nil)
 	_ core.Corruptible = (*PIF)(nil)
+	_ core.Garbler     = (*PIF)(nil)
 )
 
 // New returns a PIF machine for process self in an n-process system,
@@ -415,23 +416,17 @@ func GarbagePayloadBlob(r core.Rand, maxBlob int) core.Payload {
 	return p
 }
 
-// GarbageMessage draws a random PIF message for instance inst with flags
-// in the domain {0..top}, used to fill channels in arbitrary initial
-// configurations.
-func GarbageMessage(r core.Rand, inst string, top uint8) core.Message {
-	return GarbageMessageBlob(r, inst, top, 0)
-}
-
-// GarbageMessageBlob is GarbageMessage with payload bodies of up to
-// maxBlob random bytes (0 draws none, consuming the legacy stream
-// exactly).
-func GarbageMessageBlob(r core.Rand, inst string, top uint8, maxBlob int) core.Message {
+// Garbage draws a random PIF message of this instance with flags in
+// {0..top} and payload bodies bounded as WithGarbageBlobs bounds them: the
+// garbage an arbitrary initial configuration leaves in the instance's
+// channels.
+func (p *PIF) Garbage(r core.Rand) core.Message {
 	return core.Message{
-		Instance: inst,
+		Instance: p.inst,
 		Kind:     Kind,
-		B:        GarbagePayloadBlob(r, maxBlob),
-		F:        GarbagePayloadBlob(r, maxBlob),
-		State:    uint8(r.Intn(int(top) + 1)),
-		Echo:     uint8(r.Intn(int(top) + 1)),
+		B:        GarbagePayloadBlob(r, p.blobMax),
+		F:        GarbagePayloadBlob(r, p.blobMax),
+		State:    uint8(r.Intn(int(p.top) + 1)),
+		Echo:     uint8(r.Intn(int(p.top) + 1)),
 	}
 }

@@ -201,7 +201,7 @@ func corruptNet(t *testing.T, n int, seed uint64, opts ...sim.Option) (*sim.Netw
 			}
 			link := net.Link(sim.LinkKey{From: core.ProcID(from), To: core.ProcID(to), Instance: "pif"})
 			if r.Bool() {
-				if err := link.Preload([]core.Message{GarbageMessage(r, "pif", machines[0].FlagTop())}); err != nil {
+				if err := link.Preload([]core.Message{machines[0].Garbage(r)}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -295,7 +295,7 @@ func TestProperty1ChannelFlush(t *testing.T) {
 				{From: 0, To: core.ProcID(q), Instance: "pif"},
 				{From: core.ProcID(q), To: 0, Instance: "pif"},
 			} {
-				g := GarbageMessage(r, "pif", machines[0].FlagTop())
+				g := machines[0].Garbage(r)
 				g.B = core.Payload{Tag: "initial-garbage", Num: int64(trial*10 + q)}
 				if err := net.Link(k).Preload([]core.Message{g}); err != nil {
 					t.Fatal(err)
@@ -573,8 +573,8 @@ func TestCapacityTwoEndToEnd(t *testing.T) {
 				}
 				k := sim.LinkKey{From: core.ProcID(from), To: core.ProcID(to), Instance: "pif"}
 				garbage := []core.Message{
-					GarbageMessage(r, "pif", machines[0].FlagTop()),
-					GarbageMessage(r, "pif", machines[0].FlagTop()),
+					machines[0].Garbage(r),
+					machines[0].Garbage(r),
 				}
 				if err := net.Link(k).Preload(garbage); err != nil {
 					t.Fatal(err)
@@ -625,8 +625,9 @@ func TestConstructorValidation(t *testing.T) {
 func TestGarbageMessageInDomain(t *testing.T) {
 	t.Parallel()
 	r := rng.New(55)
+	p := New("pif", 0, 2, Callbacks{})
 	for i := 0; i < 500; i++ {
-		m := GarbageMessage(r, "pif", 4)
+		m := p.Garbage(r)
 		if m.State > 4 || m.Echo > 4 {
 			t.Fatalf("garbage message out of domain: %v", m)
 		}

@@ -55,7 +55,7 @@ func TestResetFromCorruptedConfiguration(t *testing.T) {
 		seed := uint64(trial + 1)
 		net, machines := build(t, 3, sim.WithSeed(seed), sim.WithLossRate(0.2))
 		r := rng.New(rng.Mix(seed, 33))
-		config.Corrupt(net, r, config.PIFSpecs("reset/pif", machines[0].PIF.FlagTop()), config.Options{})
+		config.Corrupt(net, r, config.Options{})
 		// Corrupted Request = In at peers can launch concurrent reset
 		// computations whose epochs overwrite later state; the guarantee
 		// of the STARTED computation is that every process EXECUTED the

@@ -1,19 +1,26 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/snapstab/snapstab/internal/core"
 )
 
+// crashedForGood crashes the listed processes permanently: crash windows
+// open from the first step that never close.
+func crashedForGood(procs ...core.ProcID) Option {
+	plan := &core.FaultPlan{}
+	for _, p := range procs {
+		plan.Crashes = append(plan.Crashes, core.CrashWindow{Proc: p, Until: math.MaxInt64})
+	}
+	return WithFaults(plan)
+}
+
 func TestCrashSilencesProcess(t *testing.T) {
 	t.Parallel()
-	stacks, machines := pingerStacks(2)
-	net := New(stacks)
-	net.Crash(1)
-	if !net.Crashed(1) || net.Crashed(0) {
-		t.Fatal("crash bookkeeping wrong")
-	}
+	stacks, _ := pingerStacks(2)
+	net := New(stacks, crashedForGood(1))
 	// The crashed process fires no actions.
 	if net.Activate(1) {
 		t.Fatal("crashed process fired an action")
@@ -27,7 +34,6 @@ func TestCrashSilencesProcess(t *testing.T) {
 	if got := net.Link(LinkKey{From: 1, To: 0, Instance: "ping"}).Len(); got != 0 {
 		t.Fatalf("crashed process replied: %d messages", got)
 	}
-	_ = machines
 }
 
 func TestCrashBreaksLivenessNotSafety(t *testing.T) {
@@ -36,8 +42,7 @@ func TestCrashBreaksLivenessNotSafety(t *testing.T) {
 	// crashing mid-computation blocks the initiator's decision forever
 	// (liveness lost) but never produces a bogus completion (safety kept).
 	stacks, machines := pingerStacks(3)
-	net := New(stacks, WithSeed(5))
-	net.Crash(2)
+	net := New(stacks, WithSeed(5), crashedForGood(2))
 	err := net.RunUntil(machines[0].Done, 200000)
 	if err == nil {
 		t.Fatal("initiator completed although a peer crashed; completion is fabricated")
@@ -57,8 +62,7 @@ func TestCrashedProcessStopsRoundAccounting(t *testing.T) {
 	// Rounds still advance: crashed processes are activated (no-op) like
 	// any other scheduler choice and must not wedge the round counter.
 	stacks, _ := pingerStacks(2)
-	net := New(stacks)
-	net.Crash(1)
+	net := New(stacks, crashedForGood(1))
 	for i := 0; i < 100; i++ {
 		net.Step()
 	}
@@ -66,5 +70,3 @@ func TestCrashedProcessStopsRoundAccounting(t *testing.T) {
 		t.Fatal("rounds stopped advancing after a crash")
 	}
 }
-
-var _ = core.ProcID(0)

@@ -42,10 +42,7 @@ func observedRun(t *testing.T, steps int, obs ...core.Observer) *sim.Network {
 		opts = append(opts, sim.WithObserver(o))
 	}
 	net := sim.New(stacks, opts...)
-	config.Corrupt(net, rng.New(17), []config.InstanceSpec{
-		{Instance: "me/idl/pif", FlagTop: machines[0].IDL.PIF.FlagTop()},
-		{Instance: "me/pif", FlagTop: machines[0].PIF.FlagTop()},
-	}, config.Options{})
+	config.Corrupt(net, rng.New(17), config.Options{})
 	for s := 0; s < steps; s++ {
 		if s%64 == 0 {
 			for i, m := range machines {

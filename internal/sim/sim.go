@@ -192,7 +192,6 @@ type Network struct {
 	stats        Stats
 	activatedSet []bool
 	activatedN   int
-	crashed      []bool
 	probing      bool // inside Quiescent's sweep: divert activation counters
 
 	// Substrate-mode state (substrate.go). Deterministic single-threaded
@@ -216,7 +215,6 @@ func New(stacks []core.Stack, opts ...Option) *Network {
 		stacks:       stacks,
 		pairs:        make([][]int, len(stacks)*len(stacks)),
 		activatedSet: make([]bool, len(stacks)),
-		crashed:      make([]bool, len(stacks)),
 		awaitBudget:  DefaultAwaitBudget,
 	}
 	for _, opt := range opts {
@@ -446,16 +444,6 @@ func (e env) Emit(ev core.Event) {
 // the façade) invoke requests that emit events through the same stream.
 func (net *Network) Env(p core.ProcID) core.Env { return net.envs[p] }
 
-// Crash permanently silences process p: it takes no further internal
-// actions and consumes incoming messages with no effect. The paper's model
-// excludes crash (permanent) failures — it lists them as future work — so
-// this exists for the boundary experiments: the protocols stay safe but
-// lose liveness when a participant crashes mid-computation.
-func (net *Network) Crash(p core.ProcID) { net.crashed[p] = true }
-
-// Crashed reports whether p has crashed.
-func (net *Network) Crashed(p core.ProcID) bool { return net.crashed[p] }
-
 // Activate runs every enabled internal action of process p once, in text
 // order. It reports whether any action fired.
 func (net *Network) Activate(p core.ProcID) bool {
@@ -475,14 +463,10 @@ func (net *Network) Activate(p core.ProcID) bool {
 			}
 		}
 	}
-	if net.crashed[p] {
-		// The scheduler gave p its turn; a crashed process just does
-		// nothing with it (rounds keep advancing for liveness metrics).
-		return false
-	}
 	if net.fault != nil && net.fault.Down(p, int64(net.step)) {
-		// Inside a crash-restart window: silent, exactly like Crash, but
-		// the silence ends when the window closes.
+		// Inside a crash window: the scheduler gave p its turn and p does
+		// nothing with it (rounds keep advancing for liveness metrics)
+		// until the window closes, if it ever does.
 		return false
 	}
 	fired := false
@@ -540,9 +524,6 @@ func (net *Network) deliverMsg(id int, from, to core.ProcID, m core.Message) {
 	net.stats.Deliveries++
 	if len(net.traffic) > 0 {
 		net.emitTraffic(core.Event{Kind: core.EvDeliver, Proc: to, Peer: from, Instance: m.Instance, Msg: m})
-	}
-	if net.crashed[to] {
-		return
 	}
 	var mach core.Machine
 	if id >= 0 && m.Instance == net.linkOrder[id].Instance {
@@ -738,11 +719,9 @@ func (net *Network) Quiescent() bool {
 	if net.fault != nil {
 		// A process inside a crash window cannot be probed — its guards
 		// are silenced, not disabled, and fire when the window closes —
-		// so quiescence is unknowable until then. (Permanently Crashed
-		// processes are different: they never act again, and the sweep
-		// below already treats them as contributing nothing.)
+		// so quiescence is unknowable until then.
 		for p := 0; p < net.n; p++ {
-			if !net.crashed[p] && net.fault.Down(core.ProcID(p), int64(net.step)) {
+			if net.fault.Down(core.ProcID(p), int64(net.step)) {
 				return false
 			}
 		}

@@ -56,7 +56,7 @@ func TestCollectionFromCorruptedConfiguration(t *testing.T) {
 		seed := uint64(trial + 1)
 		net, machines, counters := build(t, 3, sim.WithSeed(seed), sim.WithLossRate(0.2))
 		r := rng.New(rng.Mix(seed, 17))
-		config.Corrupt(net, r, config.PIFSpecs("snap/pif", machines[0].PIF.FlagTop()), config.Options{})
+		config.Corrupt(net, r, config.Options{})
 		for i := range counters {
 			counters[i] = int64(1000 + trial*10 + i)
 		}

@@ -87,20 +87,8 @@ func (s *Samples) Add(xs ...float64) { s.xs = append(s.xs, xs...) }
 // AddInt appends one integer observation.
 func (s *Samples) AddInt(x int) { s.xs = append(s.xs, float64(x)) }
 
-// Merge appends every observation of parts, preserving order: merging
-// per-trial Samples in trial index order is deterministic regardless of
-// the order the trials finished in.
-func (s *Samples) Merge(parts ...Samples) {
-	for _, p := range parts {
-		s.xs = append(s.xs, p.xs...)
-	}
-}
-
 // Len returns the number of observations.
 func (s *Samples) Len() int { return len(s.xs) }
-
-// Values returns the accumulated observations (not a copy).
-func (s *Samples) Values() []float64 { return s.xs }
 
 // Summary summarizes the accumulated observations.
 func (s *Samples) Summary() Summary { return Summarize(s.xs) }
@@ -205,14 +193,6 @@ func B(v bool) string {
 		return "yes"
 	}
 	return "no"
-}
-
-// Pct formats a ratio as a percentage.
-func Pct(num, den int) string {
-	if den == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.0f%%", 100*float64(num)/float64(den))
 }
 
 // SizeLabel renders a byte count for table rows and benchmark

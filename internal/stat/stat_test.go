@@ -111,37 +111,11 @@ func TestFormatHelpers(t *testing.T) {
 		I(-2):     "-2",
 		B(true):   "yes",
 		B(false):  "no",
-		Pct(1, 4): "25%",
-		Pct(1, 0): "n/a",
 	}
 	for got, want := range cases {
 		if got != want {
 			t.Errorf("format: got %q, want %q", got, want)
 		}
-	}
-}
-
-func TestSamplesMergePreservesOrder(t *testing.T) {
-	t.Parallel()
-	var a, b, merged Samples
-	a.Add(1, 2)
-	b.AddInt(3)
-	merged.Merge(a, b)
-	if merged.Len() != 3 {
-		t.Fatalf("Len() = %d, want 3", merged.Len())
-	}
-	want := []float64{1, 2, 3}
-	for i, v := range merged.Values() {
-		if v != want[i] {
-			t.Fatalf("Values()[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-	// Merging per-trial parts in index order must equal sequential
-	// accumulation, whatever grouping the workers produced.
-	var seq Samples
-	seq.Add(1, 2, 3)
-	if merged.Summary() != seq.Summary() {
-		t.Fatalf("merged summary %+v != sequential summary %+v", merged.Summary(), seq.Summary())
 	}
 }
 

@@ -190,7 +190,7 @@ func TestCorruptedDetectorStillSound(t *testing.T) {
 			d.Corrupt(r)
 			d.PIF.Corrupt(r)
 		}
-		config.FillChannels(net, r, config.PIFSpecs("td/pif", detectors[0].PIF.FlagTop()), config.Options{})
+		config.FillChannels(net, r, config.Options{})
 		apps[2].pending = []int{10}
 
 		requested := false

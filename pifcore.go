@@ -3,10 +3,8 @@ package snapstab
 import (
 	"fmt"
 
-	"github.com/snapstab/snapstab/internal/config"
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/pif"
-	"github.com/snapstab/snapstab/internal/rng"
 	"github.com/snapstab/snapstab/internal/spec"
 )
 
@@ -25,8 +23,9 @@ type pifConfig struct {
 	// values unknowable (SpecReport then says so via ValueChecked).
 	expect func(q core.ProcID, b core.Payload) core.Payload
 	// garbageBlob is the maximum opaque-body length CorruptEverything
-	// draws into garbage payloads (0 for the legacy cluster, keeping its
-	// corruption streams byte-identical to earlier revisions).
+	// draws into garbage payloads, variables and channels alike (0 for the
+	// legacy cluster, keeping its corruption streams byte-identical to
+	// earlier revisions).
 	garbageBlob int
 }
 
@@ -141,14 +140,6 @@ func (c *pifCore) specReport() SpecReport {
 		}
 	})
 	return r
-}
-
-// corruptEverything drives the cluster into an arbitrary initial
-// configuration, drawing opaque garbage bodies when the façade carries
-// them (cfg.garbageBlob > 0).
-func (c *pifCore) corruptEverything(seed uint64) {
-	c.corrupt(rng.New(seed), config.PIFSpecs("pif", c.machines[0].FlagTop()),
-		config.Options{GarbageBlobLen: c.cfg.garbageBlob})
 }
 
 // broadcastAsync submits a PIF computation request for token at process

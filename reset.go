@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/snapstab/snapstab/internal/config"
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/reset"
-	"github.com/snapstab/snapstab/internal/rng"
 )
 
 // ErrPartialAck is returned (wrapped) by a reset request whose decision
@@ -51,12 +49,6 @@ func NewResetCluster(n int, handler func(p int, epoch int64), opts ...Option) *R
 	}
 	c.init(o, stacks)
 	return c
-}
-
-// CorruptEverything randomizes every variable and, on the deterministic
-// substrate, every channel.
-func (c *ResetCluster) CorruptEverything(seed uint64) {
-	c.corrupt(rng.New(seed), config.PIFSpecs("reset/pif", c.machines[0].PIF.FlagTop()), config.Options{})
 }
 
 // ResetRequest is the handle of an asynchronous Reset.

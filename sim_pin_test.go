@@ -1,6 +1,7 @@
 package snapstab_test
 
 import (
+	"fmt"
 	"testing"
 
 	snapstab "github.com/snapstab/snapstab"
@@ -54,9 +55,12 @@ func runPinnedRequests(t *testing.T, c interface{ CorruptEverything(uint64) }, r
 
 // TestSimExecutionPinnedFamilies pins, as TestSimExecutionPinned does for
 // mutual exclusion, the first requests after corruption of the other
-// single-PIF clients on an n = 5 Sim cluster, seed 7: IDs-Learning, reset
-// and snapshot. The values were read before the clients shared pif.Client;
-// a refactor of the request face must replay the same executions.
+// families on an n = 5 Sim cluster, seed 7: IDs-Learning, reset and
+// snapshot (read before the clients shared pif.Client), and legacy PIF,
+// typed PIF and forwarding (read before each protocol drew its own channel
+// garbage). The typed cluster covers blob-carrying garbage, forwarding the
+// non-PIF garbage. A refactor of the request face or of corruption must
+// replay the same executions.
 func TestSimExecutionPinnedFamilies(t *testing.T) {
 	t.Parallel()
 	const n = 5
@@ -92,5 +96,29 @@ func TestSimExecutionPinnedFamilies(t *testing.T) {
 		runPinnedRequests(t, c, func(i int) *snapstab.Request { return c.CollectAsync(i % n).Request })
 		s := c.Stats()
 		check(t, [4]int{s.Steps, s.Sends, s.Deliveries, s.SendLosses}, [4]int{10665, 11442, 5843, 5899})
+	})
+	t.Run("pif", func(t *testing.T) {
+		t.Parallel()
+		c := snapstab.NewPIFCluster(n, onSim...)
+		defer c.Close()
+		runPinnedRequests(t, c, func(i int) *snapstab.Request { return c.BroadcastAsync(i%n, "t", int64(i)).Request })
+		s := c.Stats()
+		check(t, [4]int{s.Steps, s.Sends, s.Deliveries, s.SendLosses}, [4]int{10013, 9781, 5203, 4864})
+	})
+	t.Run("typed", func(t *testing.T) {
+		t.Parallel()
+		c := snapstab.NewTypedPIFCluster(n, snapstab.String, onSim...)
+		defer c.Close()
+		runPinnedRequests(t, c, func(i int) *snapstab.Request { return c.BroadcastAsync(i%n, fmt.Sprint("v", i)).Request })
+		s := c.Stats()
+		check(t, [4]int{s.Steps, s.Sends, s.Deliveries, s.SendLosses}, [4]int{10232, 10173, 5360, 5104})
+	})
+	t.Run("forward", func(t *testing.T) {
+		t.Parallel()
+		c := snapstab.NewForwardingCluster(n, snapstab.String, onSim...)
+		defer c.Close()
+		runPinnedRequests(t, c, func(i int) *snapstab.Request { return c.SendAsync(i%n, (i+2)%n, fmt.Sprint("v", i)).Request })
+		s := c.Stats()
+		check(t, [4]int{s.Steps, s.Sends, s.Deliveries, s.SendLosses}, [4]int{9704, 6423, 3260, 3231})
 	})
 }

@@ -3,9 +3,7 @@ package snapstab
 import (
 	"context"
 
-	"github.com/snapstab/snapstab/internal/config"
 	"github.com/snapstab/snapstab/internal/core"
-	"github.com/snapstab/snapstab/internal/rng"
 	"github.com/snapstab/snapstab/internal/snapshot"
 )
 
@@ -38,12 +36,6 @@ func NewSnapshotCluster(n int, provider func(p int) Payload, opts ...Option) *Sn
 	}
 	c.init(o, stacks)
 	return c
-}
-
-// CorruptEverything randomizes every variable and, on the deterministic
-// substrate, every channel.
-func (c *SnapshotCluster) CorruptEverything(seed uint64) {
-	c.corrupt(rng.New(seed), config.PIFSpecs("snap/pif", c.machines[0].PIF.FlagTop()), config.Options{})
 }
 
 // CollectRequest is the handle of an asynchronous Collect.

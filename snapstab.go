@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/snapstab/snapstab/internal/config"
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/idl"
 	"github.com/snapstab/snapstab/internal/mutex"
@@ -253,14 +252,6 @@ func (c *PIFCluster) ArmSpec(p int, tag string, num int64) error {
 // on the concurrent substrates.
 func (c *PIFCluster) SpecReport() SpecReport { return c.specReport() }
 
-// CorruptEverything drives the cluster into an arbitrary initial
-// configuration: every protocol variable randomized and — on the
-// deterministic substrate — every channel filled with garbage (the
-// concurrent substrates start with empty channels, which the model
-// permits: their arbitrary state is the machines'). Reproducible from
-// the seed.
-func (c *PIFCluster) CorruptEverything(seed uint64) { c.corruptEverything(seed) }
-
 // Feedback is one process's acknowledgment.
 type Feedback struct {
 	// From is the acknowledging process.
@@ -345,12 +336,6 @@ func NewIDCluster(ids []int64, opts ...Option) *IDCluster {
 	}
 	c.init(o, stacks)
 	return c
-}
-
-// CorruptEverything randomizes every variable and, on the deterministic
-// substrate, every channel.
-func (c *IDCluster) CorruptEverything(seed uint64) {
-	c.corrupt(rng.New(seed), config.PIFSpecs("idl/pif", c.machines[0].PIF.FlagTop()), config.Options{})
 }
 
 // LearnRequest is the handle of an asynchronous Learn.
@@ -449,7 +434,10 @@ func NewMutexCluster(ids []int64, opts ...Option) *MutexCluster {
 
 // CorruptEverything randomizes every variable (and every channel, on the
 // deterministic substrate), possibly placing processes inside the
-// critical section (the paper's footnote 1).
+// critical section (the paper's footnote 1). It is the shared
+// CorruptEverything plus one step between the machine and channel draws:
+// every process left inside the critical section is primed into the
+// checker as a zombie entry, not judged as a violation.
 func (c *MutexCluster) CorruptEverything(seed uint64) {
 	r := rng.New(seed)
 	c.corruptMachines(r)
@@ -462,10 +450,7 @@ func (c *MutexCluster) CorruptEverything(seed uint64) {
 			c.chkMu.Unlock()
 		}
 	}
-	c.fillChannelGarbage(r, []config.InstanceSpec{
-		{Instance: "me/idl/pif", FlagTop: c.machines[0].IDL.PIF.FlagTop()},
-		{Instance: "me/pif", FlagTop: c.machines[0].PIF.FlagTop()},
-	}, config.Options{})
+	c.fillChannelGarbage(r)
 }
 
 // AcquireAsync submits a critical-section request at process p and

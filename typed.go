@@ -127,12 +127,6 @@ func (c *TypedPIFCluster[T]) encode(v T) (core.Payload, error) {
 	return core.Payload{Tag: typedTag, Blob: data}, nil
 }
 
-// CorruptEverything drives the cluster into an arbitrary initial
-// configuration — machine variables AND (on the deterministic substrate)
-// channels full of garbage carrying random opaque bodies, so the codec's
-// rejection path is part of what snap-stabilization is tested against.
-func (c *TypedPIFCluster[T]) CorruptEverything(seed uint64) { c.corruptEverything(seed) }
-
 // ArmSpec arms the cluster's Specification 1 checker for the next
 // broadcast of v initiated at process p (Sim substrate only; see
 // PIFCluster.ArmSpec). With the default echo receiver the Decision
