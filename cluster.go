@@ -130,120 +130,18 @@ func (c *clusterCore) Stats() sim.Stats {
 	return s
 }
 
-// LinkStats describes one node's link with one peer on a network
-// substrate.
-type LinkStats struct {
-	// Peer is the other endpoint of the link.
-	Peer int
-	// Sent counts messages handed to the network toward Peer.
-	Sent int64
-	// Received counts messages delivered from Peer.
-	Received int64
-	// Dropped counts messages lost on this link at this node (dead or
-	// backlogged connection on the send side, full mailbox on the
-	// receive side).
-	Dropped int64
-	// InFlight is how many messages sent toward Peer the peer has not yet
-	// reported consumed (the fullest of the per-instance link windows),
-	// PeakInFlight the largest value it ever reached. The transports
-	// refuse any send that would exceed TransportStats.Capacity, so
-	// PeakInFlight <= Capacity is the capacity bound holding.
-	InFlight     int
-	PeakInFlight int
-}
+// LinkStats describes one node's link with one peer on Runtime, UDP and
+// TCP: core's own type, whose Peer is a core.ProcID.
+type LinkStats = core.LinkStats
 
 // TransportStats holds one node's transport counters, in the same shape
-// on every substrate (the mirror of core.TransportStats).
-type TransportStats struct {
-	// Addr is the node's bound local address: a socket address on UDP
-	// and TCP, the in-memory link's index on Runtime, "" on Sim.
-	Addr string
-	// Sends counts messages successfully handed to the network.
-	Sends int64
-	// Recvs counts messages received into the mailbox layer.
-	Recvs int64
-	// Retransmits counts the repeats of a link's last message that left,
-	// each once the link's repeat deadline passed: 1 ms after the message
-	// left new, then every 2 ms. Everything new leaves on arrival, so a
-	// loss-free run reads zero unless an answer took longer than that.
-	Retransmits int64
-	// SendDrops counts messages lost at the sender (sends refused by a
-	// full link window, failed writes, unencodable payloads, dead or
-	// backlogged connections).
-	SendDrops int64
-	// MailboxDrops counts messages dropped at a full receive mailbox
-	// (the model's lose-on-full rule). Injected loss — Runtime's
-	// WithLossRate included — reads in Faults.Drops instead.
-	MailboxDrops int64
-	// Redials counts reconnection attempts (TCP's dial/accept lifecycle
-	// re-establishing lost connections; zero elsewhere).
-	Redials int64
-	// SendDatagrams and RecvDatagrams count wire frames moved by the
-	// socket layer — UDP datagrams, or length-prefixed frames on a TCP
-	// stream. With batching one frame carries many messages, so
-	// Sends/SendDatagrams is the average batch occupancy. Runtime counts
-	// the frames its in-memory link hands over (one message each); zero
-	// on Sim.
-	SendDatagrams int64
-	RecvDatagrams int64
-	// SendSyscalls and RecvSyscalls count socket system calls.
-	// sendmmsg/recvmmsg (UDP on Linux), vectored writes, and buffered
-	// reads (TCP) move several frames per call, so Sends/SendSyscalls
-	// measures the syscall amortization the batch path buys. Zero on
-	// Runtime and Sim, which make none.
-	SendSyscalls int64
-	RecvSyscalls int64
-	// EchoFrames and ProbeFrames count the link layer's control frames
-	// (both included in SendDatagrams): acknowledgments that found no
-	// data to ride on, and probes sent at a shut window.
-	EchoFrames  int64
-	ProbeFrames int64
-	// Capacity is the channel-capacity bound c (WithCapacity) the
-	// transport enforces on every directed link; zero on Sim, whose
-	// channels hold the bound themselves.
-	Capacity int
-	// Links holds per-peer detail on Runtime, UDP and TCP; nil on Sim.
-	Links []LinkStats
-	// Faults counts the faults injected at this node's mailbox boundary
-	// by the cluster's FaultPlan (zero without one).
-	Faults FaultStats
-}
+// on every substrate: core's own type, which documents each counter.
+type TransportStats = core.TransportStats
 
 // TransportStats returns one entry per process on every substrate: the
 // concurrent engine's counters on Runtime, UDP and TCP, and zero-valued
 // entries on Sim, which counts per network (see Stats).
-func (c *clusterCore) TransportStats() []TransportStats {
-	stats := c.sub.TransportStats()
-	out := make([]TransportStats, len(stats))
-	for i, s := range stats {
-		out[i] = TransportStats{
-			Addr:          s.Addr,
-			Sends:         s.Sends,
-			Recvs:         s.Recvs,
-			Retransmits:   s.Retransmits,
-			SendDrops:     s.SendDrops,
-			MailboxDrops:  s.MailboxDrops,
-			Redials:       s.Redials,
-			SendDatagrams: s.SendDatagrams,
-			RecvDatagrams: s.RecvDatagrams,
-			SendSyscalls:  s.SendSyscalls,
-			RecvSyscalls:  s.RecvSyscalls,
-			EchoFrames:    s.EchoFrames,
-			ProbeFrames:   s.ProbeFrames,
-			Capacity:      s.Capacity,
-			Faults:        publicFaultStats(s.Faults),
-		}
-		if len(s.Links) > 0 {
-			links := make([]LinkStats, len(s.Links))
-			for j, l := range s.Links {
-				links[j] = LinkStats{Peer: int(l.Peer), Sent: l.Sent, Received: l.Received, Dropped: l.Dropped,
-					InFlight: l.InFlight, PeakInFlight: l.PeakInFlight}
-			}
-			out[i].Links = links
-		}
-	}
-	return out
-}
+func (c *clusterCore) TransportStats() []TransportStats { return c.sub.TransportStats() }
 
 // newRequest returns an unstarted request handle. Typed wrappers are
 // assembled around it BEFORE start is called, so the completion

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	snapstab "github.com/snapstab/snapstab"
+	"github.com/snapstab/snapstab/internal/core"
 )
 
 var substrateNames = []string{"sim", "runtime", "udp", "tcp"}
@@ -175,12 +176,9 @@ func runOne(sc scenario, protocol, sub string, cfg config) ([]snapstab.Transport
 	err := drive(ctx)
 	c.Close()
 	stats := c.TransportStats()
-	for p, s := range stats {
-		for _, l := range s.Links {
-			if l.PeakInFlight > s.Capacity && err == nil {
-				err = fmt.Errorf("capacity bound broken: link %d->%d peaked at %d messages in flight, capacity %d",
-					p, l.Peer, l.PeakInFlight, s.Capacity)
-			}
+	if err == nil {
+		if werr := core.CheckWindows(stats); werr != nil {
+			err = fmt.Errorf("capacity bound broken: %w", werr)
 		}
 	}
 	return stats, c.FaultStats(), err

@@ -7,8 +7,9 @@ import (
 )
 
 // This file is the public face of the fault-injection plane (DESIGN.md
-// §9): mirror types over core.FaultPlan, the WithFaults cluster option,
-// and the FaultStats accessor. The same plan value drives every
+// §9): mirror types over core.FaultPlan's plan and windows, the
+// WithFaults cluster option, and the FaultStats accessor; LinkFaults and
+// FaultStats are core's own types. The same plan value drives every
 // substrate — the deterministic simulator applies it at Step delivery
 // (replaying exactly from the seed), and the concurrent engine (Runtime,
 // UDP and TCP, dedicated or muxed) at the mailbox boundary, per logical
@@ -16,29 +17,9 @@ import (
 // (reproducible decision streams under real concurrency).
 
 // LinkFaults is the fault policy of one directed link (or the plan-wide
-// default): independent probabilities, all in [0, 1), applied to each
-// in-transit message at the delivery boundary. The JSON tags are the
-// snapd/fleetgen config shape.
-type LinkFaults struct {
-	// DropRate drops the message (link loss).
-	DropRate float64 `json:"drop_rate,omitempty"`
-	// DupRate delivers the message twice.
-	DupRate float64 `json:"dup_rate,omitempty"`
-	// ReorderRate holds the message back and releases it behind the next
-	// message on its link — an adjacent FIFO violation.
-	ReorderRate float64 `json:"reorder_rate,omitempty"`
-	// DelayRate holds the message for DelayTicks ticks.
-	DelayRate float64 `json:"delay_rate,omitempty"`
-	// DelayTicks is how long a delayed message is held (simulator: in
-	// scheduler steps; runtime/UDP: in FaultPlan.Unit of wall time).
-	DelayTicks int64 `json:"delay_ticks,omitempty"`
-	// CorruptRate garbles the message in flight; the receiver's integrity
-	// check discards it, so it is lost — counted in FaultStats.Corrupts,
-	// apart from DropRate's losses. Channels only lose: the paper's
-	// adversary writes garbage into the initial configuration
-	// (CorruptEverything), never into a message under way.
-	CorruptRate float64 `json:"corrupt_rate,omitempty"`
-}
+// default): core's own type, whose JSON tags are the snapd/fleetgen
+// config shape.
+type LinkFaults = core.LinkFaults
 
 // Link selects one directed physical link for a per-link policy override.
 type Link struct {
@@ -92,13 +73,13 @@ type FaultPlan struct {
 func (p FaultPlan) internal() *core.FaultPlan {
 	out := &core.FaultPlan{
 		Seed:    p.Seed,
-		Default: core.LinkFaults(p.Default),
+		Default: p.Default,
 		Unit:    p.Unit,
 	}
 	if len(p.Links) > 0 {
 		out.Links = make(map[core.LinkSel]core.LinkFaults, len(p.Links))
 		for sel, f := range p.Links {
-			out.Links[core.LinkSel{From: core.ProcID(sel.From), To: core.ProcID(sel.To)}] = core.LinkFaults(f)
+			out.Links[core.LinkSel{From: core.ProcID(sel.From), To: core.ProcID(sel.To)}] = f
 		}
 	}
 	for _, w := range p.Partitions {
@@ -123,42 +104,10 @@ func WithFaults(plan FaultPlan) Option {
 }
 
 // FaultStats counts the faults injected by the cluster's FaultPlan, by
-// category; all zero when no plan is installed.
-type FaultStats struct {
-	// Drops counts messages dropped by DropRate.
-	Drops int64
-	// Duplicates counts extra copies delivered by DupRate.
-	Duplicates int64
-	// Reorders counts messages held back by ReorderRate.
-	Reorders int64
-	// Delays counts messages held back by DelayRate.
-	Delays int64
-	// Corrupts counts messages garbled in flight by CorruptRate and
-	// discarded — lost, like Drops, never delivered.
-	Corrupts int64
-	// PartitionDrops counts messages dropped crossing an open partition.
-	PartitionDrops int64
-	// CrashDrops counts messages consumed by a process inside a crash
-	// window.
-	CrashDrops int64
-}
-
-// Total returns the total number of injected faults.
-func (s FaultStats) Total() int64 {
-	return s.Drops + s.Duplicates + s.Reorders + s.Delays + s.Corrupts +
-		s.PartitionDrops + s.CrashDrops
-}
-
-// publicFaultStats mirrors the core counters into the façade type. The
-// direct conversion fails to compile if the two counter sets ever
-// diverge.
-func publicFaultStats(s core.FaultStats) FaultStats {
-	return FaultStats(s)
-}
+// category; all zero when no plan is installed. It is core's own type.
+type FaultStats = core.FaultStats
 
 // FaultStats returns the injected-fault counters for the whole cluster
 // lifetime, aggregated across processes on the concurrent substrates.
 // Safe to call while requests are in flight.
-func (c *clusterCore) FaultStats() FaultStats {
-	return publicFaultStats(c.sub.FaultStats())
-}
+func (c *clusterCore) FaultStats() FaultStats { return c.sub.FaultStats() }

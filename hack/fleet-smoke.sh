@@ -59,6 +59,12 @@ note "typed broadcast after the restart"
 out="$(snapctl -addr "127.0.0.1:$CTRL_PORT" broadcast -value '{"smoke":2}')"
 echo "$out" | grep -q '"event":"done"' || fail "post-restart broadcast did not complete: $out"
 
+note "checking /v1/status on node 0"
+# snapctl indents the JSON; strip the layout to match the wire shape.
+st="$(snapctl -addr "127.0.0.1:$CTRL_PORT" status | tr -d ' \n')"
+echo "$st" | grep -q '"Links":\[{"Peer":' || fail "node 0's status carries no per-link counters: $st"
+echo "$st" | grep -q '"Faults":{"Drops":' || fail "node 0's status carries no fault counters: $st"
+
 note "checking /metrics on every node"
 i=0
 while [ "$i" -lt "$N" ]; do

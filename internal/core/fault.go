@@ -53,29 +53,33 @@ import (
 
 // LinkFaults is the fault policy of one directed link (or the plan-wide
 // default): independent probabilities applied to each in-transit message
-// at the delivery boundary. All rates must lie in [0, 1).
+// at the delivery boundary. All rates must lie in [0, 1). The JSON tags
+// are the snapd/fleetgen config shape.
 type LinkFaults struct {
 	// DropRate is the probability the message is dropped (link loss).
-	DropRate float64
+	DropRate float64 `json:"drop_rate,omitempty"`
 	// DupRate is the probability the message is delivered twice.
-	DupRate float64
+	DupRate float64 `json:"dup_rate,omitempty"`
 	// ReorderRate is the probability the message is held back and released
 	// behind the next message on its link — an adjacent swap, the FIFO
 	// violation the paper's channels forbid and adversarial networks
 	// commit.
-	ReorderRate float64
+	ReorderRate float64 `json:"reorder_rate,omitempty"`
 	// DelayRate is the probability the message is held for DelayTicks
 	// ticks before delivery (released by later traffic on its link or by
 	// the substrate's periodic flush).
-	DelayRate float64
-	// DelayTicks is how long a delayed message is held.
-	DelayTicks int64
+	DelayRate float64 `json:"delay_rate,omitempty"`
+	// DelayTicks is how long a delayed message is held: in scheduler
+	// steps on the simulator, in FaultPlan.Unit of wall time on the
+	// engine.
+	DelayTicks int64 `json:"delay_ticks,omitempty"`
 	// CorruptRate is the probability the message is garbled in flight and
-	// discarded by the receiver's integrity check — a loss, counted apart
-	// from DropRate's. The paper's adversary corrupts the initial
-	// configuration; afterwards its channels only lose, as a checksummed
-	// socket does, so no protocol ever receives the garbage.
-	CorruptRate float64
+	// discarded by the receiver's integrity check — a loss, counted in
+	// FaultStats.Corrupts apart from DropRate's. The paper's adversary
+	// corrupts the initial configuration (CorruptEverything); afterwards
+	// its channels only lose, as a checksummed socket does, so no
+	// protocol ever receives the garbage.
+	CorruptRate float64 `json:"corrupt_rate,omitempty"`
 }
 
 // active reports whether any policy can ever fire.

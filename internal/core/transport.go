@@ -31,19 +31,23 @@ type LinkStats struct {
 // TransportStats is the substrate-agnostic transport counter snapshot for
 // one node. The concurrent engine fills it on all three of its links
 // (Runtime's in-memory one, UDP, TCP); the simulator counts per network,
-// not per node (sim.Stats), and reports the zero value. The façade re-exports it per node, so operators and
-// the metrics layer read one shape regardless of the engine.
+// not per node (sim.Stats), and reports the zero value. The type is the
+// façade's TransportStats, so operators and the metrics layer read one
+// shape regardless of the engine.
 type TransportStats struct {
-	// Addr is the node's bound local address: a socket address, or the
-	// in-memory link's index in its address space.
+	// Addr is the node's bound local address: a socket address on UDP
+	// and TCP, the in-memory link's index in its address space on
+	// Runtime, "" on the simulator.
 	Addr string
 	// Sends counts messages successfully handed to the network.
 	Sends int64
 	// Recvs counts messages received and delivered to the mailbox layer.
 	Recvs int64
 	// Retransmits counts the repeats of a link's last message that left,
-	// each once the link's repeat deadline passed (LinkOut). A repeat the
-	// window refuses is a SendDrop only. Zero without loss or delay.
+	// each once the link's repeat deadline passed (LinkOut): 1 ms after
+	// the message left new, then every 2 ms. Everything new leaves on
+	// arrival, so a loss-free run reads zero unless an answer took longer
+	// than that. A repeat the window refuses is a SendDrop only.
 	Retransmits int64
 	// SendDrops counts messages lost at the sender — sends refused by a
 	// full link window, failed writes, unencodable payloads, dead or
@@ -51,7 +55,8 @@ type TransportStats struct {
 	SendDrops int64
 	// MailboxDrops counts messages dropped at a full receive mailbox,
 	// the transport's lose-on-full rule (reported as EvLose). Injected
-	// loss is not here but in Faults.Drops.
+	// loss — the façade's Runtime WithLossRate included — is not here
+	// but in Faults.Drops.
 	MailboxDrops int64
 	// Redials counts transport reconnection attempts (TCP only: the
 	// dial/accept lifecycle re-establishing a lost connection).
@@ -60,15 +65,16 @@ type TransportStats struct {
 	// UDP, length-prefixed frames on TCP), control frames included.
 	// With batching one frame carries many messages, so
 	// Sends/SendDatagrams is the outbound batch occupancy. The in-memory
-	// link counts the frames it hands over, one message each.
+	// link counts the frames it hands over, one message each; zero on
+	// the simulator.
 	SendDatagrams int64
 	RecvDatagrams int64
 	// SendSyscalls and RecvSyscalls count the socket system calls that
 	// moved those frames (sendmmsg/recvmmsg and vectored writes make
 	// them smaller than the frame counts); Sends/SendSyscalls is the
 	// syscall amortization the batching path exists to maximize. Zero
-	// where there is no syscall (the in-memory link) or the transport
-	// cannot observe the boundary.
+	// where there is no syscall (the in-memory link, the simulator) or
+	// the transport cannot observe the boundary.
 	SendSyscalls int64
 	RecvSyscalls int64
 	// EchoFrames and ProbeFrames count the link layer's control frames:
@@ -76,12 +82,13 @@ type TransportStats struct {
 	// a shut window. Both are included in SendDatagrams.
 	EchoFrames  int64
 	ProbeFrames int64
-	// Capacity is the channel-capacity bound c the transport enforces on
-	// every directed (peer, group, instance) link; zero on the simulator,
-	// whose channels hold the bound themselves.
+	// Capacity is the channel-capacity bound c (the façade's
+	// WithCapacity) the transport enforces on every directed (peer,
+	// group, instance) link; zero on the simulator, whose channels hold
+	// the bound themselves.
 	Capacity int
-	// Links holds per-peer detail on the engine's links; nil on the
-	// simulator.
+	// Links holds per-peer detail on the engine's links (Runtime, UDP,
+	// TCP); nil on the simulator.
 	Links []LinkStats
 	// Faults counts the faults injected at this node's mailbox boundary
 	// by an installed FaultPlan; zero without one.

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	snapstab "github.com/snapstab/snapstab"
 )
 
 // reservePorts grabs k distinct loopback TCP ports by binding and
@@ -351,15 +353,39 @@ func TestFaultConfigRoundTrip(t *testing.T) {
 	if len(plan.Crashes) != 1 || plan.Crashes[0].Until != 100 {
 		t.Fatalf("crashes lost: %+v", plan.Crashes)
 	}
+	// Both default rates and a per-link rate reach the plan by their
+	// snake-case keys.
+	rates := `{"seed":3,"default":{"drop_rate":0.1,"corrupt_rate":0.2},"links":[{"from":0,"to":1,"dup_rate":0.5}]}`
+	var rc FaultConfig
+	if err := json.Unmarshal([]byte(rates), &rc); err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if p := rc.Plan(); p.Default.DropRate != 0.1 || p.Default.CorruptRate != 0.2 ||
+		p.Links[snapstab.Link{From: 0, To: 1}].DupRate != 0.5 {
+		t.Fatalf("rates lost: %+v", p)
+	}
 	for _, tc := range []struct {
 		fc   FaultConfig
 		want string
 	}{
 		{fc, `{"seed":9,"default":{"drop_rate":0.1,"delay_rate":0.05,"delay_ticks":20},"links":[{"from":0,"to":1,"corrupt_rate":0.5}],"crashes":[{"Proc":1,"From":0,"Until":100}],"unit_ms":2}`},
 		{FaultConfig{}, `{"default":{}}`},
+		{rc, rates},
 	} {
 		if got, err := json.Marshal(tc.fc); err != nil || string(got) != tc.want {
 			t.Fatalf("config written as %s (%v), want %s", got, err, tc.want)
 		}
+	}
+}
+
+// TestStatusStatsShape pins the JSON /v1/status carries for a node's
+// counters: every counter by its Go name, links and faults nested.
+func TestStatusStatsShape(t *testing.T) {
+	st := snapstab.TransportStats{Addr: "a", Sends: 1,
+		Links:  []snapstab.LinkStats{{Peer: 1, Sent: 2, PeakInFlight: 2}},
+		Faults: snapstab.FaultStats{Drops: 3}}
+	want := `{"Addr":"a","Sends":1,"Recvs":0,"Retransmits":0,"SendDrops":0,"MailboxDrops":0,"Redials":0,"SendDatagrams":0,"RecvDatagrams":0,"SendSyscalls":0,"RecvSyscalls":0,"EchoFrames":0,"ProbeFrames":0,"Capacity":0,"Links":[{"Peer":1,"Sent":2,"Received":0,"Dropped":0,"InFlight":0,"PeakInFlight":2}],"Faults":{"Drops":3,"Duplicates":0,"Reorders":0,"Delays":0,"Corrupts":0,"PartitionDrops":0,"CrashDrops":0}}`
+	if got, err := json.Marshal(st); err != nil || string(got) != want {
+		t.Fatalf("stats written as %s (%v), want %s", got, err, want)
 	}
 }

@@ -96,11 +96,6 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 		"snapstab_transport_send_datagrams_total 5",
 		"snapstab_transport_send_batch_occupancy 2",
 		"snapstab_transport_recvs_per_syscall 2",
-		`snapstab_link_sent_total{peer="0"} 6`,
-		`snapstab_link_received_total{peer="2"} 3`,
-		`snapstab_link_dropped_total{peer="2"} 1`,
-		`snapstab_link_in_flight{peer="0"} 1`,
-		`snapstab_link_peak_in_flight{peer="0"} 2`,
 		"snapstab_transport_echo_frames_total 2",
 		"snapstab_transport_probe_frames_total 1",
 		"snapstab_transport_capacity 2",
@@ -112,5 +107,31 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("scrape missing %q:\n%s", want, got)
 		}
+	}
+	// The five per-link families, in registration order, one series per
+	// link and peer.
+	links := `# HELP snapstab_link_sent_total Messages sent toward each peer over this node's links.
+# TYPE snapstab_link_sent_total gauge
+snapstab_link_sent_total{peer="0"} 6
+snapstab_link_sent_total{peer="2"} 4
+# HELP snapstab_link_received_total Messages received from each peer over this node's links.
+# TYPE snapstab_link_received_total gauge
+snapstab_link_received_total{peer="0"} 5
+snapstab_link_received_total{peer="2"} 3
+# HELP snapstab_link_dropped_total Messages lost per link at this node, either direction.
+# TYPE snapstab_link_dropped_total gauge
+snapstab_link_dropped_total{peer="0"} 0
+snapstab_link_dropped_total{peer="2"} 1
+# HELP snapstab_link_in_flight Messages sent toward each peer and not yet reported consumed (fullest link window).
+# TYPE snapstab_link_in_flight gauge
+snapstab_link_in_flight{peer="0"} 1
+snapstab_link_in_flight{peer="2"} 0
+# HELP snapstab_link_peak_in_flight Largest in-flight count each peer's link windows ever reached; never above snapstab_transport_capacity.
+# TYPE snapstab_link_peak_in_flight gauge
+snapstab_link_peak_in_flight{peer="0"} 2
+snapstab_link_peak_in_flight{peer="2"} 0
+`
+	if !strings.Contains(got, links) {
+		t.Errorf("scrape's per-link families differ, want:\n%s\ngot:\n%s", links, got)
 	}
 }

@@ -84,6 +84,20 @@ var transportFields = []struct {
 	{"snapstab_transport_capacity", "Channel-capacity bound c enforced on every directed link.", func(s snapstab.TransportStats) int64 { return int64(s.Capacity) }},
 }
 
+// linkFields maps the per-directed-link families, labelled by peer, to
+// their accessors.
+var linkFields = []struct {
+	name string
+	help string
+	get  func(snapstab.LinkStats) int64
+}{
+	{"snapstab_link_sent_total", "Messages sent toward each peer over this node's links.", func(l snapstab.LinkStats) int64 { return l.Sent }},
+	{"snapstab_link_received_total", "Messages received from each peer over this node's links.", func(l snapstab.LinkStats) int64 { return l.Received }},
+	{"snapstab_link_dropped_total", "Messages lost per link at this node, either direction.", func(l snapstab.LinkStats) int64 { return l.Dropped }},
+	{"snapstab_link_in_flight", "Messages sent toward each peer and not yet reported consumed (fullest link window).", func(l snapstab.LinkStats) int64 { return int64(l.InFlight) }},
+	{"snapstab_link_peak_in_flight", "Largest in-flight count each peer's link windows ever reached; never above snapstab_transport_capacity.", func(l snapstab.LinkStats) int64 { return int64(l.PeakInFlight) }},
+}
+
 // faultFields maps the injected-fault counters by fault type.
 var faultFields = []struct {
 	typ string
@@ -119,36 +133,14 @@ func registerTransport(reg *Registry, node int, stats func() []snapstab.Transpor
 			emit(nil, float64(tf.get(self())))
 		})
 	}
-	reg.NewGaugeFunc("snapstab_link_sent_total", "Messages sent toward each peer over this node's links.",
-		[]string{"peer"}, func(emit func([]string, float64)) {
+	for _, lf := range linkFields {
+		lf := lf
+		reg.NewGaugeFunc(lf.name, lf.help, []string{"peer"}, func(emit func([]string, float64)) {
 			for _, l := range self().Links {
-				emit([]string{strconv.Itoa(l.Peer)}, float64(l.Sent))
+				emit([]string{strconv.Itoa(int(l.Peer))}, float64(lf.get(l)))
 			}
 		})
-	reg.NewGaugeFunc("snapstab_link_received_total", "Messages received from each peer over this node's links.",
-		[]string{"peer"}, func(emit func([]string, float64)) {
-			for _, l := range self().Links {
-				emit([]string{strconv.Itoa(l.Peer)}, float64(l.Received))
-			}
-		})
-	reg.NewGaugeFunc("snapstab_link_dropped_total", "Messages lost per link at this node, either direction.",
-		[]string{"peer"}, func(emit func([]string, float64)) {
-			for _, l := range self().Links {
-				emit([]string{strconv.Itoa(l.Peer)}, float64(l.Dropped))
-			}
-		})
-	reg.NewGaugeFunc("snapstab_link_in_flight", "Messages sent toward each peer and not yet reported consumed (fullest link window).",
-		[]string{"peer"}, func(emit func([]string, float64)) {
-			for _, l := range self().Links {
-				emit([]string{strconv.Itoa(l.Peer)}, float64(l.InFlight))
-			}
-		})
-	reg.NewGaugeFunc("snapstab_link_peak_in_flight", "Largest in-flight count each peer's link windows ever reached; never above snapstab_transport_capacity.",
-		[]string{"peer"}, func(emit func([]string, float64)) {
-			for _, l := range self().Links {
-				emit([]string{strconv.Itoa(l.Peer)}, float64(l.PeakInFlight))
-			}
-		})
+	}
 	// Derived batching-efficiency gauges: cumulative ratios over the
 	// whole process lifetime, zero until the first write/read.
 	ratio := func(num, den int64) float64 {

@@ -28,20 +28,19 @@ import (
 // to release the sockets (which also tears down any still-attached
 // clusters).
 type Mux struct {
-	name     string
 	mux      *engine.Mux
 	capacity int
 }
 
 // newMux builds the shared socket layer with the one node-level option,
 // the window, which cannot vary per attached cluster.
-func newMux(name string, build func(int, ...engine.Option) (*engine.Mux, error), sub Substrate, nProcs int, opts []Option) (*Mux, error) {
+func newMux(build func(int, ...engine.Option) (*engine.Mux, error), sub Substrate, nProcs int, opts []Option) (*Mux, error) {
 	o := buildOptions(append([]Option{WithSubstrate(sub)}, opts...))
 	m, err := build(nProcs, engine.WithCapacity(o.capacity))
 	if err != nil {
 		return nil, err
 	}
-	return &Mux{name: name, mux: m, capacity: o.capacity}, nil
+	return &Mux{mux: m, capacity: o.capacity}, nil
 }
 
 // UDPMux binds one loopback datagram socket per process and returns a
@@ -53,7 +52,7 @@ func newMux(name string, build func(int, ...engine.Option) (*engine.Mux, error),
 // Socket binding failures are returned, not panicked: the mux is built
 // before any cluster exists.
 func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
-	return newMux("udp-mux", udp.NewMux, UDP(), nProcs, opts)
+	return newMux(udp.NewMux, UDP(), nProcs, opts)
 }
 
 // TCPMux binds one loopback listener per process, dials the full
@@ -61,7 +60,7 @@ func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
 // UDPMux, the one cluster option read here is WithCapacity; per-cluster
 // options belong to the cluster constructors.
 func TCPMux(nProcs int, opts ...Option) (*Mux, error) {
-	return newMux("tcp-mux", tcp.NewMux, TCP(), nProcs, opts)
+	return newMux(tcp.NewMux, TCP(), nProcs, opts)
 }
 
 // N returns the process count every attached cluster must match.
@@ -80,7 +79,6 @@ func (m *Mux) Addrs() []string { return m.mux.Addrs() }
 // built for the mux's capacity.
 func (m *Mux) Substrate() Substrate {
 	return Substrate{
-		name:          m.name,
 		fixedCapacity: m.capacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			if len(stacks) != m.mux.N() {

@@ -39,7 +39,6 @@ import (
 // A Substrate value is a specification; the engine itself is built when
 // the cluster is constructed and released by the cluster's Close.
 type Substrate struct {
-	name string
 	// defaultCapacity is the channel-capacity bound of a cluster built
 	// without WithCapacity: the paper's 1 on the in-memory engines, the
 	// engine's DefaultCapacity on sockets.
@@ -74,7 +73,6 @@ func (o *options) resolveCapacity() {
 // WithLossRate, WithCapacity, and WithStepBudget all apply.
 func Sim() Substrate {
 	return Substrate{
-		name:            "sim",
 		defaultCapacity: 1,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			sopts := []sim.Option{
@@ -110,7 +108,6 @@ func Sim() Substrate {
 // ignored — bound requests with Request.Wait contexts instead.
 func Runtime() Substrate {
 	return Substrate{
-		name:            "runtime",
 		defaultCapacity: 1,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			if o.lossRate != 0 {
@@ -160,7 +157,6 @@ func nodeOptions(o options, obs []core.Observer) []engine.Option {
 // and panics on failure.
 func UDP() Substrate {
 	return Substrate{
-		name:            "udp",
 		defaultCapacity: engine.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			return udp.NewCluster(stacks, nodeOptions(o, obs)...)
@@ -182,7 +178,6 @@ func UDP() Substrate {
 // at cluster construction and panics on failure.
 func TCP() Substrate {
 	return Substrate{
-		name:            "tcp",
 		defaultCapacity: engine.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			return tcp.NewCluster(stacks, nodeOptions(o, obs)...)
@@ -214,7 +209,6 @@ type TCPFleet struct {
 // remote stacks so the seeded draws line up across the fleet.
 func TCPHost(f TCPFleet) Substrate {
 	return Substrate{
-		name:            "tcp-host",
 		defaultCapacity: engine.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			cfg := tcp.HostConfig{
