@@ -80,8 +80,8 @@ const (
 	// PathEager: the Step ending an atomic section. It is lost at the
 	// sender, silently, as the model allows.
 	PathEager
-	// PathTick: a timer's Step — the step tick's or a retransmission
-	// edge's. It leaves once its link's repeat deadline has passed.
+	// PathTick: the step tick's Step. It leaves once its link's repeat
+	// deadline has passed.
 	PathTick
 	NumPaths // sizes a per-path table
 )

@@ -227,3 +227,41 @@ func TestViolationString(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardCheckerFlagsEachViolation: the forwarding checker reports
+// one violation per breach of Specification 2 — a second delivery, a
+// delivery away from the destination, an undelivered item discarded —
+// and none for an item delivered once at its destination or for items
+// it was not armed with.
+func TestForwardCheckerFlagsEachViolation(t *testing.T) {
+	ev := func(kind core.EventKind, at core.ProcID, k FwdKey) core.Event {
+		return core.Event{Kind: kind, Proc: at, Msg: core.Message{
+			B: core.Payload{Num: k.Seq}, F: core.Payload{Num: core.PackRoute(k.Src, k.Dst)}}}
+	}
+	c := NewForwardChecker()
+	once, twice, astray, lost := FwdKey{0, 2, 1}, FwdKey{0, 2, 2}, FwdKey{1, 0, 3}, FwdKey{2, 1, 4}
+	for _, k := range []FwdKey{once, twice, astray, lost} {
+		c.Arm(k)
+	}
+	for _, e := range []core.Event{
+		ev(core.EvFwdDeliver, 2, once),
+		ev(core.EvFwdDiscard, 1, once), // delivered already: not a loss
+		ev(core.EvFwdDeliver, 2, twice),
+		ev(core.EvFwdDeliver, 2, twice),
+		ev(core.EvFwdDeliver, 2, astray),
+		ev(core.EvFwdDiscard, 0, lost),
+		ev(core.EvFwdDeliver, 1, FwdKey{1, 1, 9}), // never armed
+	} {
+		c.OnEvent(e)
+	}
+	var got []string
+	for _, v := range c.Violations() {
+		got = append(got, v.Property)
+	}
+	if want := "Duplication Correctness Loss"; strings.Join(got, " ") != want {
+		t.Fatalf("violations %v, want %s", c.Violations(), want)
+	}
+	if !c.Delivered(once) || c.Delivered(lost) {
+		t.Fatal("Delivered disagrees with the deliveries fed")
+	}
+}

@@ -28,12 +28,16 @@ func (n *Node) Await(ctx context.Context, cond func(env core.Env) bool) error {
 // await evaluates cond in an atomic section ending with an eager Step (a
 // request it injected starts at once), then has the loop re-evaluate it
 // until it holds, ctx ends, or the node — or the view of it, done — stops.
+// A pending wait keeps the step tick coming.
 func (g *Group) await(ctx context.Context, done <-chan struct{}, cond func(env core.Env) bool) error {
 	n := g.n
 	n.mu.Lock()
 	w := g.waiters.Eval(g.envs[core.PathAction], cond)
 	if !g.down() {
 		g.stack.Step(g.envs[core.PathEager])
+	}
+	if w != nil {
+		n.owe()
 	}
 	n.flush()
 	n.mu.Unlock()
@@ -239,6 +243,7 @@ func (m *Mux) Attach(stacks []core.Stack, opts ...Option) (*MuxCluster, error) {
 		g.epoch = epoch
 		c.groups = append(c.groups, g)
 		node.setGroup(gid, g)
+		node.doGroup(g, func(core.Env) {}) // its stack steps at the next tick
 	}
 	return c, nil
 }

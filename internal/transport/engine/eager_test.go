@@ -15,10 +15,10 @@ import (
 
 // The tests in this file drive unstarted nodes by hand: no activation
 // loop runs, so no timer fires, and the test decides when mail is
-// drained (pump), when the step tick runs (Node.tick) and when a
-// retransmission edge does (Node.edge). Their clocks stand still
-// between the test's own moves (pin, advance). What they pin is
-// therefore exact: which atomic section sent what.
+// drained (pump) and when the step tick runs (Node.tick, ticks). Their
+// clocks stand still between the test's own moves (pin, advance). What
+// they pin is therefore exact: which atomic section sent what, and what
+// the timer would be set for (armed).
 
 // setCopies installs the net's loss and duplication rule.
 func (mn *memNet) setCopies(f func(from, to core.ProcID) int) { mn.copies.Store(&f) }
@@ -42,15 +42,16 @@ func advance(nodes []*Node, d time.Duration) {
 	}
 }
 
-// edges runs a retransmission edge at every node, clocks pinned.
-func edges(nodes []*Node) {
+// ticks runs the step tick at every node, clocks pinned.
+func ticks(nodes []*Node) {
 	for _, n := range nodes {
 		pin(n)
-		n.edge()
+		n.tick()
 	}
 }
 
-// armed reports whether n's retransmission timer is set.
+// armed reports whether n owes anything: whether its timer, had it a
+// loop, would be set rather than parked.
 func armed(n *Node) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -80,14 +81,22 @@ func (r *repeats) on(from, to core.ProcID) int {
 	return r.seen[[2]core.ProcID{from, to}]
 }
 
-// still builds n wired, unstarted nodes on one in-memory net.
+// still builds n wired, unstarted PIF nodes on one in-memory net.
 func still(t *testing.T, n int, opts ...Option) (*memNet, []*Node, []*pif.PIF) {
 	t.Helper()
-	pn := new(memNet)
 	stacks, machines := pifStacks(n)
-	nodes := make([]*Node, n)
+	pn, nodes := stillStacks(t, stacks, opts...)
+	return pn, nodes, machines
+}
+
+// stillStacks builds wired, unstarted nodes running stacks on one
+// in-memory net.
+func stillStacks(t *testing.T, stacks []core.Stack, opts ...Option) (*memNet, []*Node) {
+	t.Helper()
+	pn := new(memNet)
+	nodes := make([]*Node, len(stacks))
 	for i := range nodes {
-		node, err := NewNode(pn.transport(), core.ProcID(i), stacks[i], "", make([]string, n), opts...)
+		node, err := NewNode(pn.transport(), core.ProcID(i), stacks[i], "", make([]string, len(stacks)), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +109,7 @@ func still(t *testing.T, n int, opts ...Option) (*memNet, []*Node, []*pif.PIF) {
 			}
 		}
 	}
-	return pn, nodes, machines
+	return pn, nodes
 }
 
 // pump drains mail at every node until none is left anywhere.
@@ -232,8 +241,8 @@ func TestDuplicateEchoCostsNothing(t *testing.T) {
 }
 
 // TestTickRecoversDroppedFlag: a lost flag stalls its link until its
-// repeat deadline, half a step after the flag left: the first
-// retransmission edge at or past it repeats the flag, and the broadcast
+// repeat deadline, half a step after the flag left: the first tick at
+// or past it repeats the flag, and the broadcast
 // costs exactly one retransmission on top of its 4(c+1)(n-1) sends.
 func TestTickRecoversDroppedFlag(t *testing.T) {
 	pn, nodes, machines := still(t, 3)
@@ -254,14 +263,14 @@ func TestTickRecoversDroppedFlag(t *testing.T) {
 	// after it, toward 2, only moved its clock on by microseconds.
 	for _, d := range []time.Duration{0, stepInterval / 4} {
 		advance(nodes, d)
-		edges(nodes)
+		ticks(nodes)
 		pump(nodes)
 		if waiting(nodes[0]) != 1 {
 			t.Fatalf("broadcast decided with the lost flag's deadline %v ahead", stepInterval/2-d)
 		}
 	}
 	advance(nodes, stepInterval/4) // half a step after the loss
-	edges(nodes)
+	ticks(nodes)
 	pump(nodes)
 	settled(t, nodes[0], errc)
 	after, retransmits := totals(nodes)
@@ -271,7 +280,7 @@ func TestTickRecoversDroppedFlag(t *testing.T) {
 }
 
 // TestStalledLinkIsNotStarved: the deadline is per link. While the
-// handshake with process 2 advances before every edge, the link to
+// handshake with process 2 advances before every tick, the link to
 // process 1, which hears nothing, still repeats at each of its
 // deadlines — half a step after the request, then a step apart — and
 // the busy link never does. The window is roomWindow, so the silent link
@@ -293,16 +302,16 @@ func TestStalledLinkIsNotStarved(t *testing.T) {
 		pin(nodes[0])
 		nodes[0].drainMail()
 	}
-	edges(nodes[:1]) // both links sent in the section that started the request
+	ticks(nodes[:1]) // both links sent in the section that started the request
 	if _, r := totals(nodes); r != 0 {
-		t.Fatalf("%d retransmissions at the first edge, on links that had just sent", r)
+		t.Fatalf("%d retransmissions at the first tick, on links that had just sent", r)
 	}
 	for i, d := range []time.Duration{stepInterval / 2, stepInterval, stepInterval} {
 		advance(nodes, d)
 		round()
-		edges(nodes[:1])
+		ticks(nodes[:1])
 		if _, r := totals(nodes); r != int64(i+1) || seen.on(0, 1) != i+1 {
-			t.Fatalf("after %d more edges: %d retransmissions, %d toward 1; want one per edge, all toward 1", i+1, r, seen.on(0, 1))
+			t.Fatalf("after %d more ticks: %d retransmissions, %d toward 1; want one per tick, all toward 1", i+1, r, seen.on(0, 1))
 		}
 	}
 	var toward2 uint8
@@ -345,7 +354,7 @@ func TestRepeatBacksOffToStepInterval(t *testing.T) {
 		if now > 0 {
 			advance(nodes, stepInterval/4)
 		}
-		edges(nodes)
+		ticks(nodes)
 		if s := nodes[0].Stats(); s.Retransmits > int64(len(at)) {
 			at = append(at, now)
 		}
@@ -378,9 +387,11 @@ func TestRetransmitsCountRepeatsThatLeft(t *testing.T) {
 	}
 }
 
-// TestIdleDisarmsRetransmission: once a request decided, the edge that
-// finds every armed link past its deadline — each answered, so no stack
-// says its last message again — repeats nothing and leaves no timer set.
+// TestIdleDisarmsRetransmission: once a request decided, the ticks that
+// find every armed link past its deadline — each answered, so no stack
+// says its last message again — repeat nothing, and every node parks
+// once the acknowledgments its last deliveries owed have left as echoes:
+// no link armed, no window owing control, no tick due.
 func TestIdleDisarmsRetransmission(t *testing.T) {
 	_, nodes, machines := still(t, 3)
 	warm(t, nodes, machines)
@@ -390,22 +401,28 @@ func TestIdleDisarmsRetransmission(t *testing.T) {
 			t.Fatalf("node %d: no timer set after sending", i)
 		}
 	}
-	edges(nodes)
+	ticks(nodes)
 	for i, n := range nodes {
 		if !armed(n) {
-			t.Fatalf("node %d: timer disarmed before any deadline passed", i)
+			t.Fatalf("node %d: timer parked before any deadline passed", i)
 		}
 	}
-	advance(nodes, stepInterval/2)
-	edges(nodes)
-	after, retransmits := totals(nodes)
+	advance(nodes, stepInterval)
+	ticks(nodes)
+	pump(nodes)
 	for i, n := range nodes {
 		if armed(n) {
-			t.Fatalf("node %d: timer still set once every deadline passed", i)
+			t.Fatalf("node %d: timer still set once every deadline passed and the echoes left", i)
 		}
 	}
+	after, retransmits := totals(nodes)
 	if after != before || retransmits != 0 {
-		t.Fatalf("the idle edge sent %d messages, %d retransmissions; want none", after-before, retransmits)
+		t.Fatalf("the idle tick sent %d messages, %d retransmissions; want none", after-before, retransmits)
+	}
+	// The initiator consumed the last echoes and had nothing to say back:
+	// their acknowledgments left on their own, one frame per peer.
+	if s := nodes[0].Stats(); s.EchoFrames != 2 {
+		t.Fatalf("initiator sent %d echo frames, want 2", s.EchoFrames)
 	}
 }
 
@@ -667,7 +684,7 @@ func TestUnknownInstanceMailIsConsumed(t *testing.T) {
 // TestChannelsAreSafeForConcurrentUse drives everything that touches a
 // channel record at once, for the race detector: sends both ways (admit,
 // Stamp), their arrivals (Arrive, box), a third party boxing past the
-// window, drains, ticks, retransmission edges and Stats. No window ever exceeds c, and every
+// window, drains, ticks and Stats. No window ever exceeds c, and every
 // message that arrived is accounted as received or dropped.
 func TestChannelsAreSafeForConcurrentUse(t *testing.T) {
 	const rounds = 1000
@@ -705,7 +722,6 @@ func TestChannelsAreSafeForConcurrentUse(t *testing.T) {
 			for _, n := range nodes {
 				n.drainMail()
 				n.tick()
-				n.edge()
 			}
 		}
 	}()

@@ -56,10 +56,11 @@
 // delivered to and re-evaluating their awaited conditions
 // (core.Waiters.Settle); what a Step would send again, the channel's
 // core.LinkOut holds back until its repeat deadline. One timer drives the
-// loop, set for the next step tick or the earliest deadline of an armed
-// link: a retransmission edge steps every group on the tick path, so the
-// links that came due repeat; the step tick (stepInterval) does the same
-// and also runs the windows' control and the fault plane's delays.
+// loop and runs one section, the step tick: every group steps on the tick
+// path, so the links that came due repeat, and the windows' control and
+// the fault plane's delays run. It is set for the earliest thing owed —
+// an armed link's deadline, or a step interval on while a window owes
+// control, a fault plan runs or an Await waits — and parks when nothing is.
 //
 // # One framer
 //
@@ -107,9 +108,10 @@ const DefaultCapacity = 2
 // last message is repeated half an interval after it left new, then once
 // per interval while the link stays silent; new information never waits
 // for it. Unpaced retransmission would flood the path and stall the
-// handshake behind its own queue. The step tick runs at this cadence:
-// it surfaces delayed fault-plan messages, retries mail held through a
-// crash window, ages echoes and sends probes.
+// handshake behind its own queue. It is also the step tick's period
+// while a tick is owed for something other than a repeat: it ages echoes
+// and sends probes, surfaces delayed fault-plan messages, retries mail
+// held through a crash window and re-evaluates pending Awaits.
 //
 // The first repeat waits a fixed half interval, not a multiple of a
 // measured turnaround. Go's netpoller sleeps in whole milliseconds, so a
@@ -122,7 +124,7 @@ const DefaultCapacity = 2
 // inflate it past its floor.
 const stepInterval = 2 * time.Millisecond
 
-// never is a node timer's time for "none": no armed link, no step yet.
+// never is a node timer's time for "none": nothing owed, timer parked.
 const never = time.Duration(math.MaxInt64)
 
 // options is the option set of a node (capacity, batch) and of its
@@ -464,13 +466,12 @@ type Node struct {
 	epoch   time.Time
 	now     time.Duration // the section's reading, if haveNow
 	haveNow bool
-	// The loop's one timer, under mu, is set for next: the next step tick
-	// or the earliest deadline of an armed link (wake), whichever comes
-	// first. never stands for none. Start makes the timer, already set
-	// for the first step: a node no loop runs has neither, and a timer
+	// The loop's one timer, under mu, is set for next: wake, the earliest
+	// thing owed, as rearm or a flush last saw it. Start makes the timer,
+	// set for the first tick: a node no loop runs has none, and a timer
 	// made and stopped in NewNode measurably slowed a cold cluster.
-	timer            *time.Timer
-	step, wake, next time.Duration
+	timer      *time.Timer
+	wake, next time.Duration
 
 	// mbMu guards every channel's window and mailbox, every group's
 	// channel map, and the ready list. It is never held across link
@@ -512,7 +513,6 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 		mail:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		epoch:    time.Now(),
-		step:     never,
 		wake:     never,
 		next:     never,
 	}
@@ -609,10 +609,8 @@ func (n *Node) launch() {
 		panic("engine: Start called twice") // a second loop would double the timer
 	}
 	n.mu.Lock()
-	now := time.Since(n.epoch)
-	n.step = now + stepInterval
-	n.next = min(n.step, n.wake)
-	n.timer = time.NewTimer(n.next - now)
+	n.next = time.Since(n.epoch) + stepInterval // a first tick steps every stack
+	n.timer = time.NewTimer(stepInterval)
 	n.mu.Unlock()
 	n.link.Start()
 	n.wg.Add(1)
@@ -677,14 +675,14 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	send, repeat := c.out.Pass(v.path, m, now, stepInterval)
 	admitted := send && c.w.Admit()
 	n.mbMu.Unlock()
+	// The timer wakes for the link's deadline: a send refused below is
+	// lost and tried again then, and a repeat Pass held back on a
+	// disarmed link, whose deadline passed, is due at once. flush sets it.
+	at, _ := c.out.Due()
+	n.wake = min(n.wake, at)
 	if !send {
 		return
 	}
-	// Every send that passed the rule arms its link — one refused below
-	// is lost, and its deadline is when it is tried again; flush sets the
-	// timer.
-	at, _ := c.out.Due()
-	n.wake = min(n.wake, at)
 	if !admitted {
 		// The link already holds c unconsumed messages: the send is lost
 		// at the sender, the model's rule for a full channel.
@@ -728,6 +726,9 @@ func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, m
 	n.mbMu.Lock()
 	for _, h := range links {
 		g.channel(sender, h.Instance).w.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
+		if h.Probe {
+			n.signal() // a tick answers it: the drain sets the timer
+		}
 	}
 	n.mbMu.Unlock()
 	if g.inj != nil {
@@ -830,15 +831,20 @@ func (n *Node) box(g *Group, sender core.ProcID, m core.Message) {
 	}
 	g.recvs.Add(1)
 	g.peers[sender].recvd.Add(1)
+	n.signal()
+}
+
+// signal wakes the activation loop to drain.
+func (n *Node) signal() {
 	select {
 	case n.mail <- struct{}{}:
 	default: // a wakeup is already pending
 	}
 }
 
-// actLoop delivers mail as soon as Arrive signals it and runs the timer's
-// edges. No wakeup is lost: box signals after it appends, so a token is
-// pending whenever an append followed a swap.
+// actLoop delivers mail as soon as Arrive signals it and runs the step
+// tick when the timer fires. No wakeup is lost: box signals after it
+// appends, so a token is pending whenever an append followed a swap.
 func (n *Node) actLoop() {
 	defer n.wg.Done()
 	defer n.linkOnce.Do(n.link.Stop)
@@ -850,7 +856,7 @@ func (n *Node) actLoop() {
 		case <-n.mail:
 			n.drainMail()
 		case <-n.timer.C:
-			n.alarm()
+			n.tick()
 		}
 	}
 }
@@ -865,52 +871,16 @@ func (n *Node) clock() time.Duration {
 	return n.now
 }
 
-// alarm is the timer's edge: the step tick if its time came, else a
-// retransmission edge. The step keeps its phase; a step the loop was too
-// busy to take is skipped, as a ticker's is.
-func (n *Node) alarm() {
-	n.mu.Lock()
-	now := time.Since(n.epoch)
-	step := now >= n.step
-	if step {
-		n.step = now + stepInterval - (now-n.step)%stepInterval
-	}
-	n.mu.Unlock()
-	if step {
-		n.tick()
-	} else {
-		n.edge()
-	}
-}
-
-// edge is a retransmission edge: in one atomic section every group
-// outside a crash window steps on the tick path, so each link whose
-// deadline passed repeats its last message if its stack still says it.
-// An edge before every deadline — a stale one, which Reset leaves in the
-// timer's channel under go 1.22 semantics — does nothing.
-func (n *Node) edge() {
-	n.mu.Lock()
-	if now := n.clock(); now >= n.wake {
-		for _, g := range n.groups.Load().list {
-			if !g.down() {
-				g.waiters.Settle(g.stack, &g.envs, core.PathTick)
-			}
-		}
-		n.rearm(now)
-	}
-	n.flush()
-	n.mu.Unlock()
-}
-
-// tick is the step tick: delayed fault-plan messages that came due
-// surface and mail that waited out a crash window is retried; then, in
-// one atomic section, every group outside a crash window steps on the
-// tick path — repeating on the links that came due — and runs its
-// windows' timer edge.
+// tick is the step tick, the timer's one section: delayed fault-plan
+// messages that came due surface and mail that waited out a crash window
+// is retried; then, in one atomic section, every group outside a crash
+// window steps on the tick path — repeating on the links that came due —
+// and runs its windows' timer edge.
 func (n *Node) tick() {
 	n.flushDelayed()
 	n.drainMail()
 	n.mu.Lock()
+	now := n.clock()
 	for _, g := range n.groups.Load().list {
 		if g.down() {
 			continue // crash window: no internal actions until restart
@@ -918,20 +888,26 @@ func (n *Node) tick() {
 		g.waiters.Settle(g.stack, &g.envs, core.PathTick)
 		n.control(g)
 	}
-	n.rearm(n.clock())
 	n.flush()
+	n.rearm(now) // the control frames just stamped owe nothing more
 	n.mu.Unlock()
 }
 
-// rearm ends a timer section: it disarms every link whose deadline passed
-// without a repeat and sets the timer for the next step or the earliest
-// deadline left, whichever comes first. Callers hold n.mu.
+// rearm ends the step tick, after its flush: it disarms every link whose
+// deadline passed without a repeat and sets the timer for the earliest
+// thing owed — the earliest deadline left, or the next tick while a
+// window owes control, a fault plan runs its schedule, or an Await waits
+// on a condition that may read another node's state — or parks it.
+// Callers hold n.mu.
 func (n *Node) rearm(now time.Duration) {
 	n.wake = never
+	poll := false
 	n.mbMu.Lock()
 	for _, g := range n.groups.Load().list {
+		poll = poll || g.fault != nil || g.waiters.Len() > 0
 		for p := range g.peers {
 			for _, c := range g.peers[p].chans {
+				poll = poll || n.wired[p] && c.w.Owes()
 				switch at, armed := c.out.Due(); {
 				case !armed:
 				case at <= now:
@@ -943,10 +919,18 @@ func (n *Node) rearm(now time.Duration) {
 		}
 	}
 	n.mbMu.Unlock()
-	if n.next = min(n.step, n.wake); n.next != never && n.timer != nil {
+	if poll {
+		n.wake = min(n.wake, now+stepInterval)
+	}
+	if n.next = n.wake; n.next != never && n.timer != nil {
 		n.timer.Reset(n.next - now)
 	}
 }
+
+// owe sets the timer for a tick one step interval from now at the
+// latest: the section made work only a tick does. Callers hold n.mu and
+// flush.
+func (n *Node) owe() { n.wake = min(n.wake, n.clock()+stepInterval) }
 
 // control runs the timer edge of every channel of g, after the group's
 // own Step so that anything Step sent carries the acknowledgments: an
@@ -977,18 +961,16 @@ func (n *Node) control(g *Group) {
 // settle. A group inside a crash window is skipped: its mail stays in
 // transit, untouched where it is, and its channels go back on the
 // list for the step tick to retry. A detached group's channels drop off
-// the list, and its mail with them.
+// the list, and its mail with them. Every drain sets the timer: consumed
+// mail owes an acknowledgment, and an arrived probe its answer.
 func (n *Node) drainMail() {
 	n.mbMu.Lock()
-	if len(n.ready) == 0 {
-		n.mbMu.Unlock()
-		return
-	}
 	batch := n.ready
 	n.ready, n.spare = n.spare, nil
 	n.mbMu.Unlock()
 
 	n.mu.Lock()
+	n.owe()
 	held := n.deliver(batch)
 	n.flush()
 	n.mu.Unlock()
@@ -1050,7 +1032,8 @@ func (n *Node) deliver(batch []*Chan) (held []*Chan) {
 }
 
 // Do runs f under the node's action mutex with its default group's
-// environment; the frames of any sends f made leave as it returns.
+// environment; the frames of any sends f made leave as it returns, and
+// whatever f enabled steps at the next tick.
 func (n *Node) Do(f func(env core.Env)) {
 	if n.g0 == nil {
 		panic("engine: Do on a node with no default group")
@@ -1062,5 +1045,6 @@ func (n *Node) doGroup(g *Group, f func(env core.Env)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	f(g.envs[core.PathAction])
+	n.owe()
 	n.flush()
 }

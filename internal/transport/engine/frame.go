@@ -140,9 +140,10 @@ func (n *Node) close(f *Frame) {
 	n.mbMu.Unlock()
 }
 
-// flush ends an atomic section. If a send in it armed a deadline earlier
-// than the one the timer is set for, the timer moves up — here, where the
-// loop's stack is shallow, not in Send. Then every open frame closes, and
+// flush ends an atomic section. If the section owes something earlier
+// than the timer is set for — a send's deadline, the tick a drain, Do or
+// Await owes — the timer moves up: here, where the loop's stack is
+// shallow, not in Send. Then every open frame closes, and
 // all of the section's frames go to the link in one Write, in the order
 // they opened. The section's clock reading goes with it. Callers hold
 // n.mu.

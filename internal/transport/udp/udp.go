@@ -223,16 +223,15 @@ func (s *socket) Start() {
 
 // recvLoop moves datagrams from the socket to the engine. Arrive takes
 // only the mailbox lock, so a stalled activation loop (slow actions,
-// blocking sends) cannot back it up into kernel-buffer drops.
+// blocking sends) cannot back it up into kernel-buffer drops. A read
+// blocks until a datagram comes or Stop expires the read deadline; an
+// idle socket costs nothing.
 func (s *socket) recvLoop() {
 	defer s.wg.Done()
 	r := s.newReader()
 	for {
-		_ = s.conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
 		select {
 		case <-s.stop:
-			// Checked after arming: Stop expires the deadline, and must
-			// not lose that to a re-arm.
 			return
 		default:
 		}
@@ -258,7 +257,7 @@ func (s *socket) handleDatagram(data []byte, from netip.AddrPort) {
 // Stop ends the receive loop and closes the socket.
 func (s *socket) Stop() {
 	close(s.stop)
-	// Expire the receive loop's read deadline instead of waiting it out.
+	// An expired deadline fails the read under way and every later one.
 	_ = s.conn.SetReadDeadline(time.Now())
 	s.wg.Wait()
 	s.conn.Close()

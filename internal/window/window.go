@@ -44,7 +44,8 @@
 // echo, a partition or a restarted peer cannot wedge the link.
 //
 // The package is pure and clock-free: Tick is called by the transports'
-// step timer, the initial sequence is chosen by the caller, and nothing
+// step timer, which keeps ticking while Owes says a control frame may yet
+// be due, the initial sequence is chosen by the caller, and nothing
 // here reads a clock or a random source, so internal/check can drive it
 // exhaustively (snapvet's determinism analyzer covers it).
 package window
@@ -115,8 +116,10 @@ func NewLink(c int, first uint64) Link {
 // Admit reserves a slot for one outbound message, numbering it
 // implicitly with the next sequence. It returns false when c messages
 // are already in flight: the send is lost at the sender, and the
-// refusal arms the probe.
+// refusal arms the probe. A base past next (a corrupted state) is
+// nothing outstanding, so no state admits more than c.
 func (l *Link) Admit() bool {
+	l.base = min(l.base, l.next)
 	if l.InFlight() >= l.c {
 		l.refused = true
 		return false
@@ -180,6 +183,10 @@ func (l *Link) Occupy(d int) {
 		l.done = l.hi
 	}
 }
+
+// Owes reports, changing nothing, whether a Tick now or later would emit
+// a control frame with no further input: the transport keeps ticking.
+func (l *Link) Owes() bool { return l.refused || l.probed || l.done != l.echoed }
 
 // Tick is the timer edge. It reports the control frame to emit now, if
 // any; the transport stamps and sends it (Stamp(ctl == Probe)).

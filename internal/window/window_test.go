@@ -25,6 +25,28 @@ func TestWindowAdmitsAtMostC(t *testing.T) {
 	}
 }
 
+// TestCorruptBaseAdmitsAtMostC: a corrupted link whose base lies ahead
+// of next — a state only arbitrary initialization holds — still admits c
+// messages and no more before an acknowledgment. Read as unsigned
+// distance, that gap used to count as room: at c = 2 a gap of 1000
+// admitted 1,002.
+func TestCorruptBaseAdmitsAtMostC(t *testing.T) {
+	for _, c := range []int{1, 2} {
+		for _, gap := range []uint64{1, 5, 1000} {
+			l := NewLink(c, 100)
+			l.base = l.next + gap
+			admitted := 0
+			for admitted <= c+int(gap) && l.Admit() {
+				admitted++
+			}
+			if admitted != c || l.InFlight() != c || l.Peak() != c {
+				t.Errorf("c = %d, base %d ahead of next: %d admitted with no ack, in flight %d, peak %d; want %d each",
+					c, gap, admitted, l.InFlight(), l.Peak(), c)
+			}
+		}
+	}
+}
+
 func TestConsumptionReopensTheWindow(t *testing.T) {
 	a, b := NewLink(2, 100), NewLink(2, 500)
 	a.Admit()

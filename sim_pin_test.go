@@ -39,6 +39,34 @@ func TestSimExecutionPinned(t *testing.T) {
 	}
 }
 
+// TestSimExecutionPinnedCapacityTwo is TestSimExecutionPinned at c = 2,
+// the bound every UDP and TCP cluster ships with (flag top 6, windows and
+// mailboxes of two): the configuration the sockets run has a
+// deterministic execution pin of its own.
+func TestSimExecutionPinnedCapacityTwo(t *testing.T) {
+	t.Parallel()
+	ids := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	c := snapstab.NewMutexCluster(ids, snapstab.WithSubstrate(snapstab.Sim()), snapstab.WithSeed(7), snapstab.WithCapacity(2))
+	defer c.Close()
+	for i := 0; i < 64; i++ {
+		c.CorruptEverything(uint64(1000 + i))
+		req := c.AcquireAsync(i%len(ids), nil)
+		<-req.Done()
+		if err := req.Err(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if vs := c.Violations(); len(vs) != 0 {
+		t.Fatalf("violations: %v", vs)
+	}
+	s := c.Stats()
+	got := [4]int{s.Steps, s.Sends, s.Deliveries, s.SendLosses}
+	want := [4]int{3309402, 4809347, 2817490, 1993649}
+	if got != want {
+		t.Fatalf("Steps, Sends, Deliveries, SendLosses = %v, want %v", got, want)
+	}
+}
+
 // runPinnedRequests runs 32 rounds of CorruptEverything and one request
 // each on c; request issues the i-th request and returns its handle.
 func runPinnedRequests(t *testing.T, c interface{ CorruptEverything(uint64) }, request func(i int) *snapstab.Request) {
