@@ -204,7 +204,8 @@ func BenchmarkAdversaryReplay(b *testing.B) {
 
 // BenchmarkModelCheckerAblated measures the exhaustive safety analysis of
 // the FlagTop=2 ablation (the small domain, suitable for per-iteration
-// timing; the full domain runs in cmd/snapcheck).
+// timing; the full domain runs in internal/check's
+// TestSafetyPaperProtocolExhaustive and in snapbench -e E9).
 func BenchmarkModelCheckerAblated(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := check.Safety(check.Options{FlagTop: 2})
@@ -218,16 +219,3 @@ func BenchmarkModelCheckerAblated(b *testing.B) {
 }
 
 func sizeName(n int) string { return fmt.Sprintf("n=%d", n) }
-
-// Example demonstrates the one-call broadcast API.
-func Example() {
-	cluster := snapstab.NewPIFCluster(3, snapstab.WithSeed(1))
-	cluster.CorruptEverything(42)
-	fb, err := cluster.Broadcast(0, "ping", 1)
-	if err != nil {
-		panic(err)
-	}
-	for _, f := range fb {
-		_ = f // every peer's acknowledgment of THIS broadcast
-	}
-}

@@ -27,16 +27,23 @@
 //	snapchaos -scenario split-brain -substrate udp
 //	snapchaos -protocol mutex -n 5 -seed 7
 //	snapchaos -scenario corrupted-start -protocol forward -substrate tcp -topology tree
+//	snapchaos -substrate sim -capacity 2
 //	snapchaos -list
 //
+// -capacity c runs every cluster at the known channel bound c
+// (snapstab.WithCapacity); 0 keeps each substrate's own default, c = 1 on
+// sim and runtime and c = 2 on udp and tcp.
+//
 // A selection of exactly one run (one scenario, one protocol, one
-// substrate) also prints every node's transport counters and the fault
-// plane's totals, as does any failed run: the drop columns are the first
+// substrate) also prints its counters and the fault plane's totals, as
+// does any failed run: every node's transport counters on runtime, udp
+// and tcp, the scheduler's totals on sim. The drop columns are the first
 // diagnostic for a timeout.
 //
 // Exit status 1 when any run fails; -failures FILE appends one
-// reproduction line per failure (scenario, protocol, substrate, n, seed)
-// so CI can upload failing seeds as artifacts.
+// reproduction line per failure (scenario, protocol, substrate, n, the
+// topology and capacity when set, seed), in the flags' own names, so CI
+// can upload failing seeds as artifacts.
 package main
 
 import (
@@ -49,6 +56,7 @@ import (
 	"time"
 
 	snapstab "github.com/snapstab/snapstab"
+	"github.com/snapstab/snapstab/internal/window"
 )
 
 func main() {
@@ -58,6 +66,7 @@ func main() {
 		substrateF = flag.String("substrate", "all", "execution substrate: sim, runtime, udp, tcp, or all")
 		n          = flag.Int("n", 4, "number of processes (>= 2)")
 		topologyF  = flag.String("topology", "", "route over this graph: a family name (complete, ring, line, star, tree, gnp:<p>) or a graph.txt file; default = each protocol's native graph")
+		capacity   = flag.Int("capacity", 0, "known channel capacity bound c (0 = each substrate's default)")
 		seed       = flag.Uint64("seed", 1, "root seed for faults, corruption, and the sim scheduler")
 		timeout    = flag.Duration("timeout", 2*time.Minute, "per-run deadline")
 		failures   = flag.String("failures", "", "append failing run descriptors to this file")
@@ -77,6 +86,7 @@ func main() {
 		Substrate: *substrateF,
 		N:         *n,
 		Topology:  *topologyF,
+		Capacity:  *capacity,
 		Seed:      *seed,
 		Timeout:   *timeout,
 	})
@@ -109,8 +119,25 @@ type config struct {
 	// graph); Topo is its resolved form.
 	Topology string
 	Topo     snapstab.Topology
+	// Capacity is the -capacity flag value (0 = each substrate's default).
+	Capacity int
 	Seed     uint64
 	Timeout  time.Duration
+}
+
+// knobs names the settings a run shares with every other run of the
+// selection, in the flags' own names: n, the topology and capacity when
+// set, and the seed. A run's line and its failure descriptor carry them,
+// so either replays on the same graph at the same bound.
+func (c config) knobs() string {
+	s := fmt.Sprintf("n=%d", c.N)
+	if c.Topology != "" {
+		s += " topology=" + c.Topology
+	}
+	if c.Capacity != 0 {
+		s += fmt.Sprintf(" capacity=%d", c.Capacity)
+	}
+	return s + fmt.Sprintf(" seed=%d", c.Seed)
 }
 
 // expand resolves an "all"-able flag value against the known set.
@@ -131,6 +158,9 @@ func expand(val string, known []string) ([]string, error) {
 func run(w io.Writer, cfg config) (failed []string, err error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("need n >= 2, got %d", cfg.N)
+	}
+	if cfg.Capacity < 0 || cfg.Capacity > window.MaxCapacity {
+		return nil, fmt.Errorf("need capacity in 1..%d, or 0 for each substrate's default, got %d", window.MaxCapacity, cfg.Capacity)
 	}
 	scNames := make([]string, len(scenarios))
 	for i, sc := range scenarios {
@@ -181,30 +211,20 @@ func run(w io.Writer, cfg config) (failed []string, err error) {
 			for _, prot := range prots {
 				total++
 				start := time.Now()
-				stats, faults, runErr := runOne(sc, prot, sub, cfg)
+				got, runErr := runOne(sc, prot, sub, cfg)
 				elapsed := time.Since(start).Round(time.Millisecond)
 				if runErr != nil {
-					fmt.Fprintf(w, "FAIL %-22s %-6s %-8s n=%d seed=%d %8s  %v\n",
-						sc.name, prot, sub, cfg.N, cfg.Seed, elapsed, runErr)
+					fmt.Fprintf(w, "FAIL %-22s %-6s %-8s %s %8s  %v\n",
+						sc.name, prot, sub, cfg.knobs(), elapsed, runErr)
 					failed = append(failed, fmt.Sprintf(
-						"scenario=%s protocol=%s substrate=%s n=%d seed=%d err=%q",
-						sc.name, prot, sub, cfg.N, cfg.Seed, runErr))
+						"scenario=%s protocol=%s substrate=%s %s err=%q",
+						sc.name, prot, sub, cfg.knobs(), runErr))
 				} else {
-					fmt.Fprintf(w, "ok   %-22s %-6s %-8s n=%d seed=%d %8s\n",
-						sc.name, prot, sub, cfg.N, cfg.Seed, elapsed)
+					fmt.Fprintf(w, "ok   %-22s %-6s %-8s %s %8s\n",
+						sc.name, prot, sub, cfg.knobs(), elapsed)
 				}
 				if single || runErr != nil {
-					// Sender-side drops (refused or failed sends) and
-					// receiver-side drops (full mailboxes, the model's
-					// lose-on-full rule) are kept apart, mirroring
-					// EvSendLost vs EvLose.
-					for i, s := range stats {
-						fmt.Fprintf(w, "  node %d: sent=%d retransmits=%d send-drops=%d mailbox-drops=%d\n",
-							i, s.Sends, s.Retransmits, s.SendDrops, s.MailboxDrops)
-					}
-					fmt.Fprintf(w, "  faults: drops=%d dups=%d reorders=%d delays=%d corrupts=%d partition=%d crash=%d\n",
-						faults.Drops, faults.Duplicates, faults.Reorders, faults.Delays,
-						faults.Corrupts, faults.PartitionDrops, faults.CrashDrops)
+					got.print(w)
 				}
 			}
 		}

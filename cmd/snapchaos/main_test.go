@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -9,26 +11,67 @@ import (
 
 // TestGauntletOnSim runs the whole scenario library against every
 // cluster type on the deterministic substrate — fast, reproducible, and
-// exactly what the nightly workflow runs at larger scale.
+// exactly what the nightly workflow runs at larger scale — at sim's
+// default bound c = 1 and at c = 2, the bound every socket request ships
+// with, where the armed Specification 1 checker judges PIF at flag top 6.
 func TestGauntletOnSim(t *testing.T) {
-	var out strings.Builder
-	failed, err := run(&out, config{
-		Scenario:  "all",
-		Protocol:  "all",
-		Substrate: "sim",
-		N:         3,
-		Seed:      1,
-		Timeout:   time.Minute,
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	for _, cfg := range []config{
+		{N: 3},
+		{N: 4, Capacity: 2},
+	} {
+		var out strings.Builder
+		cfg.Scenario, cfg.Protocol, cfg.Substrate = "all", "all", "sim"
+		cfg.Seed, cfg.Timeout = 1, time.Minute
+		failed, err := run(&out, cfg)
+		if err != nil {
+			t.Fatalf("%s: run: %v", cfg.knobs(), err)
+		}
+		if len(failed) > 0 {
+			t.Fatalf("%s: failed runs:\n%s\noutput:\n%s", cfg.knobs(), strings.Join(failed, "\n"), out.String())
+		}
+		// 7 scenarios x 7 protocols, each line naming the run's settings.
+		if !strings.Contains(out.String(), "49/49 runs passed") ||
+			!strings.Contains(out.String(), " "+cfg.knobs()+" ") {
+			t.Fatalf("%s: unexpected output:\n%s", cfg.knobs(), out.String())
+		}
 	}
-	if len(failed) > 0 {
-		t.Fatalf("failed runs:\n%s\noutput:\n%s", strings.Join(failed, "\n"), out.String())
+}
+
+// TestSingleSimRunPrintsSchedulerTotals: sim has no links, so a single run
+// there reports the scheduler's counters, not n rows of zeros. The same
+// run at -capacity 2 takes more steps: the flag domain grows from
+// {0..4} to {0..6}, so each handshake needs more round trips.
+func TestSingleSimRunPrintsSchedulerTotals(t *testing.T) {
+	totals := regexp.MustCompile(`(?m)^  totals: ([1-9]\d*) steps, [1-9]\d* sends, [1-9]\d* deliveries, \d+ losses \(\d+ full-channel\)$`)
+	steps := make(map[int]int)
+	for _, capacity := range []int{0, 2} {
+		var out strings.Builder
+		failed, err := run(&out, config{
+			Scenario:  "corrupted-start",
+			Protocol:  "pif",
+			Substrate: "sim",
+			N:         3,
+			Capacity:  capacity,
+			Seed:      1,
+			Timeout:   time.Minute,
+		})
+		if err != nil || len(failed) > 0 {
+			t.Fatalf("capacity %d: run: %v %v\n%s", capacity, err, failed, out.String())
+		}
+		m := totals.FindStringSubmatch(out.String())
+		if m == nil {
+			t.Fatalf("capacity %d: no scheduler totals line:\n%s", capacity, out.String())
+		}
+		steps[capacity], _ = strconv.Atoi(m[1])
+		if strings.Contains(out.String(), "node 0: ") {
+			t.Errorf("capacity %d: sim run printed per-node transport counters:\n%s", capacity, out.String())
+		}
+		if !strings.Contains(out.String(), "  faults: drops=0 ") {
+			t.Errorf("capacity %d: no fault plane totals:\n%s", capacity, out.String())
+		}
 	}
-	// 7 scenarios x 7 protocols.
-	if !strings.Contains(out.String(), "49/49 runs passed") {
-		t.Fatalf("unexpected summary:\n%s", out.String())
+	if steps[2] <= steps[0] {
+		t.Errorf("c = 2 took %d steps, c = 1 took %d: -capacity did not reach the cluster", steps[2], steps[0])
 	}
 }
 
@@ -119,9 +162,16 @@ func TestGauntletOneConcurrentRun(t *testing.T) {
 		if len(failed) > 0 {
 			t.Fatalf("%+v: failed runs:\n%s\noutput:\n%s", tc, strings.Join(failed, "\n"), out.String())
 		}
-		for node := 0; node < tc.n; node++ {
-			if want := fmt.Sprintf("node %d: sent=", node); !strings.Contains(out.String(), want) {
-				t.Errorf("%+v: single-run output lacks %q:\n%s", tc, want, out.String())
+		if tc.substrate == "sim" {
+			// The simulator has no links: it reports its scheduler's totals.
+			if !strings.Contains(out.String(), "  totals: ") {
+				t.Errorf("%+v: single-run output lacks the scheduler's totals:\n%s", tc, out.String())
+			}
+		} else {
+			for node := 0; node < tc.n; node++ {
+				if want := fmt.Sprintf("node %d: sent=", node); !strings.Contains(out.String(), want) {
+					t.Errorf("%+v: single-run output lacks %q:\n%s", tc, want, out.String())
+				}
 			}
 		}
 		// Every scenario here but the adversary-free one corrupts in flight.
@@ -129,8 +179,7 @@ func TestGauntletOneConcurrentRun(t *testing.T) {
 			strings.Contains(out.String(), " corrupts=0 ") != (tc.scenario == "corrupted-start") {
 			t.Errorf("%+v: single-run output lacks the fault plane's totals, or they are not the plan's:\n%s", tc, out.String())
 		}
-		// The simulator has no transport: its per-node counters are zero.
-		if tc.substrate != "sim" && strings.Contains(out.String(), "sent=0 ") {
+		if strings.Contains(out.String(), "sent=0 ") {
 			t.Errorf("%+v: a node reports no sends:\n%s", tc, out.String())
 		}
 	}
@@ -143,6 +192,8 @@ func TestUnknownSelectorsRejected(t *testing.T) {
 		{Scenario: "all", Protocol: "nope", Substrate: "all", N: 3, Seed: 1, Timeout: time.Second},
 		{Scenario: "all", Protocol: "all", Substrate: "nope", N: 3, Seed: 1, Timeout: time.Second},
 		{Scenario: "all", Protocol: "all", Substrate: "all", N: 1, Seed: 1, Timeout: time.Second},
+		{Scenario: "all", Protocol: "all", Substrate: "all", N: 3, Capacity: -1, Seed: 1, Timeout: time.Second},
+		{Scenario: "all", Protocol: "all", Substrate: "all", N: 3, Capacity: 127, Seed: 1, Timeout: time.Second},
 	} {
 		if _, err := run(&out, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
@@ -181,5 +232,40 @@ func TestFailureDescriptorsAreReproducible(t *testing.T) {
 	// fault plane did to it.
 	if !strings.Contains(out.String(), "node 0: sent=") || !strings.Contains(out.String(), "  faults: drops=") {
 		t.Fatalf("failed run printed no per-node counters or no fault totals:\n%s", out.String())
+	}
+}
+
+// TestFailureDescriptorsCarryTopologyAndCapacity pins the descriptor
+// format when -topology and -capacity are set: both appear, in the flags'
+// own names, on the FAIL line and in the -failures line, so a failure
+// replays on the same graph at the same bound.
+func TestFailureDescriptorsCarryTopologyAndCapacity(t *testing.T) {
+	var out strings.Builder
+	failed, err := run(&out, config{
+		Scenario:  "clean",
+		Protocol:  "forward",
+		Substrate: "sim",
+		N:         4,
+		Topology:  "tree",
+		Capacity:  2,
+		Seed:      5,
+		Timeout:   time.Nanosecond, // impossible deadline
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(failed) != 1 {
+		t.Fatalf("want 1 failure, got %v\n%s", failed, out.String())
+	}
+	const want = "scenario=clean protocol=forward substrate=sim n=4 topology=tree capacity=2 seed=5 err="
+	if !strings.HasPrefix(failed[0], want) {
+		t.Fatalf("descriptor %q, want prefix %q", failed[0], want)
+	}
+	if !strings.Contains(out.String(), "FAIL clean                  forward sim      n=4 topology=tree capacity=2 seed=5 ") {
+		t.Fatalf("FAIL line does not name topology and capacity:\n%s", out.String())
+	}
+	// With neither set, the descriptor is the five-field form.
+	if got := (config{N: 3, Seed: 7}).knobs(); got != "n=3 seed=7" {
+		t.Fatalf("knobs() = %q, want %q", got, "n=3 seed=7")
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 
 	snapstab "github.com/snapstab/snapstab"
 	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/sim"
 )
 
 var substrateNames = []string{"sim", "runtime", "udp", "tcp"}
@@ -148,14 +150,43 @@ var families = map[string]func(cfg config, opts []snapstab.Option) (snapstab.Clu
 	"forward": newForward,
 }
 
+// counters is what a run leaves behind for its report.
+type counters struct {
+	// nodes holds one entry per process; all zero on sim, which has no
+	// links and counts per network instead (sched).
+	nodes  []snapstab.TransportStats
+	sched  *sim.Stats // the scheduler's totals; nil off sim
+	faults snapstab.FaultStats
+}
+
+// print writes the run's counters: the scheduler's totals on sim, every
+// node's transport counters elsewhere, then the fault plane's totals.
+func (c counters) print(w io.Writer) {
+	if s := c.sched; s != nil {
+		fmt.Fprintf(w, "  totals: %d steps, %d sends, %d deliveries, %d losses (%d full-channel)\n",
+			s.Steps, s.Sends, s.Deliveries, s.LinkLosses+s.SendLosses, s.SendLosses)
+	} else {
+		// Sender-side drops (refused or failed sends) and receiver-side
+		// drops (full mailboxes, the model's lose-on-full rule) are kept
+		// apart, mirroring EvSendLost vs EvLose.
+		for i, s := range c.nodes {
+			fmt.Fprintf(w, "  node %d: sent=%d retransmits=%d send-drops=%d mailbox-drops=%d\n",
+				i, s.Sends, s.Retransmits, s.SendDrops, s.MailboxDrops)
+		}
+	}
+	f := c.faults
+	fmt.Fprintf(w, "  faults: drops=%d dups=%d reorders=%d delays=%d corrupts=%d partition=%d crash=%d\n",
+		f.Drops, f.Duplicates, f.Reorders, f.Delays, f.Corrupts, f.PartitionDrops, f.CrashDrops)
+}
+
 // runOne builds one cluster under the scenario's plan, drives the
 // protocol's request script to its spec verdict, and tears the cluster
-// down, returning its final per-node counters and what the fault plane did
-// to the run. An otherwise successful
+// down, returning its final counters and what the fault plane did to the
+// run. An otherwise successful
 // run fails if any link's in-flight count ever exceeded the capacity
 // bound the transport claims to enforce (vacuous on sim, which reports
 // no links).
-func runOne(sc scenario, protocol, sub string, cfg config) ([]snapstab.TransportStats, snapstab.FaultStats, error) {
+func runOne(sc scenario, protocol, sub string, cfg config) (counters, error) {
 	opts := []snapstab.Option{
 		snapstab.WithSubstrate(substrateOf(sub)),
 		snapstab.WithSeed(cfg.Seed),
@@ -166,6 +197,9 @@ func runOne(sc scenario, protocol, sub string, cfg config) ([]snapstab.Transport
 	if !cfg.Topo.IsZero() {
 		opts = append(opts, snapstab.WithTopology(cfg.Topo))
 	}
+	if cfg.Capacity != 0 {
+		opts = append(opts, snapstab.WithCapacity(cfg.Capacity))
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
 
@@ -175,13 +209,17 @@ func runOne(sc scenario, protocol, sub string, cfg config) ([]snapstab.Transport
 	}
 	err := drive(ctx)
 	c.Close()
-	stats := c.TransportStats()
+	got := counters{nodes: c.TransportStats(), faults: c.FaultStats()}
+	if sub == "sim" {
+		s := c.(interface{ Stats() sim.Stats }).Stats()
+		got.sched = &s
+	}
 	if err == nil {
-		if werr := core.CheckWindows(stats); werr != nil {
+		if werr := core.CheckWindows(got.nodes); werr != nil {
 			err = fmt.Errorf("capacity bound broken: %w", werr)
 		}
 	}
-	return stats, c.FaultStats(), err
+	return got, err
 }
 
 // participants returns how many processes take part in a PIF computation

@@ -1,22 +1,4 @@
-// Impossibility: Theorem 1 executed step by step.
-//
-// The theorem says no safety-distributed specification has a
-// snap-stabilizing solution when channel capacity is finite but unbounded.
-// Its proof is constructive, and this example runs it:
-//
-//  1. record a legal execution of Protocol PIF and capture MesSeq, the
-//     message sequence the victim consumed, plus its state projection;
-//  2. preload MesSeq into the channel of a FRESH system (γ0) — possible
-//     only because the channel is unbounded;
-//  3. replay: the victim, alone, re-lives its recorded computation and
-//     decides — while its peer never participated. The bad thing of every
-//     feedback-based specification.
-//
-// The same preload against a bounded channel fails at step 2: γ0 does not
-// exist. That asymmetry is the entire positive story of the paper.
-//
-//	go run ./examples/impossibility
-package main
+package adversary_test
 
 import (
 	"fmt"
@@ -25,7 +7,14 @@ import (
 	"github.com/snapstab/snapstab/internal/adversary"
 )
 
-func main() {
+// Theorem 1 executed step by step: record a legal execution of PIF and
+// its message sequence MesSeq, preload MesSeq into the channel of a fresh
+// system (γ0), and replay with the peer silenced. On unbounded channels
+// the victim re-lives its computation and decides while its peer never
+// took part, the bad thing of every feedback-based specification. Against
+// a bounded channel the preload does not fit: γ0 does not exist. That
+// asymmetry is the entire positive story of the paper.
+func ExampleReplay() {
 	fmt.Println("=== Theorem 1, executed ===")
 	fmt.Println()
 	fmt.Println("step 1: record a legal execution of PIF (capacity bound 1, flags {0..4})")
@@ -64,4 +53,24 @@ func main() {
 	fmt.Println()
 	fmt.Println("conclusion: the bound on channel capacity must be KNOWN; given the bound,")
 	fmt.Println("Algorithm 1 sizes its flag domain to outcount any admissible garbage.")
+	// Output:
+	// === Theorem 1, executed ===
+	//
+	// step 1: record a legal execution of PIF (capacity bound 1, flags {0..4})
+	//   recorded MesSeq: 8 messages consumed by the victim
+	//   recorded Φ_p(BAD): 18 state samples
+	//
+	// step 2+3: preload MesSeq into a fresh system and replay, peer silenced
+	//   unbounded channels (the impossibility regime):
+	//     γ0 constructed (8 messages preloaded)
+	//     victim decided: true; peer ever participated: false
+	//     victim's state sequence reproduces Φ_p(BAD): true
+	//     => SAFETY VIOLATED: the computation "completed" without the peer —
+	//        a mutual-exclusion privilege or ID table built this way is worthless.
+	//   capacity-1 channels (the known bound the protocol assumes):
+	//     γ0 rejected: a 8-message preload does not fit — the configuration of the proof does not exist.
+	//     attack impossible: snap-stabilization survives.
+	//
+	// conclusion: the bound on channel capacity must be KNOWN; given the bound,
+	// Algorithm 1 sizes its flag domain to outcount any admissible garbage.
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -33,7 +34,7 @@ func TestSafetyPaperProtocolExhaustive(t *testing.T) {
 
 // TestSafetyAblationFindsViolations is the E9 ablation: every flag domain
 // smaller than the paper's admits a garbage-driven stale decision, and the
-// checker produces the counter-example.
+// checker produces the counter-example; -v prints each one step by step.
 func TestSafetyAblationFindsViolations(t *testing.T) {
 	t.Parallel()
 	for _, top := range []int{1, 2, 3} {
@@ -48,8 +49,9 @@ func TestSafetyAblationFindsViolations(t *testing.T) {
 		if len(res.Violation.Trace) == 0 {
 			t.Fatalf("FlagTop=%d: violation without counter-example trace", top)
 		}
-		t.Logf("FlagTop=%d: %s\n  %d-step counter-example, e.g. %s",
-			top, res.Violation.Description, len(res.Violation.Trace), res.Violation.Config)
+		t.Logf("FlagTop=%d: %s in %s\n  %d-step counter-example:\n    %s",
+			top, res.Violation.Description, res.Violation.Config, len(res.Violation.Trace),
+			strings.Join(res.Violation.Trace, "\n    "))
 	}
 }
 

@@ -87,8 +87,7 @@ func (a *tokenApp) Deliver(env core.Env, from core.ProcID, m core.Message) {
 }
 
 // build assembles n processes each running a token app plus a detector.
-func build(t *testing.T, n int, opts ...sim.Option) (*sim.Network, []*Detector, []*tokenApp) {
-	t.Helper()
+func build(n int, opts ...sim.Option) (*sim.Network, []*Detector, []*tokenApp) {
 	detectors := make([]*Detector, n)
 	apps := make([]*tokenApp, n)
 	stacks := make([]core.Stack, n)
@@ -121,7 +120,7 @@ func appQuiescent(net *sim.Network, apps []*tokenApp) bool {
 
 func TestDetectsTerminationOfIdleApp(t *testing.T) {
 	t.Parallel()
-	net, detectors, _ := build(t, 3, sim.WithSeed(3))
+	net, detectors, _ := build(3, sim.WithSeed(3))
 	if !detectors[0].Invoke(net.Env(0)) {
 		t.Fatal("Invoke rejected")
 	}
@@ -144,7 +143,7 @@ func TestDeclaresOnlyWhenActuallyTerminated(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		seed := uint64(trial + 1)
-		net, detectors, apps := build(t, 3, sim.WithSeed(seed))
+		net, detectors, apps := build(3, sim.WithSeed(seed))
 		// Seed the computation with tokens that hop for a while.
 		apps[0].pending = []int{8, 5}
 		apps[1].pending = []int{6}
@@ -182,7 +181,7 @@ func TestCorruptedDetectorStillSound(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		seed := uint64(trial + 100)
-		net, detectors, apps := build(t, 3, sim.WithSeed(seed), sim.WithLossRate(0.1))
+		net, detectors, apps := build(3, sim.WithSeed(seed), sim.WithLossRate(0.1))
 		// Corrupt detector machines and detector channels; the app keeps
 		// honest counters (it is the observed application, not protocol).
 		r := rng.New(rng.Mix(seed, 13))
@@ -248,7 +247,7 @@ func TestGarbageFeedbackCountsAsActivity(t *testing.T) {
 
 func TestInvokeRejectedWhileBusy(t *testing.T) {
 	t.Parallel()
-	net, detectors, _ := build(t, 2)
+	net, detectors, _ := build(2)
 	if !detectors[0].Invoke(net.Env(0)) {
 		t.Fatal("first Invoke rejected")
 	}

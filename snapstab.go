@@ -31,11 +31,12 @@
 // which the synchronous calls behave exactly as in earlier revisions. The
 // underlying machines, substrates, checkers, model checker, and adversary
 // constructions live in the internal packages and are exercised by the
-// tools under cmd/ (snapsim, snapcheck, snapbench, snapchaos, and the
-// snapd/snapctl deployment pair). To watch one family answer its first
-// request after corruption over real sockets, run
+// tools under cmd/ (snapbench, snapchaos, and the snapd/snapctl
+// deployment pair). The examples are Example functions that go test
+// checks: `go test -run Example -v .`. To watch one family answer its
+// first request after corruption over real sockets, run
 // `snapchaos -scenario corrupted-start -protocol pif -substrate udp`
-// (or tcp), or read examples/udp.
+// (or tcp), or `go test -run ExampleUDP -v .`.
 package snapstab
 
 import (
