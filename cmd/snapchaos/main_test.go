@@ -15,25 +15,31 @@ import (
 // default bound c = 1 and at c = 2, the bound every socket request ships
 // with, where the armed Specification 1 checker judges PIF at flag top 6.
 func TestGauntletOnSim(t *testing.T) {
-	for _, cfg := range []config{
-		{N: 3},
-		{N: 4, Capacity: 2},
+	for _, tc := range []struct {
+		name string
+		cfg  config
+	}{
+		{"c=1", config{N: 3}},
+		{"c=2", config{N: 4, Capacity: 2}},
 	} {
-		var out strings.Builder
-		cfg.Scenario, cfg.Protocol, cfg.Substrate = "all", "all", "sim"
-		cfg.Seed, cfg.Timeout = 1, time.Minute
-		failed, err := run(&out, cfg)
-		if err != nil {
-			t.Fatalf("%s: run: %v", cfg.knobs(), err)
-		}
-		if len(failed) > 0 {
-			t.Fatalf("%s: failed runs:\n%s\noutput:\n%s", cfg.knobs(), strings.Join(failed, "\n"), out.String())
-		}
-		// 7 scenarios x 7 protocols, each line naming the run's settings.
-		if !strings.Contains(out.String(), "49/49 runs passed") ||
-			!strings.Contains(out.String(), " "+cfg.knobs()+" ") {
-			t.Fatalf("%s: unexpected output:\n%s", cfg.knobs(), out.String())
-		}
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			cfg.Scenario, cfg.Protocol, cfg.Substrate = "all", "all", "sim"
+			cfg.Seed, cfg.Timeout = 1, time.Minute
+			failed, err := run(&out, cfg)
+			if err != nil {
+				t.Fatalf("%s: run: %v", cfg.knobs(), err)
+			}
+			if len(failed) > 0 {
+				t.Fatalf("%s: failed runs:\n%s\noutput:\n%s", cfg.knobs(), strings.Join(failed, "\n"), out.String())
+			}
+			// 7 scenarios x 7 protocols, each line naming the run's settings.
+			if !strings.Contains(out.String(), "49/49 runs passed") ||
+				!strings.Contains(out.String(), " "+cfg.knobs()+" ") {
+				t.Fatalf("%s: unexpected output:\n%s", cfg.knobs(), out.String())
+			}
+		})
 	}
 }
 
@@ -186,18 +192,25 @@ func TestGauntletOneConcurrentRun(t *testing.T) {
 }
 
 func TestUnknownSelectorsRejected(t *testing.T) {
-	var out strings.Builder
-	for _, cfg := range []config{
-		{Scenario: "nope", Protocol: "all", Substrate: "all", N: 3, Seed: 1, Timeout: time.Second},
-		{Scenario: "all", Protocol: "nope", Substrate: "all", N: 3, Seed: 1, Timeout: time.Second},
-		{Scenario: "all", Protocol: "all", Substrate: "nope", N: 3, Seed: 1, Timeout: time.Second},
-		{Scenario: "all", Protocol: "all", Substrate: "all", N: 1, Seed: 1, Timeout: time.Second},
-		{Scenario: "all", Protocol: "all", Substrate: "all", N: 3, Capacity: -1, Seed: 1, Timeout: time.Second},
-		{Scenario: "all", Protocol: "all", Substrate: "all", N: 3, Capacity: 127, Seed: 1, Timeout: time.Second},
+	for _, tc := range []struct {
+		name, wantErr string
+		cfg           config
+	}{
+		{"scenario", `unknown value "nope"`, config{Scenario: "nope", Protocol: "all", Substrate: "all", N: 3}},
+		{"protocol", `unknown value "nope"`, config{Scenario: "all", Protocol: "nope", Substrate: "all", N: 3}},
+		{"substrate", `unknown value "nope"`, config{Scenario: "all", Protocol: "all", Substrate: "nope", N: 3}},
+		{"n=1", "need n >= 2", config{Scenario: "all", Protocol: "all", Substrate: "all", N: 1}},
+		{"capacity=-1", "need capacity in 1..", config{Scenario: "all", Protocol: "all", Substrate: "all", N: 3, Capacity: -1}},
+		{"capacity=127", "need capacity in 1..", config{Scenario: "all", Protocol: "all", Substrate: "all", N: 3, Capacity: 127}},
 	} {
-		if _, err := run(&out, cfg); err == nil {
-			t.Errorf("config %+v accepted", cfg)
-		}
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			cfg.Seed, cfg.Timeout = 1, time.Second
+			if _, err := run(&out, cfg); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("config %+v: err = %v, want one containing %q", cfg, err, tc.wantErr)
+			}
+		})
 	}
 }
 

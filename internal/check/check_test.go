@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -39,19 +40,22 @@ func TestSafetyAblationFindsViolations(t *testing.T) {
 	t.Parallel()
 	for _, top := range []int{1, 2, 3} {
 		top := top
-		res, err := Safety(Options{FlagTop: top, TraceViolation: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Violation == nil {
-			t.Fatalf("FlagTop=%d: no violation found; the ablation should be unsound", top)
-		}
-		if len(res.Violation.Trace) == 0 {
-			t.Fatalf("FlagTop=%d: violation without counter-example trace", top)
-		}
-		t.Logf("FlagTop=%d: %s in %s\n  %d-step counter-example:\n    %s",
-			top, res.Violation.Description, res.Violation.Config, len(res.Violation.Trace),
-			strings.Join(res.Violation.Trace, "\n    "))
+		t.Run(fmt.Sprintf("FlagTop=%d", top), func(t *testing.T) {
+			t.Parallel()
+			res, err := Safety(Options{FlagTop: top, TraceViolation: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Violation == nil {
+				t.Fatal("no violation found; the ablation should be unsound")
+			}
+			if len(res.Violation.Trace) == 0 {
+				t.Fatal("violation without counter-example trace")
+			}
+			t.Logf("%s in %s\n  %d-step counter-example:\n    %s",
+				res.Violation.Description, res.Violation.Config, len(res.Violation.Trace),
+				strings.Join(res.Violation.Trace, "\n    "))
+		})
 	}
 }
 
@@ -92,12 +96,18 @@ func TestTerminationPaperProtocol(t *testing.T) {
 // but not termination — handshakes still complete, just too easily.
 func TestTerminationAblatedStillTerminates(t *testing.T) {
 	t.Parallel()
-	res, err := Termination(Options{FlagTop: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PTrapped != 0 || res.QTrapped != 0 {
-		t.Fatalf("trapped configurations: p=%d q=%d", res.PTrapped, res.QTrapped)
+	for _, top := range []int{1, 2, 3} {
+		top := top
+		t.Run(fmt.Sprintf("FlagTop=%d", top), func(t *testing.T) {
+			t.Parallel()
+			res, err := Termination(Options{FlagTop: top})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.PTrapped != 0 || res.QTrapped != 0 {
+				t.Fatalf("trapped configurations: p=%d q=%d, e.g. %s", res.PTrapped, res.QTrapped, res.SampleTrap)
+			}
+		})
 	}
 }
 

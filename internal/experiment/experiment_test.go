@@ -202,18 +202,34 @@ func TestE8Shape(t *testing.T) {
 	}
 }
 
+// TestE9Thresholds checks each row of E9 (what snapbench -e E9 prints):
+// the paper's FlagTop 4 is exhaustively safe, every smaller domain is
+// unsafe with a counter-example, and no domain has a termination trap.
 func TestE9Thresholds(t *testing.T) {
 	t.Parallel()
 	tables := runE9(quickCfg())
 	tab := tables[0]
-	sCol := column(tab, "safety")
+	sCol, trapCol, exCol := column(tab, "safety"), column(tab, "termination traps"), column(tab, "counter-example")
+	var tops []string
 	for _, row := range tab.Rows {
+		row := row
 		top := row[0]
-		safe := strings.HasPrefix(row[sCol], "SAFE")
-		wantSafe := top == "4" || top == "5"
-		if safe != wantSafe {
-			t.Errorf("FlagTop %s: safe=%v, want %v", top, safe, wantSafe)
-		}
+		tops = append(tops, top)
+		t.Run("FlagTop="+top, func(t *testing.T) {
+			wantSafe := top == "4" || top == "5"
+			if wantSafe && row[sCol] != "SAFE (exhaustive)" {
+				t.Errorf("safety %q, want SAFE (exhaustive)", row[sCol])
+			}
+			if !wantSafe && (row[sCol] != "UNSAFE" || !strings.HasSuffix(row[exCol], "-step counter-example")) {
+				t.Errorf("safety %q, counter-example %q: want UNSAFE with a counter-example trace", row[sCol], row[exCol])
+			}
+			if row[trapCol] != "0" {
+				t.Errorf("termination traps %q, want 0", row[trapCol])
+			}
+		})
+	}
+	if got := strings.Join(tops, ","); got != "2,3,4" {
+		t.Errorf("quick E9 rows cover FlagTop %s, want 2,3,4", got)
 	}
 }
 
