@@ -147,7 +147,7 @@ func BenchmarkMutexAcquire(b *testing.B) {
 // channel (untimed), then acquires once, as bench/perf's sim-recover does.
 // The execution is seeded: at the same b.N, base and head replay the same
 // steps, so the row moves only with the simulator's and the machines' cost
-// per step (steps/op says how many there were).
+// per step (steps/op says how many there were, ns/step what each cost).
 func BenchmarkMutexRecover(b *testing.B) {
 	ids := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	c := snapstab.NewMutexCluster(ids, snapstab.WithSubstrate(snapstab.Sim()), snapstab.WithSeed(1))
@@ -165,7 +165,9 @@ func BenchmarkMutexRecover(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(c.Stats().Steps)/float64(b.N), "steps/op")
+	steps := float64(c.Stats().Steps)
+	b.ReportMetric(steps/float64(b.N), "steps/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/steps, "ns/step")
 }
 
 // BenchmarkLearnIDs measures one IDs-Learning computation.

@@ -60,9 +60,10 @@ func (q *Queue[T]) resize(size int) {
 	q.buf, q.head = buf, 0
 }
 
-// Send enqueues m. It reports false when the message was lost because
-// the channel was full (only possible for bounded channels).
-func (q *Queue[T]) Send(m T) bool {
+// Send enqueues a copy of *m. It reports false when the message was lost
+// because the channel was full (only possible for bounded channels); a
+// refused send reads nothing of *m, so a full link costs no copy.
+func (q *Queue[T]) Send(m *T) bool {
 	if q.n == len(q.buf) {
 		if !q.unbounded {
 			q.lost++
@@ -70,7 +71,7 @@ func (q *Queue[T]) Send(m T) bool {
 		}
 		q.resize(2 * len(q.buf))
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = m
+	q.buf[(q.head+q.n)%len(q.buf)] = *m
 	q.n++
 	if q.n == 1 && q.transition != nil {
 		q.transition(true)
@@ -78,20 +79,22 @@ func (q *Queue[T]) Send(m T) bool {
 	return true
 }
 
-// Recv dequeues the head message. ok is false when the channel is empty.
-func (q *Queue[T]) Recv() (T, bool) {
-	var zero T
+// Pop dequeues the head message and returns the slot it left, or nil when
+// the channel is empty. The message is not copied out: the slot holds it
+// until the next Send or Preload on this channel, so a caller reads it
+// before sending into the same channel again. The slot is not cleared, so
+// it keeps what the message references alive until it is overwritten.
+func (q *Queue[T]) Pop() *T {
 	if q.n == 0 {
-		return zero, false
+		return nil
 	}
-	m := q.buf[q.head]
-	q.buf[q.head] = zero
+	m := &q.buf[q.head]
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
 	if q.n == 0 && q.transition != nil {
 		q.transition(false)
 	}
-	return m, true
+	return m
 }
 
 // Peek returns the head message without dequeuing it.
@@ -103,14 +106,14 @@ func (q *Queue[T]) Peek() (T, bool) {
 	return q.buf[q.head], true
 }
 
-// Drop removes the head message (models link-level loss). It reports
-// false when the channel was empty.
-func (q *Queue[T]) Drop() bool {
-	if _, ok := q.Recv(); !ok {
-		return false
+// Drop removes the head message (models link-level loss) and returns the
+// slot it left, as Pop does, or nil when the channel was empty.
+func (q *Queue[T]) Drop() *T {
+	m := q.Pop()
+	if m != nil {
+		q.lost++
 	}
-	q.lost++
-	return true
+	return m
 }
 
 // Len returns the number of messages currently in transit.

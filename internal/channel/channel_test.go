@@ -7,21 +7,33 @@ import (
 	"github.com/snapstab/snapstab/internal/rng"
 )
 
+// send offers a copy of v to q.
+func send[T any](q *Queue[T], v T) bool { return q.Send(&v) }
+
+// recv pops q's head and reads it out of its slot.
+func recv[T any](q *Queue[T]) (T, bool) {
+	if m := q.Pop(); m != nil {
+		return *m, true
+	}
+	var zero T
+	return zero, false
+}
+
 func TestBoundedFIFOOrder(t *testing.T) {
 	t.Parallel()
 	ch := NewBounded[int](3)
 	for i := 1; i <= 3; i++ {
-		if !ch.Send(i) {
+		if !send(ch, i) {
 			t.Fatalf("Send(%d) lost in non-full channel", i)
 		}
 	}
 	for i := 1; i <= 3; i++ {
-		got, ok := ch.Recv()
+		got, ok := recv(ch)
 		if !ok || got != i {
 			t.Fatalf("Recv() = %d,%v, want %d,true", got, ok, i)
 		}
 	}
-	if _, ok := ch.Recv(); ok {
+	if _, ok := recv(ch); ok {
 		t.Fatal("Recv() on empty channel succeeded")
 	}
 }
@@ -29,18 +41,48 @@ func TestBoundedFIFOOrder(t *testing.T) {
 func TestBoundedLosesWhenFull(t *testing.T) {
 	t.Parallel()
 	ch := NewBounded[string](1)
-	if !ch.Send("a") {
+	if !send(ch, "a") {
 		t.Fatal("first send lost")
 	}
-	if ch.Send("b") {
+	if send(ch, "b") {
 		t.Fatal("send into full channel not lost")
 	}
 	if got := ch.Lost(); got != 1 {
 		t.Fatalf("Lost() = %d, want 1", got)
 	}
-	m, ok := ch.Recv()
+	m, ok := recv(ch)
 	if !ok || m != "a" {
 		t.Fatalf("Recv() = %q,%v, want \"a\",true", m, ok)
+	}
+}
+
+// TestBoundedRefusedSendLeavesRing sends into a full ring: the refusal
+// touches neither the buffered message nor the sender's, and counts one
+// loss.
+func TestBoundedRefusedSendLeavesRing(t *testing.T) {
+	t.Parallel()
+	type msg struct {
+		kind string
+		seq  int
+	}
+	ch := NewBounded[msg](1)
+	first := msg{"first", 1}
+	if !ch.Send(&first) {
+		t.Fatal("send into an empty channel refused")
+	}
+	first.seq = 99 // the ring holds a copy
+	refused := msg{"refused", 2}
+	if ch.Send(&refused) {
+		t.Fatal("send into a full channel accepted")
+	}
+	if got := ch.Lost(); got != 1 {
+		t.Fatalf("Lost() = %d, want 1", got)
+	}
+	if ch.buf[0] != (msg{"first", 1}) || refused != (msg{"refused", 2}) {
+		t.Fatalf("after the refusal: slot %+v, sender's %+v", ch.buf[0], refused)
+	}
+	if m := ch.Pop(); m == nil || *m != (msg{"first", 1}) || ch.Len() != 0 {
+		t.Fatalf("Pop() = %+v, Len() = %d, want the first message alone", m, ch.Len())
 	}
 }
 
@@ -49,9 +91,9 @@ func TestBoundedCapacityOne(t *testing.T) {
 	// The paper's single-message-capacity regime: after any send into an
 	// occupied channel, the channel still holds exactly the old message.
 	ch := NewBounded[int](1)
-	ch.Send(1)
-	ch.Send(2)
-	ch.Send(3)
+	send(ch, 1)
+	send(ch, 2)
+	send(ch, 3)
 	if got := ch.Len(); got != 1 {
 		t.Fatalf("Len() = %d, want 1", got)
 	}
@@ -64,10 +106,10 @@ func TestBoundedWraparound(t *testing.T) {
 	t.Parallel()
 	ch := NewBounded[int](2)
 	for round := 0; round < 10; round++ {
-		ch.Send(round * 2)
-		ch.Send(round*2 + 1)
-		a, _ := ch.Recv()
-		b, _ := ch.Recv()
+		send(ch, round*2)
+		send(ch, round*2+1)
+		a, _ := recv(ch)
+		b, _ := recv(ch)
 		if a != round*2 || b != round*2+1 {
 			t.Fatalf("round %d: got %d,%d", round, a, b)
 		}
@@ -77,12 +119,12 @@ func TestBoundedWraparound(t *testing.T) {
 func TestBoundedDrop(t *testing.T) {
 	t.Parallel()
 	ch := NewBounded[int](2)
-	if ch.Drop() {
+	if ch.Drop() != nil {
 		t.Fatal("Drop() on empty channel succeeded")
 	}
-	ch.Send(1)
-	ch.Send(2)
-	if !ch.Drop() {
+	send(ch, 1)
+	send(ch, 2)
+	if ch.Drop() == nil {
 		t.Fatal("Drop() failed on non-empty channel")
 	}
 	if m, _ := ch.Peek(); m != 2 {
@@ -121,15 +163,15 @@ func TestBoundedPreloadOverflow(t *testing.T) {
 func TestBoundedPreloadReplacesContents(t *testing.T) {
 	t.Parallel()
 	ch := NewBounded[int](2)
-	ch.Send(1)
+	send(ch, 1)
 	if err := ch.Preload([]int{9}); err != nil {
 		t.Fatal(err)
 	}
-	m, ok := ch.Recv()
+	m, ok := recv(ch)
 	if !ok || m != 9 {
 		t.Fatalf("Recv() = %d,%v, want 9,true", m, ok)
 	}
-	if _, ok := ch.Recv(); ok {
+	if _, ok := recv(ch); ok {
 		t.Fatal("old contents survived Preload")
 	}
 }
@@ -148,7 +190,7 @@ func TestUnboundedNeverLosesOnSend(t *testing.T) {
 	t.Parallel()
 	ch := NewUnbounded[int]()
 	for i := 0; i < 10000; i++ {
-		if !ch.Send(i) {
+		if !send(ch, i) {
 			t.Fatalf("unbounded Send(%d) reported loss", i)
 		}
 	}
@@ -156,7 +198,7 @@ func TestUnboundedNeverLosesOnSend(t *testing.T) {
 		t.Fatalf("Len() = %d, want 10000", got)
 	}
 	for i := 0; i < 10000; i++ {
-		m, ok := ch.Recv()
+		m, ok := recv(ch)
 		if !ok || m != i {
 			t.Fatalf("Recv() = %d,%v, want %d,true", m, ok, i)
 		}
@@ -187,11 +229,11 @@ func TestUnboundedGrowsPastInitialRing(t *testing.T) {
 	next, want := 0, 0
 	for round := 0; round < 6; round++ {
 		for i := 0; i < 3*initial+round; i++ {
-			ch.Send(next)
+			send(ch, next)
 			next++
 		}
 		for i := 0; i < initial+1; i++ {
-			if m, ok := ch.Recv(); !ok || m != want {
+			if m, ok := recv(ch); !ok || m != want {
 				t.Fatalf("round %d: Recv() = %d,%v, want %d,true", round, m, ok, want)
 			}
 			want++
@@ -213,9 +255,9 @@ func TestUnboundedGrowsPastInitialRing(t *testing.T) {
 func TestUnboundedPreloadLongerThanRing(t *testing.T) {
 	t.Parallel()
 	ch := NewUnbounded[int]()
-	ch.Send(-1)
-	ch.Send(-2)
-	ch.Recv()
+	send(ch, -1)
+	send(ch, -2)
+	recv(ch)
 	msgs := make([]int, 4*len(ch.buf)+1)
 	for i := range msgs {
 		msgs[i] = i
@@ -224,13 +266,13 @@ func TestUnboundedPreloadLongerThanRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	msgs[0] = 99 // the queue holds a copy
-	ch.Send(len(msgs))
+	send(ch, len(msgs))
 	for want := 0; want <= len(msgs); want++ {
-		if m, ok := ch.Recv(); !ok || m != want {
+		if m, ok := recv(ch); !ok || m != want {
 			t.Fatalf("Recv() = %d,%v, want %d,true", m, ok, want)
 		}
 	}
-	if _, ok := ch.Recv(); ok {
+	if _, ok := recv(ch); ok {
 		t.Fatal("Recv() on drained channel succeeded")
 	}
 }
@@ -238,8 +280,8 @@ func TestUnboundedPreloadLongerThanRing(t *testing.T) {
 func TestUnboundedDropAndPeek(t *testing.T) {
 	t.Parallel()
 	ch := NewUnbounded[string]()
-	ch.Send("x")
-	ch.Send("y")
+	send(ch, "x")
+	send(ch, "y")
 	if m, ok := ch.Peek(); !ok || m != "x" {
 		t.Fatalf("Peek() = %q,%v", m, ok)
 	}
@@ -249,6 +291,34 @@ func TestUnboundedDropAndPeek(t *testing.T) {
 	}
 	if got := ch.Lost(); got != 1 {
 		t.Fatalf("Lost() = %d, want 1", got)
+	}
+}
+
+// TestUnboundedPopSlotHoldsUntilSend checks the Pop contract: the slot a
+// pop returned keeps the message while other channels are used, and the
+// next send into this channel may write over it.
+func TestUnboundedPopSlotHoldsUntilSend(t *testing.T) {
+	t.Parallel()
+	ch := NewUnbounded[string]()
+	other := NewUnbounded[string]()
+	send(ch, "head")
+	m := ch.Pop()
+	if m == nil || *m != "head" || ch.Len() != 0 {
+		t.Fatalf("Pop() = %v, Len() = %d", m, ch.Len())
+	}
+	for range 5 {
+		send(other, "elsewhere") // grows other's ring
+	}
+	other.Drop()
+	if *m != "head" {
+		t.Fatalf("slot reads %q after traffic on another channel, want \"head\"", *m)
+	}
+	send(ch, "next")
+	if got, _ := recv(ch); got != "next" {
+		t.Fatalf("Pop() after the send = %q, want \"next\"", got)
+	}
+	if ch.Pop() != nil {
+		t.Fatal("Pop() on a drained channel returned a slot")
 	}
 }
 
@@ -265,7 +335,7 @@ func TestCapReporting(t *testing.T) {
 func TestContentsIsCopy(t *testing.T) {
 	t.Parallel()
 	ch := NewBounded[int](2)
-	ch.Send(1)
+	send(ch, 1)
 	c := ch.Contents()
 	c[0] = 99
 	if m, _ := ch.Peek(); m != 1 {
@@ -287,12 +357,12 @@ func TestPropertyFIFOModuloLoss(t *testing.T) {
 		for op := 0; op < 500; op++ {
 			switch r.Intn(3) {
 			case 0:
-				if ch.Send(next) {
+				if send(ch, next) {
 					sent = append(sent, next)
 				}
 				next++
 			case 1:
-				if m, ok := ch.Recv(); ok {
+				if m, ok := recv(ch); ok {
 					received = append(received, m)
 				}
 			case 2:
@@ -335,9 +405,9 @@ func TestPropertyLenMatchesContents(t *testing.T) {
 		for op := 0; op < 300; op++ {
 			switch r.Intn(3) {
 			case 0:
-				ch.Send(op)
+				send(ch, op)
 			case 1:
-				ch.Recv()
+				recv(ch)
 			case 2:
 				ch.Drop()
 			}
@@ -362,10 +432,10 @@ func TestTransitionHookBounded(t *testing.T) {
 	ch := NewBounded[int](2)
 	var log transitionLog
 	ch.SetTransition(log.hook)
-	ch.Send(1) // empty -> non-empty
-	ch.Send(2) // still non-empty: no call
-	ch.Recv()  // still non-empty: no call
-	ch.Recv()  // non-empty -> empty
+	send(ch, 1) // empty -> non-empty
+	send(ch, 2) // still non-empty: no call
+	recv(ch)    // still non-empty: no call
+	recv(ch)    // non-empty -> empty
 	want := []bool{true, false}
 	if len(log.calls) != 2 || log.calls[0] != want[0] || log.calls[1] != want[1] {
 		t.Fatalf("hook calls = %v, want %v", log.calls, want)
@@ -374,12 +444,12 @@ func TestTransitionHookBounded(t *testing.T) {
 	one := NewBounded[int](1)
 	var log2 transitionLog
 	one.SetTransition(log2.hook)
-	one.Send(1)
-	one.Send(2) // lost
+	send(one, 1)
+	send(one, 2) // lost
 	if len(log2.calls) != 1 {
 		t.Fatalf("lost send fired the hook: %v", log2.calls)
 	}
-	one.Drop() // non-empty -> empty, via Recv
+	one.Drop() // non-empty -> empty, via Pop
 	if len(log2.calls) != 2 || log2.calls[1] {
 		t.Fatalf("Drop did not fire the emptying transition: %v", log2.calls)
 	}
@@ -417,10 +487,10 @@ func TestTransitionHookUnbounded(t *testing.T) {
 	ch := NewUnbounded[int]()
 	var log transitionLog
 	ch.SetTransition(log.hook)
-	ch.Send(1)
-	ch.Send(2)
+	send(ch, 1)
+	send(ch, 2)
 	ch.Drop()
-	ch.Recv()
+	recv(ch)
 	want := []bool{true, false}
 	if len(log.calls) != 2 || log.calls[0] != want[0] || log.calls[1] != want[1] {
 		t.Fatalf("hook calls = %v, want %v", log.calls, want)
@@ -430,15 +500,15 @@ func TestTransitionHookUnbounded(t *testing.T) {
 func BenchmarkBoundedSendRecv(b *testing.B) {
 	ch := NewBounded[int](1)
 	for i := 0; i < b.N; i++ {
-		ch.Send(i)
-		ch.Recv()
+		ch.Send(&i)
+		ch.Pop()
 	}
 }
 
 func BenchmarkUnboundedSendRecv(b *testing.B) {
 	ch := NewUnbounded[int]()
 	for i := 0; i < b.N; i++ {
-		ch.Send(i)
-		ch.Recv()
+		ch.Send(&i)
+		ch.Pop()
 	}
 }

@@ -328,6 +328,12 @@ func (net *Network) newLink(k LinkKey) int {
 	} else {
 		q = channel.NewBounded[core.Message](net.capacity)
 	}
+	if sender := net.routes[k.From][k.Instance]; sender != nil {
+		// Store the sender's own string: its messages carry that same
+		// pointer, so linkID and deliverMsg compare equal instance names
+		// without reading their bytes.
+		k.Instance = sender.Instance()
+	}
 	id := len(net.linkOrder)
 	net.linkOrder = append(net.linkOrder, k)
 	net.queues = append(net.queues, q)
@@ -423,7 +429,7 @@ func (e env) Send(to core.ProcID, m core.Message) {
 		id = net.newLink(k)
 	}
 	net.stats.Sends++
-	if net.queues[id].Send(m) {
+	if net.queues[id].Send(&m) {
 		if len(net.traffic) > 0 {
 			net.emitTraffic(core.Event{Kind: core.EvSend, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m})
 		}
@@ -491,22 +497,26 @@ func (net *Network) Deliver(k LinkKey) bool {
 	return net.deliver(id)
 }
 
-// deliver is Deliver on link id.
+// deliver is Deliver on link id. The head is popped before the receive
+// action runs, so the pending index sees the link empty first, and the
+// message is read in its ring slot: Machine.Deliver's argument is its one
+// copy. The receiver's sends go out on its own links, never into the
+// slot's.
 func (net *Network) deliver(id int) bool {
-	m, ok := net.queues[id].Recv()
-	if !ok {
+	m := net.queues[id].Pop()
+	if m == nil {
 		return false
 	}
 	from, to := net.linkOrder[id].From, net.linkOrder[id].To
 	if net.inj != nil {
-		out, fate := net.inj.Filter(from, to, m, int64(net.step))
+		out, fate := net.inj.Filter(from, to, *m, int64(net.step))
 		if fate == core.FateDrop && len(net.traffic) > 0 {
 			// Injected loss is attributed to the receiver side like every
 			// in-transit loss; the category lives in Stats.Faults.
-			net.emitTraffic(core.Event{Kind: core.EvLose, Proc: to, Peer: from, Instance: m.Instance, Msg: m})
+			net.emitTraffic(core.Event{Kind: core.EvLose, Proc: to, Peer: from, Instance: m.Instance, Msg: *m})
 		}
-		for _, dm := range out {
-			net.deliverMsg(id, from, to, dm)
+		for i := range out {
+			net.deliverMsg(id, from, to, &out[i])
 		}
 		return true
 	}
@@ -520,10 +530,10 @@ func (net *Network) deliver(id int) bool {
 // message left, whose cached receiver serves messages of the link's own
 // instance; any other message, and a flushed holdback (id -1), is routed
 // by its instance.
-func (net *Network) deliverMsg(id int, from, to core.ProcID, m core.Message) {
+func (net *Network) deliverMsg(id int, from, to core.ProcID, m *core.Message) {
 	net.stats.Deliveries++
 	if len(net.traffic) > 0 {
-		net.emitTraffic(core.Event{Kind: core.EvDeliver, Proc: to, Peer: from, Instance: m.Instance, Msg: m})
+		net.emitTraffic(core.Event{Kind: core.EvDeliver, Proc: to, Peer: from, Instance: m.Instance, Msg: *m})
 	}
 	var mach core.Machine
 	if id >= 0 && m.Instance == net.linkOrder[id].Instance {
@@ -532,7 +542,7 @@ func (net *Network) deliverMsg(id int, from, to core.ProcID, m core.Message) {
 		mach = net.routes[to][m.Instance]
 	}
 	if mach != nil {
-		mach.Deliver(net.envs[to], from, m)
+		mach.Deliver(net.envs[to], from, *m)
 	}
 	// A message addressed to an unknown instance (initial garbage) is
 	// consumed with no effect, exactly like a message whose receive
@@ -544,8 +554,9 @@ func (net *Network) deliverMsg(id int, from, to core.ProcID, m core.Message) {
 // fault plan is installed, so a delayed message on a quiet link still
 // surfaces on time.
 func (net *Network) flushFaults() {
-	for _, rel := range net.inj.Flush(int64(net.step)) {
-		net.deliverMsg(-1, rel.From, rel.To, rel.Msg)
+	rels := net.inj.Flush(int64(net.step))
+	for i := range rels {
+		net.deliverMsg(-1, rels[i].From, rels[i].To, &rels[i].Msg)
 	}
 }
 
@@ -561,16 +572,14 @@ func (net *Network) Lose(k LinkKey) bool {
 
 // lose is Lose on link id.
 func (net *Network) lose(id int) bool {
-	q := net.queues[id]
-	m, peeked := q.Peek()
-	if !peeked {
+	m := net.queues[id].Drop()
+	if m == nil {
 		return false
 	}
-	q.Drop()
 	net.stats.LinkLosses++
 	if len(net.traffic) > 0 {
 		k := net.linkOrder[id]
-		net.emitTraffic(core.Event{Kind: core.EvLose, Proc: k.To, Peer: k.From, Instance: m.Instance, Msg: m})
+		net.emitTraffic(core.Event{Kind: core.EvLose, Proc: k.To, Peer: k.From, Instance: m.Instance, Msg: *m})
 	}
 	return true
 }

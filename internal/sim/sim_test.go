@@ -569,6 +569,71 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// replier answers every REQ with a burst of REPLYs to its sender, then
+// checks that the message it was handed still reads as it did on entry.
+type replier struct {
+	inst    string
+	handled int
+	torn    []string
+}
+
+func (r *replier) Instance() string   { return r.inst }
+func (r *replier) Step(core.Env) bool { return false }
+
+func (r *replier) Deliver(env core.Env, from core.ProcID, m core.Message) {
+	if m.Kind != "REQ" {
+		return
+	}
+	entry := m
+	entry.B.Blob = append([]byte(nil), m.B.Blob...)
+	for i := uint8(0); i < 4; i++ {
+		env.Send(from, core.Message{Instance: r.inst, Kind: "REPLY", State: i, B: core.Payload{Tag: "reply", Num: int64(i), Blob: []byte{i}}})
+	}
+	r.handled++
+	if !m.Equal(entry) {
+		r.torn = append(r.torn, fmt.Sprintf("%v became %v", entry, m))
+	}
+}
+
+// TestDeliverySurvivesReplies delivers from the ring slot into a receive
+// action that sends back to its sender, on growing unbounded rings and
+// through a fault plan that duplicates every message: the receiver's copy
+// must not change under its own sends.
+func TestDeliverySurvivesReplies(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		dups bool // some REQ is delivered twice
+	}{
+		{"unbounded", []Option{WithUnbounded()}, false},
+		{"duplicating", []Option{WithCapacity(3), WithFaults(&core.FaultPlan{Seed: 2, Default: core.LinkFaults{DupRate: 0.9}})}, true},
+	} {
+		repliers := []*replier{{inst: "echo"}, {inst: "echo"}}
+		net := New([]core.Stack{{repliers[0]}, {repliers[1]}}, append([]Option{WithSeed(4)}, tc.opts...)...)
+		for from := core.ProcID(0); from < 2; from++ {
+			var reqs []core.Message
+			for i := 0; i < 3; i++ {
+				reqs = append(reqs, core.Message{Instance: "echo", Kind: "REQ", State: uint8(i), B: core.Payload{Tag: "req", Num: int64(from), Blob: []byte{byte(i), 7}}})
+			}
+			if err := net.Link(LinkKey{From: from, To: 1 - from, Instance: "echo"}).Preload(reqs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 500; i++ {
+			net.Step()
+		}
+		if handled := repliers[0].handled + repliers[1].handled; handled < 6 || (handled > 6) != tc.dups {
+			t.Errorf("%s: %d REQ deliveries of 6 preloaded", tc.name, handled)
+		}
+		for _, r := range repliers {
+			for _, torn := range r.torn {
+				t.Errorf("%s: %s", tc.name, torn)
+			}
+		}
+	}
+}
+
 // quietObserver is a core.ProtocolObserver that reads nothing.
 type quietObserver struct{}
 
