@@ -23,6 +23,10 @@ var lockRank = map[string]int{"mu": 1, "mbMu": 2, "injMu": 3}
 // taking any ranked mutex inside an atomic-section callback (a func
 // literal handed to a Do, Await or Eval method: Do bodies and awaited
 // conditions, wherever the waiter registry runs them, run under mu).
+// A TryLock never waits, so it may take any rank whatever is held (the
+// in-memory link's settle tries a receiver's mu under the sender's);
+// the mutex it took is held in the branch it guards, where a blocking
+// Lock of the same rank is still rejected.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "enforce the documented mu → mbMu → injMu lock order in the socket engine",
@@ -75,7 +79,11 @@ func walkLocks(pass *Pass, stmts []ast.Stmt, held map[string]token.Pos) {
 			if s.Init != nil {
 				walkLocks(pass, []ast.Stmt{s.Init}, held)
 			}
-			walkLocks(pass, s.Body.List, snapshot(held))
+			body := snapshot(held)
+			for _, name := range tryLocked(pass, s.Cond) {
+				body[name] = s.Cond.Pos()
+			}
+			walkLocks(pass, s.Body.List, body)
 			if s.Else != nil {
 				walkLocks(pass, []ast.Stmt{s.Else}, snapshot(held))
 			}
@@ -105,6 +113,23 @@ func walkLocks(pass *Pass, stmts []ast.Stmt, held map[string]token.Pos) {
 			})
 		}
 	}
+}
+
+// tryLocked returns the ranked mutexes that TryLock calls in the
+// top-level && chain of an if condition took: all of them are held
+// wherever the branch runs, and none is held in an else.
+func tryLocked(pass *Pass, cond ast.Expr) []string {
+	switch e := ast.Unparen(cond).(type) {
+	case *ast.BinaryExpr:
+		if e.Op == token.LAND {
+			return append(tryLocked(pass, e.X), tryLocked(pass, e.Y)...)
+		}
+	case *ast.CallExpr:
+		if name, op := rankedLockCall(pass, e); op == "TryLock" || op == "TryRLock" {
+			return []string{name}
+		}
+	}
+	return nil
 }
 
 func walkCases(pass *Pass, body *ast.BlockStmt, held map[string]token.Pos) {
@@ -164,7 +189,7 @@ func walkFuncLits(pass *Pass, call *ast.CallExpr) {
 	}
 }
 
-// rankedLockCall recognizes x.<mu>.<Lock|Unlock|RLock|RUnlock>() where
+// rankedLockCall recognizes x.<mu>.<Lock|Unlock|RLock|RUnlock|TryLock|TryRLock>() where
 // <mu> is one of the ranked mutex fields with a sync.Mutex or
 // sync.RWMutex type, returning the field name and the operation.
 func rankedLockCall(pass *Pass, call *ast.CallExpr) (field, op string) {
@@ -173,7 +198,7 @@ func rankedLockCall(pass *Pass, call *ast.CallExpr) (field, op string) {
 		return "", ""
 	}
 	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
+	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
 	default:
 		return "", ""
 	}

@@ -56,6 +56,49 @@ func (c *conn) injBeforeMb() {
 	c.injMu.RUnlock()
 }
 
+// trySettle is the in-memory link's settle: holding its own mu, a node
+// tries a peer's, which never waits, and takes the peer's mbMu under it.
+func (c *conn) trySettle(peer *conn) {
+	c.mu.Lock()
+	if c.n > 0 && peer.mu.TryLock() {
+		peer.mbMu.Lock()
+		peer.n++
+		peer.mbMu.Unlock()
+		peer.mu.Unlock()
+	}
+	c.mu.Unlock()
+}
+
+// tryUnderMb: a TryLock may take a lower rank than one held.
+func (c *conn) tryUnderMb() {
+	c.mbMu.Lock()
+	if c.mu.TryLock() {
+		c.mu.Unlock()
+	}
+	c.mbMu.Unlock()
+}
+
+// blockingSettle waits for the peer's mu where trySettle tries it.
+func (c *conn) blockingSettle(peer *conn) {
+	c.mu.Lock()
+	peer.mu.Lock() // want `acquires mu while already holding it`
+	peer.mu.Unlock()
+	c.mu.Unlock()
+}
+
+// tryLockedIsHeld: what a TryLock took is held in its branch.
+func (c *conn) tryLockedIsHeld(peer *conn) {
+	if peer.mu.TryLock() {
+		c.mu.Lock() // want `acquires mu while already holding it`
+		c.mu.Unlock()
+		peer.mu.Unlock()
+	}
+	if !peer.mu.TryLock() {
+		c.mu.Lock() // a TryLock that failed took nothing
+		c.mu.Unlock()
+	}
+}
+
 func (c *conn) branchesDoNotLeak(cond bool) {
 	if cond {
 		c.mbMu.Lock()

@@ -44,12 +44,16 @@
 // Every (group, peer, instance) channel is one record, a Chan: the last
 // message sent on it (under the action mutex mu), its capacity window
 // and its mailbox (under the node's mailbox lock mbMu, with the list of
-// channels that have mail). The link's receive side and the activation
-// loop are coupled only through that list: Arrive feeds the windows,
-// boxes the decoded messages and signals a wakeup channel; the loop swaps
-// the list out, then — under mu — takes each listed channel's mailbox and
-// delivers it, performing any resulting sends. The lock order is mu →
-// mbMu → injMu (snapvet's lockorder).
+// channels that have mail). The receive side and the drain are coupled
+// only through that list: a frame's arrival feeds the windows and boxes
+// the decoded messages; the drain section, under mu, swaps the list out,
+// takes each listed channel's mailbox and delivers it, performing any
+// resulting sends. On the sockets Arrive then signals a wakeup channel
+// and the node's activation loop drains. The in-memory link hands a
+// section's frames over on the sender's goroutine and then settles each
+// receiver: one whose loop is idle drains right there, under a mu taken
+// with TryLock, which never waits; a busy one is signalled, as on the
+// sockets. The lock order is mu → mbMu → injMu (snapvet's lockorder).
 //
 // The loop is event-driven end to end (DESIGN.md §7): a section that
 // delivered mail ends, before its frames leave, by stepping the stacks it
@@ -159,8 +163,10 @@ func WithBatch(k int) Option {
 
 // WithObserver subscribes an event observer on the default group.
 // Callbacks arrive concurrently from the link's goroutines (mailbox-full
-// EvLose, EvSendLost on a dead connection) and the activation loop
-// (everything else), so the observer must be goroutine-safe.
+// EvLose, EvSendLost on a dead connection) and whichever goroutine runs
+// an atomic section (everything else: the activation loop, a Do or Await
+// caller, and on the in-memory link a sender delivering for an idle
+// receiver), so the observer must be goroutine-safe.
 func WithObserver(ob core.Observer) Option {
 	return func(o *options) { o.observers = append(o.observers, ob) }
 }
@@ -215,6 +221,10 @@ type LinkConfig struct {
 	Arrive func(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message)
 	// IO is where the link counts its socket traffic.
 	IO *IOCounters
+
+	// node is the receiving node, for the in-memory link, which hands it
+	// frames without Arrive's wake-up and then settles it (memory.go).
+	node *Node
 }
 
 // IOCounters counts what a link's sockets moved: frames (datagrams on
@@ -478,7 +488,7 @@ type Node struct {
 	// calls, protocol actions or observers.
 	mbMu  sync.Mutex
 	ready []*Chan       // the channels with a non-empty mailbox, each listed once
-	spare []*Chan       // the drained list, swapped back in by drainMail
+	spare []*Chan       // the drained list, swapped back in by drain
 	mail  chan struct{} // capacity 1: drain wakeup
 
 	started  atomic.Bool
@@ -532,7 +542,7 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 	link, err := t.Bind(LinkConfig{
 		Self: self, Listen: laddr, Peers: len(peers), Instances: len(stack),
 		Capacity: o.capacity, Topology: o.topology,
-		Arrive: n.arrive, IO: &n.io,
+		Arrive: n.arrive, IO: &n.io, node: n,
 	})
 	if err != nil {
 		return nil, err
@@ -710,33 +720,42 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	g.emit(ev)
 }
 
-// arrive is LinkConfig.Arrive: it feeds one frame's headers to the
-// channels' windows and pushes each carried message through its group's
-// fault plane into its channel's mailbox.
+// arrive is LinkConfig.Arrive: it takes one frame in and wakes the
+// activation loop to drain what the frame left. It is the sockets' way
+// in; the in-memory link calls receive and settle instead.
 func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message) {
+	if n.receive(sender, gid, links, msgs) {
+		n.signal()
+	}
+}
+
+// receive feeds one frame's headers to the channels' windows and pushes
+// each carried message through its group's fault plane into its
+// channel's mailbox. It reports whether the frame left work for a drain:
+// boxed mail, or a probe, which a tick answers and the drain sets the
+// timer for. Whoever called it wakes the loop (arrive) or drains (settle).
+func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message) (owed bool) {
 	g := n.groups.Load().byID[gid]
 	if g == nil {
-		return // no such group here (stale or stray traffic): dropped
+		return false // no such group here (stale or stray traffic): dropped
 	}
 	if g.topo != nil && !g.topo.HasEdge(sender, n.self) {
-		return // not a neighbour in this group's graph: dropped
+		return false // not a neighbour in this group's graph: dropped
 	}
 	// Headers first: the acknowledgments release our own windows, and the
 	// frame's messages occupy the sender's until they are consumed.
 	n.mbMu.Lock()
 	for _, h := range links {
 		g.channel(sender, h.Instance).w.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
-		if h.Probe {
-			n.signal() // a tick answers it: the drain sets the timer
-		}
+		owed = owed || h.Probe
 	}
 	n.mbMu.Unlock()
 	if g.inj != nil {
-		n.traffic(g, sender, links)
+		owed = n.traffic(g, sender, links) || owed
 	}
 	for _, m := range msgs {
 		if g.inj == nil {
-			n.box(g, sender, m)
+			owed = n.box(g, sender, m) || owed
 			continue
 		}
 		// Per logical message, never per frame: packing is invisible to
@@ -761,17 +780,19 @@ func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, m
 			g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
 		}
 		for _, dm := range out {
-			n.box(g, sender, dm)
+			owed = n.box(g, sender, dm) || owed
 		}
 	}
+	return owed
 }
 
 // traffic shows the fault plane every header of a frame that carried no
 // message — a probe or an echo — as traffic on its link (DESIGN.md §9),
 // so a reorder holdback that keeps its sender's window shut leaves with
 // the sender's probe. A released message keeps the window slot it has
-// held since it arrived, as in flushDelayed.
-func (n *Node) traffic(g *Group, sender core.ProcID, links []wire.LinkHeader) {
+// held since it arrived, as in flushDelayed. It reports whether it boxed
+// anything.
+func (n *Node) traffic(g *Group, sender core.ProcID, links []wire.LinkHeader) (boxed bool) {
 	for _, h := range links {
 		if h.Count != 0 {
 			continue // its messages pass Filter, which releases the link
@@ -783,12 +804,14 @@ func (n *Node) traffic(g *Group, sender core.ProcID, links []wire.LinkHeader) {
 		rel = append([]core.Message(nil), rel...)
 		g.injMu.Unlock()
 		for _, m := range rel {
-			n.box(g, sender, m)
+			boxed = n.box(g, sender, m) || boxed
 		}
 	}
+	return boxed
 }
 
 // flushDelayed surfaces expired delayed messages even on quiet links.
+// It wakes nobody: the tick that calls it drains next.
 func (n *Node) flushDelayed() {
 	for _, g := range n.groups.Load().list {
 		if g.inj == nil {
@@ -806,11 +829,12 @@ func (n *Node) flushDelayed() {
 }
 
 // box appends one in-transit message to its channel's bounded mailbox
-// and wakes the activation loop. A message that finds the mailbox full is
-// dropped, lose-on-full — the model's link loss, not a send failure. The
-// mailbox has one slot per window slot, so only traffic that ignored the
-// window (or a fault-plane duplicate) is lost here.
-func (n *Node) box(g *Group, sender core.ProcID, m core.Message) {
+// and reports whether it did, so that its caller sees a drain follow. A
+// message that finds the mailbox full is dropped, lose-on-full — the
+// model's link loss, not a send failure. The mailbox has one slot per
+// window slot, so only traffic that ignored the window (or a fault-plane
+// duplicate) is lost here.
+func (n *Node) box(g *Group, sender core.ProcID, m core.Message) bool {
 	n.mbMu.Lock()
 	c := g.channel(sender, m.Instance)
 	full := len(c.box) >= n.capacity
@@ -827,11 +851,11 @@ func (n *Node) box(g *Group, sender core.ProcID, m core.Message) {
 		g.mailboxDrops.Add(1)
 		g.peers[sender].dropped.Add(1)
 		g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
-		return
+		return false
 	}
 	g.recvs.Add(1)
 	g.peers[sender].recvd.Add(1)
-	n.signal()
+	return true
 }
 
 // signal wakes the activation loop to drain.
@@ -843,8 +867,10 @@ func (n *Node) signal() {
 }
 
 // actLoop delivers mail as soon as Arrive signals it and runs the step
-// tick when the timer fires. No wakeup is lost: box signals after it
-// appends, so a token is pending whenever an append followed a swap.
+// tick when the timer fires. No wakeup is lost: whoever boxed mail either
+// signals after the append (arrive, a settle that found the node busy)
+// or drains it itself (settle), so mail appended after a drain's swap is
+// always owed a drain.
 func (n *Node) actLoop() {
 	defer n.wg.Done()
 	defer n.linkOnce.Do(n.link.Stop)
@@ -955,25 +981,55 @@ func (n *Node) control(g *Group) {
 	}
 }
 
-// drainMail swaps the ready list out (one swap under the mailbox lock,
-// batching the handoff) and, under the action mutex, takes each listed
-// channel's mailbox and delivers it; the groups that got mail then
-// settle. A group inside a crash window is skipped: its mail stays in
-// transit, untouched where it is, and its channels go back on the
-// list for the step tick to retry. A detached group's channels drop off
-// the list, and its mail with them. Every drain sets the timer: consumed
-// mail owes an acknowledgment, and an arrived probe its answer.
+// drainMail runs the drain section under the action mutex: the loop's
+// answer to a wakeup, and the head of its step tick.
 func (n *Node) drainMail() {
+	n.mu.Lock()
+	n.drain()
+	n.mu.Unlock()
+}
+
+// settle takes the mail an in-memory Write just boxed at n (memory.go).
+// If n's loop runs and no section holds n's action mutex, the drain
+// section runs here, on the sender's goroutine, and n's loop never wakes
+// for it. Otherwise — n busy, not started, or halted — the loop gets the
+// wakeup arrive gives. TryLock never waits, so a sender holding its own
+// mu cannot deadlock here; and a mutex this goroutine already holds fails
+// it, so a node appears on a goroutine's stack at most once: a reply to
+// a node further up the stack is a wakeup, and that node's loop takes it
+// without sleeping once its section ends.
+func (n *Node) settle() {
+	if n.started.Load() && n.mu.TryLock() {
+		select {
+		case <-n.stop: // halted: its mail stays boxed, as the loop left it
+		default:
+			n.drain()
+			n.mu.Unlock()
+			return
+		}
+		n.mu.Unlock()
+	}
+	n.signal()
+}
+
+// drain is the section that delivers mail, wherever it runs (drainMail,
+// settle): it swaps the ready list out (one swap under the mailbox lock,
+// batching the handoff), takes each listed channel's mailbox and
+// delivers it; the groups that got mail then settle. A group inside a
+// crash window is skipped: its mail stays in transit, untouched where it
+// is, and its channels go back on the list for the step tick to retry. A
+// detached group's channels drop off the list, and its mail with them.
+// Every drain sets the timer: consumed mail owes an acknowledgment, and
+// an arrived probe its answer. Callers hold n.mu.
+func (n *Node) drain() {
 	n.mbMu.Lock()
 	batch := n.ready
 	n.ready, n.spare = n.spare, nil
 	n.mbMu.Unlock()
 
-	n.mu.Lock()
 	n.owe()
 	held := n.deliver(batch)
 	n.flush()
-	n.mu.Unlock()
 
 	n.mbMu.Lock()
 	n.ready = append(n.ready, held...)
@@ -982,10 +1038,11 @@ func (n *Node) drainMail() {
 	n.mbMu.Unlock()
 }
 
-// deliver is drainMail's atomic section up to its flush, a call of its
-// own so that its frame is off the stack while the section's frames
-// leave (the in-memory link's Write runs the peers' Arrive on this
-// goroutine). It returns the channels held through a crash window.
+// deliver is drain's atomic section up to its flush, a call of its own
+// so that its frame is off the stack while the section's frames leave
+// (the in-memory link's Write runs the peers' receive, and their drains,
+// on this goroutine). It returns the channels held through a crash
+// window.
 // Callers hold n.mu.
 func (n *Node) deliver(batch []*Chan) (held []*Chan) {
 	gs := n.groups.Load()

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -16,10 +17,12 @@ const memoryFaultSalt = 0x52
 // Memory returns the in-memory transport, the third Link beside udp and
 // tcp: the nodes bound through one returned value share an address space
 // of their own, and the frames an atomic section closed reach their
-// peers' Arrive, as the header and message values themselves, as the
+// peers' mailboxes, as the header and message values themselves, as the
 // section ends. They are the frames the sockets ship, packed and stamped
-// by the same framer; only the encoding is skipped, and no goroutine
-// runs. The channel semantics — window, mailbox, fault plane — are the
+// by the same framer; only the encoding is skipped, and the link runs no
+// goroutine. A receiver whose loop is idle then delivers its mail on the
+// sender's goroutine (Node.settle); a busy one is woken, as on sockets.
+// The channel semantics — window, mailbox, fault plane — are the
 // engine's, as on sockets.
 func Memory() Transport { return new(memNet).transport() }
 
@@ -48,6 +51,7 @@ type memLink struct {
 	net   *memNet
 	addr  string
 	peers []*memLink
+	owed  []*Node // Write scratch: the receivers to settle; under the node's mu
 }
 
 func (l *memLink) Addr() string { return l.addr }
@@ -65,11 +69,15 @@ func (l *memLink) Wire(peer core.ProcID, addr string) error {
 	return nil
 }
 
-// Write hands every frame to its peer's Arrive, on the caller's goroutine
-// and under the caller's action mutex: Arrive takes the receiving node's
-// mailbox and injector locks and never an action mutex, so the lock
-// order mu → mbMu → injMu holds across nodes. Nothing can fail, so every
-// frame counts as sent as it is handed over.
+// Write puts every frame in its peer's mailboxes, on the caller's
+// goroutine and under the caller's action mutex, taking only the
+// receiving node's mailbox and injector locks; then, once the section's
+// frames are all in — each link's in section order, so FIFO holds — it
+// settles each receiver they left work for, once, in the order their
+// first frames came. Settling tries a receiver's action mutex and never
+// waits for one, so the lock order mu → mbMu → injMu holds across nodes.
+// A peer with no node (a test's hand-driven end) gets its Arrive. Nothing
+// can fail, so every frame counts as sent as it is handed over.
 func (l *memLink) Write(frames []Frame) {
 	self := l.cfg.Self
 	for i := range frames {
@@ -82,7 +90,17 @@ func (l *memLink) Write(frames []Frame) {
 		f.Sent()
 		for ; copies > 0; copies-- {
 			to.cfg.IO.RecvFrames.Add(1)
-			to.cfg.Arrive(self, f.Group, f.Links, f.Msgs)
+			rn := to.cfg.node
+			switch {
+			case rn == nil:
+				to.cfg.Arrive(self, f.Group, f.Links, f.Msgs)
+			case rn.receive(self, f.Group, f.Links, f.Msgs) && !slices.Contains(l.owed, rn):
+				l.owed = append(l.owed, rn)
+			}
 		}
 	}
+	for _, rn := range l.owed {
+		rn.settle()
+	}
+	l.owed = l.owed[:0]
 }
