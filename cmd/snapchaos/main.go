@@ -31,8 +31,8 @@
 //	snapchaos -list
 //
 // -capacity c runs every cluster at the known channel bound c
-// (snapstab.WithCapacity); 0 keeps each substrate's own default, c = 1 on
-// sim and runtime and c = 2 on udp and tcp.
+// (snapstab.WithCapacity); 0 keeps the default, the paper's c = 1 on
+// every substrate.
 //
 // A selection of exactly one run (one scenario, one protocol, one
 // substrate) also prints its counters and the fault plane's totals, as
@@ -66,7 +66,7 @@ func main() {
 		substrateF = flag.String("substrate", "all", "execution substrate: sim, runtime, udp, tcp, or all")
 		n          = flag.Int("n", 4, "number of processes (>= 2)")
 		topologyF  = flag.String("topology", "", "route over this graph: a family name (complete, ring, line, star, tree, gnp:<p>) or a graph.txt file; default = each protocol's native graph")
-		capacity   = flag.Int("capacity", 0, "known channel capacity bound c (0 = each substrate's default)")
+		capacity   = flag.Int("capacity", 0, "known channel capacity bound c (0 = the default, c = 1)")
 		seed       = flag.Uint64("seed", 1, "root seed for faults, corruption, and the sim scheduler")
 		timeout    = flag.Duration("timeout", 2*time.Minute, "per-run deadline")
 		failures   = flag.String("failures", "", "append failing run descriptors to this file")
@@ -119,7 +119,7 @@ type config struct {
 	// graph); Topo is its resolved form.
 	Topology string
 	Topo     snapstab.Topology
-	// Capacity is the -capacity flag value (0 = each substrate's default).
+	// Capacity is the -capacity flag value (0 = the default, c = 1).
 	Capacity int
 	Seed     uint64
 	Timeout  time.Duration
@@ -160,7 +160,7 @@ func run(w io.Writer, cfg config) (failed []string, err error) {
 		return nil, fmt.Errorf("need n >= 2, got %d", cfg.N)
 	}
 	if cfg.Capacity < 0 || cfg.Capacity > window.MaxCapacity {
-		return nil, fmt.Errorf("need capacity in 1..%d, or 0 for each substrate's default, got %d", window.MaxCapacity, cfg.Capacity)
+		return nil, fmt.Errorf("need capacity in 1..%d, or 0 for the default, got %d", window.MaxCapacity, cfg.Capacity)
 	}
 	scNames := make([]string, len(scenarios))
 	for i, sc := range scenarios {

@@ -11,7 +11,9 @@ import (
 // peer B over a bounded FIFO that may lose or duplicate any frame; B's
 // pipeline may consume its messages in any order (a fault plane's
 // holdback); echoes and probe answers return over a second such FIFO;
-// and B may restart once, forgetting everything. The real state machine
+// and B may restart once, forgetting everything. A probes with every
+// refused send, as the engine does; it receives no data, so its own tick
+// owes nothing and is not modelled. The real state machine
 // runs inside the exploration, exactly as the PIF machines do in the
 // other analyses.
 
@@ -53,8 +55,7 @@ type wconf struct {
 // link does when the network and the peer behave. Liveness is judged on
 // those alone.
 const (
-	wSend = iota // A tries to send one message
-	wTickA
+	wSend = iota // A tries to send one message; a refusal probes
 	wTickB
 	wDeliverAB
 	wDeliverBA
@@ -125,14 +126,13 @@ func (s *wconf) apply(op, c int) bool {
 		if s.a.Admit() {
 			s.sent++
 			s.pushAB(wframe{h: s.a.Stamp(false), data: true})
-		}
-	case wTickA:
-		if ctl := s.a.Tick(); ctl != window.None {
-			s.pushAB(wframe{h: s.a.Stamp(ctl == window.Probe)})
+		} else {
+			// Refused: the link's header leaves all the same, probing.
+			s.pushAB(wframe{h: s.a.Stamp(true)})
 		}
 	case wTickB:
-		if ctl := s.b.Tick(); ctl != window.None {
-			s.pushBA(wframe{h: s.b.Stamp(ctl == window.Probe)})
+		if s.b.Tick() {
+			s.pushBA(wframe{h: s.b.Stamp(false)})
 		}
 	case wDeliverAB:
 		if s.nab == 0 {

@@ -121,6 +121,14 @@ func (l *LinkOut) Due() (at time.Duration, armed bool) {
 	return l.sentAt + l.rto, l.rto != 0
 }
 
+// Expedite makes a repeat of the link's last message due at now: the
+// window that refused it reopened, so it need not wait out its deadline.
+func (l *LinkOut) Expedite(now time.Duration) {
+	if l.used {
+		l.rto = max(now-l.sentAt, 1)
+	}
+}
+
 // Disarm stops the timer from waking for the link, whose deadline passed
 // without a repeat: its last message is no longer what its stack says.
 // A tick path that says it again still finds it due.
@@ -184,6 +192,11 @@ func (ws *Waiters) Settle(s Stack, envs *[NumPaths]Env, path SendPath) {
 func (ws *Waiters) Refused(path SendPath) {
 	ws.refused = ws.refused || path == PathEager
 }
+
+// Reopened records that an acknowledgment reopened a window which had
+// refused a send: stepping into it loses nothing now, so eager stepping
+// resumes without waiting for the timer step.
+func (ws *Waiters) Reopened() { ws.refused = false }
 
 // Wait blocks until w is released (nil), ctx ends (ctx.Err()), or stop or
 // done (nil: never) closes (ErrClosed), and leaves w unregistered; mu is

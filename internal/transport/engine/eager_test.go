@@ -243,9 +243,13 @@ func TestDuplicateEchoCostsNothing(t *testing.T) {
 // TestTickRecoversDroppedFlag: a lost flag stalls its link until its
 // repeat deadline, half a step after the flag left: the first tick at
 // or past it repeats the flag, and the broadcast
-// costs exactly one retransmission on top of its 4(c+1)(n-1) sends.
+// costs exactly one retransmission on top of its 4(c+1)(n-1) sends. It
+// runs at c = 2, where the window has room for the repeat: at c = 1 the
+// lost flag holds the only slot, the repeat is refused and probes, and
+// it leaves once the answer reopened the window.
 func TestTickRecoversDroppedFlag(t *testing.T) {
-	pn, nodes, machines := still(t, 3)
+	stacks, machines := pifStacksAt(3, 2)
+	pn, nodes := stillStacks(t, stacks, WithCapacity(2))
 	warm(t, nodes, machines)
 	before, _ := totals(nodes)
 	flags := 0
@@ -274,7 +278,7 @@ func TestTickRecoversDroppedFlag(t *testing.T) {
 	pump(nodes)
 	settled(t, nodes[0], errc)
 	after, retransmits := totals(nodes)
-	if want := int64(4*(DefaultCapacity+1)*2 + 1); after-before != want || retransmits != 1 {
+	if want := int64(4*(2+1)*2 + 1); after-before != want || retransmits != 1 {
 		t.Fatalf("%d sends, %d retransmissions; want %d and 1", after-before, retransmits, want)
 	}
 }
@@ -568,10 +572,12 @@ func TestDelayedMailSurfacesFromTick(t *testing.T) {
 // holds back every message it can, so of c messages sent at once the
 // last is held: it keeps the receiver's pipeline occupied, no
 // acknowledgment covers the others, and the sender's next send is
-// refused. Its step tick then sends a probe — a header with no message —
-// and that header's arrival carries the holdback out. The fault clock
-// is in hours and reads 0 throughout: ReorderFlushGrace never passes, so
-// nothing but the probe can release it.
+// refused. The refusing section sends a probe — a header with no
+// message — and that header's arrival carries the holdback out; the
+// drain that delivers it answers the probe, so no tick runs at either
+// end. The fault clock is in hours and reads 0 throughout:
+// ReorderFlushGrace never passes, so nothing but the probe can release
+// it.
 func TestProbeReleasesReorderHoldback(t *testing.T) {
 	var got deliveries
 	plan := &core.FaultPlan{Unit: time.Hour, Links: map[core.LinkSel]core.LinkFaults{{From: 1, To: 0}: {ReorderRate: 0.999}}}
@@ -598,18 +604,16 @@ func TestProbeReleasesReorderHoldback(t *testing.T) {
 	if !got.upTo(DefaultCapacity-1) || held() != 1 {
 		t.Fatalf("after the window's worth: deliveries %v, %d held; want 1..%d and 1", got.snapshot(), held(), DefaultCapacity-1)
 	}
-	send(DefaultCapacity+1, DefaultCapacity+1)
+	send(DefaultCapacity+1, DefaultCapacity+1) // refused, and the probe
 	if s := nodes[1].Stats(); s.SendDrops != 1 || s.Links[0].InFlight != DefaultCapacity {
 		t.Fatalf("sender: %d send drops, %d in flight; want the window shut at %d and the send refused",
 			s.SendDrops, s.Links[0].InFlight, DefaultCapacity)
 	}
 
-	nodes[1].tick() // the probe
-	nodes[0].drainMail()
+	nodes[0].drainMail() // the delivery, and the probe's answer
 	if s := nodes[1].Stats(); s.ProbeFrames != 1 || !got.upTo(DefaultCapacity) || held() != 0 {
 		t.Fatalf("after %d probes: deliveries %v, %d held; want one probe to deliver 1..%d", s.ProbeFrames, got.snapshot(), held(), DefaultCapacity)
 	}
-	nodes[0].tick() // the probe's answer
 	if l := nodes[1].Stats().Links[0]; l.InFlight != 0 || l.PeakInFlight > DefaultCapacity {
 		t.Fatalf("sender's window after the answer: %d in flight, peak %d; want 0 and at most %d", l.InFlight, l.PeakInFlight, DefaultCapacity)
 	}
@@ -662,7 +666,7 @@ func TestCorruptedMailIsLost(t *testing.T) {
 // its window slots come back, and the acknowledgment leaves as an echo.
 func TestUnknownInstanceMailIsConsumed(t *testing.T) {
 	var got deliveries
-	_, nodes, _ := still(t, 2, WithObserver(&got))
+	_, nodes, _ := still(t, 2, WithObserver(&got), WithCapacity(2)) // room for the frame's two messages
 	n := nodes[0]
 	n.arrive(1, 0, []wire.LinkHeader{{Instance: "nope", Seq: 9, Count: 2}},
 		[]core.Message{{Instance: "nope", Kind: "K"}, {Instance: "nope", Kind: "K"}})

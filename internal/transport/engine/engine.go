@@ -18,9 +18,12 @@
 //     to Deliver or drops it; a send into a full window is lost at the
 //     sender (core.EvSendLost, Note "window"). The receiver reports
 //     consumption in the link headers of whatever it sends next, or in
-//     an echo the step timer adds to its next frame to the peer; a
-//     sender refused at a shut window probes from the same timer, so a
-//     lost echo or a restarted peer cannot wedge the link
+//     an echo the step timer adds to its next frame to the peer. A shut
+//     window costs one turnaround: the refused send's section ships the
+//     link's header, probing; the drain that reads the probe answers it;
+//     and the acknowledgment that reopens the window makes the refused
+//     message due at once. So a lost echo or a restarted peer cannot
+//     wedge the link, and no refusal waits for a timer
 //     (internal/window is the state machine);
 //   - each (group, sender, instance) triple gets a mailbox of c slots at
 //     the receiver. A window-admitted message always finds room; the
@@ -59,12 +62,14 @@
 // delivered mail ends, before its frames leave, by stepping the stacks it
 // delivered to and re-evaluating their awaited conditions
 // (core.Waiters.Settle); what a Step would send again, the channel's
-// core.LinkOut holds back until its repeat deadline. One timer drives the
-// loop and runs one section, the step tick: every group steps on the tick
-// path, so the links that came due repeat, and the windows' control and
-// the fault plane's delays run. It is set for the earliest thing owed —
-// an armed link's deadline, or a step interval on while a window owes
-// control, a fault plan runs or an Await waits — and parks when nothing is.
+// core.LinkOut holds back until its repeat deadline, which an
+// acknowledgment reopening a window that refused the message moves to
+// now. One timer drives the loop and runs one section, the step tick:
+// every group steps on the tick path, so the links that came due repeat,
+// and the windows' control and the fault plane's delays run. It is set
+// for the earliest thing owed — an armed link's deadline, or a step
+// interval on while a window owes control, a fault plan runs or an Await
+// waits — and parks when nothing is.
 //
 // # One framer
 //
@@ -101,12 +106,13 @@ import (
 // DefaultCapacity is the per-link capacity bound c enforced by default:
 // the window of every directed (peer, group, instance) link, the mailbox
 // size, and the bound protocol stacks must be built with (flag top
-// 2c+2 = 6). It is the smallest c that loses nowhere (DESIGN.md §7): a
-// request costs 2c+2 flag rounds per peer, so c = 2 sends 40 % fewer
-// frames than c = 4, while at c = 1 an endpoint that both answers and
-// initiates on one link finds its window shut behind its own answer, and
-// its new flags are refused until the acknowledgment returns.
-const DefaultCapacity = 2
+// 2c+2 = 4). It is the paper's c, the smallest there is (DESIGN.md §7):
+// a request costs 2c+2 flag rounds per peer, so c = 1 sends a third
+// fewer frames than c = 2. An endpoint that both answers and initiates
+// on one link often finds its one slot held by its own answer; the
+// refused flag then leaves one turnaround later, when the
+// acknowledgment its probe asked for reopens the window.
+const DefaultCapacity = 1
 
 // stepInterval paces repetition (core.LinkOut has the rule): a link's
 // last message is repeated half an interval after it left new, then once
@@ -422,8 +428,10 @@ type Chan struct {
 	out core.LinkOut // the sender's last message; under n.mu
 
 	// Under n.mbMu.
-	w   window.Link
-	box []core.Message // arrived, not yet taken by a drain: at most c
+	w        window.Link
+	box      []core.Message // arrived, not yet taken by a drain: at most c
+	reopened bool           // an acknowledgment reopened w after a refusal
+	heard    bool           // listed in n.heard
 }
 
 // channel returns g's record for (peer, instance), creating it on first
@@ -442,10 +450,12 @@ func (g *Group) channel(peer core.ProcID, instance string) *Chan {
 	return c
 }
 
-// due is one control frame the step tick owes.
+// due is what a section owes one channel: its header in the frame to
+// the peer, or a repeat of its last message now.
 type due struct {
-	c     *Chan
-	probe bool
+	c      *Chan
+	header bool
+	repeat bool
 }
 
 // Node is one process on one link, hosting one or more groups.
@@ -468,7 +478,7 @@ type Node struct {
 	// atomic section ends with flush.
 	mu    sync.Mutex
 	out   []Frame        // the section's frames, in the order they opened
-	due   []due          // step-timer scratch: control headers due
+	due   []due          // control and answer scratch
 	dirty []*Group       // drain scratch: groups that got mail
 	taken []core.Message // drain scratch: the mailbox being delivered
 
@@ -489,6 +499,7 @@ type Node struct {
 	mbMu  sync.Mutex
 	ready []*Chan       // the channels with a non-empty mailbox, each listed once
 	spare []*Chan       // the drained list, swapped back in by drain
+	heard []*Chan       // the channels a header asked to answer or repeat, each listed once
 	mail  chan struct{} // capacity 1: drain wakeup
 
 	started  atomic.Bool
@@ -684,6 +695,9 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	c := g.channel(to, m.Instance)
 	send, repeat := c.out.Pass(v.path, m, now, stepInterval)
 	admitted := send && c.w.Admit()
+	// A message that leaves supersedes whatever the window refused
+	// before: nothing refused is owed a repeat any more.
+	c.reopened = c.reopened && !admitted
 	n.mbMu.Unlock()
 	// The timer wakes for the link's deadline: a send refused below is
 	// lost and tried again then, and a repeat Pass held back on a
@@ -695,7 +709,11 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	}
 	if !admitted {
 		// The link already holds c unconsumed messages: the send is lost
-		// at the sender, the model's rule for a full channel.
+		// at the sender, the model's rule for a full channel. The link's
+		// header leaves in this section all the same, probing, so the
+		// acknowledgment that reopens the window is a turnaround away.
+		f, j := n.frame(c, 0)
+		f.Links[j].Probe = true
 		lost("window")
 		return
 	}
@@ -732,8 +750,9 @@ func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, m
 // receive feeds one frame's headers to the channels' windows and pushes
 // each carried message through its group's fault plane into its
 // channel's mailbox. It reports whether the frame left work for a drain:
-// boxed mail, or a probe, which a tick answers and the drain sets the
-// timer for. Whoever called it wakes the loop (arrive) or drains (settle).
+// boxed mail, a probe to answer, or a window reopened after a refusal
+// (answer has both). Whoever called it wakes the loop (arrive) or drains
+// (settle).
 func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message) (owed bool) {
 	g := n.groups.Load().byID[gid]
 	if g == nil {
@@ -746,8 +765,15 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 	// frame's messages occupy the sender's until they are consumed.
 	n.mbMu.Lock()
 	for _, h := range links {
-		g.channel(sender, h.Instance).w.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
-		owed = owed || h.Probe
+		c := g.channel(sender, h.Instance)
+		if c.w.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count) {
+			c.reopened = true
+		}
+		if (h.Probe || c.reopened) && !c.heard {
+			c.heard = true
+			n.heard = append(n.heard, c)
+		}
+		owed = owed || h.Probe || c.reopened
 	}
 	n.mbMu.Unlock()
 	if g.inj != nil {
@@ -960,24 +986,60 @@ func (n *Node) owe() { n.wake = min(n.wake, n.clock()+stepInterval) }
 
 // control runs the timer edge of every channel of g, after the group's
 // own Step so that anything Step sent carries the acknowledgments: an
-// echo that found no data to ride on for a full step interval puts its
-// header in the peer's frame — an echo-only frame if Step sent the peer
-// nothing — and a window that refused a send while shut adds a probe.
-// Callers hold n.mu and flush.
+// echo that found no data to ride on for a full step interval, or a
+// probe no drain answered (one that arrived inside a crash window), puts
+// its header in the peer's frame — an echo-only frame if Step sent the
+// peer nothing. Callers hold n.mu and flush.
 func (n *Node) control(g *Group) {
 	n.due = n.due[:0]
 	n.mbMu.Lock()
 	for p := range g.peers {
 		for _, c := range g.peers[p].chans {
-			if ctl := c.w.Tick(); ctl != window.None && n.wired[p] {
-				n.due = append(n.due, due{c: c, probe: ctl == window.Probe})
+			if c.w.Tick() && n.wired[p] {
+				n.due = append(n.due, due{c: c, header: true})
 			}
 		}
 	}
 	n.mbMu.Unlock()
+	n.pay()
+}
+
+// answer ends a drain's section, after its deliveries settled, with what
+// the headers that arrived since the last drain asked for. A probe not
+// already answered by a frame this section sends the peer gets the
+// link's header — in such a frame, or an echo-only frame of its own —
+// and a link whose window an acknowledgment reopened after a refusal
+// repeats its last message now, from a tick the timer runs at once.
+// Neither waits for a step tick, so a shut window costs one turnaround.
+// A group inside a crash window answers nothing: its windows keep the
+// probe for the first tick after it. Callers hold n.mu and flush.
+func (n *Node) answer() {
+	gs := n.groups.Load()
+	n.due = n.due[:0]
+	n.mbMu.Lock()
+	for i, c := range n.heard {
+		if g := c.g; gs.byID[g.id] == g && !g.down() && n.wired[c.Peer] {
+			n.due = append(n.due, due{c: c, header: c.w.Probed(), repeat: c.reopened})
+		}
+		c.heard, c.reopened, n.heard[i] = false, false, nil
+	}
+	n.heard = n.heard[:0]
+	n.mbMu.Unlock()
+	n.pay()
+}
+
+// pay puts the headers n.due lists into the section's frames and makes
+// the repeats it lists due now. Callers hold n.mu and flush.
+func (n *Node) pay() {
 	for _, d := range n.due {
-		f, j := n.frame(d.c, 0)
-		f.Links[j].Probe = f.Links[j].Probe || d.probe
+		if d.header {
+			n.frame(d.c, 0)
+		}
+		if d.repeat {
+			now := n.clock()
+			d.c.out.Expedite(now)
+			n.wake = min(n.wake, now)
+		}
 	}
 }
 
@@ -1019,12 +1081,19 @@ func (n *Node) settle() {
 // crash window is skipped: its mail stays in transit, untouched where it
 // is, and its channels go back on the list for the step tick to retry. A
 // detached group's channels drop off the list, and its mail with them.
-// Every drain sets the timer: consumed mail owes an acknowledgment, and
-// an arrived probe its answer. Callers hold n.mu.
+// An acknowledgment that reopened a window ends its group's eager
+// stand-down (core.Waiters.Reopened) before anything settles, so this
+// drain's Step may say what the refusal held back. Every drain sets the
+// timer: consumed mail owes an acknowledgment. Callers hold n.mu.
 func (n *Node) drain() {
 	n.mbMu.Lock()
 	batch := n.ready
 	n.ready, n.spare = n.spare, nil
+	for _, c := range n.heard {
+		if c.reopened {
+			c.g.waiters.Reopened()
+		}
+	}
 	n.mbMu.Unlock()
 
 	n.owe()
@@ -1041,8 +1110,8 @@ func (n *Node) drain() {
 // deliver is drain's atomic section up to its flush, a call of its own
 // so that its frame is off the stack while the section's frames leave
 // (the in-memory link's Write runs the peers' receive, and their drains,
-// on this goroutine). It returns the channels held through a crash
-// window.
+// on this goroutine); it ends with answer. It returns the channels held
+// through a crash window.
 // Callers hold n.mu.
 func (n *Node) deliver(batch []*Chan) (held []*Chan) {
 	gs := n.groups.Load()
@@ -1085,6 +1154,7 @@ func (n *Node) deliver(batch []*Chan) (held []*Chan) {
 		g.waiters.Settle(g.stack, &g.envs, core.PathEager)
 	}
 	n.dirty = n.dirty[:0]
+	n.answer()
 	return held
 }
 

@@ -84,9 +84,9 @@ func hops(n int, forward bool) ([]core.Stack, []*hop) {
 // running starts a cluster of stacks on the in-memory link and waits
 // until every node's first tick has run and its timer parked: no loop
 // holds or is about to take its node's action mutex.
-func running(t *testing.T, stacks []core.Stack) []*Node {
+func running(t *testing.T, stacks []core.Stack, opts ...Option) []*Node {
 	t.Helper()
-	c, err := NewCluster(Memory(), stacks)
+	c, err := NewCluster(Memory(), stacks, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,14 @@ func TestSettleFallsBackToLoop(t *testing.T) {
 // drains inline on the goroutine that sent it until the ring reaches a
 // node whose section is further up the stack, which its loop then takes
 // up: no deadlock, and no stack ever holds more than one section per
-// node.
+// node. A hop never says a message twice, so the ring runs at c = 2: at
+// c = 1 a node forwarding the second lap before the first lap's
+// acknowledgment returned would find its window shut and lose the
+// message, as the model allows.
 func TestSettleRingDoesNotReenter(t *testing.T) {
 	const n, laps = 64, 2
 	stacks, machines := hops(n, true)
-	nodes := running(t, stacks)
+	nodes := running(t, stacks, WithCapacity(2))
 	send(nodes[0], 1, n*laps-1)
 	deadline := time.After(30 * time.Second)
 	for machines[0].got.Load() < laps {

@@ -53,8 +53,8 @@ func TestWakeOnMail(t *testing.T) {
 }
 
 // TestWakeOnProbe: a frame that carries only a probe boxes nothing, yet
-// the probe is answered at a tick, so its arrival wakes the loop, whose
-// drain sets the timer; the channel is listed for mail at most once.
+// the probe is owed its answer, so its arrival wakes the loop, whose
+// drain answers it; the channel is listed for mail at most once.
 func TestWakeOnProbe(t *testing.T) {
 	nodes := parked(t)
 	n := nodes[0]
@@ -67,12 +67,12 @@ func TestWakeOnProbe(t *testing.T) {
 	}
 	pin(n)
 	n.drainMail()
-	if !armed(n) {
-		t.Fatal("a probe-only frame left the timer parked: it would never be answered")
+	if s := n.Stats(); s.EchoFrames != 1 {
+		t.Fatalf("%d echo frames after the drain; want the probe answered there", s.EchoFrames)
 	}
 	ticks(nodes[:1])
 	if s := n.Stats(); s.EchoFrames != 1 || armed(n) {
-		t.Fatalf("%d echo frames, armed %v; want the probe answered and the node parked", s.EchoFrames, armed(n))
+		t.Fatalf("%d echo frames, armed %v; want no second answer and the node parked", s.EchoFrames, armed(n))
 	}
 
 	from1(n, 1, 1)

@@ -102,7 +102,8 @@ func (p *rawPeer) Restart() {
 // peer that cannot acknowledge is dropped, not delivered.
 func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
-	p, rec := recorderAtRawPeer(t, engine.WithBatch(1))
+	// c = 2: both messages go out on one link before any acknowledgment.
+	p, rec := recorderAtRawPeer(t, engine.WithBatch(1), engine.WithCapacity(2))
 	node := p.node
 	out := []core.Message{
 		{Instance: "rec", Kind: "K", B: core.Payload{Tag: "m", Num: 42, Blob: []byte("body")}},

@@ -35,13 +35,16 @@
 // reorder holdback that keeps the window shut would wait for data the
 // shut window refuses to send.
 //
-// Two timer-driven control frames keep the link live. An echo that has
-// waited a full tick without data to ride on leaves as an echo-only
-// frame. A sender that was refused while its window is shut emits a
-// probe — an empty, sequence-stamped frame through the same FIFO as
-// data — and the receiver answers it at its next tick: consuming the
-// probe proves everything before it was consumed or lost, so a lost
-// echo, a partition or a restarted peer cannot wedge the link.
+// Two control frames keep the link live. An echo that has waited a
+// full tick without data to ride on leaves as an echo-only frame
+// (Tick). A sender refused at a shut window emits a probe — an empty,
+// sequence-stamped header through the same FIFO as data — with every
+// refusal, and the receiver answers it as soon as it reads it (Probed).
+// Consuming the probe proves everything before it was consumed or lost,
+// so a lost echo, a partition or a restarted peer cannot wedge the link.
+// Arrive reports the acknowledgment that reopens a window which refused
+// a send, so the transport can send again at once instead of at a
+// deadline.
 //
 // The package is pure and clock-free: Tick is called by the transports'
 // step timer, which keeps ticking while Owes says a control frame may yet
@@ -66,21 +69,9 @@ type Header struct {
 	// Ack is the last sequence the frame's sender knows consumed on the
 	// reverse direction.
 	Ack uint64
-	// Probe asks the receiver to answer with its Ack at its next tick.
+	// Probe asks the receiver to answer with its Ack.
 	Probe bool
 }
-
-// Control is a frame Tick asks the transport to emit with no data.
-type Control uint8
-
-const (
-	// None: nothing is due.
-	None Control = iota
-	// Echo: an acknowledgment is overdue or a probe awaits its answer.
-	Echo
-	// Probe: the window is shut and a send was refused.
-	Probe
-)
 
 // Link is one endpoint of one bidirectional link. The zero value is
 // unusable; build one with NewLink. It is not goroutine-safe (the
@@ -93,14 +84,14 @@ type Link struct {
 	// Sender half: sequences base..next-1 are outstanding.
 	base, next uint64
 	peak       int
-	refused    bool // a send was refused since the last probe
+	blocked    bool // a send was refused since the window last reopened
 
 	// Receiver half.
 	hi       uint64 // last sequence the peer reported sent
 	occupied int    // peer's messages arrived here, not yet consumed
 	done     uint64 // last sequence known consumed: the Ack we send
 	echoed   uint64 // the Ack most recently put on the wire
-	probed   bool   // the peer probed; answer at the next tick
+	probed   bool   // the peer probed; answer with the next Stamp
 	aged     bool   // an echo has already waited one tick
 }
 
@@ -116,12 +107,13 @@ func NewLink(c int, first uint64) Link {
 // Admit reserves a slot for one outbound message, numbering it
 // implicitly with the next sequence. It returns false when c messages
 // are already in flight: the send is lost at the sender, and the
-// refusal arms the probe. A base past next (a corrupted state) is
-// nothing outstanding, so no state admits more than c.
+// transport sends a probe (Stamp(true)) with the refusal. A base past
+// next (a corrupted state) is nothing outstanding, so no state admits
+// more than c.
 func (l *Link) Admit() bool {
 	l.base = min(l.base, l.next)
 	if l.InFlight() >= l.c {
-		l.refused = true
+		l.blocked = true
 		return false
 	}
 	l.next++
@@ -161,16 +153,20 @@ func (l *Link) Stamp(probe bool) Header {
 
 // Arrive processes the header of a frame that carried n messages for
 // this link: the acknowledgment releases what it names, the sequence
-// and the messages enter the receiver half.
-func (l *Link) Arrive(h Header, n int) {
+// and the messages enter the receiver half. It reports whether the
+// acknowledgment reopened a window that refused a send while shut: the
+// refused message may leave now.
+func (l *Link) Arrive(h Header, n int) (reopened bool) {
 	if h.Ack >= l.base && h.Ack < l.next {
 		l.base = h.Ack + 1
+		reopened, l.blocked = l.blocked, false
 	}
 	l.hi = h.Seq
 	if h.Probe {
 		l.probed = true
 	}
 	l.Occupy(n)
+	return reopened
 }
 
 // Occupy adjusts the pipeline occupancy by d: negative when messages
@@ -184,26 +180,27 @@ func (l *Link) Occupy(d int) {
 	}
 }
 
-// Owes reports, changing nothing, whether a Tick now or later would emit
-// a control frame with no further input: the transport keeps ticking.
-func (l *Link) Owes() bool { return l.refused || l.probed || l.done != l.echoed }
+// Probed reports whether the peer probed and no header has answered it
+// yet.
+func (l *Link) Probed() bool { return l.probed }
 
-// Tick is the timer edge. It reports the control frame to emit now, if
-// any; the transport stamps and sends it (Stamp(ctl == Probe)).
-func (l *Link) Tick() Control {
-	if l.refused && l.InFlight() >= l.c {
-		l.refused = false
-		return Probe
-	}
-	l.refused = false
+// Owes reports, changing nothing, whether a Tick now or later would ask
+// for an echo with no further input: the transport keeps ticking.
+func (l *Link) Owes() bool { return l.probed || l.done != l.echoed }
+
+// Tick is the timer edge. It reports whether an echo is due now — an
+// acknowledgment that found no data to ride on for a full tick, or a
+// probe no header has answered — which the transport stamps
+// (Stamp(false)) and sends, with no data if it has none.
+func (l *Link) Tick() bool {
 	if l.probed {
-		return Echo
+		return true
 	}
 	if l.done != l.echoed {
 		if l.aged {
-			return Echo
+			return true
 		}
 		l.aged = true
 	}
-	return None
+	return false
 }

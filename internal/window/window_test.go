@@ -89,18 +89,18 @@ func TestEchoWaitsOneTickThenLeavesAlone(t *testing.T) {
 	a.Admit()
 	carry(&a, &b, false, 1)
 	b.Occupy(-1)
-	if got := b.Tick(); got != None {
-		t.Fatalf("first tick after consumption asked for %v; the echo must wait for data to ride on", got)
+	if b.Tick() {
+		t.Fatal("first tick after consumption asked for an echo; it must wait for data to ride on")
 	}
-	if got := b.Tick(); got != Echo {
-		t.Fatalf("second tick asked for %v, want Echo", got)
+	if !b.Tick() {
+		t.Fatal("second tick asked for no echo")
 	}
 	carry(&b, &a, false, 0)
 	if a.InFlight() != 0 {
 		t.Fatal("echo-only frame did not release the slot")
 	}
-	if got := b.Tick(); got != None {
-		t.Fatalf("tick after the echo left asked for %v", got)
+	if b.Tick() {
+		t.Fatal("tick after the echo left asked for another")
 	}
 	// Data going the other way carries the echo and cancels the timer.
 	a.Admit()
@@ -112,8 +112,8 @@ func TestEchoWaitsOneTickThenLeavesAlone(t *testing.T) {
 	if a.InFlight() != 0 {
 		t.Fatal("piggybacked acknowledgment did not release the slot")
 	}
-	if got := b.Tick(); got != None {
-		t.Fatalf("tick after a piggybacked echo asked for %v", got)
+	if b.Tick() {
+		t.Fatal("tick after a piggybacked echo asked for another")
 	}
 }
 
@@ -124,18 +124,12 @@ func TestProbeReopensAfterLostEchoAndRestart(t *testing.T) {
 	carry(&a, &b, false, 2)
 	b.Occupy(-2)
 	b.Stamp(false) // the echo leaves and is lost
-	if got := a.Tick(); got != None {
-		t.Fatalf("shut window with no refused send asked for %v", got)
-	}
 	if a.Admit() {
 		t.Fatal("send admitted into a shut window")
 	}
-	if got := a.Tick(); got != Probe {
-		t.Fatalf("tick after a refusal asked for %v, want Probe", got)
-	}
-	carry(&a, &b, true, 0)
-	if got := b.Tick(); got != Echo {
-		t.Fatalf("probed receiver's tick asked for %v, want Echo", got)
+	carry(&a, &b, true, 0) // the refusal's probe
+	if !b.Probed() || !b.Tick() {
+		t.Fatal("probed receiver owes no answer")
 	}
 	carry(&b, &a, false, 0)
 	if a.InFlight() != 0 {
@@ -146,9 +140,8 @@ func TestProbeReopensAfterLostEchoAndRestart(t *testing.T) {
 	a.Admit()
 	a.Admit()
 	b = NewLink(2, 900)
-	a.Admit()
-	if got := a.Tick(); got != Probe {
-		t.Fatalf("asked for %v, want Probe", got)
+	if a.Admit() {
+		t.Fatal("send admitted into a shut window")
 	}
 	carry(&a, &b, true, 0)
 	carry(&b, &a, false, 0)
@@ -173,5 +166,37 @@ func TestHoldbackKeepsTheSlot(t *testing.T) {
 	carry(&b, &a, false, 0)
 	if a.InFlight() != 0 {
 		t.Fatalf("in flight %d after the pipeline drained", a.InFlight())
+	}
+}
+
+// TestReopeningIsReported: the acknowledgment that reopens a window
+// which refused a send reports the reopening, once, and only after a
+// refusal; the answer to the refusal's probe clears the probe.
+func TestReopeningIsReported(t *testing.T) {
+	a, b := NewLink(1, 100), NewLink(1, 500)
+	a.Admit()
+	carry(&a, &b, false, 1)
+	b.Occupy(-1)
+	if h := b.Stamp(false); a.Arrive(h, 0) {
+		t.Fatal("an acknowledgment with no refusal before it reported a reopening")
+	}
+	a.Admit()
+	carry(&a, &b, false, 1)
+	if a.Admit() {
+		t.Fatal("send admitted into a shut window")
+	}
+	carry(&a, &b, true, 0) // the refusal's probe
+	if !b.Probed() {
+		t.Fatal("the receiver saw no probe")
+	}
+	b.Occupy(-1)
+	if !a.Arrive(b.Stamp(false), 0) || a.InFlight() != 0 {
+		t.Fatalf("the answer did not report the reopening (in flight %d)", a.InFlight())
+	}
+	if b.Probed() {
+		t.Fatal("the answer left the probe pending")
+	}
+	if a.Arrive(b.Stamp(false), 0) {
+		t.Fatal("a second acknowledgment reported the reopening again")
 	}
 }

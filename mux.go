@@ -34,8 +34,8 @@ type Mux struct {
 
 // newMux builds the shared socket layer with the one node-level option,
 // the window, which cannot vary per attached cluster.
-func newMux(build func(int, ...engine.Option) (*engine.Mux, error), sub Substrate, nProcs int, opts []Option) (*Mux, error) {
-	o := buildOptions(append([]Option{WithSubstrate(sub)}, opts...))
+func newMux(build func(int, ...engine.Option) (*engine.Mux, error), nProcs int, opts []Option) (*Mux, error) {
+	o := buildOptions(opts)
 	m, err := build(nProcs, engine.WithCapacity(o.capacity))
 	if err != nil {
 		return nil, err
@@ -46,13 +46,13 @@ func newMux(build func(int, ...engine.Option) (*engine.Mux, error), sub Substrat
 // UDPMux binds one loopback datagram socket per process and returns a
 // mux ready to host clusters. The one cluster option read here is the
 // socket-level one, which cannot vary per attached cluster: WithCapacity
-// fixes the per-link window (default 2) — every attached cluster's
+// fixes the per-link window (default 1) — every attached cluster's
 // machines are built for that bound. Everything else — topology,
 // faults, receivers — is given to the cluster constructors instead.
 // Socket binding failures are returned, not panicked: the mux is built
 // before any cluster exists.
 func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
-	return newMux(udp.NewMux, UDP(), nProcs, opts)
+	return newMux(udp.NewMux, nProcs, opts)
 }
 
 // TCPMux binds one loopback listener per process, dials the full
@@ -60,7 +60,7 @@ func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
 // UDPMux, the one cluster option read here is WithCapacity; per-cluster
 // options belong to the cluster constructors.
 func TCPMux(nProcs int, opts ...Option) (*Mux, error) {
-	return newMux(tcp.NewMux, TCP(), nProcs, opts)
+	return newMux(tcp.NewMux, nProcs, opts)
 }
 
 // N returns the process count every attached cluster must match.

@@ -39,10 +39,6 @@ import (
 // A Substrate value is a specification; the engine itself is built when
 // the cluster is constructed and released by the cluster's Close.
 type Substrate struct {
-	// defaultCapacity is the channel-capacity bound of a cluster built
-	// without WithCapacity: the paper's 1 on the in-memory engines, the
-	// engine's DefaultCapacity on sockets.
-	defaultCapacity int
 	// fixedCapacity, when nonzero, overrides WithCapacity: a mux fixed
 	// its window when its sockets were built.
 	fixedCapacity int
@@ -53,15 +49,15 @@ type Substrate struct {
 
 // resolveCapacity settles the one channel-capacity bound c of a
 // cluster: what the engine enforces per directed link and what the
-// machines' flag domain {0..2c+2} is sized from. It panics when the
-// domain would not fit the wire format's one-byte flags.
+// machines' flag domain {0..2c+2} is sized from. Without WithCapacity it
+// is the paper's c = 1 (engine.DefaultCapacity) on every substrate. It
+// panics when the domain would not fit the wire format's one-byte flags.
 func (o *options) resolveCapacity() {
-	s := o.substrate
 	switch {
-	case s.fixedCapacity > 0:
-		o.capacity = s.fixedCapacity
+	case o.substrate.fixedCapacity > 0:
+		o.capacity = o.substrate.fixedCapacity
 	case o.capacity == 0:
-		o.capacity = s.defaultCapacity
+		o.capacity = engine.DefaultCapacity
 	}
 	if o.capacity < 1 || o.capacity > window.MaxCapacity {
 		panic(fmt.Sprintf("snapstab: capacity %d outside 1..%d", o.capacity, window.MaxCapacity))
@@ -73,7 +69,6 @@ func (o *options) resolveCapacity() {
 // WithLossRate, WithCapacity, and WithStepBudget all apply.
 func Sim() Substrate {
 	return Substrate{
-		defaultCapacity: 1,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			sopts := []sim.Option{
 				sim.WithSeed(o.seed),
@@ -108,7 +103,6 @@ func Sim() Substrate {
 // ignored — bound requests with Request.Wait contexts instead.
 func Runtime() Substrate {
 	return Substrate{
-		defaultCapacity: 1,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			if o.lossRate != 0 {
 				if o.faults != nil {
@@ -146,8 +140,8 @@ func nodeOptions(o options, obs []core.Observer) []engine.Option {
 }
 
 // UDP selects the loopback datagram transport: one socket per process,
-// wire-encoded messages, natural loss. WithCapacity (default 2 here) is
-// the channel-capacity bound c the transport enforces: every directed
+// wire-encoded messages, natural loss. WithCapacity (default 1, the
+// paper's) is the channel-capacity bound c the transport enforces: every directed
 // link admits at most c unconsumed messages, a send beyond that is lost
 // at the sender, and the machines' flag domain is sized from the same
 // number — so one request costs 2c+2 round trips per peer. Each frame is
@@ -157,7 +151,6 @@ func nodeOptions(o options, obs []core.Observer) []engine.Option {
 // and panics on failure.
 func UDP() Substrate {
 	return Substrate{
-		defaultCapacity: engine.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			return udp.NewCluster(stacks, nodeOptions(o, obs)...)
 		},
@@ -168,17 +161,16 @@ func UDP() Substrate {
 // persistent connections carrying length-prefixed wire frames, redial
 // with backoff on connection loss. TCP delivers reliably per connection,
 // so the transport restores the model's lossy bounded channels at its
-// edges: WithCapacity (default 2 here) is the channel-capacity bound c
-// it enforces with a per-link sender-side window exactly as on UDP — a
-// send beyond c unconsumed messages is lost at the sender, and the
-// machines' flag domain is sized from the same number — and connection
-// loss is message loss. Each frame is UDP's, length-prefixed on the
+// edges: WithCapacity (default 1, the paper's) is the channel-capacity
+// bound c it enforces with a per-link sender-side window exactly as on
+// UDP — a send beyond c unconsumed messages is lost at the sender, and
+// the machines' flag domain is sized from the same number — and
+// connection loss is message loss. Each frame is UDP's, length-prefixed on the
 // stream. WithLossRate and WithStepBudget are ignored —
 // bound requests with Request.Wait contexts. Listener binding happens
 // at cluster construction and panics on failure.
 func TCP() Substrate {
 	return Substrate{
-		defaultCapacity: engine.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			return tcp.NewCluster(stacks, nodeOptions(o, obs)...)
 		},
@@ -209,7 +201,6 @@ type TCPFleet struct {
 // remote stacks so the seeded draws line up across the fleet.
 func TCPHost(f TCPFleet) Substrate {
 	return Substrate{
-		defaultCapacity: engine.DefaultCapacity,
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			cfg := tcp.HostConfig{
 				Self:   core.ProcID(f.Self),
