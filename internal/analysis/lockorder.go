@@ -25,8 +25,11 @@ var lockRank = map[string]int{"mu": 1, "mbMu": 2, "injMu": 3}
 // conditions, wherever the waiter registry runs them, run under mu).
 // A TryLock never waits, so it may take any rank whatever is held (the
 // in-memory link's settle tries a receiver's mu under the sender's);
-// the mutex it took is held in the branch it guards, where a blocking
-// Lock of the same rank is still rejected.
+// the mutex it took is held in the branch it guards, or past a branch
+// that returns when it failed (if !mu.TryLock() { return }), and a
+// blocking Lock of the same rank is still rejected there. A section
+// ends with x.release(), the engine's unlock of mu, which may retake mu
+// that way to drain what its section was owed.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "enforce the documented mu → mbMu → injMu lock order in the socket engine",
@@ -86,6 +89,10 @@ func walkLocks(pass *Pass, stmts []ast.Stmt, held map[string]token.Pos) {
 			walkLocks(pass, s.Body.List, body)
 			if s.Else != nil {
 				walkLocks(pass, []ast.Stmt{s.Else}, snapshot(held))
+			} else if leaves(s.Body) {
+				for _, name := range tryFailed(pass, s.Cond) {
+					held[name] = s.Cond.Pos()
+				}
 			}
 		case *ast.ForStmt:
 			walkLocks(pass, s.Body.List, snapshot(held))
@@ -132,6 +139,40 @@ func tryLocked(pass *Pass, cond ast.Expr) []string {
 	return nil
 }
 
+// tryFailed returns the ranked mutexes whose failed TryLock, negated, is
+// one of the top-level || alternatives of an if condition: past a branch
+// that leaves when the condition holds, each of those TryLocks succeeded.
+func tryFailed(pass *Pass, cond ast.Expr) []string {
+	switch e := ast.Unparen(cond).(type) {
+	case *ast.BinaryExpr:
+		if e.Op == token.LOR {
+			return append(tryFailed(pass, e.X), tryFailed(pass, e.Y)...)
+		}
+	case *ast.UnaryExpr:
+		if e.Op == token.NOT {
+			if call, ok := ast.Unparen(e.X).(*ast.CallExpr); ok {
+				if name, op := rankedLockCall(pass, call); op == "TryLock" || op == "TryRLock" {
+					return []string{name}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// leaves reports whether a branch ends by leaving the statement list it
+// is in: a return, or a break, continue or goto.
+func leaves(body *ast.BlockStmt) bool {
+	if len(body.List) == 0 {
+		return false
+	}
+	switch body.List[len(body.List)-1].(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	}
+	return false
+}
+
 func walkCases(pass *Pass, body *ast.BlockStmt, held map[string]token.Pos) {
 	for _, c := range body.List {
 		if cc, ok := c.(*ast.CaseClause); ok {
@@ -158,6 +199,9 @@ func applyLockExpr(pass *Pass, e ast.Expr, held map[string]token.Pos) {
 	}
 	walkFuncLits(pass, call)
 	name, op := rankedLockCall(pass, call)
+	if name == "" && isRelease(pass, call) {
+		name, op = "mu", "Unlock"
+	}
 	if name == "" {
 		return
 	}
@@ -210,6 +254,30 @@ func rankedLockCall(pass *Pass, call *ast.CallExpr) (field, op string) {
 		return "", ""
 	}
 	return name, sel.Sel.Name
+}
+
+// isRelease recognizes x.release(): the engine ends a section by calling
+// release on a value whose mu field is a sync.Mutex, and release unlocks
+// it.
+func isRelease(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "release" || len(call.Args) != 0 {
+		return false
+	}
+	t := pass.Info.TypeOf(sel.X)
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); f.Name() == "mu" && isSyncMutex(f.Type()) {
+			return true
+		}
+	}
+	return false
 }
 
 func isSyncMutex(t types.Type) bool {

@@ -99,6 +99,42 @@ func (c *conn) tryLockedIsHeld(peer *conn) {
 	}
 }
 
+// release is the engine's end of a section: it unlocks mu, then retakes
+// it with TryLock to drain what a failed settle left owed. Past the
+// early return the TryLock took mu, so mbMu may be taken under it.
+func (c *conn) release() {
+	for {
+		c.mu.Unlock()
+		if c.n == 0 || !c.mu.TryLock() {
+			return
+		}
+		c.mbMu.Lock()
+		c.n--
+		c.mbMu.Unlock()
+	}
+}
+
+// twoSections: a section ended by release holds mu no more.
+func (c *conn) twoSections() {
+	c.mu.Lock()
+	c.n++
+	c.release()
+	c.mu.Lock()
+	c.n++
+	c.release()
+}
+
+// retakeThenLock: what the early-returning TryLock took is held, so a
+// blocking Lock of it waits on itself.
+func (c *conn) retakeThenLock() {
+	c.mu.Unlock()
+	if !c.mu.TryLock() {
+		return
+	}
+	c.mu.Lock() // want `acquires mu while already holding it`
+	c.mu.Unlock()
+}
+
 func (c *conn) branchesDoNotLeak(cond bool) {
 	if cond {
 		c.mbMu.Lock()

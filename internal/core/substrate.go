@@ -93,27 +93,34 @@ const (
 type LinkOut struct {
 	last   Message
 	used   bool          // last is valid
+	left   bool          // last has been on the wire: saying it again is a repeat
 	sentAt time.Duration // when last left, or a repeat of it was last tried
 	rto    time.Duration // how long after sentAt a repeat comes due; 0: disarmed
 }
 
 // Pass applies the sending rule to m on path at time now and reports
-// whether m leaves, and whether it leaves as a repeat of the link's last
-// message. A repeat leaves only from the tick path, once now − sentAt ≥
-// rto; rto is step/2 after a new message and step after a repeat, so a
-// lost message is tried again half a step after it left and a link that
-// stays silent repeats once per step.
+// whether m leaves, and whether it leaves as a repeat of a message the
+// link already put on the wire (Left). A repeat leaves only from the
+// tick path, once now − sentAt ≥ rto; rto is step/2 after a new message
+// and step after a repeat, so a lost message is tried again half a step
+// after it left and a link that stays silent repeats once per step. A
+// message the window refused every time it was said is not a repeat when
+// it first leaves.
 func (l *LinkOut) Pass(path SendPath, m Message, now, step time.Duration) (send, repeat bool) {
 	if path == PathAction || !l.used || !l.last.Equal(m) {
-		l.last, l.used, l.sentAt, l.rto = m, true, now, step/2
+		l.last, l.used, l.left, l.sentAt, l.rto = m, true, false, now, step/2
 		return true, false
 	}
 	if path != PathTick || now-l.sentAt < l.rto {
 		return false, false
 	}
 	l.sentAt, l.rto = now, step
-	return true, true
+	return true, l.left
 }
+
+// Left records that the link's last message went on the wire: the
+// window admitted it.
+func (l *LinkOut) Left() { l.left = true }
 
 // Due reports when a repeat of the link's last message comes due, and
 // whether the link is armed: whether a timer should wake for it.

@@ -34,6 +34,9 @@ func TestLinkOutRule(t *testing.T) {
 		{PathTick, a, 6 * ms, true, true, 8 * ms},  // whose repeat is due half a step later
 	} {
 		send, repeat := l.Pass(s.path, s.m, s.now, step)
+		if send {
+			l.Left() // every message here is admitted
+		}
 		if due, armed := l.Due(); send != s.send || repeat != s.repeat || due != s.due || !armed {
 			t.Fatalf("step %d: Pass(%d, State=%d, %v) = %v, %v, due %v (armed %v); want %v, %v, due %v",
 				i, s.path, s.m.State, s.now, send, repeat, due, armed, s.send, s.repeat, s.due)
@@ -48,6 +51,16 @@ func TestLinkOutRule(t *testing.T) {
 	}
 	if due, armed := l.Due(); due != 9*ms || !armed {
 		t.Fatalf("after the repeat: due %v (armed %v), want 9ms and armed", due, armed)
+	}
+	// A message the window refused never left: when it is said again, it
+	// leaves for the first time, not as a repeat. Once it has left, it is.
+	l.Pass(PathEager, b, 10*ms, step)
+	if send, repeat := l.Pass(PathTick, b, 11*ms, step); !send || repeat {
+		t.Fatalf("a refused message said again once due: Pass = %v, %v; want it sent, not a repeat", send, repeat)
+	}
+	l.Left()
+	if send, repeat := l.Pass(PathTick, b, 13*ms, step); !send || !repeat {
+		t.Fatalf("the same message once it left: Pass = %v, %v; want a repeat", send, repeat)
 	}
 }
 

@@ -26,6 +26,12 @@ type LinkStats struct {
 	// means the capacity bound was broken.
 	InFlight     int
 	PeakInFlight int
+	// PeakOutstanding is the most messages toward Peer that were admitted
+	// and not yet released by an acknowledgment at once, counted by the
+	// engine beside the windows rather than read from them: it equals
+	// PeakInFlight unless a window's own arithmetic is wrong, as a
+	// corrupted window state could make it.
+	PeakOutstanding int
 }
 
 // TransportStats is the substrate-agnostic transport counter snapshot for
@@ -43,11 +49,13 @@ type TransportStats struct {
 	Sends int64
 	// Recvs counts messages received and delivered to the mailbox layer.
 	Recvs int64
-	// Retransmits counts the repeats of a link's last message that left,
-	// each once the link's repeat deadline passed (LinkOut): 1 ms after
-	// the message left new, then every 2 ms. Everything new leaves on
-	// arrival, so a loss-free run reads zero unless an answer took longer
-	// than that. A repeat the window refuses is a SendDrop only.
+	// Retransmits counts the repeats that left of a link's last message,
+	// a message that was already on the wire once, each once the link's
+	// repeat deadline passed (LinkOut): 1 ms after the message left new,
+	// then every 2 ms. Everything new leaves on arrival, so a loss-free
+	// run reads zero unless an answer took longer than that. A repeat the
+	// window refuses is a SendDrop only, and a refused message that first
+	// leaves when the window reopens is a Send, not a retransmission.
 	Retransmits int64
 	// SendDrops counts messages lost at the sender — sends refused by a
 	// full link window, failed writes, unencodable payloads, dead or
@@ -113,15 +121,16 @@ func FaultTotals(stats []TransportStats) FaultStats {
 	return agg
 }
 
-// CheckWindows reports the first link whose peak in-flight count
-// exceeded the capacity its node enforces — the transports' teardown
-// assertion that the channel-capacity bound held for a whole run.
+// CheckWindows reports the first link whose peak in-flight count, as the
+// window reads it or as the engine counts it beside the window, exceeded
+// the capacity its node enforces — the transports' teardown assertion
+// that the channel-capacity bound held for a whole run.
 func CheckWindows(stats []TransportStats) error {
 	for p, s := range stats {
 		for _, l := range s.Links {
-			if l.PeakInFlight > s.Capacity {
+			if peak := max(l.PeakInFlight, l.PeakOutstanding); peak > s.Capacity {
 				return fmt.Errorf("core: link %d->%d peaked at %d messages in flight, capacity %d",
-					p, l.Peer, l.PeakInFlight, s.Capacity)
+					p, l.Peer, peak, s.Capacity)
 			}
 		}
 	}

@@ -384,7 +384,7 @@ func TestStatusStatsShape(t *testing.T) {
 	st := snapstab.TransportStats{Addr: "a", Sends: 1,
 		Links:  []snapstab.LinkStats{{Peer: 1, Sent: 2, PeakInFlight: 2}},
 		Faults: snapstab.FaultStats{Drops: 3}}
-	want := `{"Addr":"a","Sends":1,"Recvs":0,"Retransmits":0,"SendDrops":0,"MailboxDrops":0,"Redials":0,"SendDatagrams":0,"RecvDatagrams":0,"SendSyscalls":0,"RecvSyscalls":0,"EchoFrames":0,"ProbeFrames":0,"Capacity":0,"Links":[{"Peer":1,"Sent":2,"Received":0,"Dropped":0,"InFlight":0,"PeakInFlight":2}],"Faults":{"Drops":3,"Duplicates":0,"Reorders":0,"Delays":0,"Corrupts":0,"PartitionDrops":0,"CrashDrops":0}}`
+	want := `{"Addr":"a","Sends":1,"Recvs":0,"Retransmits":0,"SendDrops":0,"MailboxDrops":0,"Redials":0,"SendDatagrams":0,"RecvDatagrams":0,"SendSyscalls":0,"RecvSyscalls":0,"EchoFrames":0,"ProbeFrames":0,"Capacity":0,"Links":[{"Peer":1,"Sent":2,"Received":0,"Dropped":0,"InFlight":0,"PeakInFlight":2,"PeakOutstanding":0}],"Faults":{"Drops":3,"Duplicates":0,"Reorders":0,"Delays":0,"Corrupts":0,"PartitionDrops":0,"CrashDrops":0}}`
 	if got, err := json.Marshal(st); err != nil || string(got) != want {
 		t.Fatalf("stats written as %s (%v), want %s", got, err, want)
 	}

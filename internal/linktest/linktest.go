@@ -487,7 +487,8 @@ func ProbeReopensShutWindow(t *testing.T, l Link) RawPeer {
 	return p
 }
 
-// hold parks the activation loop inside a machine callback: once armed,
+// hold parks the section running a machine callback — a socket node's
+// loop, or on the in-memory link whichever goroutine runs it: once armed,
 // the next callback to reach wait reports its instance on entered and
 // blocks there, under the action mutex, until open is closed.
 type hold struct {

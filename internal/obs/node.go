@@ -71,7 +71,7 @@ var transportFields = []struct {
 }{
 	{"snapstab_transport_sends_total", "Messages handed to the network by this node.", func(s snapstab.TransportStats) int64 { return s.Sends }},
 	{"snapstab_transport_recvs_total", "Messages received into this node's mailbox layer.", func(s snapstab.TransportStats) int64 { return s.Recvs }},
-	{"snapstab_transport_retransmits_total", "Repeats of a link's last message that left once its repeat deadline passed (1 ms after a new message, then every 2 ms) or the window that refused it reopened; refused repeats count as send drops.", func(s snapstab.TransportStats) int64 { return s.Retransmits }},
+	{"snapstab_transport_retransmits_total", "Repeats of a message already on the wire once, sent again when its link's repeat deadline passed (1 ms after it left new, then every 2 ms) or the window that refused the repeat reopened; refused repeats count as send drops, and a refused message that first leaves at the reopening is not a repeat.", func(s snapstab.TransportStats) int64 { return s.Retransmits }},
 	{"snapstab_transport_send_drops_total", "Messages lost at the sender (full link windows, dead connections, full queues, failed writes).", func(s snapstab.TransportStats) int64 { return s.SendDrops }},
 	{"snapstab_transport_mailbox_drops_total", "Messages dropped at a full receive mailbox (lose-on-full).", func(s snapstab.TransportStats) int64 { return s.MailboxDrops }},
 	{"snapstab_transport_redials_total", "Connections re-established after a loss (TCP lifecycle).", func(s snapstab.TransportStats) int64 { return s.Redials }},

@@ -13,7 +13,7 @@ import (
 // dedicated loopback nodes, Mux hosts many clusters on one shared set —
 // each attached cluster a fresh wire group on every node, so thousands
 // of logical snap-stabilizing groups (one per tree, one per tenant)
-// share n links and their goroutines instead of each paying for its
+// share n links and their timers instead of each paying for its
 // own. Groups are isolated end to end: routing, observers, topology,
 // fault plane, and counters are per group, and a frame for a group a
 // node does not host is dropped before it can reach another group's
@@ -26,8 +26,9 @@ func (n *Node) Await(ctx context.Context, cond func(env core.Env) bool) error {
 }
 
 // await evaluates cond in an atomic section ending with an eager Step (a
-// request it injected starts at once), then has the loop re-evaluate it
-// until it holds, ctx ends, or the node — or the view of it, done — stops.
+// request it injected starts at once), then has the node's later sections
+// re-evaluate it until it holds, ctx ends, or the node — or the view of
+// it, done — stops.
 // A pending wait keeps the step tick coming.
 func (g *Group) await(ctx context.Context, done <-chan struct{}, cond func(env core.Env) bool) error {
 	n := g.n
@@ -40,9 +41,17 @@ func (g *Group) await(ctx context.Context, done <-chan struct{}, cond func(env c
 		n.owe()
 	}
 	n.flush()
-	n.mu.Unlock()
-	return g.waiters.Wait(ctx, &n.mu, w, n.stop, done)
+	n.release()
+	return g.waiters.Wait(ctx, (*section)(n), w, n.stop, done)
 }
+
+// section is a node's action mutex as a sync.Locker whose Unlock is the
+// node's release, so a waiter that unregisters ends its section as every
+// other section does.
+type section Node
+
+func (s *section) Lock()   { s.mu.Lock() }
+func (s *section) Unlock() { (*Node)(s).release() }
 
 // members is the core.Substrate face shared by Cluster and MuxCluster:
 // one group per process.
@@ -168,7 +177,7 @@ func NewCluster(t Transport, stacks []core.Stack, opts ...Option) (*Cluster, err
 // Addrs returns every node's bound local address.
 func (c *Cluster) Addrs() []string { return addrs(c.nodes) }
 
-// Close stops every node, releasing loops and sockets. Idempotent.
+// Close stops every node, releasing timers, loops and sockets. Idempotent.
 func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() { stopAll(c.nodes) })
 	return nil
@@ -186,7 +195,7 @@ type Mux struct {
 }
 
 // NewMux binds one bare loopback node per process — no default group —
-// and starts the shared loops. Options must be node-level (capacity,
+// and starts them. Options must be node-level (capacity,
 // batch); per-cluster options (topology, faults, observers) belong to
 // Attach. The caller owns the mux and must Close it to release the
 // sockets.
@@ -248,7 +257,7 @@ func (m *Mux) Attach(stacks []core.Stack, opts ...Option) (*MuxCluster, error) {
 	return c, nil
 }
 
-// Close stops every node, releasing loops and sockets — and with them
+// Close stops every node, releasing timers, loops and sockets — and with them
 // every attached cluster. Idempotent.
 func (m *Mux) Close() error {
 	m.mu.Lock()
@@ -259,7 +268,7 @@ func (m *Mux) Close() error {
 }
 
 // MuxCluster is one cluster hosted on a Mux: a core.Substrate whose
-// processes share their links and loops with every other attached
+// processes share their links and timers with every other attached
 // cluster, isolated from them by the frame's group id.
 type MuxCluster struct {
 	members

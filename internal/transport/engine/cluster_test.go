@@ -20,8 +20,9 @@ import (
 )
 
 // The tests in this file run whole clusters on the in-memory link, as
-// snapstab.Runtime() builds them: activation loops and the step timer
-// run, so what they pin holds under true concurrency. eager_test.go
+// snapstab.Runtime() builds them: the step timers run and every
+// section's release drains what it was owed, so what they pin holds
+// under true concurrency. eager_test.go
 // pins the send rule and the wake-up Await exactly, on nodes it drives
 // by hand; the tests here hold the same contract on running clusters,
 // where a run the step timer took part in (Retransmits moved) counts for
@@ -438,9 +439,9 @@ func TestStopIsIdempotentAndTerminates(t *testing.T) {
 }
 
 // TestStartStopConcurrent pins the liveness and memory safety of the
-// start and stop paths under -race: a cluster whose loops have barely
-// launched, closed from many goroutines at once, must neither panic nor
-// hang, and every Close returns only once the loops are gone.
+// start and stop paths under -race: a cluster whose timers have barely
+// been set, closed from many goroutines at once, must neither panic nor
+// hang, and every Close returns only once the timers are stopped.
 func TestStartStopConcurrent(t *testing.T) {
 	t.Parallel()
 	for i := 0; i < 20; i++ {

@@ -29,7 +29,7 @@ func (mn *memNet) setCopies(f func(from, to core.ProcID) int) { mn.copies.Store(
 func pin(n *Node) {
 	n.mu.Lock()
 	n.epoch = time.Now().Add(-n.now)
-	n.mu.Unlock()
+	n.release()
 }
 
 // advance moves the clock of every node d forward and pins it there.
@@ -37,7 +37,7 @@ func advance(nodes []*Node, d time.Duration) {
 	for _, n := range nodes {
 		n.mu.Lock()
 		n.now += d
-		n.mu.Unlock()
+		n.release()
 		pin(n)
 	}
 }
@@ -54,7 +54,7 @@ func ticks(nodes []*Node) {
 // loop, would be set rather than parked.
 func armed(n *Node) bool {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.release()
 	return n.wake != never
 }
 
@@ -131,7 +131,7 @@ func pump(nodes []*Node) {
 
 func waiting(n *Node) int {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.release()
 	return n.g0.waiters.Len()
 }
 
@@ -802,7 +802,7 @@ func TestAwaitEndsUnregistered(t *testing.T) {
 		go func() { errc <- tc.sub.Await(tc.ctx, 0, never) }()
 		registered := func() (k int) {
 			tc.g.n.mu.Lock()
-			defer tc.g.n.mu.Unlock()
+			defer tc.g.n.release()
 			return tc.g.waiters.Len()
 		}
 		if !waitFor(10*time.Second, func() bool { return registered() == 1 }) {

@@ -38,7 +38,7 @@
 //
 // A Node hosts one or more groups, each an independent protocol stack
 // with its own routes, observers, topology, fault plan and counters, all
-// sharing the node's link and loops. The wire frame's group id routes
+// sharing the node's link and timer. The wire frame's group id routes
 // every received message to its group's channels. NewNode installs its
 // stack as group 0; Mux attaches further clusters with fresh ids.
 //
@@ -51,22 +51,26 @@
 // only through that list: a frame's arrival feeds the windows and boxes
 // the decoded messages; the drain section, under mu, swaps the list out,
 // takes each listed channel's mailbox and delivers it, performing any
-// resulting sends. On the sockets Arrive then signals a wakeup channel
-// and the node's activation loop drains. The in-memory link hands a
-// section's frames over on the sender's goroutine and then settles each
-// receiver: one whose loop is idle drains right there, under a mu taken
-// with TryLock, which never waits; a busy one is signalled, as on the
-// sockets. The lock order is mu → mbMu → injMu (snapvet's lockorder).
+// resulting sends. The links differ only in who takes that wakeup. On
+// the sockets Arrive signals a wakeup channel and the node's activation
+// loop drains. A node on the in-memory link owns no goroutine: the link
+// hands a section's frames over on the sender's goroutine and then
+// settles each receiver, which drains right there if a TryLock of its mu
+// succeeds (TryLock never waits); if it fails, the section holding mu
+// drains as it releases the lock (release). The lock order is mu → mbMu
+// → injMu (snapvet's lockorder).
 //
-// The loop is event-driven end to end (DESIGN.md §7): a section that
+// The engine is event-driven end to end (DESIGN.md §7): a section that
 // delivered mail ends, before its frames leave, by stepping the stacks it
 // delivered to and re-evaluating their awaited conditions
 // (core.Waiters.Settle); what a Step would send again, the channel's
 // core.LinkOut holds back until its repeat deadline, which an
 // acknowledgment reopening a window that refused the message moves to
-// now. One timer drives the loop and runs one section, the step tick:
-// every group steps on the tick path, so the links that came due repeat,
-// and the windows' control and the fault plane's delays run. It is set
+// now. One timer per node runs one section, the step tick — from the
+// activation loop on the sockets, from a time.AfterFunc callback on the
+// in-memory link: every group steps on the tick path, so the links that
+// came due repeat, and the windows' control and the fault plane's delays
+// run. It is set
 // for the earliest thing owed — an armed link's deadline, or a step
 // interval on while a window owes control, a fault plan runs or an Await
 // waits — and parks when nothing is.
@@ -172,7 +176,8 @@ func WithBatch(k int) Option {
 // EvLose, EvSendLost on a dead connection) and whichever goroutine runs
 // an atomic section (everything else: the activation loop, a Do or Await
 // caller, and on the in-memory link a sender delivering for an idle
-// receiver), so the observer must be goroutine-safe.
+// receiver, a section's releaser draining what it was owed, or the
+// timer's own goroutine), so the observer must be goroutine-safe.
 func WithObserver(ob core.Observer) Option {
 	return func(o *options) { o.observers = append(o.observers, ob) }
 }
@@ -277,11 +282,11 @@ type Group struct {
 	dirty     bool                    // got mail in the drain under way; under n.mu
 	fault     *core.FaultPlan
 	faultUnit time.Duration
-	epoch     time.Time // fault-schedule tick zero; set before the group is visible to the loops
+	epoch     time.Time // fault-schedule tick zero; set before the group is visible to the sections
 
 	// injMu guards the injector, which is not goroutine-safe: Arrive may
 	// run on one goroutine per connection, and the step tick releases
-	// delayed messages from the activation loop.
+	// delayed messages from the timer's section.
 	injMu sync.Mutex
 	inj   *core.Injector
 
@@ -355,11 +360,12 @@ func (g *Group) Stats() core.TransportStats {
 			Received: pl.recvd.Load(),
 			Dropped:  pl.dropped.Load(),
 		}
-		// The gauges: the fullest current window and the highest peak
+		// The gauges: the fullest current window and the highest peaks
 		// among the peer's instances.
 		for _, c := range pl.chans {
 			ls.InFlight = max(ls.InFlight, c.w.InFlight())
 			ls.PeakInFlight = max(ls.PeakInFlight, c.w.Peak())
+			ls.PeakOutstanding = max(ls.PeakOutstanding, c.peakOutstanding)
 		}
 		s.Links = append(s.Links, ls)
 	}
@@ -410,7 +416,7 @@ func (n *Node) buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan
 }
 
 // groupSet is the copy-on-write view of a node's hosted groups, swapped
-// atomically so the loops read it without locks.
+// atomically so the sections and the receive side read it without locks.
 type groupSet struct {
 	byID map[uint64]*Group
 	list []*Group
@@ -432,6 +438,11 @@ type Chan struct {
 	box      []core.Message // arrived, not yet taken by a drain: at most c
 	reopened bool           // an acknowledgment reopened w after a refusal
 	heard    bool           // listed in n.heard
+
+	// The sends w admitted minus those acknowledgments released, and its
+	// peak: the capacity bound counted beside the window's own arithmetic,
+	// so that core.CheckWindows sees a breach the window's state hides.
+	outstanding, peakOutstanding int
 }
 
 // channel returns g's record for (peer, instance), creating it on first
@@ -486,9 +497,9 @@ type Node struct {
 	epoch   time.Time
 	now     time.Duration // the section's reading, if haveNow
 	haveNow bool
-	// The loop's one timer, under mu, is set for next: wake, the earliest
+	// The node's one timer, under mu, is set for next: wake, the earliest
 	// thing owed, as rearm or a flush last saw it. Start makes the timer,
-	// set for the first tick: a node no loop runs has none, and a timer
+	// set for the first tick: an unstarted node has none, and a timer
 	// made and stopped in NewNode measurably slowed a cold cluster.
 	timer      *time.Timer
 	wake, next time.Duration
@@ -497,10 +508,17 @@ type Node struct {
 	// channel map, and the ready list. It is never held across link
 	// calls, protocol actions or observers.
 	mbMu  sync.Mutex
-	ready []*Chan       // the channels with a non-empty mailbox, each listed once
-	spare []*Chan       // the drained list, swapped back in by drain
-	heard []*Chan       // the channels a header asked to answer or repeat, each listed once
-	mail  chan struct{} // capacity 1: drain wakeup
+	ready []*Chan // the channels with a non-empty mailbox, each listed once
+	spare []*Chan // the drained list, swapped back in by drain
+	heard []*Chan // the channels a header asked to answer or repeat, each listed once
+
+	// Who takes a drain wakeup. On the sockets, the activation loop: mail
+	// is its wakeup channel. On the in-memory link (inline), the next
+	// release of mu: owed says that a settle found mu held after receive
+	// left work, and is cleared as a drain begins.
+	inline bool
+	mail   chan struct{} // capacity 1; sockets only
+	owed   atomic.Bool
 
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -531,7 +549,6 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 		batch:    o.batch,
 		salt:     t.FaultSalt,
 		wired:    make([]bool, len(peers)),
-		mail:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		epoch:    time.Now(),
 		wake:     never,
@@ -559,6 +576,9 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 		return nil, err
 	}
 	n.link = link
+	if _, n.inline = link.(*memLink); !n.inline {
+		n.mail = make(chan struct{}, 1)
+	}
 	for i, p := range peers {
 		if p == "" {
 			continue
@@ -571,7 +591,7 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 	return n, nil
 }
 
-// setGroup publishes g to the loops as group id, copy-on-write; a nil g
+// setGroup publishes g to the node as group id, copy-on-write; a nil g
 // detaches the group: its channels, their mail included, go with it and
 // inbound frames for it are dropped.
 func (n *Node) setGroup(id uint64, g *Group) {
@@ -611,8 +631,9 @@ func (n *Node) SetPeer(id core.ProcID, addr string) error {
 	return nil
 }
 
-// Start launches the link and the activation loop, once: a second call
-// panics. Peers must not change after Start.
+// Start launches the link and the node's timer — and on the sockets the
+// activation loop — once: a second call panics. Peers must not change
+// after Start.
 func (n *Node) Start() {
 	n.setEpoch(time.Now())
 	n.launch()
@@ -625,30 +646,56 @@ func (n *Node) setEpoch(epoch time.Time) {
 	}
 }
 
+// launch starts the node. An in-memory node's release here drains the
+// mail that arrived while it was unstarted.
 func (n *Node) launch() {
 	if n.started.Swap(true) {
-		panic("engine: Start called twice") // a second loop would double the timer
+		panic("engine: Start called twice") // a second timer would double the ticks
 	}
 	n.mu.Lock()
 	n.next = time.Since(n.epoch) + stepInterval // a first tick steps every stack
-	n.timer = time.NewTimer(stepInterval)
-	n.mu.Unlock()
+	if n.inline {
+		n.timer = time.AfterFunc(stepInterval, n.tick)
+	} else {
+		n.timer = time.NewTimer(stepInterval)
+	}
+	n.release()
 	n.link.Start()
-	n.wg.Add(1)
-	go n.actLoop()
+	if !n.inline {
+		n.wg.Add(1)
+		go n.actLoop()
+	}
 }
 
-// halt tells the activation loop and every Await to end.
+// halt tells the node's sections and every Await to end.
 func (n *Node) halt() { n.stopOnce.Do(func() { close(n.stop) }) }
 
-// Stop terminates the activation loop, then the link and its sockets: the
-// loop stops the link on its way out, so nodes halted together stop their
-// links together. It is idempotent and safe to call from multiple
-// goroutines.
+// halted reports whether the node was told to stop.
+func (n *Node) halted() bool {
+	select {
+	case <-n.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// Stop halts the node, then the link and its sockets. A socket node's
+// loop stops its timer and link on its way out, so nodes halted together
+// stop their links together; an in-memory node, which has no loop, stops
+// its timer under mu, after which no section drains or ticks. It is
+// idempotent and safe to call from multiple goroutines.
 func (n *Node) Stop() {
 	n.halt()
+	if n.inline {
+		n.mu.Lock()
+		if n.timer != nil {
+			n.timer.Stop()
+		}
+		n.mu.Unlock()
+	}
 	n.wg.Wait()
-	n.linkOnce.Do(n.link.Stop) // never started: no loop did it
+	n.linkOnce.Do(n.link.Stop) // unstarted, or in memory: no loop did it
 }
 
 // Stats returns the default group's counters (see Group.Stats).
@@ -695,6 +742,11 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	c := g.channel(to, m.Instance)
 	send, repeat := c.out.Pass(v.path, m, now, stepInterval)
 	admitted := send && c.w.Admit()
+	if admitted {
+		c.out.Left()
+		c.outstanding++
+		c.peakOutstanding = max(c.peakOutstanding, c.outstanding)
+	}
 	// A message that leaves supersedes whatever the window refused
 	// before: nothing refused is owed a repeat any more.
 	c.reopened = c.reopened && !admitted
@@ -723,6 +775,7 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 		// never entered the link.
 		n.mbMu.Lock()
 		c.w.Cancel()
+		c.outstanding--
 		n.mbMu.Unlock()
 		lost(err.Error())
 		return
@@ -732,15 +785,18 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	// protocol order; its Tally counts it once the link wrote the frame.
 	ev := core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m}
 	if repeat {
-		g.retransmits.Add(1) // counted once it left: a refused repeat is a window loss only
+		// Counted once it left, and only if it had left before: a refused
+		// repeat is a window loss only, and a refused message that first
+		// leaves as the reopened link's repeat is not a retransmission.
+		g.retransmits.Add(1)
 		ev.Note = "retransmit"
 	}
 	g.emit(ev)
 }
 
-// arrive is LinkConfig.Arrive: it takes one frame in and wakes the
-// activation loop to drain what the frame left. It is the sockets' way
-// in; the in-memory link calls receive and settle instead.
+// arrive is LinkConfig.Arrive: it takes one frame in and wakes the node
+// to drain what the frame left. It is the sockets' way in; the in-memory
+// link calls receive and settle instead.
 func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message) {
 	if n.receive(sender, gid, links, msgs) {
 		n.signal()
@@ -751,8 +807,7 @@ func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, m
 // each carried message through its group's fault plane into its
 // channel's mailbox. It reports whether the frame left work for a drain:
 // boxed mail, a probe to answer, or a window reopened after a refusal
-// (answer has both). Whoever called it wakes the loop (arrive) or drains
-// (settle).
+// (answer has both). Whoever called it wakes the node (arrive, settle).
 func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message) (owed bool) {
 	g := n.groups.Load().byID[gid]
 	if g == nil {
@@ -766,9 +821,9 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 	n.mbMu.Lock()
 	for _, h := range links {
 		c := g.channel(sender, h.Instance)
-		if c.w.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count) {
-			c.reopened = true
-		}
+		released, reopened := c.w.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
+		c.outstanding = max(0, c.outstanding-released) // a corrupted window may release what was never sent
+		c.reopened = c.reopened || reopened
 		if (h.Probe || c.reopened) && !c.heard {
 			c.heard = true
 			n.heard = append(n.heard, c)
@@ -884,19 +939,23 @@ func (n *Node) box(g *Group, sender core.ProcID, m core.Message) bool {
 	return true
 }
 
-// signal wakes the activation loop to drain.
+// signal wakes the node to drain: a socket node's loop, or an in-memory
+// node's settle.
 func (n *Node) signal() {
+	if n.inline {
+		n.settle()
+		return
+	}
 	select {
 	case n.mail <- struct{}{}:
 	default: // a wakeup is already pending
 	}
 }
 
-// actLoop delivers mail as soon as Arrive signals it and runs the step
-// tick when the timer fires. No wakeup is lost: whoever boxed mail either
-// signals after the append (arrive, a settle that found the node busy)
-// or drains it itself (settle), so mail appended after a drain's swap is
-// always owed a drain.
+// actLoop is a socket node's activation loop: it delivers mail as soon
+// as Arrive signals it and runs the step tick when the timer fires. No
+// wakeup is lost: arrive signals after the append, so mail appended
+// after a drain's swap is always owed a drain.
 func (n *Node) actLoop() {
 	defer n.wg.Done()
 	defer n.linkOnce.Do(n.link.Stop)
@@ -924,14 +983,18 @@ func (n *Node) clock() time.Duration {
 }
 
 // tick is the step tick, the timer's one section: delayed fault-plan
-// messages that came due surface and mail that waited out a crash window
-// is retried; then, in one atomic section, every group outside a crash
+// messages that came due surface and the mail drains, including mail
+// that waited out a crash window; then every group outside a crash
 // window steps on the tick path — repeating on the links that came due —
-// and runs its windows' timer edge.
+// and runs its windows' timer edge. A halted node ticks no more.
 func (n *Node) tick() {
-	n.flushDelayed()
-	n.drainMail()
 	n.mu.Lock()
+	if n.halted() {
+		n.release()
+		return
+	}
+	n.flushDelayed()
+	n.drain()
 	now := n.clock()
 	for _, g := range n.groups.Load().list {
 		if g.down() {
@@ -942,7 +1005,7 @@ func (n *Node) tick() {
 	}
 	n.flush()
 	n.rearm(now) // the control frames just stamped owe nothing more
-	n.mu.Unlock()
+	n.release()
 }
 
 // rearm ends the step tick, after its flush: it disarms every link whose
@@ -1043,39 +1106,85 @@ func (n *Node) pay() {
 	}
 }
 
-// drainMail runs the drain section under the action mutex: the loop's
-// answer to a wakeup, and the head of its step tick.
+// drainMail runs the drain section under the action mutex: a socket
+// loop's answer to a wakeup.
 func (n *Node) drainMail() {
 	n.mu.Lock()
 	n.drain()
-	n.mu.Unlock()
+	n.release()
+}
+
+// releaseBudget bounds the drains one release runs on its caller's
+// goroutine. A protocol that never quiesces (the mutual exclusion's token
+// laps forever) always leaves mail owed; past the budget the rest is
+// handed to a goroutine of its own, so a Do never returns into that lap.
+const releaseBudget = 8
+
+// release ends every atomic section: it unlocks mu. On the in-memory
+// link it then drains what a settle that found mu held left owed: it
+// retakes mu with TryLock and drains, up to releaseBudget times, and
+// hands the rest to a fresh goroutine. No wakeup is lost: settle sets
+// owed before its TryLock, and release reads owed after its Unlock, so a
+// settle whose TryLock failed was either seen here or failed on a later
+// holder, whose own release sees it. A release that finds mu taken again
+// leaves the mail to that holder. An unstarted node drains only when a
+// test's pump says, and launch's release takes what it was owed; a
+// halted node drains nothing. Callers hold n.mu.
+func (n *Node) release() {
+	for budget := releaseBudget; ; budget-- {
+		n.mu.Unlock()
+		if !n.owed.Load() || !n.started.Load() || n.halted() {
+			return
+		}
+		if budget == 0 {
+			go n.retake()
+			return
+		}
+		if !n.mu.TryLock() {
+			return
+		}
+		n.drainOwed()
+	}
+}
+
+// retake is the goroutine release hands owed mail to past its budget.
+// It ends with its own release, once nothing is owed, mu is taken again
+// or the node halted; Stop does not wait for it, since a halted node's
+// retake drains nothing.
+func (n *Node) retake() {
+	n.mu.Lock()
+	n.drainOwed()
+	n.release()
+}
+
+// drainOwed runs the drain section if one is owed and the node has not
+// halted since release looked. Callers hold n.mu.
+func (n *Node) drainOwed() {
+	if n.owed.Load() && !n.halted() {
+		n.drain()
+	}
 }
 
 // settle takes the mail an in-memory Write just boxed at n (memory.go).
-// If n's loop runs and no section holds n's action mutex, the drain
-// section runs here, on the sender's goroutine, and n's loop never wakes
-// for it. Otherwise — n busy, not started, or halted — the loop gets the
-// wakeup arrive gives. TryLock never waits, so a sender holding its own
-// mu cannot deadlock here; and a mutex this goroutine already holds fails
-// it, so a node appears on a goroutine's stack at most once: a reply to
-// a node further up the stack is a wakeup, and that node's loop takes it
-// without sleeping once its section ends.
+// If n is started and no section holds its action mutex, the drain
+// section runs here, on the sender's goroutine. Otherwise — n busy or not
+// started — the drain is owed, and the section holding mu (release), or
+// launch, takes it. TryLock never waits, so a sender holding its own mu
+// cannot deadlock here; and a mutex this goroutine already holds fails
+// it, so a node's mu is held at most once on a goroutine's stack: a reply
+// to a node further up the stack is owed, and that node's release drains
+// it once its section's frames are out.
 func (n *Node) settle() {
+	n.owed.Store(true)
 	if n.started.Load() && n.mu.TryLock() {
-		select {
-		case <-n.stop: // halted: its mail stays boxed, as the loop left it
-		default:
-			n.drain()
-			n.mu.Unlock()
-			return
-		}
-		n.mu.Unlock()
+		n.drainOwed()
+		n.release()
 	}
-	n.signal()
 }
 
 // drain is the section that delivers mail, wherever it runs (drainMail,
-// settle): it swaps the ready list out (one swap under the mailbox lock,
+// tick, settle, release): it clears owed, since everything boxed before
+// now is taken, and swaps the ready list out (one swap under the mailbox lock,
 // batching the handoff), takes each listed channel's mailbox and
 // delivers it; the groups that got mail then settle. A group inside a
 // crash window is skipped: its mail stays in transit, untouched where it
@@ -1086,6 +1195,7 @@ func (n *Node) settle() {
 // drain's Step may say what the refusal held back. Every drain sets the
 // timer: consumed mail owes an acknowledgment. Callers hold n.mu.
 func (n *Node) drain() {
+	n.owed.Store(false)
 	n.mbMu.Lock()
 	batch := n.ready
 	n.ready, n.spare = n.spare, nil
@@ -1170,7 +1280,7 @@ func (n *Node) Do(f func(env core.Env)) {
 
 func (n *Node) doGroup(g *Group, f func(env core.Env)) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.release()
 	f(g.envs[core.PathAction])
 	n.owe()
 	n.flush()

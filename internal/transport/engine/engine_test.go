@@ -106,6 +106,31 @@ func TestMailboxHoldsAtMostC(t *testing.T) {
 	}
 }
 
+// TestCheckWindowsCountsOutstanding: the capacity check does not trust
+// the window's own arithmetic. Node 0's window toward node 1 is corrupted
+// to a base past next, a state only arbitrary initialization holds, and
+// node 0 then says five different messages that node 1 never consumes.
+// The teardown check reads the engine's own count of admitted sends no
+// acknowledgment released, so it holds only if the link kept the bound.
+func TestCheckWindowsCountsOutstanding(t *testing.T) {
+	t.Parallel()
+	_, nodes := stillStacks(t, []core.Stack{{&teller{}}, {&teller{}}})
+	n := nodes[0]
+	n.mbMu.Lock()
+	n.g0.channel(1, "tell").w.Corrupt(1000, 1)
+	n.mbMu.Unlock()
+	for i := int64(1); i <= 5; i++ {
+		n.Do(func(env core.Env) { env.Send(1, *told(i)) })
+	}
+	s := n.Stats()
+	if err := core.CheckWindows([]core.TransportStats{s}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Sends < 1 || s.Links[0].PeakOutstanding < 1 {
+		t.Fatalf("%d sends, a peak of %d outstanding: want the first message admitted and counted", s.Sends, s.Links[0].PeakOutstanding)
+	}
+}
+
 // TestSetPeerKeepsToTopology: under a default-group topology a node
 // never learns a non-neighbour's address, and a send to it is a counted
 // sender-side loss, not a silent one.

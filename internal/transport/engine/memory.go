@@ -19,11 +19,12 @@ const memoryFaultSalt = 0x52
 // of their own, and the frames an atomic section closed reach their
 // peers' mailboxes, as the header and message values themselves, as the
 // section ends. They are the frames the sockets ship, packed and stamped
-// by the same framer; only the encoding is skipped, and the link runs no
-// goroutine. A receiver whose loop is idle then delivers its mail on the
-// sender's goroutine (Node.settle); a busy one is woken, as on sockets.
-// The channel semantics — window, mailbox, fault plane — are the
-// engine's, as on sockets.
+// by the same framer; only the encoding is skipped. Neither the link nor
+// its nodes run a goroutine: an idle receiver delivers its mail on the
+// sender's goroutine (Node.settle), a busy one as the section holding its
+// action mutex releases it (Node.release), and a node's timer runs its
+// step tick from a time.AfterFunc callback. The channel semantics —
+// window, mailbox, fault plane — are the engine's, as on sockets.
 func Memory() Transport { return new(memNet).transport() }
 
 // memNet is one in-memory address space: a link's address is its index.

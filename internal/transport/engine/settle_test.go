@@ -11,9 +11,10 @@ import (
 )
 
 // The tests in this file pin where in-memory mail is delivered (DESIGN.md
-// §7): an idle receiver's drain runs on the sender's goroutine, a busy,
-// unstarted or halted one is woken as on sockets, and no node's section
-// is ever entered twice on one stack.
+// §7): an idle receiver's drain runs on the sender's goroutine, a busy
+// one's in the release of the section that held it, an unstarted one's
+// when it starts, a halted one's never; and no node's action mutex is
+// ever held twice on one stack.
 
 // hop records what it is delivered and, while a message's State says it
 // has hops left, passes it on to the next process of the ring.
@@ -23,20 +24,25 @@ type hop struct {
 	got       atomic.Int64
 	delivered chan struct{} // capacity 1: a Deliver ran
 
-	// Whether the activation loop or its step tick ran the last Deliver,
-	// and the most atomic sections — drains and Do bodies — any Deliver's
-	// stack held.
-	loop, tick atomic.Bool
-	deepest    atomic.Int64
+	// Whether the last Deliver ran in a release after its section's
+	// unlock, on a goroutine release handed owed mail to, or in a step
+	// tick; and the most sections holding their node's action mutex any
+	// Deliver's stack held.
+	released, handed, tick atomic.Bool
+	deepest                atomic.Int64
 }
 
 func (h *hop) Instance() string   { return "hop" }
 func (h *hop) Step(core.Env) bool { return false }
 
 func (h *hop) Deliver(env core.Env, _ core.ProcID, m core.Message) {
-	counts := stackFrames("(*Node).drain", "(*Node).doGroup", "(*Node).actLoop", "(*Node).tick")
-	sections := int64(counts[0] + counts[1])
-	h.loop.Store(counts[2] > 0)
+	counts := stackFrames("(*Node).flush", "(*Node).release", "(*Node).retake", "(*Node).tick")
+	// Every section that holds its mu further up the stack is writing its
+	// frames (flush → Write → settle), and this Deliver's node holds its
+	// own: a release frame whose section unlocked is not counted.
+	sections := int64(counts[0] + 1)
+	h.released.Store(counts[1] > 0)
+	h.handed.Store(counts[2] > 0)
 	h.tick.Store(counts[3] > 0)
 	if sections > h.deepest.Load() { // Delivers at one node are serialized by its mu
 		h.deepest.Store(sections)
@@ -82,8 +88,8 @@ func hops(n int, forward bool) ([]core.Stack, []*hop) {
 }
 
 // running starts a cluster of stacks on the in-memory link and waits
-// until every node's first tick has run and its timer parked: no loop
-// holds or is about to take its node's action mutex.
+// until every node's first tick has run and its timer parked: no timer
+// callback holds or is about to take its node's action mutex.
 func running(t *testing.T, stacks []core.Stack, opts ...Option) []*Node {
 	t.Helper()
 	c, err := NewCluster(Memory(), stacks, opts...)
@@ -94,7 +100,7 @@ func running(t *testing.T, stacks []core.Stack, opts ...Option) []*Node {
 	for i, n := range c.nodes {
 		if !waitFor(10*time.Second, func() bool {
 			n.mu.Lock()
-			defer n.mu.Unlock()
+			defer n.release()
 			return n.next == never
 		}) {
 			t.Fatalf("node %d never parked", i)
@@ -117,70 +123,69 @@ func listed(n *Node) int {
 
 // TestSettleDeliversInline: on a running cluster of idle nodes, a Do at
 // node 0 that sends to node 1 returns with node 1's Deliver already run,
-// on the Do's own goroutine.
+// on the Do's own goroutine, inside the Do's section.
 func TestSettleDeliversInline(t *testing.T) {
 	stacks, machines := hops(3, false)
 	nodes := running(t, stacks)
 	send(nodes[0], 1, 0)
 	var got int64
-	var loop bool
-	nodes[1].Do(func(core.Env) { got, loop = machines[1].got.Load(), machines[1].loop.Load() })
-	if got != 1 || loop {
-		t.Fatalf("node 1 delivered %d messages by the time node 0's Do returned (on its loop: %v); want 1, on the sender's goroutine", got, loop)
+	var released, handed, tick bool
+	nodes[1].Do(func(core.Env) {
+		got, released = machines[1].got.Load(), machines[1].released.Load()
+		handed, tick = machines[1].handed.Load(), machines[1].tick.Load()
+	})
+	if got != 1 || released || handed || tick {
+		t.Fatalf("node 1 delivered %d messages by the time node 0's Do returned (in a release %v, handed off %v, in a tick %v); want 1, inside the sender's section",
+			got, released, handed, tick)
 	}
 	if k := listed(nodes[1]); k != 0 {
 		t.Fatalf("%d channels still listed for mail at node 1", k)
 	}
 }
 
-// TestSettleFallsBackToLoop: while node 1 is held inside a blocking Do,
-// node 0's message to it is boxed and its loop is woken; the loop
-// delivers it once that Do returns, from its mail wakeup, not from a
-// step tick.
-func TestSettleFallsBackToLoop(t *testing.T) {
+// TestSettleFallsBackToRelease: while node 1 is held inside a blocking
+// Do, node 0's message to it is boxed and owed. The Do's own release
+// delivers it, on the Do's goroutine, before the Do returns: no loop, no
+// handed-off goroutine and no step tick takes it.
+func TestSettleFallsBackToRelease(t *testing.T) {
 	stacks, machines := hops(2, false)
 	nodes := running(t, stacks)
 	entered, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var atReturn atomic.Int64
 	go func() {
 		defer close(done)
 		nodes[1].Do(func(core.Env) {
 			close(entered)
 			<-release
 		})
+		atReturn.Store(machines[1].got.Load())
 	}()
 	<-entered
 	send(nodes[0], 1, 0)
-	if got, k := machines[1].got.Load(), listed(nodes[1]); got != 0 || k != 1 {
+	if got, k, owed := machines[1].got.Load(), listed(nodes[1]), nodes[1].owed.Load(); got != 0 || k != 1 || !owed {
 		close(release)
-		t.Fatalf("node 1, busy: %d delivered, %d channels listed; want its message boxed", got, k)
-	}
-	// The loop takes the wakeup and waits for the action mutex: from here
-	// on it can only drain.
-	if !waitFor(10*time.Second, func() bool { return len(nodes[1].mail) == 0 }) {
-		close(release)
-		t.Fatal("node 1's loop was never woken for the boxed message")
+		t.Fatalf("node 1, busy: %d delivered, %d channels listed, owed %v; want its message boxed and owed", got, k, owed)
 	}
 	close(release)
 	<-done
-	select {
-	case <-machines[1].delivered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("node 1 never delivered its boxed message")
+	if got := atReturn.Load(); got != 1 {
+		t.Fatalf("node 1's Do returned with %d messages delivered; want its release to deliver the boxed one", got)
 	}
-	if !machines[1].loop.Load() || machines[1].tick.Load() {
-		t.Fatalf("node 1 delivered on its loop %v, in a step tick %v; want its loop's drain, no tick", machines[1].loop.Load(), machines[1].tick.Load())
+	if m := machines[1]; !m.released.Load() || m.handed.Load() || m.tick.Load() {
+		t.Fatalf("node 1 delivered in a release %v, handed off %v, in a step tick %v; want the Do's release, no tick",
+			m.released.Load(), m.handed.Load(), m.tick.Load())
 	}
 }
 
 // TestSettleRingDoesNotReenter: a ring of 64 nodes whose Deliver
 // forwards to the next process carries a message twice round. Each hop
 // drains inline on the goroutine that sent it until the ring reaches a
-// node whose section is further up the stack, which its loop then takes
-// up: no deadlock, and no stack ever holds more than one section per
-// node. A hop never says a message twice, so the ring runs at c = 2: at
-// c = 1 a node forwarding the second lap before the first lap's
-// acknowledgment returned would find its window shut and lose the
-// message, as the model allows.
+// node whose section is further up the stack, whose release then takes
+// it up: no deadlock, and no stack ever holds more than one node's
+// action mutex per node. A hop never says a message twice, so the ring
+// runs at c = 2: at c = 1 a node forwarding the second lap before the
+// first lap's acknowledgment returned would find its window shut and lose
+// the message, as the model allows.
 func TestSettleRingDoesNotReenter(t *testing.T) {
 	const n, laps = 64, 2
 	stacks, machines := hops(n, true)
@@ -202,27 +207,30 @@ func TestSettleRingDoesNotReenter(t *testing.T) {
 		deepest = max(deepest, m.deepest.Load())
 	}
 	if deepest > n {
-		t.Fatalf("a Deliver ran under %d sections on one stack: some node's section was entered twice", deepest)
+		t.Fatalf("a Deliver ran under %d sections holding their mutex on one stack: some node's was taken twice", deepest)
 	}
 	if deepest < 2 {
 		t.Fatal("no hop drained inline")
 	}
 }
 
-// TestSettleSkipsUnstartedAndStopped: a receiver whose loop is not
-// running — never started, or halted — is never drained on the sender's
-// goroutine: its message stays boxed, with the wakeup a loop would take.
+// TestSettleSkipsUnstartedAndStopped: a receiver that is not running —
+// never started, or halted — is never drained on the sender's goroutine
+// or by its own sections' releases: its message stays boxed and owed. An
+// unstarted node's start delivers it; a halted node's stays.
 func TestSettleSkipsUnstartedAndStopped(t *testing.T) {
 	t.Run("unstarted", func(t *testing.T) {
 		stacks, machines := hops(2, false)
 		_, nodes := stillStacks(t, stacks)
 		send(nodes[0], 1, 0)
-		if got, k, woken := machines[1].got.Load(), listed(nodes[1]), len(nodes[1].mail); got != 0 || k != 1 || woken != 1 {
-			t.Fatalf("unstarted node 1: %d delivered, %d channels listed, %d wakeups; want 0, 1, 1", got, k, woken)
+		nodes[1].Do(func(core.Env) {})
+		if got, k, owed := machines[1].got.Load(), listed(nodes[1]), nodes[1].owed.Load(); got != 0 || k != 1 || !owed {
+			t.Fatalf("unstarted node 1: %d delivered, %d channels listed, owed %v; want 0, 1, true", got, k, owed)
 		}
-		pump(nodes)
-		if got := machines[1].got.Load(); got != 1 {
-			t.Fatalf("the drain delivered %d messages, want 1", got)
+		nodes[1].Start()
+		t.Cleanup(nodes[1].Stop)
+		if got, k := machines[1].got.Load(), listed(nodes[1]); got != 1 || k != 0 {
+			t.Fatalf("node 1's start delivered %d messages, left %d channels listed; want 1, 0", got, k)
 		}
 	})
 	t.Run("stopped", func(t *testing.T) {
@@ -230,8 +238,9 @@ func TestSettleSkipsUnstartedAndStopped(t *testing.T) {
 		nodes := running(t, stacks)
 		nodes[1].Stop()
 		send(nodes[0], 1, 0)
-		if got, k, woken := machines[1].got.Load(), listed(nodes[1]), len(nodes[1].mail); got != 0 || k != 1 || woken != 1 {
-			t.Fatalf("stopped node 1: %d delivered, %d channels listed, %d wakeups; want 0, 1, 1", got, k, woken)
+		nodes[1].Do(func(core.Env) {})
+		if got, k, owed := machines[1].got.Load(), listed(nodes[1]), nodes[1].owed.Load(); got != 0 || k != 1 || !owed {
+			t.Fatalf("stopped node 1: %d delivered, %d channels listed, owed %v; want 0, 1, true", got, k, owed)
 		}
 		nodes[1].drainMail()
 		if got := machines[1].got.Load(); got != 1 {

@@ -132,6 +132,12 @@ func (l *Link) Cancel() {
 	}
 }
 
+// Corrupt puts the sender half in an arbitrary state, as a transient
+// fault may leave it: sequences base..next-1 outstanding, or nothing
+// outstanding and base past next. Admit starts over from any of them
+// with at most c in flight.
+func (l *Link) Corrupt(base, next uint64) { l.base, l.next = base, next }
+
 // InFlight returns how many admitted messages are not yet released.
 func (l *Link) InFlight() int { return int(l.next - l.base) }
 
@@ -153,11 +159,13 @@ func (l *Link) Stamp(probe bool) Header {
 
 // Arrive processes the header of a frame that carried n messages for
 // this link: the acknowledgment releases what it names, the sequence
-// and the messages enter the receiver half. It reports whether the
-// acknowledgment reopened a window that refused a send while shut: the
-// refused message may leave now.
-func (l *Link) Arrive(h Header, n int) (reopened bool) {
+// and the messages enter the receiver half. It reports how many
+// outstanding messages the acknowledgment released, and whether it
+// reopened a window that refused a send while shut: the refused message
+// may leave now.
+func (l *Link) Arrive(h Header, n int) (released int, reopened bool) {
 	if h.Ack >= l.base && h.Ack < l.next {
+		released = int(h.Ack + 1 - l.base)
 		l.base = h.Ack + 1
 		reopened, l.blocked = l.blocked, false
 	}
@@ -166,7 +174,7 @@ func (l *Link) Arrive(h Header, n int) (reopened bool) {
 		l.probed = true
 	}
 	l.Occupy(n)
-	return reopened
+	return released, reopened
 }
 
 // Occupy adjusts the pipeline occupancy by d: negative when messages

@@ -34,7 +34,7 @@ func TestCorruptBaseAdmitsAtMostC(t *testing.T) {
 	for _, c := range []int{1, 2} {
 		for _, gap := range []uint64{1, 5, 1000} {
 			l := NewLink(c, 100)
-			l.base = l.next + gap
+			l.Corrupt(l.next+gap, l.next)
 			admitted := 0
 			for admitted <= c+int(gap) && l.Admit() {
 				admitted++
@@ -171,14 +171,15 @@ func TestHoldbackKeepsTheSlot(t *testing.T) {
 
 // TestReopeningIsReported: the acknowledgment that reopens a window
 // which refused a send reports the reopening, once, and only after a
-// refusal; the answer to the refusal's probe clears the probe.
+// refusal; the answer to the refusal's probe clears the probe. Every
+// acknowledgment reports what it released.
 func TestReopeningIsReported(t *testing.T) {
 	a, b := NewLink(1, 100), NewLink(1, 500)
 	a.Admit()
 	carry(&a, &b, false, 1)
 	b.Occupy(-1)
-	if h := b.Stamp(false); a.Arrive(h, 0) {
-		t.Fatal("an acknowledgment with no refusal before it reported a reopening")
+	if released, reopened := a.Arrive(b.Stamp(false), 0); released != 1 || reopened {
+		t.Fatalf("an acknowledgment with no refusal before it: released %d, reopened %v; want 1, false", released, reopened)
 	}
 	a.Admit()
 	carry(&a, &b, false, 1)
@@ -190,13 +191,13 @@ func TestReopeningIsReported(t *testing.T) {
 		t.Fatal("the receiver saw no probe")
 	}
 	b.Occupy(-1)
-	if !a.Arrive(b.Stamp(false), 0) || a.InFlight() != 0 {
-		t.Fatalf("the answer did not report the reopening (in flight %d)", a.InFlight())
+	if released, reopened := a.Arrive(b.Stamp(false), 0); released != 1 || !reopened || a.InFlight() != 0 {
+		t.Fatalf("the answer: released %d, reopened %v, in flight %d; want 1, true, 0", released, reopened, a.InFlight())
 	}
 	if b.Probed() {
 		t.Fatal("the answer left the probe pending")
 	}
-	if a.Arrive(b.Stamp(false), 0) {
-		t.Fatal("a second acknowledgment reported the reopening again")
+	if released, reopened := a.Arrive(b.Stamp(false), 0); released != 0 || reopened {
+		t.Fatalf("a second acknowledgment: released %d, reopened %v; want nothing", released, reopened)
 	}
 }

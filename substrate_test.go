@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,6 +236,28 @@ func TestConcurrentBroadcastAsync(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRuntimeIdleOwnsNoGoroutine: a Runtime node is a lock and a timer.
+// A PIF cluster that answered a thousand broadcasts and now has nothing
+// to do runs no goroutine of its own: once the requests' goroutines have
+// ended, the process has no more than it had before the cluster was
+// built. Not parallel: the count is process-wide.
+func TestRuntimeIdleOwnsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := snapstab.NewPIFCluster(3, snapstab.WithSubstrate(snapstab.Runtime()))
+	defer c.Close()
+	for i := 0; i < 1000; i++ {
+		if _, err := c.Broadcast(i%3, "idle", int64(i)); err != nil {
+			t.Fatalf("broadcast %d: %v", i, err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines with an idle Runtime cluster, %d before it was built", got, before)
 	}
 }
 
