@@ -7,8 +7,12 @@
 # never edited), runs those packages' tests (-short), and prints a
 # Markdown table: mutant, what it breaks, the top-level tests that
 # failed. A patch whose header says "expect: survives: <reason>" is an
-# accounted survivor. Exit status 1 if a mutant survives unaccounted, an
-# accounted one is killed, or a patch no longer applies or builds.
+# accounted survivor. One whose header says "failfast: <reason>" stops
+# its packages at the first failing test: a mutant that stalls every
+# timer would otherwise hold each waiting test to its deadline, and its
+# row lists only the tests that failed before the stop. Exit status 1 if
+# a mutant survives unaccounted, an accounted one is killed, or a patch
+# no longer applies or builds.
 #
 # Usage: hack/mutants.sh [name-glob]   e.g. hack/mutants.sh 'window-*'
 set -eu
@@ -25,6 +29,7 @@ for m in hack/mutants/${1:-*}.patch; do
 	breaks=$(sed -n 's/^breaks: //p' "$m")
 	pkgs=$(sed -n 's/^packages: //p' "$m")
 	expect=$(sed -n 's/^expect: survives: //p' "$m")
+	failfast=$(sed -n 's/^failfast: .*/-failfast/p' "$m")
 	file=$(sed -n 's|^+++ b/\([^	 ]*\).*|\1|p' "$m" | head -n 1)
 	if ! patch -s -o "$tmp/$name.go" "$file" <"$m" >"$tmp/$name.log" 2>&1; then
 		echo "| $name | $breaks | **patch does not apply** |"
@@ -33,7 +38,7 @@ for m in hack/mutants/${1:-*}.patch; do
 	fi
 	printf '{"Replace":{"%s":"%s"}}\n' "$root/$file" "$tmp/$name.go" >"$tmp/$name.json"
 	# shellcheck disable=SC2086 # pkgs is a list
-	if go test -overlay "$tmp/$name.json" -count=1 -short -timeout 300s $pkgs >"$tmp/$name.out" 2>&1; then
+	if go test -overlay "$tmp/$name.json" -count=1 -short -timeout 300s $failfast $pkgs >"$tmp/$name.out" 2>&1; then
 		if [ -n "$expect" ]; then
 			verdict="survives (accounted: $expect)"
 		else

@@ -53,12 +53,14 @@
 // takes each listed channel's mailbox and delivers it, performing any
 // resulting sends. The links differ only in who takes that wakeup. On
 // the sockets Arrive signals a wakeup channel and the node's activation
-// loop drains. A node on the in-memory link owns no goroutine: the link
-// hands a section's frames over on the sender's goroutine and then
-// settles each receiver, which drains right there if a TryLock of its mu
-// succeeds (TryLock never waits); if it fails, the section holding mu
-// drains as it releases the lock (release). The lock order is mu → mbMu
-// → injMu (snapvet's lockorder).
+// loop drains. A node on the in-memory link owns no goroutine while its
+// load quiesces: the link hands a section's frames over on the sender's
+// goroutine and then settles each receiver, which drains right there if
+// a TryLock of its mu succeeds (TryLock never waits); if it fails, the
+// section holding mu drains as it releases the lock (release). A load
+// that outlasts a release's budget starts the node's carry loop, which
+// takes those wakeups as a socket node's loop does until the node's
+// timer parks. The lock order is mu → mbMu → injMu (snapvet's lockorder).
 //
 // The engine is event-driven end to end (DESIGN.md §7): a section that
 // delivered mail ends, before its frames leave, by stepping the stacks it
@@ -67,10 +69,10 @@
 // core.LinkOut holds back until its repeat deadline, which an
 // acknowledgment reopening a window that refused the message moves to
 // now. One timer per node runs one section, the step tick — from the
-// activation loop on the sockets, from a time.AfterFunc callback on the
-// in-memory link: every group steps on the tick path, so the links that
-// came due repeat, and the windows' control and the fault plane's delays
-// run. It is set
+// activation loop on the sockets, on the in-memory link from a
+// time.AfterFunc callback or, while one runs, the carry loop: every
+// group steps on the tick path, so the links that came due repeat, and
+// the windows' control and the fault plane's delays run. It is set
 // for the earliest thing owed — an armed link's deadline, or a step
 // interval on while a window owes control, a fault plan runs or an Await
 // waits — and parks when nothing is.
@@ -176,8 +178,9 @@ func WithBatch(k int) Option {
 // EvLose, EvSendLost on a dead connection) and whichever goroutine runs
 // an atomic section (everything else: the activation loop, a Do or Await
 // caller, and on the in-memory link a sender delivering for an idle
-// receiver, a section's releaser draining what it was owed, or the
-// timer's own goroutine), so the observer must be goroutine-safe.
+// receiver, a section's releaser draining what it was owed, a node's
+// carry loop, or the timer's own goroutine), so the observer must be
+// goroutine-safe.
 func WithObserver(ob core.Observer) Option {
 	return func(o *options) { o.observers = append(o.observers, ob) }
 }
@@ -514,11 +517,13 @@ type Node struct {
 
 	// Who takes a drain wakeup. On the sockets, the activation loop: mail
 	// is its wakeup channel. On the in-memory link (inline), the next
-	// release of mu: owed says that a settle found mu held after receive
-	// left work, and is cleared as a drain begins.
-	inline bool
-	mail   chan struct{} // capacity 1; sockets only
-	owed   atomic.Bool
+	// release of mu, or the loop a load started (looping): owed says that
+	// a settle found mu held after receive left work, and is cleared as a
+	// drain begins.
+	inline  bool
+	mail    chan struct{} // capacity 1
+	owed    atomic.Bool
+	looping atomic.Bool // an in-memory node's carry loop runs; set under mu
 
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -549,6 +554,7 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 		batch:    o.batch,
 		salt:     t.FaultSalt,
 		wired:    make([]bool, len(peers)),
+		mail:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		epoch:    time.Now(),
 		wake:     never,
@@ -576,9 +582,7 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 		return nil, err
 	}
 	n.link = link
-	if _, n.inline = link.(*memLink); !n.inline {
-		n.mail = make(chan struct{}, 1)
-	}
+	_, n.inline = link.(*memLink)
 	for i, p := range peers {
 		if p == "" {
 			continue
@@ -655,7 +659,7 @@ func (n *Node) launch() {
 	n.mu.Lock()
 	n.next = time.Since(n.epoch) + stepInterval // a first tick steps every stack
 	if n.inline {
-		n.timer = time.AfterFunc(stepInterval, n.tick)
+		n.timer = time.AfterFunc(stepInterval, n.fire)
 	} else {
 		n.timer = time.NewTimer(stepInterval)
 	}
@@ -682,9 +686,10 @@ func (n *Node) halted() bool {
 
 // Stop halts the node, then the link and its sockets. A socket node's
 // loop stops its timer and link on its way out, so nodes halted together
-// stop their links together; an in-memory node, which has no loop, stops
-// its timer under mu, after which no section drains or ticks. It is
-// idempotent and safe to call from multiple goroutines.
+// stop their links together; an in-memory node stops its timer under mu,
+// after which no section drains, ticks or starts a loop, and then waits
+// for the loop its load started, if one runs. It is idempotent and safe
+// to call from multiple goroutines.
 func (n *Node) Stop() {
 	n.halt()
 	if n.inline {
@@ -946,6 +951,12 @@ func (n *Node) signal() {
 		n.settle()
 		return
 	}
+	n.wakeLoop()
+}
+
+// wakeLoop wakes the node's loop: a socket node's activation loop, or an
+// in-memory node's carry loop.
+func (n *Node) wakeLoop() {
 	select {
 	case n.mail <- struct{}{}:
 	default: // a wakeup is already pending
@@ -989,8 +1000,27 @@ func (n *Node) clock() time.Duration {
 // and runs its windows' timer edge. A halted node ticks no more.
 func (n *Node) tick() {
 	n.mu.Lock()
+	n.ticked()
+	n.release()
+}
+
+// fire is an in-memory node's timer callback. While the node's carry
+// loop runs, the tick is the loop's, as a socket node's is its loop's:
+// fire wakes it, and the loop ticks once the timer's time has come,
+// between its drains, rather than this goroutine waiting on mu beside
+// them. A fire the loop does not take found the node parked as the loop
+// ended, with nothing owed.
+func (n *Node) fire() {
+	if n.looping.Load() {
+		n.wakeLoop()
+		return
+	}
+	n.tick()
+}
+
+// ticked runs the step tick's section. Callers hold n.mu.
+func (n *Node) ticked() {
 	if n.halted() {
-		n.release()
 		return
 	}
 	n.flushDelayed()
@@ -1005,7 +1035,6 @@ func (n *Node) tick() {
 	}
 	n.flush()
 	n.rearm(now) // the control frames just stamped owe nothing more
-	n.release()
 }
 
 // rearm ends the step tick, after its flush: it disarms every link whose
@@ -1037,8 +1066,11 @@ func (n *Node) rearm(now time.Duration) {
 	if poll {
 		n.wake = min(n.wake, now+stepInterval)
 	}
-	if n.next = n.wake; n.next != never && n.timer != nil {
+	switch n.next = n.wake; {
+	case n.next != never && n.timer != nil:
 		n.timer.Reset(n.next - now)
+	case n.next == never && n.looping.Load():
+		n.wakeLoop() // the node owes nothing: its carry loop ends
 	}
 }
 
@@ -1116,45 +1148,93 @@ func (n *Node) drainMail() {
 
 // releaseBudget bounds the drains one release runs on its caller's
 // goroutine. A protocol that never quiesces (the mutual exclusion's token
-// laps forever) always leaves mail owed; past the budget the rest is
-// handed to a goroutine of its own, so a Do never returns into that lap.
+// laps forever, a flood echoes every delivery) always leaves mail owed;
+// past the budget the node starts its carry loop, so a Do never returns
+// into that lap and the drains run beside the senders. 8 is the least
+// power of two at which a thousand serial PIF broadcasts, at n = 3 or 8,
+// start no loop (4 starts two at n = 8; 1 starts three at n = 3, a loop
+// lives on through a serial run, and a cold first request took half as
+// long again); 64 reads the same on the flood and the mutex, and holds a
+// Do's caller longer.
 const releaseBudget = 8
 
 // release ends every atomic section: it unlocks mu. On the in-memory
-// link it then drains what a settle that found mu held left owed: it
-// retakes mu with TryLock and drains, up to releaseBudget times, and
-// hands the rest to a fresh goroutine. No wakeup is lost: settle sets
-// owed before its TryLock, and release reads owed after its Unlock, so a
-// settle whose TryLock failed was either seen here or failed on a later
-// holder, whose own release sees it. A release that finds mu taken again
-// leaves the mail to that holder. An unstarted node drains only when a
-// test's pump says, and launch's release takes what it was owed; a
-// halted node drains nothing. Callers hold n.mu.
+// link it then takes what a settle that found mu held left owed: it
+// retakes mu with TryLock and drains, up to releaseBudget times, and then
+// starts the node's carry loop for the rest. While that loop runs, the
+// mail is the loop's. No wakeup is lost: settle sets owed before its
+// TryLock, and release reads owed after its Unlock, so a settle whose
+// TryLock failed was either seen here or failed on a later holder, whose
+// own release sees it. Such a settle woke the loop if it saw one run; if
+// it saw none and release now does, that loop started after the settle
+// looked, with a wakeup whose drain takes all that was owed. A release
+// that finds mu taken again leaves the mail to that holder. An unstarted
+// node drains only when a test's pump says, and launch's release takes
+// what it was owed; a halted node drains nothing. Callers hold n.mu.
 func (n *Node) release() {
 	for budget := releaseBudget; ; budget-- {
 		n.mu.Unlock()
 		if !n.owed.Load() || !n.started.Load() || n.halted() {
 			return
 		}
-		if budget == 0 {
-			go n.retake()
+		if n.looping.Load() {
 			return
 		}
 		if !n.mu.TryLock() {
+			return
+		}
+		if budget == 0 {
+			n.startCarry()
+			n.mu.Unlock()
 			return
 		}
 		n.drainOwed()
 	}
 }
 
-// retake is the goroutine release hands owed mail to past its budget.
-// It ends with its own release, once nothing is owed, mu is taken again
-// or the node halted; Stop does not wait for it, since a halted node's
-// retake drains nothing.
-func (n *Node) retake() {
-	n.mu.Lock()
-	n.drainOwed()
-	n.release()
+// startCarry starts the node's carry loop, with a wakeup for the mail
+// owed now, unless the node halted: Stop takes mu after it halts, so a
+// loop started here is counted before Stop waits. Callers hold n.mu.
+func (n *Node) startCarry() {
+	if n.halted() {
+		return
+	}
+	n.looping.Store(true)
+	n.wg.Add(1)
+	n.wakeLoop()
+	go n.carry()
+}
+
+// carry is an in-memory node's activation loop while its load lasts. A
+// release past its budget starts it; from then on a settle that finds
+// mu held wakes it, as arrive wakes a socket node's loop, and it drains
+// on a goroutine of its own, beside the senders; the timer wakes it too
+// (fire), and it ticks when a wakeup finds the timer's time come. It
+// ends when the node halts, or when a wakeup finds the node's timer
+// parked (rearm wakes it then), i.e. the node owes nothing: looping is
+// cleared under mu, and the loop's last release drains whatever came
+// since.
+func (n *Node) carry() {
+	defer n.wg.Done()
+	for {
+		select {
+		case <-n.stop:
+			return
+		case <-n.mail:
+		}
+		n.mu.Lock()
+		if n.next == never {
+			n.looping.Store(false)
+			n.release()
+			return
+		}
+		if time.Since(n.epoch) >= n.next {
+			n.ticked()
+		} else {
+			n.drainOwed()
+		}
+		n.release()
+	}
 }
 
 // drainOwed runs the drain section if one is owed and the node has not
@@ -1168,22 +1248,26 @@ func (n *Node) drainOwed() {
 // settle takes the mail an in-memory Write just boxed at n (memory.go).
 // If n is started and no section holds its action mutex, the drain
 // section runs here, on the sender's goroutine. Otherwise — n busy or not
-// started — the drain is owed, and the section holding mu (release), or
-// launch, takes it. TryLock never waits, so a sender holding its own mu
-// cannot deadlock here; and a mutex this goroutine already holds fails
-// it, so a node's mu is held at most once on a goroutine's stack: a reply
-// to a node further up the stack is owed, and that node's release drains
-// it once its section's frames are out.
+// started — the drain is owed: n's carry loop takes it if one runs, else
+// the section holding mu (release), or launch. TryLock never waits, so a
+// sender holding its own mu cannot deadlock here; and a mutex this
+// goroutine already holds fails it, so a node's mu is held at most once
+// on a goroutine's stack: a reply to a node further up the stack is
+// owed, and that node's release drains it once its section's frames are
+// out.
 func (n *Node) settle() {
 	n.owed.Store(true)
-	if n.started.Load() && n.mu.TryLock() {
+	switch {
+	case n.started.Load() && n.mu.TryLock():
 		n.drainOwed()
 		n.release()
+	case n.looping.Load():
+		n.wakeLoop()
 	}
 }
 
 // drain is the section that delivers mail, wherever it runs (drainMail,
-// tick, settle, release): it clears owed, since everything boxed before
+// tick, settle, release, carry): it clears owed, since everything boxed before
 // now is taken, and swaps the ready list out (one swap under the mailbox lock,
 // batching the handoff), takes each listed channel's mailbox and
 // delivers it; the groups that got mail then settle. A group inside a

@@ -19,12 +19,14 @@ const memoryFaultSalt = 0x52
 // of their own, and the frames an atomic section closed reach their
 // peers' mailboxes, as the header and message values themselves, as the
 // section ends. They are the frames the sockets ship, packed and stamped
-// by the same framer; only the encoding is skipped. Neither the link nor
-// its nodes run a goroutine: an idle receiver delivers its mail on the
-// sender's goroutine (Node.settle), a busy one as the section holding its
-// action mutex releases it (Node.release), and a node's timer runs its
-// step tick from a time.AfterFunc callback. The channel semantics —
-// window, mailbox, fault plane — are the engine's, as on sockets.
+// by the same framer; only the encoding is skipped. The link runs no
+// goroutine, nor does a node while its load quiesces: an idle receiver
+// delivers its mail on the sender's goroutine (Node.settle), a busy one
+// as the section holding its action mutex releases it (Node.release), and
+// a node's timer runs its step tick from a time.AfterFunc callback. A
+// load that outlasts a release's budget runs on the node's carry loop
+// (Node.carry) until the timer parks. The channel semantics — window,
+// mailbox, fault plane — are the engine's, as on sockets.
 func Memory() Transport { return new(memNet).transport() }
 
 // memNet is one in-memory address space: a link's address is its index.

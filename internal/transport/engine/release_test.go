@@ -12,9 +12,10 @@ import (
 )
 
 // The tests in this file run whole in-memory clusters whose nodes own no
-// goroutine (DESIGN.md §7): the sections' releases drain what each other
-// boxed, and past releaseBudget a release hands the rest to a goroutine
-// of its own.
+// goroutine while their load quiesces (DESIGN.md §7): the sections'
+// releases drain what each other boxed, and past releaseBudget a release
+// hands the rest to the node's carry loop, which ends once nothing is
+// owed.
 
 // TestReleaseHandsOffNeverQuiescing: the mutual exclusion's token laps
 // forever, so a node on the lap always has mail owed. At n = 8 a
@@ -118,5 +119,31 @@ func TestReleaseLosesNoWakeup(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatalf("a broadcast never decided: %v", err)
+	}
+}
+
+// TestCarryTakesOverAndEnds: two nodes pass a message back and forth
+// 250 times. Node 0's Do sends the first; every answer finds node 0's mu
+// held further up the same stack and is owed to its release, so past
+// releaseBudget drains that release — or a tick's, if the timer cut in —
+// starts node 0's carry loop and the exchange goes on there. Once it is
+// over and the timers park, every carry loop has ended.
+func TestCarryTakesOverAndEnds(t *testing.T) {
+	const hopsTotal = 250
+	stacks, machines := hops(2, true)
+	nodes := running(t, stacks, WithCapacity(2))
+	send(nodes[0], 1, hopsTotal-1)
+	if !waitFor(30*time.Second, func() bool {
+		return machines[0].got.Load()+machines[1].got.Load() == hopsTotal
+	}) {
+		t.Fatalf("the exchange stalled after %d of %d hops", machines[0].got.Load()+machines[1].got.Load(), hopsTotal)
+	}
+	if !machines[0].carried.Load() && !machines[1].carried.Load() {
+		t.Fatal("no Deliver ran on a carry loop: node 0's release never handed the exchange off")
+	}
+	for i, n := range nodes {
+		if !waitFor(10*time.Second, func() bool { return !n.looping.Load() }) {
+			t.Fatalf("node %d's carry loop still runs with nothing owed", i)
+		}
 	}
 }

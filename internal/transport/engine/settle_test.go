@@ -25,24 +25,27 @@ type hop struct {
 	delivered chan struct{} // capacity 1: a Deliver ran
 
 	// Whether the last Deliver ran in a release after its section's
-	// unlock, on a goroutine release handed owed mail to, or in a step
-	// tick; and the most sections holding their node's action mutex any
-	// Deliver's stack held.
-	released, handed, tick atomic.Bool
-	deepest                atomic.Int64
+	// unlock, on the carry loop a release handed owed mail to, or in a step
+	// tick; whether any Deliver ran on a carry loop; and the most sections
+	// holding their node's action mutex any Deliver's stack held.
+	released, handed, tick, carried atomic.Bool
+	deepest                         atomic.Int64
 }
 
 func (h *hop) Instance() string   { return "hop" }
 func (h *hop) Step(core.Env) bool { return false }
 
 func (h *hop) Deliver(env core.Env, _ core.ProcID, m core.Message) {
-	counts := stackFrames("(*Node).flush", "(*Node).release", "(*Node).retake", "(*Node).tick")
+	counts := stackFrames("(*Node).flush", "(*Node).release", "(*Node).carry", "(*Node).ticked")
 	// Every section that holds its mu further up the stack is writing its
 	// frames (flush → Write → settle), and this Deliver's node holds its
 	// own: a release frame whose section unlocked is not counted.
 	sections := int64(counts[0] + 1)
 	h.released.Store(counts[1] > 0)
 	h.handed.Store(counts[2] > 0)
+	if counts[2] > 0 {
+		h.carried.Store(true)
+	}
 	h.tick.Store(counts[3] > 0)
 	if sections > h.deepest.Load() { // Delivers at one node are serialized by its mu
 		h.deepest.Store(sections)
@@ -145,8 +148,8 @@ func TestSettleDeliversInline(t *testing.T) {
 
 // TestSettleFallsBackToRelease: while node 1 is held inside a blocking
 // Do, node 0's message to it is boxed and owed. The Do's own release
-// delivers it, on the Do's goroutine, before the Do returns: no loop, no
-// handed-off goroutine and no step tick takes it.
+// delivers it, on the Do's goroutine, before the Do returns: no carry
+// loop and no step tick takes it.
 func TestSettleFallsBackToRelease(t *testing.T) {
 	stacks, machines := hops(2, false)
 	nodes := running(t, stacks)

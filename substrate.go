@@ -91,10 +91,11 @@ func Sim() Substrate {
 }
 
 // Runtime selects the concurrent engine on its in-memory link: each
-// process an action mutex and a timer, with no goroutine of its own, the
-// sockets' frames — packed and stamped by the same engine — handed
-// between them as values and delivered by whichever section is running
-// or next to end (DESIGN.md §7), the per-link
+// process an action mutex and a timer, with no goroutine of its own
+// unless its load outlasts a release's budget, the sockets' frames —
+// packed and stamped by the same engine — handed between them as values
+// and delivered by whichever section is running or next to end
+// (DESIGN.md §7), the per-link
 // window of WithCapacity (default 1, the paper's) enforced as on the
 // sockets; it takes the same node options as UDP and TCP. WithLossRate
 // is the fault plane's drop rate here — a plan of FaultPlan{Seed: seed,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,11 +242,13 @@ func TestConcurrentBroadcastAsync(t *testing.T) {
 
 // TestRuntimeIdleOwnsNoGoroutine: a Runtime node is a lock and a timer.
 // A PIF cluster that answered a thousand broadcasts and now has nothing
-// to do runs no goroutine of its own: once the requests' goroutines have
-// ended, the process has no more than it had before the cluster was
-// built. Not parallel: the count is process-wide.
+// to do runs no goroutine of its own: once its timers have parked, no
+// goroutine that was not there before the cluster was built has an
+// engine frame on its stack — no loop, no timer callback, no hand-off.
+// The goroutines are told apart by id, so one that another test left
+// behind and that ends meanwhile cannot hide one this cluster leaked.
 func TestRuntimeIdleOwnsNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := engineGoroutines()
 	c := snapstab.NewPIFCluster(3, snapstab.WithSubstrate(snapstab.Runtime()))
 	defer c.Close()
 	for i := 0; i < 1000; i++ {
@@ -253,12 +256,42 @@ func TestRuntimeIdleOwnsNoGoroutine(t *testing.T) {
 			t.Fatalf("broadcast %d: %v", i, err)
 		}
 	}
-	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
+	var owned []string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		owned = owned[:0]
+		for id, stack := range engineGoroutines() {
+			if _, ok := before[id]; !ok {
+				owned = append(owned, stack)
+			}
+		}
+		if len(owned) == 0 || time.Now().After(deadline) {
+			break
+		}
 	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("%d goroutines with an idle Runtime cluster, %d before it was built", got, before)
+	if len(owned) > 0 {
+		t.Fatalf("%d goroutines run engine code with an idle Runtime cluster:\n\n%s", len(owned), strings.Join(owned, "\n\n"))
 	}
+}
+
+// engineGoroutines returns the stack of every goroutine with an engine
+// frame on it, by goroutine id.
+func engineGoroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	found := make(map[string]string)
+	for _, stack := range strings.Split(string(buf), "\n\n") {
+		// "goroutine 42 [state]:" heads each stack.
+		if f := strings.Fields(stack); len(f) > 1 && strings.Contains(stack, "/internal/transport/engine.") {
+			found[f[1]] = stack
+		}
+	}
+	return found
 }
 
 // TestSerializedRequestsSameProcess pins the documented behavior for
