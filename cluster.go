@@ -1,7 +1,6 @@
 package snapstab
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -34,8 +33,7 @@ type Cluster interface {
 }
 
 // clusterCore is the substrate-facing half shared by every cluster type:
-// it owns the built substrate, the cluster lifetime context, and the
-// request plumbing. The concrete cluster types embed it, so N, Close,
+// it owns the built substrate and the request plumbing. The concrete cluster types embed it, so N, Close,
 // Stats, and TransportStats are uniform across all seven.
 type clusterCore struct {
 	opt    options
@@ -43,20 +41,8 @@ type clusterCore struct {
 	sub    core.Substrate
 	simNet *sim.Network // non-nil on the deterministic substrate
 
-	ctx       context.Context
-	cancel    context.CancelFunc
 	closeOnce sync.Once
 	closeErr  error
-
-	// reqMu[p] serializes requests issued at process p. The machine
-	// itself admits one computation at a time (Invoke is rejected until
-	// the previous decision), but two pending conditions at one process
-	// would race for the decision window: evaluated first, the next
-	// request's Invoke consumes the machine's Done state before the
-	// request that decided observes it, and that request's completion
-	// condition could then never hold. Holding the per-process gate for the whole request makes
-	// "requests at one process serialize" true on every substrate.
-	reqMu []sync.Mutex
 }
 
 // init builds the substrate selected in o from the assembled stacks.
@@ -83,8 +69,6 @@ func (c *clusterCore) init(o options, stacks []core.Stack, obs ...core.Observer)
 	}
 	c.sub = sub
 	c.simNet, _ = sub.(*sim.Network)
-	c.reqMu = make([]sync.Mutex, sub.N())
-	c.ctx, c.cancel = context.WithCancel(context.Background())
 }
 
 // lockedChecker serializes a spec checker's callbacks: events arrive
@@ -111,10 +95,7 @@ func (c *clusterCore) N() int { return c.sub.N() }
 // ErrClosed and the substrate releases its goroutines and sockets.
 // Idempotent and safe to call concurrently.
 func (c *clusterCore) Close() error {
-	c.closeOnce.Do(func() {
-		c.cancel()
-		c.closeErr = c.sub.Close()
-	})
+	c.closeOnce.Do(func() { c.closeErr = c.sub.Close() })
 	return c.closeErr
 }
 
@@ -150,45 +131,45 @@ func (c *clusterCore) newRequest() *Request {
 	return &Request{done: make(chan struct{})}
 }
 
-// start launches the request: a goroutine takes process p's request
-// gate, awaits cond on the substrate, and completes r with the mapped
-// terminal error. label names the operation in error messages. onAbort,
-// when non-nil, runs in p's atomic context if the await failed — while
-// the gate is still held, so it can undo per-request machine state
-// (e.g. an installed critical-section body) before the next request at
-// p proceeds.
+// start submits the request at process p: cond is evaluated in p's
+// atomic context until it holds, and the completion, in that same
+// context, completes r with the mapped terminal error. label names the
+// operation in error messages. onAbort, when non-nil, runs first if the
+// request failed, so it can undo per-request machine state (e.g. an
+// installed critical-section body) before the next request at p is
+// evaluated: requests at one process form a FIFO (core.Substrate), so
+// two never race for the machine's decision window. On Sim, r drives the
+// scheduler once someone waits for it.
 func (c *clusterCore) start(r *Request, p int, label string, cond func(env core.Env) bool, onAbort func(env core.Env)) {
 	if p < 0 || p >= c.sub.N() {
 		r.err = fmt.Errorf("%w: %s at %d (cluster has %d)", ErrInvalidProcess, label, p, c.sub.N())
 		close(r.done)
 		return
 	}
-	go func() {
-		c.reqMu[p].Lock()
-		err := c.sub.Await(c.ctx, core.ProcID(p), cond)
+	if c.simNet != nil {
+		r.drive = c.simNet.Drive
+	}
+	c.sub.Submit(core.ProcID(p), cond, func(env core.Env, err error) {
 		if err != nil && onAbort != nil {
-			// Do keeps working after substrate Close (the mutexes
-			// outlive the engine), so abort cleanup always runs.
-			c.sub.Do(core.ProcID(p), onAbort)
+			onAbort(env)
 		}
-		c.reqMu[p].Unlock()
 		if err == nil {
 			err = r.fail
 		}
-		r.err = c.describeErr(err, label, p)
+		r.err = describeErr(err, label, p)
 		close(r.done)
-	}()
+	})
 }
 
 // describeErr maps substrate errors onto the façade's sentinel errors.
-func (c *clusterCore) describeErr(err error, label string, p int) error {
+func describeErr(err error, label string, p int) error {
 	var budget *sim.ErrBudget
 	switch {
 	case err == nil:
 		return nil
 	case errors.As(err, &budget):
 		return fmt.Errorf("%w: %s at %d", ErrBudget, label, p)
-	case errors.Is(err, core.ErrClosed), c.ctx.Err() != nil:
+	case errors.Is(err, core.ErrClosed):
 		return fmt.Errorf("%w: %s at %d", ErrClosed, label, p)
 	}
 	return fmt.Errorf("snapstab: %s at %d: %w", label, p, err)

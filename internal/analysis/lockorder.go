@@ -21,8 +21,9 @@ var lockRank = map[string]int{"mu": 1, "mbMu": 2, "injMu": 3}
 // LockOrder enforces the socket engine's documented mu → mbMu → injMu
 // acquisition order, rejects re-acquisition of a held rank, and forbids
 // taking any ranked mutex inside an atomic-section callback (a func
-// literal handed to a Do, Await or Eval method: Do bodies and awaited
-// conditions, wherever the waiter registry runs them, run under mu).
+// literal handed to a Do or Submit method: Do bodies, and a request's
+// condition and completion, wherever the waiter registry runs them, run
+// under mu).
 // A TryLock never waits, so it may take any rank whatever is held (the
 // in-memory link's settle tries a receiver's mu under the sender's);
 // the mutex it took is held in the branch it guards, or past a branch
@@ -295,11 +296,11 @@ func isSyncMutex(t types.Type) bool {
 		(n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex")
 }
 
-// atomicEntry names the methods whose func-literal argument runs in an
-// atomic section: Do bodies, and the conditions Await hands to the
-// waiter registry (core.Waiters.Eval), which evaluates them under the
-// action mutex and nowhere else.
-var atomicEntry = map[string]bool{"Do": true, "Await": true, "Eval": true}
+// atomicEntry names the methods whose func-literal arguments run in an
+// atomic section: Do bodies, and the condition and completion a Submit
+// hands to the waiter registry (core.Waiters.Submit), which runs both
+// under the action mutex and nowhere else.
+var atomicEntry = map[string]bool{"Do": true, "Submit": true}
 
 // checkAtomicCallback flags ranked-mutex acquisition inside a func
 // literal passed to an atomic-section entry point: the callback already

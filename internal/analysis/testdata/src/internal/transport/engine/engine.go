@@ -18,12 +18,14 @@ func (c *conn) Do(f func()) {
 	f()
 }
 
-// Await registers cond with the waiter registry, which evaluates it
-// under mu at the end of atomic sections.
-func (c *conn) Await(cond func() bool) {
+// Submit registers a request with the waiter registry, which evaluates
+// cond and runs done under mu at the end of atomic sections.
+func (c *conn) Submit(cond func() bool, done func(error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cond()
+	if cond() {
+		done(nil)
+	}
 }
 
 func (c *conn) goodOrder() {
@@ -163,10 +165,16 @@ func (c *conn) callbackLocks() {
 }
 
 func (c *conn) conditionLocks() {
-	c.Await(func() bool {
-		c.mu.Lock() // want `acquires mu inside an atomic-section callback: Await already runs it under mu`
+	c.Submit(func() bool {
+		c.mu.Lock() // want `acquires mu inside an atomic-section callback: Submit already runs it under mu`
 		defer c.mu.Unlock()
 		return c.n > 0
+	}, func(error) {})
+	c.Submit(func() bool { return c.n > 0 }, func(error) {
+		c.mbMu.Lock() // want `acquires mbMu inside an atomic-section callback: Submit already runs it under mu`
+		c.mbMu.Unlock()
 	})
-	c.Await(func() bool { return c.n > 0 }) // a condition that only reads state is the idiom
+	// A condition that only reads state, and a completion that only
+	// records the outcome, are the idiom.
+	c.Submit(func() bool { return c.n > 0 }, func(err error) { c.n = 0 })
 }

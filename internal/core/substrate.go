@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -17,13 +15,14 @@ import (
 // knowing which engine runs it.
 //
 // The interface deliberately exposes no scheduling detail. Its unit of
-// interaction is the atomic external action: Do and Await run caller code
-// atomically with respect to every protocol action of one process, which
-// is exactly the power the paper's model grants the external application
-// (submitting a request, reading the Request variable). How atomicity is
-// realized — the simulator's one mutex, under which the awaiting caller
-// steps the scheduler itself; the engine node's action mutex — is the
-// substrate's business.
+// interaction is the atomic external action: Do and Submit run caller
+// code atomically with respect to every protocol action of one process,
+// which is exactly the power the paper's model grants the external
+// application (submitting a request, reading the Request variable). How
+// atomicity is realized — the simulator's one mutex, under which its
+// driver steps the scheduler; the engine node's action mutex — is the
+// substrate's business. Nothing waits inside a substrate: a request is a
+// registered condition, and the section that makes it true completes it.
 type Substrate interface {
 	// N returns the number of processes.
 	N() int
@@ -34,22 +33,23 @@ type Substrate interface {
 	// must not call back into the substrate.
 	Do(p ProcID, f func(env Env))
 
-	// Await drives (the simulator: the caller steps the scheduler) or
-	// observes (the engine: the caller sleeps until a section at p makes
-	// it true) the execution until cond holds, then returns nil. cond is
-	// evaluated in process p's atomic context, exactly like a Do body,
-	// and is re-evaluated as the execution advances — on this call's own
-	// turns, not necessarily after every action; it may carry side
-	// effects — issuing the request under test on its first successful
-	// evaluation is the idiomatic use.
+	// Submit registers a request at process p and returns at once. cond
+	// is evaluated in p's atomic context, exactly like a Do body, and
+	// re-evaluated as the execution advances (after every simulator
+	// step; at the end of every atomic section at p on the engine); it
+	// may carry side effects — issuing the request on its first
+	// successful evaluation is the idiomatic use. done runs exactly once,
+	// also in p's atomic context: with nil in the section where cond
+	// held, with ErrClosed when the substrate (or the caller's view of
+	// it) closes or its node halts first, or with a substrate-specific
+	// error when the substrate gives up (the simulator's step budget,
+	// *sim.ErrBudget).
 	//
-	// Await returns ctx.Err() when the context is cancelled first (the
-	// execution itself keeps running), ErrClosed when the substrate was
-	// closed first, or a substrate-specific error when the substrate
-	// gives up (deterministic-simulator step budget exhausted). Await is
-	// safe to call from many goroutines concurrently; each call waits for
-	// its own condition.
-	Await(ctx context.Context, p ProcID, cond func(env Env) bool) error
+	// Requests at one process form a FIFO: request k+1's cond is first
+	// evaluated in the section that completes request k, never earlier,
+	// so two requests never race for one machine's decision window.
+	// Neither cond nor done may block or call back into the substrate.
+	Submit(p ProcID, cond func(env Env) bool, done func(env Env, err error))
 
 	// TransportStats returns one counter snapshot per process, and
 	// FaultStats the injected-fault totals of the whole run so far (zero
@@ -59,12 +59,12 @@ type Substrate interface {
 	FaultStats() FaultStats
 
 	// Close permanently shuts the substrate down, releasing any
-	// goroutines and sockets it holds and failing pending Awaits with
-	// ErrClosed. It is idempotent and safe to call concurrently.
+	// goroutines and sockets it holds and completing pending requests
+	// with ErrClosed. It is idempotent and safe to call concurrently.
 	Close() error
 }
 
-// ErrClosed is returned by Await on every substrate when the substrate
+// ErrClosed completes a request on every substrate when the substrate
 // (or the caller's view of it) was closed before the condition held.
 var ErrClosed = errors.New("core: substrate closed")
 
@@ -141,40 +141,70 @@ func (l *LinkOut) Expedite(now time.Duration) {
 // A tick path that says it again still finds it due.
 func (l *LinkOut) Disarm() { l.rto = 0 }
 
-// Waiters holds the pending Awaits of one group of a node of the
-// concurrent engine — on any of its links — and ends its atomic sections
-// (Settle). Every method but Wait runs under the action mutex.
+// Waiters holds the pending requests of one group of a node of the
+// concurrent engine — one process's stack, on any of its links — as a
+// FIFO, and ends its atomic sections (Settle). Only the head's condition
+// is evaluated; the section that completes it evaluates the next. Every
+// method runs under the action mutex, and so does every callback.
 type Waiters struct {
-	list    []*Waiter
+	list    []Waiter
+	closed  bool // Close ran: every request fails with ErrClosed
 	refused bool // a full link lost an eagerly stepped message since the last timer step
 }
 
-// Waiter is one registered condition.
+// Waiter is one registered request.
 type Waiter struct {
 	cond func(Env) bool
-	done chan struct{} // closed, under the action mutex, once cond held
+	done func(Env, error)
 }
 
-// Eval is the first evaluation of an awaited condition: nil if cond
-// already holds, else its registration, to be handed to Wait.
-func (ws *Waiters) Eval(env Env, cond func(Env) bool) *Waiter {
-	if cond(env) {
-		return nil
+// Submit registers a request. At the head of the queue, cond is
+// evaluated at once, on env (the action path), and a request that holds
+// completes there; behind another, it waits its turn. After Close, done
+// runs at once with ErrClosed.
+func (ws *Waiters) Submit(env Env, cond func(Env) bool, done func(Env, error)) {
+	if ws.closed {
+		done(env, ErrClosed)
+		return
 	}
-	w := &Waiter{cond: cond, done: make(chan struct{})}
-	ws.list = append(ws.list, w)
-	return w
+	ws.list = append(ws.list, Waiter{cond: cond, done: done})
+	if len(ws.list) == 1 {
+		ws.complete(env)
+	}
 }
 
-// Len returns the number of registered conditions.
+// complete evaluates the head's condition and, while it holds, completes
+// the head and evaluates the next. The head leaves the queue before its
+// done runs, so a done that registers a request appends behind the rest.
+func (ws *Waiters) complete(env Env) {
+	for len(ws.list) > 0 && ws.list[0].cond(env) {
+		w := ws.list[0]
+		ws.list = slices.Delete(ws.list, 0, 1)
+		w.done(env, nil)
+	}
+}
+
+// Close completes every pending request with ErrClosed, in order, and
+// every later one at Submit: the node halted, or the view of it closed.
+func (ws *Waiters) Close(env Env) {
+	ws.closed = true
+	for len(ws.list) > 0 {
+		w := ws.list[0]
+		ws.list = slices.Delete(ws.list, 0, 1)
+		w.done(env, ErrClosed)
+	}
+}
+
+// Len returns the number of pending requests.
 func (ws *Waiters) Len() int { return len(ws.list) }
 
 // Settle ends an atomic section of an engine's loop: the stack steps on
-// path (PathEager after mail, PathTick from a timer), the registered
-// conditions are re-evaluated in order and, as one may Invoke, the stack
-// steps again if any ran. envs is the process's Env per path. Eager
-// stepping stands down from a Refused to the next timer step: a full
-// channel loses what it is sent, and stepping into it only adds losses.
+// path (PathEager after mail, PathTick from a timer), the queue's head is
+// re-evaluated (and, while heads hold, the next) and, as a condition may
+// Invoke, the stack steps again if any request was pending. envs is the
+// process's Env per path. Eager stepping stands down from a Refused to
+// the next timer step: a full channel loses what it is sent, and
+// stepping into it only adds losses.
 func (ws *Waiters) Settle(s Stack, envs *[NumPaths]Env, path SendPath) {
 	ws.refused = ws.refused && path != PathTick
 	if !ws.refused {
@@ -183,13 +213,7 @@ func (ws *Waiters) Settle(s Stack, envs *[NumPaths]Env, path SendPath) {
 	if len(ws.list) == 0 {
 		return
 	}
-	ws.list = slices.DeleteFunc(ws.list, func(w *Waiter) bool {
-		held := w.cond(envs[PathAction])
-		if held {
-			close(w.done)
-		}
-		return held
-	})
+	ws.complete(envs[PathAction])
 	if !ws.refused {
 		s.Step(envs[PathEager])
 	}
@@ -204,28 +228,3 @@ func (ws *Waiters) Refused(path SendPath) {
 // refused a send: stepping into it loses nothing now, so eager stepping
 // resumes without waiting for the timer step.
 func (ws *Waiters) Reopened() { ws.refused = false }
-
-// Wait blocks until w is released (nil), ctx ends (ctx.Err()), or stop or
-// done (nil: never) closes (ErrClosed), and leaves w unregistered; mu is
-// the action mutex. A nil w — the condition held at Eval — returns nil.
-func (ws *Waiters) Wait(ctx context.Context, mu sync.Locker, w *Waiter, stop, done <-chan struct{}) error {
-	if w == nil {
-		return nil
-	}
-	err := ErrClosed
-	select {
-	case <-w.done:
-		return nil
-	case <-ctx.Done():
-		err = ctx.Err()
-	case <-stop:
-	case <-done:
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if i := slices.Index(ws.list, w); i >= 0 {
-		ws.list = slices.Delete(ws.list, i, i+1)
-		return err
-	}
-	return nil // released while we were taking the lock: completion wins
-}

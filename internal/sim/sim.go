@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/snapstab/snapstab/internal/channel"
 	"github.com/snapstab/snapstab/internal/core"
@@ -197,8 +198,13 @@ type Network struct {
 	// Substrate-mode state (substrate.go). Deterministic single-threaded
 	// use — experiments, the model checker, the adversary — never touches
 	// any of it, so the scheduler hot path stays lock-free.
-	subMu       sync.Mutex // held by whichever Await, Do or Sync is running
+	subMu       sync.Mutex   // held by the driver's run, or a Do, Sync, Submit or Close
+	outside     atomic.Int32 // callers waiting for subMu other than the driver
+	driving     atomic.Bool  // the driver runs; set and cleared under subMu
 	subClosed   bool
+	requests    [][]request   // per process, FIFO; under subMu
+	busy        []core.ProcID // the processes with a pending request, ascending; under subMu
+	waiting     int           // requests pending over all processes; under subMu
 	awaitBudget int
 }
 

@@ -4,105 +4,200 @@
 //
 // The simulator is single-threaded by design — all nondeterminism flows
 // from one seeded PRNG — and it stays so under concurrent requests: one
-// mutex guards the network, and the waiter drives. Await is RunUntil
-// under that mutex: the calling goroutine evaluates its own condition
-// and steps the scheduler, in runs of awaitRun steps per lock hold. Do,
-// Sync and other Awaits take their turns between runs, which is what
-// makes external actions atomic; the condition of another pending Await
-// is evaluated on that Await's own turns, not after every step. There is
-// no driver goroutine, no waiter list and nothing to wake or release.
+// mutex guards the network, and one driver goroutine steps it. Submit
+// appends a request to its process's FIFO (and evaluates it at once if
+// it is the head); the driver takes every step, in runs of awaitRun per
+// lock hold, and after each step evaluates every process's head
+// condition in process order — the section that completes a request
+// evaluates the next one at its process. Do, Sync and Submit take their
+// turns between runs, which is what makes external actions atomic.
+//
+// The driver starts when a pending request is waited for (Drive) and
+// exits when no request is pending; nothing runs before. Requests
+// issued back to back and then waited for are all registered before the
+// first step, so their execution is a function of the seed, whatever
+// GOMAXPROCS is.
 //
 // Single-threaded deterministic use (RunUntil, Step, the experiments,
 // the model checker, the adversary) never takes the mutex, so the hot
-// path stays exactly as in DESIGN.md §4. A single sequential request
-// through Await replays RunUntil's step sequence exactly: the condition
-// is evaluated once before the first step and once after every step,
-// and the budget counts scheduler steps since the call.
+// path stays exactly as in DESIGN.md §4. A single request replays
+// RunUntil's step sequence exactly: its condition is evaluated once at
+// Submit and once after every step, and its budget counts scheduler
+// steps since Submit.
 package sim
 
 import (
-	"context"
+	"runtime"
+	"slices"
 
 	"github.com/snapstab/snapstab/internal/core"
 )
 
-// DefaultAwaitBudget is the per-Await step budget when none is
+// DefaultAwaitBudget is the per-request step budget when none is
 // configured: generous enough for any terminating computation at the
 // sizes this repository simulates.
 const DefaultAwaitBudget = 50_000_000
 
-// awaitRun is how many scheduler steps an Await takes per hold of the
+// awaitRun is how many scheduler steps the driver takes per hold of the
 // mutex. One step per hold pays for the lock on every step (about twice
 // the cost of the step itself, more under contention); a bounded run
-// keeps Do, Sync, Close and cancellation from waiting on a long Await.
+// keeps Do, Sync, Submit and Close from waiting on a long computation.
 const awaitRun = 32
 
-// WithAwaitBudget sets the step budget of each Await: an Await whose
+// WithAwaitBudget sets the step budget of each request: a request whose
 // condition is still false after that many scheduler steps (counted from
-// the call, whoever took them) fails with *ErrBudget. A non-positive
-// budget fails after the first condition evaluation, like RunUntil with
-// a zero step budget. Default DefaultAwaitBudget.
+// its Submit, whoever they were taken for) fails with *ErrBudget. A
+// non-positive budget fails after the first condition evaluation, like
+// RunUntil with a zero step budget. Default DefaultAwaitBudget.
 func WithAwaitBudget(steps int) Option {
 	return func(n *Network) { n.awaitBudget = steps }
 }
 
 var _ core.Substrate = (*Network)(nil)
 
+// request is one submitted request: its condition, its completion, and
+// the step count at its Submit.
+type request struct {
+	cond  func(core.Env) bool
+	done  func(core.Env, error)
+	start int
+}
+
+// lock takes the substrate mutex from outside the driver, counting the
+// caller as waiting so that the driver hands the mutex over between runs.
+func (net *Network) lock() {
+	net.outside.Add(1)
+	net.subMu.Lock()
+	net.outside.Add(-1)
+}
+
 // Do runs f atomically with respect to the scheduler, with process p's
 // environment. Part of the core.Substrate interface; single-threaded
 // callers can keep using Env(p) directly.
 func (net *Network) Do(p core.ProcID, f func(env core.Env)) {
-	net.subMu.Lock()
+	net.lock()
 	defer net.subMu.Unlock()
 	f(net.envs[p])
 }
 
-// Sync runs f while no Await is stepping. Callers that mutate or read
-// the network as a whole while Awaits may be in flight (channel garbage,
-// statistics) use it to stay race-free.
+// Sync runs f while the driver is not stepping. Callers that mutate or
+// read the network as a whole while requests may be in flight (channel
+// garbage, statistics) use it to stay race-free.
 func (net *Network) Sync(f func()) {
-	net.subMu.Lock()
+	net.lock()
 	defer net.subMu.Unlock()
 	f()
 }
 
-// Await steps the scheduler until cond holds; see core.Substrate for the
-// contract. The returned error is nil, ctx.Err(), core.ErrClosed, or
-// *ErrBudget after the configured await budget. Closing and cancellation
-// are noticed between runs of awaitRun steps.
-func (net *Network) Await(ctx context.Context, p core.ProcID, cond func(env core.Env) bool) error {
-	env := net.envs[p]
-	net.subMu.Lock()
+// Submit registers a request at process p; see core.Substrate for the
+// contract. done gets nil, core.ErrClosed, or *ErrBudget after the
+// configured budget. A request at the head of p's queue is evaluated at
+// once; the driver, once Drive starts it, evaluates it after every step.
+func (net *Network) Submit(p core.ProcID, cond func(env core.Env) bool, done func(env core.Env, err error)) {
+	net.lock()
 	defer net.subMu.Unlock()
-	start := net.step
+	if net.subClosed {
+		done(net.envs[p], core.ErrClosed)
+		return
+	}
+	if net.requests == nil {
+		net.requests = make([][]request, net.n)
+	}
+	net.requests[p] = append(net.requests[p], request{cond: cond, done: done, start: net.step})
+	net.waiting++
+	if len(net.requests[p]) == 1 && net.settle(p) {
+		i, _ := slices.BinarySearch(net.busy, p)
+		net.busy = slices.Insert(net.busy, i, p)
+	}
+}
+
+// settle evaluates the head of p's queue and, while heads hold or run
+// out of budget, completes them and evaluates the next. It reports
+// whether a request is left pending at p. Callers hold subMu.
+func (net *Network) settle(p core.ProcID) (pending bool) {
+	q := &net.requests[p]
+	env := net.envs[p]
+	for len(*q) > 0 {
+		r := (*q)[0]
+		var err error
+		if !r.cond(env) {
+			steps := net.step - r.start
+			if steps < net.awaitBudget {
+				return true
+			}
+			err = &ErrBudget{Steps: steps, Unit: "steps"}
+		}
+		(*q)[0] = request{}
+		*q = (*q)[1:]
+		net.waiting--
+		r.done(env, err)
+	}
+	return false
+}
+
+// Drive starts the driver if a request is pending and none runs. The
+// driver steps until no request is pending; requests submitted while it
+// runs join at the step they find.
+func (net *Network) Drive() {
+	if net.driving.Load() {
+		return
+	}
+	net.lock()
+	defer net.subMu.Unlock()
+	if net.waiting > 0 && !net.driving.Load() {
+		net.driving.Store(true)
+		go net.drive()
+	}
+}
+
+// drive is the driver: it steps the scheduler and evaluates every
+// process's head after each step, in runs of awaitRun steps per hold of
+// the mutex, until no request is pending. Between runs it yields if a
+// caller waits for the mutex, so a Do waits one run, not the mutex's
+// starvation rule.
+func (net *Network) drive() {
+	net.subMu.Lock()
 	for {
-		if net.subClosed {
-			return core.ErrClosed
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < awaitRun; i++ {
-			if cond(env) {
-				return nil
-			}
-			if steps := net.step - start; steps >= net.awaitBudget {
-				return &ErrBudget{Steps: steps, Unit: "steps"}
-			}
+		for i := 0; i < awaitRun && net.waiting > 0; i++ {
 			net.Step()
+			idle := false
+			for _, p := range net.busy {
+				idle = !net.settle(p) || idle
+			}
+			if idle {
+				net.busy = slices.DeleteFunc(net.busy, func(p core.ProcID) bool { return len(net.requests[p]) == 0 })
+			}
 		}
-		net.subMu.Unlock() // let Do, Sync, Close and other Awaits in
+		if net.waiting == 0 {
+			net.driving.Store(false)
+			net.subMu.Unlock()
+			return
+		}
+		net.subMu.Unlock()
+		if net.outside.Load() > 0 {
+			runtime.Gosched()
+		}
 		net.subMu.Lock()
 	}
 }
 
-// Close shuts substrate mode down: every pending or future Await fails
-// with core.ErrClosed. Idempotent. The network itself remains readable
+// Close shuts substrate mode down: every pending request completes with
+// core.ErrClosed, in process order, and so does every later one; the
+// driver exits. Idempotent. The network itself remains readable
 // single-threadedly afterwards.
 func (net *Network) Close() error {
-	net.subMu.Lock()
+	net.lock()
+	defer net.subMu.Unlock()
 	net.subClosed = true
-	net.subMu.Unlock()
+	for p, q := range net.requests {
+		for i, r := range q {
+			q[i] = request{}
+			net.waiting--
+			r.done(net.envs[p], core.ErrClosed)
+		}
+		net.requests[p] = q[:0]
+	}
+	net.busy = net.busy[:0]
 	return nil
 }
 
@@ -115,7 +210,7 @@ func (net *Network) TransportStats() []core.TransportStats {
 }
 
 // FaultStats returns the injected-fault counters (Stats().Faults alone,
-// readable while Awaits are in flight). Part of core.Substrate.
+// readable while requests are in flight). Part of core.Substrate.
 func (net *Network) FaultStats() core.FaultStats {
 	if net.inj == nil {
 		return core.FaultStats{}

@@ -3,9 +3,9 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +22,28 @@ func pifStacks(n int) ([]core.Stack, []*pif.PIF) {
 		stacks[i] = core.Stack{machines[i]}
 	}
 	return stacks, machines
+}
+
+// submitted registers cond at process p and returns the channel its
+// completion's error arrives on.
+func submitted(net *Network, p core.ProcID, cond func(core.Env) bool) <-chan error {
+	errc := make(chan error, 1)
+	net.Submit(p, cond, func(_ core.Env, err error) { errc <- err })
+	return errc
+}
+
+// await is Submit, Drive and a channel: it returns the request's
+// completion error, or ctx.Err() once ctx ends first, which leaves the
+// request pending.
+func await(ctx context.Context, net *Network, p core.ProcID, cond func(core.Env) bool) error {
+	errc := submitted(net, p, cond)
+	net.Drive()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // TestAwaitMatchesRunUntil pins Await's core determinism property: a
@@ -43,7 +65,7 @@ func TestAwaitMatchesRunUntil(t *testing.T) {
 			return machines[0].Done() && machines[0].BMes.Equal(token)
 		}
 		if useAwait {
-			if err := net.Await(context.Background(), 0, pred); err != nil {
+			if err := await(context.Background(), net, 0, pred); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -71,7 +93,7 @@ func TestAwaitBudget(t *testing.T) {
 	t.Parallel()
 	stacks, _ := pifStacks(2)
 	net := New(stacks, WithAwaitBudget(7))
-	err := net.Await(context.Background(), 0, func(core.Env) bool { return false })
+	err := await(context.Background(), net, 0, func(core.Env) bool { return false })
 	var budget *ErrBudget
 	if !errors.As(err, &budget) {
 		t.Fatalf("got %v, want *ErrBudget", err)
@@ -97,7 +119,7 @@ func TestAwaitConcurrent(t *testing.T) {
 			m := machines[p]
 			token := core.Payload{Tag: "c", Num: int64(p)}
 			requested := false
-			errs[p] = net.Await(context.Background(), core.ProcID(p), func(env core.Env) bool {
+			errs[p] = await(context.Background(), net, core.ProcID(p), func(env core.Env) bool {
 				if !requested {
 					requested = m.Invoke(env, token)
 					return false
@@ -114,38 +136,46 @@ func TestAwaitConcurrent(t *testing.T) {
 	}
 }
 
-// TestAwaitContextCancel verifies cancellation ends the Await and leaves
-// the network usable.
+// TestAwaitContextCancel: a context ends only a wait, not the request.
+// The abandoned request stays at the head of its process's queue, where
+// the driver keeps evaluating it, and holds the requests behind it;
+// other processes are still served; Close completes both queued
+// requests with core.ErrClosed.
 func TestAwaitContextCancel(t *testing.T) {
 	t.Parallel()
 	stacks, machines := pifStacks(2)
 	net := New(stacks, WithSeed(1))
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
+	evals := 0 // under subMu
+	errc := submitted(net, 0, func(core.Env) bool { evals++; return false })
+	queued := submitted(net, 0, func(core.Env) bool { t.Error("a request behind a pending one was evaluated"); return true })
 	go func() {
-		done <- net.Await(ctx, 0, func(core.Env) bool { return false })
+		time.Sleep(2 * time.Millisecond)
+		cancel()
 	}()
-	time.Sleep(2 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("got %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled Await never returned")
-	}
-	// The network still serves new Awaits.
+	net.Drive()
+	<-ctx.Done()
 	requested := false
-	err := net.Await(context.Background(), 0, func(env core.Env) bool {
+	err := await(context.Background(), net, 1, func(env core.Env) bool {
 		if !requested {
-			requested = machines[0].Invoke(env, core.Payload{Tag: "after"})
+			requested = machines[1].Invoke(env, core.Payload{Tag: "after"})
 			return false
 		}
-		return machines[0].Done()
+		return machines[1].Done()
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	net.Sync(func() {
+		if evals < 2 {
+			t.Errorf("the abandoned request was evaluated %d times, want it evaluated after every step", evals)
+		}
+	})
+	net.Close()
+	for _, c := range []<-chan error{errc, queued} {
+		if err := <-c; !errors.Is(err, core.ErrClosed) {
+			t.Fatalf("queued request completed with %v, want core.ErrClosed", err)
+		}
 	}
 }
 
@@ -157,7 +187,7 @@ func TestAwaitClose(t *testing.T) {
 	net := New(stacks)
 	done := make(chan error, 1)
 	go func() {
-		done <- net.Await(context.Background(), 0, func(core.Env) bool { return false })
+		done <- await(context.Background(), net, 0, func(core.Env) bool { return false })
 	}()
 	time.Sleep(2 * time.Millisecond)
 	if err := net.Close(); err != nil {
@@ -174,7 +204,7 @@ func TestAwaitClose(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("pending Await never failed after Close")
 	}
-	if err := net.Await(context.Background(), 0, func(core.Env) bool { return true }); !errors.Is(err, core.ErrClosed) {
+	if err := await(context.Background(), net, 0, func(core.Env) bool { return true }); !errors.Is(err, core.ErrClosed) {
 		t.Fatalf("await after close got %v, want core.ErrClosed", err)
 	}
 }
@@ -187,58 +217,60 @@ func TestAwaitZeroBudget(t *testing.T) {
 	stacks, _ := pifStacks(2)
 	net := New(stacks, WithAwaitBudget(0))
 	var budget *ErrBudget
-	if err := net.Await(context.Background(), 0, func(core.Env) bool { return false }); !errors.As(err, &budget) {
+	if err := await(context.Background(), net, 0, func(core.Env) bool { return false }); !errors.As(err, &budget) {
 		t.Fatalf("got %v, want *ErrBudget", err)
 	}
-	if err := net.Await(context.Background(), 0, func(core.Env) bool { return true }); err != nil {
+	if err := await(context.Background(), net, 0, func(core.Env) bool { return true }); err != nil {
 		t.Fatalf("already-true condition failed under zero budget: %v", err)
 	}
 }
 
-// spinAwaits starts k concurrent Awaits whose condition never holds and
-// returns a function that waits for them and hands back their errors.
-func spinAwaits(ctx context.Context, net *Network, k int) func() []error {
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	for i := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = net.Await(ctx, core.ProcID(i%net.N()), func(core.Env) bool { return false })
-		}()
+// spinAwaits submits k requests whose condition never holds, spread
+// over the processes, starts the driver, and returns a function that
+// waits for them and hands back their errors.
+func spinAwaits(net *Network, k int) func() []error {
+	errcs := make([]<-chan error, k)
+	for i := range errcs {
+		errcs[i] = submitted(net, core.ProcID(i%net.N()), func(core.Env) bool { return false })
 	}
-	return func() []error { wg.Wait(); return errs }
+	net.Drive()
+	return func() []error {
+		errs := make([]error, k)
+		for i, errc := range errcs {
+			errs[i] = <-errc
+		}
+		return errs
+	}
 }
 
-// TestAwaitConcurrentBudget runs 16 never-true Awaits at once. Each one
-// fails on its own budget, counted in scheduler steps since its call
-// whoever took them; and Do and Sync from a seventeenth goroutine get
-// their turn while the sixteen spin.
+// TestAwaitConcurrentBudget runs 16 never-true requests at once, four per
+// process. Each one fails on its own budget, counted in scheduler steps
+// since its Submit whoever they were taken for, so the four queued at one
+// process fail in the same step; and Do and Sync from another goroutine
+// get their turn while the sixteen are pending.
 func TestAwaitConcurrentBudget(t *testing.T) {
 	t.Parallel()
 	const waiters, budget = 16, 10_000
 	stacks, _ := pifStacks(4)
 	net := New(stacks, WithSeed(7), WithAwaitBudget(budget))
-	for i, err := range spinAwaits(context.Background(), net, waiters)() {
+	for i, err := range spinAwaits(net, waiters)() {
 		var b *ErrBudget
 		if !errors.As(err, &b) {
 			t.Fatalf("await %d: got %v, want *ErrBudget", i, err)
 		}
-		if b.Steps < budget || b.Unit != "steps" {
-			t.Fatalf("await %d: budget error = %+v, want at least %d steps", i, b, budget)
+		if b.Steps != budget || b.Unit != "steps" {
+			t.Fatalf("await %d: budget error = %+v, want %d steps", i, b, budget)
 		}
 	}
-	if got := net.StepCount(); got < budget || got > waiters*budget {
-		t.Fatalf("%d waiters took %d steps, want %d (all overlapped) to %d (none did)", waiters, got, budget, waiters*budget)
+	if got := net.StepCount(); got != budget {
+		t.Fatalf("%d requests submitted together took %d steps, want %d", waiters, got, budget)
 	}
 
-	// Without a budget the sixteen cannot finish on their own, so a Sync
-	// that sees the step count move ran while they spin: take five (on
-	// one CPU each turn costs a preemption slice).
+	// Without a budget the sixteen never finish, so a Sync that sees the
+	// step count move ran while the driver steps for them.
 	stacks, _ = pifStacks(4)
 	net = New(stacks, WithSeed(7), WithAwaitBudget(math.MaxInt))
-	ctx, cancel := context.WithCancel(context.Background())
-	wait := spinAwaits(ctx, net, waiters)
+	wait := spinAwaits(net, waiters)
 	for last, seen := 0, 0; seen < 5; {
 		p := core.ProcID(seen % 4)
 		net.Do(p, func(env core.Env) {
@@ -253,19 +285,19 @@ func TestAwaitConcurrentBudget(t *testing.T) {
 			}
 		})
 	}
-	cancel()
+	net.Close()
 	for i, err := range wait() {
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("await %d: got %v, want context.Canceled", i, err)
+		if !errors.Is(err, core.ErrClosed) {
+			t.Fatalf("await %d: got %v, want core.ErrClosed", i, err)
 		}
 	}
 }
 
-// TestDriverExitsWhenIdle pins that nothing is left running, because
-// nothing is started: the waiter drives, so the goroutine count is the
-// same before an Await, at every evaluation of its condition (on the
-// caller's own goroutine) and after it. Not parallel: the count is the
-// whole process's.
+// TestDriverExitsWhenIdle pins the one driver: a request at the head of
+// its queue is evaluated on the submitting goroutine, nothing runs until
+// it is waited for, one goroutine steps while it is pending, and none is
+// left once it completed. Not parallel: the count is the whole
+// process's.
 func TestDriverExitsWhenIdle(t *testing.T) {
 	stacks, machines := pifStacks(2)
 	net := New(stacks, WithSeed(3))
@@ -273,25 +305,87 @@ func TestDriverExitsWhenIdle(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		requested := false
 		token := core.Payload{Tag: "idle", Num: int64(i)}
-		during := ""
-		err := net.Await(context.Background(), 0, func(env core.Env) bool {
-			if g := runtime.NumGoroutine(); g != before && during == "" {
-				during = fmt.Sprintf("%d goroutines at step %d", g, net.StepCount())
-			}
+		during := 0
+		errc := submitted(net, 0, func(env core.Env) bool {
 			if !requested {
 				requested = machines[0].Invoke(env, token)
 				return false
 			}
+			during = max(during, runtime.NumGoroutine())
 			return machines[0].Done() && machines[0].BMes.Equal(token)
 		})
-		if err != nil {
+		if g := runtime.NumGoroutine(); g != before || net.StepCount() != 0 && i == 0 {
+			t.Fatalf("request %d: %d goroutines and %d steps before it was waited for, %d goroutines before", i, g, net.StepCount(), before)
+		}
+		net.Drive()
+		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
-		if during != "" {
-			t.Fatalf("request %d: %s, %d before the Await", i, during, before)
+		if during != before+1 {
+			t.Fatalf("request %d: up to %d goroutines while it was pending, want %d", i, during, before+1)
 		}
-		if after := runtime.NumGoroutine(); after != before {
-			t.Fatalf("request %d: %d goroutines after the Await, %d before", i, after, before)
+		if !waitFor(10_000, func() bool { return runtime.NumGoroutine() == before }) {
+			t.Fatalf("request %d: %d goroutines after it completed, %d before", i, runtime.NumGoroutine(), before)
 		}
+	}
+}
+
+// waitFor polls cond every millisecond until it holds, k times at most.
+func waitFor(k int, cond func() bool) bool {
+	for ; k > 0; k-- {
+		if cond() {
+			return true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return cond()
+}
+
+// TestRequestsCompleteInProcessOrder: conditions that come true in the
+// same step complete in process order, whatever order they were
+// submitted in, and a request queued behind another at its process is
+// first evaluated in the section that completes the one ahead.
+func TestRequestsCompleteInProcessOrder(t *testing.T) {
+	t.Parallel()
+	stacks, _ := pifStacks(3)
+	net := New(stacks, WithSeed(2))
+	var order []string // under subMu
+	at := func(step int) func(core.Env) bool {
+		return func(core.Env) bool { return net.StepCount() >= step }
+	}
+	var errcs []<-chan error
+	for _, r := range []struct {
+		p    core.ProcID
+		name string
+		cond func(core.Env) bool
+	}{
+		{2, "2a", at(5)},
+		{0, "0a", at(5)},
+		{2, "2b", func(core.Env) bool {
+			order = append(order, "2b evaluated")
+			return true
+		}},
+		{1, "1a", at(5)},
+	} {
+		errc := make(chan error, 1)
+		name := r.name
+		net.Submit(r.p, r.cond, func(_ core.Env, err error) {
+			order = append(order, name)
+			errc <- err
+		})
+		errcs = append(errcs, errc)
+	}
+	net.Drive()
+	for _, errc := range errcs {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"0a", "1a", "2a", "2b evaluated", "2b"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("completions %v, want %v", order, want)
+	}
+	if got := net.StepCount(); got != 5 {
+		t.Fatalf("%d steps, want 5", got)
 	}
 }

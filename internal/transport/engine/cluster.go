@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -19,45 +18,42 @@ import (
 // node does not host is dropped before it can reach another group's
 // channels.
 
-// Await evaluates cond under the node's action mutex with the default
-// group's environment until it holds; see members.Await.
-func (n *Node) Await(ctx context.Context, cond func(env core.Env) bool) error {
-	return n.g0.await(ctx, nil, cond)
+// Submit registers a request at the node's default group; see
+// members.Submit.
+func (n *Node) Submit(cond func(env core.Env) bool, done func(env core.Env, err error)) {
+	n.g0.submit(cond, done)
 }
 
-// await evaluates cond in an atomic section ending with an eager Step (a
-// request it injected starts at once), then has the node's later sections
-// re-evaluate it until it holds, ctx ends, or the node — or the view of
-// it, done — stops.
-// A pending wait keeps the step tick coming.
-func (g *Group) await(ctx context.Context, done <-chan struct{}, cond func(env core.Env) bool) error {
+// submit registers a request with the group's waiters in an atomic
+// section ending with an eager Step (a request its condition injected
+// starts at once); the node's later sections complete it. A pending
+// request keeps the step tick coming.
+func (g *Group) submit(cond func(env core.Env) bool, done func(env core.Env, err error)) {
 	n := g.n
 	n.mu.Lock()
-	w := g.waiters.Eval(g.envs[core.PathAction], cond)
+	g.waiters.Submit(g.envs[core.PathAction], cond, done)
 	if !g.down() {
 		g.stack.Step(g.envs[core.PathEager])
 	}
-	if w != nil {
+	if g.waiters.Len() > 0 {
 		n.owe()
 	}
 	n.flush()
 	n.release()
-	return g.waiters.Wait(ctx, (*section)(n), w, n.stop, done)
 }
 
-// section is a node's action mutex as a sync.Locker whose Unlock is the
-// node's release, so a waiter that unregisters ends its section as every
-// other section does.
-type section Node
-
-func (s *section) Lock()   { s.mu.Lock() }
-func (s *section) Unlock() { (*Node)(s).release() }
+// closeWaiters completes the group's pending requests, and every later
+// one, with core.ErrClosed, in an atomic section.
+func (g *Group) closeWaiters() {
+	g.n.mu.Lock()
+	g.waiters.Close(g.envs[core.PathAction])
+	g.n.release()
+}
 
 // members is the core.Substrate face shared by Cluster and MuxCluster:
 // one group per process.
 type members struct {
 	groups []*Group
-	done   chan struct{} // closed when the view closes; nil if it only closes with its nodes
 }
 
 // N returns the number of processes.
@@ -70,10 +66,12 @@ func (c *members) Do(p core.ProcID, f func(env core.Env)) {
 	g.n.doGroup(g, f)
 }
 
-// Await evaluates cond under process p's action mutex, now and after each
-// atomic section at p, until it holds: nil, ctx.Err(), or core.ErrClosed.
-func (c *members) Await(ctx context.Context, p core.ProcID, cond func(env core.Env) bool) error {
-	return c.groups[p].await(ctx, c.done, cond)
+// Submit registers a request at process p: cond is evaluated under p's
+// action mutex at the end of each atomic section at p, and done runs in
+// the section where it held (nil), or when the node halts or the view
+// closes (core.ErrClosed).
+func (c *members) Submit(p core.ProcID, cond func(env core.Env) bool, done func(env core.Env, err error)) {
+	c.groups[p].submit(cond, done)
 }
 
 // TransportStats implements core.TransportStatser: one snapshot per
@@ -241,7 +239,7 @@ func (m *Mux) Attach(stacks []core.Stack, opts ...Option) (*MuxCluster, error) {
 	m.nextGid++
 	m.mu.Unlock()
 
-	c := &MuxCluster{members: members{done: make(chan struct{})}}
+	c := &MuxCluster{}
 	epoch := time.Now()
 	for i, node := range m.nodes {
 		g, err := node.buildGroup(gid, stacks[i], o.topology, o.faults, o.observers)
@@ -280,13 +278,14 @@ var _ core.Substrate = (*MuxCluster)(nil)
 // Group returns the wire group id this cluster's traffic carries.
 func (c *MuxCluster) Group() uint64 { return c.groups[0].id }
 
-// Close detaches the cluster from every node: its channels and their
-// mail go, subsequent frames for its group id are dropped, and the mux
-// keeps running for its siblings. Idempotent.
+// Close detaches the cluster from every node: its pending requests fail
+// with core.ErrClosed, its channels and their mail go, subsequent frames
+// for its group id are dropped, and the mux keeps running for its
+// siblings. Idempotent.
 func (c *MuxCluster) Close() error {
 	c.closeOnce.Do(func() {
-		close(c.done)
 		for _, g := range c.groups {
+			g.closeWaiters()
 			g.n.setGroup(g.id, nil)
 		}
 	})

@@ -63,6 +63,52 @@ func await(t *testing.T, c *Cluster, m *pif.PIF, token core.Payload) {
 	}
 }
 
+// submitted registers cond at process p of sub and returns the channel
+// its completion's error arrives on.
+func submitted(sub interface {
+	Submit(core.ProcID, func(core.Env) bool, func(core.Env, error))
+}, p core.ProcID, cond func(core.Env) bool) <-chan error {
+	errc := make(chan error, 1)
+	sub.Submit(p, cond, func(_ core.Env, err error) { errc <- err })
+	return errc
+}
+
+// within returns what errc carries, or ctx.Err() once ctx ends first.
+func within(ctx context.Context, errc <-chan error) error {
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// outcome returns what errc carries, failing the test if nothing arrives
+// within ten seconds.
+func outcome(t *testing.T, errc <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-errc:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("the request never completed")
+		return nil
+	}
+}
+
+// Await is Submit plus a channel, for tests: it returns the request's
+// completion error, or ctx.Err() once ctx ends, leaving it registered.
+func (c *members) Await(ctx context.Context, p core.ProcID, cond func(core.Env) bool) error {
+	return within(ctx, submitted(c, p, cond))
+}
+
+// Await is members.Await at the node's default group.
+func (n *Node) Await(ctx context.Context, cond func(core.Env) bool) error {
+	errc := make(chan error, 1)
+	n.Submit(cond, func(_ core.Env, err error) { errc <- err })
+	return within(ctx, errc)
+}
+
 // decided reports whether process p of c decided a broadcast of token.
 func decided(c *Cluster, p core.ProcID, m *pif.PIF, token core.Payload) (d bool) {
 	c.Do(p, func(core.Env) { d = m.Done() && m.BMes.Equal(token) })
@@ -150,45 +196,35 @@ func TestAwaitTrueAtOnceRunning(t *testing.T) {
 	})
 }
 
-// TestAwaitEndsUnregisteredRunning: a wait on a running cluster ended by
-// its context or by Close returns the matching error, and its condition
-// is not evaluated again by the atomic sections that follow.
+// TestAwaitEndsUnregisteredRunning: Close on a running cluster completes
+// the pending request at a process and the one queued behind it with
+// core.ErrClosed, in order; neither condition is evaluated again, the
+// queued one never was, and a request submitted afterwards fails at
+// once.
 func TestAwaitEndsUnregisteredRunning(t *testing.T) {
 	t.Parallel()
 	stacks, machines := pifStacksAt(2, 1)
 	c := start(t, stacks)
-	ctx, cancel := context.WithCancel(context.Background())
-	for _, tc := range []struct {
-		name string
-		ctx  context.Context
-		end  func()
-		want error
-	}{
-		{"ctx", ctx, cancel, context.Canceled},
-		{"Close", context.Background(), func() { c.Close() }, core.ErrClosed},
-	} {
-		evals := 0 // under process 0's action mutex
-		evaluated := func() (k int) {
-			c.Do(0, func(core.Env) { k = evals })
-			return k
+	await(t, c, machines[0], core.Payload{Tag: "before"})
+	var evals [2]int // under process 0's action mutex
+	errcs := make([]<-chan error, 2)
+	for i := range errcs {
+		errcs[i] = submitted(c, 0, func(core.Env) bool { evals[i]++; return false })
+	}
+	c.Do(0, func(env core.Env) { machines[0].Step(env) })
+	c.Close()
+	for i, errc := range errcs {
+		if err := outcome(t, errc); !errors.Is(err, core.ErrClosed) {
+			t.Fatalf("request %d: %v, want core.ErrClosed", i, err)
 		}
-		errc := make(chan error, 1)
-		go func() { errc <- c.Await(tc.ctx, 0, func(core.Env) bool { evals++; return false }) }()
-		if !waitFor(10*time.Second, func() bool { return evaluated() >= 1 }) {
-			t.Fatalf("%s: Await never evaluated its condition", tc.name)
-		}
-		tc.end()
-		if err := <-errc; !errors.Is(err, tc.want) {
-			t.Fatalf("%s: Await returned %v, want %v", tc.name, err, tc.want)
-		}
-		before := evaluated()
-		if tc.want == context.Canceled {
-			await(t, c, machines[0], core.Payload{Tag: "after"})
-		}
-		c.Do(0, func(env core.Env) { machines[0].Step(env) })
-		if after := evaluated(); after != before {
-			t.Fatalf("%s: condition evaluated %d more times after its wait ended", tc.name, after-before)
-		}
+	}
+	var after [2]int
+	c.Do(0, func(env core.Env) { machines[0].Step(env); after = evals })
+	if after[0] == 0 || after[1] != 0 || after != evals {
+		t.Fatalf("evaluations %v after Close, want the head's alone and none since", after)
+	}
+	if err := outcome(t, submitted(c, 0, func(core.Env) bool { return true })); !errors.Is(err, core.ErrClosed) {
+		t.Fatalf("a request after Close: %v, want core.ErrClosed", err)
 	}
 }
 
@@ -621,7 +657,7 @@ func TestEngineAwait(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if err := sub.Await(ctx, 0, broadcasting(machines[0], core.Payload{Tag: "t", Num: 9})); err != nil {
+	if err := within(ctx, submitted(sub, 0, broadcasting(machines[0], core.Payload{Tag: "t", Num: 9}))); err != nil {
 		t.Fatal(err)
 	}
 }

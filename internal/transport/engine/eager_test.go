@@ -148,17 +148,15 @@ func broadcasting(m *pif.PIF, token core.Payload) func(core.Env) bool {
 	}
 }
 
-// request awaits a broadcast of token at node from a goroutine and
-// returns once its first atomic section is over.
+// request submits a broadcast of token at node and returns the channel
+// its completion arrives on, once its first atomic section is over.
 func request(t *testing.T, node *Node, m *pif.PIF, token core.Payload) <-chan error {
 	t.Helper()
 	errc := make(chan error, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel) // a request a test leaves undecided ends with the test
 	pin(node)
-	go func() { errc <- node.Await(ctx, broadcasting(m, token)) }()
-	if !waitFor(10*time.Second, func() bool { return waiting(node) == 1 }) {
-		t.Fatal("Await never registered its condition")
+	node.Submit(broadcasting(m, token), func(_ core.Env, err error) { errc <- err })
+	if k := waiting(node); k != 1 {
+		t.Fatalf("%d requests registered after Submit, want 1", k)
 	}
 	return errc
 }
@@ -765,9 +763,10 @@ func TestAwaitTrueAtOnce(t *testing.T) {
 	}
 }
 
-// TestAwaitEndsUnregistered: whatever ends a wait other than its
-// condition — the context, the node, the mux view — returns the right
-// error and leaves no condition registered and no goroutine behind.
+// TestAwaitEndsUnregistered: whatever ends a request other than its
+// condition — the node, the mux view — completes it and the one queued
+// behind it with core.ErrClosed, leaves no request registered and no
+// goroutine behind, and fails a later request at once.
 func TestAwaitEndsUnregistered(t *testing.T) {
 	never := func(core.Env) bool { return false }
 	base := runtime.NumGoroutine()
@@ -785,35 +784,35 @@ func TestAwaitEndsUnregistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	for _, tc := range []struct {
 		name string
 		sub  core.Substrate
 		g    *Group
-		ctx  context.Context
 		end  func()
-		want error
 	}{
-		{"ctx", c, c.groups[0], ctx, cancel, context.Canceled},
-		{"MuxCluster.Close", view, view.groups[0], context.Background(), func() { view.Close() }, core.ErrClosed},
-		{"Node.Stop", c, c.groups[0], context.Background(), func() { c.Close() }, core.ErrClosed},
+		{"MuxCluster.Close", view, view.groups[0], func() { view.Close() }},
+		{"Node.Stop", c, c.groups[0], func() { c.Close() }},
 	} {
-		errc := make(chan error, 1)
-		go func() { errc <- tc.sub.Await(tc.ctx, 0, never) }()
 		registered := func() (k int) {
 			tc.g.n.mu.Lock()
 			defer tc.g.n.release()
 			return tc.g.waiters.Len()
 		}
-		if !waitFor(10*time.Second, func() bool { return registered() == 1 }) {
-			t.Fatalf("%s: Await never registered", tc.name)
+		first, second := submitted(tc.sub, 0, never), submitted(tc.sub, 0, never)
+		if k := registered(); k != 2 {
+			t.Fatalf("%s: %d requests registered, want 2", tc.name, k)
 		}
 		tc.end()
-		if err := <-errc; !errors.Is(err, tc.want) {
-			t.Fatalf("%s: Await returned %v, want %v", tc.name, err, tc.want)
+		for _, errc := range []<-chan error{first, second} {
+			if err := outcome(t, errc); !errors.Is(err, core.ErrClosed) {
+				t.Fatalf("%s: request completed with %v, want core.ErrClosed", tc.name, err)
+			}
 		}
 		if k := registered(); k != 0 {
-			t.Fatalf("%s: %d conditions left registered", tc.name, k)
+			t.Fatalf("%s: %d requests left registered", tc.name, k)
+		}
+		if err := outcome(t, submitted(tc.sub, 0, never)); !errors.Is(err, core.ErrClosed) {
+			t.Fatalf("%s: a later request completed with %v, want core.ErrClosed", tc.name, err)
 		}
 	}
 	mux.Close()

@@ -671,8 +671,16 @@ func (n *Node) launch() {
 	}
 }
 
-// halt tells the node's sections and every Await to end.
-func (n *Node) halt() { n.stopOnce.Do(func() { close(n.stop) }) }
+// halt tells the node's sections to end, and completes every group's
+// pending requests, and every later one, with core.ErrClosed.
+func (n *Node) halt() {
+	n.stopOnce.Do(func() {
+		close(n.stop)
+		for _, g := range n.groups.Load().list {
+			g.closeWaiters()
+		}
+	})
+}
 
 // halted reports whether the node was told to stop.
 func (n *Node) halted() bool {

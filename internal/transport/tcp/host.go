@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,8 +9,8 @@ import (
 	"github.com/snapstab/snapstab/internal/transport/engine"
 )
 
-// ErrRemoteProcess is returned by Host.Await for any process other than
-// the hosted one: a daemon can only observe its own process; requests at
+// ErrRemoteProcess completes a Host.Submit at any process other than the
+// hosted one: a daemon can only observe its own process; requests at
 // other processes belong to their daemons.
 var ErrRemoteProcess = errors.New("tcp: process is hosted by another daemon")
 
@@ -112,14 +111,18 @@ func (h *Host) Do(p core.ProcID, f func(env core.Env)) {
 	h.deadMu[p].Unlock()
 }
 
-// Await observes the hosted process like Cluster.Await; for any other
-// process it fails immediately with ErrRemoteProcess — that process's
-// daemon is the only place its requests can be issued and observed.
-func (h *Host) Await(ctx context.Context, p core.ProcID, cond func(env core.Env) bool) error {
+// Submit registers a request at the hosted process like Cluster.Submit;
+// at any other process it completes at once, under that process's inert
+// stack's mutex, with ErrRemoteProcess — that process's daemon is the
+// only place its requests can be issued and observed.
+func (h *Host) Submit(p core.ProcID, cond func(env core.Env) bool, done func(env core.Env, err error)) {
 	if p != h.self {
-		return fmt.Errorf("%w: %d (this daemon hosts %d)", ErrRemoteProcess, p, h.self)
+		h.Do(p, func(env core.Env) {
+			done(env, fmt.Errorf("%w: %d (this daemon hosts %d)", ErrRemoteProcess, p, h.self))
+		})
+		return
 	}
-	return h.node.Await(ctx, cond)
+	h.node.Submit(cond, done)
 }
 
 // TransportStats returns one entry per fleet process: real counters at

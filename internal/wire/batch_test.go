@@ -120,9 +120,9 @@ func TestDecodeBatchAcceptsLegacyFrames(t *testing.T) {
 
 // TestBatchBuilderReuse pins the zero-alloc contract of the batching
 // hot path: once grown, a reused builder and frame buffer accumulate
-// and render without allocating.
+// and render without allocating. Not parallel: AllocsPerRun counts the
+// whole process's allocations, a sibling test's too.
 func TestBatchBuilderReuse(t *testing.T) {
-	t.Parallel()
 	msgs := batchMsgs(16)
 	var b BatchBuilder
 	frame := make([]byte, 0, 4096)

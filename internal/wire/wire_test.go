@@ -35,9 +35,9 @@ func TestRoundTrip(t *testing.T) {
 
 // TestAppendEncodeReusesBuffer pins the zero-alloc contract of the hot
 // send path: encoding into a pre-grown scratch buffer must produce the
-// same bytes as Encode without allocating.
+// same bytes as Encode without allocating. Not parallel: AllocsPerRun
+// counts the whole process's allocations, a sibling test's too.
 func TestAppendEncodeReusesBuffer(t *testing.T) {
-	t.Parallel()
 	m := core.Message{
 		Instance: "pif", Kind: "PIF",
 		B: core.Payload{Tag: "ASK", Num: 12}, F: core.Payload{Tag: "YES", Num: -3},

@@ -145,8 +145,8 @@ func (c *pifCore) specReport() SpecReport {
 // broadcastAsync submits a PIF computation request for token at process
 // p. The request is accepted as soon as the machine's previous
 // computation (if any — possibly fabricated by corruption) has decided;
-// requests issued concurrently at the same process serialize, one
-// request owning the process at a time. The guarantee (Theorem 2) holds
+// requests at the same process are served one at a time, in the order
+// they were issued. The guarantee (Theorem 2) holds
 // no matter how corrupted the cluster was at submission.
 func (c *pifCore) broadcastAsync(p int, token core.Payload) *payloadBroadcastRequest {
 	req := &payloadBroadcastRequest{Request: c.newRequest()}

@@ -4,27 +4,46 @@ import "context"
 
 // Request is the handle of one asynchronous protocol request. It is
 // created by the *Async methods, completes exactly once, and is safe to
-// share across goroutines. The request keeps running on the cluster's
-// substrate even if nobody waits on it; Close on the cluster aborts it.
+// share across goroutines. Issuing it starts no goroutine: the request is
+// a condition registered at its process, and the atomic section in which
+// the condition holds completes it. Requests at one process are served
+// in the order they were issued. On Runtime, UDP and TCP a request runs
+// whether or not anyone waits on it. On Sim the scheduler runs while a
+// pending request has been waited on (Wait, Done or Err), and then until
+// no request is pending, so requests issued back to back before the
+// first wait replay exactly from the seed. Close on the cluster aborts
+// every pending request.
 //
 // The typed request wrappers (BroadcastRequest, LearnRequest, ...) embed
 // Request and add result accessors that are valid once the request has
 // completed successfully.
 type Request struct {
-	done chan struct{}
-	err  error // terminal error; written exactly once before done closes
-	fail error // protocol-level failure recorded by the completion condition
+	done  chan struct{}
+	err   error  // terminal error; written exactly once before done closes
+	fail  error  // protocol-level failure recorded by the completion condition
+	drive func() // starts the Sim scheduler for a pending request; nil elsewhere
+}
+
+// waited tells a Sim cluster that r is waited on, so its scheduler runs.
+func (r *Request) waited() {
+	if r.drive != nil && !r.completed() {
+		r.drive()
+	}
 }
 
 // Done returns a channel that is closed when the request has completed
 // (successfully or not). It is the select-friendly form of Wait.
-func (r *Request) Done() <-chan struct{} { return r.done }
+func (r *Request) Done() <-chan struct{} {
+	r.waited()
+	return r.done
+}
 
 // Wait blocks until the request completes, returning its terminal error,
 // or until ctx is done, returning ctx.Err(). A context cancellation
 // abandons only this Wait: the request itself keeps running and can be
 // waited on again.
 func (r *Request) Wait(ctx context.Context) error {
+	r.waited()
 	select {
 	case <-r.done:
 		return r.err
@@ -55,6 +74,7 @@ func (r *Request) completed() bool {
 // Err returns the request's terminal error once it has completed, and
 // nil while it is still in flight (and after a successful completion).
 func (r *Request) Err() error {
+	r.waited()
 	select {
 	case <-r.done:
 		return r.err

@@ -291,8 +291,8 @@ func (r *BroadcastRequest) Feedbacks() []Feedback {
 // BroadcastAsync submits a PIF computation request at process p and
 // returns immediately. The request is accepted as soon as the machine's
 // previous computation (if any — possibly fabricated by corruption) has
-// decided; requests issued concurrently at the same process serialize,
-// one request owning the process at a time. The guarantee (Theorem 2)
+// decided; requests at the same process are served one at a time, in
+// the order they were issued. The guarantee (Theorem 2)
 // holds no matter how corrupted the cluster was when the request was
 // submitted.
 func (c *PIFCluster) BroadcastAsync(p int, tag string, num int64) *BroadcastRequest {
