@@ -26,7 +26,6 @@ var simReachable = []string{
 	"internal/mutex",
 	"internal/reset",
 	"internal/snapshot",
-	"internal/termdet",
 	"internal/baseline",
 	// corruption and configuration feeding the machines
 	"internal/adversary",

@@ -5,7 +5,8 @@
 // system is the correctness kernel of the protocol (Lemma 4 is stated for
 // one pair).
 //
-// Two analyses are offered, on two sound abstractions:
+// Two analyses of PIF are offered, on two sound abstractions (window.go
+// adds a third, of the link window the engine runs):
 //
 //   - Safety: from EVERY abstract initial configuration in which the
 //     initiator p has a pending request (arbitrary flags, arbitrary peer
@@ -206,22 +207,32 @@ func (e *explorer) encode(c *conf) uint64 {
 	if e.safety {
 		qIdx = qIdx*2 + b2u(c.qF)
 	}
-	var pqIdx, qpIdx uint64
-	if c.pqFull {
-		m := uint64(c.pqS)*v + uint64(c.pqE)
-		if e.safety {
-			m = m*2 + b2u(c.pqB)
-		}
-		pqIdx = 1 + m
-	}
-	if c.qpFull {
-		m := uint64(c.qpS)*v + uint64(c.qpE)
-		if e.safety {
-			m = m*2 + b2u(c.qpF)
-		}
-		qpIdx = 1 + m
-	}
+	pqIdx, qpIdx := e.slot(c.pqFull, c.pqS, c.pqE, c.pqB), e.slot(c.qpFull, c.qpS, c.qpE, c.qpF)
 	return ((pIdx*e.qCard+qIdx)*e.chCard+pqIdx)*e.chCard + qpIdx
+}
+
+// slot encodes one channel slot: 0 if empty, else 1 + its message's
+// flags and, in safety mode, its freshness bit. unslot decodes it.
+func (e *explorer) slot(full bool, s, f uint8, fresh bool) uint64 {
+	if !full {
+		return 0
+	}
+	m := uint64(s)*e.vals + uint64(f)
+	if e.safety {
+		m = m*2 + b2u(fresh)
+	}
+	return 1 + m
+}
+
+func (e *explorer) unslot(idx uint64) (full bool, s, f uint8, fresh bool) {
+	if idx == 0 {
+		return false, 0, 0, false
+	}
+	m := idx - 1
+	if e.safety {
+		fresh, m = m&1 == 1, m/2
+	}
+	return true, uint8(m / e.vals), uint8(m % e.vals), fresh
 }
 
 // decode unpacks index idx into the working configuration.
@@ -250,32 +261,8 @@ func (e *explorer) decode(idx uint64, c *conf) {
 	c.qS = uint8(qIdx % v)
 	c.qReq = uint8(qIdx / v)
 
-	c.pqFull = pqIdx != 0
-	c.pqB = false
-	if c.pqFull {
-		m := pqIdx - 1
-		if e.safety {
-			c.pqB = m&1 == 1
-			m /= 2
-		}
-		c.pqE = uint8(m % v)
-		c.pqS = uint8(m / v)
-	} else {
-		c.pqS, c.pqE = 0, 0
-	}
-	c.qpFull = qpIdx != 0
-	c.qpF = false
-	if c.qpFull {
-		m := qpIdx - 1
-		if e.safety {
-			c.qpF = m&1 == 1
-			m /= 2
-		}
-		c.qpE = uint8(m % v)
-		c.qpS = uint8(m / v)
-	} else {
-		c.qpS, c.qpE = 0, 0
-	}
+	c.pqFull, c.pqS, c.pqE, c.pqB = e.unslot(pqIdx)
+	c.qpFull, c.qpS, c.qpE, c.qpF = e.unslot(qpIdx)
 }
 
 func b2u(b bool) uint64 {

@@ -6,16 +6,17 @@ import (
 	"github.com/snapstab/snapstab/internal/window"
 )
 
-// Window analysis: the link window of the socket transports
-// (internal/window) driven exhaustively. One endpoint A sends data to a
-// peer B over a bounded FIFO that may lose or duplicate any frame; B's
-// pipeline may consume its messages in any order (a fault plane's
-// holdback); echoes and probe answers return over a second such FIFO;
-// and B may restart once, forgetting everything. A probes with every
-// refused send, as the engine does; it receives no data, so its own tick
-// owes nothing and is not modelled. The real state machine
-// runs inside the exploration, exactly as the PIF machines do in the
-// other analyses.
+// Window analysis: the link window the engine runs on runtime, udp and
+// tcp (internal/window's Link) driven exhaustively. One endpoint A sends
+// data to a peer B over a bounded FIFO that may lose or duplicate any
+// frame; B's pipeline may consume its messages in any order (a fault
+// plane's holdback); echoes and probe answers return over a second such
+// FIFO; and B may restart once, forgetting everything. A's refused send
+// ships the link's header, which probes by the window's own rule; B
+// answers through the window's answer rule in a drain, as the engine
+// does, and at its tick. A receives no data, so its own tick owes
+// nothing and is not modelled. The real state machine runs inside the
+// exploration, exactly as the PIF machines do in the other analyses.
 
 // Model bounds: frames per channel, and the number of messages A may
 // admit over a run beyond its window (which keeps the sequence space,
@@ -55,7 +56,8 @@ type wconf struct {
 // link does when the network and the peer behave. Liveness is judged on
 // those alone.
 const (
-	wSend = iota // A tries to send one message; a refusal probes
+	wSend   = iota // A tries to send one message; a refusal ships the header
+	wDrainB        // B's drain answers what its headers asked for
 	wTickB
 	wDeliverAB
 	wDeliverBA
@@ -72,18 +74,11 @@ const (
 	winOps
 )
 
-func (s *wconf) pushAB(f wframe) {
-	if s.nab < winChan {
-		s.ab[s.nab] = f
-		s.nab++
+func pushFrame(ch *[winChan]wframe, n *uint8, f wframe) {
+	if *n < winChan {
+		ch[*n] = f
+		*n++
 	} // else the frame is lost to a full channel
-}
-
-func (s *wconf) pushBA(f wframe) {
-	if s.nba < winChan {
-		s.ba[s.nba] = f
-		s.nba++
-	}
 }
 
 func popFrame(ch *[winChan]wframe, n *uint8) wframe {
@@ -123,16 +118,16 @@ func (s *wconf) apply(op, c int) bool {
 		if s.a.InFlight() < c && int(s.sent) == c+winExtra {
 			return false // horizon reached: no further data in this run
 		}
-		if s.a.Admit() {
-			s.sent++
-			s.pushAB(wframe{h: s.a.Stamp(false), data: true})
-		} else {
-			// Refused: the link's header leaves all the same, probing.
-			s.pushAB(wframe{h: s.a.Stamp(true)})
+		admitted := s.a.Admit()
+		s.sent += uint8(b2u(admitted))
+		pushFrame(&s.ab, &s.nab, wframe{h: s.a.Stamp(), data: admitted})
+	case wDrainB:
+		if header, _ := s.b.Answer(); header {
+			pushFrame(&s.ba, &s.nba, wframe{h: s.b.Stamp()})
 		}
 	case wTickB:
 		if s.b.Tick() {
-			s.pushBA(wframe{h: s.b.Stamp(false)})
+			pushFrame(&s.ba, &s.nba, wframe{h: s.b.Stamp()})
 		}
 	case wDeliverAB:
 		if s.nab == 0 {

@@ -43,16 +43,10 @@ const NumReqStates = 3
 
 // String returns the paper's name for the state.
 func (r ReqState) String() string {
-	switch r {
-	case Wait:
-		return "Wait"
-	case In:
-		return "In"
-	case Done:
-		return "Done"
-	default:
-		return "ReqState(" + strconv.Itoa(int(r)) + ")"
+	if r < NumReqStates {
+		return [NumReqStates]string{Wait: "Wait", In: "In", Done: "Done"}[r]
 	}
+	return "ReqState(" + strconv.Itoa(int(r)) + ")"
 }
 
 // MaxBlobLen bounds a payload body everywhere — the authoritative limit

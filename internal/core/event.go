@@ -60,38 +60,29 @@ const (
 	EvFwdDiscard
 )
 
+// kindNames names every kind, indexed by it.
+var kindNames = [...]string{
+	EvSend:       "send",
+	EvSendLost:   "send-lost",
+	EvDeliver:    "deliver",
+	EvLose:       "lose",
+	EvStart:      "start",
+	EvDecide:     "decide",
+	EvRecvBrd:    "recv-brd",
+	EvRecvFck:    "recv-fck",
+	EvEnterCS:    "enter-cs",
+	EvExitCS:     "exit-cs",
+	EvRequest:    "request",
+	EvFwdDeliver: "fwd-deliver",
+	EvFwdDiscard: "fwd-discard",
+}
+
 // String names the kind.
 func (k EventKind) String() string {
-	switch k {
-	case EvSend:
-		return "send"
-	case EvSendLost:
-		return "send-lost"
-	case EvDeliver:
-		return "deliver"
-	case EvLose:
-		return "lose"
-	case EvStart:
-		return "start"
-	case EvDecide:
-		return "decide"
-	case EvRecvBrd:
-		return "recv-brd"
-	case EvRecvFck:
-		return "recv-fck"
-	case EvEnterCS:
-		return "enter-cs"
-	case EvExitCS:
-		return "exit-cs"
-	case EvRequest:
-		return "request"
-	case EvFwdDeliver:
-		return "fwd-deliver"
-	case EvFwdDiscard:
-		return "fwd-discard"
-	default:
-		return fmt.Sprintf("EventKind(%d)", uint8(k))
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("EventKind(%d)", uint8(k))
 }
 
 // Event is one observable occurrence in an execution. Proc is always the

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"slices"
-	"time"
 )
 
 // Substrate is a running execution substrate: a set of protocol stacks
@@ -85,61 +84,6 @@ const (
 	PathTick
 	NumPaths // sizes a per-path table
 )
-
-// LinkOut is the sender's record of one directed (peer, instance) link,
-// kept in the engine's per-link slot, under the sender's action mutex:
-// the last message the link sent and its repeat deadline. Times are on
-// the engine's clock.
-type LinkOut struct {
-	last   Message
-	used   bool          // last is valid
-	left   bool          // last has been on the wire: saying it again is a repeat
-	sentAt time.Duration // when last left, or a repeat of it was last tried
-	rto    time.Duration // how long after sentAt a repeat comes due; 0: disarmed
-}
-
-// Pass applies the sending rule to m on path at time now and reports
-// whether m leaves, and whether it leaves as a repeat of a message the
-// link already put on the wire (Left). A repeat leaves only from the
-// tick path, once now − sentAt ≥ rto; rto is step/2 after a new message
-// and step after a repeat, so a lost message is tried again half a step
-// after it left and a link that stays silent repeats once per step. A
-// message the window refused every time it was said is not a repeat when
-// it first leaves.
-func (l *LinkOut) Pass(path SendPath, m Message, now, step time.Duration) (send, repeat bool) {
-	if path == PathAction || !l.used || !l.last.Equal(m) {
-		l.last, l.used, l.left, l.sentAt, l.rto = m, true, false, now, step/2
-		return true, false
-	}
-	if path != PathTick || now-l.sentAt < l.rto {
-		return false, false
-	}
-	l.sentAt, l.rto = now, step
-	return true, l.left
-}
-
-// Left records that the link's last message went on the wire: the
-// window admitted it.
-func (l *LinkOut) Left() { l.left = true }
-
-// Due reports when a repeat of the link's last message comes due, and
-// whether the link is armed: whether a timer should wake for it.
-func (l *LinkOut) Due() (at time.Duration, armed bool) {
-	return l.sentAt + l.rto, l.rto != 0
-}
-
-// Expedite makes a repeat of the link's last message due at now: the
-// window that refused it reopened, so it need not wait out its deadline.
-func (l *LinkOut) Expedite(now time.Duration) {
-	if l.used {
-		l.rto = max(now-l.sentAt, 1)
-	}
-}
-
-// Disarm stops the timer from waking for the link, whose deadline passed
-// without a repeat: its last message is no longer what its stack says.
-// A tick path that says it again still finds it due.
-func (l *LinkOut) Disarm() { l.rto = 0 }
 
 // Waiters holds the pending requests of one group of a node of the
 // concurrent engine — one process's stack, on any of its links — as a

@@ -27,8 +27,8 @@ type LinkStats struct {
 	InFlight     int
 	PeakInFlight int
 	// PeakOutstanding is the most messages toward Peer that were admitted
-	// and not yet released by an acknowledgment at once, counted by the
-	// engine beside the windows rather than read from them: it equals
+	// and not yet released by an acknowledgment at once, counted from
+	// the windows' verdicts rather than their sequences: it equals
 	// PeakInFlight unless a window's own arithmetic is wrong, as a
 	// corrupted window state could make it.
 	PeakOutstanding int
@@ -51,7 +51,7 @@ type TransportStats struct {
 	Recvs int64
 	// Retransmits counts the repeats that left of a link's last message,
 	// a message that was already on the wire once, each once the link's
-	// repeat deadline passed (LinkOut): 1 ms after the message left new,
+	// repeat deadline passed (window.Out): 1 ms after the message left new,
 	// then every 2 ms. Everything new leaves on arrival, so a loss-free
 	// run reads zero unless an answer took longer than that. A repeat the
 	// window refuses is a SendDrop only, and a refused message that first
@@ -122,9 +122,9 @@ func FaultTotals(stats []TransportStats) FaultStats {
 }
 
 // CheckWindows reports the first link whose peak in-flight count, as the
-// window reads it or as the engine counts it beside the window, exceeded
-// the capacity its node enforces — the transports' teardown assertion
-// that the channel-capacity bound held for a whole run.
+// window reads it or as it counts admissions beside its arithmetic,
+// exceeded the capacity its node enforces — the transports' teardown
+// assertion that the channel-capacity bound held for a whole run.
 func CheckWindows(stats []TransportStats) error {
 	for p, s := range stats {
 		for _, l := range s.Links {

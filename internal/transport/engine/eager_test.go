@@ -671,7 +671,7 @@ func TestUnknownInstanceMailIsConsumed(t *testing.T) {
 	n.drainMail()
 	n.mbMu.Lock()
 	c := n.g0.channel(1, "nope")
-	inBox, occupied := len(c.box), c.w.Occupied()
+	inBox, occupied := len(c.box), c.end.Occupied()
 	n.mbMu.Unlock()
 	if inBox != 0 || occupied != 0 || len(got.snapshot()) != 0 {
 		t.Fatalf("after the drain: %d in the box, %d occupying the window, deliveries %v; want 0, 0, none", inBox, occupied, got.snapshot())

@@ -13,18 +13,12 @@
 // the bound, so the engine enforces it (DESIGN.md §7):
 //
 //   - every directed (peer, group, instance) link has a sender-side
-//     window of c messages (WithCapacity, default DefaultCapacity). A
-//     slot is held from env.Send until the receiver hands the message
-//     to Deliver or drops it; a send into a full window is lost at the
-//     sender (core.EvSendLost, Note "window"). The receiver reports
-//     consumption in the link headers of whatever it sends next, or in
-//     an echo the step timer adds to its next frame to the peer. A shut
-//     window costs one turnaround: the refused send's section ships the
-//     link's header, probing; the drain that reads the probe answers it;
-//     and the acknowledgment that reopens the window makes the refused
-//     message due at once. So a lost echo or a restarted peer cannot
-//     wedge the link, and no refusal waits for a timer
-//     (internal/window is the state machine);
+//     window of c messages (WithCapacity, default DefaultCapacity), held
+//     from env.Send until the receiver hands the message to Deliver or
+//     drops it; a send into a full window is lost at the sender
+//     (core.EvSendLost, Note "window"), and a shut window costs one
+//     turnaround. internal/window is the link end: the window, the
+//     link's last message and the rules between them;
 //   - each (group, sender, instance) triple gets a mailbox of c slots at
 //     the receiver. A window-admitted message always finds room; the
 //     bound only bites on traffic that ignores the window (a hostile or
@@ -44,38 +38,37 @@
 //
 // # Concurrency structure
 //
-// Every (group, peer, instance) channel is one record, a Chan: the last
-// message sent on it (under the action mutex mu), its capacity window
-// and its mailbox (under the node's mailbox lock mbMu, with the list of
-// channels that have mail). The receive side and the drain are coupled
-// only through that list: a frame's arrival feeds the windows and boxes
-// the decoded messages; the drain section, under mu, swaps the list out,
-// takes each listed channel's mailbox and delivers it, performing any
-// resulting sends. The links differ only in who takes that wakeup. On
-// the sockets Arrive signals a wakeup channel and the node's activation
-// loop drains. A node on the in-memory link owns no goroutine while its
-// load quiesces: the link hands a section's frames over on the sender's
-// goroutine and then settles each receiver, which drains right there if
-// a TryLock of its mu succeeds (TryLock never waits); if it fails, the
-// section holding mu drains as it releases the lock (release). A load
-// that outlasts a release's budget starts the node's carry loop, which
-// takes those wakeups as a socket node's loop does until the node's
-// timer parks. The lock order is mu → mbMu → injMu (snapvet's lockorder).
+// Every (group, peer, instance) channel is one record, a Chan: its link
+// end (window.End: the last message sent, under the action mutex mu, and
+// the window, under the node's mailbox lock mbMu) and its mailbox (under
+// mbMu, with the list of channels that have mail). The receive side and
+// the drain are coupled only through that list: a frame's arrival feeds
+// the windows and boxes the decoded messages; the drain section, under
+// mu, swaps the list out, takes each listed channel's mailbox and
+// delivers it, performing any resulting sends. The links differ only in
+// who takes that wakeup. On the sockets Arrive signals a wakeup channel
+// and the node's activation loop drains. A node on the in-memory link
+// owns no goroutine while its load quiesces: the link hands a section's
+// frames over on the sender's goroutine and then settles each receiver,
+// which drains right there if a TryLock of its mu succeeds (TryLock never
+// waits); if it fails, the section holding mu drains as it releases the
+// lock (release). A load that outlasts a release's budget starts the
+// node's carry loop, which takes those wakeups as a socket node's loop
+// does until the node's timer parks. The lock order is mu → mbMu → injMu
+// (snapvet's lockorder).
 //
 // The engine is event-driven end to end (DESIGN.md §7): a section that
 // delivered mail ends, before its frames leave, by stepping the stacks it
 // delivered to and re-evaluating their awaited conditions
-// (core.Waiters.Settle); what a Step would send again, the channel's
-// core.LinkOut holds back until its repeat deadline, which an
-// acknowledgment reopening a window that refused the message moves to
-// now. One timer per node runs one section, the step tick — from the
-// activation loop on the sockets, on the in-memory link from a
-// time.AfterFunc callback or, while one runs, the carry loop: every
-// group steps on the tick path, so the links that came due repeat, and
-// the windows' control and the fault plane's delays run. It is set
-// for the earliest thing owed — an armed link's deadline, or a step
-// interval on while a window owes control, a fault plan runs or an Await
-// waits — and parks when nothing is.
+// (core.Waiters.Settle); what a Step would send again, the link end holds
+// back until its repeat deadline. One timer per node runs one section,
+// the step tick — from the activation loop on the sockets, on the
+// in-memory link from a time.AfterFunc callback or, while one runs, the
+// carry loop: every group steps on the tick path, so the links that came
+// due repeat, and the windows' control and the fault plane's delays run.
+// It is set for the earliest thing owed — an armed link's deadline, or a
+// step interval on while a window owes control, a fault plan runs or an
+// Await waits — and parks when nothing is.
 //
 // # One framer
 //
@@ -120,7 +113,7 @@ import (
 // acknowledgment its probe asked for reopens the window.
 const DefaultCapacity = 1
 
-// stepInterval paces repetition (core.LinkOut has the rule): a link's
+// stepInterval paces repetition (window.Out has the rule): a link's
 // last message is repeated half an interval after it left new, then once
 // per interval while the link stays silent; new information never waits
 // for it. Unpaced retransmission would flood the path and stall the
@@ -363,12 +356,8 @@ func (g *Group) Stats() core.TransportStats {
 			Received: pl.recvd.Load(),
 			Dropped:  pl.dropped.Load(),
 		}
-		// The gauges: the fullest current window and the highest peaks
-		// among the peer's instances.
 		for _, c := range pl.chans {
-			ls.InFlight = max(ls.InFlight, c.w.InFlight())
-			ls.PeakInFlight = max(ls.PeakInFlight, c.w.Peak())
-			ls.PeakOutstanding = max(ls.PeakOutstanding, c.peakOutstanding)
+			c.end.Gauge(&ls)
 		}
 		s.Links = append(s.Links, ls)
 	}
@@ -434,18 +423,11 @@ type Chan struct {
 	Peer     core.ProcID
 	Instance string
 
-	out core.LinkOut // the sender's last message; under n.mu
+	end window.End // the link end: its Out under n.mu, its Link under n.mbMu
 
 	// Under n.mbMu.
-	w        window.Link
-	box      []core.Message // arrived, not yet taken by a drain: at most c
-	reopened bool           // an acknowledgment reopened w after a refusal
-	heard    bool           // listed in n.heard
-
-	// The sends w admitted minus those acknowledgments released, and its
-	// peak: the capacity bound counted beside the window's own arithmetic,
-	// so that core.CheckWindows sees a breach the window's state hides.
-	outstanding, peakOutstanding int
+	box   []core.Message // arrived, not yet taken by a drain: at most c
+	heard bool           // listed in n.heard
 }
 
 // channel returns g's record for (peer, instance), creating it on first
@@ -459,17 +441,10 @@ func (g *Group) channel(peer core.ProcID, instance string) *Chan {
 	}
 	// A random first sequence keeps a restarted node's numbering clear of
 	// acknowledgments addressed to its previous life.
-	c := &Chan{g: g, Peer: peer, Instance: instance, w: window.NewLink(g.n.capacity, 1+uint64(rand.Uint32()>>1))}
+	c := &Chan{g: g, Peer: peer, Instance: instance}
+	c.end.Link = window.NewLink(g.n.capacity, 1+uint64(rand.Uint32()>>1))
 	pl.chans = append(pl.chans, c)
 	return c
-}
-
-// due is what a section owes one channel: its header in the frame to
-// the peer, or a repeat of its last message now.
-type due struct {
-	c      *Chan
-	header bool
-	repeat bool
 }
 
 // Node is one process on one link, hosting one or more groups.
@@ -492,7 +467,7 @@ type Node struct {
 	// atomic section ends with flush.
 	mu    sync.Mutex
 	out   []Frame        // the section's frames, in the order they opened
-	due   []due          // control and answer scratch
+	due   []*Chan        // control and answer scratch: the headers owed
 	dirty []*Group       // drain scratch: groups that got mail
 	taken []core.Message // drain scratch: the mailbox being delivered
 
@@ -753,32 +728,14 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	now := n.clock()
 	n.mbMu.Lock()
 	c := g.channel(to, m.Instance)
-	send, repeat := c.out.Pass(v.path, m, now, stepInterval)
-	admitted := send && c.w.Admit()
-	if admitted {
-		c.out.Left()
-		c.outstanding++
-		c.peakOutstanding = max(c.peakOutstanding, c.outstanding)
-	}
-	// A message that leaves supersedes whatever the window refused
-	// before: nothing refused is owed a repeat any more.
-	c.reopened = c.reopened && !admitted
+	fate, at := c.end.Send(v.path, m, now, stepInterval)
 	n.mbMu.Unlock()
-	// The timer wakes for the link's deadline: a send refused below is
-	// lost and tried again then, and a repeat Pass held back on a
-	// disarmed link, whose deadline passed, is due at once. flush sets it.
-	at, _ := c.out.Due()
-	n.wake = min(n.wake, at)
-	if !send {
+	n.wake = min(n.wake, at) // flush sets the timer
+	switch fate {
+	case window.Held:
 		return
-	}
-	if !admitted {
-		// The link already holds c unconsumed messages: the send is lost
-		// at the sender, the model's rule for a full channel. The link's
-		// header leaves in this section all the same, probing, so the
-		// acknowledgment that reopens the window is a turnaround away.
-		f, j := n.frame(c, 0)
-		f.Links[j].Probe = true
+	case window.Refused:
+		n.frame(c, 0) // the link's header, probing
 		lost("window")
 		return
 	}
@@ -787,8 +744,7 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 		// Unencodable: counted so the loss is observable. The message
 		// never entered the link.
 		n.mbMu.Lock()
-		c.w.Cancel()
-		c.outstanding--
+		c.end.Cancel()
 		n.mbMu.Unlock()
 		lost(err.Error())
 		return
@@ -797,10 +753,7 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	// The send event fires as the message is framed, so observers see
 	// protocol order; its Tally counts it once the link wrote the frame.
 	ev := core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m}
-	if repeat {
-		// Counted once it left, and only if it had left before: a refused
-		// repeat is a window loss only, and a refused message that first
-		// leaves as the reopened link's repeat is not a retransmission.
+	if fate == window.Repeats { // not a refused repeat, nor a refused message's first send
 		g.retransmits.Add(1)
 		ev.Note = "retransmit"
 	}
@@ -819,8 +772,8 @@ func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, m
 // receive feeds one frame's headers to the channels' windows and pushes
 // each carried message through its group's fault plane into its
 // channel's mailbox. It reports whether the frame left work for a drain:
-// boxed mail, a probe to answer, or a window reopened after a refusal
-// (answer has both). Whoever called it wakes the node (arrive, settle).
+// boxed mail, or a header that owes one (window.Link.Arrive), which the
+// drain answers. Whoever called it wakes the node (arrive, settle).
 func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message) (owed bool) {
 	g := n.groups.Load().byID[gid]
 	if g == nil {
@@ -834,14 +787,12 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 	n.mbMu.Lock()
 	for _, h := range links {
 		c := g.channel(sender, h.Instance)
-		released, reopened := c.w.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
-		c.outstanding = max(0, c.outstanding-released) // a corrupted window may release what was never sent
-		c.reopened = c.reopened || reopened
-		if (h.Probe || c.reopened) && !c.heard {
+		_, ask := c.end.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
+		if ask && !c.heard {
 			c.heard = true
 			n.heard = append(n.heard, c)
 		}
-		owed = owed || h.Probe || c.reopened
+		owed = owed || ask
 	}
 	n.mbMu.Unlock()
 	if g.inj != nil {
@@ -867,7 +818,7 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 		g.injMu.Unlock()
 		if d != 0 {
 			n.mbMu.Lock()
-			g.channel(sender, m.Instance).w.Occupy(d)
+			g.channel(sender, m.Instance).end.Occupy(d)
 			n.mbMu.Unlock()
 		}
 		if fate == core.FateDrop {
@@ -933,7 +884,7 @@ func (n *Node) box(g *Group, sender core.ProcID, m core.Message) bool {
 	c := g.channel(sender, m.Instance)
 	full := len(c.box) >= n.capacity
 	if full {
-		c.w.Occupy(-1)
+		c.end.Occupy(-1)
 	} else {
 		if len(c.box) == 0 {
 			n.ready = append(n.ready, c)
@@ -1059,12 +1010,8 @@ func (n *Node) rearm(now time.Duration) {
 		poll = poll || g.fault != nil || g.waiters.Len() > 0
 		for p := range g.peers {
 			for _, c := range g.peers[p].chans {
-				poll = poll || n.wired[p] && c.w.Owes()
-				switch at, armed := c.out.Due(); {
-				case !armed:
-				case at <= now:
-					c.out.Disarm()
-				default:
+				poll = poll || n.wired[p] && c.end.Owes()
+				if at, armed := c.end.Rearm(now); armed {
 					n.wake = min(n.wake, at)
 				}
 			}
@@ -1087,19 +1034,17 @@ func (n *Node) rearm(now time.Duration) {
 // flush.
 func (n *Node) owe() { n.wake = min(n.wake, n.clock()+stepInterval) }
 
-// control runs the timer edge of every channel of g, after the group's
-// own Step so that anything Step sent carries the acknowledgments: an
-// echo that found no data to ride on for a full step interval, or a
-// probe no drain answered (one that arrived inside a crash window), puts
-// its header in the peer's frame — an echo-only frame if Step sent the
-// peer nothing. Callers hold n.mu and flush.
+// control runs the timer edge of every channel of g (window.Link.Tick),
+// after the group's own Step so that anything Step sent carries the
+// acknowledgments: an owed echo, or a probe no drain answered, puts the
+// link's header in the peer's frame — an echo-only frame if Step sent
+// the peer nothing. Callers hold n.mu and flush.
 func (n *Node) control(g *Group) {
-	n.due = n.due[:0]
 	n.mbMu.Lock()
 	for p := range g.peers {
 		for _, c := range g.peers[p].chans {
-			if c.w.Tick() && n.wired[p] {
-				n.due = append(n.due, due{c: c, header: true})
+			if c.end.Tick() && n.wired[p] {
+				n.due = append(n.due, c)
 			}
 		}
 	}
@@ -1108,42 +1053,38 @@ func (n *Node) control(g *Group) {
 }
 
 // answer ends a drain's section, after its deliveries settled, with what
-// the headers that arrived since the last drain asked for. A probe not
-// already answered by a frame this section sends the peer gets the
-// link's header — in such a frame, or an echo-only frame of its own —
-// and a link whose window an acknowledgment reopened after a refusal
-// repeats its last message now, from a tick the timer runs at once.
-// Neither waits for a step tick, so a shut window costs one turnaround.
-// A group inside a crash window answers nothing: its windows keep the
-// probe for the first tick after it. Callers hold n.mu and flush.
+// the headers that arrived since the last drain asked for
+// (window.End.Answer): the link's header, in a frame to the peer — an
+// echo-only one if the section sends it nothing else — and a repeat, from
+// a tick the timer runs at once. Neither waits for a step tick, so a shut
+// window costs one turnaround. Callers hold n.mu and flush.
 func (n *Node) answer() {
 	gs := n.groups.Load()
-	n.due = n.due[:0]
 	n.mbMu.Lock()
 	for i, c := range n.heard {
-		if g := c.g; gs.byID[g.id] == g && !g.down() && n.wired[c.Peer] {
-			n.due = append(n.due, due{c: c, header: c.w.Probed(), repeat: c.reopened})
+		g := c.g
+		header, repeat := c.end.Answer(n.clock(), gs.byID[g.id] == g && !g.down() && n.wired[c.Peer])
+		if header {
+			n.due = append(n.due, c)
 		}
-		c.heard, c.reopened, n.heard[i] = false, false, nil
+		if repeat {
+			n.wake = min(n.wake, n.clock())
+		}
+		c.heard, n.heard[i] = false, nil
 	}
 	n.heard = n.heard[:0]
 	n.mbMu.Unlock()
 	n.pay()
 }
 
-// pay puts the headers n.due lists into the section's frames and makes
-// the repeats it lists due now. Callers hold n.mu and flush.
+// pay puts the headers n.due lists into the section's frames. Callers
+// hold n.mu and flush.
 func (n *Node) pay() {
-	for _, d := range n.due {
-		if d.header {
-			n.frame(d.c, 0)
-		}
-		if d.repeat {
-			now := n.clock()
-			d.c.out.Expedite(now)
-			n.wake = min(n.wake, now)
-		}
+	for i, c := range n.due {
+		n.frame(c, 0)
+		n.due[i] = nil
 	}
+	n.due = n.due[:0]
 }
 
 // drainMail runs the drain section under the action mutex: a socket
@@ -1292,7 +1233,7 @@ func (n *Node) drain() {
 	batch := n.ready
 	n.ready, n.spare = n.spare, nil
 	for _, c := range n.heard {
-		if c.reopened {
+		if c.end.Reopened() {
 			c.g.waiters.Reopened()
 		}
 	}
@@ -1340,7 +1281,7 @@ func (n *Node) deliver(batch []*Chan) (held []*Chan) {
 			// The message leaves the channel as it is handed to Deliver,
 			// so a reply sent from inside Deliver already acknowledges it.
 			n.mbMu.Lock()
-			c.w.Occupy(-1)
+			c.end.Occupy(-1)
 			n.mbMu.Unlock()
 			if mach == nil {
 				// Mail for an unknown instance is consumed with no effect,

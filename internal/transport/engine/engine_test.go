@@ -117,7 +117,7 @@ func TestCheckWindowsCountsOutstanding(t *testing.T) {
 	_, nodes := stillStacks(t, []core.Stack{{&teller{}}, {&teller{}}})
 	n := nodes[0]
 	n.mbMu.Lock()
-	n.g0.channel(1, "tell").w.Corrupt(1000, 1)
+	n.g0.channel(1, "tell").end.Corrupt(1000, 1)
 	n.mbMu.Unlock()
 	for i := int64(1); i <= 5; i++ {
 		n.Do(func(env core.Env) { env.Send(1, *told(i)) })

@@ -133,8 +133,8 @@ func (n *Node) close(f *Frame) {
 	n.mbMu.Lock()
 	for j := range f.Links {
 		h := &f.Links[j]
-		s := f.g.channel(f.To, h.Instance).w.Stamp(h.Probe)
-		h.Seq, h.Ack = s.Seq, s.Ack
+		s := f.g.channel(f.To, h.Instance).end.Stamp()
+		h.Seq, h.Ack, h.Probe = s.Seq, s.Ack, s.Probe
 		f.probe = f.probe || s.Probe
 	}
 	n.mbMu.Unlock()

@@ -61,7 +61,7 @@ func shutPair(t *testing.T) ([]*Node, []*teller) {
 func probed(n *Node) bool {
 	n.mbMu.Lock()
 	defer n.mbMu.Unlock()
-	return n.g0.channel(1-n.self, "tell").w.Probed()
+	return n.g0.channel(1-n.self, "tell").end.Probed()
 }
 
 // TestRefusalShipsHeaderAndProbe: the section whose send a shut window
@@ -108,7 +108,7 @@ func TestReopenRepeatsRefusedFlag(t *testing.T) {
 	nodes[1].drainMail() // the answer: n's window reopens
 	n.mu.Lock()
 	refusedAt := n.now
-	deadline, _ := n.g0.channel(1, "tell").out.Due()
+	deadline, _ := n.g0.channel(1, "tell").end.Due()
 	n.release()
 	pin(n)
 	n.drainMail()
