@@ -85,42 +85,44 @@ const (
 	NumPaths // sizes a per-path table
 )
 
-// Waiters holds the pending requests of one group of a node of the
-// concurrent engine — one process's stack, on any of its links — as a
-// FIFO, and ends its atomic sections (Settle). Only the head's condition
-// is evaluated; the section that completes it evaluates the next. Every
-// method runs under the action mutex, and so does every callback.
+// Waiters holds the pending requests of one process — one group of an
+// engine node, one process of the simulator — as a FIFO: the one request
+// queue of both engines. Only the head's condition is evaluated; the
+// section that completes it evaluates the next. Every method runs in the
+// process's atomic context (the engine's action mutex, the simulator's
+// one mutex), and so does every callback.
 type Waiters struct {
-	list    []Waiter
-	closed  bool // Close ran: every request fails with ErrClosed
-	refused bool // a full link lost an eagerly stepped message since the last timer step
+	list   []waiter
+	closed bool // Close ran: every request fails with ErrClosed
 }
 
-// Waiter is one registered request.
-type Waiter struct {
+// waiter is one registered request.
+type waiter struct {
 	cond func(Env) bool
 	done func(Env, error)
 }
 
 // Submit registers a request. At the head of the queue, cond is
-// evaluated at once, on env (the action path), and a request that holds
-// completes there; behind another, it waits its turn. After Close, done
-// runs at once with ErrClosed.
+// evaluated at once, on env, and a request that holds completes there;
+// behind another, it waits its turn. After Close, done runs at once with
+// ErrClosed.
 func (ws *Waiters) Submit(env Env, cond func(Env) bool, done func(Env, error)) {
 	if ws.closed {
 		done(env, ErrClosed)
 		return
 	}
-	ws.list = append(ws.list, Waiter{cond: cond, done: done})
+	ws.list = append(ws.list, waiter{cond: cond, done: done})
 	if len(ws.list) == 1 {
-		ws.complete(env)
+		ws.Complete(env)
 	}
 }
 
-// complete evaluates the head's condition and, while it holds, completes
+// Complete evaluates the head's condition and, while it holds, completes
 // the head and evaluates the next. The head leaves the queue before its
 // done runs, so a done that registers a request appends behind the rest.
-func (ws *Waiters) complete(env Env) {
+// The substrate calls it wherever the execution advanced: the engine at
+// the end of every atomic section, the simulator after every step.
+func (ws *Waiters) Complete(env Env) {
 	for len(ws.list) > 0 && ws.list[0].cond(env) {
 		w := ws.list[0]
 		ws.list = slices.Delete(ws.list, 0, 1)
@@ -141,34 +143,3 @@ func (ws *Waiters) Close(env Env) {
 
 // Len returns the number of pending requests.
 func (ws *Waiters) Len() int { return len(ws.list) }
-
-// Settle ends an atomic section of an engine's loop: the stack steps on
-// path (PathEager after mail, PathTick from a timer), the queue's head is
-// re-evaluated (and, while heads hold, the next) and, as a condition may
-// Invoke, the stack steps again if any request was pending. envs is the
-// process's Env per path. Eager stepping stands down from a Refused to
-// the next timer step: a full channel loses what it is sent, and
-// stepping into it only adds losses.
-func (ws *Waiters) Settle(s Stack, envs *[NumPaths]Env, path SendPath) {
-	ws.refused = ws.refused && path != PathTick
-	if !ws.refused {
-		s.Step(envs[path])
-	}
-	if len(ws.list) == 0 {
-		return
-	}
-	ws.complete(envs[PathAction])
-	if !ws.refused {
-		s.Step(envs[PathEager])
-	}
-}
-
-// Refused records that a full link lost a message sent on path.
-func (ws *Waiters) Refused(path SendPath) {
-	ws.refused = ws.refused || path == PathEager
-}
-
-// Reopened records that an acknowledgment reopened a window which had
-// refused a send: stepping into it loses nothing now, so eager stepping
-// resumes without waiting for the timer step.
-func (ws *Waiters) Reopened() { ws.refused = false }

@@ -198,13 +198,11 @@ type Network struct {
 	// Substrate-mode state (substrate.go). Deterministic single-threaded
 	// use — experiments, the model checker, the adversary — never touches
 	// any of it, so the scheduler hot path stays lock-free.
-	subMu       sync.Mutex   // held by the driver's run, or a Do, Sync, Submit or Close
-	outside     atomic.Int32 // callers waiting for subMu other than the driver
-	driving     atomic.Bool  // the driver runs; set and cleared under subMu
-	subClosed   bool
-	requests    [][]request   // per process, FIFO; under subMu
-	busy        []core.ProcID // the processes with a pending request, ascending; under subMu
-	waiting     int           // requests pending over all processes; under subMu
+	subMu       sync.Mutex     // held by the driver's run, or a Do, Sync, Submit or Close
+	outside     atomic.Int32   // callers waiting for subMu other than the driver
+	driving     atomic.Bool    // the driver runs; set and cleared under subMu
+	requests    []core.Waiters // per process; under subMu
+	busy        []core.ProcID  // the processes with a pending request, ascending; under subMu
 	awaitBudget int
 }
 
@@ -221,6 +219,7 @@ func New(stacks []core.Stack, opts ...Option) *Network {
 		stacks:       stacks,
 		pairs:        make([][]int, len(stacks)*len(stacks)),
 		activatedSet: make([]bool, len(stacks)),
+		requests:     make([]core.Waiters, len(stacks)),
 		awaitBudget:  DefaultAwaitBudget,
 	}
 	for _, opt := range opts {

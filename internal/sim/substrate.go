@@ -4,13 +4,15 @@
 //
 // The simulator is single-threaded by design — all nondeterminism flows
 // from one seeded PRNG — and it stays so under concurrent requests: one
-// mutex guards the network, and one driver goroutine steps it. Submit
-// appends a request to its process's FIFO (and evaluates it at once if
+// mutex guards the network, and one driver goroutine steps it. Each
+// process keeps its requests in a core.Waiters, the queue the engine
+// keeps per group: Submit appends a request (and evaluates it at once if
 // it is the head); the driver takes every step, in runs of awaitRun per
-// lock hold, and after each step evaluates every process's head
-// condition in process order — the section that completes a request
-// evaluates the next one at its process. Do, Sync and Submit take their
-// turns between runs, which is what makes external actions atomic.
+// lock hold, and after each step completes every busy process's queue
+// in process order (core.Waiters.Complete) — the evaluation that
+// completes a request evaluates the next one at its process. Do, Sync
+// and Submit take their turns between runs, which is what makes
+// external actions atomic.
 //
 // The driver starts when a pending request is waited for (Drive) and
 // exits when no request is pending; nothing runs before. Requests
@@ -23,7 +25,8 @@
 // path stays exactly as in DESIGN.md §4. A single request replays
 // RunUntil's step sequence exactly: its condition is evaluated once at
 // Submit and once after every step, and its budget counts scheduler
-// steps since Submit.
+// steps since Submit: the budget is a wrapper Submit puts around the
+// request's condition and completion.
 package sim
 
 import (
@@ -55,14 +58,6 @@ func WithAwaitBudget(steps int) Option {
 
 var _ core.Substrate = (*Network)(nil)
 
-// request is one submitted request: its condition, its completion, and
-// the step count at its Submit.
-type request struct {
-	cond  func(core.Env) bool
-	done  func(core.Env, error)
-	start int
-}
-
 // lock takes the substrate mutex from outside the driver, counting the
 // caller as waiting so that the driver hands the mutex over between runs.
 func (net *Network) lock() {
@@ -90,49 +85,34 @@ func (net *Network) Sync(f func()) {
 }
 
 // Submit registers a request at process p; see core.Substrate for the
-// contract. done gets nil, core.ErrClosed, or *ErrBudget after the
-// configured budget. A request at the head of p's queue is evaluated at
-// once; the driver, once Drive starts it, evaluates it after every step.
+// contract. done gets nil, core.ErrClosed, or *ErrBudget once the
+// configured budget of steps since this Submit ran out with cond false.
+// A request at the head of p's queue is evaluated at once; the driver,
+// once Drive starts it, evaluates it after every step.
 func (net *Network) Submit(p core.ProcID, cond func(env core.Env) bool, done func(env core.Env, err error)) {
 	net.lock()
 	defer net.subMu.Unlock()
-	if net.subClosed {
-		done(net.envs[p], core.ErrClosed)
-		return
-	}
-	if net.requests == nil {
-		net.requests = make([][]request, net.n)
-	}
-	net.requests[p] = append(net.requests[p], request{cond: cond, done: done, start: net.step})
-	net.waiting++
-	if len(net.requests[p]) == 1 && net.settle(p) {
-		i, _ := slices.BinarySearch(net.busy, p)
+	start := net.step
+	var over error
+	ws := &net.requests[p]
+	ws.Submit(net.envs[p], func(env core.Env) bool {
+		if cond(env) {
+			return true
+		}
+		if steps := net.step - start; steps >= net.awaitBudget {
+			over = &ErrBudget{Steps: steps, Unit: "steps"}
+			return true
+		}
+		return false
+	}, func(env core.Env, err error) {
+		if err == nil {
+			err = over
+		}
+		done(env, err)
+	})
+	if i, found := slices.BinarySearch(net.busy, p); !found && ws.Len() > 0 {
 		net.busy = slices.Insert(net.busy, i, p)
 	}
-}
-
-// settle evaluates the head of p's queue and, while heads hold or run
-// out of budget, completes them and evaluates the next. It reports
-// whether a request is left pending at p. Callers hold subMu.
-func (net *Network) settle(p core.ProcID) (pending bool) {
-	q := &net.requests[p]
-	env := net.envs[p]
-	for len(*q) > 0 {
-		r := (*q)[0]
-		var err error
-		if !r.cond(env) {
-			steps := net.step - r.start
-			if steps < net.awaitBudget {
-				return true
-			}
-			err = &ErrBudget{Steps: steps, Unit: "steps"}
-		}
-		(*q)[0] = request{}
-		*q = (*q)[1:]
-		net.waiting--
-		r.done(env, err)
-	}
-	return false
 }
 
 // Drive starts the driver if a request is pending and none runs. The
@@ -144,31 +124,32 @@ func (net *Network) Drive() {
 	}
 	net.lock()
 	defer net.subMu.Unlock()
-	if net.waiting > 0 && !net.driving.Load() {
+	if len(net.busy) > 0 && !net.driving.Load() {
 		net.driving.Store(true)
 		go net.drive()
 	}
 }
 
-// drive is the driver: it steps the scheduler and evaluates every
-// process's head after each step, in runs of awaitRun steps per hold of
-// the mutex, until no request is pending. Between runs it yields if a
-// caller waits for the mutex, so a Do waits one run, not the mutex's
+// drive is the driver: it steps the scheduler and completes every busy
+// process's queue after each step, in runs of awaitRun steps per hold
+// of the mutex, until no request is pending. Between runs it yields if
+// a caller waits for the mutex, so a Do waits one run, not the mutex's
 // starvation rule.
 func (net *Network) drive() {
 	net.subMu.Lock()
 	for {
-		for i := 0; i < awaitRun && net.waiting > 0; i++ {
+		for i := 0; i < awaitRun && len(net.busy) > 0; i++ {
 			net.Step()
 			idle := false
 			for _, p := range net.busy {
-				idle = !net.settle(p) || idle
+				net.requests[p].Complete(net.envs[p])
+				idle = idle || net.requests[p].Len() == 0
 			}
 			if idle {
-				net.busy = slices.DeleteFunc(net.busy, func(p core.ProcID) bool { return len(net.requests[p]) == 0 })
+				net.busy = slices.DeleteFunc(net.busy, func(p core.ProcID) bool { return net.requests[p].Len() == 0 })
 			}
 		}
-		if net.waiting == 0 {
+		if len(net.busy) == 0 {
 			net.driving.Store(false)
 			net.subMu.Unlock()
 			return
@@ -188,14 +169,8 @@ func (net *Network) drive() {
 func (net *Network) Close() error {
 	net.lock()
 	defer net.subMu.Unlock()
-	net.subClosed = true
-	for p, q := range net.requests {
-		for i, r := range q {
-			q[i] = request{}
-			net.waiting--
-			r.done(net.envs[p], core.ErrClosed)
-		}
-		net.requests[p] = q[:0]
+	for p := range net.requests {
+		net.requests[p].Close(net.envs[p])
 	}
 	net.busy = net.busy[:0]
 	return nil

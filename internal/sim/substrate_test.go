@@ -246,8 +246,11 @@ func spinAwaits(net *Network, k int) func() []error {
 // TestAwaitConcurrentBudget runs 16 never-true requests at once, four per
 // process. Each one fails on its own budget, counted in scheduler steps
 // since its Submit whoever they were taken for, so the four queued at one
-// process fail in the same step; and Do and Sync from another goroutine
-// get their turn while the sixteen are pending.
+// process fail in the same step: the head that ran out completes with
+// *ErrBudget, and the request behind it, evaluated in the same pass, is
+// out of its own budget too (a budget counted from its turn at the head
+// would hold the last of the four to four budgets). Do and Sync from
+// another goroutine get their turn while the sixteen are pending.
 func TestAwaitConcurrentBudget(t *testing.T) {
 	t.Parallel()
 	const waiters, budget = 16, 10_000

@@ -60,7 +60,7 @@
 // The engine is event-driven end to end (DESIGN.md §7): a section that
 // delivered mail ends, before its frames leave, by stepping the stacks it
 // delivered to and re-evaluating their awaited conditions
-// (core.Waiters.Settle); what a Step would send again, the link end holds
+// (Group.settle); what a Step would send again, the link end holds
 // back until its repeat deadline. One timer per node runs one section,
 // the step tick — from the activation loop on the sockets, on the
 // in-memory link from a time.AfterFunc callback or, while one runs, the
@@ -275,6 +275,7 @@ type Group struct {
 	paths     [core.NumPaths]env      // per send path
 	envs      [core.NumPaths]core.Env // pointers into paths
 	waiters   core.Waiters            // pending Awaits; under n.mu
+	refused   bool                    // a full link lost an eagerly stepped message since the last tick or reopening; under n.mu
 	dirty     bool                    // got mail in the drain under way; under n.mu
 	fault     *core.FaultPlan
 	faultUnit time.Duration
@@ -309,6 +310,27 @@ type peerLinks struct {
 func (g *Group) emit(ev core.Event) {
 	if len(g.observers) > 0 {
 		g.observers.OnEvent(ev)
+	}
+}
+
+// settle ends an atomic section of the group: the stack steps on path
+// (PathEager after mail, PathTick from the timer), the pending requests
+// complete while their conditions hold and, as a condition may Invoke,
+// the stack steps again if any was pending. Eager stepping stands down
+// from a refusal (refused) to the next tick, or to the acknowledgment
+// that reopens the window: a full channel loses what it is sent, and
+// stepping into it only adds losses. Callers hold n.mu.
+func (g *Group) settle(path core.SendPath) {
+	g.refused = g.refused && path != core.PathTick
+	if !g.refused {
+		g.stack.Step(g.envs[path])
+	}
+	if g.waiters.Len() == 0 {
+		return
+	}
+	g.waiters.Complete(g.envs[core.PathAction])
+	if !g.refused {
+		g.stack.Step(g.envs[core.PathEager])
 	}
 }
 
@@ -723,7 +745,7 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 		g.sendDrops.Add(1)
 		g.peers[to].dropped.Add(1)
 		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: note})
-		g.waiters.Refused(v.path)
+		g.refused = g.refused || v.path == core.PathEager
 	}
 	now := n.clock()
 	n.mbMu.Lock()
@@ -989,7 +1011,7 @@ func (n *Node) ticked() {
 		if g.down() {
 			continue // crash window: no internal actions until restart
 		}
-		g.waiters.Settle(g.stack, &g.envs, core.PathTick)
+		g.settle(core.PathTick)
 		n.control(g)
 	}
 	n.flush()
@@ -1224,7 +1246,7 @@ func (n *Node) settle() {
 // is, and its channels go back on the list for the step tick to retry. A
 // detached group's channels drop off the list, and its mail with them.
 // An acknowledgment that reopened a window ends its group's eager
-// stand-down (core.Waiters.Reopened) before anything settles, so this
+// stand-down (Group.refused) before anything settles, so this
 // drain's Step may say what the refusal held back. Every drain sets the
 // timer: consumed mail owes an acknowledgment. Callers hold n.mu.
 func (n *Node) drain() {
@@ -1234,7 +1256,7 @@ func (n *Node) drain() {
 	n.ready, n.spare = n.spare, nil
 	for _, c := range n.heard {
 		if c.end.Reopened() {
-			c.g.waiters.Reopened()
+			c.g.refused = false
 		}
 	}
 	n.mbMu.Unlock()
@@ -1294,7 +1316,7 @@ func (n *Node) deliver(batch []*Chan) (held []*Chan) {
 	}
 	for i, g := range n.dirty {
 		g.dirty, n.dirty[i] = false, nil
-		g.waiters.Settle(g.stack, &g.envs, core.PathEager)
+		g.settle(core.PathEager)
 	}
 	n.dirty = n.dirty[:0]
 	n.answer()

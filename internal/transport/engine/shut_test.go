@@ -130,8 +130,42 @@ func TestReopenRepeatsRefusedFlag(t *testing.T) {
 	}
 }
 
+// TestSettleStandsDownAfterARefusal (Group.settle): a refusal on the
+// action path begins no stand-down; a refusal of an eager Step's message
+// does, and the eager Step after it is skipped; the tick's Step always
+// runs, its own refusal does not count, and eager stepping resumes after
+// it. Each Step says a new message, so every one that runs is refused at
+// the shut window and counted as a send drop.
+func TestSettleStandsDownAfterARefusal(t *testing.T) {
+	nodes, tellers := shutPair(t)
+	n := nodes[0]
+	steps := func(path core.SendPath, num int64) int64 {
+		tellers[0].msg = told(num)
+		before := n.Stats().SendDrops
+		n.mu.Lock()
+		n.g0.settle(path)
+		n.flush()
+		n.release()
+		return n.Stats().SendDrops - before
+	}
+	n.mu.Lock()
+	refused := n.g0.refused
+	n.release()
+	if refused {
+		t.Fatal("a refusal on the action path stood eager stepping down")
+	}
+	for i, want := range []struct {
+		path  core.SendPath
+		steps int64
+	}{{core.PathEager, 1}, {core.PathEager, 0}, {core.PathTick, 1}, {core.PathEager, 1}, {core.PathEager, 0}} {
+		if got := steps(want.path, int64(4+i)); got != want.steps {
+			t.Fatalf("section %d (path %d): %d steps, want %d", i, want.path, got, want.steps)
+		}
+	}
+}
+
 // TestReopenResumesEagerStepping: an eager Step that a shut window
-// refused stands eager stepping down (core.Waiters) — until the
+// refused stands eager stepping down (Group.refused) — until the
 // acknowledgment that reopens the window arrives, not until the next
 // tick. The drain that reads it delivers mail, steps eagerly, and the
 // new message that Step says leaves at once; having left, it supersedes

@@ -133,10 +133,8 @@ func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 // than c unconsumed messages, and a send into a full link is lost at
 // the sender — and the protocols size their handshake flag domain to
 // {0..2c+2} from it, so one request costs 2c+2 round trips per peer.
-// The default is the paper's c = 1 on Sim and Runtime and 2 on the
-// socket substrates (UDP, TCP, TCPHost), where more than one message
-// per link is routinely in flight. On a mux the bound belongs to the
-// shared sockets: pass it to UDPMux/TCPMux. An out-of-range bound
+// The default is the paper's c = 1 on every substrate. On a mux the
+// bound belongs to the shared sockets: pass it to UDPMux/TCPMux. An out-of-range bound
 // panics at cluster construction.
 func WithCapacity(c int) Option { return func(o *options) { o.capacity = c } }
 
