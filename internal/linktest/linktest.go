@@ -10,6 +10,8 @@ package linktest
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -304,6 +306,61 @@ func IdleIsSilent(t *testing.T, l Link) {
 	if again := frames(); again != settled || settled == 0 {
 		t.Fatalf("idle cluster wrote %d frames in 50 ms (%d before)", again-settled, settled)
 	}
+}
+
+// OneLoopPerNode: a socket node runs one carry loop from Start to Stop,
+// and its timer parks beneath it. A cluster serves a request and every
+// timer parks; a second request then completes within 2 s, on the loops
+// that took the first one's mail. The in-memory link does not run it:
+// there a loop lives only while a load outlasts a release's budget.
+func OneLoopPerNode(t *testing.T, l Link) {
+	const n = 3
+	before := carryLoops(nil)
+	loops := func(when string) {
+		t.Helper()
+		if k := len(carryLoops(before)); k != n {
+			t.Fatalf("%s: %d carry loops run for %d nodes", when, k, n)
+		}
+	}
+	m := newMux(t, l, n)
+	loops("started")
+	stacks, machines := PIFStacks(n)
+	c := attach(t, m, stacks)
+	for i := int64(1); i <= 2; i++ {
+		begun := time.Now()
+		Broadcast(t, At0(c), machines[0], core.Payload{Tag: "parked", Num: i})
+		if d := time.Since(begun); i > 1 && d > 2*time.Second {
+			t.Fatalf("a request to parked nodes took %v", d)
+		}
+		if !WaitFor(t, 5*time.Second, m.Parked) {
+			t.Fatalf("request %d: a timer is still set 5 s on", i)
+		}
+		loops("parked")
+	}
+	m.Close()
+	if !WaitFor(t, 5*time.Second, func() bool { return len(carryLoops(before)) == 0 }) {
+		t.Fatalf("%d carry loops outlive Close", len(carryLoops(before)))
+	}
+}
+
+// carryLoops returns the ids of the goroutines a node started for its
+// carry loop, leaving out those in skip.
+func carryLoops(skip map[string]bool) map[string]bool {
+	buf := make([]byte, 1<<16)
+	k := runtime.Stack(buf, true)
+	for ; k == len(buf); k = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	found := make(map[string]bool)
+	for _, stack := range strings.Split(string(buf[:k]), "\n\n") {
+		// "goroutine 42 [state]:" heads each stack, and "created by
+		// <function> in goroutine 7" ends it, even before it first runs.
+		if f := strings.Fields(stack); len(f) > 1 && !skip[f[1]] &&
+			strings.Contains(stack, "/transport/engine.(*Node).startCarry in goroutine ") {
+			found[f[1]] = true
+		}
+	}
+	return found
 }
 
 // MuxRejectsNodeLevelAttachOptions: socket-level knobs are fixed at

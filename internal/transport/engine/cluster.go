@@ -213,6 +213,18 @@ func (m *Mux) N() int { return len(m.nodes) }
 // Addrs returns every node's bound local address.
 func (m *Mux) Addrs() []string { return addrs(m.nodes) }
 
+// Parked reports whether every node's timer is parked: no node owes
+// anything, so none ticks again before traffic or a request comes.
+func (m *Mux) Parked() bool {
+	parked := true
+	for _, node := range m.nodes {
+		node.mu.Lock()
+		parked = parked && node.next == never
+		node.release()
+	}
+	return parked
+}
+
 // Attach installs one cluster — one stack per process — as a fresh
 // group on every node and returns its substrate view. Options here are
 // per-cluster (WithTopology, WithFaults, WithObserver); node-level

@@ -129,6 +129,14 @@ func pump(nodes []*Node) {
 	}
 }
 
+// drainMail runs the drain section under the action mutex, as a node's
+// loop does for a wakeup.
+func (n *Node) drainMail() {
+	n.mu.Lock()
+	n.drain()
+	n.release()
+}
+
 func waiting(n *Node) int {
 	n.mu.Lock()
 	defer n.release()

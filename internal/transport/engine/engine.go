@@ -45,30 +45,30 @@
 // the drain are coupled only through that list: a frame's arrival feeds
 // the windows and boxes the decoded messages; the drain section, under
 // mu, swaps the list out, takes each listed channel's mailbox and
-// delivers it, performing any resulting sends. The links differ only in
-// who takes that wakeup. On the sockets Arrive signals a wakeup channel
-// and the node's activation loop drains. A node on the in-memory link
-// owns no goroutine while its load quiesces: the link hands a section's
-// frames over on the sender's goroutine and then settles each receiver,
-// which drains right there if a TryLock of its mu succeeds (TryLock never
-// waits); if it fails, the section holding mu drains as it releases the
-// lock (release). A load that outlasts a release's budget starts the
-// node's carry loop, which takes those wakeups as a socket node's loop
-// does until the node's timer parks. The lock order is mu → mbMu → injMu
-// (snapvet's lockorder).
+// delivers it, performing any resulting sends. A node has one timer, a
+// time.AfterFunc, and at most one activation loop, carry, which takes a
+// wakeup or the timer and runs one section. The links differ only in who
+// may drain and whether that loop parks. A socket reader only boxes and
+// wakes: the loop runs from Start to Stop and drains. A node on the
+// in-memory link owns no goroutine while its load quiesces: the link
+// hands a section's frames over on the sender's goroutine and then
+// settles each receiver, which drains right there if a TryLock of its mu
+// succeeds (TryLock never waits); if it fails, the section holding mu
+// drains as it releases the lock (release). A load that outlasts a
+// release's budget starts the loop, which ends once the node's timer
+// parks. The lock order is mu → mbMu → injMu (snapvet's lockorder).
 //
 // The engine is event-driven end to end (DESIGN.md §7): a section that
 // delivered mail ends, before its frames leave, by stepping the stacks it
 // delivered to and re-evaluating their awaited conditions
 // (Group.settle); what a Step would send again, the link end holds
-// back until its repeat deadline. One timer per node runs one section,
-// the step tick — from the activation loop on the sockets, on the
-// in-memory link from a time.AfterFunc callback or, while one runs, the
-// carry loop: every group steps on the tick path, so the links that came
-// due repeat, and the windows' control and the fault plane's delays run.
-// It is set for the earliest thing owed — an armed link's deadline, or a
-// step interval on while a window owes control, a fault plan runs or an
-// Await waits — and parks when nothing is.
+// back until its repeat deadline. The node's timer runs one section,
+// the step tick — on the node's loop while one runs, else on the
+// timer's own goroutine: every group steps on the tick path, so the
+// links that came due repeat, and the windows' control and the fault
+// plane's delays run. It is set for the earliest thing owed — an armed
+// link's deadline, or a step interval on while a window owes control, a
+// fault plan runs or a request waits — and parks when nothing is.
 //
 // # One framer
 //
@@ -120,7 +120,7 @@ const DefaultCapacity = 1
 // handshake behind its own queue. It is also the step tick's period
 // while a tick is owed for something other than a repeat: it ages echoes
 // and sends probes, surfaces delayed fault-plan messages, retries mail
-// held through a crash window and re-evaluates pending Awaits.
+// held through a crash window and re-evaluates pending requests.
 //
 // The first repeat waits a fixed half interval, not a multiple of a
 // measured turnaround. Go's netpoller sleeps in whole milliseconds, so a
@@ -169,11 +169,10 @@ func WithBatch(k int) Option {
 // WithObserver subscribes an event observer on the default group.
 // Callbacks arrive concurrently from the link's goroutines (mailbox-full
 // EvLose, EvSendLost on a dead connection) and whichever goroutine runs
-// an atomic section (everything else: the activation loop, a Do or Await
+// an atomic section (everything else: the node's loop, a Do or Submit
 // caller, and on the in-memory link a sender delivering for an idle
-// receiver, a section's releaser draining what it was owed, a node's
-// carry loop, or the timer's own goroutine), so the observer must be
-// goroutine-safe.
+// receiver, a section's releaser draining what it was owed, or the
+// timer's own goroutine), so the observer must be goroutine-safe.
 func WithObserver(ob core.Observer) Option {
 	return func(o *options) { o.observers = append(o.observers, ob) }
 }
@@ -274,7 +273,7 @@ type Group struct {
 	observers core.MultiObserver
 	paths     [core.NumPaths]env      // per send path
 	envs      [core.NumPaths]core.Env // pointers into paths
-	waiters   core.Waiters            // pending Awaits; under n.mu
+	waiters   core.Waiters            // pending requests; under n.mu
 	refused   bool                    // a full link lost an eagerly stepped message since the last tick or reopening; under n.mu
 	dirty     bool                    // got mail in the drain under way; under n.mu
 	fault     *core.FaultPlan
@@ -497,10 +496,11 @@ type Node struct {
 	epoch   time.Time
 	now     time.Duration // the section's reading, if haveNow
 	haveNow bool
-	// The node's one timer, under mu, is set for next: wake, the earliest
-	// thing owed, as rearm or a flush last saw it. Start makes the timer,
-	// set for the first tick: an unstarted node has none, and a timer
-	// made and stopped in NewNode measurably slowed a cold cluster.
+	// The node's one timer, a time.AfterFunc under mu, is set for next:
+	// wake, the earliest thing owed, as rearm or a flush last saw it.
+	// Start makes the timer, set for the first tick: an unstarted node has
+	// none, and a timer made and stopped in NewNode measurably slowed a
+	// cold cluster.
 	timer      *time.Timer
 	wake, next time.Duration
 
@@ -512,15 +512,12 @@ type Node struct {
 	spare []*Chan // the drained list, swapped back in by drain
 	heard []*Chan // the channels a header asked to answer or repeat, each listed once
 
-	// Who takes a drain wakeup. On the sockets, the activation loop: mail
-	// is its wakeup channel. On the in-memory link (inline), the next
-	// release of mu, or the loop a load started (looping): owed says that
-	// a settle found mu held after receive left work, and is cleared as a
-	// drain begins.
-	inline  bool
-	mail    chan struct{} // capacity 1
+	// Who takes a drain wakeup (the package doc): owed says that receive
+	// left work no drain has taken yet, and is cleared as a drain begins.
+	inline  bool          // the in-memory link: a settle may drain, and the loop parks
+	mail    chan struct{} // the loop's wakeups; capacity 1
 	owed    atomic.Bool
-	looping atomic.Bool // an in-memory node's carry loop runs; set under mu
+	looping atomic.Bool // the node's carry loop runs; set under mu
 
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -632,9 +629,8 @@ func (n *Node) SetPeer(id core.ProcID, addr string) error {
 	return nil
 }
 
-// Start launches the link and the node's timer — and on the sockets the
-// activation loop — once: a second call panics. Peers must not change
-// after Start.
+// Start launches the link and the node's timer — and on the sockets its
+// loop — once: a second call panics. Peers must not change after Start.
 func (n *Node) Start() {
 	n.setEpoch(time.Now())
 	n.launch()
@@ -647,25 +643,22 @@ func (n *Node) setEpoch(epoch time.Time) {
 	}
 }
 
-// launch starts the node. An in-memory node's release here drains the
-// mail that arrived while it was unstarted.
+// launch starts the node's timer, then its link under mu, so that no
+// section writes to the link before its Start returns, then on the
+// sockets its loop. What arrived meanwhile drains on the loop's first
+// wakeup, or in memory in launch's release.
 func (n *Node) launch() {
 	if n.started.Swap(true) {
 		panic("engine: Start called twice") // a second timer would double the ticks
 	}
 	n.mu.Lock()
 	n.next = time.Since(n.epoch) + stepInterval // a first tick steps every stack
-	if n.inline {
-		n.timer = time.AfterFunc(stepInterval, n.fire)
-	} else {
-		n.timer = time.NewTimer(stepInterval)
-	}
-	n.release()
+	n.timer = time.AfterFunc(stepInterval, n.fire)
 	n.link.Start()
 	if !n.inline {
-		n.wg.Add(1)
-		go n.actLoop()
+		n.startCarry()
 	}
+	n.release()
 }
 
 // halt tells the node's sections to end, and completes every group's
@@ -689,23 +682,19 @@ func (n *Node) halted() bool {
 	}
 }
 
-// Stop halts the node, then the link and its sockets. A socket node's
-// loop stops its timer and link on its way out, so nodes halted together
-// stop their links together; an in-memory node stops its timer under mu,
-// after which no section drains, ticks or starts a loop, and then waits
-// for the loop its load started, if one runs. It is idempotent and safe
-// to call from multiple goroutines.
+// Stop halts the node and stops its timer under mu, after which no
+// section drains, ticks or starts a loop; then it waits for the node's
+// loop, which stops the link on its way out, so nodes halted together
+// stop their links together. Idempotent and goroutine-safe.
 func (n *Node) Stop() {
 	n.halt()
-	if n.inline {
-		n.mu.Lock()
-		if n.timer != nil {
-			n.timer.Stop()
-		}
-		n.mu.Unlock()
+	n.mu.Lock()
+	if n.timer != nil {
+		n.timer.Stop()
 	}
+	n.mu.Unlock()
 	n.wg.Wait()
-	n.linkOnce.Do(n.link.Stop) // unstarted, or in memory: no loop did it
+	n.linkOnce.Do(n.link.Stop) // no loop ran, or it ended parked
 }
 
 // Stats returns the default group's counters (see Group.Stats).
@@ -782,12 +771,11 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	g.emit(ev)
 }
 
-// arrive is LinkConfig.Arrive: it takes one frame in and wakes the node
-// to drain what the frame left. It is the sockets' way in; the in-memory
-// link calls receive and settle instead.
+// arrive is LinkConfig.Arrive, the sockets' way in: it takes one frame
+// in and settles the node.
 func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message) {
 	if n.receive(sender, gid, links, msgs) {
-		n.signal()
+		n.settle()
 	}
 }
 
@@ -925,42 +913,11 @@ func (n *Node) box(g *Group, sender core.ProcID, m core.Message) bool {
 	return true
 }
 
-// signal wakes the node to drain: a socket node's loop, or an in-memory
-// node's settle.
-func (n *Node) signal() {
-	if n.inline {
-		n.settle()
-		return
-	}
-	n.wakeLoop()
-}
-
-// wakeLoop wakes the node's loop: a socket node's activation loop, or an
-// in-memory node's carry loop.
+// wakeLoop wakes the node's loop.
 func (n *Node) wakeLoop() {
 	select {
 	case n.mail <- struct{}{}:
 	default: // a wakeup is already pending
-	}
-}
-
-// actLoop is a socket node's activation loop: it delivers mail as soon
-// as Arrive signals it and runs the step tick when the timer fires. No
-// wakeup is lost: arrive signals after the append, so mail appended
-// after a drain's swap is always owed a drain.
-func (n *Node) actLoop() {
-	defer n.wg.Done()
-	defer n.linkOnce.Do(n.link.Stop)
-	defer n.timer.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-n.mail:
-			n.drainMail()
-		case <-n.timer.C:
-			n.tick()
-		}
 	}
 }
 
@@ -985,12 +942,9 @@ func (n *Node) tick() {
 	n.release()
 }
 
-// fire is an in-memory node's timer callback. While the node's carry
-// loop runs, the tick is the loop's, as a socket node's is its loop's:
-// fire wakes it, and the loop ticks once the timer's time has come,
-// between its drains, rather than this goroutine waiting on mu beside
-// them. A fire the loop does not take found the node parked as the loop
-// ended, with nothing owed.
+// fire is the timer's callback: while the node's loop runs — always, on
+// the sockets — the tick is the loop's, between its drains; otherwise it
+// runs here. A fire no loop takes found the node parked, owing nothing.
 func (n *Node) fire() {
 	if n.looping.Load() {
 		n.wakeLoop()
@@ -1021,9 +975,9 @@ func (n *Node) ticked() {
 // rearm ends the step tick, after its flush: it disarms every link whose
 // deadline passed without a repeat and sets the timer for the earliest
 // thing owed — the earliest deadline left, or the next tick while a
-// window owes control, a fault plan runs its schedule, or an Await waits
-// on a condition that may read another node's state — or parks it.
-// Callers hold n.mu.
+// window owes control, a fault plan runs its schedule, or a request waits
+// on a condition that may read another node's state — or parks it; an
+// in-memory node's loop then ends. Callers hold n.mu.
 func (n *Node) rearm(now time.Duration) {
 	n.wake = never
 	poll := false
@@ -1046,7 +1000,7 @@ func (n *Node) rearm(now time.Duration) {
 	switch n.next = n.wake; {
 	case n.next != never && n.timer != nil:
 		n.timer.Reset(n.next - now)
-	case n.next == never && n.looping.Load():
+	case n.next == never && n.inline && n.looping.Load():
 		n.wakeLoop() // the node owes nothing: its carry loop ends
 	}
 }
@@ -1109,14 +1063,6 @@ func (n *Node) pay() {
 	n.due = n.due[:0]
 }
 
-// drainMail runs the drain section under the action mutex: a socket
-// loop's answer to a wakeup.
-func (n *Node) drainMail() {
-	n.mu.Lock()
-	n.drain()
-	n.release()
-}
-
 // releaseBudget bounds the drains one release runs on its caller's
 // goroutine. A protocol that never quiesces (the mutual exclusion's token
 // laps forever, a flood echoes every delivery) always leaves mail owed;
@@ -1129,17 +1075,18 @@ func (n *Node) drainMail() {
 // Do's caller longer.
 const releaseBudget = 8
 
-// release ends every atomic section: it unlocks mu. On the in-memory
-// link it then takes what a settle that found mu held left owed: it
-// retakes mu with TryLock and drains, up to releaseBudget times, and then
-// starts the node's carry loop for the rest. While that loop runs, the
-// mail is the loop's. No wakeup is lost: settle sets owed before its
-// TryLock, and release reads owed after its Unlock, so a settle whose
-// TryLock failed was either seen here or failed on a later holder, whose
-// own release sees it. Such a settle woke the loop if it saw one run; if
-// it saw none and release now does, that loop started after the settle
-// looked, with a wakeup whose drain takes all that was owed. A release
-// that finds mu taken again leaves the mail to that holder. An unstarted
+// release ends every atomic section: it unlocks mu. Unless the node's
+// loop runs — it always does on a started socket node — it then takes
+// what a settle that found mu held left owed: it retakes mu with
+// TryLock and drains, up to releaseBudget times, and then starts the
+// node's loop for the rest. While that loop runs, the mail is the
+// loop's. No wakeup is lost: settle sets owed before its TryLock, and
+// release reads owed after its Unlock, so a settle whose TryLock failed
+// was either seen here or failed on a later holder, whose own release
+// sees it. Such a settle woke the loop if it saw one run; if it saw
+// none and release now does, that loop started after the settle looked,
+// with a wakeup whose drain takes all that was owed. A release that
+// finds mu taken again leaves the mail to that holder. An unstarted
 // node drains only when a test's pump says, and launch's release takes
 // what it was owed; a halted node drains nothing. Callers hold n.mu.
 func (n *Node) release() {
@@ -1163,9 +1110,9 @@ func (n *Node) release() {
 	}
 }
 
-// startCarry starts the node's carry loop, with a wakeup for the mail
-// owed now, unless the node halted: Stop takes mu after it halts, so a
-// loop started here is counted before Stop waits. Callers hold n.mu.
+// startCarry starts the node's loop, with a wakeup for the mail owed
+// now, unless the node halted: Stop takes mu after it halts, so a loop
+// started here is counted before Stop waits. Callers hold n.mu.
 func (n *Node) startCarry() {
 	if n.halted() {
 		return
@@ -1176,25 +1123,23 @@ func (n *Node) startCarry() {
 	go n.carry()
 }
 
-// carry is an in-memory node's activation loop while its load lasts. A
-// release past its budget starts it; from then on a settle that finds
-// mu held wakes it, as arrive wakes a socket node's loop, and it drains
-// on a goroutine of its own, beside the senders; the timer wakes it too
-// (fire), and it ticks when a wakeup finds the timer's time come. It
-// ends when the node halts, or when a wakeup finds the node's timer
-// parked (rearm wakes it then), i.e. the node owes nothing: looping is
-// cleared under mu, and the loop's last release drains whatever came
-// since.
+// carry is the node's activation loop: it drains when a settle wakes it
+// and ticks when a wakeup finds the timer's time come (fire). On the
+// sockets it runs from launch until the node halts, then stops the link.
+// On the in-memory link a release past its budget starts it, and it
+// also ends when a wakeup finds the timer parked (rearm sends one):
+// looping is cleared under mu, and its last release drains what came.
 func (n *Node) carry() {
 	defer n.wg.Done()
 	for {
 		select {
 		case <-n.stop:
+			n.linkOnce.Do(n.link.Stop)
 			return
 		case <-n.mail:
 		}
 		n.mu.Lock()
-		if n.next == never {
+		if n.inline && n.next == never {
 			n.looping.Store(false)
 			n.release()
 			return
@@ -1216,20 +1161,19 @@ func (n *Node) drainOwed() {
 	}
 }
 
-// settle takes the mail an in-memory Write just boxed at n (memory.go).
-// If n is started and no section holds its action mutex, the drain
-// section runs here, on the sender's goroutine. Otherwise — n busy or not
-// started — the drain is owed: n's carry loop takes it if one runs, else
-// the section holding mu (release), or launch. TryLock never waits, so a
-// sender holding its own mu cannot deadlock here; and a mutex this
-// goroutine already holds fails it, so a node's mu is held at most once
-// on a goroutine's stack: a reply to a node further up the stack is
-// owed, and that node's release drains it once its section's frames are
-// out.
+// settle owes n a drain of what a frame just left (arrive, or an
+// in-memory Write). On the in-memory link a started n whose mu is free
+// drains here, on the sender's goroutine. Otherwise n's loop takes it if
+// one runs — always, on the sockets, whose reader only boxes and wakes —
+// else the section holding mu (release), or launch. TryLock never waits,
+// so a sender holding its own mu cannot deadlock here, and a mutex this
+// goroutine holds fails it: a node's mu is held at most once on a stack,
+// and a reply to a node further up is drained by that node's release
+// once its section's frames are out.
 func (n *Node) settle() {
 	n.owed.Store(true)
 	switch {
-	case n.started.Load() && n.mu.TryLock():
+	case n.inline && n.started.Load() && n.mu.TryLock():
 		n.drainOwed()
 		n.release()
 	case n.looping.Load():
@@ -1237,8 +1181,8 @@ func (n *Node) settle() {
 	}
 }
 
-// drain is the section that delivers mail, wherever it runs (drainMail,
-// tick, settle, release, carry): it clears owed, since everything boxed before
+// drain is the section that delivers mail, wherever it runs (tick,
+// settle, release, carry): it clears owed, since everything boxed before
 // now is taken, and swaps the ready list out (one swap under the mailbox lock,
 // batching the handoff), takes each listed channel's mailbox and
 // delivers it; the groups that got mail then settle. A group inside a

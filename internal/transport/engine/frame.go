@@ -142,7 +142,7 @@ func (n *Node) close(f *Frame) {
 
 // flush ends an atomic section. If the section owes something earlier
 // than the timer is set for — a send's deadline, the tick a drain, Do or
-// Await owes — the timer moves up: here, where the section's stack is
+// Submit owes — the timer moves up: here, where the section's stack is
 // shallow, not in Send. Then every open frame closes, and
 // all of the section's frames go to the link in one Write, in the order
 // they opened. The section's clock reading goes with it. Callers hold

@@ -13,6 +13,7 @@ var suite = linktest.Link{NewMux: NewMux, NewRawPeer: newRawPeer}
 
 // Not parallel: concurrent clusters share the loopback path.
 
+func TestTCPOneLoopPerNode(t *testing.T)              { linktest.OneLoopPerNode(t, suite) }
 func TestTCPMuxHostsIndependentClusters(t *testing.T) { linktest.MuxHostsIndependentClusters(t, suite) }
 func TestTCPMuxFaultIsolation(t *testing.T)           { linktest.MuxIsolation(t, suite, nil) }
 func TestTCPMuxClusterCloseDetaches(t *testing.T)     { linktest.MuxClusterCloseDetaches(t, suite) }

@@ -9,6 +9,7 @@ import (
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
+func TestOneLoopPerNode(t *testing.T)              { linktest.OneLoopPerNode(t, suite) }
 func TestMuxHostsIndependentClusters(t *testing.T) { linktest.MuxHostsIndependentClusters(t, suite) }
 func TestMuxClusterCloseDetaches(t *testing.T)     { linktest.MuxClusterCloseDetaches(t, suite) }
 
