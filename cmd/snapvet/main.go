@@ -85,7 +85,7 @@ func main() {
 	vetFailed := false
 	if !*novet {
 		// The two vet passes the transports lean on: copylocks (a copied
-		// Node or group would silently fork mu/mbMu/injMu) and atomic.
+		// Node or group would silently fork mu/mbMu) and atomic.
 		args := append([]string{"vet", "-copylocks", "-atomic"}, patterns...)
 		cmd := exec.Command("go", args...)
 		cmd.Stdout = os.Stdout

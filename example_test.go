@@ -399,8 +399,8 @@ func ExampleWithFaults() {
 	// Output:
 	// --- deterministic simulator ---
 	// broadcast decided with 3 acknowledgments despite:
-	//   23 drops, 12 duplicates, 12 reorders, 8 delays, 7 garbled in flight and discarded
-	//   1078 partition drops, 415 arrivals consumed by the crashed process
+	//   23 drops, 14 duplicates, 14 reorders, 9 delays, 8 garbled in flight and discarded
+	//   1087 partition drops, 408 arrivals consumed by the crashed process
 	// --- concurrent runtime ---
 	// broadcast decided with 3 acknowledgments despite:
 }

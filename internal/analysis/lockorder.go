@@ -7,18 +7,21 @@ import (
 )
 
 // transportPkgs are the packages whose locking discipline DESIGN.md §7
-// documents: the action mutex mu is outermost, the mailbox mutex mbMu
-// next, and the injector mutex injMu innermost. Since the socket
-// transports share one engine, that is where all three live.
+// documents: the action mutex mu is outermost and the mailbox mutex mbMu,
+// which also guards each group's fault-plane injector, inner. Since the
+// socket transports share one engine, that is where both live.
 var transportPkgs = []string{
 	"internal/transport/engine",
 }
 
 // lockRank orders the documented mutexes. Acquisitions must happen in
 // increasing rank; unranked mutexes (gmu, connMu, ...) are out of scope.
+// injMu, an injector mutex the engine no longer declares, keeps the
+// innermost rank: the analyzer's fixture ranks three mutexes to test the
+// ordering itself.
 var lockRank = map[string]int{"mu": 1, "mbMu": 2, "injMu": 3}
 
-// LockOrder enforces the socket engine's documented mu → mbMu → injMu
+// LockOrder enforces the socket engine's documented mu → mbMu
 // acquisition order, rejects re-acquisition of a held rank, and forbids
 // taking any ranked mutex inside an atomic-section callback (a func
 // literal handed to a Do or Submit method: Do bodies, and a request's
@@ -33,7 +36,7 @@ var lockRank = map[string]int{"mu": 1, "mbMu": 2, "injMu": 3}
 // that way to drain what its section was owed.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the documented mu → mbMu → injMu lock order in the socket engine",
+	Doc:  "enforce the documented mu → mbMu lock order in the socket engine",
 	Run:  runLockOrder,
 }
 
@@ -210,7 +213,7 @@ func applyLockExpr(pass *Pass, e ast.Expr, held map[string]token.Pos) {
 	case "Lock", "RLock":
 		for h := range held {
 			if lockRank[h] > lockRank[name] {
-				pass.Reportf(call.Pos(), "acquires %s while holding %s: the documented transport order is mu → mbMu → injMu", name, h)
+				pass.Reportf(call.Pos(), "acquires %s while holding %s: the documented transport order is mu → mbMu", name, h)
 			} else if h == name {
 				pass.Reportf(call.Pos(), "acquires %s while already holding it", name)
 			}

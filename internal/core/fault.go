@@ -389,9 +389,9 @@ func (a *atomicFaultStats) snapshot() FaultStats {
 
 // Injector applies one FaultPlan at one delivery boundary. It is NOT
 // goroutine-safe; substrates create injectors aligned with their delivery
-// concurrency (sim: one for the whole network, under the scheduler;
-// runtime: one per receiving process, under its mutex; udp: one per node,
-// owned by its receive loop). The fault counters alone are written
+// concurrency (sim: one for the whole network, under the scheduler; the
+// engine behind runtime, udp and tcp: one per group on each node, under
+// that node's mailbox lock). The fault counters alone are written
 // atomically so Stats may be read concurrently with injection.
 type Injector struct {
 	plan *FaultPlan
@@ -422,6 +422,12 @@ func (inj *Injector) Stats() FaultStats { return inj.stats.snapshot() }
 // Held returns the number of messages currently held back (in transit
 // inside the injector). Quiescence checks must count them.
 func (inj *Injector) Held() int { return inj.heldN }
+
+// HeldOn returns the number of messages held back on the link from -> to
+// for instance: still in transit, each keeps its slot in the channel.
+func (inj *Injector) HeldOn(from, to ProcID, instance string) int {
+	return len(inj.hold[faultLink{From: from, To: to, Instance: instance}])
+}
 
 // Filter decides the fate of message m in transit from -> to at tick now.
 // The returned batch holds the messages to hand to the receiver, in order:

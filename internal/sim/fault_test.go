@@ -175,7 +175,9 @@ func (r *seqReceiver) Deliver(_ core.Env, _ core.ProcID, m core.Message) {
 // TestReorderViolatesFIFOThroughTheScheduler pins that ReorderRate
 // produces genuine out-of-order delivery through the full substrate —
 // holdbacks survive the per-step flush until later traffic overtakes
-// them — and that without a plan the channel stays FIFO.
+// them — and that without a plan the channel stays FIFO. A held message
+// keeps its channel slot, so at c = 1 nothing can overtake it: the
+// chaotic run takes c = 2, where a swap stays within the bound.
 func TestReorderViolatesFIFOThroughTheScheduler(t *testing.T) {
 	t.Parallel()
 	run := func(opts ...Option) []int64 {
@@ -200,9 +202,39 @@ func TestReorderViolatesFIFOThroughTheScheduler(t *testing.T) {
 	if len(plain) == 0 || inversions(plain) != 0 {
 		t.Fatalf("FIFO violated without a plan: %d inversions in %d deliveries", inversions(plain), len(plain))
 	}
-	chaotic := run(WithFaults(&core.FaultPlan{Seed: 1, Default: core.LinkFaults{ReorderRate: 0.3}}))
+	chaotic := run(WithCapacity(2), WithFaults(&core.FaultPlan{Seed: 1, Default: core.LinkFaults{ReorderRate: 0.3}}))
 	if inv := inversions(chaotic); inv == 0 {
 		t.Fatalf("ReorderRate=0.3 produced no FIFO violation in %d deliveries", len(chaotic))
+	}
+}
+
+// TestHeldMessageKeepsItsSlot pins the known capacity c under a plan
+// that holds messages back: a delayed or reordered message is still in
+// transit and keeps its channel slot (DESIGN.md §9), so after every step
+// each link's queued messages plus its holdback number at most c, and a
+// send into the rest is lost at the sender.
+func TestHeldMessageKeepsItsSlot(t *testing.T) {
+	t.Parallel()
+	plan := &core.FaultPlan{Seed: 3, Default: core.LinkFaults{DelayRate: 0.3, DelayTicks: 20, ReorderRate: 0.2}}
+	for _, c := range []int{1, 2} {
+		stacks := []core.Stack{{&seqSender{}}, {&seqReceiver{}}}
+		net := New(stacks, WithSeed(5), WithCapacity(c), WithFaults(plan))
+		peak := 0
+		for step := 0; step < 3_000; step++ {
+			net.Step()
+			for id, k := range net.linkOrder {
+				held := net.inj.HeldOn(k.From, k.To, k.Instance)
+				if in := net.queues[id].Len() + held; in > c {
+					t.Fatalf("c = %d, step %d: link %v has %d queued and %d held, %d in transit",
+						c, step, k, net.queues[id].Len(), held, in)
+				}
+				peak = max(peak, held)
+			}
+		}
+		if peak == 0 || net.Stats().SendLosses == 0 {
+			t.Fatalf("c = %d: peak holdback %d, %d send losses; the plan held nothing back",
+				c, peak, net.Stats().SendLosses)
+		}
 	}
 }
 

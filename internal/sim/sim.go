@@ -434,7 +434,7 @@ func (e env) Send(to core.ProcID, m core.Message) {
 		id = net.newLink(k)
 	}
 	net.stats.Sends++
-	if net.queues[id].Send(&m) {
+	if !net.heldFull(id) && net.queues[id].Send(&m) {
 		if len(net.traffic) > 0 {
 			net.emitTraffic(core.Event{Kind: core.EvSend, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m})
 		}
@@ -444,6 +444,19 @@ func (e env) Send(to core.ProcID, m core.Message) {
 	if len(net.traffic) > 0 {
 		net.emitTraffic(core.Event{Kind: core.EvSendLost, Proc: e.self, Peer: to, Instance: m.Instance, Msg: m})
 	}
+}
+
+// heldFull reports whether the fault plane's holdback fills link id: a
+// message the injector holds (delay, reorder) is still in transit and
+// keeps its channel slot (DESIGN.md §9), so a link whose queued messages
+// plus its holdback reach c is full. Plans that hold nothing, and
+// unbounded networks, never take this path.
+func (net *Network) heldFull(id int) bool {
+	if net.inj == nil || net.unbounded || net.inj.Held() == 0 {
+		return false
+	}
+	k := net.linkOrder[id]
+	return net.queues[id].Len()+net.inj.HeldOn(k.From, k.To, k.Instance) >= net.capacity
 }
 
 func (e env) Emit(ev core.Event) {

@@ -454,7 +454,9 @@ func TestCrashWindowSuppressesEagerStepping(t *testing.T) {
 		n.g0.epoch = time.Now() // the first hour: process 0 is down
 	}
 	// Mail already in transit when the window opened stays in its box.
+	nodes[0].mbMu.Lock()
 	nodes[0].box(nodes[0].g0, 1, core.Message{Instance: "pif", Kind: pif.Kind})
+	nodes[0].mbMu.Unlock()
 	request(t, nodes[0], machines[0], core.Payload{Tag: "hello", Num: 8})
 	nodes[0].tick()
 	nodes[0].drainMail()
@@ -600,8 +602,8 @@ func TestProbeReleasesReorderHoldback(t *testing.T) {
 	}
 	held := func() int {
 		g := nodes[0].g0
-		g.injMu.Lock()
-		defer g.injMu.Unlock()
+		g.n.mbMu.Lock()
+		defer g.n.mbMu.Unlock()
 		return g.inj.Held()
 	}
 	send(1, DefaultCapacity)

@@ -56,7 +56,7 @@
 // succeeds (TryLock never waits); if it fails, the section holding mu
 // drains as it releases the lock (release). A load that outlasts a
 // release's budget starts the loop, which ends once the node's timer
-// parks. The lock order is mu → mbMu → injMu (snapvet's lockorder).
+// parks. The lock order is mu → mbMu (snapvet's lockorder).
 //
 // The engine is event-driven end to end (DESIGN.md §7): a section that
 // delivered mail ends, before its frames leave, by stepping the stacks it
@@ -280,11 +280,7 @@ type Group struct {
 	faultUnit time.Duration
 	epoch     time.Time // fault-schedule tick zero; set before the group is visible to the sections
 
-	// injMu guards the injector, which is not goroutine-safe: Arrive may
-	// run on one goroutine per connection, and the step tick releases
-	// delayed messages from the timer's section.
-	injMu sync.Mutex
-	inj   *core.Injector
+	inj *core.Injector // the fault plane, nil without a plan; under n.mbMu
 
 	peers []peerLinks // indexed by peer
 
@@ -310,6 +306,11 @@ func (g *Group) emit(ev core.Event) {
 	if len(g.observers) > 0 {
 		g.observers.OnEvent(ev)
 	}
+}
+
+// lose reports a message from sender lost in transit at this node.
+func (g *Group) lose(sender core.ProcID, m core.Message) {
+	g.emit(core.Event{Kind: core.EvLose, Proc: g.n.self, Peer: sender, Instance: m.Instance, Msg: m})
 }
 
 // settle ends an atomic section of the group: the stack steps on path
@@ -505,8 +506,8 @@ type Node struct {
 	wake, next time.Duration
 
 	// mbMu guards every channel's window and mailbox, every group's
-	// channel map, and the ready list. It is never held across link
-	// calls, protocol actions or observers.
+	// channel map and injector, and the ready list. It is never held
+	// across link calls, protocol actions or observers.
 	mbMu  sync.Mutex
 	ready []*Chan // the channels with a non-empty mailbox, each listed once
 	spare []*Chan // the drained list, swapped back in by drain
@@ -781,7 +782,8 @@ func (n *Node) arrive(sender core.ProcID, gid uint64, links []wire.LinkHeader, m
 
 // receive feeds one frame's headers to the channels' windows and pushes
 // each carried message through its group's fault plane into its
-// channel's mailbox. It reports whether the frame left work for a drain:
+// channel's mailbox, all under one hold of mbMu, which guards the
+// injector too. It reports whether the frame left work for a drain:
 // boxed mail, or a header that owes one (window.Link.Arrive), which the
 // drain answers. Whoever called it wakes the node (arrive, settle).
 func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, msgs []core.Message) (owed bool) {
@@ -792,9 +794,17 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 	if g.topo != nil && !g.topo.HasEdge(sender, n.self) {
 		return false // not a neighbour in this group's graph: dropped
 	}
+	var lost []core.Message
+	box := func(m core.Message) {
+		if n.box(g, sender, m) {
+			owed = true
+		} else {
+			lost = append(lost, m)
+		}
+	}
+	n.mbMu.Lock()
 	// Headers first: the acknowledgments release our own windows, and the
 	// frame's messages occupy the sender's until they are consumed.
-	n.mbMu.Lock()
 	for _, h := range links {
 		c := g.channel(sender, h.Instance)
 		_, ask := c.end.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
@@ -803,66 +813,44 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 			n.heard = append(n.heard, c)
 		}
 		owed = owed || ask
-	}
-	n.mbMu.Unlock()
-	if g.inj != nil {
-		owed = n.traffic(g, sender, links) || owed
+		if g.inj != nil && h.Count == 0 {
+			// A header that carried no message — a probe or an echo — is
+			// traffic on its link (DESIGN.md §9), so a reorder holdback that
+			// keeps its sender's window shut leaves with the sender's probe.
+			// A released message keeps the window slot it has held since it
+			// arrived, as in flushDelayed.
+			for _, m := range g.inj.Traffic(sender, n.self, h.Instance, g.now()) {
+				box(m)
+			}
+		}
 	}
 	for _, m := range msgs {
 		if g.inj == nil {
-			owed = n.box(g, sender, m) || owed
+			box(m)
 			continue
 		}
 		// Per logical message, never per frame: packing is invisible to
 		// the fault plane.
-		g.injMu.Lock()
 		held := g.inj.Held()
 		out, fate := g.inj.Filter(sender, n.self, m, g.now())
 		// The arrival became len(out) mailbox entries plus whatever the
 		// injector now holds back on this link: a drop frees the slot, a
 		// duplicate occupies one more, holdback keeps it.
-		d := len(out) + g.inj.Held() - held - 1
-		// Filter returns the injector's reusable scratch slice, which the
-		// next Filter rewrites as soon as the lock drops: snapshot it.
-		out = append([]core.Message(nil), out...)
-		g.injMu.Unlock()
-		if d != 0 {
-			n.mbMu.Lock()
+		if d := len(out) + g.inj.Held() - held - 1; d != 0 {
 			g.channel(sender, m.Instance).end.Occupy(d)
-			n.mbMu.Unlock()
 		}
 		if fate == core.FateDrop {
-			g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
+			lost = append(lost, m)
 		}
 		for _, dm := range out {
-			owed = n.box(g, sender, dm) || owed
+			box(dm)
 		}
+	}
+	n.mbMu.Unlock()
+	for _, m := range lost {
+		g.lose(sender, m)
 	}
 	return owed
-}
-
-// traffic shows the fault plane every header of a frame that carried no
-// message — a probe or an echo — as traffic on its link (DESIGN.md §9),
-// so a reorder holdback that keeps its sender's window shut leaves with
-// the sender's probe. A released message keeps the window slot it has
-// held since it arrived, as in flushDelayed. It reports whether it boxed
-// anything.
-func (n *Node) traffic(g *Group, sender core.ProcID, links []wire.LinkHeader) (boxed bool) {
-	for _, h := range links {
-		if h.Count != 0 {
-			continue // its messages pass Filter, which releases the link
-		}
-		g.injMu.Lock()
-		rel := g.inj.Traffic(sender, n.self, h.Instance, g.now())
-		// Traffic returns the injector's scratch: snapshot it, as arrive
-		// does Filter's.
-		rel = append([]core.Message(nil), rel...)
-		g.injMu.Unlock()
-		for _, m := range rel {
-			boxed = n.box(g, sender, m) || boxed
-		}
-	}
-	return boxed
 }
 
 // flushDelayed surfaces expired delayed messages even on quiet links.
@@ -872,13 +860,19 @@ func (n *Node) flushDelayed() {
 		if g.inj == nil {
 			continue
 		}
-		g.injMu.Lock()
+		n.mbMu.Lock()
 		rel := g.inj.Flush(g.now())
-		g.injMu.Unlock()
+		lost := rel[:0]
 		for _, r := range rel {
 			// A released message keeps the window slot it has held since
 			// it arrived.
-			n.box(g, r.From, r.Msg)
+			if !n.box(g, r.From, r.Msg) {
+				lost = append(lost, r)
+			}
+		}
+		n.mbMu.Unlock()
+		for _, r := range lost {
+			g.lose(r.From, r.Msg)
 		}
 	}
 }
@@ -886,28 +880,22 @@ func (n *Node) flushDelayed() {
 // box appends one in-transit message to its channel's bounded mailbox
 // and reports whether it did, so that its caller sees a drain follow. A
 // message that finds the mailbox full is dropped, lose-on-full — the
-// model's link loss, not a send failure. The mailbox has one slot per
+// model's link loss, not a send failure — and its caller reports the
+// loss (Group.lose) once mbMu is released. The mailbox has one slot per
 // window slot, so only traffic that ignored the window (or a fault-plane
-// duplicate) is lost here.
+// duplicate) is lost here. Callers hold n.mbMu.
 func (n *Node) box(g *Group, sender core.ProcID, m core.Message) bool {
-	n.mbMu.Lock()
 	c := g.channel(sender, m.Instance)
-	full := len(c.box) >= n.capacity
-	if full {
+	if len(c.box) >= n.capacity {
 		c.end.Occupy(-1)
-	} else {
-		if len(c.box) == 0 {
-			n.ready = append(n.ready, c)
-		}
-		c.box = append(c.box, m)
-	}
-	n.mbMu.Unlock()
-	if full {
 		g.mailboxDrops.Add(1)
 		g.peers[sender].dropped.Add(1)
-		g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
 		return false
 	}
+	if len(c.box) == 0 {
+		n.ready = append(n.ready, c)
+	}
+	c.box = append(c.box, m)
 	g.recvs.Add(1)
 	g.peers[sender].recvd.Add(1)
 	return true

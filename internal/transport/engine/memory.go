@@ -74,13 +74,13 @@ func (l *memLink) Wire(peer core.ProcID, addr string) error {
 
 // Write puts every frame in its peer's mailboxes, on the caller's
 // goroutine and under the caller's action mutex, taking only the
-// receiving node's mailbox and injector locks; then, once the section's
-// frames are all in — each link's in section order, so FIFO holds — it
-// settles each receiver they left work for, once, in the order their
-// first frames came. Settling tries a receiver's action mutex and never
-// waits for one, so the lock order mu → mbMu → injMu holds across nodes.
-// A peer with no node (a test's hand-driven end) gets its Arrive. Nothing
-// can fail, so every frame counts as sent as it is handed over.
+// receiving node's mailbox lock; then, once the section's frames are all
+// in — each link's in section order, so FIFO holds — it settles each
+// receiver they left work for, once, in the order their first frames
+// came. Settling tries a receiver's action mutex and never waits for one,
+// so the lock order mu → mbMu holds across nodes. A peer with no node (a
+// test's hand-driven end) gets its Arrive. Nothing can fail, so every
+// frame counts as sent as it is handed over.
 func (l *memLink) Write(frames []Frame) {
 	self := l.cfg.Self
 	for i := range frames {
