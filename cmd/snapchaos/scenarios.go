@@ -237,9 +237,11 @@ func newPIF(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 	return c, func(ctx context.Context) error {
 		for round := int64(0); round < 2; round++ {
 			token := 1000*(cfg.SeedToken()) + round
-			// On the deterministic substrate the internal Specification 1
-			// checker judges the computation event by event.
-			armed := c.ArmSpec(0, "chaos", token) == nil
+			// The internal Specification 1 checker judges the computation
+			// event by event, on every substrate.
+			if err := c.ArmSpec(0, "chaos", token); err != nil {
+				return fmt.Errorf("broadcast round %d: %w", round, err)
+			}
 			req := c.BroadcastAsync(0, "chaos", token)
 			if err := req.Wait(ctx); err != nil {
 				return fmt.Errorf("broadcast round %d: %w", round, err)
@@ -253,14 +255,12 @@ func newPIF(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 					return fmt.Errorf("broadcast round %d: feedback %+v not derived from this broadcast", round, f)
 				}
 			}
-			if armed {
-				rep := c.SpecReport()
-				if !rep.Started || !rep.Decided {
-					return fmt.Errorf("spec checker: started=%v decided=%v", rep.Started, rep.Decided)
-				}
-				if len(rep.Violations) > 0 {
-					return fmt.Errorf("specification 1 violated: %v", rep.Violations)
-				}
+			rep := c.SpecReport()
+			if !rep.Started || !rep.Decided {
+				return fmt.Errorf("spec checker: started=%v decided=%v", rep.Started, rep.Decided)
+			}
+			if len(rep.Violations) > 0 {
+				return fmt.Errorf("specification 1 violated: %v", rep.Violations)
 			}
 		}
 		return nil
@@ -292,7 +292,9 @@ func newTyped(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 		}
 		for round := int64(0); round < 2; round++ {
 			doc := chaosDoc{Round: round, Seed: cfg.Seed, Body: body}
-			armed := c.ArmSpec(0, doc) == nil
+			if err := c.ArmSpec(0, doc); err != nil {
+				return fmt.Errorf("typed broadcast round %d: %w", round, err)
+			}
 			req := c.BroadcastAsync(0, doc)
 			if err := req.Wait(ctx); err != nil {
 				return fmt.Errorf("typed broadcast round %d: %w", round, err)
@@ -309,17 +311,15 @@ func newTyped(cfg config, opts []snapstab.Option) (snapstab.Cluster, script) {
 					return fmt.Errorf("typed round %d: feedback from %d not the byte-identical echo", round, f.From)
 				}
 			}
-			if armed {
-				rep := c.SpecReport()
-				if !rep.Started || !rep.Decided {
-					return fmt.Errorf("typed spec checker: started=%v decided=%v", rep.Started, rep.Decided)
-				}
-				if !rep.ValueChecked {
-					return fmt.Errorf("typed spec checker: default echo receiver must be value-checked")
-				}
-				if len(rep.Violations) > 0 {
-					return fmt.Errorf("typed specification 1 violated: %v", rep.Violations)
-				}
+			rep := c.SpecReport()
+			if !rep.Started || !rep.Decided {
+				return fmt.Errorf("typed spec checker: started=%v decided=%v", rep.Started, rep.Decided)
+			}
+			if !rep.ValueChecked {
+				return fmt.Errorf("typed spec checker: default echo receiver must be value-checked")
+			}
+			if len(rep.Violations) > 0 {
+				return fmt.Errorf("typed specification 1 violated: %v", rep.Violations)
 			}
 		}
 		return nil

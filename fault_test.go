@@ -146,13 +146,32 @@ func TestArmSpecJudgesChaosBroadcast(t *testing.T) {
 	}
 }
 
-// TestArmSpecRequiresSim pins the substrate restriction.
-func TestArmSpecRequiresSim(t *testing.T) {
+// TestArmSpecJudgesRuntime checks Specification 1 online on the
+// concurrent engine: events from every process's section reach the
+// checker under its lock, and each armed computation after a corrupted
+// start, under a fault plan, starts and decides value-for-value with no
+// violation.
+func TestArmSpecJudgesRuntime(t *testing.T) {
 	t.Parallel()
-	c := snapstab.NewPIFCluster(2, snapstab.WithSubstrate(snapstab.Runtime()))
+	c := snapstab.NewPIFCluster(3,
+		snapstab.WithSubstrate(snapstab.Runtime()),
+		snapstab.WithFaults(snapstab.FaultPlan{Seed: 4, Default: snapstab.LinkFaults{DropRate: 0.1, DupRate: 0.1, ReorderRate: 0.1}}))
 	defer c.Close()
-	if err := c.ArmSpec(0, "x", 1); err == nil {
-		t.Fatal("ArmSpec accepted on the Runtime substrate")
+	c.CorruptEverything(5)
+	for round := int64(0); round < 3; round++ {
+		if err := c.ArmSpec(int(round%3), "spec", 700+round); err != nil {
+			t.Fatalf("ArmSpec: %v", err)
+		}
+		if _, err := c.Broadcast(int(round%3), "spec", 700+round); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		rep := c.SpecReport()
+		if !rep.Started || !rep.Decided || !rep.ValueChecked {
+			t.Fatalf("round %d: started=%v decided=%v value-checked=%v", round, rep.Started, rep.Decided, rep.ValueChecked)
+		}
+		if len(rep.Violations) != 0 {
+			t.Fatalf("round %d: specification violated: %v", round, rep.Violations)
+		}
 	}
 }
 

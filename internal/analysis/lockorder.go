@@ -16,9 +16,7 @@ var transportPkgs = []string{
 
 // lockRank orders the documented mutexes. Acquisitions must happen in
 // increasing rank; unranked mutexes (gmu, connMu, ...) are out of scope.
-// injMu, an injector mutex the engine no longer declares, keeps the
-// innermost rank: the analyzer's fixture ranks three mutexes to test the
-// ordering itself.
+// The engine declares no injMu; its rank is the analyzer fixture's.
 var lockRank = map[string]int{"mu": 1, "mbMu": 2, "injMu": 3}
 
 // LockOrder enforces the socket engine's documented mu → mbMu

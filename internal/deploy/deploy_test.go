@@ -16,9 +16,11 @@ import (
 )
 
 // reservePorts grabs k distinct loopback TCP ports by binding and
-// releasing them. The window between release and reuse is racy in
-// principle; in practice the kernel does not rebind a just-released
-// ephemeral port before the daemons claim it.
+// releasing them. The window between release and reuse is racy: another
+// test's listener on port 0 may take a released port first. Only the
+// peer addresses are reserved this way, because every daemon's config
+// lists all of them before any daemon binds its own; a control listener
+// binds 127.0.0.1:0 and is reached through Daemon.ControlAddr.
 func reservePorts(t *testing.T, k int) []string {
 	t.Helper()
 	addrs := make([]string, k)
@@ -45,12 +47,11 @@ func startFleet(t *testing.T, base Config) ([]*Daemon, []*Client) {
 	n := len(base.Peers)
 	daemons := make([]*Daemon, n)
 	clients := make([]*Client, n)
-	controls := reservePorts(t, n)
 	for i := 0; i < n; i++ {
 		cfg := base
 		cfg.Node = i
 		cfg.Listen = base.Peers[i]
-		cfg.Control = controls[i]
+		cfg.Control = "127.0.0.1:0"
 		d, err := New(cfg, nil)
 		if err != nil {
 			t.Fatalf("daemon %d: %v", i, err)

@@ -446,11 +446,9 @@ func (e env) Send(to core.ProcID, m core.Message) {
 	}
 }
 
-// heldFull reports whether the fault plane's holdback fills link id: a
-// message the injector holds (delay, reorder) is still in transit and
-// keeps its channel slot (DESIGN.md §9), so a link whose queued messages
-// plus its holdback reach c is full. Plans that hold nothing, and
-// unbounded networks, never take this path.
+// heldFull reports whether link id is full counting its holdback: a
+// message the fault plane holds is still in transit and keeps its slot
+// (DESIGN.md §9).
 func (net *Network) heldFull(id int) bool {
 	if net.inj == nil || net.unbounded || net.inj.Held() == 0 {
 		return false

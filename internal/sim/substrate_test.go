@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -299,12 +300,13 @@ func TestAwaitConcurrentBudget(t *testing.T) {
 // TestDriverExitsWhenIdle pins the one driver: a request at the head of
 // its queue is evaluated on the submitting goroutine, nothing runs until
 // it is waited for, one goroutine steps while it is pending, and none is
-// left once it completed. Not parallel: the count is the whole
-// process's.
+// left once it completed. It counts the driver's own goroutines, by the
+// frame that created them, so what other tests leave running does not
+// count.
 func TestDriverExitsWhenIdle(t *testing.T) {
 	stacks, machines := pifStacks(2)
 	net := New(stacks, WithSeed(3))
-	before := runtime.NumGoroutine()
+	before := drivers(nil)
 	for i := 0; i < 3; i++ {
 		requested := false
 		token := core.Payload{Tag: "idle", Num: int64(i)}
@@ -314,23 +316,43 @@ func TestDriverExitsWhenIdle(t *testing.T) {
 				requested = machines[0].Invoke(env, token)
 				return false
 			}
-			during = max(during, runtime.NumGoroutine())
+			during = max(during, len(drivers(before)))
 			return machines[0].Done() && machines[0].BMes.Equal(token)
 		})
-		if g := runtime.NumGoroutine(); g != before || net.StepCount() != 0 && i == 0 {
-			t.Fatalf("request %d: %d goroutines and %d steps before it was waited for, %d goroutines before", i, g, net.StepCount(), before)
+		if d := len(drivers(before)); d != 0 || net.StepCount() != 0 && i == 0 {
+			t.Fatalf("request %d: %d drivers and %d steps before it was waited for", i, d, net.StepCount())
 		}
 		net.Drive()
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
-		if during != before+1 {
-			t.Fatalf("request %d: up to %d goroutines while it was pending, want %d", i, during, before+1)
+		if during != 1 {
+			t.Fatalf("request %d: up to %d drivers while it was pending, want 1", i, during)
 		}
-		if !waitFor(10_000, func() bool { return runtime.NumGoroutine() == before }) {
-			t.Fatalf("request %d: %d goroutines after it completed, %d before", i, runtime.NumGoroutine(), before)
+		if !waitFor(10_000, func() bool { return len(drivers(before)) == 0 }) {
+			t.Fatalf("request %d: %d drivers after it completed", i, len(drivers(before)))
 		}
 	}
+}
+
+// drivers returns the ids of the goroutines Network.Drive started,
+// leaving out those in skip.
+func drivers(skip map[string]bool) map[string]bool {
+	buf := make([]byte, 1<<16)
+	k := runtime.Stack(buf, true)
+	for ; k == len(buf); k = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	found := make(map[string]bool)
+	for _, stack := range strings.Split(string(buf[:k]), "\n\n") {
+		// "goroutine 42 [state]:" heads each stack, and "created by
+		// <function> in goroutine 7" ends it, even before it first runs.
+		if f := strings.Fields(stack); len(f) > 1 && !skip[f[1]] &&
+			strings.Contains(stack, "/internal/sim.(*Network).Drive in goroutine ") {
+			found[f[1]] = true
+		}
+	}
+	return found
 }
 
 // waitFor polls cond every millisecond until it holds, k times at most.

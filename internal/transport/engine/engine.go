@@ -308,11 +308,6 @@ func (g *Group) emit(ev core.Event) {
 	}
 }
 
-// lose reports a message from sender lost in transit at this node.
-func (g *Group) lose(sender core.ProcID, m core.Message) {
-	g.emit(core.Event{Kind: core.EvLose, Proc: g.n.self, Peer: sender, Instance: m.Instance, Msg: m})
-}
-
 // settle ends an atomic section of the group: the stack steps on path
 // (PathEager after mail, PathTick from the timer), the pending requests
 // complete while their conditions hold and, as a condition may Invoke,
@@ -848,7 +843,7 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 	}
 	n.mbMu.Unlock()
 	for _, m := range lost {
-		g.lose(sender, m)
+		g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
 	}
 	return owed
 }
@@ -872,7 +867,7 @@ func (n *Node) flushDelayed() {
 		}
 		n.mbMu.Unlock()
 		for _, r := range lost {
-			g.lose(r.From, r.Msg)
+			g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: r.From, Instance: r.Msg.Instance, Msg: r.Msg})
 		}
 	}
 }
@@ -880,8 +875,8 @@ func (n *Node) flushDelayed() {
 // box appends one in-transit message to its channel's bounded mailbox
 // and reports whether it did, so that its caller sees a drain follow. A
 // message that finds the mailbox full is dropped, lose-on-full — the
-// model's link loss, not a send failure — and its caller reports the
-// loss (Group.lose) once mbMu is released. The mailbox has one slot per
+// model's link loss, not a send failure — and its caller emits the
+// EvLose once mbMu is released. The mailbox has one slot per
 // window slot, so only traffic that ignored the window (or a fault-plane
 // duplicate) is lost here. Callers hold n.mbMu.
 func (n *Node) box(g *Group, sender core.ProcID, m core.Message) bool {

@@ -2,6 +2,7 @@ package snapstab
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/pif"
@@ -38,6 +39,7 @@ type pifCore struct {
 	cfg      pifConfig
 	machines []*pif.PIF
 	checker  *spec.PIFChecker
+	chkMu    sync.Mutex // serializes checker access across process goroutines
 	// active[p] is the feedback sink of process p's in-flight broadcast
 	// request. Written inside completion conditions and read inside
 	// OnFeedback — both in process p's substrate-atomic context, so no
@@ -91,54 +93,49 @@ func newPIFCore(n int, cfg pifConfig, o options) *pifCore {
 		}, popts...)
 		stacks[i] = core.Stack{c.machines[i]}
 	}
-	// The checker stays dormant until armSpec; it is wired here so the
-	// deterministic substrate can judge Specification 1 online. When the
-	// expected feedback values are known exactly (default receivers),
-	// the Decision clause is checked value-for-value.
+	// The checker stays dormant until armSpec; it is wired here so every
+	// substrate judges Specification 1 online. When the expected feedback
+	// values are known exactly (default receivers), the Decision clause
+	// is checked value-for-value.
 	c.checker = &spec.PIFChecker{N: n, Initiator: 0, Instance: "pif"}
 	if o.topology != nil {
 		c.checker.Participants = o.topology.Neighbors(0)
 	}
 	c.checker.ExpectFck = cfg.expect
-	c.init(o, stacks, c.checker)
+	c.init(o, stacks, lockedChecker{&c.chkMu, c.checker})
 	return c
 }
 
 // armSpec arms the Specification 1 checker for the next broadcast of
-// token initiated at process p (Sim substrate only).
+// token initiated at process p.
 func (c *pifCore) armSpec(p int, token core.Payload) error {
-	if c.simNet == nil {
-		return fmt.Errorf("snapstab: spec checking requires the Sim substrate")
-	}
 	if p < 0 || p >= len(c.machines) {
 		return fmt.Errorf("%w: ArmSpec at process %d (cluster has %d)", ErrInvalidProcess, p, len(c.machines))
 	}
-	c.simNet.Sync(func() {
-		c.checker.Initiator = core.ProcID(p)
-		if topo := c.opt.topology; topo != nil {
-			// The obligations follow the initiator: its neighbourhood is
-			// the computation's participant set.
-			c.checker.Participants = topo.Neighbors(core.ProcID(p))
-		}
-		c.checker.Arm(token)
-	})
+	c.chkMu.Lock()
+	defer c.chkMu.Unlock()
+	c.checker.Initiator = core.ProcID(p)
+	if topo := c.opt.topology; topo != nil {
+		// The obligations follow the initiator: its neighbourhood is the
+		// computation's participant set.
+		c.checker.Participants = topo.Neighbors(core.ProcID(p))
+	}
+	c.checker.Arm(token)
 	return nil
 }
 
 // specReport snapshots the armed computation's verdict.
 func (c *pifCore) specReport() SpecReport {
-	var r SpecReport
-	if c.simNet == nil {
-		return r
+	c.chkMu.Lock()
+	defer c.chkMu.Unlock()
+	r := SpecReport{
+		Started:      c.checker.Started(),
+		Decided:      c.checker.Decided(),
+		ValueChecked: c.checker.ValueChecking(),
 	}
-	c.simNet.Sync(func() {
-		r.Started = c.checker.Started()
-		r.Decided = c.checker.Decided()
-		r.ValueChecked = c.checker.ValueChecking()
-		for _, v := range c.checker.Violations() {
-			r.Violations = append(r.Violations, v.String())
-		}
-	})
+	for _, v := range c.checker.Violations() {
+		r.Violations = append(r.Violations, v.String())
+	}
 	return r
 }
 

@@ -239,16 +239,15 @@ type SpecReport struct {
 // ArmSpec arms the cluster's Specification 1 checker for the next
 // broadcast of (tag, num) initiated at process p. Call it immediately
 // before BroadcastAsync(p, tag, num); after the request completes,
-// SpecReport returns the verdict. Spec checking runs on the deterministic
-// substrate only (the checker judges a single computation at a time and
-// is driven by the simulator's event stream); on the concurrent
-// substrates it returns an error and the cluster is unaffected.
+// SpecReport returns the verdict. The checker judges one computation at
+// a time, from the event stream of any substrate: on the concurrent ones
+// a lock serializes the processes' events, each emitted inside its
+// process's atomic section, so it sees them in causal order.
 func (c *PIFCluster) ArmSpec(p int, tag string, num int64) error {
 	return c.armSpec(p, core.Payload{Tag: tag, Num: num})
 }
 
-// SpecReport returns the armed computation's verdict so far. Zero value
-// on the concurrent substrates.
+// SpecReport returns the armed computation's verdict so far.
 func (c *PIFCluster) SpecReport() SpecReport { return c.specReport() }
 
 // Feedback is one process's acknowledgment.

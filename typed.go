@@ -128,8 +128,7 @@ func (c *TypedPIFCluster[T]) encode(v T) (core.Payload, error) {
 }
 
 // ArmSpec arms the cluster's Specification 1 checker for the next
-// broadcast of v initiated at process p (Sim substrate only; see
-// PIFCluster.ArmSpec). With the default echo receiver the Decision
+// broadcast of v initiated at process p (see PIFCluster.ArmSpec). With the default echo receiver the Decision
 // clause is checked value-for-value against the marshaled bytes;
 // SpecReport.ValueChecked reports whether that comparison ran.
 func (c *TypedPIFCluster[T]) ArmSpec(p int, v T) error {
@@ -140,8 +139,7 @@ func (c *TypedPIFCluster[T]) ArmSpec(p int, v T) error {
 	return c.armSpec(p, token)
 }
 
-// SpecReport returns the armed computation's verdict so far. Zero value
-// on the concurrent substrates.
+// SpecReport returns the armed computation's verdict so far.
 func (c *TypedPIFCluster[T]) SpecReport() SpecReport { return c.specReport() }
 
 // TypedFeedback is one process's acknowledgment, decoded through the
