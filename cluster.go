@@ -74,7 +74,8 @@ func (c *clusterCore) init(o options, stacks []core.Stack, obs ...core.Observer)
 // lockedChecker serializes a spec checker's callbacks: events arrive
 // concurrently from every process goroutine on the concurrent substrates,
 // and the checkers are not goroutine-safe. It reads what its checker
-// reads, so it is a core.ProtocolObserver too.
+// reads, so it is a core.ProtocolObserver too: no engine sends it a
+// traffic event, and its lock is taken only on protocol events.
 type lockedChecker struct {
 	mu      *sync.Mutex
 	checker core.ProtocolObserver

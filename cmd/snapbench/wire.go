@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/linktest"
 	"github.com/snapstab/snapstab/internal/transport/engine"
 	"github.com/snapstab/snapstab/internal/transport/tcp"
@@ -153,18 +152,18 @@ const floodWindow = 1024
 
 // floodSubstrate is one socket link the flood runs over.
 type floodSubstrate struct {
-	name       string
-	newCluster func([]core.Stack, ...engine.Option) (*engine.Cluster, error)
+	name      string
+	transport engine.Transport
 }
 
-var floodSubstrates = []floodSubstrate{{"udp", udp.NewCluster}, {"tcp", tcp.NewCluster}}
+var floodSubstrates = []floodSubstrate{{"udp", udp.Transport}, {"tcp", tcp.Transport}}
 
 // benchWireFlood measures one (substrate, n, batch, blob) cell: sustained
 // deliveries/sec over window, with the occupancy and amortization ratios
 // read from the transport counters across the same interval.
 func benchWireFlood(sub floodSubstrate, n, batch, blob int, window time.Duration) (wireBenchResult, error) {
 	var delivered atomic.Int64
-	c, err := sub.newCluster(linktest.Flood(n, blob, &delivered), engine.WithBatch(batch), engine.WithCapacity(floodWindow))
+	c, err := engine.NewCluster(sub.transport, linktest.Flood(n, blob, &delivered), engine.WithBatch(batch), engine.WithCapacity(floodWindow))
 	if err != nil {
 		return wireBenchResult{}, err
 	}

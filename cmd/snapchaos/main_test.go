@@ -123,6 +123,9 @@ func TestGauntletTopologyNarrowsMatrix(t *testing.T) {
 // substrate, and the paper's own setting — a corrupted start, no
 // adversary — over loopback sockets. A selection of exactly one run
 // prints every node's transport counters and the fault plane's totals.
+// The PIF run's seed draws in-flight corruption: a broadcast at n = 3
+// carries few enough messages that the plan's 3 % rate may draw none
+// (seed 2 does).
 // The four flaky-links forwarding runs are the seeds on which the
 // runtime's former channel, which duplicated and overtook, delivered an
 // item twice (11, 21, 23) or wedged a send until its deadline (32). The
@@ -143,7 +146,7 @@ func TestGauntletOneConcurrentRun(t *testing.T) {
 		n                             int
 		seed                          uint64
 	}{
-		{"flaky-links", "pif", "runtime", 3, 2},
+		{"flaky-links", "pif", "runtime", 3, 4},
 		{"corrupted-start", "pif", "udp", 3, 2},
 		{"corrupted-start", "forward", "tcp", 3, 2},
 		{"flaky-links", "forward", "runtime", 4, 11},

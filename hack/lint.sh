@@ -16,6 +16,20 @@ if [ -n "$unformatted" ]; then
   exit 1
 fi
 
+echo "==> DESIGN.md section references"
+# Every "DESIGN.md §n" or "DESIGN §n" in the Go and Markdown files must
+# name a "## §n" heading of DESIGN.md.
+sections=" $(sed -n 's/^## §\([0-9][0-9]*\) .*/\1/p' DESIGN.md | tr '\n' ' ')"
+refs="$(git ls-files -z -- '*.go' '*.md' | xargs -0 grep -noE 'DESIGN(\.md)? §[0-9]+' || true)"
+dangling="$(echo "$refs" | while IFS= read -r ref; do
+  case "$sections" in *" ${ref##*§} "*) ;; *) echo "$ref" ;; esac
+done)"
+if [ -n "$dangling" ]; then
+  echo "dangling DESIGN.md section references:"
+  echo "$dangling"
+  exit 1
+fi
+
 echo "==> go vet"
 go vet ./...
 

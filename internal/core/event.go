@@ -136,18 +136,18 @@ const NoteRequested = "requested"
 // they run inside the simulation loop. An observer never influences the
 // execution it watches: a seed replays the same steps with any set of
 // observers installed, or none. Every observer receives the protocol
-// events; the simulator sends the four traffic kinds (EvSend, EvSendLost,
+// events; both engines send the four traffic kinds (EvSend, EvSendLost,
 // EvDeliver, EvLose) only to observers that are not a ProtocolObserver.
 type Observer interface {
 	OnEvent(e Event)
 }
 
 // ProtocolObserver marks an Observer that ignores the traffic kinds and
-// reads only protocol events. The simulator withholds send, send-lost,
-// deliver and lose from it, and builds no traffic event at all when every
-// installed observer is one. The spec checkers implement it. An observer
-// that reads any traffic kind must not; the concurrent engine ignores the
-// marker and sends every event to every observer.
+// reads only protocol events. The simulator and the concurrent engine
+// withhold send, send-lost, deliver and lose from it, and build no
+// traffic event at all when every installed observer is one. The spec
+// checkers implement it. An observer that reads any traffic kind must
+// not.
 type ProtocolObserver interface {
 	Observer
 	IgnoresTraffic()

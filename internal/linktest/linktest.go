@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,18 +26,18 @@ import (
 
 // Link is one socket layer under test.
 type Link struct {
-	// NewMux is the package's NewMux.
-	NewMux func(nProcs int, opts ...engine.Option) (*engine.Mux, error)
-	// NewRawPeer starts process 0 of a two-process system running stack,
-	// wired to a hand-driven stand-in for process 1, and registers their
-	// teardown with t.
-	NewRawPeer func(t *testing.T, stack core.Stack, opts ...engine.Option) RawPeer
+	// Transport is the package's engine.Transport.
+	Transport engine.Transport
+	// NewRawPeer starts process 0 of a two-process system running stack
+	// as group 0 (Host's options), wired to a hand-driven stand-in for
+	// process 1, and registers their teardown with t.
+	NewRawPeer func(t *testing.T, stack core.Stack, node []engine.Option, group ...engine.Option) RawPeer
 }
 
 // RawPeer is a hand-driven process 1: tests watch the exact frames the
 // node under test writes and feed it arbitrary ones.
 type RawPeer interface {
-	Node() *engine.Node
+	Group() *engine.Group
 	// Next returns the node's next link frame, if one arrives within d.
 	Next(d time.Duration) (links []wire.LinkHeader, msgs []core.Message, ok bool)
 	// Send writes one group-0 link frame to the node.
@@ -71,15 +72,35 @@ func CheckWindows(t *testing.T, s core.TransportStatser) {
 	})
 }
 
-// NodeStats adapts bare nodes to core.TransportStatser.
-type NodeStats []*engine.Node
+// Groups adapts groups to core.TransportStatser.
+type Groups []*engine.Group
 
-func (ns NodeStats) TransportStats() []core.TransportStats {
-	out := make([]core.TransportStats, len(ns))
-	for i, n := range ns {
-		out[i] = n.Stats()
+func (gs Groups) TransportStats() []core.TransportStats {
+	out := make([]core.TransportStats, len(gs))
+	for i, g := range gs {
+		out[i] = g.Stats()
 	}
 	return out
+}
+
+// Host binds process self of len(peers) on tr at laddr, wired to the
+// non-empty entries of peers, with the node options, and attaches stack
+// as group 0 with the group options. It registers the node's Stop and
+// the window check with t; the node is not started.
+func Host(t *testing.T, tr engine.Transport, self core.ProcID, stack core.Stack, laddr string, peers []string,
+	node []engine.Option, group ...engine.Option) *engine.Group {
+	t.Helper()
+	n, err := engine.NewNode(tr, self, laddr, peers, node...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	g, err := n.Attach(stack, group...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	CheckWindows(t, Groups{g})
+	return g
 }
 
 // PIFStacks builds one acknowledging PIF stack per process at the
@@ -99,13 +120,13 @@ func PIFStacks(n int) ([]core.Stack, []*pif.PIF) {
 	return stacks, machines
 }
 
-// At0 is process 0's atomic section on sub, in the shape of Node.Do.
+// At0 is process 0's atomic section on sub, in the shape of Group.Do.
 func At0(sub core.Substrate) func(func(core.Env)) {
 	return func(f func(core.Env)) { sub.Do(0, f) }
 }
 
 // Broadcast drives one PIF broadcast of token at the process whose
-// atomic section is do (a Node.Do, or At0 of a cluster) and waits for
+// atomic section is do (a Group.Do, or At0 of a cluster) and waits for
 // its decision.
 func Broadcast(t *testing.T, do func(func(core.Env)), m *pif.PIF, token core.Payload) {
 	t.Helper()
@@ -149,12 +170,12 @@ func (r *Recorder) Snapshot() []core.Message {
 	return append([]core.Message(nil), r.got...)
 }
 
-// Freeze holds node's action mutex until the returned release is
-// called: drains stop, the link keeps boxing.
-func Freeze(node *engine.Node) (release func()) {
+// Freeze holds the action mutex of g's node until the returned release
+// is called: drains stop, the link keeps boxing.
+func Freeze(g *engine.Group) (release func()) {
 	done := make(chan struct{})
 	frozen := make(chan struct{})
-	go node.Do(func(core.Env) {
+	go g.Do(func(core.Env) {
 		close(frozen)
 		<-done
 	})
@@ -163,7 +184,7 @@ func Freeze(node *engine.Node) (release func()) {
 }
 
 // attach is Mux.Attach with the teardown window check.
-func attach(t *testing.T, m *engine.Mux, stacks []core.Stack, opts ...engine.Option) *engine.MuxCluster {
+func attach(t *testing.T, m *engine.Mux, stacks []core.Stack, opts ...engine.Option) *engine.Cluster {
 	t.Helper()
 	c, err := m.Attach(stacks, opts...)
 	if err != nil {
@@ -175,7 +196,7 @@ func attach(t *testing.T, m *engine.Mux, stacks []core.Stack, opts ...engine.Opt
 
 func newMux(t *testing.T, l Link, n int) *engine.Mux {
 	t.Helper()
-	m, err := l.NewMux(n)
+	m, err := engine.NewMux(l.Transport, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +253,7 @@ func MuxIsolation(t *testing.T, l Link, pressure func(m *engine.Mux, gidA uint64
 	}
 	Broadcast(t, At0(ca), machA[0], core.Payload{Tag: "a", Num: 5})
 	// linkTotals sums a cluster's Sends, and what its Links[] count.
-	linkTotals := func(c *engine.MuxCluster) (sends, sent, all int64) {
+	linkTotals := func(c *engine.Cluster) (sends, sent, all int64) {
 		for _, s := range c.TransportStats() {
 			sends += s.Sends
 			for _, l := range s.Links {
@@ -315,10 +336,10 @@ func IdleIsSilent(t *testing.T, l Link) {
 // there a loop lives only while a load outlasts a release's budget.
 func OneLoopPerNode(t *testing.T, l Link) {
 	const n = 3
-	before := carryLoops(nil)
+	before := Goroutines(nil, carryLoop)
 	loops := func(when string) {
 		t.Helper()
-		if k := len(carryLoops(before)); k != n {
+		if k := len(Goroutines(before, carryLoop)); k != n {
 			t.Fatalf("%s: %d carry loops run for %d nodes", when, k, n)
 		}
 	}
@@ -338,14 +359,19 @@ func OneLoopPerNode(t *testing.T, l Link) {
 		loops("parked")
 	}
 	m.Close()
-	if !WaitFor(t, 5*time.Second, func() bool { return len(carryLoops(before)) == 0 }) {
-		t.Fatalf("%d carry loops outlive Close", len(carryLoops(before)))
+	if !WaitFor(t, 5*time.Second, func() bool { return len(Goroutines(before, carryLoop)) == 0 }) {
+		t.Fatalf("%d carry loops outlive Close", len(Goroutines(before, carryLoop)))
 	}
 }
 
-// carryLoops returns the ids of the goroutines a node started for its
-// carry loop, leaving out those in skip.
-func carryLoops(skip map[string]bool) map[string]bool {
+// carryLoop is the frame ending the stack of a node's carry loop.
+const carryLoop = "/transport/engine.(*Node).startCarry in goroutine "
+
+// Goroutines returns the ids of the goroutines whose stack holds every
+// one of frames, leaving out those in skip. "created by <function> in
+// goroutine 7" ends each stack, even before it first runs, and names the
+// function that started it.
+func Goroutines(skip map[string]bool, frames ...string) map[string]bool {
 	buf := make([]byte, 1<<16)
 	k := runtime.Stack(buf, true)
 	for ; k == len(buf); k = runtime.Stack(buf, true) {
@@ -353,10 +379,9 @@ func carryLoops(skip map[string]bool) map[string]bool {
 	}
 	found := make(map[string]bool)
 	for _, stack := range strings.Split(string(buf[:k]), "\n\n") {
-		// "goroutine 42 [state]:" heads each stack, and "created by
-		// <function> in goroutine 7" ends it, even before it first runs.
-		if f := strings.Fields(stack); len(f) > 1 && !skip[f[1]] &&
-			strings.Contains(stack, "/transport/engine.(*Node).startCarry in goroutine ") {
+		// "goroutine 42 [state]:" heads each stack.
+		missing := func(frame string) bool { return !strings.Contains(stack, frame) }
+		if f := strings.Fields(stack); len(f) > 1 && !skip[f[1]] && !slices.ContainsFunc(frames, missing) {
 			found[f[1]] = true
 		}
 	}
@@ -386,8 +411,8 @@ func OneFramePerSection(t *testing.T, l Link) {
 	for i := range stack {
 		stack[i] = &Recorder{Inst: fmt.Sprintf("rec%d", i)}
 	}
-	p := l.NewRawPeer(t, stack)
-	p.Node().Do(func(env core.Env) {
+	p := l.NewRawPeer(t, stack, nil)
+	p.Group().Do(func(env core.Env) {
 		for _, m := range stack {
 			env.Send(1, core.Message{Instance: m.Instance(), Kind: "K"})
 		}
@@ -413,9 +438,9 @@ func OneFramePerSection(t *testing.T, l Link) {
 // reader must take.
 func FrameAtBudget(t *testing.T, l Link) {
 	const k = 8
-	p := l.NewRawPeer(t, core.Stack{&Recorder{Inst: "rec"}}, engine.WithCapacity(k))
+	p := l.NewRawPeer(t, core.Stack{&Recorder{Inst: "rec"}}, []engine.Option{engine.WithCapacity(k)})
 	blob := bytes.Repeat([]byte{7}, wire.MaxBlobLen)
-	p.Node().Do(func(env core.Env) {
+	p.Group().Do(func(env core.Env) {
 		for i := 0; i < k; i++ {
 			env.Send(1, core.Message{Instance: "rec", Kind: "K", B: core.Payload{Num: int64(i), Blob: blob}})
 		}
@@ -452,8 +477,8 @@ func FrameAtBudget(t *testing.T, l Link) {
 func initiator(t *testing.T, l Link) RawPeer {
 	t.Helper()
 	m := pif.New("pif", 0, 2, pif.Callbacks{}, pif.WithCapacityBound(engine.DefaultCapacity))
-	p := l.NewRawPeer(t, core.Stack{m})
-	p.Node().Do(func(env core.Env) {
+	p := l.NewRawPeer(t, core.Stack{m}, nil)
+	p.Group().Do(func(env core.Env) {
 		if !m.Invoke(env, core.Payload{Tag: "hello", Num: 1}) {
 			t.Error("Invoke rejected")
 		}
@@ -598,14 +623,14 @@ func ReboxOverflowIsLost(t *testing.T, l Link) {
 	step, deliver := newHold(), newHold()
 	start := time.Now()
 	p := l.NewRawPeer(t, core.Stack{held{"a", step, deliver}, held{"b", step, deliver}},
-		engine.WithCapacity(c), engine.WithFaults(plan),
+		[]engine.Option{engine.WithCapacity(c)}, engine.WithFaults(plan),
 		engine.WithObserver(core.ObserverFunc(func(e core.Event) {
 			if e.Kind == core.EvLose {
 				loses.Add(1)
 			}
 		})))
 	started := time.Now()
-	node := p.Node()
+	g := p.Group()
 	defer step.release() // a failed run must not leave the loop parked
 	defer deliver.release()
 
@@ -617,7 +642,7 @@ func ReboxOverflowIsLost(t *testing.T, l Link) {
 		p.Send([]wire.LinkHeader{{Instance: "a", Seq: seq}, {Instance: "b", Seq: seq}},
 			core.Message{Instance: "a", Kind: "K"}, core.Message{Instance: "b", Kind: "K"})
 		if !WaitFor(t, 5*time.Second, func() bool {
-			s = node.Stats()
+			s = g.Stats()
 			return s.Recvs+s.MailboxDrops == int64(sent)+s.Faults.Duplicates &&
 				loses.Load() == s.MailboxDrops && s.Links[0].Dropped == s.MailboxDrops
 		}) {
@@ -651,8 +676,8 @@ func ReboxOverflowIsLost(t *testing.T, l Link) {
 	// finds the group down for the other: nothing more is lost.
 	time.Sleep(time.Until(started.Add(crashAt + 20*time.Millisecond)))
 	deliver.release()
-	node.Do(func(core.Env) {}) // returns once the parked section is over
-	s = node.Stats()
+	g.Do(func(core.Env) {}) // returns once the parked section is over
+	s = g.Stats()
 	if s.MailboxDrops != before || loses.Load() != before || s.Links[0].Dropped != before {
 		t.Fatalf("releasing the drain inside the crash window: MailboxDrops %d -> %d, %d EvLose, Links[0].Dropped = %d; mail held through a crash window is not touched",
 			before, s.MailboxDrops, loses.Load(), s.Links[0].Dropped)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -98,14 +99,14 @@ func outcome(t *testing.T, errc <-chan error) error {
 
 // Await is Submit plus a channel, for tests: it returns the request's
 // completion error, or ctx.Err() once ctx ends, leaving it registered.
-func (c *members) Await(ctx context.Context, p core.ProcID, cond func(core.Env) bool) error {
+func (c *Cluster) Await(ctx context.Context, p core.ProcID, cond func(core.Env) bool) error {
 	return within(ctx, submitted(c, p, cond))
 }
 
-// Await is members.Await at the node's default group.
-func (n *Node) Await(ctx context.Context, cond func(core.Env) bool) error {
+// Await is Cluster.Await at one group.
+func (g *Group) Await(ctx context.Context, cond func(core.Env) bool) error {
 	errc := make(chan error, 1)
-	n.Submit(cond, func(_ core.Env, err error) { errc <- err })
+	g.Submit(cond, func(_ core.Env, err error) { errc <- err })
 	return within(ctx, errc)
 }
 
@@ -500,8 +501,7 @@ func TestStartStopConcurrent(t *testing.T) {
 // the engine refuses.
 func TestStartTwicePanics(t *testing.T) {
 	t.Parallel()
-	stacks, _ := pifStacksAt(2, 1)
-	n, err := NewNode(Memory(), 0, stacks[0], "", make([]string, 2))
+	n, err := NewNode(Memory(), 0, "", make([]string, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,6 +689,78 @@ func TestEngineAwaitStopped(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Await never unblocked after Close")
+	}
+}
+
+// eventLog keeps every event an observer got.
+type eventLog struct {
+	mu     sync.Mutex
+	events []core.Event
+}
+
+func (l *eventLog) OnEvent(e core.Event) {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+// split returns the kinds of traffic event the log holds, and its
+// protocol events, rendered and sorted.
+func (l *eventLog) split() (traffic map[core.EventKind]bool, protocol []string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	traffic = make(map[core.EventKind]bool)
+	for _, e := range l.events {
+		switch e.Kind {
+		case core.EvSend, core.EvSendLost, core.EvDeliver, core.EvLose:
+			traffic[e.Kind] = true
+		default:
+			protocol = append(protocol, e.String())
+		}
+	}
+	slices.Sort(protocol)
+	return traffic, protocol
+}
+
+// protocolLog is an eventLog that says it reads only protocol events.
+type protocolLog struct{ eventLog }
+
+func (*protocolLog) IgnoresTraffic() {}
+
+// TestProtocolObserverSeesNoTraffic: the engine honours
+// core.ProtocolObserver as the simulator does. On one group, under a
+// fault plan that loses mail at arrival and beside a send refused at a
+// full window, a plain observer gets all four traffic kinds; a protocol
+// observer gets none of them, and both get every protocol event.
+func TestProtocolObserverSeesNoTraffic(t *testing.T) {
+	t.Parallel()
+	var plain eventLog
+	var proto protocolLog
+	stacks, machines := pifStacks(3)
+	c := start(t, stacks, WithObserver(&plain), WithObserver(&proto),
+		WithFaults(&core.FaultPlan{Seed: 3, Default: core.LinkFaults{DropRate: 0.2}}))
+	c.Do(0, func(env core.Env) { // the second send finds the window shut
+		env.Send(1, core.Message{Instance: "stray", Kind: "K"})
+		env.Send(1, core.Message{Instance: "stray", Kind: "K"})
+	})
+	for i := int64(1); ; i++ {
+		await(t, c, machines[0], core.Payload{Tag: "t", Num: i})
+		seen, _ := plain.split()
+		if len(seen) == 4 {
+			break
+		}
+		if i == 50 {
+			t.Fatalf("50 broadcasts showed the plain observer only %v", seen)
+		}
+	}
+	c.Close() // no section runs on: both logs are complete
+	_, want := plain.split()
+	seen, got := proto.split()
+	if len(seen) != 0 {
+		t.Fatalf("the protocol observer got traffic events: %v", seen)
+	}
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("the protocol observer got %d protocol events, the plain one %d", len(got), len(want))
 	}
 }
 

@@ -96,11 +96,11 @@ func stillStacks(t *testing.T, stacks []core.Stack, opts ...Option) (*memNet, []
 	pn := new(memNet)
 	nodes := make([]*Node, len(stacks))
 	for i := range nodes {
-		node, err := NewNode(pn.transport(), core.ProcID(i), stacks[i], "", make([]string, len(stacks)), opts...)
+		g, err := host(pn.transport(), core.ProcID(i), stacks[i], make([]string, len(stacks)), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = node
+		nodes[i] = g.n
 	}
 	for _, node := range nodes {
 		for j, other := range nodes {
@@ -111,6 +111,21 @@ func stillStacks(t *testing.T, stacks []core.Stack, opts ...Option) (*memNet, []
 	}
 	return pn, nodes
 }
+
+// host binds process self on tr, unwired to any of peers, and attaches
+// stack to it as group 0, as NewCluster does: opts may be a node's and a
+// group's. The node is not started.
+func host(tr Transport, self core.ProcID, stack core.Stack, peers []string, opts ...Option) (*Group, error) {
+	o := apply(nodeDefaults, opts)
+	n, err := NewNode(tr, self, "", peers, WithCapacity(o.capacity), WithBatch(o.batch), WithTopology(o.topology))
+	if err != nil {
+		return nil, err
+	}
+	return n.attach(0, stack, o, time.Now())
+}
+
+// group0 is the group host attached to n.
+func group0(n *Node) *Group { return n.groups.Load().byID[0] }
 
 // pump drains mail at every node until none is left anywhere.
 func pump(nodes []*Node) {
@@ -140,7 +155,7 @@ func (n *Node) drainMail() {
 func waiting(n *Node) int {
 	n.mu.Lock()
 	defer n.release()
-	return n.g0.waiters.Len()
+	return group0(n).waiters.Len()
 }
 
 // broadcasting is the façade's injected idiom: the condition issues the
@@ -162,7 +177,7 @@ func request(t *testing.T, node *Node, m *pif.PIF, token core.Payload) <-chan er
 	t.Helper()
 	errc := make(chan error, 1)
 	pin(node)
-	node.Submit(broadcasting(m, token), func(_ core.Env, err error) { errc <- err })
+	group0(node).Submit(broadcasting(m, token), func(_ core.Env, err error) { errc <- err })
 	if k := waiting(node); k != 1 {
 		t.Fatalf("%d requests registered after Submit, want 1", k)
 	}
@@ -184,7 +199,7 @@ func settled(t *testing.T, node *Node, errc <-chan error) {
 
 func totals(nodes []*Node) (sends, retransmits int64) {
 	for _, n := range nodes {
-		s := n.Stats()
+		s := group0(n).Stats()
 		sends += s.Sends
 		retransmits += s.Retransmits
 	}
@@ -325,7 +340,7 @@ func TestStalledLinkIsNotStarved(t *testing.T) {
 		}
 	}
 	var toward2 uint8
-	nodes[0].Do(func(core.Env) { toward2 = machines[0].State[2] })
+	group0(nodes[0]).Do(func(core.Env) { toward2 = machines[0].State[2] })
 	if toward2 < 3 || seen.on(0, 2) != 0 {
 		t.Fatalf("handshake with process 2 stands at %d after %d retransmissions toward it; want 3 rounds done and none",
 			toward2, seen.on(0, 2))
@@ -365,7 +380,7 @@ func TestRepeatBacksOffToStepInterval(t *testing.T) {
 			advance(nodes, stepInterval/4)
 		}
 		ticks(nodes)
-		if s := nodes[0].Stats(); s.Retransmits > int64(len(at)) {
+		if s := group0(nodes[0]).Stats(); s.Retransmits > int64(len(at)) {
 			at = append(at, now)
 		}
 	}
@@ -390,7 +405,7 @@ func TestRetransmitsCountRepeatsThatLeft(t *testing.T) {
 		advance(nodes[:1], stepInterval)
 		nodes[0].tick()
 	}
-	s := nodes[0].Stats()
+	s := group0(nodes[0]).Stats()
 	if s.Sends != DefaultCapacity || s.Retransmits != DefaultCapacity-1 || s.SendDrops != 20-(DefaultCapacity-1) {
 		t.Fatalf("%d sends, %d retransmissions, %d send drops; want %d, %d and %d",
 			s.Sends, s.Retransmits, s.SendDrops, DefaultCapacity, DefaultCapacity-1, 20-(DefaultCapacity-1))
@@ -431,7 +446,7 @@ func TestIdleDisarmsRetransmission(t *testing.T) {
 	}
 	// The initiator consumed the last echoes and had nothing to say back:
 	// their acknowledgments left on their own, one frame per peer.
-	if s := nodes[0].Stats(); s.EchoFrames != 2 {
+	if s := group0(nodes[0]).Stats(); s.EchoFrames != 2 {
 		t.Fatalf("initiator sent %d echo frames, want 2", s.EchoFrames)
 	}
 }
@@ -451,31 +466,31 @@ func TestCrashWindowSuppressesEagerStepping(t *testing.T) {
 		}
 	})))
 	for _, n := range nodes {
-		n.g0.epoch = time.Now() // the first hour: process 0 is down
+		group0(n).epoch = time.Now() // the first hour: process 0 is down
 	}
 	// Mail already in transit when the window opened stays in its box.
 	nodes[0].mbMu.Lock()
-	nodes[0].box(nodes[0].g0, 1, core.Message{Instance: "pif", Kind: pif.Kind})
+	nodes[0].box(group0(nodes[0]), 1, core.Message{Instance: "pif", Kind: pif.Kind})
 	nodes[0].mbMu.Unlock()
 	request(t, nodes[0], machines[0], core.Payload{Tag: "hello", Num: 8})
 	nodes[0].tick()
 	nodes[0].drainMail()
 	var req core.ReqState
-	nodes[0].Do(func(core.Env) { req = machines[0].Request })
+	group0(nodes[0]).Do(func(core.Env) { req = machines[0].Request })
 	mu.Lock()
-	if req != core.Wait || delivered != 0 || nodes[0].Stats().Sends != 0 {
+	if req != core.Wait || delivered != 0 || group0(nodes[0]).Stats().Sends != 0 {
 		t.Fatalf("inside the crash window: Request = %v, %d deliveries, %d sends; want Wait, 0, 0",
-			req, delivered, nodes[0].Stats().Sends)
+			req, delivered, group0(nodes[0]).Stats().Sends)
 	}
 	mu.Unlock()
-	nodes[0].g0.epoch = time.Now().Add(-2 * time.Hour) // the window is over
+	group0(nodes[0]).epoch = time.Now().Add(-2 * time.Hour) // the window is over
 	nodes[0].drainMail()
-	nodes[0].Do(func(core.Env) { req = machines[0].Request })
+	group0(nodes[0]).Do(func(core.Env) { req = machines[0].Request })
 	mu.Lock()
 	defer mu.Unlock()
-	if req != core.In || delivered != 1 || nodes[0].Stats().Sends == 0 {
+	if req != core.In || delivered != 1 || group0(nodes[0]).Stats().Sends == 0 {
 		t.Fatalf("after the crash window: Request = %v, %d deliveries, %d sends; want In, 1, some",
-			req, delivered, nodes[0].Stats().Sends)
+			req, delivered, group0(nodes[0]).Stats().Sends)
 	}
 }
 
@@ -529,27 +544,27 @@ func TestCrashWindowHoldsBoxedMail(t *testing.T) {
 	plan := &core.FaultPlan{Unit: time.Hour, Crashes: []core.CrashWindow{{Proc: 0, From: 1, Until: 2}}}
 	_, nodes, _ := still(t, 2, WithFaults(plan), WithObserver(&got))
 	n := nodes[0]
-	n.g0.epoch = time.Now() // hour 0: up
+	group0(n).epoch = time.Now() // hour 0: up
 	for i := 1; i <= DefaultCapacity; i++ {
 		from1(n, uint64(i), int64(i))
 	}
-	n.g0.epoch = time.Now().Add(-time.Hour) // hour 1: down
+	group0(n).epoch = time.Now().Add(-time.Hour) // hour 1: down
 	n.drainMail()
 	n.tick()
 	n.drainMail()
 	n.mbMu.Lock()
-	inBox := len(n.g0.channel(1, "pif").box)
+	inBox := len(group0(n).channel(1, "pif").box)
 	n.mbMu.Unlock()
-	if s := n.Stats(); inBox != DefaultCapacity || len(got.snapshot()) != 0 || s.MailboxDrops != 0 || s.Sends != 0 {
+	if s := group0(n).Stats(); inBox != DefaultCapacity || len(got.snapshot()) != 0 || s.MailboxDrops != 0 || s.Sends != 0 {
 		t.Fatalf("inside the crash window: %d in the box, deliveries %v, %d mailbox drops, %d sends; want %d, none, 0, 0",
 			inBox, got.snapshot(), s.MailboxDrops, s.Sends, DefaultCapacity)
 	}
-	n.g0.epoch = time.Now().Add(-2 * time.Hour) // hour 2: up again
+	group0(n).epoch = time.Now().Add(-2 * time.Hour) // hour 2: up again
 	n.tick()
 	if !got.upTo(DefaultCapacity) {
 		t.Fatalf("first tick after the crash window delivered %v, want 1..%d in order", got.snapshot(), DefaultCapacity)
 	}
-	if s := n.Stats(); s.MailboxDrops != 0 {
+	if s := group0(n).Stats(); s.MailboxDrops != 0 {
 		t.Fatalf("%d mailbox drops", s.MailboxDrops)
 	}
 }
@@ -562,13 +577,13 @@ func TestDelayedMailSurfacesFromTick(t *testing.T) {
 	plan := &core.FaultPlan{Unit: time.Hour, Default: core.LinkFaults{DelayRate: 0.99, DelayTicks: 1}}
 	_, nodes, _ := still(t, 2, WithFaults(plan), WithObserver(&got))
 	n := nodes[0]
-	n.g0.epoch = time.Now()
+	group0(n).epoch = time.Now()
 	from1(n, 1, 7)
 	n.tick()
-	if nums, s := got.snapshot(), n.Stats(); len(nums) != 0 || s.Recvs != 0 || s.Faults.Delays != 1 {
+	if nums, s := got.snapshot(), group0(n).Stats(); len(nums) != 0 || s.Recvs != 0 || s.Faults.Delays != 1 {
 		t.Fatalf("before the delay ran out: deliveries %v, Recvs = %d, Delays = %d; want none, 0, 1", nums, s.Recvs, s.Faults.Delays)
 	}
-	n.g0.epoch = time.Now().Add(-time.Hour)
+	group0(n).epoch = time.Now().Add(-time.Hour)
 	n.tick()
 	if nums := got.snapshot(); len(nums) != 1 || nums[0] != 7 {
 		t.Fatalf("tick after the delay ran out delivered %v, want [7]", nums)
@@ -591,17 +606,17 @@ func TestProbeReleasesReorderHoldback(t *testing.T) {
 	plan := &core.FaultPlan{Unit: time.Hour, Links: map[core.LinkSel]core.LinkFaults{{From: 1, To: 0}: {ReorderRate: 0.999}}}
 	_, nodes, _ := still(t, 2, WithFaults(plan), WithObserver(&got))
 	for _, n := range nodes {
-		n.g0.epoch = time.Now()
+		group0(n).epoch = time.Now()
 	}
 	send := func(from, to int64) {
-		nodes[1].Do(func(env core.Env) {
+		group0(nodes[1]).Do(func(env core.Env) {
 			for num := from; num <= to; num++ {
 				env.Send(0, core.Message{Instance: "pif", Kind: pif.Kind, B: core.Payload{Num: num}})
 			}
 		})
 	}
 	held := func() int {
-		g := nodes[0].g0
+		g := group0(nodes[0])
 		g.n.mbMu.Lock()
 		defer g.n.mbMu.Unlock()
 		return g.inj.Held()
@@ -613,16 +628,16 @@ func TestProbeReleasesReorderHoldback(t *testing.T) {
 		t.Fatalf("after the window's worth: deliveries %v, %d held; want 1..%d and 1", got.snapshot(), held(), DefaultCapacity-1)
 	}
 	send(DefaultCapacity+1, DefaultCapacity+1) // refused, and the probe
-	if s := nodes[1].Stats(); s.SendDrops != 1 || s.Links[0].InFlight != DefaultCapacity {
+	if s := group0(nodes[1]).Stats(); s.SendDrops != 1 || s.Links[0].InFlight != DefaultCapacity {
 		t.Fatalf("sender: %d send drops, %d in flight; want the window shut at %d and the send refused",
 			s.SendDrops, s.Links[0].InFlight, DefaultCapacity)
 	}
 
 	nodes[0].drainMail() // the delivery, and the probe's answer
-	if s := nodes[1].Stats(); s.ProbeFrames != 1 || !got.upTo(DefaultCapacity) || held() != 0 {
+	if s := group0(nodes[1]).Stats(); s.ProbeFrames != 1 || !got.upTo(DefaultCapacity) || held() != 0 {
 		t.Fatalf("after %d probes: deliveries %v, %d held; want one probe to deliver 1..%d", s.ProbeFrames, got.snapshot(), held(), DefaultCapacity)
 	}
-	if l := nodes[1].Stats().Links[0]; l.InFlight != 0 || l.PeakInFlight > DefaultCapacity {
+	if l := group0(nodes[1]).Stats().Links[0]; l.InFlight != 0 || l.PeakInFlight > DefaultCapacity {
 		t.Fatalf("sender's window after the answer: %d in flight, peak %d; want 0 and at most %d", l.InFlight, l.PeakInFlight, DefaultCapacity)
 	}
 }
@@ -646,7 +661,7 @@ func TestCorruptedMailIsLost(t *testing.T) {
 		}
 	})))
 	for round := 1; round <= 2; round++ {
-		nodes[1].Do(func(env core.Env) {
+		group0(nodes[1]).Do(func(env core.Env) {
 			for i := 0; i < DefaultCapacity; i++ {
 				env.Send(0, core.Message{Instance: "pif", Kind: pif.Kind, B: core.Payload{Num: int64(i)}})
 			}
@@ -654,7 +669,7 @@ func TestCorruptedMailIsLost(t *testing.T) {
 		nodes[0].drainMail()
 		nodes[0].tick() // the acknowledgment finds nothing to ride on,
 		nodes[0].tick() // and leaves as an echo at the second tick
-		s0, s1 := nodes[0].Stats(), nodes[1].Stats()
+		s0, s1 := group0(nodes[0]).Stats(), group0(nodes[1]).Stats()
 		want := int64(round * DefaultCapacity)
 		mu.Lock()
 		if int64(lost) != want || delivered != 0 || s0.Faults.Corrupts != want || s0.Faults.Total() != want || s0.Recvs != 0 || s0.MailboxDrops != 0 {
@@ -680,7 +695,7 @@ func TestUnknownInstanceMailIsConsumed(t *testing.T) {
 		[]core.Message{{Instance: "nope", Kind: "K"}, {Instance: "nope", Kind: "K"}})
 	n.drainMail()
 	n.mbMu.Lock()
-	c := n.g0.channel(1, "nope")
+	c := group0(n).channel(1, "nope")
 	inBox, occupied := len(c.box), c.end.Occupied()
 	n.mbMu.Unlock()
 	if inBox != 0 || occupied != 0 || len(got.snapshot()) != 0 {
@@ -688,7 +703,7 @@ func TestUnknownInstanceMailIsConsumed(t *testing.T) {
 	}
 	n.tick()
 	n.tick()
-	if s := n.Stats(); s.Recvs != 2 || s.MailboxDrops != 0 || s.EchoFrames != 1 {
+	if s := group0(n).Stats(); s.Recvs != 2 || s.MailboxDrops != 0 || s.EchoFrames != 1 {
 		t.Fatalf("Recvs = %d, MailboxDrops = %d, EchoFrames = %d; want 2, 0, 1", s.Recvs, s.MailboxDrops, s.EchoFrames)
 	}
 }
@@ -707,7 +722,7 @@ func TestChannelsAreSafeForConcurrentUse(t *testing.T) {
 		go func(p int) {
 			defer senders.Done()
 			for i := 0; i < rounds; i++ {
-				nodes[p].Do(func(env core.Env) {
+				group0(nodes[p]).Do(func(env core.Env) {
 					env.Send(core.ProcID(1-p), core.Message{Instance: "pif", Kind: pif.Kind, B: core.Payload{Num: int64(i)}})
 				})
 			}
@@ -718,7 +733,7 @@ func TestChannelsAreSafeForConcurrentUse(t *testing.T) {
 		defer senders.Done()
 		for i := 0; i < rounds; i++ {
 			from1(nodes[0], 0, int64(i))
-			nodes[0].Stats()
+			group0(nodes[0]).Stats()
 		}
 	}()
 	stop := make(chan struct{})
@@ -742,7 +757,7 @@ func TestChannelsAreSafeForConcurrentUse(t *testing.T) {
 	driver.Wait()
 	pump(nodes)
 
-	stats := []core.TransportStats{nodes[0].Stats(), nodes[1].Stats()}
+	stats := []core.TransportStats{group0(nodes[0]).Stats(), group0(nodes[1]).Stats()}
 	if err := core.CheckWindows(stats); err != nil {
 		t.Fatal(err)
 	}
@@ -765,7 +780,7 @@ func TestChannelsAreSafeForConcurrentUse(t *testing.T) {
 func TestAwaitTrueAtOnce(t *testing.T) {
 	_, nodes, _ := still(t, 2)
 	evals := 0
-	if err := nodes[0].Await(context.Background(), func(core.Env) bool { evals++; return true }); err != nil {
+	if err := group0(nodes[0]).Await(context.Background(), func(core.Env) bool { evals++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if evals != 1 || waiting(nodes[0]) != 0 {
@@ -774,9 +789,11 @@ func TestAwaitTrueAtOnce(t *testing.T) {
 }
 
 // TestAwaitEndsUnregistered: whatever ends a request other than its
-// condition — the node, the mux view — completes it and the one queued
-// behind it with core.ErrClosed, leaves no request registered and no
-// goroutine behind, and fails a later request at once.
+// condition — closing its cluster, on a mux or on nodes of its own, or
+// closing the mux under a cluster still attached, which halts the nodes
+// — completes it and the one queued behind it with core.ErrClosed,
+// leaves no request registered and no goroutine behind, and fails a
+// later request at once.
 func TestAwaitEndsUnregistered(t *testing.T) {
 	never := func(core.Env) bool { return false }
 	base := runtime.NumGoroutine()
@@ -794,14 +811,20 @@ func TestAwaitEndsUnregistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	attachedStacks, _ := pifStacks(2)
+	attached, err := mux.Attach(attachedStacks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		sub  core.Substrate
 		g    *Group
 		end  func()
 	}{
-		{"MuxCluster.Close", view, view.groups[0], func() { view.Close() }},
-		{"Node.Stop", c, c.groups[0], func() { c.Close() }},
+		{"Cluster.Close on a mux", view, view.groups[0], func() { view.Close() }},
+		{"Cluster.Close on its own nodes", c, c.groups[0], func() { c.Close() }},
+		{"Mux.Close", attached, attached.groups[0], func() { mux.Close() }},
 	} {
 		registered := func() (k int) {
 			tc.g.n.mu.Lock()

@@ -30,11 +30,13 @@
 //
 // # Groups: many clusters, one socket
 //
-// A Node hosts one or more groups, each an independent protocol stack
-// with its own routes, observers, topology, fault plan and counters, all
-// sharing the node's link and timer. The wire frame's group id routes
-// every received message to its group's channels. NewNode installs its
-// stack as group 0; Mux attaches further clusters with fresh ids.
+// A Node hosts groups, each an independent protocol stack with its own
+// routes, observers, topology, fault plan and counters, all sharing the
+// node's link and timer. The wire frame's group id routes every received
+// message to its group's channels. NewNode builds a bare node, and every
+// group enters it one way, attached: Node.Attach one stack as group 0,
+// NewCluster one per node as group 0 on nodes of its own, Mux.Attach a
+// cluster under a fresh id on every node it shares.
 //
 // # Concurrency structure
 //
@@ -136,8 +138,8 @@ const stepInterval = 2 * time.Millisecond
 // never is a node timer's time for "none": nothing owed, timer parked.
 const never = time.Duration(math.MaxInt64)
 
-// options is the option set of a node (capacity, batch) and of its
-// default group (observers, topology, faults).
+// options is the option set of a node (capacity, batch, topology) and of
+// a group (topology, faults, observers).
 type options struct {
 	capacity  int
 	batch     int
@@ -146,7 +148,29 @@ type options struct {
 	faults    *core.FaultPlan
 }
 
-// Option configures a node or, on Mux.Attach, one attached cluster.
+// nodeDefaults are a node's options before any Option.
+var nodeDefaults = options{capacity: DefaultCapacity, batch: defaultBatch}
+
+// apply returns o with opts applied.
+func apply(o options, opts []Option) options {
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// groupOptions applies opts for an attach, which takes only a group's:
+// the node's capacity and batch were fixed when it was built.
+func groupOptions(opts []Option) (options, error) {
+	o := apply(options{}, opts)
+	if o.capacity != 0 || o.batch != 0 {
+		return o, fmt.Errorf("engine: node-level option on an attached group; set it where the node is built")
+	}
+	return o, nil
+}
+
+// Option configures a node (NewNode, NewMux), an attached group
+// (Node.Attach, Mux.Attach), or both (NewCluster).
 type Option func(*options)
 
 // WithCapacity sets the channel-capacity bound c the node enforces on
@@ -166,36 +190,40 @@ func WithBatch(k int) Option {
 	return func(o *options) { o.batch = k }
 }
 
-// WithObserver subscribes an event observer on the default group.
+// WithObserver subscribes an event observer on a group. Every observer
+// receives the protocol events; the traffic kinds (EvSend, EvSendLost,
+// EvDeliver, EvLose) go only to observers that are not a
+// core.ProtocolObserver, and are not built at all when there is none.
 // Callbacks arrive concurrently from the link's goroutines (mailbox-full
 // EvLose, EvSendLost on a dead connection) and whichever goroutine runs
-// an atomic section (everything else: the node's loop, a Do or Submit
-// caller, and on the in-memory link a sender delivering for an idle
+// an atomic section (everything else: the node's loop, a Group.Do or
+// Group.Submit caller, and on the in-memory link a sender delivering for an idle
 // receiver, a section's releaser draining what it was owed, or the
 // timer's own goroutine), so the observer must be goroutine-safe.
 func WithObserver(ob core.Observer) Option {
 	return func(o *options) { o.observers = append(o.observers, ob) }
 }
 
-// WithTopology declares the communication graph of the default group:
-// sends to non-neighbours are dropped (and counted) at the sender, a
-// non-neighbour's address is never wired and its traffic is rejected at
-// the receiver, and the installed fault plan is validated against the
-// edge set. The default (nil) is the complete graph.
+// WithTopology declares the communication graph. On a group, sends to
+// non-neighbours are dropped (and counted) at the sender, their traffic
+// is rejected at the receiver, and the installed fault plan is validated
+// against the edge set; on a node, a non-neighbour's address is never
+// wired (SetPeer), which on TCP shapes the connection mesh. NewCluster
+// gives it to both. The default (nil) is the complete graph.
 func WithTopology(t *core.Topology) Option {
 	return func(o *options) { o.topology = t }
 }
 
-// WithFaults installs a fault-injection plan (see core.FaultPlan) on the
-// default group, interposed at the mailbox boundary: every decoded
+// WithFaults installs a fault-injection plan (see core.FaultPlan) on a
+// group, interposed at the mailbox boundary: every decoded
 // message from a known peer — individually, whatever frame carried it —
 // passes the group's injector before it reaches a mailbox, which may lose
 // (drop or corrupt), duplicate, reorder, or delay it, honor partition
 // windows, and silence the group inside crash windows (no internal
 // actions, no mailbox drains, arrivals consumed). The injector is seeded
-// rng.Mix(plan.Seed, Transport.FaultSalt, self); schedule windows are
-// measured in plan.Unit ticks of wall time from Start. The link's own
-// losses compose underneath the plan.
+// rng.Mix(plan.Seed, Transport.FaultSalt, self, group id); schedule
+// windows are measured in plan.Unit ticks of wall time from the attach.
+// The link's own losses compose underneath the plan.
 func WithFaults(plan *core.FaultPlan) Option {
 	return func(o *options) { o.faults = plan }
 }
@@ -211,15 +239,13 @@ type Transport struct {
 
 // LinkConfig is what a Transport's Bind gets to build one node's link.
 type LinkConfig struct {
-	Self   core.ProcID
-	Listen string // local address; port 0 lets the kernel pick
-	Peers  int    // process count, self included
-	// Instances is the default stack's size (zero on a mux node), for
-	// sizing receive buffers.
-	Instances int
-	Capacity  int
-	// Topology is the default group's graph (nil: complete, or a mux
-	// node whose groups restrict traffic per message).
+	Self     core.ProcID
+	Listen   string // local address; port 0 lets the kernel pick
+	Peers    int    // process count, self included
+	Capacity int
+	// Topology is the node's graph (WithTopology on NewNode): nil for the
+	// complete graph, as on a mux node, whose groups restrict traffic
+	// per message.
 	Topology *core.Topology
 	// Arrive is the inbound callback: one decoded frame from a known
 	// peer. links and msgs are only read during the call. Safe to call
@@ -270,7 +296,8 @@ type Group struct {
 	stack     core.Stack
 	routes    map[string]core.Machine
 	topo      *core.Topology
-	observers core.MultiObserver
+	observers core.MultiObserver      // every observer: the protocol events
+	traffic   core.MultiObserver      // those that are no core.ProtocolObserver: the traffic events too
 	paths     [core.NumPaths]env      // per send path
 	envs      [core.NumPaths]core.Env // pointers into paths
 	waiters   core.Waiters            // pending requests; under n.mu
@@ -302,12 +329,6 @@ type peerLinks struct {
 	open                 int     // 1 + the open frame's index in n.out, 0 if none; under n.mu
 }
 
-func (g *Group) emit(ev core.Event) {
-	if len(g.observers) > 0 {
-		g.observers.OnEvent(ev)
-	}
-}
-
 // settle ends an atomic section of the group: the stack steps on path
 // (PathEager after mail, PathTick from the timer), the pending requests
 // complete while their conditions hold and, as a condition may Invoke,
@@ -328,6 +349,9 @@ func (g *Group) settle(path core.SendPath) {
 		g.stack.Step(g.envs[core.PathEager])
 	}
 }
+
+// Node returns the node hosting the group.
+func (g *Group) Node() *Node { return g.n }
 
 // now returns the group's fault-schedule tick: wall time since its epoch
 // in plan.Unit ticks. Only meaningful when a fault plan is installed.
@@ -385,9 +409,22 @@ func (g *Group) Stats() core.TransportStats {
 	return s
 }
 
-// buildGroup assembles and validates one hosted group.
-func (n *Node) buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan *core.FaultPlan,
-	obs core.MultiObserver) (*Group, error) {
+// Attach hosts stack on n as group 0, as a cluster's node of its own
+// does, its fault schedule starting now, with a group's options
+// (WithTopology, WithFaults, WithObserver); a node-level option or a
+// second Attach is an error. Its stack steps at the node's next tick.
+func (n *Node) Attach(stack core.Stack, opts ...Option) (*Group, error) {
+	o, err := groupOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	return n.attach(0, stack, o, time.Now())
+}
+
+// attach builds, validates and publishes one group: the one way a group
+// enters a node (Node.Attach, NewCluster, Mux.Attach).
+func (n *Node) attach(id uint64, stack core.Stack, o options, epoch time.Time) (*Group, error) {
+	topo, plan := o.topology, o.faults
 	if topo != nil && topo.N() != len(n.wired) {
 		return nil, fmt.Errorf("engine: topology over %d processes, %d peers", topo.N(), len(n.wired))
 	}
@@ -397,9 +434,15 @@ func (n *Node) buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan
 		stack:     stack,
 		routes:    stack.ByInstance(),
 		topo:      topo,
-		observers: obs,
+		observers: o.observers,
 		fault:     plan,
+		epoch:     epoch,
 		peers:     make([]peerLinks, len(n.wired)),
+	}
+	for _, ob := range o.observers {
+		if _, protocolOnly := ob.(core.ProtocolObserver); !protocolOnly {
+			g.traffic = append(g.traffic, ob)
+		}
 	}
 	for path := range g.envs {
 		g.paths[path] = env{n: n, g: g, path: core.SendPath(path)}
@@ -413,14 +456,12 @@ func (n *Node) buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 		g.faultUnit = plan.TickUnit()
-		seed := rng.Mix(plan.Seed, n.salt, uint64(n.self))
-		if id != 0 {
-			// Extra groups get distinct injector streams; group 0 keeps the
-			// exact legacy seeding so recorded runs stay reproducible.
-			seed = rng.Mix(plan.Seed, n.salt, uint64(n.self), id)
-		}
-		g.inj = core.NewInjector(plan, rng.New(seed))
+		g.inj = core.NewInjector(plan, rng.New(rng.Mix(plan.Seed, n.salt, uint64(n.self), id)))
 	}
+	if err := n.setGroup(id, g); err != nil {
+		return nil, err
+	}
+	g.Do(func(core.Env) {}) // a started node steps the stack at its next tick
 	return g, nil
 }
 
@@ -471,10 +512,9 @@ type Node struct {
 	capacity int
 	batch    int // messages per frame at most
 	salt     uint64
-	wired    []bool // indexed by peer: the link has an address for it
+	topo     *core.Topology // the node's graph: SetPeer wires only its edges
+	wired    []bool         // indexed by peer: the link has an address for it
 	io       IOCounters
-
-	g0 *Group // the default group (nil on mux-hosted nodes)
 
 	gmu    sync.Mutex // serializes attach/detach
 	groups atomic.Pointer[groupSet]
@@ -522,27 +562,31 @@ type Node struct {
 	wg       sync.WaitGroup
 }
 
-// NewNode binds process self to laddr on transport t. peers maps every
-// process ID (including self, whose entry is ignored) to its address;
-// empty entries may be wired later with SetPeer, before Start. stack
-// becomes the node's default group (group 0); a nil stack builds a bare
-// mux-style node hosting no groups yet.
-func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peers []string, opts ...Option) (*Node, error) {
+// NewNode binds process self to laddr on transport t, hosting no group
+// until one is attached (Attach). peers maps every process ID (including
+// self, whose entry is ignored) to its address; empty entries may be
+// wired later with SetPeer, before Start. It takes a node's options
+// (WithCapacity, WithBatch, WithTopology); a group's are an error.
+func NewNode(t Transport, self core.ProcID, laddr string, peers []string, opts ...Option) (*Node, error) {
+	o := apply(nodeDefaults, opts)
+	if o.faults != nil || len(o.observers) > 0 {
+		return nil, fmt.Errorf("engine: group option on a node; attach it with the group")
+	}
 	if self < 0 || int(self) >= len(peers) {
 		return nil, fmt.Errorf("engine: self %d outside peer list of %d", self, len(peers))
 	}
-	o := options{capacity: DefaultCapacity, batch: defaultBatch}
-	for _, opt := range opts {
-		opt(&o)
-	}
 	if o.capacity < 1 || o.batch < 1 || o.batch > wire.MaxBatch {
 		return nil, fmt.Errorf("engine: invalid capacity %d / batch %d", o.capacity, o.batch)
+	}
+	if o.topology != nil && o.topology.N() != len(peers) {
+		return nil, fmt.Errorf("engine: topology over %d processes, %d peers", o.topology.N(), len(peers))
 	}
 	n := &Node{
 		self:     self,
 		capacity: o.capacity,
 		batch:    o.batch,
 		salt:     t.FaultSalt,
+		topo:     o.topology,
 		wired:    make([]bool, len(peers)),
 		mail:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -550,21 +594,9 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 		wake:     never,
 		next:     never,
 	}
-	if stack == nil {
-		if o.topology != nil || o.faults != nil || len(o.observers) > 0 {
-			return nil, fmt.Errorf("engine: group option on a node with no default group")
-		}
-		n.groups.Store(new(groupSet))
-	} else {
-		g, err := n.buildGroup(0, stack, o.topology, o.faults, o.observers)
-		if err != nil {
-			return nil, err
-		}
-		n.g0 = g
-		n.setGroup(0, g)
-	}
+	n.groups.Store(&groupSet{byID: map[uint64]*Group{}})
 	link, err := t.Bind(LinkConfig{
-		Self: self, Listen: laddr, Peers: len(peers), Instances: len(stack),
+		Self: self, Listen: laddr, Peers: len(peers),
 		Capacity: o.capacity, Topology: o.topology,
 		Arrive: n.arrive, IO: &n.io, node: n,
 	})
@@ -585,16 +617,17 @@ func NewNode(t Transport, self core.ProcID, stack core.Stack, laddr string, peer
 	return n, nil
 }
 
-// setGroup publishes g to the node as group id, copy-on-write; a nil g
-// detaches the group: its channels, their mail included, go with it and
-// inbound frames for it are dropped.
-func (n *Node) setGroup(id uint64, g *Group) {
+// setGroup publishes g to the node as group id, copy-on-write, unless
+// the id is taken; a nil g detaches the group: its channels, their mail
+// included, go with it and inbound frames for it are dropped.
+func (n *Node) setGroup(id uint64, g *Group) error {
 	n.gmu.Lock()
 	defer n.gmu.Unlock()
-	gs := &groupSet{byID: make(map[uint64]*Group)}
-	if old := n.groups.Load(); old != nil {
-		maps.Copy(gs.byID, old.byID)
+	old := n.groups.Load()
+	if g != nil && old.byID[id] != nil {
+		return fmt.Errorf("engine: group %d already attached", id)
 	}
+	gs := &groupSet{byID: maps.Clone(old.byID)}
 	delete(gs.byID, id)
 	if g != nil {
 		gs.byID[id] = g
@@ -604,6 +637,7 @@ func (n *Node) setGroup(id uint64, g *Group) {
 		gs.list = append(gs.list, og)
 	}
 	n.groups.Store(gs)
+	return nil
 }
 
 // Addr returns the bound local address (useful with port 0).
@@ -611,11 +645,11 @@ func (n *Node) Addr() string { return n.link.Addr() }
 
 // SetPeer sets the address of peer id after construction, enabling
 // two-phase setup: bind every node with port 0 first, then wire the
-// learned addresses. Must be called before Start. Under a default-group
+// learned addresses. Must be called before Start. Under the node's
 // topology a non-neighbour is never wired: the node simply does not
 // learn where it lives, as a host configured with its neighbour list.
 func (n *Node) SetPeer(id core.ProcID, addr string) error {
-	if id == n.self || (n.g0 != nil && n.g0.topo != nil && !n.g0.topo.HasEdge(n.self, id)) {
+	if id == n.self || (n.topo != nil && !n.topo.HasEdge(n.self, id)) {
 		return nil
 	}
 	if err := n.link.Wire(id, addr); err != nil {
@@ -627,23 +661,11 @@ func (n *Node) SetPeer(id core.ProcID, addr string) error {
 
 // Start launches the link and the node's timer — and on the sockets its
 // loop — once: a second call panics. Peers must not change after Start.
+// The timer starts before the link, and the link under mu, so that no
+// section writes to the link before its Start returns. What arrived
+// meanwhile drains on the loop's first wakeup, or in memory in Start's
+// release.
 func (n *Node) Start() {
-	n.setEpoch(time.Now())
-	n.launch()
-}
-
-// setEpoch fixes the fault-schedule tick zero of the groups hosted so far.
-func (n *Node) setEpoch(epoch time.Time) {
-	for _, g := range n.groups.Load().list {
-		g.epoch = epoch
-	}
-}
-
-// launch starts the node's timer, then its link under mu, so that no
-// section writes to the link before its Start returns, then on the
-// sockets its loop. What arrived meanwhile drains on the loop's first
-// wakeup, or in memory in launch's release.
-func (n *Node) launch() {
 	if n.started.Swap(true) {
 		panic("engine: Start called twice") // a second timer would double the ticks
 	}
@@ -693,9 +715,6 @@ func (n *Node) Stop() {
 	n.linkOnce.Do(n.link.Stop) // no loop ran, or it ended parked
 }
 
-// Stats returns the default group's counters (see Group.Stats).
-func (n *Node) Stats() core.TransportStats { return n.g0.Stats() }
-
 // env implements core.Env for one group on one path; use only under n.mu.
 type env struct {
 	n    *Node
@@ -708,7 +727,7 @@ func (v *env) N() int            { return len(v.n.wired) }
 
 func (v *env) Emit(ev core.Event) {
 	ev.Proc = v.n.self
-	v.g.emit(ev)
+	v.g.observers.OnEvent(ev)
 }
 
 func (v *env) Send(to core.ProcID, m core.Message) {
@@ -720,7 +739,9 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 		// Not a neighbour under the topology: no channel exists, the send
 		// vanishes at the sender (and is counted, unlike an unwired peer).
 		g.sendDrops.Add(1)
-		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: "no edge"})
+		if len(g.traffic) > 0 {
+			g.traffic.OnEvent(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: "no edge"})
+		}
 		return
 	}
 	if !n.wired[to] {
@@ -729,7 +750,9 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	lost := func(note string) {
 		g.sendDrops.Add(1)
 		g.peers[to].dropped.Add(1)
-		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: note})
+		if len(g.traffic) > 0 {
+			g.traffic.OnEvent(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: note})
+		}
 		g.refused = g.refused || v.path == core.PathEager
 	}
 	now := n.clock()
@@ -757,14 +780,19 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 		return
 	}
 	n.pack(c, m, size)
+	repeat := fate == window.Repeats // not a refused repeat, nor a refused message's first send
+	if repeat {
+		g.retransmits.Add(1)
+	}
 	// The send event fires as the message is framed, so observers see
 	// protocol order; its Tally counts it once the link wrote the frame.
-	ev := core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m}
-	if fate == window.Repeats { // not a refused repeat, nor a refused message's first send
-		g.retransmits.Add(1)
-		ev.Note = "retransmit"
+	if len(g.traffic) > 0 {
+		ev := core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m}
+		if repeat {
+			ev.Note = "retransmit"
+		}
+		g.traffic.OnEvent(ev)
 	}
-	g.emit(ev)
 }
 
 // arrive is LinkConfig.Arrive, the sockets' way in: it takes one frame
@@ -793,7 +821,7 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 	box := func(m core.Message) {
 		if n.box(g, sender, m) {
 			owed = true
-		} else {
+		} else if len(g.traffic) > 0 {
 			lost = append(lost, m)
 		}
 	}
@@ -834,7 +862,7 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 		if d := len(out) + g.inj.Held() - held - 1; d != 0 {
 			g.channel(sender, m.Instance).end.Occupy(d)
 		}
-		if fate == core.FateDrop {
+		if fate == core.FateDrop && len(g.traffic) > 0 {
 			lost = append(lost, m)
 		}
 		for _, dm := range out {
@@ -843,7 +871,7 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 	}
 	n.mbMu.Unlock()
 	for _, m := range lost {
-		g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
+		g.traffic.OnEvent(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
 	}
 	return owed
 }
@@ -861,13 +889,13 @@ func (n *Node) flushDelayed() {
 		for _, r := range rel {
 			// A released message keeps the window slot it has held since
 			// it arrived.
-			if !n.box(g, r.From, r.Msg) {
+			if !n.box(g, r.From, r.Msg) && len(g.traffic) > 0 {
 				lost = append(lost, r)
 			}
 		}
 		n.mbMu.Unlock()
 		for _, r := range lost {
-			g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: r.From, Instance: r.Msg.Instance, Msg: r.Msg})
+			g.traffic.OnEvent(core.Event{Kind: core.EvLose, Proc: n.self, Peer: r.From, Instance: r.Msg.Instance, Msg: r.Msg})
 		}
 	}
 }
@@ -1070,7 +1098,7 @@ const releaseBudget = 8
 // none and release now does, that loop started after the settle looked,
 // with a wakeup whose drain takes all that was owed. A release that
 // finds mu taken again leaves the mail to that holder. An unstarted
-// node drains only when a test's pump says, and launch's release takes
+// node drains only when a test's pump says, and Start's release takes
 // what it was owed; a halted node drains nothing. Callers hold n.mu.
 func (n *Node) release() {
 	for budget := releaseBudget; ; budget-- {
@@ -1108,7 +1136,7 @@ func (n *Node) startCarry() {
 
 // carry is the node's activation loop: it drains when a settle wakes it
 // and ticks when a wakeup finds the timer's time come (fire). On the
-// sockets it runs from launch until the node halts, then stops the link.
+// sockets it runs from Start until the node halts, then stops the link.
 // On the in-memory link a release past its budget starts it, and it
 // also ends when a wakeup finds the timer parked (rearm sends one):
 // looping is cleared under mu, and its last release drains what came.
@@ -1148,7 +1176,7 @@ func (n *Node) drainOwed() {
 // in-memory Write). On the in-memory link a started n whose mu is free
 // drains here, on the sender's goroutine. Otherwise n's loop takes it if
 // one runs — always, on the sockets, whose reader only boxes and wakes —
-// else the section holding mu (release), or launch. TryLock never waits,
+// else the section holding mu (release), or Start. TryLock never waits,
 // so a sender holding its own mu cannot deadlock here, and a mutex this
 // goroutine holds fails it: a node's mu is held at most once on a stack,
 // and a reply to a node further up is drained by that node's release
@@ -1237,7 +1265,9 @@ func (n *Node) deliver(batch []*Chan) (held []*Chan) {
 				// like a receive action with a false guard.
 				continue
 			}
-			g.emit(core.Event{Kind: core.EvDeliver, Proc: n.self, Peer: c.Peer, Instance: c.Instance, Msg: m})
+			if len(g.traffic) > 0 {
+				g.traffic.OnEvent(core.Event{Kind: core.EvDeliver, Proc: n.self, Peer: c.Peer, Instance: c.Instance, Msg: m})
+			}
 			mach.Deliver(ev, c.Peer, m)
 		}
 	}
@@ -1250,17 +1280,11 @@ func (n *Node) deliver(batch []*Chan) (held []*Chan) {
 	return held
 }
 
-// Do runs f under the node's action mutex with its default group's
-// environment; the frames of any sends f made leave as it returns, and
-// whatever f enabled steps at the next tick.
-func (n *Node) Do(f func(env core.Env)) {
-	if n.g0 == nil {
-		panic("engine: Do on a node with no default group")
-	}
-	n.doGroup(n.g0, f)
-}
-
-func (n *Node) doGroup(g *Group, f func(env core.Env)) {
+// Do runs f under the node's action mutex with the group's environment;
+// the frames of any sends f made leave as it returns, and whatever f
+// enabled steps at the next tick.
+func (g *Group) Do(f func(env core.Env)) {
+	n := g.n
 	n.mu.Lock()
 	defer n.release()
 	f(g.envs[core.PathAction])

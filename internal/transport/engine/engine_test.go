@@ -96,12 +96,12 @@ func TestMailboxHoldsAtMostC(t *testing.T) {
 			[]core.Message{{Instance: "pif", Kind: pif.Kind}})
 	}
 	n.mbMu.Lock()
-	held := len(n.g0.channel(1, "pif").box)
+	held := len(group0(n).channel(1, "pif").box)
 	n.mbMu.Unlock()
 	if held != n.capacity {
 		t.Fatalf("mailbox holds %d messages, want the bound %d", held, n.capacity)
 	}
-	if s := n.Stats(); s.Recvs != int64(held) || s.MailboxDrops != 100-int64(held) {
+	if s := group0(n).Stats(); s.Recvs != int64(held) || s.MailboxDrops != 100-int64(held) {
 		t.Fatalf("Recvs = %d, MailboxDrops = %d; want %d and %d", s.Recvs, s.MailboxDrops, held, 100-held)
 	}
 }
@@ -117,12 +117,12 @@ func TestCheckWindowsCountsOutstanding(t *testing.T) {
 	_, nodes := stillStacks(t, []core.Stack{{&teller{}}, {&teller{}}})
 	n := nodes[0]
 	n.mbMu.Lock()
-	n.g0.channel(1, "tell").end.Corrupt(1000, 1)
+	group0(n).channel(1, "tell").end.Corrupt(1000, 1)
 	n.mbMu.Unlock()
 	for i := int64(1); i <= 5; i++ {
-		n.Do(func(env core.Env) { env.Send(1, *told(i)) })
+		group0(n).Do(func(env core.Env) { env.Send(1, *told(i)) })
 	}
-	s := n.Stats()
+	s := group0(n).Stats()
 	if err := core.CheckWindows([]core.TransportStats{s}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,32 +141,54 @@ func TestSetPeerKeepsToTopology(t *testing.T) {
 	if !n.wired[1] || n.wired[2] {
 		t.Fatalf("wired = %v on the line 0-1-2, want only peer 1", n.wired)
 	}
-	n.Do(func(env core.Env) { env.Send(2, core.Message{Instance: "pif", Kind: pif.Kind}) })
-	if s := n.Stats(); s.SendDrops != 1 || s.Sends != 0 {
+	group0(n).Do(func(env core.Env) { env.Send(2, core.Message{Instance: "pif", Kind: pif.Kind}) })
+	if s := group0(n).Stats(); s.SendDrops != 1 || s.Sends != 0 {
 		t.Fatalf("send to a non-neighbour: SendDrops = %d, Sends = %d; want 1 and 0", s.SendDrops, s.Sends)
 	}
 }
 
-// TestNodeValidation: the engine rejects what no link could serve.
+// TestNodeValidation: the engine rejects what no link could serve, and
+// an option given where it does not apply: a group's on a bare node, a
+// cluster's on a mux, a node's on an attach.
 func TestNodeValidation(t *testing.T) {
 	t.Parallel()
 	tr := Memory()
 	stacks, _ := pifStacks(2)
 	peers := make([]string, 2)
-	if _, err := NewNode(tr, 5, stacks[0], "", peers); err == nil {
+	if _, err := NewNode(tr, 5, "", peers); err == nil {
 		t.Error("out-of-range self accepted")
 	}
-	if _, err := NewNode(tr, 0, stacks[0], "", peers, WithCapacity(0)); err == nil {
+	if _, err := NewNode(tr, 0, "", peers, WithCapacity(0)); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := NewNode(tr, 0, stacks[0], "", peers, WithBatch(0)); err == nil {
+	if _, err := NewNode(tr, 0, "", peers, WithBatch(0)); err == nil {
 		t.Error("zero batch accepted")
 	}
-	if _, err := NewNode(tr, 0, nil, "", peers, WithTopology(core.Line(2))); err == nil {
-		t.Error("group option accepted on a node with no default group")
+	if _, err := NewNode(tr, 0, "", peers, WithFaults(&core.FaultPlan{})); err == nil {
+		t.Error("group option accepted on a node")
 	}
-	if _, err := NewNode(tr, 0, stacks[0], "", peers, WithTopology(core.Line(3))); err == nil {
-		t.Error("topology over the wrong process count accepted")
+	if _, err := NewMux(tr, 2, WithTopology(core.Line(2))); err == nil {
+		t.Error("group option accepted on a mux")
+	}
+	if _, err := NewNode(tr, 0, "", peers, WithTopology(core.Line(3))); err == nil {
+		t.Error("node topology over the wrong process count accepted")
+	}
+	n, err := NewNode(tr, 0, "", peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	if _, err := n.Attach(stacks[0], WithTopology(core.Line(3))); err == nil {
+		t.Error("group topology over the wrong process count accepted")
+	}
+	if _, err := n.Attach(stacks[0], WithCapacity(2)); err == nil {
+		t.Error("node option accepted on an attach")
+	}
+	if _, err := n.Attach(stacks[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Attach(stacks[1]); err == nil {
+		t.Error("a second group 0 attached")
 	}
 	if _, err := NewCluster(tr, nil); err == nil {
 		t.Error("empty cluster accepted")

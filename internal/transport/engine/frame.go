@@ -73,8 +73,8 @@ func (t Tally) Lost(note string) {
 	g := t.g
 	g.sendDrops.Add(int64(t.msgs))
 	g.peers[t.to].dropped.Add(int64(t.msgs))
-	for i := 0; i < t.msgs; i++ {
-		g.emit(core.Event{Kind: core.EvSendLost, Proc: g.n.self, Peer: t.to, Note: note})
+	for i := 0; i < t.msgs && len(g.traffic) > 0; i++ {
+		g.traffic.OnEvent(core.Event{Kind: core.EvSendLost, Proc: g.n.self, Peer: t.to, Note: note})
 	}
 }
 

@@ -17,12 +17,7 @@ import (
 // The window and mux behaviours are the engine's; linktest holds their
 // tests once, and this file runs them on the in-memory link. linktest
 // imports this package, so they run from the external test package.
-var suite = linktest.Link{
-	NewMux: func(nProcs int, opts ...engine.Option) (*engine.Mux, error) {
-		return engine.NewMux(engine.Memory(), nProcs, opts...)
-	},
-	NewRawPeer: newRawPeer,
-}
+var suite = linktest.Link{Transport: engine.Memory(), NewRawPeer: newRawPeer}
 
 func TestIdleIsSilent(t *testing.T) { linktest.IdleIsSilent(t, suite) }
 func TestSilentPeerSeesAtMostCMessages(t *testing.T) {
@@ -40,7 +35,7 @@ func TestFrameAtBudget(t *testing.T)               { linktest.FrameAtBudget(t, s
 // what the node flushes toward it queues up here, and Send calls the
 // node's Arrive as a peer link's Flush would.
 type rawPeer struct {
-	node   *engine.Node
+	g      *engine.Group
 	toNode engine.LinkConfig // the node's side, captured at its Bind
 
 	mu     sync.Mutex
@@ -53,7 +48,7 @@ type rawFrame struct {
 	msgs  []core.Message
 }
 
-func newRawPeer(t *testing.T, stack core.Stack, opts ...engine.Option) linktest.RawPeer {
+func newRawPeer(t *testing.T, stack core.Stack, node []engine.Option, group ...engine.Option) linktest.RawPeer {
 	t.Helper()
 	p := &rawPeer{more: make(chan struct{}, 1)}
 	mem := engine.Memory()
@@ -61,21 +56,15 @@ func newRawPeer(t *testing.T, stack core.Stack, opts ...engine.Option) linktest.
 		p.toNode = cfg
 		return mem.Bind(cfg)
 	}}
-	node, err := engine.NewNode(capture, 0, stack, "", make([]string, 2), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p.g = linktest.Host(t, capture, 0, stack, "", make([]string, 2), node, group...)
 	end, err := mem.Bind(engine.LinkConfig{Self: 1, Peers: 2, Arrive: p.arrive, IO: new(engine.IOCounters)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := node.SetPeer(1, end.Addr()); err != nil {
+	if err := p.g.Node().SetPeer(1, end.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	p.node = node
-	node.Start()
-	linktest.CheckWindows(t, linktest.NodeStats{node})
-	t.Cleanup(node.Stop)
+	p.g.Node().Start()
 	return p
 }
 
@@ -90,7 +79,7 @@ func (p *rawPeer) arrive(_ core.ProcID, _ uint64, links []wire.LinkHeader, msgs 
 	}
 }
 
-func (p *rawPeer) Node() *engine.Node { return p.node }
+func (p *rawPeer) Group() *engine.Group { return p.g }
 
 func (p *rawPeer) Next(d time.Duration) ([]wire.LinkHeader, []core.Message, bool) {
 	for timeout := time.After(d); ; {

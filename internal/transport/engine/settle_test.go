@@ -114,7 +114,7 @@ func running(t *testing.T, stacks []core.Stack, opts ...Option) []*Node {
 
 // send has n send one hop message to to, with left hops to go.
 func send(n *Node, to core.ProcID, left uint8) {
-	n.Do(func(env core.Env) { env.Send(to, core.Message{Instance: "hop", Kind: "H", State: left}) })
+	group0(n).Do(func(env core.Env) { env.Send(to, core.Message{Instance: "hop", Kind: "H", State: left}) })
 }
 
 // listed returns how many channels have mail at n.
@@ -133,7 +133,7 @@ func TestSettleDeliversInline(t *testing.T) {
 	send(nodes[0], 1, 0)
 	var got int64
 	var released, handed, tick bool
-	nodes[1].Do(func(core.Env) {
+	group0(nodes[1]).Do(func(core.Env) {
 		got, released = machines[1].got.Load(), machines[1].released.Load()
 		handed, tick = machines[1].handed.Load(), machines[1].tick.Load()
 	})
@@ -157,7 +157,7 @@ func TestSettleFallsBackToRelease(t *testing.T) {
 	var atReturn atomic.Int64
 	go func() {
 		defer close(done)
-		nodes[1].Do(func(core.Env) {
+		group0(nodes[1]).Do(func(core.Env) {
 			close(entered)
 			<-release
 		})
@@ -226,7 +226,7 @@ func TestSettleSkipsUnstartedAndStopped(t *testing.T) {
 		stacks, machines := hops(2, false)
 		_, nodes := stillStacks(t, stacks)
 		send(nodes[0], 1, 0)
-		nodes[1].Do(func(core.Env) {})
+		group0(nodes[1]).Do(func(core.Env) {})
 		if got, k, owed := machines[1].got.Load(), listed(nodes[1]), nodes[1].owed.Load(); got != 0 || k != 1 || !owed {
 			t.Fatalf("unstarted node 1: %d delivered, %d channels listed, owed %v; want 0, 1, true", got, k, owed)
 		}
@@ -241,7 +241,7 @@ func TestSettleSkipsUnstartedAndStopped(t *testing.T) {
 		nodes := running(t, stacks)
 		nodes[1].Stop()
 		send(nodes[0], 1, 0)
-		nodes[1].Do(func(core.Env) {})
+		group0(nodes[1]).Do(func(core.Env) {})
 		if got, k, owed := machines[1].got.Load(), listed(nodes[1]), nodes[1].owed.Load(); got != 0 || k != 1 || !owed {
 			t.Fatalf("stopped node 1: %d delivered, %d channels listed, owed %v; want 0, 1, true", got, k, owed)
 		}

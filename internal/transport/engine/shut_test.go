@@ -45,14 +45,14 @@ func shutPair(t *testing.T) ([]*Node, []*teller) {
 	for _, n := range nodes {
 		pin(n)
 	}
-	nodes[0].Do(func(env core.Env) { env.Send(1, *told(1)) })
-	nodes[1].Do(func(env core.Env) { env.Send(0, *told(2)) })
+	group0(nodes[0]).Do(func(env core.Env) { env.Send(1, *told(1)) })
+	group0(nodes[1]).Do(func(env core.Env) { env.Send(0, *told(2)) })
 	nodes[0].drainMail()
-	if s := nodes[0].Stats(); s.EchoFrames != 0 || s.ProbeFrames != 0 {
+	if s := group0(nodes[0]).Stats(); s.EchoFrames != 0 || s.ProbeFrames != 0 {
 		t.Fatalf("before the refusal: %d echo frames, %d probe frames; want none", s.EchoFrames, s.ProbeFrames)
 	}
 	tellers[0].msg = told(3)
-	nodes[0].Do(func(env core.Env) { tellers[0].Step(env) })
+	group0(nodes[0]).Do(func(env core.Env) { tellers[0].Step(env) })
 	return nodes, tellers
 }
 
@@ -61,7 +61,7 @@ func shutPair(t *testing.T) ([]*Node, []*teller) {
 func probed(n *Node) bool {
 	n.mbMu.Lock()
 	defer n.mbMu.Unlock()
-	return n.g0.channel(1-n.self, "tell").end.Probed()
+	return group0(n).channel(1-n.self, "tell").end.Probed()
 }
 
 // TestRefusalShipsHeaderAndProbe: the section whose send a shut window
@@ -69,11 +69,11 @@ func probed(n *Node) bool {
 // acknowledgment, probing — so the peer hears both without a tick.
 func TestRefusalShipsHeaderAndProbe(t *testing.T) {
 	nodes, _ := shutPair(t)
-	s0 := nodes[0].Stats()
+	s0 := group0(nodes[0]).Stats()
 	if s0.SendDrops != 1 || s0.ProbeFrames != 1 {
 		t.Fatalf("refusing section: %d send drops, %d probe frames; want the send refused and one probe", s0.SendDrops, s0.ProbeFrames)
 	}
-	if l := nodes[1].Stats().Links[0]; l.InFlight != 0 {
+	if l := group0(nodes[1]).Stats().Links[0]; l.InFlight != 0 {
 		t.Fatalf("peer's window holds %d after the probe; want the acknowledgment it carried to release it", l.InFlight)
 	}
 	if !probed(nodes[1]) {
@@ -88,10 +88,10 @@ func TestRefusalShipsHeaderAndProbe(t *testing.T) {
 func TestProbeAnsweredByDrain(t *testing.T) {
 	nodes, _ := shutPair(t)
 	nodes[1].drainMail()
-	if s := nodes[1].Stats(); s.EchoFrames != 1 || probed(nodes[1]) {
+	if s := group0(nodes[1]).Stats(); s.EchoFrames != 1 || probed(nodes[1]) {
 		t.Fatalf("probed drain: %d echo frames, probe still pending %v; want the answer gone", s.EchoFrames, probed(nodes[1]))
 	}
-	if l := nodes[0].Stats().Links[0]; l.InFlight != 0 {
+	if l := group0(nodes[0]).Stats().Links[0]; l.InFlight != 0 {
 		t.Fatalf("prober's window holds %d after the answer; want it open", l.InFlight)
 	}
 }
@@ -108,7 +108,7 @@ func TestReopenRepeatsRefusedFlag(t *testing.T) {
 	nodes[1].drainMail() // the answer: n's window reopens
 	n.mu.Lock()
 	refusedAt := n.now
-	deadline, _ := n.g0.channel(1, "tell").end.Due()
+	deadline, _ := group0(n).channel(1, "tell").end.Due()
 	n.release()
 	pin(n)
 	n.drainMail()
@@ -121,7 +121,7 @@ func TestReopenRepeatsRefusedFlag(t *testing.T) {
 	}
 	pin(n)
 	n.tick()
-	if s := n.Stats(); s.Sends != 2 || s.Retransmits != 0 || s.SendDrops != 1 {
+	if s := group0(n).Stats(); s.Sends != 2 || s.Retransmits != 0 || s.SendDrops != 1 {
 		t.Fatalf("tick after the reopening: %d sends, %d retransmissions, %d send drops; want the refused message gone, on the wire for the first time: 2, 0, 1",
 			s.Sends, s.Retransmits, s.SendDrops)
 	}
@@ -141,15 +141,15 @@ func TestSettleStandsDownAfterARefusal(t *testing.T) {
 	n := nodes[0]
 	steps := func(path core.SendPath, num int64) int64 {
 		tellers[0].msg = told(num)
-		before := n.Stats().SendDrops
+		before := group0(n).Stats().SendDrops
 		n.mu.Lock()
-		n.g0.settle(path)
+		group0(n).settle(path)
 		n.flush()
 		n.release()
-		return n.Stats().SendDrops - before
+		return group0(n).Stats().SendDrops - before
 	}
 	n.mu.Lock()
-	refused := n.g0.refused
+	refused := group0(n).refused
 	n.release()
 	if refused {
 		t.Fatal("a refusal on the action path stood eager stepping down")
@@ -179,25 +179,25 @@ func TestReopenResumesEagerStepping(t *testing.T) {
 	}
 	n := nodes[0]
 	eager := func() {
-		if err := n.Await(context.Background(), func(core.Env) bool { return true }); err != nil {
+		if err := group0(n).Await(context.Background(), func(core.Env) bool { return true }); err != nil {
 			t.Fatal(err) // its one section ends with an eager Step
 		}
 	}
 	eager()
 	tellers[0].msg = told(2)
 	eager()
-	if s := n.Stats(); s.Sends != 1 || s.SendDrops != 1 {
+	if s := group0(n).Stats(); s.Sends != 1 || s.SendDrops != 1 {
 		t.Fatalf("%d sends, %d send drops; want the second message refused", s.Sends, s.SendDrops)
 	}
 	tellers[0].msg = told(3)
 	nodes[1].drainMail() // consumes the first message, answers the probe: the window reopens
-	nodes[1].Do(func(env core.Env) { env.Send(0, *told(4)) })
+	group0(nodes[1]).Do(func(env core.Env) { env.Send(0, *told(4)) })
 	pin(n)
 	n.drainMail()
 	n.mu.Lock()
 	now, wake := n.now, n.wake
 	n.release()
-	if s := n.Stats(); s.Sends != 2 {
+	if s := group0(n).Stats(); s.Sends != 2 {
 		t.Fatalf("%d sends after the reopening drain; want its eager Step's message gone at once", s.Sends)
 	}
 	if wake-now < stepInterval/4 {

@@ -47,7 +47,7 @@ func TestWakeOnMail(t *testing.T) {
 	}
 	advance(nodes[:1], stepInterval)
 	ticks(nodes[:1])
-	if s := n.Stats(); s.EchoFrames != 1 || armed(n) {
+	if s := group0(n).Stats(); s.EchoFrames != 1 || armed(n) {
 		t.Fatalf("%d echo frames, armed %v; want the echo gone and the node parked", s.EchoFrames, armed(n))
 	}
 }
@@ -65,11 +65,11 @@ func TestWakeOnProbe(t *testing.T) {
 	}
 	pin(n)
 	n.drainMail()
-	if s := n.Stats(); s.EchoFrames != 1 {
+	if s := group0(n).Stats(); s.EchoFrames != 1 {
 		t.Fatalf("%d echo frames after the drain; want the probe answered there", s.EchoFrames)
 	}
 	ticks(nodes[:1])
-	if s := n.Stats(); s.EchoFrames != 1 || armed(n) {
+	if s := group0(n).Stats(); s.EchoFrames != 1 || armed(n) {
 		t.Fatalf("%d echo frames, armed %v; want no second answer and the node parked", s.EchoFrames, armed(n))
 	}
 
@@ -87,7 +87,7 @@ func TestWakeOnProbe(t *testing.T) {
 // so it sets the timer.
 func TestWakeOnDo(t *testing.T) {
 	nodes := parked(t)
-	nodes[0].Do(func(core.Env) {})
+	group0(nodes[0]).Do(func(core.Env) {})
 	if !armed(nodes[0]) {
 		t.Fatal("a Do left the timer parked")
 	}
@@ -101,7 +101,7 @@ func TestWakeOnAwait(t *testing.T) {
 	n := nodes[0]
 	var ready atomic.Bool
 	errc := make(chan error, 1)
-	go func() { errc <- n.Await(context.Background(), func(core.Env) bool { return ready.Load() }) }()
+	go func() { errc <- group0(n).Await(context.Background(), func(core.Env) bool { return ready.Load() }) }()
 	if !waitFor(10*time.Second, func() bool { return waiting(n) == 1 }) {
 		t.Fatal("Await never registered its condition")
 	}
@@ -172,14 +172,14 @@ func TestWakeOnEagerRepeat(t *testing.T) {
 		}
 	}
 	s0.say = true
-	if err := nodes[0].Await(context.Background(), func(core.Env) bool { return true }); err != nil {
+	if err := group0(nodes[0]).Await(context.Background(), func(core.Env) bool { return true }); err != nil {
 		t.Fatal(err) // its one section ends with an eager Step
 	}
-	if s := nodes[0].Stats(); s.Sends != 1 || !armed(nodes[0]) {
+	if s := group0(nodes[0]).Stats(); s.Sends != 1 || !armed(nodes[0]) {
 		t.Fatalf("%d sends, armed %v after the eager Step; want the repeat held back and the timer set", s.Sends, armed(nodes[0]))
 	}
 	ticks(nodes[:1])
-	if s := nodes[0].Stats(); s.Sends != 2 || s.Retransmits != 1 {
+	if s := group0(nodes[0]).Stats(); s.Sends != 2 || s.Retransmits != 1 {
 		t.Fatalf("%d sends, %d retransmissions at the deadline; want 2 and 1", s.Sends, s.Retransmits)
 	}
 }

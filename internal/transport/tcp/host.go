@@ -35,18 +35,19 @@ type HostConfig struct {
 // daemons sharing a seed perturbs its n real processes exactly as one
 // local cluster would.
 type Host struct {
-	node      *engine.Node
-	self      core.ProcID
-	stacks    []core.Stack
-	deadMu    []sync.Mutex // one per inert stack; index Self is unused
-	closeOnce sync.Once
+	group  *engine.Group
+	self   core.ProcID
+	stacks []core.Stack
+	deadMu []sync.Mutex // one per inert stack; index Self is unused
 }
 
 var _ core.Substrate = (*Host)(nil)
 
-// NewHost binds the hosted process's listener and starts it. The caller
-// owns the host and must Close it.
-func NewHost(cfg HostConfig, stacks []core.Stack, opts ...engine.Option) (*Host, error) {
+// NewHost binds the hosted process's listener with the node options
+// (WithCapacity, WithBatch, WithTopology), attaches its stack as group 0
+// with the group options (WithTopology, WithFaults, WithObserver), and
+// starts it. The caller owns the host and must Close it.
+func NewHost(cfg HostConfig, stacks []core.Stack, node []engine.Option, group ...engine.Option) (*Host, error) {
 	n := len(stacks)
 	if n < 2 {
 		return nil, fmt.Errorf("tcp: need at least 2 processes, got %d", n)
@@ -61,18 +62,22 @@ func NewHost(cfg HostConfig, stacks []core.Stack, opts ...engine.Option) (*Host,
 	if listen == "" {
 		listen = ":0"
 	}
-	node, err := NewNode(cfg.Self, stacks[cfg.Self], listen, cfg.Peers, opts...)
+	nd, err := engine.NewNode(Transport, cfg.Self, listen, cfg.Peers, node...)
 	if err != nil {
 		return nil, err
 	}
-	h := &Host{
-		node:   node,
+	g, err := nd.Attach(stacks[cfg.Self], group...)
+	if err != nil {
+		nd.Stop()
+		return nil, err
+	}
+	nd.Start()
+	return &Host{
+		group:  g,
 		self:   cfg.Self,
 		stacks: stacks,
 		deadMu: make([]sync.Mutex, n),
-	}
-	node.Start()
-	return h, nil
+	}, nil
 }
 
 // N returns the fleet size (not the number of local processes).
@@ -82,7 +87,7 @@ func (h *Host) N() int { return len(h.stacks) }
 func (h *Host) Self() core.ProcID { return h.self }
 
 // Addr returns the hosted node's bound listen address.
-func (h *Host) Addr() string { return h.node.Addr() }
+func (h *Host) Addr() string { return h.group.Node().Addr() }
 
 // deadEnv is the environment handed to Do calls against inert remote
 // stacks: sends vanish (the stack is not connected to anything) and
@@ -103,7 +108,7 @@ func (d deadEnv) Emit(ev core.Event)                  {}
 // (seeded corruption) land, sends vanish.
 func (h *Host) Do(p core.ProcID, f func(env core.Env)) {
 	if p == h.self {
-		h.node.Do(f)
+		h.group.Do(f)
 		return
 	}
 	h.deadMu[p].Lock()
@@ -122,7 +127,7 @@ func (h *Host) Submit(p core.ProcID, cond func(env core.Env) bool, done func(env
 		})
 		return
 	}
-	h.node.Submit(cond, done)
+	h.group.Submit(cond, done)
 }
 
 // TransportStats returns one entry per fleet process: real counters at
@@ -130,16 +135,16 @@ func (h *Host) Submit(p core.ProcID, cond func(env core.Env) bool, done func(env
 // other daemons).
 func (h *Host) TransportStats() []core.TransportStats {
 	out := make([]core.TransportStats, len(h.stacks))
-	out[h.self] = h.node.Stats()
+	out[h.self] = h.group.Stats()
 	return out
 }
 
 // FaultStats returns the hosted node's injector counters. Part of
 // core.Substrate.
-func (h *Host) FaultStats() core.FaultStats { return h.node.Stats().Faults }
+func (h *Host) FaultStats() core.FaultStats { return h.group.Stats().Faults }
 
 // Close stops the hosted node. Idempotent.
 func (h *Host) Close() error {
-	h.closeOnce.Do(func() { h.node.Stop() })
+	h.group.Node().Stop()
 	return nil
 }

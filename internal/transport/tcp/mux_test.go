@@ -9,7 +9,7 @@ import (
 // The window and mux behaviours are the engine's; linktest holds their
 // tests once, and this file and window_test.go run them over TCP
 // connections.
-var suite = linktest.Link{NewMux: NewMux, NewRawPeer: newRawPeer}
+var suite = linktest.Link{Transport: Transport, NewRawPeer: newRawPeer}
 
 // Not parallel: concurrent clusters share the loopback path.
 

@@ -103,27 +103,10 @@ const (
 	dialMax = time.Second
 )
 
-// transport describes this link to the engine. The salt namespaces the
-// substrate's injector seeds (sim, runtime and udp use their own).
-var transport = engine.Transport{FaultSalt: 0x7c, Bind: bind}
-
-// NewNode binds process self to the TCP listen address laddr; see
-// engine.NewNode.
-func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, opts ...engine.Option) (*engine.Node, error) {
-	return engine.NewNode(transport, self, stack, laddr, peers, opts...)
-}
-
-// NewCluster runs one cluster on loopback TCP listeners, one per stack;
-// see engine.NewCluster.
-func NewCluster(stacks []core.Stack, opts ...engine.Option) (*engine.Cluster, error) {
-	return engine.NewCluster(transport, stacks, opts...)
-}
-
-// NewMux binds one loopback listener per process and dials the full
-// connection mesh for many clusters to share; see engine.NewMux.
-func NewMux(nProcs int, opts ...engine.Option) (*engine.Mux, error) {
-	return engine.NewMux(transport, nProcs, opts...)
-}
+// Transport is this link, for the engine's constructors (engine.NewNode,
+// NewCluster, NewMux). The salt namespaces the substrate's injector seeds
+// (sim, runtime and udp use their own).
+var Transport = engine.Transport{FaultSalt: 0x7c, Bind: bind}
 
 // outFrame is one encoded frame queued on a link, with the tally its fate
 // is reported to.
@@ -434,8 +417,8 @@ func (ms *mesh) readHello(conn net.Conn, src io.Reader, buf []byte) (core.ProcID
 	if int64(id) != m.B.Num || int(id) < 0 || int(id) >= len(ms.out) || id == ms.cfg.Self {
 		return 0, errBadHello
 	}
-	// The default group's graph shapes the connection mesh itself; a mux
-	// node has none, and its groups restrict traffic per message instead.
+	// The node's graph shapes the connection mesh itself; a mux node has
+	// none, and its groups restrict traffic per message instead.
 	if t := ms.cfg.Topology; t != nil && !t.HasEdge(id, ms.cfg.Self) {
 		return 0, fmt.Errorf("tcp: peer %d is not a neighbour", id)
 	}

@@ -39,7 +39,7 @@ func TestPIFOverLoopbackTCP(t *testing.T) {
 	for i := 0; i < n; i++ {
 		stacks[i] = mkPIF(machines, core.ProcID(i), n)
 	}
-	c, err := NewCluster(stacks)
+	c, err := engine.NewCluster(Transport, stacks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestPIFOverTCPFromCorruptedState(t *testing.T) {
 		stacks[i] = mkPIF(machines, core.ProcID(i), n)
 		machines[i].Corrupt(r)
 	}
-	c, err := NewCluster(stacks)
+	c, err := engine.NewCluster(Transport, stacks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,28 +82,23 @@ func TestSimultaneousStartDialRace(t *testing.T) {
 	// Not parallel: shares the loopback path.
 	const n = 3
 	machines := make([]*pif.PIF, n)
-	nodes := make([]*engine.Node, n)
-	for i := 0; i < n; i++ {
-		node, err := NewNode(core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+	groups := make([]*engine.Group, n)
+	for i := range groups {
+		groups[i] = linktest.Host(t, Transport, core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n), nil)
 	}
-	for i, node := range nodes {
-		for j, other := range nodes {
+	for i, g := range groups {
+		for j, other := range groups {
 			if i != j {
-				if err := node.SetPeer(core.ProcID(j), other.Addr()); err != nil {
+				if err := g.Node().SetPeer(core.ProcID(j), other.Node().Addr()); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
-	linktest.CheckWindows(t, linktest.NodeStats(nodes))
 	var barrier, started sync.WaitGroup
 	barrier.Add(1)
-	for _, node := range nodes {
-		node := node
+	for _, g := range groups {
+		node := g.Node()
 		started.Add(1)
 		go func() {
 			barrier.Wait()
@@ -113,12 +108,7 @@ func TestSimultaneousStartDialRace(t *testing.T) {
 	}
 	barrier.Done()
 	started.Wait()
-	t.Cleanup(func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	})
-	linktest.Broadcast(t, nodes[0].Do, machines[0], core.Payload{Tag: "race", Num: 9})
+	linktest.Broadcast(t, groups[0].Do, machines[0], core.Payload{Tag: "race", Num: 9})
 }
 
 // TestRedialAfterPeerRestart kills one node, rebinds a fresh node (fresh
@@ -129,38 +119,33 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	// Not parallel: shares the loopback path, and rebinds a fixed port.
 	const n = 2
 	machines := make([]*pif.PIF, n)
-	nodes := make([]*engine.Node, n)
-	for i := 0; i < n; i++ {
-		node, err := NewNode(core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+	groups := make([]*engine.Group, n)
+	for i := range groups {
+		groups[i] = linktest.Host(t, Transport, core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n), nil)
 	}
-	addr1 := nodes[1].Addr()
+	node0, node1 := groups[0].Node(), groups[1].Node()
+	addr1 := node1.Addr()
 	wire := func(node *engine.Node, peer core.ProcID, addr string) {
 		t.Helper()
 		if err := node.SetPeer(peer, addr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wire(nodes[0], 1, addr1)
-	wire(nodes[1], 0, nodes[0].Addr())
-	linktest.CheckWindows(t, linktest.NodeStats(nodes))
-	nodes[0].Start()
-	nodes[1].Start()
-	t.Cleanup(func() { nodes[0].Stop(); nodes[1].Stop() })
+	wire(node0, 1, addr1)
+	wire(node1, 0, node0.Addr())
+	node0.Start()
+	node1.Start()
 
-	linktest.Broadcast(t, nodes[0].Do, machines[0], core.Payload{Tag: "before", Num: 1})
+	linktest.Broadcast(t, groups[0].Do, machines[0], core.Payload{Tag: "before", Num: 1})
 
-	nodes[1].Stop()
+	node1.Stop()
 	// Rebind the same port. The listener was closed, not left in
 	// TIME_WAIT, so the bind should succeed promptly; retry briefly in
 	// case the kernel lags.
 	var restarted *engine.Node
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		node, err := NewNode(1, mkPIF(machines, 1, n), addr1, make([]string, n))
+		node, err := engine.NewNode(Transport, 1, addr1, make([]string, n))
 		if err == nil {
 			restarted = node
 			break
@@ -170,15 +155,69 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	wire(restarted, 0, nodes[0].Addr())
-	linktest.CheckWindows(t, linktest.NodeStats{restarted})
-	restarted.Start()
 	t.Cleanup(restarted.Stop)
+	g, err := restarted.Attach(mkPIF(machines, 1, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire(restarted, 0, node0.Addr())
+	linktest.CheckWindows(t, linktest.Groups{g})
+	restarted.Start()
 
-	linktest.Broadcast(t, nodes[0].Do, machines[0], core.Payload{Tag: "after", Num: 2})
-	if got := nodes[0].Stats().Redials; got == 0 {
+	linktest.Broadcast(t, groups[0].Do, machines[0], core.Payload{Tag: "after", Num: 2})
+	if got := groups[0].Stats().Redials; got == 0 {
 		t.Fatalf("Redials = %d after a peer restart, want > 0", got)
 	}
+}
+
+// TestTCPMeshKeepsToTopology: a dedicated cluster's nodes wire only
+// their topology's edges, so on a line 0 - 1 - 2 node 0 starts one
+// writer, toward peer 1, and the meshes run four writers, not six,
+// counted by creator frame (a goroutine that has not run yet shows only
+// that); a PIF broadcast over both edges still decides.
+func TestTCPMeshKeepsToTopology(t *testing.T) {
+	// Not parallel: shares the loopback path, and counts goroutines.
+	const n = 3
+	line := core.Line(n)
+	var mu sync.Mutex
+	meshes := make([]*mesh, n)
+	capture := engine.Transport{FaultSalt: Transport.FaultSalt, Bind: func(cfg engine.LinkConfig) (engine.Link, error) {
+		l, err := bind(cfg)
+		if err == nil {
+			mu.Lock()
+			meshes[cfg.Self] = l.(*mesh)
+			mu.Unlock()
+		}
+		return l, err
+	}}
+	machines := make([]*pif.PIF, n)
+	stacks := make([]core.Stack, n)
+	for i := range stacks {
+		self := core.ProcID(i)
+		machines[i] = pif.New("pif", self, n, pif.Callbacks{}, pif.WithCapacityBound(engine.DefaultCapacity),
+			pif.WithPeers(line.Neighbors(self)))
+		stacks[i] = core.Stack{machines[i]}
+	}
+	before := linktest.Goroutines(nil)
+	c, err := engine.NewCluster(capture, stacks, engine.WithTopology(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	linktest.CheckWindows(t, c)
+	defer c.Close()
+	// A mesh's Start runs one writer per wired link and one acceptor.
+	started := linktest.Goroutines(before, "/transport/tcp.(*mesh).Start in goroutine ")
+	if want := 2*len(line.Edges()) + n; len(started) != want {
+		t.Fatalf("the meshes started %d goroutines on a line of %d edges, want %d: a writer per edge end, an acceptor per node",
+			len(started), len(line.Edges()), want)
+	}
+	for p, l := range meshes[0].out {
+		if wired := l != nil; wired != (p == 1) {
+			t.Fatalf("node 0 wired toward peer %d: %v, want a writer toward peer 1 only", p, wired)
+		}
+	}
+	at1 := func(f func(core.Env)) { c.Do(1, f) }
+	linktest.Broadcast(t, at1, machines[1], core.Payload{Tag: "line", Num: 1})
 }
 
 // TestHalfOpenConnectionsDoNotWedge connects raw sockets that go silent
@@ -193,7 +232,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 	for i := 0; i < n; i++ {
 		stacks[i] = mkPIF(machines, core.ProcID(i), n)
 	}
-	c, err := NewCluster(stacks)
+	c, err := engine.NewCluster(Transport, stacks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +246,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 
 	// A liar claiming to be process 1 (a real peer), then silence: the
 	// reader blocks on the next frame forever.
-	liar, err := net.Dial("tcp", c.Addrs()[0])
+	liar, err := net.Dial("tcp", c.TransportStats()[0].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +265,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 
 	// A babbler: a length prefix promising more than maxFrame, which the
 	// reader must reject without allocating it.
-	babbler, err := net.Dial("tcp", c.Addrs()[0])
+	babbler, err := net.Dial("tcp", c.TransportStats()[0].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +291,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 func TestStopIdempotent(t *testing.T) {
 	t.Parallel()
 	machines := make([]*pif.PIF, 2)
-	node, err := NewNode(0, mkPIF(machines, 0, 2), "127.0.0.1:0", make([]string, 2))
+	node, err := engine.NewNode(Transport, 0, "127.0.0.1:0", make([]string, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +303,7 @@ func TestStopIdempotent(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		stacks[i] = mkPIF(machines, core.ProcID(i), 2)
 	}
-	c, err := NewCluster(stacks)
+	c, err := engine.NewCluster(Transport, stacks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +318,7 @@ func TestStopIdempotent(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		stacks[i] = mkPIF(machines, core.ProcID(i), 2)
 	}
-	h, err := NewHost(HostConfig{Self: 0, Peers: make([]string, 2)}, stacks)
+	h, err := NewHost(HostConfig{Self: 0, Peers: make([]string, 2)}, stacks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,21 +335,18 @@ func TestStopIdempotent(t *testing.T) {
 func TestSendAfterStopCountsDrops(t *testing.T) {
 	t.Parallel()
 	machines := make([]*pif.PIF, 2)
-	node, err := NewNode(0, mkPIF(machines, 0, 2), "127.0.0.1:0", []string{"", "127.0.0.1:9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Start()
-	node.Stop()
+	g := linktest.Host(t, Transport, 0, mkPIF(machines, 0, 2), "127.0.0.1:0", []string{"", "127.0.0.1:9"}, nil)
+	g.Node().Start()
+	g.Node().Stop()
 	const attempts = 3
-	node.Do(func(env core.Env) {
+	g.Do(func(env core.Env) {
 		for i := 0; i < attempts; i++ {
 			env.Send(1, core.Message{Instance: "pif", Kind: pif.Kind})
 		}
 	})
 	// The writer may have died before or after taking frames off the
 	// queue; either way nothing may be counted as both sent and dropped.
-	s := node.Stats()
+	s := g.Stats()
 	if s.Sends+s.SendDrops != attempts {
 		t.Fatalf("Sends (%d) + SendDrops (%d) = %d, want %d", s.Sends, s.SendDrops, s.Sends+s.SendDrops, attempts)
 	}
@@ -341,8 +377,8 @@ func TestResetPeerCountsEachSendOnce(t *testing.T) {
 	}()
 	var sends, linkLost atomic.Int64
 	const k = 200
-	node, err := NewNode(0, core.Stack{&linktest.Recorder{Inst: "rec"}}, "127.0.0.1:0", []string{"", ln.Addr().String()},
-		engine.WithCapacity(k),
+	g := linktest.Host(t, Transport, 0, core.Stack{&linktest.Recorder{Inst: "rec"}}, "127.0.0.1:0", []string{"", ln.Addr().String()},
+		[]engine.Option{engine.WithCapacity(k)},
 		engine.WithObserver(core.ObserverFunc(func(e core.Event) {
 			switch {
 			case e.Kind == core.EvSend:
@@ -351,20 +387,16 @@ func TestResetPeerCountsEachSendOnce(t *testing.T) {
 				linkLost.Add(1)
 			}
 		})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Start()
-	defer node.Stop()
+	g.Node().Start()
 	for i := 0; i < k; i++ {
-		node.Do(func(env core.Env) {
+		g.Do(func(env core.Env) {
 			env.Send(1, core.Message{Instance: "rec", Kind: "K", B: core.Payload{Num: int64(i)}})
 		})
 		time.Sleep(200 * time.Microsecond)
 	}
 	var s core.TransportStats
 	once := waitFor(t, 10*time.Second, func() bool {
-		s = node.Stats()
+		s = g.Stats()
 		return s.Sends+linkLost.Load() == sends.Load() && s.SendDrops == linkLost.Load()
 	})
 	if linkLost.Load() == 0 {
@@ -380,19 +412,19 @@ func TestNodeValidation(t *testing.T) {
 	t.Parallel()
 	machines := make([]*pif.PIF, 2)
 	stack := mkPIF(machines, 0, 2)
-	if _, err := NewNode(5, stack, "127.0.0.1:0", []string{"a", "b"}); err == nil {
+	if _, err := engine.NewNode(Transport, 5, "127.0.0.1:0", []string{"a", "b"}); err == nil {
 		t.Fatal("out-of-range self accepted")
 	}
-	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), engine.WithCapacity(0)); err == nil {
+	if _, err := engine.NewNode(Transport, 0, "127.0.0.1:0", make([]string, 2), engine.WithCapacity(0)); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
-	if _, err := NewCluster(nil); err == nil {
+	if _, err := engine.NewCluster(Transport, nil); err == nil {
 		t.Fatal("empty cluster accepted")
 	}
-	if _, err := NewHost(HostConfig{Self: 7, Peers: make([]string, 2)}, []core.Stack{stack, stack}); err == nil {
+	if _, err := NewHost(HostConfig{Self: 7, Peers: make([]string, 2)}, []core.Stack{stack, stack}, nil); err == nil {
 		t.Fatal("out-of-range host self accepted")
 	}
-	if _, err := NewHost(HostConfig{Self: 0, Peers: make([]string, 3)}, []core.Stack{stack, stack}); err == nil {
+	if _, err := NewHost(HostConfig{Self: 0, Peers: make([]string, 3)}, []core.Stack{stack, stack}, nil); err == nil {
 		t.Fatal("mismatched peer list accepted")
 	}
 }

@@ -18,38 +18,32 @@ import (
 // connection into the node, dialed on first use (frames for the node
 // leave through it). It is this package's linktest.RawPeer.
 type rawPeer struct {
-	t    *testing.T
-	node *engine.Node
-	ln   net.Listener
-	in   net.Conn      // accepted from the node
-	src  *bufio.Reader // over in
-	out  net.Conn      // dialed to the node
+	t   *testing.T
+	g   *engine.Group
+	ln  net.Listener
+	in  net.Conn      // accepted from the node
+	src *bufio.Reader // over in
+	out net.Conn      // dialed to the node
 }
 
-func newRawPeer(t *testing.T, stack core.Stack, opts ...engine.Option) linktest.RawPeer {
+func newRawPeer(t *testing.T, stack core.Stack, node []engine.Option, group ...engine.Option) linktest.RawPeer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := NewNode(0, stack, "127.0.0.1:0", []string{"", ln.Addr().String()}, opts...)
-	if err != nil {
-		ln.Close()
-		t.Fatal(err)
-	}
-	p := &rawPeer{t: t, node: node, ln: ln}
-	linktest.CheckWindows(t, linktest.NodeStats{node})
-	node.Start()
-	t.Cleanup(func() {
-		node.Stop()
+	p := &rawPeer{t: t, ln: ln}
+	t.Cleanup(func() { // after the node's Stop
 		p.hangUp()
 		ln.Close()
 	})
+	p.g = linktest.Host(t, Transport, 0, stack, "127.0.0.1:0", []string{"", ln.Addr().String()}, node, group...)
+	p.g.Node().Start()
 	p.accept()
 	return p
 }
 
-func (p *rawPeer) Node() *engine.Node { return p.node }
+func (p *rawPeer) Group() *engine.Group { return p.g }
 
 // accept takes the node's next connection and consumes its hello.
 func (p *rawPeer) accept() {
@@ -72,7 +66,7 @@ func (p *rawPeer) accept() {
 // dial connects to the node as peer 1.
 func (p *rawPeer) dial() {
 	p.t.Helper()
-	conn, err := net.Dial("tcp", p.node.Addr())
+	conn, err := net.Dial("tcp", p.g.Node().Addr())
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -147,7 +141,7 @@ func TestSilentPeerSeesAtMostCMessages(t *testing.T) {
 
 func TestProbeReopensShutWindow(t *testing.T) {
 	p := linktest.ProbeReopensShutWindow(t, suite)
-	if got := p.Node().Stats().Redials; got == 0 {
+	if got := p.Group().Stats().Redials; got == 0 {
 		t.Fatal("the node never redialed its restarted peer")
 	}
 }

@@ -42,7 +42,7 @@ func BenchmarkUDPThroughput(b *testing.B) {
 
 func benchUDPThroughput(b *testing.B, n, blob int) {
 	var delivered atomic.Int64
-	c, err := NewCluster(linktest.Flood(n, blob, &delivered), engine.WithCapacity(floodWindow))
+	c, err := engine.NewCluster(Transport, linktest.Flood(n, blob, &delivered), engine.WithCapacity(floodWindow))
 	if err != nil {
 		b.Fatal(err)
 	}

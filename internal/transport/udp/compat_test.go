@@ -15,39 +15,33 @@ import (
 // peer 1, so tests can watch the node's exact wire bytes and feed it
 // arbitrary frames. It is this package's linktest.RawPeer.
 type rawPeer struct {
-	t    *testing.T
-	node *engine.Node
-	raw  *net.UDPConn
+	t   *testing.T
+	g   *engine.Group
+	raw *net.UDPConn
 }
 
-func newRawPeer(t *testing.T, stack core.Stack, opts ...engine.Option) linktest.RawPeer {
+func newRawPeer(t *testing.T, stack core.Stack, node []engine.Option, group ...engine.Option) linktest.RawPeer {
 	t.Helper()
-	node, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := linktest.Host(t, Transport, 0, stack, "127.0.0.1:0", make([]string, 2), node, group...)
 	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
-		node.Stop()
 		t.Fatal(err)
 	}
-	p := &rawPeer{t: t, node: node, raw: raw}
-	if err := node.SetPeer(1, raw.LocalAddr().String()); err != nil {
+	t.Cleanup(func() { raw.Close() })
+	if err := g.Node().SetPeer(1, raw.LocalAddr().String()); err != nil {
 		t.Fatal(err)
 	}
-	node.Start()
-	linktest.CheckWindows(t, linktest.NodeStats{node})
-	t.Cleanup(func() { node.Stop(); p.raw.Close() })
-	return p
+	g.Node().Start()
+	return &rawPeer{t: t, g: g, raw: raw}
 }
 
 // recorderAtRawPeer is a raw peer whose node delivers into a recorder.
-func recorderAtRawPeer(t *testing.T, opts ...engine.Option) (*rawPeer, *linktest.Recorder) {
+func recorderAtRawPeer(t *testing.T, node []engine.Option, group ...engine.Option) (*rawPeer, *linktest.Recorder) {
 	rec := &linktest.Recorder{Inst: "rec"}
-	return newRawPeer(t, core.Stack{rec}, opts...).(*rawPeer), rec
+	return newRawPeer(t, core.Stack{rec}, node, group...).(*rawPeer), rec
 }
 
-func (p *rawPeer) Node() *engine.Node { return p.node }
+func (p *rawPeer) Group() *engine.Group { return p.g }
 
 // Send fires one link frame at the node.
 func (p *rawPeer) Send(links []wire.LinkHeader, msgs ...core.Message) {
@@ -61,7 +55,7 @@ func (p *rawPeer) Send(links []wire.LinkHeader, msgs ...core.Message) {
 
 func (p *rawPeer) write(data []byte) {
 	p.t.Helper()
-	if _, err := p.raw.WriteToUDP(data, mustUDPAddr(p.t, p.node.Addr())); err != nil {
+	if _, err := p.raw.WriteToUDP(data, mustUDPAddr(p.t, p.g.Node().Addr())); err != nil {
 		p.t.Fatal(err)
 	}
 }
@@ -103,13 +97,13 @@ func (p *rawPeer) Restart() {
 func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
 	// c = 2: both messages go out on one link before any acknowledgment.
-	p, rec := recorderAtRawPeer(t, engine.WithBatch(1), engine.WithCapacity(2))
-	node := p.node
+	p, rec := recorderAtRawPeer(t, []engine.Option{engine.WithBatch(1), engine.WithCapacity(2)})
+	g := p.g
 	out := []core.Message{
 		{Instance: "rec", Kind: "K", B: core.Payload{Tag: "m", Num: 42, Blob: []byte("body")}},
 		{Instance: "rec", Kind: "K", B: core.Payload{Tag: "m", Num: 43}},
 	}
-	node.Do(func(env core.Env) {
+	g.Do(func(env core.Env) {
 		for _, m := range out {
 			env.Send(1, m)
 		}
@@ -152,9 +146,9 @@ func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
 func TestBatchedSendCoalescesAndCounts(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
 	const burst = 10
-	p, _ := recorderAtRawPeer(t, engine.WithCapacity(burst)) // default batching
-	node := p.node
-	node.Do(func(env core.Env) {
+	p, _ := recorderAtRawPeer(t, []engine.Option{engine.WithCapacity(burst)}) // default batching
+	g := p.g
+	g.Do(func(env core.Env) {
 		for i := 0; i < burst; i++ {
 			env.Send(1, core.Message{Instance: "rec", Kind: "K", B: core.Payload{Num: int64(i)}})
 		}
@@ -171,7 +165,7 @@ func TestBatchedSendCoalescesAndCounts(t *testing.T) {
 			t.Fatalf("record %d carries Num %d: batch reordered", i, m.B.Num)
 		}
 	}
-	s := node.Stats()
+	s := g.Stats()
 	if s.Sends != burst {
 		t.Fatalf("Sends = %d, want %d", s.Sends, burst)
 	}
@@ -188,7 +182,7 @@ func TestBatchedSendCoalescesAndCounts(t *testing.T) {
 // c messages, one of them with a body.
 func TestLinkFrameDeliveredPerMessage(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
-	p, rec := recorderAtRawPeer(t)
+	p, rec := recorderAtRawPeer(t, nil)
 	msgs := make([]core.Message, engine.DefaultCapacity)
 	for i := range msgs {
 		msgs[i] = core.Message{Instance: "rec", Kind: "K", B: core.Payload{Num: int64(i + 1)}}
@@ -203,7 +197,7 @@ func TestLinkFrameDeliveredPerMessage(t *testing.T) {
 			t.Fatalf("delivery %d = %v, want %v", i, m, msgs[i])
 		}
 	}
-	s := p.node.Stats()
+	s := p.g.Stats()
 	if s.Recvs != int64(len(msgs)) || s.RecvDatagrams != 1 {
 		t.Fatalf("Recvs = %d, RecvDatagrams = %d; want %d and 1", s.Recvs, s.RecvDatagrams, len(msgs))
 	}

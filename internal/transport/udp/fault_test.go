@@ -25,7 +25,7 @@ func faultCluster(t *testing.T, n int, plan *core.FaultPlan) (*engine.Cluster, [
 		}, pif.WithCapacityBound(engine.DefaultCapacity))
 		stacks[i] = core.Stack{machines[i]}
 	}
-	c, err := NewCluster(stacks, engine.WithFaults(plan))
+	c, err := engine.NewCluster(Transport, stacks, engine.WithFaults(plan))
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -104,7 +104,8 @@ func TestCrashRestartWindowOverUDP(t *testing.T) {
 func TestInvalidFaultPlanRejectedAtBind(t *testing.T) {
 	t.Parallel()
 	bad := &core.FaultPlan{Default: core.LinkFaults{DropRate: 1.5}}
-	if _, err := NewNode(0, core.Stack{}, "127.0.0.1:0", make([]string, 2), engine.WithFaults(bad)); err == nil {
+	stacks := []core.Stack{{pif.New("pif", 0, 2, pif.Callbacks{})}, {pif.New("pif", 1, 2, pif.Callbacks{})}}
+	if _, err := engine.NewCluster(Transport, stacks, engine.WithFaults(bad)); err == nil {
 		t.Fatal("invalid plan accepted")
 	}
 }

@@ -21,7 +21,7 @@ import (
 // next read call.
 func readerUnderTest(t *testing.T) (s *socket, r *reader, send func(...[]byte)) {
 	t.Helper()
-	l, err := bind(engine.LinkConfig{Listen: "127.0.0.1:0", Peers: 2, Instances: 1,
+	l, err := bind(engine.LinkConfig{Listen: "127.0.0.1:0", Peers: 2,
 		Capacity: engine.DefaultCapacity, IO: new(engine.IOCounters)})
 	if err != nil {
 		t.Fatal(err)

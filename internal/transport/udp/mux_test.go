@@ -26,7 +26,7 @@ func TestMuxRejectsNodeLevelAttachOptions(t *testing.T) {
 func TestMuxIsolation(t *testing.T) {
 	// Keep the sockets the mux binds, to fire garbage from a known peer.
 	var socks []*socket
-	capture := engine.Transport{FaultSalt: transport.FaultSalt, Bind: func(cfg engine.LinkConfig) (engine.Link, error) {
+	capture := engine.Transport{FaultSalt: Transport.FaultSalt, Bind: func(cfg engine.LinkConfig) (engine.Link, error) {
 		l, err := bind(cfg)
 		if err == nil {
 			socks = append(socks, l.(*socket))
@@ -34,7 +34,7 @@ func TestMuxIsolation(t *testing.T) {
 		return l, err
 	}}
 	l := suite
-	l.NewMux = func(n int, opts ...engine.Option) (*engine.Mux, error) { return engine.NewMux(capture, n, opts...) }
+	l.Transport = capture
 	linktest.MuxIsolation(t, l, func(m *engine.Mux, gidA uint64) {
 		// Garbage pressure: corrupt link frames for A's group, an unknown
 		// group, and raw noise, all fired at node 0 from node 1's address —

@@ -49,27 +49,10 @@ const slotBytes = 64 << 10
 // minReadBuffer is the floor of the socket receive buffer request.
 const minReadBuffer = 64 << 10
 
-// transport describes this link to the engine. The salt namespaces the
-// substrate's injector seeds (sim, runtime and tcp use their own).
-var transport = engine.Transport{FaultSalt: 0x53, Bind: bind}
-
-// NewNode binds process self to the UDP address laddr; see
-// engine.NewNode.
-func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, opts ...engine.Option) (*engine.Node, error) {
-	return engine.NewNode(transport, self, stack, laddr, peers, opts...)
-}
-
-// NewCluster runs one cluster on loopback UDP sockets, one per stack;
-// see engine.NewCluster.
-func NewCluster(stacks []core.Stack, opts ...engine.Option) (*engine.Cluster, error) {
-	return engine.NewCluster(transport, stacks, opts...)
-}
-
-// NewMux binds one loopback UDP socket per process for many clusters to
-// share; see engine.NewMux.
-func NewMux(nProcs int, opts ...engine.Option) (*engine.Mux, error) {
-	return engine.NewMux(transport, nProcs, opts...)
-}
+// Transport is this link, for the engine's constructors (engine.NewNode,
+// NewCluster, NewMux). The salt namespaces the substrate's injector seeds
+// (sim, runtime and tcp use their own).
+var Transport = engine.Transport{FaultSalt: 0x53, Bind: bind}
 
 // socket is one node's UDP socket: the engine.Link of this package. Its
 // send scratch needs no lock: the engine calls Write under the node's
@@ -107,7 +90,7 @@ func bind(cfg engine.LinkConfig) (engine.Link, error) {
 	// in flight toward this node. A smaller buffer (the kernel clamps the
 	// request to its ceiling without an error) only costs legal losses:
 	// the bound is enforced by the senders' windows, not by this size.
-	if err := conn.SetReadBuffer(readBufferBytes(cfg.Peers-1, cfg.Instances, cfg.Capacity)); err != nil {
+	if err := conn.SetReadBuffer(readBufferBytes(cfg.Peers-1, cfg.Capacity)); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("udp: the kernel refused a receive buffer for %d peers at capacity %d: %w",
 			cfg.Peers-1, cfg.Capacity, err)
@@ -121,21 +104,12 @@ func bind(cfg engine.LinkConfig) (engine.Link, error) {
 }
 
 // readBufferBytes sizes the socket receive buffer: one maximal record
-// per window slot of every inbound link (peers × instances, at least one
-// instance on a mux node whose groups attach later), floored at
-// minReadBuffer.
-func readBufferBytes(peers, instances, capacity int) int {
-	if instances < 1 {
-		instances = 1
-	}
-	want := int64(peers) * int64(instances) * int64(capacity) * maxRecordBytes
-	if want < minReadBuffer {
-		want = minReadBuffer
-	}
-	if want > 1<<30 {
-		want = 1 << 30 // keep the request representable; the kernel clamps far lower
-	}
-	return int(want)
+// per window slot of every inbound link, one per peer — the groups, and
+// their instances, attach after the socket is bound — floored at
+// minReadBuffer and capped at 1 GiB, to keep the request representable
+// (the kernel clamps far lower).
+func readBufferBytes(peers, capacity int) int {
+	return int(min(max(int64(peers)*int64(capacity)*maxRecordBytes, minReadBuffer), 1<<30))
 }
 
 func (s *socket) Addr() string { return s.conn.LocalAddr().String() }

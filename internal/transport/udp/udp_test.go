@@ -22,7 +22,7 @@ func cluster(t *testing.T, n int, mk func(self core.ProcID) core.Stack) *engine.
 	for i := range stacks {
 		stacks[i] = mk(core.ProcID(i))
 	}
-	c, err := NewCluster(stacks)
+	c, err := engine.NewCluster(Transport, stacks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +167,13 @@ func TestMailboxBoundsBacklog(t *testing.T) {
 	// A node that is never activated accumulates at most one drained batch
 	// and one full mailbox — 2c messages per (sender, instance) — even
 	// from a peer that ignores the window.
-	p, _ := recorderAtRawPeer(t)
-	defer linktest.Freeze(p.node)()
+	p, _ := recorderAtRawPeer(t, nil)
+	defer linktest.Freeze(p.g)()
 	flood(p, 100)
-	if !waitFor(t, 5*time.Second, func() bool { return p.node.Stats().MailboxDrops > 0 }) {
+	if !waitFor(t, 5*time.Second, func() bool { return p.g.Stats().MailboxDrops > 0 }) {
 		t.Fatal("100 datagrams at a frozen node overflowed nothing")
 	}
-	if held := p.node.Stats().Recvs; held > 2*engine.DefaultCapacity {
+	if held := p.g.Stats().Recvs; held > 2*engine.DefaultCapacity {
 		t.Fatalf("frozen node holds %d messages, above the bound %d", held, 2*engine.DefaultCapacity)
 	}
 }
@@ -201,20 +201,17 @@ func TestStatsCountSendsAndDrops(t *testing.T) {
 func TestStatsCountDroppedSends(t *testing.T) {
 	t.Parallel()
 	stack := core.Stack{pif.New("pif", 0, 2, pif.Callbacks{})}
-	node, err := NewNode(0, stack, "127.0.0.1:0", []string{"", "127.0.0.1:9"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := linktest.Host(t, Transport, 0, stack, "127.0.0.1:0", []string{"", "127.0.0.1:9"}, nil)
 	// Stop closes the socket (the loops were never started), so every
 	// subsequent WriteToUDP fails: the silent-swallow path of env.Send.
-	node.Stop()
+	g.Node().Stop()
 	const attempts = 3
-	node.Do(func(env core.Env) {
+	g.Do(func(env core.Env) {
 		for i := 0; i < attempts; i++ {
 			env.Send(1, core.Message{Instance: "pif", Kind: pif.Kind})
 		}
 	})
-	s := node.Stats()
+	s := g.Stats()
 	if s.SendDrops != attempts {
 		t.Fatalf("SendDrops = %d, want %d", s.SendDrops, attempts)
 	}
@@ -229,7 +226,7 @@ func TestStatsCountMailboxDrops(t *testing.T) {
 	// must count every overflowing message — and report each as a
 	// receive-side EvLose, never as the sender-side EvSendLost.
 	var losses, sendLost atomic.Int64
-	p, _ := recorderAtRawPeer(t, engine.WithCapacity(1), engine.WithObserver(core.ObserverFunc(func(e core.Event) {
+	p, _ := recorderAtRawPeer(t, []engine.Option{engine.WithCapacity(1)}, engine.WithObserver(core.ObserverFunc(func(e core.Event) {
 		switch e.Kind {
 		case core.EvLose:
 			losses.Add(1)
@@ -237,12 +234,12 @@ func TestStatsCountMailboxDrops(t *testing.T) {
 			sendLost.Add(1)
 		}
 	})))
-	defer linktest.Freeze(p.node)()
+	defer linktest.Freeze(p.g)()
 	flood(p, 50)
 	// box counts the drop before it emits the event: wait for both.
-	if !waitFor(t, 5*time.Second, func() bool { return p.node.Stats().MailboxDrops > 0 && losses.Load() > 0 }) {
+	if !waitFor(t, 5*time.Second, func() bool { return p.g.Stats().MailboxDrops > 0 && losses.Load() > 0 }) {
 		t.Fatalf("flooding a 1-slot mailbox on a frozen receiver: MailboxDrops=%d, EvLose events=%d, want both > 0",
-			p.node.Stats().MailboxDrops, losses.Load())
+			p.g.Stats().MailboxDrops, losses.Load())
 	}
 	if got := sendLost.Load(); got != 0 {
 		t.Fatalf("mailbox-full drops emitted %d EvSendLost events; receive-side loss must be EvLose", got)
@@ -251,14 +248,13 @@ func TestStatsCountMailboxDrops(t *testing.T) {
 
 func TestNodeValidation(t *testing.T) {
 	t.Parallel()
-	stack := core.Stack{pif.New("pif", 0, 2, pif.Callbacks{})}
-	if _, err := NewNode(5, stack, "127.0.0.1:0", []string{"a", "b"}); err == nil {
+	if _, err := engine.NewNode(Transport, 5, "127.0.0.1:0", []string{"a", "b"}); err == nil {
 		t.Fatal("out-of-range self accepted")
 	}
-	if _, err := NewNode(0, stack, "127.0.0.1:0", []string{"", "not-an-addr:xx"}); err == nil {
+	if _, err := engine.NewNode(Transport, 0, "127.0.0.1:0", []string{"", "not-an-addr:xx"}); err == nil {
 		t.Fatal("bad peer address accepted")
 	}
-	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), engine.WithCapacity(0)); err == nil {
+	if _, err := engine.NewNode(Transport, 0, "127.0.0.1:0", make([]string, 2), engine.WithCapacity(0)); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 }

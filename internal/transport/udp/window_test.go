@@ -8,7 +8,7 @@ import (
 
 // The window and mux behaviours are the engine's; linktest holds their
 // tests once, and this file runs them over UDP sockets.
-var suite = linktest.Link{NewMux: NewMux, NewRawPeer: newRawPeer}
+var suite = linktest.Link{Transport: Transport, NewRawPeer: newRawPeer}
 
 // Not parallel, any of them: concurrent clusters share the loopback path
 // and the timer wheel; interference slows the handshakes by >20x.

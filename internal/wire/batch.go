@@ -5,7 +5,7 @@
 //
 //	magic   [2]byte  0x53 0x4e ("SN")
 //	version byte     3
-//	group   uvarint  logical cluster/group id (0 = the default group)
+//	group   uvarint  logical cluster/group id (0 for a cluster on nodes of its own, a mux's clusters 1, 2, …)
 //	count   uvarint  number of records, 1..MaxBatch
 //	records count ×:
 //	    len uvarint  record length in bytes (> 0)

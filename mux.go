@@ -34,9 +34,9 @@ type Mux struct {
 
 // newMux builds the shared socket layer with the one node-level option,
 // the window, which cannot vary per attached cluster.
-func newMux(build func(int, ...engine.Option) (*engine.Mux, error), nProcs int, opts []Option) (*Mux, error) {
+func newMux(t engine.Transport, nProcs int, opts []Option) (*Mux, error) {
 	o := buildOptions(opts)
-	m, err := build(nProcs, engine.WithCapacity(o.capacity))
+	m, err := engine.NewMux(t, nProcs, engine.WithCapacity(o.capacity))
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func newMux(build func(int, ...engine.Option) (*engine.Mux, error), nProcs int, 
 // Socket binding failures are returned, not panicked: the mux is built
 // before any cluster exists.
 func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
-	return newMux(udp.NewMux, nProcs, opts)
+	return newMux(udp.Transport, nProcs, opts)
 }
 
 // TCPMux binds one loopback listener per process, dials the full
@@ -60,7 +60,7 @@ func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
 // UDPMux, the one cluster option read here is WithCapacity; per-cluster
 // options belong to the cluster constructors.
 func TCPMux(nProcs int, opts ...Option) (*Mux, error) {
-	return newMux(tcp.NewMux, nProcs, opts)
+	return newMux(tcp.Transport, nProcs, opts)
 }
 
 // N returns the process count every attached cluster must match.

@@ -115,13 +115,13 @@ func Runtime() Substrate {
 				// message no longer occupies the channel.
 				o.faults = &core.FaultPlan{Seed: o.seed, Default: core.LinkFaults{DropRate: o.lossRate}}
 			}
-			return engine.NewCluster(engine.Memory(), stacks, nodeOptions(o, obs)...)
+			return newCluster(engine.Memory()).build(o, stacks, obs)
 		},
 	}
 }
 
-// groupOptions assembles the per-cluster transport options: what a
-// dedicated socket substrate and a mux attachment both take.
+// groupOptions assembles the per-cluster transport options: what every
+// engine cluster's group takes, dedicated or attached to a mux.
 func groupOptions(o options, obs []core.Observer) []engine.Option {
 	eopts := make([]engine.Option, 0, len(obs)+4)
 	for _, ob := range obs {
@@ -136,10 +136,19 @@ func groupOptions(o options, obs []core.Observer) []engine.Option {
 	return eopts
 }
 
-// nodeOptions is everything a dedicated node — in memory or on sockets —
-// takes: the group's options and the window its sockets enforce.
-func nodeOptions(o options, obs []core.Observer) []engine.Option {
-	return append(groupOptions(o, obs), engine.WithCapacity(o.capacity))
+// nodeOptions is what a node of a cluster's own takes: the window it
+// enforces and the graph that shapes its wiring.
+func nodeOptions(o options) []engine.Option {
+	return []engine.Option{engine.WithCapacity(o.capacity), engine.WithTopology(o.topology)}
+}
+
+// newCluster builds a cluster on engine nodes of its own, on transport t.
+func newCluster(t engine.Transport) Substrate {
+	return Substrate{
+		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
+			return engine.NewCluster(t, stacks, append(nodeOptions(o), groupOptions(o, obs)...)...)
+		},
+	}
 }
 
 // UDP selects the loopback datagram transport: one socket per process,
@@ -152,13 +161,7 @@ func nodeOptions(o options, obs []core.Observer) []engine.Option {
 // UDP loses messages on its own, and requests are bounded with
 // Request.Wait contexts. Socket binding happens at cluster construction
 // and panics on failure.
-func UDP() Substrate {
-	return Substrate{
-		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			return udp.NewCluster(stacks, nodeOptions(o, obs)...)
-		},
-	}
-}
+func UDP() Substrate { return newCluster(udp.Transport) }
 
 // TCP selects the loopback stream transport: one listener per process,
 // persistent connections carrying length-prefixed wire frames, redial
@@ -172,13 +175,7 @@ func UDP() Substrate {
 // stream. WithLossRate and WithStepBudget are ignored —
 // bound requests with Request.Wait contexts. Listener binding happens
 // at cluster construction and panics on failure.
-func TCP() Substrate {
-	return Substrate{
-		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			return tcp.NewCluster(stacks, nodeOptions(o, obs)...)
-		},
-	}
-}
+func TCP() Substrate { return newCluster(tcp.Transport) }
 
 // TCPFleet describes one daemon's place in a multi-host TCP fleet, for
 // TCPHost.
@@ -210,7 +207,7 @@ func TCPHost(f TCPFleet) Substrate {
 				Listen: f.Listen,
 				Peers:  f.Peers,
 			}
-			return tcp.NewHost(cfg, stacks, nodeOptions(o, obs)...)
+			return tcp.NewHost(cfg, stacks, nodeOptions(o), groupOptions(o, obs)...)
 		},
 	}
 }
