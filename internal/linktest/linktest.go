@@ -29,9 +29,9 @@ type Link struct {
 	// Transport is the package's engine.Transport.
 	Transport engine.Transport
 	// NewRawPeer starts process 0 of a two-process system running stack
-	// as group 0 (Host's options), wired to a hand-driven stand-in for
-	// process 1, and registers their teardown with t.
-	NewRawPeer func(t *testing.T, stack core.Stack, node []engine.Option, group ...engine.Option) RawPeer
+	// as group 0 (engine.Host's options), wired to a hand-driven stand-in
+	// for process 1, and registers their teardown with t.
+	NewRawPeer func(t *testing.T, stack core.Stack, opts ...engine.Option) RawPeer
 }
 
 // RawPeer is a hand-driven process 1: tests watch the exact frames the
@@ -83,22 +83,17 @@ func (gs Groups) TransportStats() []core.TransportStats {
 	return out
 }
 
-// Host binds process self of len(peers) on tr at laddr, wired to the
-// non-empty entries of peers, with the node options, and attaches stack
-// as group 0 with the group options. It registers the node's Stop and
-// the window check with t; the node is not started.
-func Host(t *testing.T, tr engine.Transport, self core.ProcID, stack core.Stack, laddr string, peers []string,
-	node []engine.Option, group ...engine.Option) *engine.Group {
+// Host runs engine.Host: process self of len(peers) on tr at laddr,
+// wired to the non-empty entries of peers, with stack as group 0. It
+// registers the node's Stop and the window check with t; the node is not
+// started.
+func Host(t *testing.T, tr engine.Transport, self core.ProcID, stack core.Stack, laddr string, peers []string, opts ...engine.Option) *engine.Group {
 	t.Helper()
-	n, err := engine.NewNode(tr, self, laddr, peers, node...)
+	g, err := engine.Host(tr, self, stack, laddr, peers, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(n.Stop)
-	g, err := n.Attach(stack, group...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(g.Node().Stop)
 	CheckWindows(t, Groups{g})
 	return g
 }
@@ -411,7 +406,7 @@ func OneFramePerSection(t *testing.T, l Link) {
 	for i := range stack {
 		stack[i] = &Recorder{Inst: fmt.Sprintf("rec%d", i)}
 	}
-	p := l.NewRawPeer(t, stack, nil)
+	p := l.NewRawPeer(t, stack)
 	p.Group().Do(func(env core.Env) {
 		for _, m := range stack {
 			env.Send(1, core.Message{Instance: m.Instance(), Kind: "K"})
@@ -438,7 +433,7 @@ func OneFramePerSection(t *testing.T, l Link) {
 // reader must take.
 func FrameAtBudget(t *testing.T, l Link) {
 	const k = 8
-	p := l.NewRawPeer(t, core.Stack{&Recorder{Inst: "rec"}}, []engine.Option{engine.WithCapacity(k)})
+	p := l.NewRawPeer(t, core.Stack{&Recorder{Inst: "rec"}}, engine.WithCapacity(k))
 	blob := bytes.Repeat([]byte{7}, wire.MaxBlobLen)
 	p.Group().Do(func(env core.Env) {
 		for i := 0; i < k; i++ {
@@ -477,7 +472,7 @@ func FrameAtBudget(t *testing.T, l Link) {
 func initiator(t *testing.T, l Link) RawPeer {
 	t.Helper()
 	m := pif.New("pif", 0, 2, pif.Callbacks{}, pif.WithCapacityBound(engine.DefaultCapacity))
-	p := l.NewRawPeer(t, core.Stack{m}, nil)
+	p := l.NewRawPeer(t, core.Stack{m})
 	p.Group().Do(func(env core.Env) {
 		if !m.Invoke(env, core.Payload{Tag: "hello", Num: 1}) {
 			t.Error("Invoke rejected")
@@ -623,7 +618,7 @@ func ReboxOverflowIsLost(t *testing.T, l Link) {
 	step, deliver := newHold(), newHold()
 	start := time.Now()
 	p := l.NewRawPeer(t, core.Stack{held{"a", step, deliver}, held{"b", step, deliver}},
-		[]engine.Option{engine.WithCapacity(c)}, engine.WithFaults(plan),
+		engine.WithCapacity(c), engine.WithFaults(plan),
 		engine.WithObserver(core.ObserverFunc(func(e core.Event) {
 			if e.Kind == core.EvLose {
 				loses.Add(1)

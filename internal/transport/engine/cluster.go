@@ -47,16 +47,21 @@ func (g *Group) closeWaiters() {
 	g.n.release()
 }
 
-// loopback binds n unstarted nodes on loopback ports the kernel picks
-// and wires the learned addresses (SetPeer keeps to the node topology's
-// edges): the two-phase setup every in-process cluster needs.
-func loopback(t Transport, n int, opts ...Option) ([]*Node, error) {
+// loopback binds n unstarted nodes on loopback ports the kernel picks,
+// each link sized for its process's entry in stacks (nil on a mux), and
+// wires the learned addresses (SetPeer keeps to the topology's edges):
+// the two-phase setup every in-process cluster needs.
+func loopback(t Transport, n int, stacks []core.Stack, o options) ([]*Node, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("engine: need at least 2 processes, got %d", n)
 	}
 	nodes, unwired := make([]*Node, n), make([]string, n)
 	for i := range nodes {
-		node, err := NewNode(t, core.ProcID(i), "127.0.0.1:0", unwired, opts...)
+		instances := 0
+		if stacks != nil {
+			instances = len(stacks[i])
+		}
+		node, err := newNode(t, core.ProcID(i), "127.0.0.1:0", unwired, instances, o)
 		if err != nil {
 			stopAll(nodes[:i])
 			return nil, fmt.Errorf("engine: bind node %d: %w", i, err)
@@ -114,11 +119,11 @@ func attach(nodes []*Node, id uint64, stacks []core.Stack, o options) (*Cluster,
 
 // NewCluster binds one loopback node per stack, wires every node to its
 // neighbours, attaches each stack as group 0 and starts the nodes. It
-// takes a node's options and a group's; WithTopology shapes both. The
-// caller owns the cluster and must Close it to release the sockets.
+// takes Host's options. The caller owns the cluster and must Close it to
+// release the sockets.
 func NewCluster(t Transport, stacks []core.Stack, opts ...Option) (*Cluster, error) {
 	o := apply(nodeDefaults, opts)
-	nodes, err := loopback(t, len(stacks), WithCapacity(o.capacity), WithBatch(o.batch), WithTopology(o.topology))
+	nodes, err := loopback(t, len(stacks), stacks, o)
 	if err != nil {
 		return nil, err
 	}
@@ -194,10 +199,11 @@ type Mux struct {
 // options (topology, faults, observers) belong to Attach. The caller
 // owns the mux and must Close it to release the sockets.
 func NewMux(t Transport, nProcs int, opts ...Option) (*Mux, error) {
-	if apply(options{}, opts).topology != nil {
+	o := apply(nodeDefaults, opts)
+	if o.topology != nil || o.faults != nil || len(o.observers) > 0 {
 		return nil, fmt.Errorf("engine: per-cluster option on a mux; give it to Attach")
 	}
-	nodes, err := loopback(t, nProcs, opts...)
+	nodes, err := loopback(t, nProcs, nil, o)
 	if err != nil {
 		return nil, err
 	}
@@ -240,9 +246,9 @@ func (m *Mux) Attach(stacks []core.Stack, opts ...Option) (*Cluster, error) {
 	if len(stacks) != len(m.nodes) {
 		return nil, fmt.Errorf("engine: %d stacks for a mux of %d processes", len(stacks), len(m.nodes))
 	}
-	o, err := groupOptions(opts)
-	if err != nil {
-		return nil, err
+	o := apply(options{}, opts)
+	if o.capacity != 0 || o.batch != 0 {
+		return nil, fmt.Errorf("engine: node-level option on an attached cluster; it was fixed at NewMux")
 	}
 	m.mu.Lock()
 	if m.closed {

@@ -501,10 +501,12 @@ func TestStartStopConcurrent(t *testing.T) {
 // the engine refuses.
 func TestStartTwicePanics(t *testing.T) {
 	t.Parallel()
-	n, err := NewNode(Memory(), 0, "", make([]string, 2))
+	stacks, _ := pifStacksAt(2, 1)
+	g, err := Host(Memory(), 0, stacks[0], "", make([]string, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := g.n
 	n.Start()
 	defer n.Stop()
 	defer func() {

@@ -96,7 +96,7 @@ func stillStacks(t *testing.T, stacks []core.Stack, opts ...Option) (*memNet, []
 	pn := new(memNet)
 	nodes := make([]*Node, len(stacks))
 	for i := range nodes {
-		g, err := host(pn.transport(), core.ProcID(i), stacks[i], make([]string, len(stacks)), opts...)
+		g, err := Host(pn.transport(), core.ProcID(i), stacks[i], "", make([]string, len(stacks)), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,19 +112,7 @@ func stillStacks(t *testing.T, stacks []core.Stack, opts ...Option) (*memNet, []
 	return pn, nodes
 }
 
-// host binds process self on tr, unwired to any of peers, and attaches
-// stack to it as group 0, as NewCluster does: opts may be a node's and a
-// group's. The node is not started.
-func host(tr Transport, self core.ProcID, stack core.Stack, peers []string, opts ...Option) (*Group, error) {
-	o := apply(nodeDefaults, opts)
-	n, err := NewNode(tr, self, "", peers, WithCapacity(o.capacity), WithBatch(o.batch), WithTopology(o.topology))
-	if err != nil {
-		return nil, err
-	}
-	return n.attach(0, stack, o, time.Now())
-}
-
-// group0 is the group host attached to n.
+// group0 is the group Host attached to n.
 func group0(n *Node) *Group { return n.groups.Load().byID[0] }
 
 // pump drains mail at every node until none is left anywhere.

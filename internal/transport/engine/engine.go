@@ -33,10 +33,10 @@
 // A Node hosts groups, each an independent protocol stack with its own
 // routes, observers, topology, fault plan and counters, all sharing the
 // node's link and timer. The wire frame's group id routes every received
-// message to its group's channels. NewNode builds a bare node, and every
-// group enters it one way, attached: Node.Attach one stack as group 0,
-// NewCluster one per node as group 0 on nodes of its own, Mux.Attach a
-// cluster under a fresh id on every node it shares.
+// message to its group's channels. A node is built bare, and every group
+// enters it one way, attached: Host one stack as group 0 on a node of its
+// own, NewCluster one per node as group 0 on nodes of its own, Mux.Attach
+// a cluster under a fresh id on every node it shares.
 //
 // # Concurrency structure
 //
@@ -159,18 +159,9 @@ func apply(o options, opts []Option) options {
 	return o
 }
 
-// groupOptions applies opts for an attach, which takes only a group's:
-// the node's capacity and batch were fixed when it was built.
-func groupOptions(opts []Option) (options, error) {
-	o := apply(options{}, opts)
-	if o.capacity != 0 || o.batch != 0 {
-		return o, fmt.Errorf("engine: node-level option on an attached group; set it where the node is built")
-	}
-	return o, nil
-}
-
-// Option configures a node (NewNode, NewMux), an attached group
-// (Node.Attach, Mux.Attach), or both (NewCluster).
+// Option configures a mux's nodes (NewMux), a group attached to them
+// (Mux.Attach), or nodes of a group's own and the group (Host,
+// NewCluster).
 type Option func(*options)
 
 // WithCapacity sets the channel-capacity bound c the node enforces on
@@ -204,12 +195,12 @@ func WithObserver(ob core.Observer) Option {
 	return func(o *options) { o.observers = append(o.observers, ob) }
 }
 
-// WithTopology declares the communication graph. On a group, sends to
-// non-neighbours are dropped (and counted) at the sender, their traffic
-// is rejected at the receiver, and the installed fault plan is validated
-// against the edge set; on a node, a non-neighbour's address is never
-// wired (SetPeer), which on TCP shapes the connection mesh. NewCluster
-// gives it to both. The default (nil) is the complete graph.
+// WithTopology declares the communication graph. Sends to non-neighbours
+// are dropped (and counted) at the sender, their traffic is rejected at
+// the receiver, and the installed fault plan is validated against the
+// edge set; on a node of the group's own (Host, NewCluster) a
+// non-neighbour's address is also never wired (SetPeer), which on TCP
+// shapes the connection mesh. The default (nil) is the complete graph.
 func WithTopology(t *core.Topology) Option {
 	return func(o *options) { o.topology = t }
 }
@@ -239,13 +230,15 @@ type Transport struct {
 
 // LinkConfig is what a Transport's Bind gets to build one node's link.
 type LinkConfig struct {
-	Self     core.ProcID
-	Listen   string // local address; port 0 lets the kernel pick
-	Peers    int    // process count, self included
-	Capacity int
-	// Topology is the node's graph (WithTopology on NewNode): nil for the
-	// complete graph, as on a mux node, whose groups restrict traffic
-	// per message.
+	Self   core.ProcID
+	Listen string // local address; port 0 lets the kernel pick
+	Peers  int    // process count, self included
+	// Instances is the size of the stack the node is bound for (zero on
+	// a mux node), for sizing receive buffers.
+	Instances int
+	Capacity  int
+	// Topology is the graph of the group the node is bound for (nil:
+	// complete, or a mux node whose groups restrict traffic per message).
 	Topology *core.Topology
 	// Arrive is the inbound callback: one decoded frame from a known
 	// peer. links and msgs are only read during the call. Safe to call
@@ -409,20 +402,8 @@ func (g *Group) Stats() core.TransportStats {
 	return s
 }
 
-// Attach hosts stack on n as group 0, as a cluster's node of its own
-// does, its fault schedule starting now, with a group's options
-// (WithTopology, WithFaults, WithObserver); a node-level option or a
-// second Attach is an error. Its stack steps at the node's next tick.
-func (n *Node) Attach(stack core.Stack, opts ...Option) (*Group, error) {
-	o, err := groupOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return n.attach(0, stack, o, time.Now())
-}
-
 // attach builds, validates and publishes one group: the one way a group
-// enters a node (Node.Attach, NewCluster, Mux.Attach).
+// enters a node (Host, NewCluster, Mux.Attach).
 func (n *Node) attach(id uint64, stack core.Stack, o options, epoch time.Time) (*Group, error) {
 	topo, plan := o.topology, o.faults
 	if topo != nil && topo.N() != len(n.wired) {
@@ -512,7 +493,7 @@ type Node struct {
 	capacity int
 	batch    int // messages per frame at most
 	salt     uint64
-	topo     *core.Topology // the node's graph: SetPeer wires only its edges
+	topo     *core.Topology // its own group's graph (Host, NewCluster): SetPeer wires only its edges
 	wired    []bool         // indexed by peer: the link has an address for it
 	io       IOCounters
 
@@ -535,7 +516,7 @@ type Node struct {
 	// The node's one timer, a time.AfterFunc under mu, is set for next:
 	// wake, the earliest thing owed, as rearm or a flush last saw it.
 	// Start makes the timer, set for the first tick: an unstarted node has
-	// none, and a timer made and stopped in NewNode measurably slowed a
+	// none, and a timer made and stopped in newNode measurably slowed a
 	// cold cluster.
 	timer      *time.Timer
 	wake, next time.Duration
@@ -562,16 +543,30 @@ type Node struct {
 	wg       sync.WaitGroup
 }
 
-// NewNode binds process self to laddr on transport t, hosting no group
-// until one is attached (Attach). peers maps every process ID (including
-// self, whose entry is ignored) to its address; empty entries may be
-// wired later with SetPeer, before Start. It takes a node's options
-// (WithCapacity, WithBatch, WithTopology); a group's are an error.
-func NewNode(t Transport, self core.ProcID, laddr string, peers []string, opts ...Option) (*Node, error) {
+// Host binds process self to laddr on transport t, a node of its own,
+// and attaches stack to it as group 0, its fault schedule starting now.
+// peers maps every process ID (including self, whose entry is ignored) to
+// its address; empty entries may be wired later with SetPeer, before
+// Start. It takes a node's options and a group's; WithTopology shapes
+// both the node's wiring and the group's traffic. The node is not
+// started.
+func Host(t Transport, self core.ProcID, stack core.Stack, laddr string, peers []string, opts ...Option) (*Group, error) {
 	o := apply(nodeDefaults, opts)
-	if o.faults != nil || len(o.observers) > 0 {
-		return nil, fmt.Errorf("engine: group option on a node; attach it with the group")
+	n, err := newNode(t, self, laddr, peers, len(stack), o)
+	if err != nil {
+		return nil, err
 	}
+	g, err := n.attach(0, stack, o, time.Now())
+	if err != nil {
+		n.Stop()
+		return nil, err
+	}
+	return g, nil
+}
+
+// newNode binds a node hosting no group, with o's capacity, batch and
+// topology, its link sized for a stack of instances.
+func newNode(t Transport, self core.ProcID, laddr string, peers []string, instances int, o options) (*Node, error) {
 	if self < 0 || int(self) >= len(peers) {
 		return nil, fmt.Errorf("engine: self %d outside peer list of %d", self, len(peers))
 	}
@@ -596,7 +591,7 @@ func NewNode(t Transport, self core.ProcID, laddr string, peers []string, opts .
 	}
 	n.groups.Store(&groupSet{byID: map[uint64]*Group{}})
 	link, err := t.Bind(LinkConfig{
-		Self: self, Listen: laddr, Peers: len(peers),
+		Self: self, Listen: laddr, Peers: len(peers), Instances: instances,
 		Capacity: o.capacity, Topology: o.topology,
 		Arrive: n.arrive, IO: &n.io, node: n,
 	})

@@ -155,40 +155,30 @@ func TestNodeValidation(t *testing.T) {
 	tr := Memory()
 	stacks, _ := pifStacks(2)
 	peers := make([]string, 2)
-	if _, err := NewNode(tr, 5, "", peers); err == nil {
+	if _, err := Host(tr, 5, stacks[0], "", peers); err == nil {
 		t.Error("out-of-range self accepted")
 	}
-	if _, err := NewNode(tr, 0, "", peers, WithCapacity(0)); err == nil {
+	if _, err := Host(tr, 0, stacks[0], "", peers, WithCapacity(0)); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := NewNode(tr, 0, "", peers, WithBatch(0)); err == nil {
+	if _, err := Host(tr, 0, stacks[0], "", peers, WithBatch(0)); err == nil {
 		t.Error("zero batch accepted")
 	}
-	if _, err := NewNode(tr, 0, "", peers, WithFaults(&core.FaultPlan{})); err == nil {
-		t.Error("group option accepted on a node")
+	for _, opt := range []Option{WithTopology(core.Line(2)), WithFaults(&core.FaultPlan{})} {
+		if _, err := NewMux(tr, 2, opt); err == nil {
+			t.Error("group option accepted on a mux's nodes")
+		}
 	}
-	if _, err := NewMux(tr, 2, WithTopology(core.Line(2))); err == nil {
-		t.Error("group option accepted on a mux")
+	if _, err := Host(tr, 0, stacks[0], "", peers, WithTopology(core.Line(3))); err == nil {
+		t.Error("topology over the wrong process count accepted")
 	}
-	if _, err := NewNode(tr, 0, "", peers, WithTopology(core.Line(3))); err == nil {
-		t.Error("node topology over the wrong process count accepted")
-	}
-	n, err := NewNode(tr, 0, "", peers)
+	m, err := NewMux(tr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Stop()
-	if _, err := n.Attach(stacks[0], WithTopology(core.Line(3))); err == nil {
-		t.Error("group topology over the wrong process count accepted")
-	}
-	if _, err := n.Attach(stacks[0], WithCapacity(2)); err == nil {
-		t.Error("node option accepted on an attach")
-	}
-	if _, err := n.Attach(stacks[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Attach(stacks[1]); err == nil {
-		t.Error("a second group 0 attached")
+	defer m.Close()
+	if _, err := m.Attach(stacks, WithTopology(core.Line(3))); err == nil {
+		t.Error("attached topology over the wrong process count accepted")
 	}
 	if _, err := NewCluster(tr, nil); err == nil {
 		t.Error("empty cluster accepted")

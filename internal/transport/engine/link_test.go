@@ -48,7 +48,7 @@ type rawFrame struct {
 	msgs  []core.Message
 }
 
-func newRawPeer(t *testing.T, stack core.Stack, node []engine.Option, group ...engine.Option) linktest.RawPeer {
+func newRawPeer(t *testing.T, stack core.Stack, opts ...engine.Option) linktest.RawPeer {
 	t.Helper()
 	p := &rawPeer{more: make(chan struct{}, 1)}
 	mem := engine.Memory()
@@ -56,7 +56,7 @@ func newRawPeer(t *testing.T, stack core.Stack, node []engine.Option, group ...e
 		p.toNode = cfg
 		return mem.Bind(cfg)
 	}}
-	p.g = linktest.Host(t, capture, 0, stack, "", make([]string, 2), node, group...)
+	p.g = linktest.Host(t, capture, 0, stack, "", make([]string, 2), opts...)
 	end, err := mem.Bind(engine.LinkConfig{Self: 1, Peers: 2, Arrive: p.arrive, IO: new(engine.IOCounters)})
 	if err != nil {
 		t.Fatal(err)

@@ -43,11 +43,10 @@ type Host struct {
 
 var _ core.Substrate = (*Host)(nil)
 
-// NewHost binds the hosted process's listener with the node options
-// (WithCapacity, WithBatch, WithTopology), attaches its stack as group 0
-// with the group options (WithTopology, WithFaults, WithObserver), and
-// starts it. The caller owns the host and must Close it.
-func NewHost(cfg HostConfig, stacks []core.Stack, node []engine.Option, group ...engine.Option) (*Host, error) {
+// NewHost binds the hosted process's listener and attaches its stack as
+// group 0 (engine.Host, which takes opts), and starts it. The caller
+// owns the host and must Close it.
+func NewHost(cfg HostConfig, stacks []core.Stack, opts ...engine.Option) (*Host, error) {
 	n := len(stacks)
 	if n < 2 {
 		return nil, fmt.Errorf("tcp: need at least 2 processes, got %d", n)
@@ -62,16 +61,11 @@ func NewHost(cfg HostConfig, stacks []core.Stack, node []engine.Option, group ..
 	if listen == "" {
 		listen = ":0"
 	}
-	nd, err := engine.NewNode(Transport, cfg.Self, listen, cfg.Peers, node...)
+	g, err := engine.Host(Transport, cfg.Self, stacks[cfg.Self], listen, cfg.Peers, opts...)
 	if err != nil {
 		return nil, err
 	}
-	g, err := nd.Attach(stacks[cfg.Self], group...)
-	if err != nil {
-		nd.Stop()
-		return nil, err
-	}
-	nd.Start()
+	g.Node().Start()
 	return &Host{
 		group:  g,
 		self:   cfg.Self,

@@ -103,7 +103,7 @@ const (
 	dialMax = time.Second
 )
 
-// Transport is this link, for the engine's constructors (engine.NewNode,
+// Transport is this link, for the engine's constructors (engine.Host,
 // NewCluster, NewMux). The salt namespaces the substrate's injector seeds
 // (sim, runtime and udp use their own).
 var Transport = engine.Transport{FaultSalt: 0x7c, Bind: bind}

@@ -84,7 +84,7 @@ func TestSimultaneousStartDialRace(t *testing.T) {
 	machines := make([]*pif.PIF, n)
 	groups := make([]*engine.Group, n)
 	for i := range groups {
-		groups[i] = linktest.Host(t, Transport, core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n), nil)
+		groups[i] = linktest.Host(t, Transport, core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n))
 	}
 	for i, g := range groups {
 		for j, other := range groups {
@@ -121,7 +121,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	machines := make([]*pif.PIF, n)
 	groups := make([]*engine.Group, n)
 	for i := range groups {
-		groups[i] = linktest.Host(t, Transport, core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n), nil)
+		groups[i] = linktest.Host(t, Transport, core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n))
 	}
 	node0, node1 := groups[0].Node(), groups[1].Node()
 	addr1 := node1.Addr()
@@ -142,12 +142,11 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	// Rebind the same port. The listener was closed, not left in
 	// TIME_WAIT, so the bind should succeed promptly; retry briefly in
 	// case the kernel lags.
-	var restarted *engine.Node
+	var g *engine.Group
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		node, err := engine.NewNode(Transport, 1, addr1, make([]string, n))
-		if err == nil {
-			restarted = node
+		var err error
+		if g, err = engine.Host(Transport, 1, mkPIF(machines, 1, n), addr1, make([]string, n)); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -155,11 +154,8 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	restarted := g.Node()
 	t.Cleanup(restarted.Stop)
-	g, err := restarted.Attach(mkPIF(machines, 1, n))
-	if err != nil {
-		t.Fatal(err)
-	}
 	wire(restarted, 0, node0.Addr())
 	linktest.CheckWindows(t, linktest.Groups{g})
 	restarted.Start()
@@ -291,10 +287,11 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 func TestStopIdempotent(t *testing.T) {
 	t.Parallel()
 	machines := make([]*pif.PIF, 2)
-	node, err := engine.NewNode(Transport, 0, "127.0.0.1:0", make([]string, 2))
+	g, err := engine.Host(Transport, 0, mkPIF(machines, 0, 2), "127.0.0.1:0", make([]string, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	node := g.Node()
 	node.Start()
 	node.Stop()
 	node.Stop() // second Stop must be a no-op, not a panic or deadlock
@@ -318,7 +315,7 @@ func TestStopIdempotent(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		stacks[i] = mkPIF(machines, core.ProcID(i), 2)
 	}
-	h, err := NewHost(HostConfig{Self: 0, Peers: make([]string, 2)}, stacks, nil)
+	h, err := NewHost(HostConfig{Self: 0, Peers: make([]string, 2)}, stacks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +332,7 @@ func TestStopIdempotent(t *testing.T) {
 func TestSendAfterStopCountsDrops(t *testing.T) {
 	t.Parallel()
 	machines := make([]*pif.PIF, 2)
-	g := linktest.Host(t, Transport, 0, mkPIF(machines, 0, 2), "127.0.0.1:0", []string{"", "127.0.0.1:9"}, nil)
+	g := linktest.Host(t, Transport, 0, mkPIF(machines, 0, 2), "127.0.0.1:0", []string{"", "127.0.0.1:9"})
 	g.Node().Start()
 	g.Node().Stop()
 	const attempts = 3
@@ -378,8 +375,7 @@ func TestResetPeerCountsEachSendOnce(t *testing.T) {
 	var sends, linkLost atomic.Int64
 	const k = 200
 	g := linktest.Host(t, Transport, 0, core.Stack{&linktest.Recorder{Inst: "rec"}}, "127.0.0.1:0", []string{"", ln.Addr().String()},
-		[]engine.Option{engine.WithCapacity(k)},
-		engine.WithObserver(core.ObserverFunc(func(e core.Event) {
+		engine.WithCapacity(k), engine.WithObserver(core.ObserverFunc(func(e core.Event) {
 			switch {
 			case e.Kind == core.EvSend:
 				sends.Add(1)
@@ -412,19 +408,19 @@ func TestNodeValidation(t *testing.T) {
 	t.Parallel()
 	machines := make([]*pif.PIF, 2)
 	stack := mkPIF(machines, 0, 2)
-	if _, err := engine.NewNode(Transport, 5, "127.0.0.1:0", []string{"a", "b"}); err == nil {
+	if _, err := engine.Host(Transport, 5, stack, "127.0.0.1:0", []string{"a", "b"}); err == nil {
 		t.Fatal("out-of-range self accepted")
 	}
-	if _, err := engine.NewNode(Transport, 0, "127.0.0.1:0", make([]string, 2), engine.WithCapacity(0)); err == nil {
+	if _, err := engine.Host(Transport, 0, stack, "127.0.0.1:0", make([]string, 2), engine.WithCapacity(0)); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 	if _, err := engine.NewCluster(Transport, nil); err == nil {
 		t.Fatal("empty cluster accepted")
 	}
-	if _, err := NewHost(HostConfig{Self: 7, Peers: make([]string, 2)}, []core.Stack{stack, stack}, nil); err == nil {
+	if _, err := NewHost(HostConfig{Self: 7, Peers: make([]string, 2)}, []core.Stack{stack, stack}); err == nil {
 		t.Fatal("out-of-range host self accepted")
 	}
-	if _, err := NewHost(HostConfig{Self: 0, Peers: make([]string, 3)}, []core.Stack{stack, stack}, nil); err == nil {
+	if _, err := NewHost(HostConfig{Self: 0, Peers: make([]string, 3)}, []core.Stack{stack, stack}); err == nil {
 		t.Fatal("mismatched peer list accepted")
 	}
 }

@@ -26,7 +26,7 @@ type rawPeer struct {
 	out net.Conn      // dialed to the node
 }
 
-func newRawPeer(t *testing.T, stack core.Stack, node []engine.Option, group ...engine.Option) linktest.RawPeer {
+func newRawPeer(t *testing.T, stack core.Stack, opts ...engine.Option) linktest.RawPeer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -37,7 +37,7 @@ func newRawPeer(t *testing.T, stack core.Stack, node []engine.Option, group ...e
 		p.hangUp()
 		ln.Close()
 	})
-	p.g = linktest.Host(t, Transport, 0, stack, "127.0.0.1:0", []string{"", ln.Addr().String()}, node, group...)
+	p.g = linktest.Host(t, Transport, 0, stack, "127.0.0.1:0", []string{"", ln.Addr().String()}, opts...)
 	p.g.Node().Start()
 	p.accept()
 	return p

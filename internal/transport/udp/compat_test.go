@@ -20,9 +20,9 @@ type rawPeer struct {
 	raw *net.UDPConn
 }
 
-func newRawPeer(t *testing.T, stack core.Stack, node []engine.Option, group ...engine.Option) linktest.RawPeer {
+func newRawPeer(t *testing.T, stack core.Stack, opts ...engine.Option) linktest.RawPeer {
 	t.Helper()
-	g := linktest.Host(t, Transport, 0, stack, "127.0.0.1:0", make([]string, 2), node, group...)
+	g := linktest.Host(t, Transport, 0, stack, "127.0.0.1:0", make([]string, 2), opts...)
 	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -36,9 +36,9 @@ func newRawPeer(t *testing.T, stack core.Stack, node []engine.Option, group ...e
 }
 
 // recorderAtRawPeer is a raw peer whose node delivers into a recorder.
-func recorderAtRawPeer(t *testing.T, node []engine.Option, group ...engine.Option) (*rawPeer, *linktest.Recorder) {
+func recorderAtRawPeer(t *testing.T, opts ...engine.Option) (*rawPeer, *linktest.Recorder) {
 	rec := &linktest.Recorder{Inst: "rec"}
-	return newRawPeer(t, core.Stack{rec}, node, group...).(*rawPeer), rec
+	return newRawPeer(t, core.Stack{rec}, opts...).(*rawPeer), rec
 }
 
 func (p *rawPeer) Group() *engine.Group { return p.g }
@@ -97,7 +97,7 @@ func (p *rawPeer) Restart() {
 func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
 	// c = 2: both messages go out on one link before any acknowledgment.
-	p, rec := recorderAtRawPeer(t, []engine.Option{engine.WithBatch(1), engine.WithCapacity(2)})
+	p, rec := recorderAtRawPeer(t, engine.WithBatch(1), engine.WithCapacity(2))
 	g := p.g
 	out := []core.Message{
 		{Instance: "rec", Kind: "K", B: core.Payload{Tag: "m", Num: 42, Blob: []byte("body")}},
@@ -146,7 +146,7 @@ func TestBatchOneIsOneLinkFramePerMessage(t *testing.T) {
 func TestBatchedSendCoalescesAndCounts(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
 	const burst = 10
-	p, _ := recorderAtRawPeer(t, []engine.Option{engine.WithCapacity(burst)}) // default batching
+	p, _ := recorderAtRawPeer(t, engine.WithCapacity(burst)) // default batching
 	g := p.g
 	g.Do(func(env core.Env) {
 		for i := 0; i < burst; i++ {
@@ -182,7 +182,7 @@ func TestBatchedSendCoalescesAndCounts(t *testing.T) {
 // c messages, one of them with a body.
 func TestLinkFrameDeliveredPerMessage(t *testing.T) {
 	// Not parallel: shares the loopback path with the cluster tests.
-	p, rec := recorderAtRawPeer(t, nil)
+	p, rec := recorderAtRawPeer(t)
 	msgs := make([]core.Message, engine.DefaultCapacity)
 	for i := range msgs {
 		msgs[i] = core.Message{Instance: "rec", Kind: "K", B: core.Payload{Num: int64(i + 1)}}

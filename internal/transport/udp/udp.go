@@ -49,7 +49,7 @@ const slotBytes = 64 << 10
 // minReadBuffer is the floor of the socket receive buffer request.
 const minReadBuffer = 64 << 10
 
-// Transport is this link, for the engine's constructors (engine.NewNode,
+// Transport is this link, for the engine's constructors (engine.Host,
 // NewCluster, NewMux). The salt namespaces the substrate's injector seeds
 // (sim, runtime and tcp use their own).
 var Transport = engine.Transport{FaultSalt: 0x53, Bind: bind}
@@ -90,7 +90,7 @@ func bind(cfg engine.LinkConfig) (engine.Link, error) {
 	// in flight toward this node. A smaller buffer (the kernel clamps the
 	// request to its ceiling without an error) only costs legal losses:
 	// the bound is enforced by the senders' windows, not by this size.
-	if err := conn.SetReadBuffer(readBufferBytes(cfg.Peers-1, cfg.Capacity)); err != nil {
+	if err := conn.SetReadBuffer(readBufferBytes(cfg.Peers-1, cfg.Instances, cfg.Capacity)); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("udp: the kernel refused a receive buffer for %d peers at capacity %d: %w",
 			cfg.Peers-1, cfg.Capacity, err)
@@ -104,12 +104,13 @@ func bind(cfg engine.LinkConfig) (engine.Link, error) {
 }
 
 // readBufferBytes sizes the socket receive buffer: one maximal record
-// per window slot of every inbound link, one per peer — the groups, and
-// their instances, attach after the socket is bound — floored at
+// per window slot of every inbound link (peers × instances, at least one
+// instance on a mux node whose groups attach later), floored at
 // minReadBuffer and capped at 1 GiB, to keep the request representable
 // (the kernel clamps far lower).
-func readBufferBytes(peers, capacity int) int {
-	return int(min(max(int64(peers)*int64(capacity)*maxRecordBytes, minReadBuffer), 1<<30))
+func readBufferBytes(peers, instances, capacity int) int {
+	want := int64(peers) * int64(max(instances, 1)) * int64(capacity) * maxRecordBytes
+	return int(min(max(want, minReadBuffer), 1<<30))
 }
 
 func (s *socket) Addr() string { return s.conn.LocalAddr().String() }

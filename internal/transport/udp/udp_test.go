@@ -167,7 +167,7 @@ func TestMailboxBoundsBacklog(t *testing.T) {
 	// A node that is never activated accumulates at most one drained batch
 	// and one full mailbox — 2c messages per (sender, instance) — even
 	// from a peer that ignores the window.
-	p, _ := recorderAtRawPeer(t, nil)
+	p, _ := recorderAtRawPeer(t)
 	defer linktest.Freeze(p.g)()
 	flood(p, 100)
 	if !waitFor(t, 5*time.Second, func() bool { return p.g.Stats().MailboxDrops > 0 }) {
@@ -201,7 +201,7 @@ func TestStatsCountSendsAndDrops(t *testing.T) {
 func TestStatsCountDroppedSends(t *testing.T) {
 	t.Parallel()
 	stack := core.Stack{pif.New("pif", 0, 2, pif.Callbacks{})}
-	g := linktest.Host(t, Transport, 0, stack, "127.0.0.1:0", []string{"", "127.0.0.1:9"}, nil)
+	g := linktest.Host(t, Transport, 0, stack, "127.0.0.1:0", []string{"", "127.0.0.1:9"})
 	// Stop closes the socket (the loops were never started), so every
 	// subsequent WriteToUDP fails: the silent-swallow path of env.Send.
 	g.Node().Stop()
@@ -226,7 +226,7 @@ func TestStatsCountMailboxDrops(t *testing.T) {
 	// must count every overflowing message — and report each as a
 	// receive-side EvLose, never as the sender-side EvSendLost.
 	var losses, sendLost atomic.Int64
-	p, _ := recorderAtRawPeer(t, []engine.Option{engine.WithCapacity(1)}, engine.WithObserver(core.ObserverFunc(func(e core.Event) {
+	p, _ := recorderAtRawPeer(t, engine.WithCapacity(1), engine.WithObserver(core.ObserverFunc(func(e core.Event) {
 		switch e.Kind {
 		case core.EvLose:
 			losses.Add(1)
@@ -248,13 +248,14 @@ func TestStatsCountMailboxDrops(t *testing.T) {
 
 func TestNodeValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := engine.NewNode(Transport, 5, "127.0.0.1:0", []string{"a", "b"}); err == nil {
+	stack := core.Stack{pif.New("pif", 0, 2, pif.Callbacks{})}
+	if _, err := engine.Host(Transport, 5, stack, "127.0.0.1:0", []string{"a", "b"}); err == nil {
 		t.Fatal("out-of-range self accepted")
 	}
-	if _, err := engine.NewNode(Transport, 0, "127.0.0.1:0", []string{"", "not-an-addr:xx"}); err == nil {
+	if _, err := engine.Host(Transport, 0, stack, "127.0.0.1:0", []string{"", "not-an-addr:xx"}); err == nil {
 		t.Fatal("bad peer address accepted")
 	}
-	if _, err := engine.NewNode(Transport, 0, "127.0.0.1:0", make([]string, 2), engine.WithCapacity(0)); err == nil {
+	if _, err := engine.Host(Transport, 0, stack, "127.0.0.1:0", make([]string, 2), engine.WithCapacity(0)); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 }

@@ -120,8 +120,8 @@ func Runtime() Substrate {
 	}
 }
 
-// groupOptions assembles the per-cluster transport options: what every
-// engine cluster's group takes, dedicated or attached to a mux.
+// groupOptions assembles the per-cluster transport options: what a
+// dedicated socket substrate and a mux attachment both take.
 func groupOptions(o options, obs []core.Observer) []engine.Option {
 	eopts := make([]engine.Option, 0, len(obs)+4)
 	for _, ob := range obs {
@@ -136,17 +136,17 @@ func groupOptions(o options, obs []core.Observer) []engine.Option {
 	return eopts
 }
 
-// nodeOptions is what a node of a cluster's own takes: the window it
-// enforces and the graph that shapes its wiring.
-func nodeOptions(o options) []engine.Option {
-	return []engine.Option{engine.WithCapacity(o.capacity), engine.WithTopology(o.topology)}
+// nodeOptions is everything a dedicated node — in memory or on sockets —
+// takes: the group's options and the window its sockets enforce.
+func nodeOptions(o options, obs []core.Observer) []engine.Option {
+	return append(groupOptions(o, obs), engine.WithCapacity(o.capacity))
 }
 
 // newCluster builds a cluster on engine nodes of its own, on transport t.
 func newCluster(t engine.Transport) Substrate {
 	return Substrate{
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			return engine.NewCluster(t, stacks, append(nodeOptions(o), groupOptions(o, obs)...)...)
+			return engine.NewCluster(t, stacks, nodeOptions(o, obs)...)
 		},
 	}
 }
@@ -207,7 +207,7 @@ func TCPHost(f TCPFleet) Substrate {
 				Listen: f.Listen,
 				Peers:  f.Peers,
 			}
-			return tcp.NewHost(cfg, stacks, nodeOptions(o), groupOptions(o, obs)...)
+			return tcp.NewHost(cfg, stacks, nodeOptions(o, obs)...)
 		},
 	}
 }
