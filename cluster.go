@@ -132,16 +132,21 @@ func (c *clusterCore) newRequest() *Request {
 	return &Request{done: make(chan struct{})}
 }
 
-// start submits the request at process p: cond is evaluated in p's
-// atomic context until it holds, and the completion, in that same
-// context, completes r with the mapped terminal error. label names the
-// operation in error messages. onAbort, when non-nil, runs first if the
-// request failed, so it can undo per-request machine state (e.g. an
-// installed critical-section body) before the next request at p is
-// evaluated: requests at one process form a FIFO (core.Substrate), so
-// two never race for the machine's decision window. On Sim, r drives the
-// scheduler once someone waits for it.
-func (c *clusterCore) start(r *Request, p int, label string, cond func(env core.Env) bool, onAbort func(env core.Env)) {
+// start submits the request at process p in the paper's two phases,
+// both evaluated in p's atomic context: invoke runs until the machine
+// accepts the request (the model forbids re-requesting before the
+// previous decision), then decided runs, from that same evaluation on,
+// until the computation has decided, harvesting its results in place.
+// The completion, in that same context, completes r with the mapped
+// terminal error; label names the operation in error messages. onAbort,
+// when non-nil, runs first if a request the machine accepted failed, so
+// it can undo per-request machine state (e.g. an installed
+// critical-section body) before the next request at p is evaluated:
+// requests at one process form a FIFO (core.Substrate), so two never
+// race for the machine's decision window. For a p outside the cluster
+// none of the three runs and r fails with ErrInvalidProcess. On Sim, r
+// drives the scheduler once someone waits for it.
+func (c *clusterCore) start(r *Request, p int, label string, invoke, decided func(env core.Env) bool, onAbort func(env core.Env)) {
 	if p < 0 || p >= c.sub.N() {
 		r.err = fmt.Errorf("%w: %s at %d (cluster has %d)", ErrInvalidProcess, label, p, c.sub.N())
 		close(r.done)
@@ -150,8 +155,14 @@ func (c *clusterCore) start(r *Request, p int, label string, cond func(env core.
 	if c.simNet != nil {
 		r.drive = c.simNet.Drive
 	}
-	c.sub.Submit(core.ProcID(p), cond, func(env core.Env, err error) {
-		if err != nil && onAbort != nil {
+	accepted := false
+	c.sub.Submit(core.ProcID(p), func(env core.Env) bool {
+		if !accepted {
+			accepted = invoke(env)
+		}
+		return accepted && decided(env)
+	}, func(env core.Env, err error) {
+		if err != nil && accepted && onAbort != nil {
 			onAbort(env)
 		}
 		if err == nil {

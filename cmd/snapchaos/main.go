@@ -29,6 +29,11 @@
 //	snapchaos -scenario corrupted-start -protocol forward -substrate tcp -topology tree
 //	snapchaos -substrate sim -capacity 2
 //	snapchaos -list
+//	snapchaos -topology gnp:0.3 -n 16 -seed 7 -graph graph.txt
+//
+// -graph FILE writes the -topology graph, resolved for -n and -seed as a
+// run resolves it, to FILE ("-" for stdout) in the graph.txt format every
+// -topology flag reads, and exits: one command line, one graph.
 //
 // -capacity c runs every cluster at the known channel bound c
 // (snapstab.WithCapacity); 0 keeps the default, the paper's c = 1 on
@@ -71,8 +76,17 @@ func main() {
 		timeout    = flag.Duration("timeout", 2*time.Minute, "per-run deadline")
 		failures   = flag.String("failures", "", "append failing run descriptors to this file")
 		list       = flag.Bool("list", false, "list scenarios and exit")
+		graph      = flag.String("graph", "", "write the -topology graph, resolved for -n and -seed, to this file (- for stdout) and exit")
 	)
 	flag.Parse()
+
+	if *graph != "" {
+		if err := writeGraph(os.Stdout, *graph, *topologyF, *n, *seed); err != nil {
+			fmt.Fprintln(os.Stderr, "snapchaos:", err)
+			os.Exit(2)
+		}
+		return
+	}
 
 	if *list {
 		for _, sc := range scenarios {
@@ -109,6 +123,34 @@ func main() {
 		fmt.Fprintf(os.Stderr, "snapchaos: %d run(s) FAILED\n", len(failed))
 		os.Exit(1)
 	}
+}
+
+// writeGraph writes the topology spec resolves to for n processes and
+// seed, in the graph.txt format every -topology flag reads, to the file
+// out ("-" for w); a file's summary line goes to w.
+func writeGraph(w io.Writer, out, spec string, n int, seed uint64) error {
+	if n < 2 {
+		return fmt.Errorf("need n >= 2, got %d", n)
+	}
+	topo, err := snapstab.ResolveTopology(spec, n, seed)
+	if err != nil {
+		return err
+	}
+	if out == "-" {
+		_, err := io.WriteString(w, topo.String())
+		return err
+	}
+	if err := os.WriteFile(out, []byte(topo.String()), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s: %d processes, %d edges", out, topo.N(), topo.EdgeCount())
+	if !topo.Connected() {
+		// G(n, p) may come out disconnected; cluster-wide protocols
+		// cannot span such a graph, so say so where it is visible.
+		fmt.Fprint(w, " (disconnected)")
+	}
+	fmt.Fprintln(w)
+	return nil
 }
 
 // config selects what the gauntlet runs.

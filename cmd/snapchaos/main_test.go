@@ -2,12 +2,15 @@ package main
 
 import (
 	"fmt"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	snapstab "github.com/snapstab/snapstab"
 )
 
 // TestGauntletOnSim runs the whole scenario library against every
@@ -338,5 +341,32 @@ func TestFailureDescriptorsCarryTopologyAndCapacity(t *testing.T) {
 	// With neither set, the descriptor is the five-field form.
 	if got := (config{N: 3, Seed: 7}).knobs(); got != "n=3 seed=7" {
 		t.Fatalf("knobs() = %q, want %q", got, "n=3 seed=7")
+	}
+}
+
+// TestGraphWritesResolvedTopology: -graph - prints the graph a run would
+// resolve from -topology, -n and -seed, in the format -topology reads
+// back; a file gets the same text and a summary line naming a
+// disconnected graph as such.
+func TestGraphWritesResolvedTopology(t *testing.T) {
+	want, err := snapstab.ResolveTopology("gnp:0.1", 12, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := writeGraph(&out, "-", "gnp:0.1", 12, 2); err != nil || out.String() != want.String() {
+		t.Fatalf("-graph - printed %q (%v), want %q", out.String(), err, want.String())
+	}
+	file := filepath.Join(t.TempDir(), "graph.txt")
+	out.Reset()
+	if err := writeGraph(&out, file, "gnp:0.1", 12, 2); err != nil {
+		t.Fatal(err)
+	}
+	back, err := snapstab.ResolveTopology(file, 12, 0)
+	if err != nil || back.String() != want.String() {
+		t.Fatalf("the file reads back as %q (%v), want %q", back.String(), err, want.String())
+	}
+	if line := fmt.Sprintf("wrote %s: 12 processes, %d edges (disconnected)\n", file, want.EdgeCount()); out.String() != line {
+		t.Fatalf("summary %q, want %q", out.String(), line)
 	}
 }

@@ -149,15 +149,9 @@ func (r *ForwardRequest) Key() string { return r.key.String() }
 // substrate. The request completes when the item reaches dst.
 func (c *ForwardingCluster[T]) SendAsync(p, dst int, v T) *ForwardRequest {
 	req := &ForwardRequest{Request: c.newRequest()}
-	n := c.N()
-	if dst < 0 || dst >= n {
+	if n := c.N(); dst < 0 || dst >= n {
 		req.err = fmt.Errorf("%w: send to %d (cluster has %d)", ErrInvalidProcess, dst, n)
 		close(req.done)
-		return req
-	}
-	if p < 0 || p >= n {
-		// start fails the request with the uniform error; nothing is armed.
-		c.start(req.Request, p, "send", nil, nil)
 		return req
 	}
 	body, err := c.codec.Marshal(v)
@@ -173,28 +167,23 @@ func (c *ForwardingCluster[T]) SendAsync(p, dst int, v T) *ForwardRequest {
 	}
 	it := fwd.Item{Src: core.ProcID(p), Dst: core.ProcID(dst), Seq: c.seq.Add(1) - 1, Body: body}
 	req.key = spec.FwdKey{Src: it.Src, Dst: it.Dst, Seq: it.Seq}
-	c.chkMu.Lock()
-	c.checker.Arm(req.key)
-	c.chkMu.Unlock()
-	machine := c.machines[p]
 	// On a substrate hosting a single process of a multi-daemon fleet the
 	// destination's delivery event fires in another daemon, where this
 	// checker cannot see it. There the request completes at hand-off —
 	// the next hop has accepted the item, and the protocol's no-loss
 	// guarantee carries it to dst; delivery confirmation lives at the
 	// destination daemon (Deliveries at dst).
-	handoff := false
-	if h, ok := c.sub.(interface{ Self() core.ProcID }); ok && int(h.Self()) == p && dst != p {
-		handoff = true
-	}
-	injected := false
+	h, hosted := c.sub.(interface{ Self() core.ProcID })
+	handoff := hosted && int(h.Self()) == p && dst != p
 	c.start(req.Request, p, "send", func(env core.Env) bool {
-		if !injected {
-			machine.Submit(env, it)
-			injected = true
-		}
+		c.chkMu.Lock()
+		c.checker.Arm(req.key)
+		c.chkMu.Unlock()
+		c.machines[p].Submit(env, it)
+		return true
+	}, func(core.Env) bool {
 		if handoff {
-			return !machine.Holds(it)
+			return !c.machines[p].Holds(it)
 		}
 		return c.delivered(req.key)
 	}, nil)

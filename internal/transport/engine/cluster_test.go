@@ -742,8 +742,8 @@ func TestProtocolObserverSeesNoTraffic(t *testing.T) {
 	c := start(t, stacks, WithObserver(&plain), WithObserver(&proto),
 		WithFaults(&core.FaultPlan{Seed: 3, Default: core.LinkFaults{DropRate: 0.2}}))
 	c.Do(0, func(env core.Env) { // the second send finds the window shut
-		env.Send(1, core.Message{Instance: "stray", Kind: "K"})
-		env.Send(1, core.Message{Instance: "stray", Kind: "K"})
+		env.Send(1, core.Message{Instance: "pif", Kind: "K"}) // consumed by a PIF with no effect
+		env.Send(1, core.Message{Instance: "pif", Kind: "K"})
 	})
 	for i := int64(1); ; i++ {
 		await(t, c, machines[0], core.Payload{Tag: "t", Num: i})

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -458,7 +460,7 @@ func TestCrashWindowSuppressesEagerStepping(t *testing.T) {
 	}
 	// Mail already in transit when the window opened stays in its box.
 	nodes[0].mbMu.Lock()
-	nodes[0].box(group0(nodes[0]), 1, core.Message{Instance: "pif", Kind: pif.Kind})
+	nodes[0].box(group0(nodes[0]).channel(1, "pif"), core.Message{Instance: "pif", Kind: pif.Kind})
 	nodes[0].mbMu.Unlock()
 	request(t, nodes[0], machines[0], core.Payload{Tag: "hello", Num: 8})
 	nodes[0].tick()
@@ -672,27 +674,53 @@ func TestCorruptedMailIsLost(t *testing.T) {
 	}
 }
 
-// TestUnknownInstanceMailIsConsumed: mail for an instance the stack does
-// not have is taken from its mailbox like any other and handed to no one;
-// its window slots come back, and the acknowledgment leaves as an echo.
-func TestUnknownInstanceMailIsConsumed(t *testing.T) {
+// TestUnroutedInstanceMailIsLost: a peer cannot grow a group's channel
+// table by naming instances. A frame naming 1,000 instances the stack
+// does not route, beside one it does, creates no record: every unrouted
+// message is one EvLose and one drop on the sender's link, and the routed
+// one is delivered.
+func TestUnroutedInstanceMailIsLost(t *testing.T) {
+	const unrouted = 1000
 	var got deliveries
-	_, nodes, _ := still(t, 2, WithObserver(&got), WithCapacity(2)) // room for the frame's two messages
+	var lost atomic.Int64
+	_, nodes, _ := still(t, 2, WithObserver(&got), WithObserver(core.ObserverFunc(func(ev core.Event) {
+		if ev.Kind == core.EvLose {
+			lost.Add(1)
+		}
+	})))
 	n := nodes[0]
-	n.arrive(1, 0, []wire.LinkHeader{{Instance: "nope", Seq: 9, Count: 2}},
-		[]core.Message{{Instance: "nope", Kind: "K"}, {Instance: "nope", Kind: "K"}})
-	n.drainMail()
-	n.mbMu.Lock()
-	c := group0(n).channel(1, "nope")
-	inBox, occupied := len(c.box), c.end.Occupied()
-	n.mbMu.Unlock()
-	if inBox != 0 || occupied != 0 || len(got.snapshot()) != 0 {
-		t.Fatalf("after the drain: %d in the box, %d occupying the window, deliveries %v; want 0, 0, none", inBox, occupied, got.snapshot())
+	records := func() int {
+		n.mbMu.Lock()
+		defer n.mbMu.Unlock()
+		return len(group0(n).peers[1].chans)
 	}
-	n.tick()
-	n.tick()
-	if s := group0(n).Stats(); s.Recvs != 2 || s.MailboxDrops != 0 || s.EchoFrames != 1 {
-		t.Fatalf("Recvs = %d, MailboxDrops = %d, EchoFrames = %d; want 2, 0, 1", s.Recvs, s.MailboxDrops, s.EchoFrames)
+	from1(n, 0, 1) // the routed channel's record exists before the count
+	n.drainMail()
+	before, dropped := records(), group0(n).Stats().Links[0].Dropped
+	links := []wire.LinkHeader{{Instance: "pif", Seq: 1, Count: 1}}
+	msgs := []core.Message{{Instance: "pif", Kind: pif.Kind, B: core.Payload{Num: 2}}}
+	for i := 0; i < unrouted; i++ {
+		inst := fmt.Sprint("nope", i)
+		links = append(links, wire.LinkHeader{Instance: inst, Seq: 9, Count: 1})
+		msgs = append(msgs, core.Message{Instance: inst, Kind: "K"})
+	}
+	n.arrive(1, 0, links, msgs)
+	if after := records(); after != before {
+		t.Fatalf("%d channel records after the unrouted mail, %d before", after, before)
+	}
+	if d := group0(n).Stats().Links[0].Dropped - dropped; lost.Load() != unrouted || d != unrouted {
+		t.Fatalf("%d EvLose, %d drops on the sender's link; want %d each", lost.Load(), d, unrouted)
+	}
+	n.drainMail()
+	if !got.upTo(2) {
+		t.Fatalf("deliveries %v; want the routed messages 1 and 2", got.snapshot())
+	}
+	// Nor does a send on an unrouted instance make a record: it is lost
+	// at the sender.
+	drops := group0(n).Stats().SendDrops
+	group0(n).Do(func(env core.Env) { env.Send(1, core.Message{Instance: "nope0", Kind: "K"}) })
+	if after, d := records(), group0(n).Stats().SendDrops-drops; after != before || d != 1 {
+		t.Fatalf("a send on an unrouted instance: %d records (%d before), %d send drops; want 1", after, before, d)
 	}
 }
 

@@ -459,6 +459,7 @@ type groupSet struct {
 // leaves it in one place.
 type Chan struct {
 	g        *Group
+	mach     core.Machine // the machine that serves Instance here
 	Peer     core.ProcID
 	Instance string
 
@@ -470,7 +471,9 @@ type Chan struct {
 }
 
 // channel returns g's record for (peer, instance), creating it on first
-// use: a scan of the peer's few instances, no hashing. Callers hold n.mbMu.
+// use: a scan of the peer's few instances, no hashing. An instance the
+// stack does not route gets no record, and nil: a peer cannot grow the
+// table by naming instances. Callers hold n.mbMu.
 func (g *Group) channel(peer core.ProcID, instance string) *Chan {
 	pl := &g.peers[peer]
 	for _, c := range pl.chans {
@@ -478,9 +481,13 @@ func (g *Group) channel(peer core.ProcID, instance string) *Chan {
 			return c
 		}
 	}
+	mach := g.routes[instance]
+	if mach == nil {
+		return nil
+	}
 	// A random first sequence keeps a restarted node's numbering clear of
 	// acknowledgments addressed to its previous life.
-	c := &Chan{g: g, Peer: peer, Instance: instance}
+	c := &Chan{g: g, mach: mach, Peer: peer, Instance: instance}
 	c.end.Link = window.NewLink(g.n.capacity, 1+uint64(rand.Uint32()>>1))
 	pl.chans = append(pl.chans, c)
 	return c
@@ -753,6 +760,11 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 	now := n.clock()
 	n.mbMu.Lock()
 	c := g.channel(to, m.Instance)
+	if c == nil {
+		n.mbMu.Unlock()
+		lost("no route") // the peer's stack, built alike, would lose it on arrival
+		return
+	}
 	fate, at := c.end.Send(v.path, m, now, stepInterval)
 	n.mbMu.Unlock()
 	n.wake = min(n.wake, at) // flush sets the timer
@@ -813,8 +825,8 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 		return false // not a neighbour in this group's graph: dropped
 	}
 	var lost []core.Message
-	box := func(m core.Message) {
-		if n.box(g, sender, m) {
+	box := func(c *Chan, m core.Message) {
+		if n.box(c, m) {
 			owed = true
 		} else if len(g.traffic) > 0 {
 			lost = append(lost, m)
@@ -825,6 +837,9 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 	// frame's messages occupy the sender's until they are consumed.
 	for _, h := range links {
 		c := g.channel(sender, h.Instance)
+		if c == nil {
+			continue // an instance not routed here: the header is ignored
+		}
 		_, ask := c.end.Arrive(window.Header{Seq: h.Seq, Ack: h.Ack, Probe: h.Probe}, h.Count)
 		if ask && !c.heard {
 			c.heard = true
@@ -838,13 +853,22 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 			// A released message keeps the window slot it has held since it
 			// arrived, as in flushDelayed.
 			for _, m := range g.inj.Traffic(sender, n.self, h.Instance, g.now()) {
-				box(m)
+				box(c, m)
 			}
 		}
 	}
 	for _, m := range msgs {
+		c := g.channel(sender, m.Instance)
+		if c == nil {
+			// Mail for an instance not routed here is lost on arrival.
+			g.peers[sender].dropped.Add(1)
+			if len(g.traffic) > 0 {
+				lost = append(lost, m)
+			}
+			continue
+		}
 		if g.inj == nil {
-			box(m)
+			box(c, m)
 			continue
 		}
 		// Per logical message, never per frame: packing is invisible to
@@ -855,13 +879,13 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 		// injector now holds back on this link: a drop frees the slot, a
 		// duplicate occupies one more, holdback keeps it.
 		if d := len(out) + g.inj.Held() - held - 1; d != 0 {
-			g.channel(sender, m.Instance).end.Occupy(d)
+			c.end.Occupy(d)
 		}
 		if fate == core.FateDrop && len(g.traffic) > 0 {
 			lost = append(lost, m)
 		}
-		for _, dm := range out {
-			box(dm)
+		for _, dm := range out { // held back per channel: all of them c's
+			box(c, dm)
 		}
 	}
 	n.mbMu.Unlock()
@@ -884,7 +908,7 @@ func (n *Node) flushDelayed() {
 		for _, r := range rel {
 			// A released message keeps the window slot it has held since
 			// it arrived.
-			if !n.box(g, r.From, r.Msg) && len(g.traffic) > 0 {
+			if !n.box(g.channel(r.From, r.Msg.Instance), r.Msg) && len(g.traffic) > 0 {
 				lost = append(lost, r)
 			}
 		}
@@ -902,12 +926,12 @@ func (n *Node) flushDelayed() {
 // EvLose once mbMu is released. The mailbox has one slot per
 // window slot, so only traffic that ignored the window (or a fault-plane
 // duplicate) is lost here. Callers hold n.mbMu.
-func (n *Node) box(g *Group, sender core.ProcID, m core.Message) bool {
-	c := g.channel(sender, m.Instance)
+func (n *Node) box(c *Chan, m core.Message) bool {
+	g := c.g
 	if len(c.box) >= n.capacity {
 		c.end.Occupy(-1)
 		g.mailboxDrops.Add(1)
-		g.peers[sender].dropped.Add(1)
+		g.peers[c.Peer].dropped.Add(1)
 		return false
 	}
 	if len(c.box) == 0 {
@@ -915,7 +939,7 @@ func (n *Node) box(g *Group, sender core.ProcID, m core.Message) bool {
 	}
 	c.box = append(c.box, m)
 	g.recvs.Add(1)
-	g.peers[sender].recvd.Add(1)
+	g.peers[c.Peer].recvd.Add(1)
 	return true
 }
 
@@ -1240,11 +1264,10 @@ func (n *Node) deliver(batch []*Chan) (held []*Chan) {
 			held = append(held, c) // crash window: still in transit
 			continue
 		}
-		mach := g.routes[c.Instance]
 		n.mbMu.Lock()
 		n.taken, c.box = c.box, n.taken[:0] // the channel gets the last drained mailbox's room
 		n.mbMu.Unlock()
-		if mach != nil && !g.dirty {
+		if !g.dirty {
 			g.dirty = true
 			n.dirty = append(n.dirty, g)
 		}
@@ -1255,15 +1278,10 @@ func (n *Node) deliver(batch []*Chan) (held []*Chan) {
 			n.mbMu.Lock()
 			c.end.Occupy(-1)
 			n.mbMu.Unlock()
-			if mach == nil {
-				// Mail for an unknown instance is consumed with no effect,
-				// like a receive action with a false guard.
-				continue
-			}
 			if len(g.traffic) > 0 {
 				g.traffic.OnEvent(core.Event{Kind: core.EvDeliver, Proc: n.self, Peer: c.Peer, Instance: c.Instance, Msg: m})
 			}
-			mach.Deliver(ev, c.Peer, m)
+			c.mach.Deliver(ev, c.Peer, m)
 		}
 	}
 	for i, g := range n.dirty {

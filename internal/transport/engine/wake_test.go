@@ -35,7 +35,7 @@ func parked(t *testing.T, opts ...Option) []*Node {
 func TestWakeOnMail(t *testing.T) {
 	nodes := parked(t)
 	n := nodes[0]
-	n.arrive(1, 0, []wire.LinkHeader{{Instance: "nope", Seq: 9, Count: 1}}, []core.Message{{Instance: "nope", Kind: "K"}})
+	n.arrive(1, 0, []wire.LinkHeader{{Instance: "pif", Seq: 9, Count: 1}}, []core.Message{{Instance: "pif", Kind: "K"}})
 	pin(n)
 	n.drainMail()
 	if !armed(n) {

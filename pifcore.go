@@ -147,29 +147,15 @@ func (c *pifCore) specReport() SpecReport {
 // no matter how corrupted the cluster was at submission.
 func (c *pifCore) broadcastAsync(p int, token core.Payload) *payloadBroadcastRequest {
 	req := &payloadBroadcastRequest{Request: c.newRequest()}
-	// An out-of-range p fails the request in start before the condition
-	// can ever run, so the nil machine is never dereferenced.
-	var machine *pif.PIF
-	if p >= 0 && p < len(c.machines) {
-		machine = c.machines[p]
-	}
 	sink := &feedbackSink{fb: make(map[core.ProcID]core.Payload)}
-	injected := false
-	abort := func(core.Env) {
-		if injected && c.active[p] == sink {
-			c.active[p] = nil
-		}
-	}
 	c.start(req.Request, p, "broadcast", func(env core.Env) bool {
-		if !injected {
-			if !machine.Invoke(env, token) {
-				return false
-			}
-			injected = true
-			c.active[p] = sink
+		if !c.machines[p].Invoke(env, token) {
 			return false
 		}
-		if !machine.Done() || !machine.BMes.Equal(token) {
+		c.active[p] = sink
+		return true
+	}, func(env core.Env) bool {
+		if machine := c.machines[p]; !machine.Done() || !machine.BMes.Equal(token) {
 			return false
 		}
 		c.active[p] = nil
@@ -180,6 +166,6 @@ func (c *pifCore) broadcastAsync(p int, token core.Payload) *payloadBroadcastReq
 			}
 		}
 		return true
-	}, abort)
+	}, func(core.Env) { c.active[p] = nil })
 	return req
 }

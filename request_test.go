@@ -23,7 +23,7 @@ import (
 // wants, ahead of any request issued after it at p.
 func held(c *clusterCore, p int, release *atomic.Bool) *Request {
 	r := c.newRequest()
-	c.start(r, p, "held", func(core.Env) bool { return release.Load() }, nil)
+	c.start(r, p, "held", func(core.Env) bool { return release.Load() }, func(core.Env) bool { return true }, nil)
 	return r
 }
 

@@ -71,16 +71,10 @@ func (r *ResetRequest) Epoch() int64 {
 // immediately.
 func (c *ResetCluster) ResetAsync(p int) *ResetRequest {
 	req := &ResetRequest{Request: c.newRequest()}
-	var machine *reset.Reset
-	if p >= 0 && p < len(c.machines) {
-		machine = c.machines[p]
-	}
-	injected := false
 	c.start(req.Request, p, "reset", func(env core.Env) bool {
-		if !injected {
-			injected = machine.Invoke(env)
-			return false
-		}
+		return c.machines[p].Invoke(env)
+	}, func(core.Env) bool {
+		machine := c.machines[p]
 		if !machine.Done() {
 			return false
 		}

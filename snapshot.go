@@ -58,16 +58,10 @@ func (r *CollectRequest) Views() []Payload {
 // immediately.
 func (c *SnapshotCluster) CollectAsync(p int) *CollectRequest {
 	req := &CollectRequest{Request: c.newRequest()}
-	var machine *snapshot.Snapshot
-	if p >= 0 && p < len(c.machines) {
-		machine = c.machines[p]
-	}
-	injected := false
 	c.start(req.Request, p, "collect", func(env core.Env) bool {
-		if !injected {
-			injected = machine.Invoke(env)
-			return false
-		}
+		return c.machines[p].Invoke(env)
+	}, func(core.Env) bool {
+		machine := c.machines[p]
 		if !machine.Done() {
 			return false
 		}

@@ -366,16 +366,10 @@ func (r *LearnRequest) Table() []int64 {
 // immediately.
 func (c *IDCluster) LearnAsync(p int) *LearnRequest {
 	req := &LearnRequest{Request: c.newRequest()}
-	var machine *idl.IDL
-	if p >= 0 && p < len(c.machines) {
-		machine = c.machines[p]
-	}
-	injected := false
 	c.start(req.Request, p, "learn", func(env core.Env) bool {
-		if !injected {
-			injected = machine.Invoke(env)
-			return false
-		}
+		return c.machines[p].Invoke(env)
+	}, func(core.Env) bool {
+		machine := c.machines[p]
 		if !machine.Done() {
 			return false
 		}
@@ -459,39 +453,30 @@ func (c *MutexCluster) CorruptEverything(seed uint64) {
 // requesting processes.
 func (c *MutexCluster) AcquireAsync(p int, body func()) *Request {
 	req := c.newRequest()
-	var machine *mutex.ME
-	if p >= 0 && p < len(c.machines) {
-		machine = c.machines[p]
-	}
-	injected := false
-	abort := func(core.Env) {
+	c.start(req, p, "acquire", func(env core.Env) bool {
+		machine := c.machines[p]
+		if !machine.Invoke(env) {
+			return false
+		}
+		// The machine serves one request at a time, so the body installed
+		// here is unambiguously this request's: it is set only after the
+		// machine accepted the request, and cleared at its decision or
+		// abort, all in p's atomic context.
+		machine.CSBody = body
+		return true
+	}, func(core.Env) bool {
+		if c.machines[p].Requested() {
+			return false
+		}
+		c.machines[p].CSBody = nil
+		return true
+	}, func(core.Env) {
 		// An aborted request (budget, Close) may leave the machine with a
 		// pending computation; that is the model's business. Its body is
 		// ours: it must never run for a request the caller was told
 		// failed.
-		if injected {
-			machine.CSBody = nil
-		}
-	}
-	c.start(req, p, "acquire", func(env core.Env) bool {
-		if !injected {
-			if !machine.Invoke(env) {
-				return false
-			}
-			injected = true
-			// The machine serves one request at a time, so the body
-			// installed here is unambiguously this request's: it is set
-			// only after the machine accepted the request, and cleared at
-			// its decision, both in p's atomic context.
-			machine.CSBody = body
-			return false
-		}
-		if machine.Requested() {
-			return false
-		}
-		machine.CSBody = nil
-		return true
-	}, abort)
+		c.machines[p].CSBody = nil
+	})
 	return req
 }
 
