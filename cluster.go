@@ -155,14 +155,13 @@ func (c *clusterCore) start(r *Request, p int, label string, invoke, decided fun
 	if c.simNet != nil {
 		r.drive = c.simNet.Drive
 	}
-	accepted := false
 	c.sub.Submit(core.ProcID(p), func(env core.Env) bool {
-		if !accepted {
-			accepted = invoke(env)
+		if !r.accepted {
+			r.accepted = invoke(env)
 		}
-		return accepted && decided(env)
+		return r.accepted && decided(env)
 	}, func(env core.Env, err error) {
-		if err != nil && accepted && onAbort != nil {
+		if err != nil && r.accepted && onAbort != nil {
 			onAbort(env)
 		}
 		if err == nil {
@@ -175,14 +174,13 @@ func (c *clusterCore) start(r *Request, p int, label string, invoke, decided fun
 
 // describeErr maps substrate errors onto the façade's sentinel errors.
 func describeErr(err error, label string, p int) error {
-	var budget *sim.ErrBudget
 	switch {
 	case err == nil:
 		return nil
-	case errors.As(err, &budget):
-		return fmt.Errorf("%w: %s at %d", ErrBudget, label, p)
 	case errors.Is(err, core.ErrClosed):
 		return fmt.Errorf("%w: %s at %d", ErrClosed, label, p)
+	case errors.As(err, new(*sim.ErrBudget)): // the target escapes: made only for an error that is not ErrClosed
+		return fmt.Errorf("%w: %s at %d", ErrBudget, label, p)
 	}
 	return fmt.Errorf("snapstab: %s at %d: %w", label, p, err)
 }

@@ -40,25 +40,26 @@
 //
 // # Concurrency structure
 //
-// Every (group, peer, instance) channel is one record, a Chan: its link
-// end (window.End: the last message sent, under the action mutex mu, and
-// the window, under the node's mailbox lock mbMu) and its mailbox (under
-// mbMu, with the list of channels that have mail). The receive side and
-// the drain are coupled only through that list: a frame's arrival feeds
-// the windows and boxes the decoded messages; the drain section, under
-// mu, swaps the list out, takes each listed channel's mailbox and
-// delivers it, performing any resulting sends. A node has one timer, a
-// time.AfterFunc, and at most one activation loop, carry, which takes a
-// wakeup or the timer and runs one section. The links differ only in who
-// may drain and whether that loop parks. A socket reader only boxes and
-// wakes: the loop runs from Start to Stop and drains. A node on the
-// in-memory link owns no goroutine while its load quiesces: the link
-// hands a section's frames over on the sender's goroutine and then
-// settles each receiver, which drains right there if a TryLock of its mu
-// succeeds (TryLock never waits); if it fails, the section holding mu
-// drains as it releases the lock (release). A load that outlasts a
-// release's budget starts the loop, which ends once the node's timer
-// parks. The lock order is mu → mbMu (snapvet's lockorder).
+// Every (group, peer, instance) channel is one record, a Chan, built as
+// its group attaches: its link end (window.End: the last message sent,
+// under the action mutex mu, and the window, under the node's mailbox
+// lock mbMu) and its mailbox (under mbMu, with the list of channels that
+// have mail). The receive side and the drain are coupled only through
+// that list: a frame's arrival feeds the windows and boxes the decoded
+// messages; the drain section, under mu, swaps the list out, takes each
+// listed channel's mailbox and delivers it, performing any resulting
+// sends. A node has one timer, a time.AfterFunc, and at most one
+// activation loop, carry, which takes a wakeup or the timer and runs one
+// section. The links differ only in who may drain and whether that loop
+// parks. A socket reader only boxes and wakes: the loop runs from Start
+// to Stop and drains. A node on the in-memory link owns no goroutine
+// while its load quiesces: the link hands a section's frames over on the
+// sender's goroutine and then settles each receiver, which drains right
+// there if a TryLock of its mu succeeds (TryLock never waits); if it
+// fails, the section holding mu drains as it releases the lock
+// (release). A load that outlasts a release's budget starts the loop,
+// which ends once the node's timer parks. The lock order is mu → mbMu
+// (snapvet's lockorder).
 //
 // The engine is event-driven end to end (DESIGN.md §7): a section that
 // delivered mail ends, before its frames leave, by stepping the stacks it
@@ -287,7 +288,6 @@ type Group struct {
 	n         *Node
 	id        uint64
 	stack     core.Stack
-	routes    map[string]core.Machine
 	topo      *core.Topology
 	observers core.MultiObserver      // every observer: the protocol events
 	traffic   core.MultiObserver      // those that are no core.ProtocolObserver: the traffic events too
@@ -314,12 +314,12 @@ type Group struct {
 }
 
 // peerLinks is what a group keeps per peer: the message counters, the
-// channels, one per instance in creation order, created on first use,
-// and the frame open toward the peer.
+// channels, one per instance in stack order, all built at the attach
+// (none toward a non-neighbour), and the frame open toward the peer.
 type peerLinks struct {
 	sent, recvd, dropped atomic.Int64
-	chans                []*Chan // under n.mbMu
-	open                 int     // 1 + the open frame's index in n.out, 0 if none; under n.mu
+	chans                []Chan // fixed at the attach; each record's window and mailbox under n.mbMu
+	open                 int    // 1 + the open frame's index in n.out, 0 if none; under n.mu
 }
 
 // settle ends an atomic section of the group: the stack steps on path
@@ -390,8 +390,8 @@ func (g *Group) Stats() core.TransportStats {
 			Received: pl.recvd.Load(),
 			Dropped:  pl.dropped.Load(),
 		}
-		for _, c := range pl.chans {
-			c.end.Gauge(&ls)
+		for i := range pl.chans {
+			pl.chans[i].end.Gauge(&ls)
 		}
 		s.Links = append(s.Links, ls)
 	}
@@ -413,7 +413,6 @@ func (n *Node) attach(id uint64, stack core.Stack, o options, epoch time.Time) (
 		n:         n,
 		id:        id,
 		stack:     stack,
-		routes:    stack.ByInstance(),
 		topo:      topo,
 		observers: o.observers,
 		fault:     plan,
@@ -428,6 +427,18 @@ func (n *Node) attach(id uint64, stack core.Stack, o options, epoch time.Time) (
 	for path := range g.envs {
 		g.paths[path] = env{n: n, g: g, path: core.SendPath(path)}
 		g.envs[path] = &g.paths[path]
+	}
+	// Every record is built here, and nowhere else, wired yet or not. A
+	// random first sequence keeps a restarted node's numbering clear of
+	// acknowledgments addressed to its previous life.
+	for p := range g.peers {
+		if peer := core.ProcID(p); peer != n.self && (topo == nil || topo.HasEdge(n.self, peer)) {
+			g.peers[p].chans = make([]Chan, len(stack))
+			for i, mach := range stack {
+				g.peers[p].chans[i] = Chan{g: g, mach: mach, Peer: peer, Instance: mach.Instance(),
+					end: window.End{Link: window.NewLink(n.capacity, 1+uint64(rand.Uint32()>>1))}}
+			}
+		}
 	}
 	if plan != nil {
 		if err := plan.Validate(); err != nil {
@@ -454,12 +465,12 @@ type groupSet struct {
 }
 
 // Chan is this node's end of one channel: the two directed links between
-// one group here and at Peer that serve one protocol instance. It is all
-// the engine knows about the channel, so a message enters, waits in and
-// leaves it in one place.
+// one group here and at Peer that serve one protocol instance, a slot of
+// its group's table fixed at the attach. It is all the engine knows about
+// the channel, so a message enters, waits in and leaves it in one place.
 type Chan struct {
 	g        *Group
-	mach     core.Machine // the machine that serves Instance here
+	mach     core.Machine // the stack slot that serves Instance here
 	Peer     core.ProcID
 	Instance string
 
@@ -470,27 +481,17 @@ type Chan struct {
 	heard bool           // listed in n.heard
 }
 
-// channel returns g's record for (peer, instance), creating it on first
-// use: a scan of the peer's few instances, no hashing. An instance the
-// stack does not route gets no record, and nil: a peer cannot grow the
-// table by naming instances. Callers hold n.mbMu.
+// channel returns g's record for (peer, instance), a scan of the peer's
+// few instances, or nil: the table is fixed at the attach, so a name the
+// stack does not route, or a peer that is no neighbour, has none.
 func (g *Group) channel(peer core.ProcID, instance string) *Chan {
 	pl := &g.peers[peer]
-	for _, c := range pl.chans {
-		if c.Instance == instance {
-			return c
+	for i := range pl.chans {
+		if pl.chans[i].Instance == instance {
+			return &pl.chans[i]
 		}
 	}
-	mach := g.routes[instance]
-	if mach == nil {
-		return nil
-	}
-	// A random first sequence keeps a restarted node's numbering clear of
-	// acknowledgments addressed to its previous life.
-	c := &Chan{g: g, mach: mach, Peer: peer, Instance: instance}
-	c.end.Link = window.NewLink(g.n.capacity, 1+uint64(rand.Uint32()>>1))
-	pl.chans = append(pl.chans, c)
-	return c
+	return nil
 }
 
 // Node is one process on one link, hosting one or more groups.
@@ -529,8 +530,8 @@ type Node struct {
 	wake, next time.Duration
 
 	// mbMu guards every channel's window and mailbox, every group's
-	// channel map and injector, and the ready list. It is never held
-	// across link calls, protocol actions or observers.
+	// injector, and the ready list. It is never held across link calls,
+	// protocol actions or observers.
 	mbMu  sync.Mutex
 	ready []*Chan // the channels with a non-empty mailbox, each listed once
 	spare []*Chan // the drained list, swapped back in by drain
@@ -757,14 +758,13 @@ func (v *env) Send(to core.ProcID, m core.Message) {
 		}
 		g.refused = g.refused || v.path == core.PathEager
 	}
-	now := n.clock()
-	n.mbMu.Lock()
 	c := g.channel(to, m.Instance)
 	if c == nil {
-		n.mbMu.Unlock()
 		lost("no route") // the peer's stack, built alike, would lose it on arrival
 		return
 	}
+	now := n.clock()
+	n.mbMu.Lock()
 	fate, at := c.end.Send(v.path, m, now, stepInterval)
 	n.mbMu.Unlock()
 	n.wake = min(n.wake, at) // flush sets the timer
@@ -860,8 +860,7 @@ func (n *Node) receive(sender core.ProcID, gid uint64, links []wire.LinkHeader, 
 	for _, m := range msgs {
 		c := g.channel(sender, m.Instance)
 		if c == nil {
-			// Mail for an instance not routed here is lost on arrival.
-			g.peers[sender].dropped.Add(1)
+			g.peers[sender].dropped.Add(1) // mail for an instance not routed here: lost on arrival
 			if len(g.traffic) > 0 {
 				lost = append(lost, m)
 			}
@@ -1015,7 +1014,8 @@ func (n *Node) rearm(now time.Duration) {
 	for _, g := range n.groups.Load().list {
 		poll = poll || g.fault != nil || g.waiters.Len() > 0
 		for p := range g.peers {
-			for _, c := range g.peers[p].chans {
+			for i := range g.peers[p].chans {
+				c := &g.peers[p].chans[i]
 				poll = poll || n.wired[p] && c.end.Owes()
 				if at, armed := c.end.Rearm(now); armed {
 					n.wake = min(n.wake, at)
@@ -1048,8 +1048,8 @@ func (n *Node) owe() { n.wake = min(n.wake, n.clock()+stepInterval) }
 func (n *Node) control(g *Group) {
 	n.mbMu.Lock()
 	for p := range g.peers {
-		for _, c := range g.peers[p].chans {
-			if c.end.Tick() && n.wired[p] {
+		for i := range g.peers[p].chans {
+			if c := &g.peers[p].chans[i]; c.end.Tick() && n.wired[p] {
 				n.due = append(n.due, c)
 			}
 		}

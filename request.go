@@ -18,10 +18,11 @@ import "context"
 // Request and add result accessors that are valid once the request has
 // completed successfully.
 type Request struct {
-	done  chan struct{}
-	err   error  // terminal error; written exactly once before done closes
-	fail  error  // protocol-level failure recorded by the completion condition
-	drive func() // starts the Sim scheduler for a pending request; nil elsewhere
+	done     chan struct{}
+	err      error  // terminal error; written exactly once before done closes
+	fail     error  // protocol-level failure recorded by the completion condition
+	drive    func() // starts the Sim scheduler for a pending request; nil elsewhere
+	accepted bool   // the machine accepted it; read and written in its process's atomic context
 }
 
 // waited tells a Sim cluster that r is waited on, so its scheduler runs.

@@ -7,6 +7,7 @@ package snapstab
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -183,4 +184,34 @@ func testCtx(t *testing.T) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	t.Cleanup(cancel)
 	return ctx
+}
+
+// TestDescribeErrAllocatesOnlyItsMessage: every request's completion maps
+// its terminal error, so the success path allocates nothing, and a closed
+// cluster's error allocates only the message it returns, as much as the
+// same fmt.Errorf alone: no budget target is made for an error that is
+// not one. The second is a mean over many calls, because under the race
+// detector fmt's printer pool drops entries at random.
+func TestDescribeErrAllocatesOnlyItsMessage(t *testing.T) {
+	label, p := strings.Repeat("broadcast", 1), 1000 // neither a constant, as in a request
+	if n := testing.AllocsPerRun(100, func() { _ = describeErr(nil, label, p) }); n != 0 {
+		t.Errorf("describeErr(nil) allocated %v times; want 0", n)
+	}
+	mallocs := func(f func()) float64 {
+		const calls = 10000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / calls
+	}
+	message := mallocs(func() { _ = fmt.Errorf("%w: %s at %d", ErrClosed, label, p) })
+	if n := mallocs(func() { _ = describeErr(core.ErrClosed, label, p) }); n > message+0.5 {
+		t.Errorf("describeErr(core.ErrClosed) allocated %.2f times a call; want %.2f, its message's", n, message)
+	}
+	if err := describeErr(core.ErrClosed, label, p); !errors.Is(err, ErrClosed) {
+		t.Errorf("describeErr(core.ErrClosed) = %v; want ErrClosed", err)
+	}
 }
